@@ -4,8 +4,8 @@ The paper's fault-tolerance study (Fig. 10) removes devices *before* the
 run; this example injects faults *during* one.  A small trained DDNN
 serves the same Poisson request stream four times:
 
-1. ``none`` — fault-free baseline (the resilient offload path is armed but
-   never triggered, and matches the legacy path event for event);
+1. ``none`` — fault-free baseline (the retry policy is armed but never
+   triggered, and matches a fabric built without one event for event);
 2. ``flaky-uplink`` — the device→cloud link flaps and drops messages;
    offloads carry a deadline, time out, and retry with exponential
    backoff + jitter, bridging the short dark windows;

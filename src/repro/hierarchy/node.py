@@ -111,10 +111,6 @@ class EndDeviceNode(ComputeNode):
     ) -> None:
         super().__init__(name, ops_per_second)
         self.branch = branch
-        #: Optional :class:`~repro.compile.CompiledBranch`; when set, the
-        #: node's forwards run the fused inference plan instead of the
-        #: eager autograd stack (same outputs, no Tensor wrapping).
-        self.compiled = None
 
     # -- payload sizes -------------------------------------------------- #
     def summary_bytes(self) -> float:
@@ -149,15 +145,11 @@ class EndDeviceNode(ComputeNode):
             )
             scores = np.zeros((batch, self.branch.num_classes))
             return features, scores, 0.0
-        if self.compiled is not None:
-            feature_data, score_data = self.compiled(view)
-        else:
-            with no_grad():
-                feature_map, scores = self.branch(Tensor(view))
-            feature_data, score_data = feature_map.data, scores.data
+        with no_grad():
+            feature_map, scores = self.branch(Tensor(view))
         operations = self.branch.num_parameters() * batch
         seconds = self._account(operations, samples=batch)
-        return feature_data, score_data, seconds
+        return feature_map.data, scores.data, seconds
 
 
 class AggregatorNode(ComputeNode):
@@ -171,17 +163,12 @@ class AggregatorNode(ComputeNode):
     def __init__(self, name: str, aggregator: Aggregator, ops_per_second: float = 1e9) -> None:
         super().__init__(name, ops_per_second)
         self.aggregator = aggregator
-        #: Optional compiled aggregator function (see :func:`repro.compile.compile_aggregator`).
-        self.compiled = None
 
     def aggregate(self, device_outputs: Sequence[np.ndarray]) -> Tuple[np.ndarray, float]:
         """Fuse device outputs; returns ``(fused_array, compute_seconds)``."""
         arrays = [np.asarray(output, dtype=np.float64) for output in device_outputs]
-        if self.compiled is not None:
-            fused_data = self.compiled(arrays)
-        else:
-            with no_grad():
-                fused_data = self.aggregator([Tensor(array) for array in arrays]).data
+        with no_grad():
+            fused_data = self.aggregator([Tensor(array) for array in arrays]).data
         operations = sum(array.size for array in arrays)
         seconds = self._account(operations, samples=len(arrays[0]))
         return fused_data, seconds
@@ -202,9 +189,6 @@ class EdgeComputeNode(ComputeNode):
         self.aggregator = aggregator
         self.model = model
         self.device_indices = list(device_indices)
-        #: Optional compiled aggregator / tier (see :mod:`repro.compile`).
-        self.compiled_aggregator = None
-        self.compiled_tier = None
 
     def feature_bytes(self) -> float:
         """Size of the binarized feature map this edge forwards to the cloud."""
@@ -214,18 +198,13 @@ class EdgeComputeNode(ComputeNode):
     def process(self, device_features: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, float]:
         """Aggregate its devices' features and run the edge NN section."""
         arrays = [np.asarray(f, dtype=np.float64) for f in device_features]
-        if self.compiled_aggregator is not None and self.compiled_tier is not None:
-            aggregated = self.compiled_aggregator(arrays)
-            feature_data, logit_data = self.compiled_tier(aggregated)
-        else:
-            with no_grad():
-                aggregated = self.aggregator([Tensor(array) for array in arrays])
-                feature_map, logits = self.model(aggregated)
-            feature_data, logit_data = feature_map.data, logits.data
+        with no_grad():
+            aggregated = self.aggregator([Tensor(array) for array in arrays])
+            feature_map, logits = self.model(aggregated)
         batch = len(arrays[0])
         operations = self.model.num_parameters() * batch
         seconds = self._account(operations, samples=batch)
-        return feature_data, logit_data, seconds
+        return feature_map.data, logits.data, seconds
 
 
 class CloudComputeNode(ComputeNode):
@@ -241,22 +220,14 @@ class CloudComputeNode(ComputeNode):
         super().__init__(name, ops_per_second)
         self.aggregator = aggregator
         self.model = model
-        #: Optional compiled aggregator / tier (see :mod:`repro.compile`).
-        self.compiled_aggregator = None
-        self.compiled_tier = None
 
     def process(self, source_features: Sequence[np.ndarray]) -> Tuple[np.ndarray, float]:
         """Aggregate incoming feature maps and produce the cloud exit logits."""
         arrays = [np.asarray(f, dtype=np.float64) for f in source_features]
-        if self.compiled_aggregator is not None and self.compiled_tier is not None:
-            aggregated = self.compiled_aggregator(arrays)
-            _, logit_data = self.compiled_tier(aggregated)
-        else:
-            with no_grad():
-                aggregated = self.aggregator([Tensor(array) for array in arrays])
-                _, logits = self.model(aggregated)
-            logit_data = logits.data
+        with no_grad():
+            aggregated = self.aggregator([Tensor(array) for array in arrays])
+            _, logits = self.model(aggregated)
         batch = len(arrays[0])
         operations = self.model.num_parameters() * batch
         seconds = self._account(operations, samples=batch)
-        return logit_data, seconds
+        return logits.data, seconds

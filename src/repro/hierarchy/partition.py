@@ -99,37 +99,6 @@ class HierarchyDeployment:
             self.local_aggregator.reset_stats()
         self.cloud.reset_stats()
 
-    def attach_compiled(self, compiled) -> None:
-        """Hand every node its section of a :class:`~repro.compile.CompiledDDNN`.
-
-        After this, node forwards run the fused inference plans instead of
-        the eager autograd stack.  Call :meth:`detach_compiled` to revert
-        (e.g. before retraining the shared model).
-        """
-        for device, branch in zip(self.devices, compiled.device_branches):
-            device.compiled = branch
-        if self.local_aggregator is not None:
-            self.local_aggregator.compiled = compiled.local_aggregator
-        for edge, aggregator, tier in zip(
-            self.edges, compiled.edge_aggregators, compiled.edge_tiers
-        ):
-            edge.compiled_aggregator = aggregator
-            edge.compiled_tier = tier
-        self.cloud.compiled_aggregator = compiled.cloud_aggregator
-        self.cloud.compiled_tier = compiled.cloud
-
-    def detach_compiled(self) -> None:
-        """Revert every node to the eager forward path."""
-        for device in self.devices:
-            device.compiled = None
-        if self.local_aggregator is not None:
-            self.local_aggregator.compiled = None
-        for edge in self.edges:
-            edge.compiled_aggregator = None
-            edge.compiled_tier = None
-        self.cloud.compiled_aggregator = None
-        self.cloud.compiled_tier = None
-
 
 def partition_ddnn(
     model: DDNN,

@@ -101,9 +101,9 @@ class HierarchyRuntime:
         self.model = deployment.model
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self.batch_size = batch_size
-        # The cascade supplies criteria/routing; the deployment's nodes own
-        # the forwards, so compiled sections are attached to them directly
-        # (scoped to run(), because the deployment is shared state).
+        # The cascade supplies criteria/routing; the tier sections own the
+        # forwards and take the compiled bundle (if any) as their default
+        # plan, so the shared deployment is never mutated.
         self.cascade = ExitCascade.for_model(self.model, thresholds)
         self.compiled = None
         if compile:
@@ -118,13 +118,7 @@ class HierarchyRuntime:
 
     # ------------------------------------------------------------------ #
     def run(self, dataset: MVMCDataset) -> DistributedInferenceResult:
-        """Run distributed inference over every sample of ``dataset``.
-
-        The deployment's nodes are shared state (several runtimes may wrap
-        one deployment), so this runtime's compiled sections — snapshotted
-        at construction — are attached only for the duration of the run and
-        always detached afterwards.
-        """
+        """Run distributed inference over every sample of ``dataset``."""
         from ..serving.batcher import BatchingPolicy
         from ..serving.fabric import DistributedServingFabric
 
@@ -135,27 +129,19 @@ class HierarchyRuntime:
         self.fault_plan.reset()
         self._apply_permanent_faults()
         self.model.eval()
-        if self.compiled is not None:
-            self.deployment.attach_compiled(self.compiled)
-        else:
-            self.deployment.detach_compiled()
 
         num_samples = len(dataset)
         targets = dataset.labels
-        try:
-            fabric = DistributedServingFabric(
-                self.deployment,
-                self.cascade.thresholds,
-                workers_per_tier=1,
-                batching=BatchingPolicy(max_batch_size=self.batch_size, max_wait_s=0.0),
-                sections=build_tier_sections(
-                    self.deployment, self.fault_plan, compiled=self.compiled
-                ),
-            )
-            responses = fabric.serve_dataset(dataset)
-        finally:
-            if self.compiled is not None:
-                self.deployment.detach_compiled()
+        fabric = DistributedServingFabric(
+            self.deployment,
+            self.cascade.thresholds,
+            workers_per_tier=1,
+            batching=BatchingPolicy(max_batch_size=self.batch_size, max_wait_s=0.0),
+            sections=build_tier_sections(
+                self.deployment, self.fault_plan, compiled=self.compiled
+            ),
+        )
+        responses = fabric.serve_dataset(dataset)
 
         predictions = np.zeros(num_samples, dtype=np.int64)
         exit_names: List[str] = [""] * num_samples

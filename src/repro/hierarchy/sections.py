@@ -33,12 +33,13 @@ the split stages charge ``max(transfer)`` at the device offload and
 the same per-sample compute), and an upper bound if edges are hand-tuned
 to heterogeneous speeds.
 
-Compute runs through the nodes' own forward paths (eager, or the compiled
-sections attached via :meth:`HierarchyDeployment.attach_compiled`).  A
-section can also be handed an explicit per-worker
-:class:`~repro.compile.CompiledDDNN` bundle (``plans=...``), which is how the
-fabric gives every simulated worker its own plan instances — the compiled
-buffer arenas are then thread-safe by construction.
+A tier forward runs one of two ways: eagerly through the nodes' own
+``process`` methods, or through a :class:`~repro.compile.CompiledDDNN` plan
+bundle — handed to ``process`` per call (``plans=...``: the fabric gives
+every worker its own plan instances, so the compiled buffer arenas are
+thread-safe by construction) or, failing that, the section's own
+:attr:`TierSection.compiled` default (the ``HierarchyRuntime(compile=True)``
+path).  The deployment's nodes are never mutated to select one.
 """
 
 from __future__ import annotations
@@ -103,6 +104,9 @@ class TierSection:
     exit_index: Optional[int] = None
     #: Exit name matching ``exit_index`` ("" when the tier has no exit).
     exit_name: str = ""
+    #: Plan bundle :meth:`process` runs when called with ``plans=None``
+    #: (``None`` = the eager node forwards).
+    compiled = None
 
     def process(self, payload, plans=None) -> SectionResult:
         raise NotImplementedError
@@ -157,6 +161,8 @@ class DeviceTierSection(TierSection):
                 self._uplink_destination[device_index] = CLOUD_NAME
 
     def process(self, payload, plans=None) -> SectionResult:
+        if plans is None:
+            plans = self.compiled
         views = np.asarray(payload)
         deployment = self.deployment
         fabric = deployment.fabric
@@ -227,18 +233,14 @@ class DeviceTierSection(TierSection):
     def _device_forward(self, device, device_index: int, view_batch, plans):
         branch = None if plans is None else plans.device_branches[device_index]
         if branch is None or device.failed:
-            features, scores, seconds = device.process(view_batch)
-            if device.compiled is not None and not device.failed:
-                # The node-attached compiled branch returns views into the
-                # plan's reused buffers; the carry must survive later
-                # forwards through the same plan instance.
-                features = features.copy()
-            return features, scores, seconds
+            return device.process(view_batch)
         # No dtype force: the compiled branch casts to its own precision
         # mode's dtype (float64 plans see the historical bit-exact input).
         features, scores = branch(np.asarray(view_batch))
         batch = len(features)
         seconds = device._account(device.branch.num_parameters() * batch, samples=batch)
+        # The branch returns views into the plan's reused buffers; the carry
+        # must survive later forwards through the same plan instance.
         return features.copy(), scores.copy(), seconds
 
     def _aggregate(self, aggregator, device_scores, plans):
@@ -298,20 +300,14 @@ class EdgeTierSection(TierSection):
 
     tier_name = "edge"
 
-    def __init__(
-        self,
-        deployment: HierarchyDeployment,
-        exit_index: Optional[int],
-        compiled=None,
-    ) -> None:
+    def __init__(self, deployment: HierarchyDeployment, exit_index: Optional[int]) -> None:
         self.deployment = deployment
         self.exit_index = exit_index
         self.exit_name = "edge" if exit_index is not None else ""
-        #: Optional runtime-level CompiledDDNN whose edge_exit_aggregator is
-        #: used when no per-worker plan bundle is supplied.
-        self.compiled = compiled
 
     def process(self, payload, plans=None) -> SectionResult:
+        if plans is None:
+            plans = self.compiled
         device_features = [np.asarray(array) for array in payload]
         deployment = self.deployment
         batch = len(device_features[0])
@@ -345,8 +341,7 @@ class EdgeTierSection(TierSection):
 
     def _edge_forward(self, edge, edge_index: int, group, plans):
         if plans is None:
-            features, logits, seconds = edge.process(group)
-            return features.copy(), logits, seconds
+            return edge.process(group)
         arrays = [np.asarray(array) for array in group]
         aggregated = plans.edge_aggregators[edge_index](arrays)
         features, logits = plans.edge_tiers[edge_index](aggregated)
@@ -359,8 +354,6 @@ class EdgeTierSection(TierSection):
             return edge_logit_list[0]
         if plans is not None and plans.edge_exit_aggregator is not None:
             return plans.edge_exit_aggregator(edge_logit_list)
-        if self.compiled is not None:
-            return self.compiled.edge_exit_aggregator(edge_logit_list)
         with no_grad():
             return self.deployment.model.edge_exit_aggregator(
                 [Tensor(logits) for logits in edge_logit_list]
@@ -415,6 +408,8 @@ class CloudTierSection(TierSection):
         self.exit_name = "cloud"
 
     def process(self, payload, plans=None) -> SectionResult:
+        if plans is None:
+            plans = self.compiled
         sources = [np.asarray(array) for array in payload]
         batch = len(sources[0])
         logits, seconds = self._cloud_forward(sources, plans)
@@ -454,9 +449,11 @@ def build_tier_sections(
 ) -> List[TierSection]:
     """Decompose a deployment into its cascade tiers, in exit order.
 
-    ``compiled`` is an optional :class:`~repro.compile.CompiledDDNN` used for
-    the edge-exit fusion when the deployment's nodes run attached compiled
-    sections (the :class:`HierarchyRuntime` compile path).
+    ``compiled`` is an optional :class:`~repro.compile.CompiledDDNN` that
+    becomes every section's default plan bundle: ``process(payload)`` with no
+    explicit ``plans=`` then runs it instead of the eager node forwards (the
+    :class:`HierarchyRuntime` compile path).  One bundle serves one caller
+    at a time — concurrent workers pass their own ``plans=``.
 
     ``plan`` is an optional :class:`~repro.hierarchy.plan.PartitionPlan`
     that places the section boundary: a tier whose exit the plan disables
@@ -483,6 +480,8 @@ def build_tier_sections(
     if model.has_edge:
         edge_index: Optional[int] = next_exit if edge_exit else None
         next_exit += 1
-        sections.append(EdgeTierSection(deployment, exit_index=edge_index, compiled=compiled))
+        sections.append(EdgeTierSection(deployment, exit_index=edge_index))
     sections.append(CloudTierSection(deployment, exit_index=next_exit))
+    for section in sections:
+        section.compiled = compiled
     return sections

@@ -174,7 +174,7 @@ class LoadBalancer:
             )
         shared_ids = self.replicas[0]._ids
         for index, fabric in enumerate(self.replicas):
-            if fabric.offload_policy is None:
+            if not fabric.offload_policy.can_time_out:
                 raise ValueError(
                     f"replica {index} has no offload RetryPolicy; hedge "
                     "copies ride the resilient offload path"

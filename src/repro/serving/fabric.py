@@ -137,12 +137,11 @@ class FabricRequest:
     path_latency_s: float = 0.0
     #: Total bytes this sample put on the wire (paper Eq. 1 accounting).
     bytes_transferred: float = 0.0
-    #: Offload re-sends performed for this request so far (resilient path).
+    #: Offload re-sends performed for this request so far.
     retries: int = 0
     #: Deepest exit decision this request has already cleared — the answer
-    #: a failover degrades to: ``(prediction, entropy, exit_index,
-    #: exit_name)``.  Maintained when an offload RetryPolicy is set and for
-    #: any request carrying a deadline (retirement needs an answer too).
+    #: a failover or deadline retirement degrades to: ``(prediction,
+    #: entropy, exit_index, exit_name)``.
     fallback: Optional[Tuple[int, float, int, str]] = None
     #: End-to-end SLO budget travelling with the request (``None`` = no SLO).
     deadline: Optional[Deadline] = None
@@ -293,13 +292,13 @@ class _RequestIds:
 
 @dataclass
 class _OffloadGroup:
-    """One in-flight resilient offload: a batch's non-exiting rows in transit.
+    """One in-flight offload: a batch's non-exiting rows in transit.
 
-    Under a :class:`~repro.serving.resilience.RetryPolicy` the rows of one
-    batch travel (and are retried) as a single message-group — they share
-    link fate, a deadline timer, and a failover decision.  ``attempts``
-    versions the outstanding send so a late arrival from a superseded
-    attempt can be recognised and suppressed.
+    The rows of one batch travel (and are retried) as a single
+    message-group — they share link fate, an attempt timer, and a failover
+    decision, and reach the next tier together at the slowest row's
+    transfer delay.  ``attempts`` versions the outstanding send so a late
+    arrival from a superseded attempt can be recognised and suppressed.
     """
 
     origin: int
@@ -457,22 +456,29 @@ class DistributedServingFabric:
         rejects a simulated one — wall-clock dispatch is what makes real
         concurrency observable.
     offload:
-        Optional :class:`~repro.serving.resilience.RetryPolicy`.  When set,
-        every offload to the next tier carries a deadline; on timeout or
-        message loss the origin tier retries with exponential backoff +
-        jitter up to the budget, then **fails over** to the deepest local
-        exit the request has already cleared — a degraded but honest answer
-        carrying ``degraded``/``retries`` metadata.  Required whenever an
-        attached chaos schedule can darken links or lose messages (an
-        offload into a dark link would otherwise hang forever).  Without
-        it the legacy immortal-network offload path runs unchanged.
+        :class:`~repro.serving.resilience.RetryPolicy` every offload to the
+        next tier travels under: each attempt carries a deadline; on
+        timeout or message loss the origin tier retries with exponential
+        backoff + jitter up to the budget, then **fails over** to the
+        deepest local exit the request has already cleared — a degraded but
+        honest answer carrying ``degraded``/``retries`` metadata.  ``None``
+        is ``RetryPolicy(deadline_s=inf, max_retries=0)``: one attempt that
+        waits for its delivery, so no timer is armed and nothing is ever
+        retried or failed over — hence an attached chaos schedule that can
+        darken links or lose messages requires a policy whose attempts
+        *can* time out (the offload would otherwise hang forever).  Either
+        way the non-exiting rows of one batch reach the next tier together,
+        at the group's slowest-row delay; per-row delays differ only under
+        an intermittent :class:`~repro.hierarchy.faults.FaultPlan` or
+        hand-tuned heterogeneous links, and only the arrival instant, never
+        ``bytes_transferred`` or ``path_latency_s``, is affected.
     breaker:
         Optional :class:`~repro.serving.resilience.CircuitBreaker` template
-        (thresholds only); each inter-tier link gets its own instance.  An
-        open breaker fails offloads over to the local exit immediately
-        instead of burning a deadline + backoff ladder per batch.  Requires
-        ``offload``.  Defaults to ``CircuitBreaker()`` per link when an
-        offload policy is set.
+        (thresholds only); each inter-tier link gets its own instance
+        (``CircuitBreaker()`` without a template).  An open breaker fails
+        offloads over to the local exit immediately instead of burning a
+        deadline + backoff ladder per batch.  Only timeouts trip it, so it
+        requires an ``offload`` policy whose attempts can time out.
     chaos:
         Optional :class:`~repro.hierarchy.faults.ChaosSchedule` applied at
         construction (equivalent to calling :meth:`attach_chaos`).
@@ -683,25 +689,25 @@ class DistributedServingFabric:
         #: Earliest-deadline-first batch formation at every tier.
         self.edf = bool(edf)
 
-        if breaker is not None and offload is None:
+        if offload is None:
+            offload = RetryPolicy(deadline_s=math.inf, max_retries=0)
+        if breaker is not None and not offload.can_time_out:
             raise ValueError(
                 "breaker without offload does nothing: the circuit breaker "
                 "guards the resilient offload path — pass offload=RetryPolicy(...)"
             )
-        if hedge is not None and offload is None:
+        if hedge is not None and not offload.can_time_out:
             raise ValueError(
                 "hedge without offload does nothing: hedge copies ride the "
                 "resilient offload path — pass offload=RetryPolicy(...)"
             )
-        #: Offload resilience policy (None keeps the legacy immortal-network
-        #: offload path, event for event).
+        #: Policy every offload travels under (``offload=None``: a single
+        #: attempt that never times out).
         self.offload_policy = offload
         self._breaker_template = breaker
         #: Per-link circuit breakers, keyed (origin tier name, target tier name).
         self.breakers: Dict[Tuple[str, str], CircuitBreaker] = {}
-        self._retry_rng = (
-            np.random.default_rng(offload.seed) if offload is not None else None
-        )
+        self._retry_rng = np.random.default_rng(offload.seed)
         self.resilience_stats = ResilienceStats()
         #: Hedged-offload policy; the routing callable is wired by the
         #: LoadBalancer (``hedge_router(origin_fabric, origin_tier) ->
@@ -763,12 +769,7 @@ class DistributedServingFabric:
         then goes dark).  On the simulated backend the whole fault
         realisation is deterministic under the schedule's seed.
         """
-        if schedule.has_link_chaos and self.offload_policy is None:
-            raise ValueError(
-                "this chaos schedule can darken links or lose messages, and "
-                "without an offload RetryPolicy a lost offload would hang "
-                "forever — pass offload=RetryPolicy(...) to the fabric"
-            )
+        self._check_link_chaos(schedule, self.sections[0].exit_index is not None)
         self.chaos = schedule
         self.deployment.fabric.attach_chaos(schedule)
         for index, tier in enumerate(self.tiers):
@@ -784,6 +785,24 @@ class DistributedServingFabric:
             if schedule.worker_event_times(tier.name):
                 self._apply_worker_chaos(index, self.clock.now)
         return self
+
+    def _check_link_chaos(self, schedule: ChaosSchedule, device_exit: bool) -> None:
+        """Reject link chaos this fabric could not survive, before it runs."""
+        if not schedule.has_link_chaos:
+            return
+        if not self.offload_policy.can_time_out:
+            raise ValueError(
+                "this chaos schedule can darken links or lose messages, and "
+                "without an offload RetryPolicy a lost offload would hang "
+                "forever — pass offload=RetryPolicy(...) to the fabric"
+            )
+        if not device_exit:
+            raise ValueError(
+                "this chaos schedule can darken links or lose messages, but "
+                "the device tier has no exit (local_exit=False): a request "
+                "lost on its first uplink has cleared no exit to fail over "
+                "to — keep the local exit, or drop the schedule's link events"
+            )
 
     def _apply_worker_chaos(self, tier_index: int, now: float) -> None:
         """Re-apply the schedule's offline worker count for one tier at ``now``."""
@@ -1048,11 +1067,16 @@ class DistributedServingFabric:
             evicted.request.expiry_handle.cancel()
             evicted.request.expiry_handle = None
 
-    def _require_first_exit(self) -> int:
+    def _require_first_exit(self, failover: bool = False) -> int:
         exit_index = self.sections[0].exit_index
         if exit_index is None:
             raise RuntimeError(
-                "admission wants to shed to the first exit, but the active "
+                "an offload gave up (retry budget spent or breaker open) before "
+                "its requests cleared any exit, and the active plan disables "
+                "the device tier's exit: nothing to fail over to — keep the "
+                "local exit, or give RetryPolicy a deadline_s the uplink can meet"
+                if failover
+                else "admission wants to shed to the first exit, but the active "
                 "plan disables the device tier's exit — use a reject/"
                 "drop-oldest policy, or keep the local exit in the plan"
             )
@@ -1078,7 +1102,7 @@ class DistributedServingFabric:
         offload failover whose journey never cleared an exit (the origin
         tier had none), flagged ``degraded`` instead of ``shed``.
         """
-        exit_index = self._require_first_exit()
+        exit_index = self._require_first_exit(failover=degraded)
         self.model.eval()
         if self.compile_enabled:
             output = self.cascade.compiled_for(self.model)(request.views[None])
@@ -1090,35 +1114,37 @@ class DistributedServingFabric:
         )
         if max_entropy is not None and float(decision.entropies[0]) > max_entropy:
             return None
-        response = FabricResponse(
-            request_id=request.request_id,
-            client_id=request.client_id,
-            prediction=int(decision.predictions[0]),
-            exit_index=exit_index,
-            exit_name=self.sections[0].exit_name,
-            entropy=float(decision.entropies[0]),
-            target=request.target,
-            submit_time=request.submit_time,
-            completion_time=now,
-            path_latency_s=request.path_latency_s,
-            bytes_transferred=request.bytes_transferred,
-            batch_size=1,
+        return self._finalize(
+            request,
+            now,
+            decision.predictions[0],
+            decision.entropies[0],
+            exit_index,
+            self.sections[0].exit_name,
             shed=not degraded,
             degraded=degraded,
-            retries=request.retries if degraded else 0,
         )
-        return self._finalize(request, response)
 
     # -- end-to-end SLO plane ------------------------------------------- #
     def _finalize(
-        self, request: FabricRequest, response: FabricResponse
+        self,
+        request: FabricRequest,
+        now: float,
+        prediction,
+        entropy,
+        exit_index: int,
+        exit_name: str,
+        batch_size: int = 1,
+        relaxed: bool = False,
+        shed: bool = False,
+        degraded: bool = False,
     ) -> FabricResponse:
-        """Single emission point for every answer path.
+        """Single emission point: every answer path builds its response here.
 
         Enforces the exactly-once invariant (deadline retirement, failover,
-        hedging and normal exits all converge here), disarms the expiry
-        timer, and stamps ``deadline_exceeded`` honestly: any answer landing
-        at or past the budget is flagged, whatever path produced it.
+        hedging, shedding and normal exits all converge here), disarms the
+        expiry timer, and stamps ``deadline_exceeded`` honestly: any answer
+        landing at or past the budget is flagged, whatever path produced it.
         """
         if request.answered:
             raise RuntimeError(
@@ -1129,13 +1155,28 @@ class DistributedServingFabric:
         if request.expiry_handle is not None:
             request.expiry_handle.cancel()
             request.expiry_handle = None
-        if (
-            request.deadline is not None
-            and response.completion_time >= request.deadline.expires_at
-        ):
-            response.deadline_exceeded = True
-        if request.hedged:
-            response.hedged = True
+        response = FabricResponse(
+            request_id=request.request_id,
+            client_id=request.client_id,
+            prediction=int(prediction),
+            exit_index=exit_index,
+            exit_name=exit_name,
+            entropy=float(entropy),
+            target=request.target,
+            submit_time=request.submit_time,
+            completion_time=now,
+            path_latency_s=request.path_latency_s,
+            bytes_transferred=request.bytes_transferred,
+            batch_size=batch_size,
+            relaxed=relaxed,
+            shed=shed,
+            degraded=degraded,
+            retries=request.retries,
+            deadline_exceeded=(
+                request.deadline is not None and now >= request.deadline.expires_at
+            ),
+            hedged=request.hedged,
+        )
         self.responses.append(response)
         return response
 
@@ -1146,40 +1187,24 @@ class DistributedServingFabric:
 
     def _fallback_response(
         self, request: FabricRequest, now: float, batch_size: int = 1
-    ) -> FabricResponse:
+    ) -> None:
         """Answer from the deepest exit decision the request already cleared
         (first-exit evaluation when its journey never cleared one)."""
         if request.fallback is None:
-            response = self._shed_response(request, now, degraded=True)
-            assert response is not None  # no max_entropy bound on this path
-            return response
-        prediction, entropy, exit_index, exit_name = request.fallback
-        response = FabricResponse(
-            request_id=request.request_id,
-            client_id=request.client_id,
-            prediction=int(prediction),
-            exit_index=int(exit_index),
-            exit_name=exit_name,
-            entropy=float(entropy),
-            target=request.target,
-            submit_time=request.submit_time,
-            completion_time=now,
-            path_latency_s=request.path_latency_s,
-            bytes_transferred=request.bytes_transferred,
-            batch_size=batch_size,
-            degraded=True,
-            retries=request.retries,
-        )
-        return self._finalize(request, response)
+            self._shed_response(request, now, degraded=True)
+        else:
+            self._finalize(
+                request, now, *request.fallback, batch_size=batch_size, degraded=True
+            )
 
     def _deadline_response(
         self, request: FabricRequest, now: float, batch_size: int = 1
-    ) -> FabricResponse:
+    ) -> None:
         """Retire a request whose SLO budget is (or provably will be) blown:
         answered immediately from the deepest exit already cleared — never
         dropped, and no further transfer or remote compute is spent on it."""
         self.resilience_stats.deadline_expired += 1
-        return self._fallback_response(request, now, batch_size=batch_size)
+        self._fallback_response(request, now, batch_size=batch_size)
 
     def _retire_if_expired(self, request: FabricRequest, now: float) -> bool:
         """Retire an already-expired request instead of advancing it."""
@@ -1310,42 +1335,31 @@ class DistributedServingFabric:
             exit_mask = np.ones(batch_size, dtype=bool) if final else decision.exit_mask
 
         for row in np.flatnonzero(exit_mask):
-            request = batch[row].request
-            response = FabricResponse(
-                request_id=request.request_id,
-                client_id=request.client_id,
-                prediction=int(decision.predictions[row]),
-                exit_index=section.exit_index,
-                exit_name=section.exit_name,
-                entropy=float(decision.entropies[row]),
-                target=request.target,
-                submit_time=request.submit_time,
-                completion_time=now,
-                path_latency_s=request.path_latency_s,
-                bytes_transferred=request.bytes_transferred,
-                batch_size=batch_size,
-                relaxed=relaxed,
-                retries=request.retries,
-            )
             if relaxed:
                 self.relaxed_samples += 1
-            self._finalize(request, response)
+            self._finalize(
+                batch[row].request,
+                now,
+                decision.predictions[row],
+                decision.entropies[row],
+                section.exit_index,
+                section.exit_name,
+                batch_size=batch_size,
+                relaxed=relaxed,
+            )
 
         remaining = np.flatnonzero(~exit_mask)
         if remaining.size:
             # Remember the decision each non-exiting row would fail over or
-            # retire to (the deepest exit already cleared) — maintained on
-            # the resilient path and for any deadline-carrying request.
+            # retire to (the deepest exit already cleared).
             if decision is not None:
                 for row in remaining:
-                    request = batch[row].request
-                    if self.offload_policy is not None or request.deadline is not None:
-                        request.fallback = (
-                            int(decision.predictions[row]),
-                            float(decision.entropies[row]),
-                            section.exit_index,
-                            section.exit_name,
-                        )
+                    batch[row].request.fallback = (
+                        int(decision.predictions[row]),
+                        float(decision.entropies[row]),
+                        section.exit_index,
+                        section.exit_name,
+                    )
             # SLO budget pre-filter: a row whose remaining budget cannot
             # cover even the (conservative, chargeless) transfer estimate is
             # answered locally *before* any bytes hit the wire — an SLO
@@ -1363,45 +1377,24 @@ class DistributedServingFabric:
                 sendable.append(int(row))
             remaining = np.asarray(sendable, dtype=np.int64)
         if remaining.size:
-            if self.offload_policy is not None:
-                # Resilient offload path: the rows travel (and are retried,
-                # and hedged) as one deadline-guarded message-group whose
-                # budget is the earliest member deadline.
-                group = _OffloadGroup(
-                    origin=tier_index,
-                    requests=[batch[row].request for row in remaining],
-                    rows=np.asarray(remaining),
-                    carry=result.carry,
-                )
-                group.expires_at = min(
+            # The rows travel (and are retried, and hedged) as one
+            # message-group whose budget is the earliest member deadline, so
+            # the next tier sees them as one batch-forming event.
+            group = _OffloadGroup(
+                origin=tier_index,
+                requests=[batch[row].request for row in remaining],
+                rows=remaining,
+                carry=result.carry,
+                expires_at=min(
                     (
-                        request.deadline.expires_at
-                        for request in group.requests
-                        if request.deadline is not None
+                        batch[row].request.deadline.expires_at
+                        for row in remaining
+                        if batch[row].request.deadline is not None
                     ),
                     default=math.inf,
-                )
-                self._offload_attempt(group, now)
-            else:
-                transfer = section.offload(result.carry, remaining)
-                # Rows sharing a transfer delay arrive together, so the next
-                # tier sees them as one batch-forming event.
-                groups: Dict[float, List[Tuple[FabricRequest, object]]] = {}
-                for position, row in enumerate(remaining):
-                    request = batch[row].request
-                    delay = float(transfer.delay_s[position])
-                    request.path_latency_s += delay
-                    request.bytes_transferred += float(transfer.bytes[position])
-                    groups.setdefault(delay, []).append(
-                        (request, transfer.payloads[position])
-                    )
-                for delay, items in groups.items():
-                    self.events.schedule(
-                        now + delay,
-                        lambda fire_time, t=tier_index + 1, payloads=items: (
-                            self._arrive(t, payloads, fire_time)
-                        ),
-                    )
+                ),
+            )
+            self._offload_attempt(group, now)
 
         self.tiers[tier_index].pool.release(worker, now)
         if self.autoscaler is not None:
@@ -1415,7 +1408,7 @@ class DistributedServingFabric:
             return
         self._dispatch(tier_index, now)
 
-    # -- resilient offloads: deadline, retry/backoff, hedging, failover -- #
+    # -- offloads: deadline, retry/backoff, hedging, failover ----------- #
     def _settle(self, group: _OffloadGroup) -> None:
         """Mark a group decided and disarm every timer racing for it."""
         group.settled = True
@@ -1435,14 +1428,55 @@ class DistributedServingFabric:
             handle.cancel()
         group.hedge_deliveries.clear()
 
-    def _attempt_timeout_at(self, policy: RetryPolicy, group: _OffloadGroup, now: float) -> float:
-        """One attempt's give-up time: the retry deadline, clipped to the
-        group's end-to-end budget (waiting past it helps nobody)."""
-        return min(now + policy.deadline_s, group.expires_at)
+    def _send(
+        self,
+        group: _OffloadGroup,
+        via: "DistributedServingFabric",
+        now: float,
+        on_arrival,
+        *args,
+    ) -> Optional[EventHandle]:
+        """Transmit the group's rows over ``via``'s uplink (this fabric's, or
+        a hedge sibling's: the copy rides the sibling's links and chaos).
 
-    def _hedge_pending(self, group: _OffloadGroup) -> bool:
-        """A hedge copy is still in flight and may yet deliver the group."""
-        return any(not handle.cancelled for handle in group.hedge_deliveries)
+        Every send genuinely transmits — bytes and transfer seconds are
+        charged to the links and the requests, so retries and hedges are
+        never free.  Returns the scheduled arrival — ``on_arrival(group,
+        *args, items, fire_time)`` at the slowest row's delay — or ``None``
+        if the link lost the message.
+        """
+        origin = via.tiers[group.origin]
+        transfer = origin.section.offload(group.carry, group.rows)
+        for position, request in enumerate(group.requests):
+            request.path_latency_s += float(transfer.delay_s[position])
+            request.bytes_transferred += float(transfer.bytes[position])
+        if via is not self:
+            self.hedge_bytes += float(np.sum(transfer.bytes))
+        if not via.deployment.fabric.delivery(
+            origin.name, via.tiers[group.origin + 1].name, now
+        ):
+            return None
+        items = list(zip(group.requests, transfer.payloads))
+        return self.events.schedule(
+            now + float(np.max(transfer.delay_s)),
+            lambda fire_time: on_arrival(group, *args, items, fire_time),
+        )
+
+    def _arm_attempt_timer(self, group: _OffloadGroup, now: float) -> None:
+        """Give the current attempt its deadline, clipped to the group's
+        end-to-end budget (waiting past it helps nobody).  A policy that
+        cannot time out arms nothing: an event at ``t = inf`` would keep the
+        loop alive and drag the simulated clock there, and its offloads are
+        not failed over at their SLO either — the real answer lands late."""
+        policy = self.offload_policy
+        if not policy.can_time_out:
+            return
+        group.timeout_handle = self.events.schedule(
+            min(now + policy.deadline_s, group.expires_at),
+            lambda fire_time, g=group, a=group.attempts: (
+                self._offload_timeout(g, a, fire_time)
+            ),
+        )
 
     def _offload_attempt(self, group: _OffloadGroup, now: float) -> None:
         """Send (or re-send) one offload group under the deadline policy."""
@@ -1452,12 +1486,9 @@ class DistributedServingFabric:
             # over — a settled group would answer its requests twice.
             return
         group.resend_handle = None
-        policy = self.offload_policy
-        assert policy is not None
         origin = self.tiers[group.origin]
         target = self.tiers[group.origin + 1]
-        breaker = self.breaker_for(origin.name, target.name)
-        if not breaker.allow(now):
+        if not self.breaker_for(origin.name, target.name).allow(now):
             # Fast-fail: the link is known-dark; answer locally without
             # burning a deadline + backoff ladder on it — unless a sibling
             # replica can take a hedge copy right now, in which case the
@@ -1465,50 +1496,17 @@ class DistributedServingFabric:
             self.resilience_stats.breaker_fast_fails += 1
             if self._fire_hedge(group, now):
                 group.attempts += 1
-                attempt = group.attempts
                 group.delivery_handle = None
-                group.timeout_handle = self.events.schedule(
-                    self._attempt_timeout_at(policy, group, now),
-                    lambda fire_time, g=group, a=attempt: (
-                        self._offload_timeout(g, a, fire_time)
-                    ),
-                )
-                return
-            if self._hedge_pending(group):
-                # A hedge copy is already in flight; failing over now would
-                # cancel a delivery that is about to win.  Let the hedge
-                # settle the group (its delivery event is scheduled).
-                return
-            self._settle(group)
-            self._failover(group, now)
+                self._arm_attempt_timer(group, now)
+            else:
+                self._failover(group, now)
             return
         group.attempts += 1
         self.resilience_stats.attempts += 1
-        # Every attempt genuinely transmits: bytes and transfer seconds are
-        # re-accounted on the links and requests (retries are not free).
-        transfer = origin.section.offload(group.carry, group.rows)
-        for position, request in enumerate(group.requests):
-            request.path_latency_s += float(transfer.delay_s[position])
-            request.bytes_transferred += float(transfer.bytes[position])
-        delay = float(np.max(transfer.delay_s)) if len(group.requests) else 0.0
-        delivered = self.deployment.fabric.delivery(origin.name, target.name, now)
-        attempt = group.attempts
-        if delivered:
-            items = list(zip(group.requests, transfer.payloads))
-            group.delivery_handle = self.events.schedule(
-                now + delay,
-                lambda fire_time, g=group, a=attempt, it=items: (
-                    self._offload_delivered(g, a, it, fire_time)
-                ),
-            )
-        else:
-            group.delivery_handle = None
-        group.timeout_handle = self.events.schedule(
-            self._attempt_timeout_at(policy, group, now),
-            lambda fire_time, g=group, a=attempt: (
-                self._offload_timeout(g, a, fire_time)
-            ),
+        group.delivery_handle = self._send(
+            group, self, now, self._offload_delivered, group.attempts
         )
+        self._arm_attempt_timer(group, now)
         if (
             group.attempts == 1
             and self.hedge_policy is not None
@@ -1544,11 +1542,8 @@ class DistributedServingFabric:
     def _fire_hedge(self, group: _OffloadGroup, now: float) -> bool:
         """Speculatively re-send the group to a sibling replica stack.
 
-        The copy goes through the *sibling's* origin section, so its bytes
-        and transfer seconds land on the sibling's links (honest hedge
-        accounting), and through the sibling's chaos realisation.  First
-        arrival — original or any hedge — wins; the rest are cancelled.
-        Returns True when a copy was actually sent.
+        First arrival — original or any hedge — wins; the rest are
+        cancelled.  Returns True when a copy was actually sent.
         """
         policy = self.hedge_policy
         if policy is None or self.hedge_router is None:
@@ -1562,26 +1557,8 @@ class DistributedServingFabric:
             return False
         group.hedge_count += 1
         self.resilience_stats.hedges += 1
-        section = sibling.tiers[group.origin].section
-        transfer = section.offload(group.carry, group.rows)
-        self.hedge_bytes += float(np.sum(transfer.bytes))
-        for position, request in enumerate(group.requests):
-            request.path_latency_s += float(transfer.delay_s[position])
-            request.bytes_transferred += float(transfer.bytes[position])
-        delay = float(np.max(transfer.delay_s)) if len(group.requests) else 0.0
-        delivered = sibling.deployment.fabric.delivery(
-            sibling.tiers[group.origin].name,
-            sibling.tiers[group.origin + 1].name,
-            now,
-        )
-        if delivered:
-            items = list(zip(group.requests, transfer.payloads))
-            handle = self.events.schedule(
-                now + delay,
-                lambda fire_time, g=group, s=sibling, it=items: (
-                    self._hedge_delivered(g, s, it, fire_time)
-                ),
-            )
+        handle = self._send(group, sibling, now, self._hedge_delivered, sibling)
+        if handle is not None:
             group.hedge_deliveries.append(handle)
         return True
 
@@ -1627,7 +1604,6 @@ class DistributedServingFabric:
         if group.settled or attempt != group.attempts:
             return
         policy = self.offload_policy
-        assert policy is not None
         if group.delivery_handle is not None:
             # The transfer was slower than the deadline: treat the payload
             # as lost (the re-send, not this straggler, now owns delivery).
@@ -1638,9 +1614,6 @@ class DistributedServingFabric:
         target = self.tiers[group.origin + 1]
         self.breaker_for(origin.name, target.name).record_failure(now)
         if group.attempts > policy.max_retries:
-            if self._hedge_pending(group):
-                return  # a hedge copy is still racing; it owns delivery now
-            self._settle(group)
             self._failover(group, now)
             return
         backoff = policy.backoff_s(group.attempts, self._retry_rng)
@@ -1651,9 +1624,6 @@ class DistributedServingFabric:
             resend_lands = now + backoff + origin.section.transfer_estimate_s()
             if resend_lands >= group.expires_at:
                 self.resilience_stats.clipped_retries += 1
-                if self._hedge_pending(group):
-                    return
-                self._settle(group)
                 self._failover(group, now)
                 return
         self.resilience_stats.retries += 1
@@ -1665,18 +1635,16 @@ class DistributedServingFabric:
         )
 
     def _failover(self, group: _OffloadGroup, now: float) -> None:
-        """Answer every request of a given-up offload from its local exit."""
+        """The origin's own attempts gave up: answer every request of the
+        group from its local exit — unless a hedge copy is still in flight,
+        which then owns delivery (failing over now would cancel an arrival
+        that is about to win; its scheduled delivery settles the group)."""
+        if any(not handle.cancelled for handle in group.hedge_deliveries):
+            return
+        self._settle(group)
         for request in group.requests:
-            self._degraded_response(request, now, batch_size=len(group.requests))
-
-    def _degraded_response(
-        self, request: FabricRequest, now: float, batch_size: int = 1
-    ) -> FabricResponse:
-        """One failover answer: the deepest exit decision already cleared,
-        flagged ``degraded`` (first-exit re-evaluation when the journey
-        never cleared an exit)."""
-        self.resilience_stats.failovers += 1
-        return self._fallback_response(request, now, batch_size=batch_size)
+            self.resilience_stats.failovers += 1
+            self._fallback_response(request, now, batch_size=len(group.requests))
 
     # ------------------------------------------------------------------ #
     def apply_plan(
@@ -1717,6 +1685,8 @@ class DistributedServingFabric:
                 "needs a new fabric, not a live re-partition"
             )
         new_plan.validate()
+        if self.chaos is not None:
+            self._check_link_chaos(self.chaos, new_plan.resolved_local_exit())
         if self._pending_plan is not None:
             raise RuntimeError("a re-partition is already in progress")
         when = self.clock.now if now is None else float(now)
@@ -1738,15 +1708,12 @@ class DistributedServingFabric:
         }
 
         # Rebuild the sections at the new boundary.  The fault plan and the
-        # shared compiled bundle (edge/cloud aggregation paths) carry over
-        # from the running sections so behaviour other than the boundary is
-        # unchanged.
+        # sections' default plan bundle carry over from the running sections
+        # so behaviour other than the boundary is unchanged.
         new_sections = build_tier_sections(
             self.deployment,
             fault_plan=self.sections[0].fault_plan,
-            compiled=next(
-                (s.compiled for s in self.sections if hasattr(s, "compiled")), None
-            ),
+            compiled=self.sections[0].compiled,
             plan=plan,
         )
         if new_sections[-1].exit_index is None:

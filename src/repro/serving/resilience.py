@@ -144,6 +144,13 @@ class RetryPolicy:
         if self.jitter_s < 0.0:
             raise ValueError(f"jitter_s must be >= 0, got {self.jitter_s}")
 
+    @property
+    def can_time_out(self) -> bool:
+        """Whether an attempt can ever give up.  ``deadline_s=inf`` (the
+        fabric's ``offload=None``) waits for every delivery: it never retries
+        or fails over, so it must never meet a link that can lose a message."""
+        return self.deadline_s < math.inf
+
     def backoff_s(self, failed_attempts: int, rng=None) -> float:
         """Wait before the re-send following ``failed_attempts`` timeouts (>= 1)."""
         if failed_attempts < 1:

@@ -25,6 +25,7 @@ from repro.serving import (
     CircuitBreaker,
     DistributedServingFabric,
     EventLoop,
+    HedgePolicy,
     LoadBalancer,
     PoissonProcess,
     RetryPolicy,
@@ -352,22 +353,51 @@ class TestWorkerPoolOffline:
 
 # --------------------------------------------------------------------------- #
 class TestResilientOffload:
-    def test_no_chaos_resilient_path_matches_legacy_exactly(
+    def test_fault_free_explicit_policy_matches_default_exactly(
         self, trained_ddnn, tiny_test
     ):
-        legacy = _serve(_fabric(trained_ddnn), tiny_test)
+        """``offload=None`` is a degenerate RetryPolicy on the one offload
+        path: a real policy that never triggers changes nothing, completion
+        times included."""
+        default = _serve(_fabric(trained_ddnn), tiny_test)
         fabric = _fabric(trained_ddnn, offload=POLICY)
-        resilient = _serve(fabric, tiny_test)
+        explicit = _serve(fabric, tiny_test)
         key = lambda rs: sorted(
             (r.request_id, r.prediction, r.exit_index, r.exit_name, r.completion_time)
             for r in rs
         )
-        assert key(resilient.responses) == key(legacy.responses)
-        assert resilient.degraded_fraction == 0.0
-        assert resilient.retry_total == 0
+        assert key(explicit.responses) == key(default.responses)
+        assert explicit.degraded_fraction == 0.0
+        assert explicit.retry_total == 0
         stats = fabric.resilience_stats
-        assert stats.attempts > 0  # the resilient path was actually exercised
+        assert stats.attempts > 0  # offloads were actually sent
         assert stats.timeouts == stats.retries == stats.failovers == 0
+
+    def test_default_policy_arms_no_attempt_timer(self, trained_ddnn, tiny_test):
+        """The never-timing-out default must not schedule anything at
+        ``t = inf``: the loop drains and the clock stops at the last answer."""
+        fabric = _fabric(trained_ddnn)
+        report = _serve(fabric, tiny_test)
+        stats = fabric.resilience_stats
+        assert stats.attempts > 0
+        assert stats.timeouts == stats.retries == stats.failovers == 0
+        assert len(fabric.events) == 0
+        assert fabric.clock.now == max(r.completion_time for r in report.responses)
+
+    def test_slo_without_policy_never_fails_an_inflight_offload_over(
+        self, trained_ddnn, tiny_test
+    ):
+        """With no exit below the cloud and an SLO shorter than one transfer,
+        every answer is late but real: an attempt timer clipped to the
+        group's expiry would instead fail over with nothing to answer from."""
+        fabric = DistributedServingFabric.from_plan(
+            PartitionPlan(trained_ddnn, local_exit=False, slo_s=1e-3), 0.8
+        )
+        report = _serve(fabric, tiny_test, num_requests=8)
+        assert report.served == 8
+        assert {r.exit_name for r in report.responses} == {"cloud"}
+        assert all(r.deadline_exceeded and not r.degraded for r in report.responses)
+        assert fabric.resilience_stats.failovers == 0
 
     def test_partition_fails_over_to_local_exits(self, trained_ddnn, tiny_test):
         fabric = _fabric(
@@ -474,6 +504,60 @@ class TestResilientOffload:
     def test_breaker_without_offload_policy_is_rejected(self, trained_ddnn):
         with pytest.raises(ValueError, match="offload"):
             _fabric(trained_ddnn, breaker=CircuitBreaker())
+
+    def test_policy_that_cannot_time_out_is_treated_like_none(self, trained_ddnn):
+        """The guards ask whether an attempt can time out, not whether a
+        policy object was passed: a hand-built infinite deadline would hang
+        under link chaos exactly like ``offload=None``."""
+        immortal = RetryPolicy(deadline_s=math.inf)
+        outage = ChaosSchedule(outages=[LinkOutage(destination="cloud")])
+        with pytest.raises(ValueError, match="RetryPolicy"):
+            _fabric(trained_ddnn, offload=immortal, chaos=outage)
+        with pytest.raises(ValueError, match="breaker without offload"):
+            _fabric(trained_ddnn, offload=immortal, breaker=CircuitBreaker())
+        with pytest.raises(ValueError, match="hedge without offload"):
+            _fabric(trained_ddnn, offload=immortal, hedge=HedgePolicy())
+        plan = PartitionPlan(trained_ddnn, replicas=2)
+        balancer = LoadBalancer.from_plan(
+            plan, THRESHOLD, offload=immortal, events=EventLoop()
+        )
+        with pytest.raises(ValueError, match="no offload RetryPolicy"):
+            balancer.enable_hedging(HedgePolicy())
+
+    def test_link_chaos_needs_a_device_exit_to_fail_over_to(self, trained_ddnn):
+        """Regression: a failover with no cleared exit and no device exit
+        used to die mid-run blaming admission.  All three ways of combining
+        link chaos with an exit-less device tier are rejected up front."""
+        outage = ChaosSchedule(outages=[LinkOutage(destination="cloud")])
+        no_exit = PartitionPlan(trained_ddnn, local_exit=False)
+        with pytest.raises(ValueError, match="device tier has no exit"):
+            DistributedServingFabric.from_plan(
+                no_exit, THRESHOLD, offload=POLICY, chaos=outage
+            )
+        fabric = DistributedServingFabric.from_plan(no_exit, THRESHOLD, offload=POLICY)
+        with pytest.raises(ValueError, match="device tier has no exit"):
+            fabric.attach_chaos(outage)
+        armed = _fabric(trained_ddnn, offload=POLICY, chaos=outage)
+        with pytest.raises(ValueError, match="device tier has no exit"):
+            armed.apply_plan(no_exit)
+        # Worker chaos never forces a failover, so it stays allowed.
+        fabric.attach_chaos(
+            ChaosSchedule(crashes=[WorkerCrash(tier="cloud", start=0.0, end=0.1)])
+        )
+
+    def test_failover_with_no_exit_names_the_offload_not_admission(
+        self, trained_ddnn, tiny_test
+    ):
+        """Without chaos the same dead end is still reachable — a deadline
+        the uplink cannot meet — and must blame the offload, not admission."""
+        fabric = DistributedServingFabric.from_plan(
+            PartitionPlan(trained_ddnn, local_exit=False),
+            THRESHOLD,
+            offload=RetryPolicy(deadline_s=1e-3, max_retries=0),
+        )
+        with pytest.raises(RuntimeError, match="nothing to fail over to") as error:
+            _serve(fabric, tiny_test, num_requests=4)
+        assert "admission" not in str(error.value)
 
 
 # --------------------------------------------------------------------------- #

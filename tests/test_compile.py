@@ -260,8 +260,8 @@ def test_arena_keeps_buffers_per_batch_shape():
 
 
 def test_hierarchy_runtime_scopes_compiled_attachment_to_run():
-    """Compiled sections attach only for the duration of a run: a shared
-    deployment is never left mutated, so eager and compiled runtimes can
+    """The compiled bundle lives on the runtime's own tier sections: a
+    shared deployment is never mutated, so eager and compiled runtimes can
     alternate over it and stay equivalent."""
     from repro.datasets.mvmc import DEFAULT_DEVICE_PROFILES, MVMCDataset
     from repro.hierarchy.partition import partition_ddnn
@@ -278,12 +278,16 @@ def test_hierarchy_runtime_scopes_compiled_attachment_to_run():
     fast = HierarchyRuntime(deployment, 0.8, compile=True)
     eager = HierarchyRuntime(deployment, 0.8)
 
-    # Constructing a compiled runtime does not mutate the shared deployment.
-    assert deployment.devices[0].compiled is None
+    nodes = [
+        *deployment.devices,
+        deployment.local_aggregator,
+        *deployment.edges,
+        deployment.cloud,
+    ]
+    before = [dict(vars(node)) for node in nodes]
     fast_result = fast.run(dataset)
-    # ... and after its run, the deployment is back to the eager path.
-    assert deployment.devices[0].compiled is None
-    assert deployment.cloud.compiled_tier is None
+    # A compiled run selects its forward path without touching any node.
+    assert [dict(vars(node)) for node in nodes] == before
     eager_result = eager.run(dataset)
     np.testing.assert_array_equal(fast_result.predictions, eager_result.predictions)
     assert fast_result.exit_names_per_sample == eager_result.exit_names_per_sample

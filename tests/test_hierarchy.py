@@ -191,6 +191,54 @@ class TestHierarchyRuntime:
             HierarchyRuntime(partition_ddnn(trained_ddnn), [0.1, 0.2, 0.3, 0.4])
 
 
+# Predictions, exits ("l"ocal / "c"loud) and bytes per sample recorded at the
+# commit before the node-attached compiled forward and the per-delay offload
+# grouping were deleted (trained_ddnn fixture, threshold 0.8, seed 5, one
+# batch of 28) — where eager and compiled runs already agreed.
+_INTERMITTENT_RECORDED = {
+    "every-device-0.6": (
+        {0: 0.6, 1: 0.6, 2: 0.6, 3: 0.6},
+        [2, 2, 0, 2, 2, 2, 2, 2, 1, 0, 0, 2, 0, 2, 2, 2, 2, 2, 0, 2, 1, 1, 2, 1, 0, 2, 2, 2],
+        "lclcccclcllcllcccclccccclccc",
+        [24, 152, 24, 76, 76, 0, 76, 24, 152, 24, 36, 76, 24, 24, 76, 152, 152, 152, 24, 76, 76, 152, 152, 76, 36, 228, 0, 152],
+    ),
+    "one-device-0.3": (
+        {1: 0.3},
+        [1, 1, 0, 2, 2, 2, 2, 2, 0, 0, 0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 2],
+        "clccccclcllclccccclclllllclc",
+        [304, 48, 304, 228, 228, 304, 304, 36, 228, 48, 48, 228, 48, 304, 304, 304, 304, 304, 48, 228, 48, 36, 48, 36, 48, 304, 36, 304],
+    ),
+}
+#: Path latency by route: local exit, cloud exit, and cloud exit for a
+#: sample no device delivered (nothing transferred, compute only).
+_LOCAL_S, _CLOUD_S, _CLOUD_UNSENT_S = 0.002044072, 0.052300103540000004, 4.3540000000000005e-08
+
+
+class TestIntermittentFaultReplay:
+    @pytest.mark.parametrize("compile", [False, True], ids=["eager", "compiled"])
+    @pytest.mark.parametrize("scenario", sorted(_INTERMITTENT_RECORDED))
+    def test_matches_recorded_run(self, trained_ddnn, tiny_test, scenario, compile):
+        intermittent, predictions, exits, sent = _INTERMITTENT_RECORDED[scenario]
+        runtime = HierarchyRuntime(
+            partition_ddnn(trained_ddnn),
+            0.8,
+            fault_plan=FaultPlan(intermittent=intermittent, seed=5),
+            compile=compile,
+        )
+        result = runtime.run(tiny_test)
+        assert result.predictions.tolist() == predictions
+        assert "".join(name[0] for name in result.exit_names_per_sample) == exits
+        assert result.bytes_per_sample.tolist() == sent
+        expected_s = [
+            _LOCAL_S if exit == "l" else _CLOUD_S if size else _CLOUD_UNSENT_S
+            for exit, size in zip(exits, sent)
+        ]
+        # Not bit-for-bit: offloaded rows now reach the cloud together, so
+        # an undelivered row joins a bigger cloud batch, and per-sample
+        # compute is ``seconds / batch`` — one ulp apart across batch sizes.
+        np.testing.assert_allclose(result.latencies_s, expected_s, rtol=1e-12, atol=0.0)
+
+
 class TestEdgeRuntime:
     def test_edge_topology_runtime_matches_central(self, tiny_train, tiny_test):
         from repro.core import DDNNConfig, DDNNTopology, DDNNTrainer, TrainingConfig, build_ddnn
