@@ -6,11 +6,13 @@ selected with the ``REPRO_SCALE`` environment variable (``ci`` by default,
 
 Every benchmark writes the regenerated table to ``benchmarks/results/`` so
 the numbers referenced by EXPERIMENTS.md can be re-inspected after a run.
+The deterministic tables there are committed (a run must reproduce them byte
+for byte); the wall-clock tables change with every run and machine, so they
+go to the git-ignored ``benchmarks/results/wallclock/`` instead.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,18 @@ import pytest
 from repro.experiments import ExperimentResult, default_scale
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+#: Tables whose cells are wall-clock measurements.
+WALLCLOCK_TABLES = frozenset(
+    {
+        "compiled_forward",
+        "parallel_serving",
+        "serving_throughput",
+        "overload_tail_latency",
+        "threshold_sweep_fastpath",
+        "fig8_telemetry_record_batch",
+    }
+)
 
 
 @pytest.fixture(scope="session")
@@ -38,8 +52,9 @@ def record_result(results_dir):
 
     def _record(result: ExperimentResult) -> ExperimentResult:
         text = result.to_text()
-        path = results_dir / f"{result.name}.txt"
-        path.write_text(text + "\n")
+        directory = results_dir / "wallclock" if result.name in WALLCLOCK_TABLES else results_dir
+        directory.mkdir(exist_ok=True)
+        (directory / f"{result.name}.txt").write_text(text + "\n")
         print("\n" + text)
         return result
 

@@ -18,7 +18,7 @@ studies, not because the numbers depend on it).
 from __future__ import annotations
 
 from repro.experiments.chaos_serving import run_chaos_serving
-from repro.experiments.parallel_serving import available_cpu_count
+from repro.experiments.runner import available_cpu_count
 
 
 def test_bench_chaos_serving(benchmark, scale, record_result):

@@ -16,7 +16,7 @@ not because the numbers depend on it).
 from __future__ import annotations
 
 from repro.experiments.elastic_serving import run_elastic_serving
-from repro.experiments.parallel_serving import available_cpu_count
+from repro.experiments.runner import available_cpu_count
 
 
 def test_bench_elastic_serving(benchmark, scale, record_result):

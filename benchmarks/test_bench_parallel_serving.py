@@ -3,8 +3,7 @@
 Regenerates the parallel-serving table: the thread backend's routing must
 match the deterministic simulated backend decision-for-decision at every
 worker count (the experiment itself raises on any mismatch), and wall-clock
-throughput is recorded for 1/2/4 workers on both the single-node server and
-the tier fabric.
+throughput is recorded for 1/2/4 workers on the tier fabric.
 
 The scaling acceptance bar is gated on the CPUs actually available to the
 process, mirroring the serving-throughput benchmark's relaxed-bar policy for
@@ -16,7 +15,8 @@ cores are visible.
 
 from __future__ import annotations
 
-from repro.experiments.parallel_serving import available_cpu_count, run_parallel_serving
+from repro.experiments.parallel_serving import run_parallel_serving
+from repro.experiments.runner import available_cpu_count
 
 
 def test_bench_parallel_serving(benchmark, scale, record_result):
@@ -36,27 +36,24 @@ def test_bench_parallel_serving(benchmark, scale, record_result):
     assert all(row["backend"] == "thread" for row in thread_rows)
     assert all(row["routing_match"] == "yes" for row in thread_rows)
 
-    # Scaling rows: every sweep starts from its own 1.00x baseline.
-    for sweep in ("server", "fabric"):
-        rows = [row for row in result.rows if row["sweep"] == sweep]
-        assert rows, f"missing {sweep} scaling rows"
-        assert rows[0]["speedup_x"] == 1.0
-        speedups = [row["speedup_x"] for row in rows]
-        cores = available_cpu_count()
-        if cores >= 4:
-            # Real parallel hardware: 4 threads of GIL-releasing compiled
-            # forwards must deliver >= 1.8x the single-worker throughput.
-            assert max(speedups) >= 1.8, (
-                f"{sweep}: best speedup {max(speedups):.2f}x < 1.8x "
-                f"with {cores} cores"
-            )
-        else:
-            # Shared/serialised runner (this box reports few usable cores):
-            # threads cannot beat one worker, but they must not collapse —
-            # the pool/locking overhead stays within ~3x of sequential.
-            assert min(speedups) >= 1.0 / 3.0, (
-                f"{sweep}: speedup collapsed to {min(speedups):.2f}x "
-                f"on a {cores}-core runner"
-            )
+    # Scaling rows start from their own 1.00x baseline.
+    rows = [row for row in result.rows if row["sweep"] == "fabric"]
+    assert rows, "missing fabric scaling rows"
+    assert rows[0]["speedup_x"] == 1.0
+    speedups = [row["speedup_x"] for row in rows]
+    cores = available_cpu_count()
+    if cores >= 4:
+        # Real parallel hardware: 4 threads of GIL-releasing compiled
+        # forwards must deliver >= 1.8x the single-worker throughput.
+        assert max(speedups) >= 1.8, (
+            f"best speedup {max(speedups):.2f}x < 1.8x with {cores} cores"
+        )
+    else:
+        # Shared/serialised runner (this box reports few usable cores):
+        # threads cannot beat one worker, but they must not collapse —
+        # the pool/locking overhead stays within ~3x of sequential.
+        assert min(speedups) >= 1.0 / 3.0, (
+            f"speedup collapsed to {min(speedups):.2f}x on a {cores}-core runner"
+        )
 
-    assert result.metadata["cpu_count"] == available_cpu_count()
+    assert result.metadata["cpu_count"] == cores

@@ -20,7 +20,7 @@ on any machine (the wall-clock counterpart is exercised by
 
 from __future__ import annotations
 
-from repro.experiments.parallel_serving import available_cpu_count
+from repro.experiments.runner import available_cpu_count
 from repro.experiments.slo_serving import run_slo_serving
 
 

@@ -9,14 +9,13 @@ against wall-clock time:
 1. train a small multi-exit DDNN on the synthetic MVMC dataset;
 2. serve the test set through the tier fabric on the deterministic
    *simulated* backend (compiled forwards) — the reference routing;
-3. serve it again on the *thread* backend at several worker counts and
-   cross-check that every request gets the same prediction and exit index
-   (entropies agree to ~1e-12: real timing reshuffles upper-tier batch
-   composition, and BLAS kernels are shape-dependent in the last ulp);
-4. time a single-node :class:`~repro.serving.server.DDNNServer` with 1, 2
-   and 4 real workers to show the wall-clock scaling knob (speedups depend
-   on the CPUs actually available — on a 1-core box threads only add
-   overhead, which the printout calls out honestly).
+3. serve it again on the *thread* backend with 1, 2 and 4 real workers per
+   tier, timing each run and cross-checking that every request gets the
+   same prediction and exit index (entropies agree to ~1e-12: real timing
+   reshuffles upper-tier batch composition, and BLAS kernels are
+   shape-dependent in the last ulp).  Speedups depend on the CPUs actually
+   available — on a 1-core box threads only add overhead, which the
+   printout calls out honestly.
 
 Run with::
 
@@ -29,16 +28,10 @@ import time
 
 from repro.core import DDNNTrainer, TrainingConfig, build_ddnn
 from repro.datasets import DEFAULT_DEVICE_PROFILES, load_mvmc_splits
-from repro.experiments.parallel_serving import available_cpu_count
+from repro.experiments.runner import available_cpu_count
 from repro.hierarchy import partition_ddnn
-from repro.serving import BatchingPolicy, DDNNServer, DistributedServingFabric
-
-
-def routing(responses):
-    return [
-        (r.request_id, r.prediction, r.exit_index)
-        for r in sorted(responses, key=lambda r: r.request_id)
-    ]
+from repro.serving import BatchingPolicy, DistributedServingFabric
+from repro.serving.invariants import routing
 
 
 def main() -> None:
@@ -77,6 +70,8 @@ def main() -> None:
     print(f"\nSimulated backend routed {len(reference)} requests (reference).")
 
     # Same fabric, real threads — routing must not change.
+    cores = available_cpu_count()
+    print(f"Thread backend ({cores} CPU core(s) visible):")
     for workers in (1, 2, 4):
         fabric = DistributedServingFabric(
             partition_ddnn(model),
@@ -97,32 +92,6 @@ def main() -> None:
         )
         assert got == reference, "thread backend diverged from simulated routing"
 
-    # ------------------------------------------------------------------ #
-    # Wall-clock scaling on the single-node server.
-    cores = available_cpu_count()
-    print(f"\nDDNNServer wall-clock scaling ({cores} CPU core(s) visible):")
-    base_rps = None
-    for workers in (1, 2, 4):
-        server = DDNNServer(
-            model,
-            threshold,
-            policy=BatchingPolicy.sequential(),
-            compile=True,
-            workers=workers,
-            backend="thread",
-        )
-        with server:
-            start = time.perf_counter()
-            for views in test_set.images:
-                server.submit(views)
-            server.run_until_drained()
-            wall = time.perf_counter() - start
-        rps = len(test_set) / wall
-        base_rps = base_rps or rps
-        print(
-            f"  {workers} worker(s): {1e3 * wall:7.1f} ms  "
-            f"{rps:8.1f} req/s  ({rps / base_rps:.2f}x)"
-        )
     if cores < 2:
         print(
             "  (single visible core: threads can only add overhead here; "

@@ -4,13 +4,13 @@ Each ``run_*`` function returns an
 :class:`~repro.experiments.results.ExperimentResult` whose rows mirror the
 paper's table/figure; ``EXPERIMENT_REGISTRY`` maps experiment ids to the
 functions so the benchmark harness and ``examples/`` scripts can enumerate
-them.
+them; it is derived from the one experiment table in
+:mod:`~repro.experiments.cli`, which also builds the command line.
 """
-
-from typing import Callable, Dict
 
 from .aggregation_table import PAPER_TABLE1_ORDER, run_aggregation_table
 from .chaos_serving import DEFAULT_SCENARIOS, run_chaos_serving
+from .cli import EXPERIMENT_REGISTRY
 from .cloud_offloading import DEFAULT_FILTER_SWEEP, run_cloud_offloading
 from .communication_reduction import run_communication_reduction
 from .compiled_forward import REFERENCE_BATCH_SIZE, run_compiled_forward
@@ -31,14 +31,11 @@ from .overload_study import (
     queue_latency_bound_s,
     run_overload_study,
 )
-from .parallel_serving import (
-    DEFAULT_PARALLEL_WORKER_COUNTS,
-    available_cpu_count,
-    run_parallel_serving,
-)
+from .parallel_serving import DEFAULT_PARALLEL_WORKER_COUNTS, run_parallel_serving
 from .results import ExperimentResult, format_table
 from .runner import (
     ExperimentScale,
+    available_cpu_count,
     capture_oracle,
     ci_scale,
     clear_cache,
@@ -54,29 +51,6 @@ from .slo_serving import DEFAULT_MODES, run_slo_serving, run_wallclock_slo_smoke
 from .sweep_fastpath import DEFAULT_SWEEP_GRIDS, REFERENCE_GRID, run_sweep_fastpath
 from .threshold_sweep import PAPER_TABLE2_THRESHOLDS, run_threshold_sweep
 from .weight_ablation import run_weight_ablation
-
-#: Experiment id -> callable producing its ExperimentResult.
-EXPERIMENT_REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {
-    "fig6_dataset_stats": run_dataset_stats,
-    "table1_aggregation": run_aggregation_table,
-    "table2_fig7_threshold_sweep": run_threshold_sweep,
-    "fig8_scaling_devices": run_scaling_devices,
-    "fig9_cloud_offloading": run_cloud_offloading,
-    "fig10_fault_tolerance": run_fault_tolerance,
-    "sec4h_communication_reduction": run_communication_reduction,
-    "ablation_exit_weights": run_weight_ablation,
-    "ext_edge_hierarchy": run_edge_hierarchy,
-    "ext_mixed_precision": run_mixed_precision,
-    "serving_throughput": run_serving_throughput,
-    "overload_tail_latency": run_overload_study,
-    "compiled_forward": run_compiled_forward,
-    "distributed_serving": run_distributed_serving,
-    "parallel_serving": run_parallel_serving,
-    "elastic_serving": run_elastic_serving,
-    "chaos_serving": run_chaos_serving,
-    "slo_serving": run_slo_serving,
-    "threshold_sweep_fastpath": run_sweep_fastpath,
-}
 
 __all__ = [
     "ExperimentResult",

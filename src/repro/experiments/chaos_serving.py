@@ -35,66 +35,17 @@ the *runtime* failure axis.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..hierarchy.faults import ChaosSchedule, LinkFlap, LinkLoss, LinkOutage, WorkerCrash
-from ..hierarchy.partition import CLOUD_NAME
 from ..hierarchy.plan import PartitionPlan
-from ..serving import (
-    BatchingPolicy,
-    CircuitBreaker,
-    DistributedServingFabric,
-    PoissonProcess,
-    RetryPolicy,
-    ServiceModel,
-)
-from .parallel_serving import available_cpu_count
+from ..serving import DistributedServingFabric, PoissonProcess
+from ..serving.invariants import accounting, check_exactly_once, check_replay, require
 from .results import ExperimentResult
-from .runner import ExperimentScale, default_scale, get_dataset, get_trained_ddnn
+from .runner import ExperimentScale, available_cpu_count, default_scale
+from .scenarios import SCENARIOS as DEFAULT_SCENARIOS
+from .scenarios import ServingTrace, chaos_schedule, fault_windows, flap_cycle, retry_ladder
 
 __all__ = ["DEFAULT_SCENARIOS", "run_chaos_serving"]
-
-DEFAULT_SCENARIOS = ("none", "flaky-uplink", "cloud-partition", "worker-crash")
-
-
-def _uplink_delay_estimate(deployment) -> float:
-    """Worst single-offload transfer time in the deployment (per attempt).
-
-    The offload deadline must comfortably exceed this or the fault-free
-    baseline would time out its own healthy transfers.
-    """
-    fabric = deployment.fabric
-    destination_of = {}
-    if deployment.edges:
-        for edge in deployment.edges:
-            for device_index in edge.device_indices:
-                destination_of[device_index] = edge.name
-    worst = 0.0
-    for index, device in enumerate(deployment.devices):
-        destination = destination_of.get(index, CLOUD_NAME)
-        link = fabric.link(device.name, destination)
-        worst = max(worst, link.transfer_time(device.feature_bytes()))
-    for edge in deployment.edges:
-        link = fabric.link(edge.name, CLOUD_NAME)
-        worst = max(worst, link.transfer_time(edge.feature_bytes()))
-    return worst
-
-
-def _accounting(responses) -> List[tuple]:
-    """The per-request accounting tuple determinism is asserted over."""
-    return sorted(
-        (
-            r.request_id,
-            r.prediction,
-            r.exit_index,
-            r.exit_name,
-            r.degraded,
-            r.retries,
-            r.shed,
-            r.completion_time,
-        )
-        for r in responses
-    )
 
 
 def run_chaos_serving(
@@ -115,108 +66,37 @@ def run_chaos_serving(
     if "none" not in scenarios:
         scenarios = ("none",) + tuple(scenarios)  # the baseline anchors every bar
 
-    model, _ = get_trained_ddnn(scale)
-    _, test_set = get_dataset(scale)
-    views = test_set.images
-    targets = [int(label) for label in test_set.labels]
-
-    plan = PartitionPlan(model)
-    # Machine-independent service times (same constants as the other serving
-    # studies); offered load sits at half of one worker's capacity so the
-    # latency bulges measured under chaos are the faults, not overload.
-    service = ServiceModel(batch_overhead_s=0.002, per_sample_s=0.004)
-    one_worker_rps = service.capacity_rps(max_batch_size)
-    rate = 0.5 * one_worker_rps
-    horizon = num_requests / rate
-    batching = BatchingPolicy(max_batch_size=max_batch_size, max_wait_s=0.004)
-
-    # The deadline scales with the deployment's actual uplink cost, so the
-    # fault-free baseline never times out a healthy transfer at any scale.
-    transfer = _uplink_delay_estimate(plan.materialize())
-    deadline = max(2.0 * transfer, 0.04)
-    policy = RetryPolicy(
-        deadline_s=deadline,
-        max_retries=3,
-        backoff_base_s=deadline / 2.0,
-        backoff_multiplier=2.0,
-        backoff_max_s=4.0 * deadline,
-        jitter_s=deadline / 10.0,
-        seed=seed,
-    )
-    breaker = CircuitBreaker(failure_threshold=3, reset_timeout_s=2.5 * deadline)
-
-    # Fault windows: the partition/crash windows track the trace horizon,
-    # while the flap cycle tracks the deadline (a flap shorter than one
-    # deadline would be invisible to the retry machinery).
-    flap_period = max(horizon / 5.0, 4.0 * deadline)
-    flap_down = min(1.25 * deadline, 0.45 * flap_period)
-    partition = (0.25 * horizon, 0.75 * horizon)
-    crash = (0.30 * horizon, 0.55 * horizon)
-
-    def _schedule(scenario: str, uplink_to: str, top_tier: str) -> Optional[ChaosSchedule]:
-        if scenario == "none":
-            return None
-        if scenario == "flaky-uplink":
-            return ChaosSchedule(
-                flaps=[
-                    LinkFlap(
-                        period_s=flap_period,
-                        down_s=flap_down,
-                        destination=uplink_to,
-                        start=0.1 * horizon,
-                        end=0.9 * horizon,
-                    )
-                ],
-                losses=[
-                    LinkLoss(
-                        probability=0.08,
-                        destination=uplink_to,
-                        start=0.1 * horizon,
-                        end=0.9 * horizon,
-                    )
-                ],
-                seed=seed,
-            )
-        if scenario == "cloud-partition":
-            return ChaosSchedule(
-                outages=[
-                    LinkOutage(
-                        destination=uplink_to, start=partition[0], end=partition[1]
-                    )
-                ],
-                seed=seed,
-            )
-        return ChaosSchedule(
-            crashes=[WorkerCrash(tier=top_tier, start=crash[0], end=crash[1])],
-            seed=seed,
-        )
+    trace = ServingTrace(scale, max_batch_size, num_requests)
+    rate, horizon = trace.rate_rps, trace.horizon_s
+    plan = PartitionPlan(trace.model)
+    policy, breaker, transfer = retry_ladder(plan, seed)
+    windows = fault_windows(horizon, crash_end=0.55 * horizon)
+    flap = flap_cycle(horizon, policy.deadline_s)
+    crash = windows["worker-crash"]
 
     def _run(scenario: str) -> Dict:
         fabric = DistributedServingFabric.from_plan(
             plan,
             threshold,
-            batching=batching,
-            service_models=[service] * plan.num_tiers,
+            batching=trace.batching,
+            service_models=trace.service_models(plan),
             offload=policy,
             breaker=breaker,
         )
-        schedule = _schedule(scenario, fabric.tier_names[-1], fabric.tier_names[-1])
+        schedule = chaos_schedule(scenario, windows, flap, fabric.tier_names[-1], seed)
         if schedule is not None:
             fabric.attach_chaos(schedule)
         report = fabric.open_loop(
             PoissonProcess(rate_rps=rate, seed=seed + 1),
-            views,
-            targets=targets,
+            trace.views,
+            targets=trace.targets,
             num_requests=num_requests,
         )
-        ids = [r.request_id for r in report.responses]
-        if report.served != num_requests or len(set(ids)) != num_requests:
-            raise RuntimeError(
-                f"chaos scenario '{scenario}' dropped or duplicated requests: "
-                f"{num_requests} offered, {report.served} answered "
-                f"({len(set(ids))} unique) — the fabric must answer every "
-                "request exactly once, degraded or not"
-            )
+        require(
+            f"chaos scenario '{scenario}' (degraded or not, the fabric must answer "
+            "every request exactly once)",
+            check_exactly_once(num_requests, report.responses),
+        )
         stats = fabric.admission_stats
         if stats.rejected or stats.dropped or stats.shed:
             raise RuntimeError(
@@ -225,7 +105,7 @@ def run_chaos_serving(
             )
         return {
             "report": report,
-            "accounting": _accounting(report.responses),
+            "accounting": accounting(report.responses),
             "resilience": fabric.resilience_stats.as_dict(),
             "lost_messages": fabric.deployment.fabric.lost_messages,
             # Uniform observability block (also on report.metadata): breaker
@@ -257,7 +137,7 @@ def run_chaos_serving(
             "num_requests": num_requests,
             "offered_rate_rps": rate,
             "horizon_s": horizon,
-            "deadline_s": deadline,
+            "deadline_s": policy.deadline_s,
             "max_retries": policy.max_retries,
             "backoff_base_s": policy.backoff_base_s,
             "jitter_s": policy.jitter_s,
@@ -267,8 +147,8 @@ def run_chaos_serving(
                 "reset_timeout_s": breaker.reset_timeout_s,
             },
             "uplink_transfer_estimate_s": transfer,
-            "flap": {"period_s": flap_period, "down_s": flap_down},
-            "partition_window_s": list(partition),
+            "flap": {"period_s": flap[0], "down_s": flap[1]},
+            "partition_window_s": list(windows["cloud-partition"]),
             "crash_window_s": list(crash),
             "seed": seed,
             "cpu_count": available_cpu_count(),
@@ -288,15 +168,10 @@ def run_chaos_serving(
     for scenario in scenarios:
         first = _run(scenario)
         second = _run(scenario)
-        if first["accounting"] != second["accounting"]:
-            diverged = sum(
-                1 for a, b in zip(first["accounting"], second["accounting"]) if a != b
-            )
-            raise RuntimeError(
-                f"chaos scenario '{scenario}' is not deterministic under seed "
-                f"{seed}: {diverged}/{num_requests} per-request accounting "
-                "tuples differ between two fresh simulated runs"
-            )
+        require(
+            f"chaos scenario '{scenario}' under seed {seed}",
+            check_replay(first["accounting"], second["accounting"]),
+        )
         outcomes[scenario] = first
 
     baseline = outcomes["none"]["report"]

@@ -5,33 +5,344 @@ Usage::
     python -m repro.experiments list
     python -m repro.experiments run table2_fig7_threshold_sweep --scale ci
     python -m repro.experiments run all --scale paper --output-dir results/
-    python -m repro.experiments serve-bench --max-batch-size 32 --repeats 4
-    python -m repro.experiments load-bench --policy reject --offered-x 2.0
-    python -m repro.experiments infer-bench --batch-size 1 --batch-size 64
     python -m repro.experiments dist-bench --workers 1 --workers 4 --offered-x 2.0
-    python -m repro.experiments dist-bench --backend thread --workers 2
-    python -m repro.experiments parallel-bench --workers 1 --workers 4
-    python -m repro.experiments elastic-bench --peak-workers 3
-    python -m repro.experiments chaos-bench --num-requests 160
-    python -m repro.experiments slo-bench --num-requests 160
     python -m repro.experiments slo-bench --wallclock-smoke
-    python -m repro.experiments sweep-bench --timing-rounds 3
+    python -m repro.experiments --help          # every ``*-bench`` command
 
 Each experiment prints its table (the same rows the paper reports) and can
 optionally write it to a text file.
+
+The experiments are data: :data:`EXPERIMENTS` names each one's run
+function and, where it has a ``*-bench`` command, that command's flags and
+epilogue.  The parser, the dispatch and ``EXPERIMENT_REGISTRY`` (``list`` /
+``run <id>``) are all built from that one table.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
+import inspect
+import operator
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-from . import EXPERIMENT_REGISTRY
-from .runner import ci_scale, paper_scale
+from .aggregation_table import run_aggregation_table
+from .chaos_serving import run_chaos_serving
+from .cloud_offloading import run_cloud_offloading
+from .communication_reduction import run_communication_reduction
+from .compiled_forward import run_compiled_forward
+from .dataset_stats import run_dataset_stats
+from .distributed_serving import run_distributed_serving
+from .edge_hierarchy import run_edge_hierarchy
+from .elastic_serving import run_elastic_serving
+from .fault_tolerance import run_fault_tolerance
+from .flags import (
+    CAPACITY,
+    MAX_BATCH_SIZE,
+    NUM_REQUESTS,
+    OUTPUT_DIR,
+    REPEATS,
+    SCALE,
+    SEED,
+    THRESHOLD,
+    TIMING_ROUNDS,
+    WORKERS,
+    Flag,
+    fraction,
+    positive_float,
+    positive_int,
+)
+from .mixed_precision import run_mixed_precision
+from .overload_study import run_overload_study
+from .parallel_serving import run_parallel_serving
+from .results import ExperimentResult
+from .scaling_devices import run_scaling_devices
+from .serving_benchmark import run_serving_throughput
+from .slo_serving import run_slo_serving, run_wallclock_slo_smoke
+from .sweep_fastpath import run_sweep_fastpath
+from .threshold_sweep import run_threshold_sweep
+from .weight_ablation import run_weight_ablation
 
-__all__ = ["build_parser", "main"]
+__all__ = ["Experiment", "EXPERIMENTS", "EXPERIMENT_REGISTRY", "build_parser", "main"]
+
+
+# --------------------------------------------------------------------------- #
+# Epilogues: what a ``*-bench`` command prints under its table, from the
+# result's metadata ``m`` (the text table drops it).
+def _dist_epilogue(m: dict) -> Iterator[str]:
+    yield (
+        f"plan-timing calibration: overhead {m['measured_plan_batch_overhead_ms']:.3f} ms, "
+        f"per-sample {m['measured_plan_per_sample_ms']:.3f} ms ({m['service_calibration']} rows)"
+    )
+
+
+def _parallel_epilogue(m: dict) -> Iterator[str]:
+    yield f"cpu_count={m['cpu_count']}; wall-clock rows are machine-dependent (see metadata note)"
+
+
+def _elastic_epilogue(m: dict) -> Iterator[str]:
+    trajectory = m["elastic_trajectory"]
+    yield f"elastic trajectory ({len(trajectory)} scale events): {trajectory}"
+
+
+def _resilience_epilogue(m: dict) -> Iterator[str]:
+    stats, breakers = m["resilience_stats"], m["breakers"]
+    yield "resilience accounting: " + "; ".join(f"{cell}: {v}" for cell, v in stats.items())
+    yield "breakers: " + "; ".join(f"{cell}: {v or '-'}" for cell, v in breakers.items())
+
+
+def _infer_epilogue(m: dict) -> Iterator[str]:
+    yield (
+        f"reference speedup (batch {m['reference_batch_size']}): {m['reference_speedup']:.2f}x, "
+        f"max |logit diff| {m['max_abs_logit_diff']:.2e}"
+    )
+    if m.get("fp32_reference_speedup") is not None:
+        yield f"fp32 kernel reference speedup (batch 1): {m['fp32_reference_speedup']:.2f}x"
+
+
+def _sweep_epilogue(m: dict) -> Iterator[str]:
+    if "reference_speedup" in m:
+        yield (
+            f"reference speedup ({m.get('scale')} scale, Table II grid): "
+            f"{m['reference_speedup']:.1f}x"
+        )
+
+
+# --------------------------------------------------------------------------- #
+class Experiment:
+    """One table/figure: its id and run function, plus — when it has a
+    ``*-bench`` command — that command's help line, own flags and epilogue.
+
+    Every bench command also takes :data:`SCALE` and :data:`THRESHOLD` first
+    and :data:`OUTPUT_DIR` last; an entry's own flag of the same name
+    replaces the shared one.
+    """
+
+    def __init__(
+        self,
+        id: str,
+        run: Callable[..., ExperimentResult],
+        command: Optional[str] = None,
+        help: str = "",
+        *flags: Flag,
+        epilogue: Callable[[dict], Iterable[str]] = lambda m: (),
+    ) -> None:
+        self.id, self.run, self.command, self.help, self.epilogue = id, run, command, help, epilogue
+        own = {flag.name: flag for flag in flags}
+        head = [own.pop(shared.name, shared) for shared in (SCALE, THRESHOLD)]
+        tail = own.pop(OUTPUT_DIR.name, OUTPUT_DIR)
+        self.flags: Tuple[Flag, ...] = (*head, *own.values(), tail)
+
+
+EXPERIMENTS: Tuple[Experiment, ...] = (
+    Experiment("fig6_dataset_stats", run_dataset_stats),
+    Experiment("table1_aggregation", run_aggregation_table),
+    Experiment("table2_fig7_threshold_sweep", run_threshold_sweep),
+    Experiment("fig8_scaling_devices", run_scaling_devices),
+    Experiment("fig9_cloud_offloading", run_cloud_offloading),
+    Experiment("fig10_fault_tolerance", run_fault_tolerance),
+    Experiment("sec4h_communication_reduction", run_communication_reduction),
+    Experiment("ablation_exit_weights", run_weight_ablation),
+    Experiment("ext_edge_hierarchy", run_edge_hierarchy),
+    Experiment("ext_mixed_precision", run_mixed_precision),
+    Experiment(
+        "serving_throughput",
+        run_serving_throughput,
+        "serve-bench",
+        "benchmark online serving: dynamic micro-batching vs sequential",
+        Flag.repeatable(
+            "--max-batch-size",
+            "batch_sizes",
+            "micro-batch ceiling to measure (repeatable; default: 8, 32 and 64)",
+            type=positive_int,
+        ),
+        REPEATS.but("passes over the test set forming the request stream"),
+        OUTPUT_DIR.but("directory to write the serving table as {id}.txt"),
+    ),
+    Experiment(
+        "overload_tail_latency",
+        run_overload_study,
+        "load-bench",
+        "open-loop overload study: tail latency vs offered load per admission policy",
+        CAPACITY.but("request-queue bound used by the admission policies"),
+        MAX_BATCH_SIZE.but("micro-batch ceiling of the serving policy"),
+        NUM_REQUESTS.but("arrivals per run (the divergence sweep uses n/2, n and 2n)"),
+        Flag.repeatable(
+            "--offered-x",
+            "load_multipliers",
+            "offered load as a multiple of capacity (repeatable; default: 0.5 1.0 2.0 4.0)",
+            type=positive_float,
+        ),
+        Flag.repeatable(
+            "--policy",
+            "policies",
+            "admission policy to study (repeatable; default: all four)",
+            choices=("unbounded", "reject", "drop-oldest", "shed-local"),
+        ),
+        SEED.but("base seed for the arrival processes"),
+        Flag.switch(
+            "--eager",
+            "run the server's forwards on the eager path (default: compiled)",
+            kwarg="compiled",
+            convert=operator.not_,
+        ),
+    ),
+    Experiment(
+        "compiled_forward",
+        run_compiled_forward,
+        "infer-bench",
+        "benchmark the compiled inference fast path against the eager forward",
+        SCALE.but("experiment scale for the model and measured stream"),
+        Flag.repeatable(
+            "--batch-size",
+            "batch_sizes",
+            "batch size to measure (repeatable; default: 1, 8 and 64)",
+            type=positive_int,
+        ),
+        REPEATS.but("passes over the test set forming the measured stream"),
+        TIMING_ROUNDS.but("timed rounds per cell (fastest kept)"),
+        Flag.repeatable(
+            "--precision",
+            "precisions",
+            "compiled compute mode to measure (repeatable; default: all three)",
+            choices=("float64", "float32", "bitpacked"),
+        ),
+        epilogue=_infer_epilogue,
+    ),
+    Experiment(
+        "distributed_serving",
+        run_distributed_serving,
+        "dist-bench",
+        "distributed serving fabric: p95 latency / offload fraction vs workers, bandwidth, threshold",
+        THRESHOLD.but("base local-exit entropy threshold used by the cascade"),
+        WORKERS.but("workers per tier to measure (repeatable; default: 1, 2 and 4)"),
+        Flag.repeatable(
+            "--bandwidth-x",
+            "bandwidth_scales",
+            "link-bandwidth scale factors to measure (repeatable; default: 0.5 and 0.25)",
+            type=positive_float,
+        ),
+        Flag.repeatable(
+            "--sweep-threshold",
+            "threshold_sweep",
+            "extra exit thresholds to measure (repeatable; default: 0.5 and 0.95)",
+            type=fraction,
+        ),
+        Flag(
+            "--offered-x",
+            "offered load as a multiple of one device-tier worker's capacity",
+            type=positive_float,
+        ),
+        NUM_REQUESTS.but("open-loop arrivals per row"),
+        MAX_BATCH_SIZE,
+        SEED.but("base seed for the arrival processes"),
+        Flag.switch(
+            "--compiled", "run tier forwards on per-worker compiled plans (default: eager)"
+        ),
+        Flag(
+            "--backend",
+            "worker-pool backend: deterministic simulated slots (default) or "
+            "real thread-pool workers on wall-clock time (implies --compiled)",
+            choices=("simulated", "thread"),
+        ),
+        Flag.switch(
+            "--calibrate",
+            "use plan-timing-calibrated service models in the rows (machine-dependent)",
+        ),
+        epilogue=_dist_epilogue,
+    ),
+    Experiment(
+        "parallel_serving",
+        run_parallel_serving,
+        "parallel-bench",
+        "wall-clock parallel serving: thread-pool worker scaling + backend equivalence",
+        WORKERS.but("thread worker counts to measure (repeatable; default: 1, 2 and 4)"),
+        NUM_REQUESTS.but("batch-1 requests per scaling row"),
+        Flag("--rounds", "timed rounds per scaling row (fastest kept)", type=positive_int),
+        epilogue=_parallel_epilogue,
+    ),
+    Experiment(
+        "elastic_serving",
+        run_elastic_serving,
+        "elastic-bench",
+        "elastic tier plane: static-vs-elastic diurnal tails + mid-run repartition identity",
+        Flag(
+            "--peak-workers",
+            "peak worker budget per tier (static-peak count, elastic max)",
+            type=positive_int,
+        ),
+        NUM_REQUESTS.but("diurnal arrivals per configuration"),
+        MAX_BATCH_SIZE,
+        CAPACITY.but("ingress queue bound used by the shed-local admission policy"),
+        SEED.but("seed for the diurnal arrival process"),
+        epilogue=_elastic_epilogue,
+    ),
+    Experiment(
+        "chaos_serving",
+        run_chaos_serving,
+        "chaos-bench",
+        "runtime fault plane: one trace under link flaps / partition / worker crashes",
+        NUM_REQUESTS.but("Poisson arrivals served under every chaos scenario"),
+        MAX_BATCH_SIZE,
+        SEED,
+        epilogue=_resilience_epilogue,
+    ),
+    Experiment(
+        "slo_serving",
+        run_slo_serving,
+        "slo-bench",
+        "end-to-end SLO plane: deadlines + hedged offloads vs the chaos scenarios",
+        NUM_REQUESTS.but("Poisson arrivals served under every (mode, scenario) cell"),
+        MAX_BATCH_SIZE,
+        SEED,
+        Flag.switch(
+            "--wallclock-smoke",
+            "instead of the simulated table, run the thread-backend chaos + "
+            "deadline smoke against a real wall clock",
+            passed=False,
+        ),
+        epilogue=_resilience_epilogue,
+    ),
+    Experiment(
+        "threshold_sweep_fastpath",
+        run_sweep_fastpath,
+        "sweep-bench",
+        "benchmark forward-once oracle threshold sweeps vs the per-threshold eager loop",
+        SCALE.but("experiment scale for the model and swept dataset"),
+        Flag.repeatable(
+            "--threshold",
+            "thresholds",
+            "custom grid threshold (repeatable; default: Table II grid + 21-point "
+            "calibration grid)",
+            type=fraction,
+            kwarg="grids",
+            convert=lambda thresholds: (("custom", tuple(thresholds)),),
+        ),
+        TIMING_ROUNDS.but("timed rounds per path (fastest kept)"),
+        epilogue=_sweep_epilogue,
+    ),
+)
+
+#: Experiment id -> callable producing its ExperimentResult (``list`` / ``run``).
+EXPERIMENT_REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {
+    experiment.id: experiment.run for experiment in EXPERIMENTS
+}
+
+_RUN_FLAGS = (
+    Flag("experiment", "experiment id from 'list', or 'all'"),
+    SCALE.but("experiment scale: 'ci' (fast, default) or 'paper' (680/171 samples, 100 epochs)"),
+    OUTPUT_DIR.but("directory to write each experiment's table as <name>.txt"),
+)
+
+
+def _add_flags(parser, flags: Sequence[Flag], run: Optional[Callable] = None, **names) -> None:
+    parameters = inspect.signature(run).parameters if run is not None else {}
+    for flag in flags:
+        options = dict(flag.options)
+        if flag.name.startswith("--") and not {"action", "default"} & options.keys():
+            # One copy of each default: the run function's signature.
+            options["default"] = parameters[flag.kwarg].default
+        parser.add_argument(flag.name, help=flag.help.format(**names), **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,494 +351,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate the DDNN paper's tables and figures.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
     subparsers.add_parser("list", help="list available experiments")
-
-    run_parser = subparsers.add_parser("run", help="run one experiment (or 'all')")
-    run_parser.add_argument(
-        "experiment",
-        help="experiment id from 'list', or 'all'",
-    )
-    run_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale: 'ci' (fast, default) or 'paper' (680/171 samples, 100 epochs)",
-    )
-    run_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write each experiment's table as <name>.txt",
-    )
-
-    serve_parser = subparsers.add_parser(
-        "serve-bench",
-        help="benchmark online serving: dynamic micro-batching vs sequential",
-    )
-    serve_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale for the model and request stream",
-    )
-    serve_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.8,
-        help="local-exit entropy threshold used by the cascade",
-    )
-    serve_parser.add_argument(
-        "--max-batch-size",
-        type=int,
-        action="append",
-        dest="batch_sizes",
-        default=None,
-        help="micro-batch ceiling to measure (repeatable; default: 8, 32 and 64)",
-    )
-    serve_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=2,
-        help="passes over the test set forming the request stream",
-    )
-    serve_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write the serving table as serving_throughput.txt",
-    )
-
-    load_parser = subparsers.add_parser(
-        "load-bench",
-        help="open-loop overload study: tail latency vs offered load per admission policy",
-    )
-    load_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale for the model and request stream",
-    )
-    load_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.8,
-        help="local-exit entropy threshold used by the cascade",
-    )
-    load_parser.add_argument(
-        "--capacity",
-        type=int,
-        default=48,
-        help="request-queue bound used by the admission policies",
-    )
-    load_parser.add_argument(
-        "--max-batch-size",
-        type=int,
-        default=16,
-        help="micro-batch ceiling of the serving policy",
-    )
-    load_parser.add_argument(
-        "--num-requests",
-        type=int,
-        default=400,
-        help="arrivals per run (the divergence sweep uses n/2, n and 2n)",
-    )
-    load_parser.add_argument(
-        "--offered-x",
-        type=float,
-        action="append",
-        dest="load_multipliers",
-        default=None,
-        help="offered load as a multiple of capacity (repeatable; default: 0.5 1.0 2.0 4.0)",
-    )
-    load_parser.add_argument(
-        "--policy",
-        action="append",
-        dest="policies",
-        choices=("unbounded", "reject", "drop-oldest", "shed-local"),
-        default=None,
-        help="admission policy to study (repeatable; default: all four)",
-    )
-    load_parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="base seed for the arrival processes",
-    )
-    load_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write the table as overload_tail_latency.txt",
-    )
-    load_parser.add_argument(
-        "--eager",
-        action="store_true",
-        help="run the server's forwards on the eager path (default: compiled)",
-    )
-
-    dist_parser = subparsers.add_parser(
-        "dist-bench",
-        help="distributed serving fabric: p95 latency / offload fraction vs workers, bandwidth, threshold",
-    )
-    dist_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale for the model and request stream",
-    )
-    dist_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.8,
-        help="base local-exit entropy threshold used by the cascade",
-    )
-    dist_parser.add_argument(
-        "--workers",
-        type=int,
-        action="append",
-        dest="worker_counts",
-        default=None,
-        help="workers per tier to measure (repeatable; default: 1, 2 and 4)",
-    )
-    dist_parser.add_argument(
-        "--bandwidth-x",
-        type=float,
-        action="append",
-        dest="bandwidth_scales",
-        default=None,
-        help="link-bandwidth scale factors to measure (repeatable; default: 0.5 and 0.25)",
-    )
-    dist_parser.add_argument(
-        "--sweep-threshold",
-        type=float,
-        action="append",
-        dest="threshold_sweep",
-        default=None,
-        help="extra exit thresholds to measure (repeatable; default: 0.5 and 0.95)",
-    )
-    dist_parser.add_argument(
-        "--offered-x",
-        type=float,
-        default=1.5,
-        help="offered load as a multiple of one device-tier worker's capacity",
-    )
-    dist_parser.add_argument(
-        "--num-requests",
-        type=int,
-        default=240,
-        help="open-loop arrivals per row",
-    )
-    dist_parser.add_argument(
-        "--max-batch-size",
-        type=int,
-        default=8,
-        help="micro-batch ceiling of every tier's batching policy",
-    )
-    dist_parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="base seed for the arrival processes",
-    )
-    dist_parser.add_argument(
-        "--compiled",
-        action="store_true",
-        help="run tier forwards on per-worker compiled plans (default: eager)",
-    )
-    dist_parser.add_argument(
-        "--backend",
-        choices=("simulated", "thread"),
-        default="simulated",
-        help="worker-pool backend: deterministic simulated slots (default) or "
-        "real thread-pool workers on wall-clock time (implies --compiled)",
-    )
-    dist_parser.add_argument(
-        "--calibrate",
-        action="store_true",
-        help="use plan-timing-calibrated service models in the rows (machine-dependent)",
-    )
-    dist_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write the table as distributed_serving.txt",
-    )
-
-    parallel_parser = subparsers.add_parser(
-        "parallel-bench",
-        help="wall-clock parallel serving: thread-pool worker scaling + backend equivalence",
-    )
-    parallel_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale for the model and request stream",
-    )
-    parallel_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.8,
-        help="local-exit entropy threshold used by the cascade",
-    )
-    parallel_parser.add_argument(
-        "--workers",
-        type=int,
-        action="append",
-        dest="worker_counts",
-        default=None,
-        help="thread worker counts to measure (repeatable; default: 1, 2 and 4)",
-    )
-    parallel_parser.add_argument(
-        "--num-requests",
-        type=int,
-        default=96,
-        help="batch-1 requests per scaling row",
-    )
-    parallel_parser.add_argument(
-        "--rounds",
-        type=int,
-        default=2,
-        help="timed rounds per scaling row (fastest kept)",
-    )
-    parallel_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write the table as parallel_serving.txt",
-    )
-
-    elastic_parser = subparsers.add_parser(
-        "elastic-bench",
-        help="elastic tier plane: static-vs-elastic diurnal tails + mid-run repartition identity",
-    )
-    elastic_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale for the model and request stream",
-    )
-    elastic_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.8,
-        help="local-exit entropy threshold used by the cascade",
-    )
-    elastic_parser.add_argument(
-        "--peak-workers",
-        type=int,
-        default=3,
-        help="peak worker budget per tier (static-peak count, elastic max)",
-    )
-    elastic_parser.add_argument(
-        "--num-requests",
-        type=int,
-        default=240,
-        help="diurnal arrivals per configuration",
-    )
-    elastic_parser.add_argument(
-        "--max-batch-size",
-        type=int,
-        default=4,
-        help="micro-batch ceiling of every tier's batching policy",
-    )
-    elastic_parser.add_argument(
-        "--capacity",
-        type=int,
-        default=32,
-        help="ingress queue bound used by the shed-local admission policy",
-    )
-    elastic_parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for the diurnal arrival process",
-    )
-    elastic_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write the table as elastic_serving.txt",
-    )
-
-    chaos_parser = subparsers.add_parser(
-        "chaos-bench",
-        help="runtime fault plane: one trace under link flaps / partition / worker crashes",
-    )
-    chaos_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale for the model and request stream",
-    )
-    chaos_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.8,
-        help="local-exit entropy threshold used by the cascade",
-    )
-    chaos_parser.add_argument(
-        "--num-requests",
-        type=int,
-        default=160,
-        help="Poisson arrivals served under every chaos scenario",
-    )
-    chaos_parser.add_argument(
-        "--max-batch-size",
-        type=int,
-        default=4,
-        help="micro-batch ceiling of every tier's batching policy",
-    )
-    chaos_parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for the arrival process, chaos draws and retry jitter",
-    )
-    chaos_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write the table as chaos_serving.txt",
-    )
-
-    slo_parser = subparsers.add_parser(
-        "slo-bench",
-        help="end-to-end SLO plane: deadlines + hedged offloads vs the chaos scenarios",
-    )
-    slo_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale for the model and request stream",
-    )
-    slo_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.8,
-        help="local-exit entropy threshold used by the cascade",
-    )
-    slo_parser.add_argument(
-        "--num-requests",
-        type=int,
-        default=160,
-        help="Poisson arrivals served under every (mode, scenario) cell",
-    )
-    slo_parser.add_argument(
-        "--max-batch-size",
-        type=int,
-        default=4,
-        help="micro-batch ceiling of every tier's batching policy",
-    )
-    slo_parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for the arrival process, chaos draws and retry jitter",
-    )
-    slo_parser.add_argument(
-        "--wallclock-smoke",
-        action="store_true",
-        help="instead of the simulated table, run the thread-backend chaos + "
-        "deadline smoke against a real wall clock",
-    )
-    slo_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write the table as slo_serving.txt",
-    )
-
-    infer_parser = subparsers.add_parser(
-        "infer-bench",
-        help="benchmark the compiled inference fast path against the eager forward",
-    )
-    infer_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale for the model and measured stream",
-    )
-    infer_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.8,
-        help="local-exit entropy threshold used by the cascade",
-    )
-    infer_parser.add_argument(
-        "--batch-size",
-        type=int,
-        action="append",
-        dest="batch_sizes",
-        default=None,
-        help="batch size to measure (repeatable; default: 1, 8 and 64)",
-    )
-    infer_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=2,
-        help="passes over the test set forming the measured stream",
-    )
-    infer_parser.add_argument(
-        "--timing-rounds",
-        type=int,
-        default=3,
-        help="timed rounds per cell (fastest kept)",
-    )
-    infer_parser.add_argument(
-        "--precision",
-        choices=("float64", "float32", "bitpacked"),
-        action="append",
-        dest="precisions",
-        default=None,
-        help="compiled compute mode to measure (repeatable; default: all three)",
-    )
-    infer_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write the table as compiled_forward.txt",
-    )
-
-    sweep_parser = subparsers.add_parser(
-        "sweep-bench",
-        help="benchmark forward-once oracle threshold sweeps vs the per-threshold eager loop",
-    )
-    sweep_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale for the model and swept dataset",
-    )
-    sweep_parser.add_argument(
-        "--threshold",
-        type=float,
-        action="append",
-        dest="thresholds",
-        default=None,
-        help="custom grid threshold (repeatable; default: Table II grid + 21-point calibration grid)",
-    )
-    sweep_parser.add_argument(
-        "--timing-rounds",
-        type=int,
-        default=3,
-        help="timed rounds per path (fastest kept)",
-    )
-    sweep_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write the table as threshold_sweep_fastpath.txt",
-    )
+    _add_flags(subparsers.add_parser("run", help="run one experiment (or 'all')"), _RUN_FLAGS)
+    for experiment in EXPERIMENTS:
+        if experiment.command is not None:
+            _add_flags(
+                subparsers.add_parser(experiment.command, help=experiment.help),
+                experiment.flags,
+                experiment.run,
+                id=experiment.id,
+            )
     return parser
 
 
-def _run_one(name: str, scale, output_dir: Optional[Path]) -> None:
-    runner = EXPERIMENT_REGISTRY[name]
-    result = runner(scale)
+def _emit(result: ExperimentResult, output_dir: Optional[Path]) -> None:
     text = result.to_text()
     print(text)
-    print()
     if output_dir is not None:
         output_dir.mkdir(parents=True, exist_ok=True)
         (output_dir / f"{result.name}.txt").write_text(text + "\n")
@@ -539,270 +378,42 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        for name in EXPERIMENT_REGISTRY:
-            print(name)
+        print("\n".join(EXPERIMENT_REGISTRY))
         return 0
 
-    if args.command == "serve-bench":
-        from .serving_benchmark import DEFAULT_BATCH_SIZES, run_serving_throughput
-
-        scale = paper_scale() if args.scale == "paper" else ci_scale()
-        batch_sizes = args.batch_sizes if args.batch_sizes else DEFAULT_BATCH_SIZES
-        result = run_serving_throughput(
-            scale,
-            threshold=args.threshold,
-            batch_sizes=batch_sizes,
-            repeats=args.repeats,
-        )
-        text = result.to_text()
-        print(text)
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / f"{result.name}.txt").write_text(text + "\n")
-        return 0
-
-    if args.command == "load-bench":
-        from .overload_study import (
-            DEFAULT_LOAD_MULTIPLIERS,
-            DEFAULT_POLICIES,
-            run_overload_study,
-        )
-
-        scale = paper_scale() if args.scale == "paper" else ci_scale()
-        result = run_overload_study(
-            scale,
-            threshold=args.threshold,
-            capacity=args.capacity,
-            max_batch_size=args.max_batch_size,
-            load_multipliers=args.load_multipliers or DEFAULT_LOAD_MULTIPLIERS,
-            policies=args.policies or DEFAULT_POLICIES,
-            num_requests=args.num_requests,
-            seed=args.seed,
-            compiled=not args.eager,
-        )
-        text = result.to_text()
-        print(text)
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / f"{result.name}.txt").write_text(text + "\n")
-        return 0
-
-    if args.command == "dist-bench":
-        from .distributed_serving import (
-            DEFAULT_BANDWIDTH_SCALES,
-            DEFAULT_THRESHOLD_SWEEP,
-            DEFAULT_WORKER_COUNTS,
-            run_distributed_serving,
-        )
-
-        scale = paper_scale() if args.scale == "paper" else ci_scale()
-        result = run_distributed_serving(
-            scale,
-            threshold=args.threshold,
-            worker_counts=args.worker_counts or DEFAULT_WORKER_COUNTS,
-            bandwidth_scales=args.bandwidth_scales or DEFAULT_BANDWIDTH_SCALES,
-            threshold_sweep=args.threshold_sweep or DEFAULT_THRESHOLD_SWEEP,
-            offered_x=args.offered_x,
-            num_requests=args.num_requests,
-            max_batch_size=args.max_batch_size,
-            seed=args.seed,
-            compiled=args.compiled,
-            calibrate=args.calibrate,
-            backend=args.backend,
-        )
-        text = result.to_text()
-        print(text)
-        print(
-            "plan-timing calibration: "
-            f"overhead {result.metadata['measured_plan_batch_overhead_ms']:.3f} ms, "
-            f"per-sample {result.metadata['measured_plan_per_sample_ms']:.3f} ms "
-            f"({result.metadata['service_calibration']} rows)"
-        )
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / f"{result.name}.txt").write_text(text + "\n")
-        return 0
-
-    if args.command == "parallel-bench":
-        from .parallel_serving import DEFAULT_PARALLEL_WORKER_COUNTS, run_parallel_serving
-
-        scale = paper_scale() if args.scale == "paper" else ci_scale()
-        result = run_parallel_serving(
-            scale,
-            threshold=args.threshold,
-            worker_counts=args.worker_counts or DEFAULT_PARALLEL_WORKER_COUNTS,
-            num_requests=args.num_requests,
-            rounds=args.rounds,
-        )
-        text = result.to_text()
-        print(text)
-        print(
-            f"cpu_count={result.metadata['cpu_count']}; wall-clock rows are "
-            "machine-dependent (see metadata note)"
-        )
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / f"{result.name}.txt").write_text(text + "\n")
-        return 0
-
-    if args.command == "elastic-bench":
-        from .elastic_serving import run_elastic_serving
-
-        scale = paper_scale() if args.scale == "paper" else ci_scale()
-        result = run_elastic_serving(
-            scale,
-            threshold=args.threshold,
-            peak_workers=args.peak_workers,
-            num_requests=args.num_requests,
-            max_batch_size=args.max_batch_size,
-            capacity=args.capacity,
-            seed=args.seed,
-        )
-        text = result.to_text()
-        print(text)
-        print(
-            f"elastic trajectory ({len(result.metadata['elastic_trajectory'])} "
-            f"scale events): {result.metadata['elastic_trajectory']}"
-        )
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / f"{result.name}.txt").write_text(text + "\n")
-        return 0
-
-    if args.command == "chaos-bench":
-        from .chaos_serving import run_chaos_serving
-
-        scale = paper_scale() if args.scale == "paper" else ci_scale()
-        result = run_chaos_serving(
-            scale,
-            threshold=args.threshold,
-            num_requests=args.num_requests,
-            max_batch_size=args.max_batch_size,
-            seed=args.seed,
-        )
-        text = result.to_text()
-        print(text)
-        stats = result.metadata["resilience_stats"]
-        print(
-            "resilience accounting: "
-            + "; ".join(
-                f"{scenario}: {values}" for scenario, values in stats.items()
+    if args.command == "run":
+        if args.experiment != "all" and args.experiment not in EXPERIMENT_REGISTRY:
+            parser.error(
+                f"unknown experiment '{args.experiment}'; run 'list' to see the available ids"
             )
-        )
-        print(
-            "breakers: "
-            + "; ".join(
-                f"{scenario}: {values or '-'}"
-                for scenario, values in result.metadata["breakers"].items()
-            )
-        )
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / f"{result.name}.txt").write_text(text + "\n")
+        names = list(EXPERIMENT_REGISTRY) if args.experiment == "all" else [args.experiment]
+        for name in names:
+            _emit(EXPERIMENT_REGISTRY[name](SCALE.convert(args.scale)), args.output_dir)
+            print()
         return 0
 
-    if args.command == "slo-bench":
-        from .slo_serving import run_slo_serving, run_wallclock_slo_smoke
-
-        scale = paper_scale() if args.scale == "paper" else ci_scale()
-        if args.wallclock_smoke:
-            facts = run_wallclock_slo_smoke(
-                scale, threshold=args.threshold, seed=args.seed
-            )
-            print(
-                "wall-clock slo smoke (thread backend): "
-                + ", ".join(f"{key}={value}" for key, value in sorted(facts.items()))
-            )
-            return 0
-        result = run_slo_serving(
-            scale,
-            threshold=args.threshold,
-            num_requests=args.num_requests,
-            max_batch_size=args.max_batch_size,
-            seed=args.seed,
-        )
-        text = result.to_text()
-        print(text)
-        stats = result.metadata["resilience_stats"]
-        print(
-            "resilience accounting: "
-            + "; ".join(f"{cell}: {values}" for cell, values in stats.items())
+    if args.command == "slo-bench" and args.wallclock_smoke:
+        facts = run_wallclock_slo_smoke(
+            SCALE.convert(args.scale), threshold=args.threshold, seed=args.seed
         )
         print(
-            "breakers: "
-            + "; ".join(
-                f"{cell}: {values or '-'}"
-                for cell, values in result.metadata["breakers"].items()
-            )
+            "wall-clock slo smoke (thread backend): "
+            + ", ".join(f"{key}={value}" for key, value in sorted(facts.items()))
         )
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / f"{result.name}.txt").write_text(text + "\n")
         return 0
 
-    if args.command == "infer-bench":
-        from .compiled_forward import DEFAULT_BATCH_SIZES as INFER_BATCH_SIZES
-        from .compiled_forward import DEFAULT_PRECISIONS, run_compiled_forward
-
-        scale = paper_scale() if args.scale == "paper" else ci_scale()
-        result = run_compiled_forward(
-            scale,
-            threshold=args.threshold,
-            batch_sizes=args.batch_sizes or INFER_BATCH_SIZES,
-            repeats=args.repeats,
-            timing_rounds=args.timing_rounds,
-            precisions=args.precisions or DEFAULT_PRECISIONS,
-        )
-        text = result.to_text()
-        print(text)
-        print(
-            f"reference speedup (batch {result.metadata['reference_batch_size']}): "
-            f"{result.metadata['reference_speedup']:.2f}x, "
-            f"max |logit diff| {result.metadata['max_abs_logit_diff']:.2e}"
-        )
-        fp32_reference = result.metadata.get("fp32_reference_speedup")
-        if fp32_reference is not None:
-            print(f"fp32 kernel reference speedup (batch 1): {fp32_reference:.2f}x")
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / f"{result.name}.txt").write_text(text + "\n")
-        return 0
-
-    if args.command == "sweep-bench":
-        from .sweep_fastpath import DEFAULT_SWEEP_GRIDS, run_sweep_fastpath
-
-        scale = paper_scale() if args.scale == "paper" else ci_scale()
-        grids = (
-            (("custom", tuple(args.thresholds)),) if args.thresholds else DEFAULT_SWEEP_GRIDS
-        )
-        result = run_sweep_fastpath(scale, grids=grids, timing_rounds=args.timing_rounds)
-        text = result.to_text()
-        print(text)
-        if "reference_speedup" in result.metadata:
-            print(
-                f"reference speedup ({result.metadata.get('scale')} scale, Table II grid): "
-                f"{result.metadata['reference_speedup']:.1f}x"
-            )
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / f"{result.name}.txt").write_text(text + "\n")
-        return 0
-
-    scale = paper_scale() if args.scale == "paper" else ci_scale()
-    if args.experiment == "all":
-        names: List[str] = list(EXPERIMENT_REGISTRY)
-    elif args.experiment in EXPERIMENT_REGISTRY:
-        names = [args.experiment]
-    else:
-        parser.error(
-            f"unknown experiment '{args.experiment}'; run 'list' to see the available ids"
-        )
-        return 2  # unreachable, parser.error raises SystemExit
-
-    for name in names:
-        _run_one(name, scale, args.output_dir)
+    # Every other command: flags -> run-function keywords -> table -> epilogue.
+    # An unset repeatable flag parses to None and is left to the run
+    # function's own default.
+    experiment = next(e for e in EXPERIMENTS if e.command == args.command)
+    kwargs = {
+        flag.kwarg: flag.convert(value) if flag.convert else value
+        for flag in experiment.flags
+        if flag.passed and (value := getattr(args, flag.dest)) is not None
+    }
+    result = experiment.run(**kwargs)
+    _emit(result, args.output_dir)
+    for line in experiment.epilogue(result.metadata):
+        print(line)
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -41,16 +41,11 @@ from __future__ import annotations
 from typing import Optional
 
 from ..hierarchy.plan import AutoscalePolicy, PartitionPlan
-from ..serving import (
-    BatchingPolicy,
-    DistributedServingFabric,
-    DiurnalProcess,
-    ServiceModel,
-    admission_policy,
-)
-from .parallel_serving import available_cpu_count
+from ..serving import DistributedServingFabric, DiurnalProcess, admission_policy
+from ..serving.invariants import check_conservation, check_exactly_once, require, routing
 from .results import ExperimentResult
-from .runner import ExperimentScale, default_scale, get_dataset, get_trained_ddnn
+from .runner import ExperimentScale, available_cpu_count, default_scale
+from .scenarios import ServingTrace
 
 __all__ = [
     "DEFAULT_PEAK_WORKERS",
@@ -58,15 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_PEAK_WORKERS = 3
-
-
-def _routing(responses, after: float = float("-inf")) -> list:
-    """Per-request (id, prediction, exit) triples completed after ``after``."""
-    return sorted(
-        (r.request_id, r.prediction, r.exit_index, r.exit_name)
-        for r in responses
-        if r.completion_time > after
-    )
 
 
 def run_elastic_serving(
@@ -85,20 +71,14 @@ def run_elastic_serving(
     if num_requests < 8:
         raise ValueError(f"num_requests must be >= 8, got {num_requests}")
 
-    model, _ = get_trained_ddnn(scale)
-    _, test_set = get_dataset(scale)
-    views = test_set.images
-    targets = [int(label) for label in test_set.labels]
-
-    # Machine-independent service times: one device-tier worker sustains
-    # ~cap rps on full batches; the diurnal crest offers peak_workers times
-    # the trough, so static-min drowns at the crest while the peak budget
-    # keeps up with headroom.
-    service = ServiceModel(batch_overhead_s=0.002, per_sample_s=0.004)
-    one_worker_rps = service.capacity_rps(max_batch_size)
+    trace = ServingTrace(scale, max_batch_size, num_requests)
+    model, views, targets = trace.model, trace.views, trace.targets
+    batching, one_worker_rps = trace.batching, trace.one_worker_rps
+    # One device-tier worker sustains ~one_worker_rps on full batches; the
+    # diurnal crest offers peak_workers times the trough, so static-min
+    # drowns at the crest while the peak budget keeps up with headroom.
     base_rate = 0.6 * one_worker_rps
     peak_rate = 0.8 * peak_workers * one_worker_rps
-    batching = BatchingPolicy(max_batch_size=max_batch_size, max_wait_s=0.004)
     # Scale up on the first sign of backlog (a queued request *is* the
     # evidence), release a worker after a sustained lull.
     policy = AutoscalePolicy(
@@ -158,13 +138,17 @@ def run_elastic_serving(
             plan,
             threshold,
             batching=batching,
-            service_models=[service] * plan.num_tiers,
+            service_models=trace.service_models(plan),
             capacity=capacity,
             admission=admission_policy("shed-local"),
         )
         process = DiurnalProcess(base_rate, peak_rate, period_s=period, seed=seed)
         report = fabric.open_loop(
             process, views, targets=targets, num_requests=num_requests
+        )
+        require(
+            f"elastic diurnal ramp '{config}'",
+            check_conservation(num_requests, fabric.admission_stats.as_dict()),
         )
         scaler = fabric.autoscaler
         return {
@@ -217,7 +201,7 @@ def run_elastic_serving(
     # The same modelled service times on both fabrics (they change *when*
     # things happen, never what is computed) — sustained 1.5x overload
     # guarantees requests are queued when the boundary moves.
-    tier_services = [service] * plan_a.num_tiers
+    tier_services = trace.service_models(plan_a)
 
     live = DistributedServingFabric.from_plan(
         plan_a, threshold, batching=batching, service_models=tier_services
@@ -239,20 +223,15 @@ def run_elastic_serving(
         fresh.submit(views[index], target=targets[index], at=index * gap)
     fresh.run_until_idle(drain=True)
 
-    live_ids = [r.request_id for r in live.responses]
-    if len(live_ids) != burst or len(set(live_ids)) != burst:
-        raise RuntimeError(
-            f"repartition dropped or duplicated requests: {burst} submitted, "
-            f"{len(live_ids)} answered ({len(set(live_ids))} unique)"
-        )
+    require("mid-run repartition", check_exactly_once(burst, live.responses))
     if handoff.total_requeued == 0:
         raise RuntimeError(
             "repartition study found no queued requests at the handoff — "
             "the boundary move was not exercised under load"
         )
-    after = _routing(live.responses, after=handoff.time)
+    after = routing(live.responses, after=handoff.time)
     after_ids = {row[0] for row in after}
-    reference = [row for row in _routing(fresh.responses) if row[0] in after_ids]
+    reference = [row for row in routing(fresh.responses) if row[0] in after_ids]
     if after != reference:
         mismatches = sum(1 for a, b in zip(after, reference) if a != b)
         raise RuntimeError(

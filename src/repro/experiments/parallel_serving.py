@@ -3,9 +3,9 @@
 Every other serving study in this repo reports *simulated* time: workers
 are bookkeeping slots on a discrete-event loop and no two forwards ever
 execute together.  This study measures the real thing — the
-``backend="thread"`` worker pools behind :class:`~repro.serving.server.DDNNServer`
-and :class:`~repro.serving.fabric.DistributedServingFabric` running
-per-worker :class:`~repro.compile.CompiledDDNN` plan bundles on a
+``backend="thread"`` worker pools behind
+:class:`~repro.serving.fabric.DistributedServingFabric` running per-worker
+:class:`~repro.compile.CompiledDDNN` plan bundles on a
 :class:`~concurrent.futures.ThreadPoolExecutor` — and answers two
 questions:
 
@@ -31,21 +31,23 @@ judge the speedups against the cores that were actually available.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Optional, Sequence
 
 from ..core.ddnn import build_ddnn
 from ..hierarchy.partition import LinkSpec, partition_ddnn
-from ..serving import BatchingPolicy, DDNNServer, DistributedServingFabric
+from ..serving import BatchingPolicy, DistributedServingFabric
+from ..serving.invariants import routing
 from .results import ExperimentResult
-from .runner import ExperimentScale, default_scale, get_dataset, get_trained_ddnn
+from .runner import (
+    ExperimentScale,
+    available_cpu_count,
+    default_scale,
+    get_dataset,
+    get_trained_ddnn,
+)
 
-__all__ = [
-    "DEFAULT_PARALLEL_WORKER_COUNTS",
-    "available_cpu_count",
-    "run_parallel_serving",
-]
+__all__ = ["DEFAULT_PARALLEL_WORKER_COUNTS", "run_parallel_serving"]
 
 DEFAULT_PARALLEL_WORKER_COUNTS = (1, 2, 4)
 
@@ -57,28 +59,6 @@ SCALING_MODEL_OVERRIDES = dict(device_filters=24, cloud_filters=48, cloud_hidden
 #: Effectively-free links for the scaling fabric: the study measures compute
 #: concurrency, not simulated transfer delays.
 FAST_LINK = LinkSpec(bandwidth_bytes_per_s=1e15, latency_s=0.0)
-
-
-def available_cpu_count() -> int:
-    """CPUs this process may actually use (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without sched_getaffinity
-        return os.cpu_count() or 1
-
-
-def _routing(responses) -> list:
-    """Per-request (id, prediction, exit) triples, in request order.
-
-    Deliberately excludes the entropy float: real timing changes upper-tier
-    batch composition, and BLAS kernels are shape-dependent at the
-    few-ULP level, so entropies agree only to ~1e-12 across backends while
-    decisions and exit indices match exactly.
-    """
-    return [
-        (r.request_id, r.prediction, r.exit_index)
-        for r in sorted(responses, key=lambda r: r.request_id)
-    ]
 
 
 def run_parallel_serving(
@@ -148,14 +128,14 @@ def run_parallel_serving(
             wall = time.perf_counter() - start
         finally:
             fabric.close()
-        routing = _routing(responses)
+        routed = routing(responses)
         if reference is None:
-            reference = routing
+            reference = routed
             match = "ref"
-        elif routing == reference:
+        elif routed == reference:
             match = "yes"
         else:
-            mismatches = sum(1 for a, b in zip(routing, reference) if a != b)
+            mismatches = sum(1 for a, b in zip(routed, reference) if a != b)
             raise RuntimeError(
                 f"thread backend ({workers} workers) routed {mismatches}/"
                 f"{len(reference)} requests differently from the simulated "
@@ -179,27 +159,6 @@ def run_parallel_serving(
     heavy.eval()
     requests = [test_set.images[index % len(test_set)] for index in range(num_requests)]
 
-    def _server_run(workers: int) -> float:
-        server = DDNNServer(
-            heavy,
-            threshold,
-            policy=BatchingPolicy.sequential(),
-            compile=True,
-            workers=workers,
-            backend="thread",
-        )
-        try:
-            best = float("inf")
-            for _ in range(rounds):
-                start = time.perf_counter()
-                for views in requests:
-                    server.submit(views)
-                server.run_until_drained()
-                best = min(best, time.perf_counter() - start)
-            return best
-        finally:
-            server.close()
-
     def _fabric_run(workers: int) -> float:
         best = float("inf")
         for _ in range(rounds):
@@ -222,21 +181,20 @@ def run_parallel_serving(
                 fabric.close()
         return best
 
-    for sweep, runner in (("server", _server_run), ("fabric", _fabric_run)):
-        base_rps = None
-        for workers in worker_counts:
-            wall = runner(workers)
-            rps = num_requests / wall
-            if base_rps is None:
-                base_rps = rps
-            result.add_row(
-                sweep=sweep,
-                backend="thread",
-                workers=workers,
-                requests=num_requests,
-                wall_ms=1e3 * wall,
-                throughput_rps=rps,
-                speedup_x=rps / base_rps,
-                routing_match="-",
-            )
+    base_rps = None
+    for workers in worker_counts:
+        wall = _fabric_run(workers)
+        rps = num_requests / wall
+        if base_rps is None:
+            base_rps = rps
+        result.add_row(
+            sweep="fabric",
+            backend="thread",
+            workers=workers,
+            requests=num_requests,
+            wall_ms=1e3 * wall,
+            throughput_rps=rps,
+            speedup_x=rps / base_rps,
+            routing_match="-",
+        )
     return result

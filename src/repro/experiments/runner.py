@@ -32,6 +32,7 @@ __all__ = [
     "ci_scale",
     "paper_scale",
     "default_scale",
+    "available_cpu_count",
     "get_dataset",
     "get_trained_ddnn",
     "train_fresh_ddnn",
@@ -126,6 +127,18 @@ def default_scale() -> ExperimentScale:
     if choice == "ci":
         return ci_scale()
     raise ValueError(f"REPRO_SCALE must be 'ci' or 'paper', got '{choice}'")
+
+
+def available_cpu_count() -> int:
+    """CPUs this process may actually use (affinity-aware).
+
+    Recorded in every serving table's metadata so wall-clock rows can be
+    judged against the cores that were really available.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
 
 
 # --------------------------------------------------------------------------- #

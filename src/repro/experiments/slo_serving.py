@@ -40,26 +40,24 @@ the simulated-clock comfort zone.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..hierarchy.faults import ChaosSchedule, LinkFlap, LinkLoss, LinkOutage, WorkerCrash
+from ..hierarchy.faults import ChaosSchedule, LinkLoss, WorkerCrash
 from ..hierarchy.plan import PartitionPlan
-from ..serving import (
-    BatchingPolicy,
-    CircuitBreaker,
-    DistributedServingFabric,
-    HedgePolicy,
-    LoadBalancer,
-    PoissonProcess,
-    RetryPolicy,
-    ServiceModel,
+from ..serving import DistributedServingFabric, HedgePolicy, LoadBalancer, PoissonProcess
+from ..serving.invariants import (
+    accounting,
+    check_exactly_once,
+    check_no_expired_compute,
+    check_replay,
+    require,
 )
-from .chaos_serving import _uplink_delay_estimate
-from .parallel_serving import available_cpu_count
 from .results import ExperimentResult
-from .runner import ExperimentScale, default_scale, get_dataset, get_trained_ddnn
+from .runner import ExperimentScale, available_cpu_count, default_scale
+from .scenarios import SCENARIOS as DEFAULT_SCENARIOS
+from .scenarios import ServingTrace, chaos_schedule, fault_windows, flap_cycle, retry_ladder
 
 __all__ = [
     "DEFAULT_MODES",
@@ -69,7 +67,6 @@ __all__ = [
 ]
 
 DEFAULT_MODES = ("no-slo", "deadline", "deadline+hedge")
-DEFAULT_SCENARIOS = ("none", "flaky-uplink", "cloud-partition", "worker-crash")
 
 #: Hedge trigger as a fraction of the offload group's remaining budget.
 #: It must sit between one healthy delivery (<= deadline/2 of a budget of
@@ -77,27 +74,6 @@ DEFAULT_SCENARIOS = ("none", "flaky-uplink", "cloud-partition", "worker-crash")
 #: first attempt's timeout (so a hedge preempts the retry ladder instead
 #: of merely racing its failover).
 HEDGE_TRIGGER_FRACTION = 0.1
-
-
-def _accounting(responses) -> List[tuple]:
-    """Per-request accounting tuple determinism is asserted over — includes
-    the SLO plane's flags, so hedge routing and deadline retirement must
-    replay exactly, not just predictions."""
-    return sorted(
-        (
-            r.request_id,
-            r.prediction,
-            r.exit_index,
-            r.exit_name,
-            r.degraded,
-            r.retries,
-            r.hedged,
-            r.deadline_exceeded,
-            r.completion_time,
-            r.bytes_transferred,
-        )
-        for r in responses
-    )
 
 
 def run_slo_serving(
@@ -123,91 +99,29 @@ def run_slo_serving(
         scenarios = ("none",) + tuple(scenarios)
     modes = tuple(m for m in DEFAULT_MODES if m in modes)  # canonical order
 
-    model, _ = get_trained_ddnn(scale)
-    _, test_set = get_dataset(scale)
-    views = test_set.images
-    targets = [int(label) for label in test_set.labels]
-
-    # Same machine-independent constants as the chaos study, so the two
+    # Same trace, ladder and fault timetable as the chaos study, so the two
     # tables are comparable cell for cell.
-    service = ServiceModel(batch_overhead_s=0.002, per_sample_s=0.004)
-    rate = 0.5 * service.capacity_rps(max_batch_size)
-    horizon = num_requests / rate
-    batching = BatchingPolicy(max_batch_size=max_batch_size, max_wait_s=0.004)
-
-    transfer = _uplink_delay_estimate(PartitionPlan(model).materialize())
-    deadline = max(2.0 * transfer, 0.04)
-    policy = RetryPolicy(
-        deadline_s=deadline,
-        max_retries=3,
-        backoff_base_s=deadline / 2.0,
-        backoff_multiplier=2.0,
-        backoff_max_s=4.0 * deadline,
-        jitter_s=deadline / 10.0,
-        seed=seed,
-    )
-    breaker = CircuitBreaker(failure_threshold=3, reset_timeout_s=2.5 * deadline)
+    trace = ServingTrace(scale, max_batch_size, num_requests)
+    rate, horizon = trace.rate_rps, trace.horizon_s
+    policy, breaker, transfer = retry_ladder(PartitionPlan(trace.model), seed)
+    deadline = policy.deadline_s
     # The end-to-end budget: generous against one healthy journey, tight
     # against the retry ladder's worst case — so the budget only ever binds
     # when chaos is actually eating the slack.
     slo_s = 8.0 * deadline
     hedge = HedgePolicy(trigger_fraction=HEDGE_TRIGGER_FRACTION, max_hedges=1)
-
-    flap_period = max(horizon / 5.0, 4.0 * deadline)
-    flap_down = min(1.25 * deadline, 0.45 * flap_period)
-    partition = (0.25 * horizon, 0.75 * horizon)
     # Unlike the chaos study, the blackout must *outlast* the budget —
     # a crash window shorter than slo_s is invisible to the deadline plane
     # (queued work just waits it out and still answers in budget).
-    crash = (0.30 * horizon, 0.30 * horizon + max(0.25 * horizon, 1.5 * slo_s))
-
-    def _schedule(scenario: str, uplink_to: str, top_tier: str) -> Optional[ChaosSchedule]:
-        if scenario == "none":
-            return None
-        if scenario == "flaky-uplink":
-            return ChaosSchedule(
-                flaps=[
-                    LinkFlap(
-                        period_s=flap_period,
-                        down_s=flap_down,
-                        destination=uplink_to,
-                        start=0.1 * horizon,
-                        end=0.9 * horizon,
-                    )
-                ],
-                losses=[
-                    LinkLoss(
-                        probability=0.08,
-                        destination=uplink_to,
-                        start=0.1 * horizon,
-                        end=0.9 * horizon,
-                    )
-                ],
-                seed=seed,
-            )
-        if scenario == "cloud-partition":
-            return ChaosSchedule(
-                outages=[
-                    LinkOutage(destination=uplink_to, start=partition[0], end=partition[1])
-                ],
-                seed=seed,
-            )
-        return ChaosSchedule(
-            crashes=[WorkerCrash(tier=top_tier, start=crash[0], end=crash[1])],
-            seed=seed,
-        )
+    windows = fault_windows(
+        horizon, crash_end=0.30 * horizon + max(0.25 * horizon, 1.5 * slo_s)
+    )
+    flap = flap_cycle(horizon, deadline)
 
     # Requests *submitted inside the fault window* are the population the
     # SLO machinery acts on; gating on their tail (rather than the whole
     # trace's) keeps the assertions meaningful at any trace length, where
     # the global p99 quantile can land on an unaffected request.
-    windows = {
-        "none": (0.0, float("inf")),
-        "flaky-uplink": (0.1 * horizon, 0.9 * horizon),
-        "cloud-partition": partition,
-        "worker-crash": crash,
-    }
-
     def _window_p99(report, scenario: str) -> float:
         lo, hi = windows[scenario]
         latencies = [
@@ -229,7 +143,7 @@ def run_slo_serving(
         # All traffic enters replica 0 (where chaos strikes); replica 1 only
         # ever sees hedge copies.
         plan = PartitionPlan(
-            model,
+            trace.model,
             replicas=2,
             slo_s=slo_s if use_deadline else None,
             hedge=hedge if use_hedge else None,
@@ -238,37 +152,29 @@ def run_slo_serving(
             plan,
             threshold,
             strategy="round-robin",
-            batching=batching,
-            service_models=[service] * plan.num_tiers,
+            batching=trace.batching,
+            service_models=trace.service_models(plan),
             offload=policy,
             breaker=breaker,
             edf=use_deadline,
         )
         origin = balancer.replicas[0]
-        schedule = _schedule(scenario, origin.tier_names[-1], origin.tier_names[-1])
+        schedule = chaos_schedule(scenario, windows, flap, origin.tier_names[-1], seed)
         if schedule is not None:
             origin.attach_chaos(schedule)
         arrivals = PoissonProcess(rate_rps=rate, seed=seed + 1)
         for count, when in zip(range(num_requests), arrivals):
-            index = count % len(views)
-            origin.submit(views[index], target=targets[index], at=when)
+            index = count % len(trace.views)
+            origin.submit(trace.views[index], target=trace.targets[index], at=when)
         balancer.run_until_idle(drain=True)
         report = balancer.report(duration_s=origin.clock.now)
-        ids = [r.request_id for r in report.responses]
-        if report.served != num_requests or len(set(ids)) != num_requests:
-            raise RuntimeError(
-                f"slo cell ({mode}, {scenario}) dropped or duplicated requests: "
-                f"{num_requests} offered, {report.served} answered "
-                f"({len(set(ids))} unique) — every request must be answered "
-                "exactly once, expired or not"
-            )
         resilience = report.metadata["resilience"]
-        if resilience["expired_compute"] != 0:
-            raise RuntimeError(
-                f"slo cell ({mode}, {scenario}) let {resilience['expired_compute']} "
-                "expired request(s) burn a remote compute slot — expired work "
-                "must be retired at batch formation, not computed"
-            )
+        require(
+            f"slo cell ({mode}, {scenario}) (expired or not, every request must "
+            "be answered exactly once, and expired work retired, not computed)",
+            check_exactly_once(num_requests, report.responses),
+            check_no_expired_compute(resilience),
+        )
         # A hit answers strictly inside the budget with its intended (not
         # deadline-retired) result; a request retired *at* its budget has
         # latency == slo_s and must not count as both hit and expired.
@@ -282,7 +188,7 @@ def run_slo_serving(
         )
         return {
             "report": report,
-            "accounting": _accounting(report.responses),
+            "accounting": accounting(report.responses),
             "resilience": resilience,
             "breakers": report.metadata["breakers"],
             "hit_rate": hit,
@@ -324,9 +230,9 @@ def run_slo_serving(
             "max_hedges": hedge.max_hedges,
             "worst_case_recovery_s": policy.worst_case_delay_s(),
             "uplink_transfer_estimate_s": transfer,
-            "flap": {"period_s": flap_period, "down_s": flap_down},
-            "partition_window_s": list(partition),
-            "crash_window_s": list(crash),
+            "flap": {"period_s": flap[0], "down_s": flap[1]},
+            "partition_window_s": list(windows["cloud-partition"]),
+            "crash_window_s": list(windows["worker-crash"]),
             "seed": seed,
             "cpu_count": available_cpu_count(),
             "backend": "simulated",
@@ -348,18 +254,10 @@ def run_slo_serving(
         for scenario in scenarios:
             first = _run(mode, scenario)
             second = _run(mode, scenario)
-            if first["accounting"] != second["accounting"]:
-                diverged = sum(
-                    1
-                    for a, b in zip(first["accounting"], second["accounting"])
-                    if a != b
-                )
-                raise RuntimeError(
-                    f"slo cell ({mode}, {scenario}) is not deterministic under "
-                    f"seed {seed}: {diverged}/{num_requests} per-request "
-                    "accounting tuples (incl. hedge/deadline flags) differ "
-                    "between two fresh simulated runs"
-                )
+            require(
+                f"slo cell ({mode}, {scenario}) under seed {seed}",
+                check_replay(first["accounting"], second["accounting"]),
+            )
             outcomes[(mode, scenario)] = first
             report = first["report"]
             resilience = first["resilience"]
@@ -496,23 +394,10 @@ def run_wallclock_slo_smoke(
     the measured facts for the caller to print or assert on further.
     """
     scale = scale if scale is not None else default_scale()
-    model, _ = get_trained_ddnn(scale)
-    _, test_set = get_dataset(scale)
-    views = test_set.images
-    targets = [int(label) for label in test_set.labels]
-
-    plan = PartitionPlan(model)
-    transfer = _uplink_delay_estimate(plan.materialize())
-    deadline = max(2.0 * transfer, 0.04)
-    policy = RetryPolicy(
-        deadline_s=deadline,
-        max_retries=2,
-        backoff_base_s=deadline / 2.0,
-        backoff_multiplier=2.0,
-        backoff_max_s=2.0 * deadline,
-        jitter_s=deadline / 10.0,
-        seed=seed,
-    )
+    trace = ServingTrace(scale, 4, num_requests)
+    views, targets = trace.views, trace.targets
+    plan = PartitionPlan(trace.model)
+    policy, _, _ = retry_ladder(plan, seed, max_retries=2)
     # The budget must be generous against one healthy journey (~tens of ms
     # on the tiny model) yet clearly shorter than the blackout, so queued
     # requests genuinely expire on the wall clock and are retired mid-crash.
@@ -521,7 +406,7 @@ def run_wallclock_slo_smoke(
     fabric = DistributedServingFabric.from_plan(
         plan,
         threshold,
-        batching=BatchingPolicy(max_batch_size=4, max_wait_s=0.004),
+        batching=trace.batching,
         backend="thread",
         compile=True,
         offload=policy,
@@ -557,18 +442,12 @@ def run_wallclock_slo_smoke(
     finally:
         fabric.close()
 
-    ids = [r.request_id for r in responses]
-    if len(responses) != num_requests or len(set(ids)) != num_requests:
-        raise RuntimeError(
-            f"wall-clock smoke dropped or duplicated requests: {num_requests} "
-            f"offered, {len(responses)} answered ({len(set(ids))} unique)"
-        )
     stats = fabric.resilience_stats
-    if stats.expired_compute != 0:
-        raise RuntimeError(
-            f"wall-clock smoke let {stats.expired_compute} expired request(s) "
-            "burn a compute slot"
-        )
+    require(
+        "wall-clock slo smoke",
+        check_exactly_once(num_requests, responses),
+        check_no_expired_compute(stats.as_dict()),
+    )
     # Honest flags, exact on any machine: deadline_exceeded is equivalent to
     # finishing at/after submit + slo (both sides measured on the same clock).
     epsilon = 1e-9

@@ -28,11 +28,11 @@ the hard tail.  This package provides the online counterpart of the offline
   :class:`DDNNServer` is its single-tier degenerate case, and
   :class:`~repro.hierarchy.runtime.HierarchyRuntime` its offline replay.
 * :class:`WorkerPool` backends (:class:`SimulatedWorkerPool`,
-  :class:`ThreadPoolWorkerPool`) — how fabric/server workers occupy time:
-  deterministic simulated slots (the paper-table default) or real
+  :class:`ThreadPoolWorkerPool`) — how the fabric's tier workers occupy
+  time: deterministic simulated slots (the paper-table default) or real
   :class:`~concurrent.futures.ThreadPoolExecutor` threads running
   per-worker compiled plan bundles against a :class:`WallClock`, turning
-  the same serving script into a wall-clock-concurrent server.
+  the same serving script into a wall-clock-concurrent fabric.
 * The elastic tier plane: fabrics built from a mutable
   :class:`~repro.hierarchy.plan.PartitionPlan`
   (:meth:`DistributedServingFabric.from_plan`), re-partitioned live via
@@ -53,6 +53,10 @@ the hard tail.  This package provides the online counterpart of the offline
   a :class:`HedgePolicy` speculatively re-sends slow offloads to sibling
   replica stacks (first arrival wins, losers cancelled, hedge bytes
   honestly accounted).
+
+* :mod:`~repro.serving.invariants` — the gates all of the above are held
+  to (exactly-once, admission conservation, no compute on expired work,
+  byte-identical seeded replay), one copy for experiments and tests alike.
 
 All timing flows through an injectable clock, so scheduling behaviour is
 deterministic under test while real deployments use wall time.

@@ -20,16 +20,16 @@ tests).
 
 This server is the *single-tier degenerate case* of the distributed
 :class:`~repro.serving.fabric.DistributedServingFabric`: one tier, one
-worker, the whole cascade evaluated in place, no inter-tier links.  Use the
-fabric when the device/edge/cloud split, link delays, or multiple workers
-matter; both produce byte-identical exit decisions (covered by tests).
+worker, the whole cascade evaluated in place on the calling thread, no
+inter-tier links.  Use the fabric when the device/edge/cloud split, link
+delays, or multiple (simulated or real-thread) workers matter; both produce
+byte-identical exit decisions (covered by tests).
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import Callable, Deque, Dict, List, Mapping, Optional
 
 import numpy as np
@@ -42,7 +42,6 @@ from .admission import AdmissionOutcome, AdmissionPolicy, AdmissionResult, Queue
 from .batcher import BatchingPolicy, MicroBatcher
 from .queue import InferenceRequest, InferenceResponse, RequestQueue
 from .stats import ServerStats, StatsSnapshot
-from .workers import WORKER_POOL_BACKENDS
 
 __all__ = ["DDNNServer"]
 
@@ -83,19 +82,6 @@ class DDNNServer:
         fast path) runs through the :mod:`repro.compile` fused inference
         plan — same predictions and exit routing as the eager stack,
         substantially higher throughput at serving batch sizes.
-    workers:
-        Number of concurrent micro-batch workers.  Only meaningful with
-        ``backend="thread"``; the default synchronous loop is exactly one
-        worker and rejects anything else.
-    backend:
-        ``"simulated"`` (default) keeps the classic synchronous loop —
-        every micro-batch is computed inline on the calling thread, in
-        deterministic order.  ``"thread"`` routes drained micro-batches on
-        a :class:`~concurrent.futures.ThreadPoolExecutor` with one private
-        :class:`~repro.compile.CompiledDDNN` plan bundle per worker
-        (requires ``compile=True``: eager forwards toggle the process-wide
-        ``no_grad`` switch and are not thread-safe).  Exit decisions are
-        byte-identical either way; only completion order/timing differs.
     precision:
         Compute mode for the compiled path — ``"float64"`` (exact,
         default), ``"float32"`` (tolerance mode) or ``"bitpacked"``.
@@ -116,28 +102,8 @@ class DDNNServer:
         client_weights: Optional[Mapping[str, float]] = None,
         retention: Optional[int] = None,
         compile: bool = False,
-        workers: int = 1,
-        backend: str = "simulated",
         precision: str = "float64",
     ) -> None:
-        if backend not in WORKER_POOL_BACKENDS:
-            raise ValueError(
-                f"unknown backend '{backend}' (choose from {WORKER_POOL_BACKENDS})"
-            )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if backend == "simulated" and workers != 1:
-            raise ValueError(
-                "backend='simulated' is the synchronous single-worker loop; "
-                "use backend='thread' (with compile=True) for workers > 1, "
-                "or the DistributedServingFabric for multi-worker simulation"
-            )
-        if backend == "thread" and not compile:
-            raise ValueError(
-                "backend='thread' requires compile=True: eager forwards "
-                "toggle the process-wide no_grad switch and are not "
-                "thread-safe; compiled plan bundles are"
-            )
         if precision != "float64" and not compile:
             raise ValueError(
                 f"precision='{precision}' requires compile=True: the eager "
@@ -148,21 +114,6 @@ class DDNNServer:
             model, thresholds, compile=compile, precision=precision
         )
         self.precision = precision
-        self.workers = workers
-        self.backend = backend
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._worker_plans: List[object] = []
-        if backend == "thread":
-            from ..compile import compile_ddnn
-
-            # One private plan bundle per worker thread: disjoint buffer
-            # arenas, so concurrent forwards never share mutable state.
-            self._worker_plans = [
-                compile_ddnn(model, precision=precision) for _ in range(workers)
-            ]
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-server"
-            )
         self.clock = clock
         self.policy = policy if policy is not None else BatchingPolicy()
         self.retention = stats_window if retention is None else retention
@@ -310,42 +261,10 @@ class DDNNServer:
         return self.process_batch(batch)
 
     def run_until_drained(self) -> List[InferenceResponse]:
-        """Serve micro-batches until the queue is empty.
-
-        On the thread backend, drained micro-batches are routed
-        concurrently — up to ``workers`` at a time, each on its own plan
-        bundle — and delivered (sessions, outboxes, stats) on the calling
-        thread as they finish.  Responses are therefore in completion
-        order, which may differ from submission order; exit decisions are
-        unaffected.
-        """
-        if self._executor is None:
-            responses: List[InferenceResponse] = []
-            while len(self.queue) > 0:
-                responses.extend(self.step(force=True))
-            return responses
-        return self._drain_parallel()
-
-    def _drain_parallel(self) -> List[InferenceResponse]:
+        """Serve micro-batches until the queue is empty."""
         responses: List[InferenceResponse] = []
-        idle_plans = list(self._worker_plans)
-        pending: Dict[object, tuple] = {}
-        while len(self.queue) > 0 or pending:
-            while idle_plans and len(self.queue) > 0:
-                batch = self.batcher.next_batch(force=True)
-                if not batch:
-                    break
-                plan = idle_plans.pop()
-                views = np.stack([request.views for request in batch])
-                future = self._executor.submit(self._route_compiled, plan, views)
-                pending[future] = (batch, plan)
-            if not pending:
-                break
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                batch, plan = pending.pop(future)
-                idle_plans.append(plan)
-                responses.extend(self._deliver(batch, future.result()))
+        while len(self.queue) > 0:
+            responses.extend(self.step(force=True))
         return responses
 
     def serve_dataset(
@@ -393,40 +312,10 @@ class DDNNServer:
         Public so external schedulers (e.g. the open-loop load generator)
         can control *when* a batch runs while reusing the exact serving
         path: completion stamps, per-exit routing, session delivery and
-        rolling stats.  A single batch always runs on the calling thread
-        (on worker bundle 0 under the thread backend); concurrency lives in
-        :meth:`run_until_drained`.
+        rolling stats.
         """
         views = np.stack([request.views for request in batch])
-        if self._worker_plans:
-            routed = self._route_compiled(self._worker_plans[0], views)
-        else:
-            routed = self.cascade.run_model(self.model, views, batch_size=len(batch))
-        return self._deliver(batch, routed)
-
-    def _route_compiled(self, plan, views: np.ndarray):
-        """Route one stacked batch through a private compiled plan bundle.
-
-        Thread-safe by construction: the plan's buffer arena belongs to one
-        worker, the forward touches no Tensor/autograd state (so no
-        ``no_grad`` toggling), and the returned
-        :class:`~repro.core.cascade.CascadeRouter` exposes the same
-        ``predictions`` / ``exit_indices`` / ``entropies`` arrays
-        :meth:`_deliver` reads from an eager ``CascadeResult``.
-        """
-        output = plan(views)
-        router = self.cascade.router(len(views))
-        for logits in output.exit_logits:
-            router.offer(logits)
-        return router
-
-    def _deliver(self, batch: List[InferenceRequest], routed) -> List[InferenceResponse]:
-        """Stamp, route per exit, deliver to sessions, record stats.
-
-        Always runs on the calling thread — sessions, outboxes and the
-        rolling stats window are plain deques, so delivery is the
-        single-threaded half of the serving path in every backend.
-        """
+        routed = self.cascade.run_model(self.model, views, batch_size=len(batch))
         completion_time = self.clock()
         responses: List[InferenceResponse] = []
         for row, request in enumerate(batch):
@@ -448,16 +337,3 @@ class DDNNServer:
             responses.append(response)
         self.stats.observe_batch(responses)
         return responses
-
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Shut down the worker executor (thread backend); idempotent."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "DDNNServer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

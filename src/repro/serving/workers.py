@@ -1,8 +1,7 @@
-"""Pluggable worker-pool backends for the serving layers.
+"""Pluggable worker-pool backends for the serving fabric.
 
-The fabric's :class:`~repro.serving.fabric.TierServer` (and the single-tier
-:class:`~repro.serving.server.DDNNServer`) describe *what* a worker does —
-run a batch through a tier section or the cascade, then hand the result to a
+The fabric's :class:`~repro.serving.fabric.TierServer` describes *what* a
+worker does — run a batch through a tier section, then hand the result to a
 completion callback.  *How* that work occupies time is the pool's job, and
 there are two answers:
 

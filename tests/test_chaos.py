@@ -33,6 +33,7 @@ from repro.serving import (
     admission_policy,
     make_worker_pool,
 )
+from repro.serving.invariants import accounting, check_conservation, check_exactly_once
 
 THRESHOLD = 0.5  # low threshold => most requests offload, exercising the uplink
 SERVICE = ServiceModel(batch_overhead_s=0.002, per_sample_s=0.004)
@@ -61,22 +62,6 @@ def _serve(fabric, tiny_test, num_requests=32, rate=30.0, seed=0):
         tiny_test.images,
         targets=[int(label) for label in tiny_test.labels],
         num_requests=num_requests,
-    )
-
-
-def _accounting(responses):
-    return sorted(
-        (
-            r.request_id,
-            r.prediction,
-            r.exit_index,
-            r.exit_name,
-            r.degraded,
-            r.retries,
-            r.shed,
-            r.completion_time,
-        )
-        for r in responses
     )
 
 
@@ -407,8 +392,7 @@ class TestResilientOffload:
             chaos=ChaosSchedule(outages=[LinkOutage(destination="cloud")], seed=0),
         )
         report = _serve(fabric, tiny_test)
-        assert report.served == 32
-        assert len({r.request_id for r in report.responses}) == 32
+        assert not check_exactly_once(32, report.responses)
         degraded = [r for r in report.responses if r.degraded]
         assert degraded, "a full partition must force failovers"
         # Degraded answers come from the origin tier's own exit, honestly
@@ -448,7 +432,7 @@ class TestResilientOffload:
             )
             fabric = _fabric(trained_ddnn, offload=POLICY, chaos=chaos)
             report = _serve(fabric, tiny_test)
-            return _accounting(report.responses), fabric.resilience_stats.as_dict()
+            return accounting(report.responses), fabric.resilience_stats.as_dict()
 
         first_acc, first_stats = _run()
         second_acc, second_stats = _run()
@@ -594,13 +578,12 @@ class TestChaosAccounting:
         assert degraded or fabric.resilience_stats.retries > 0, (
             "the flap windows never touched an offload"
         )
-        assert fabric.offered == stats.accepted + stats.rejected + stats.shed
+        assert not check_conservation(fabric.offered, stats.as_dict())
         assert len(responses) - len(shed) == stats.accepted - stats.dropped
         assert len(shed) == stats.shed
         assert len(degraded) == fabric.resilience_stats.failovers
         assert not any(r.shed for r in degraded)  # disjoint classifications
-        ids = [r.request_id for r in responses]
-        assert len(ids) == len(set(ids)), "duplicate responses"
+        assert not check_exactly_once(len(responses), responses), "duplicate responses"
         # Every admitted-and-kept request got exactly one answer.
         assert len(responses) == fabric.offered - stats.rejected - stats.dropped
 

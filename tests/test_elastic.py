@@ -24,19 +24,12 @@ from repro.serving import (
     ServiceModel,
     admission_policy,
 )
+from repro.serving.invariants import check_conservation, check_exactly_once, routing
 
 THRESHOLD = 0.8
 SERVICE = ServiceModel(batch_overhead_s=0.002, per_sample_s=0.004)
 BATCHING = BatchingPolicy(max_batch_size=4, max_wait_s=0.004)
 ONE_WORKER_RPS = SERVICE.capacity_rps(4)
-
-
-def _routing(responses, after=float("-inf")):
-    return sorted(
-        (r.request_id, r.prediction, r.exit_index, r.exit_name)
-        for r in responses
-        if r.completion_time > after
-    )
 
 
 def _fabric(plan, **kwargs):
@@ -71,7 +64,7 @@ class TestApplyPlan:
         fresh = _fabric(plan_b, service_models=None)
         fresh.submit_many(list(tiny_test.images))
         fresh.run_until_idle(drain=True)
-        assert _routing(live.responses) == _routing(fresh.responses)
+        assert routing(live.responses) == routing(fresh.responses)
 
     def test_midrun_apply_defers_requeues_and_matches_fresh_fabric(
         self, trained_ddnn, tiny_test
@@ -95,16 +88,15 @@ class TestApplyPlan:
         # A busy worker at the switch defers the handoff to the drain barrier.
         assert outcome["report"] is None
 
-        ids = [r.request_id for r in live.responses]
-        assert len(ids) == len(views) and len(set(ids)) == len(views)
+        assert not check_exactly_once(len(views), live.responses)
 
         fresh = _fabric(plan_b)
         _paced_submit(fresh, views)
         fresh.run_until_idle(drain=True)
-        after = _routing(live.responses, after=handoff.time)
+        after = routing(live.responses, after=handoff.time)
         assert after, "no requests completed under the new plan"
         after_ids = {row[0] for row in after}
-        reference = [row for row in _routing(fresh.responses) if row[0] in after_ids]
+        reference = [row for row in routing(fresh.responses) if row[0] in after_ids]
         assert after == reference
 
     def test_midrun_edge_exit_toggle_three_tier(self, tiny_train, tiny_test):
@@ -140,9 +132,9 @@ class TestApplyPlan:
         fresh = _fabric(plan_b)
         _paced_submit(fresh, views)
         fresh.run_until_idle(drain=True)
-        after = _routing(live.responses, after=handoff.time)
+        after = routing(live.responses, after=handoff.time)
         after_ids = {row[0] for row in after}
-        reference = [row for row in _routing(fresh.responses) if row[0] in after_ids]
+        reference = [row for row in routing(fresh.responses) if row[0] in after_ids]
         assert after == reference
 
     def test_apply_plan_rejects_other_model(self, trained_ddnn, untrained_ddnn):
@@ -192,11 +184,10 @@ class TestDrainAccounting:
         shed = [r for r in live.responses if r.shed]
         served = [r for r in live.responses if not r.shed]
         assert stats.shed > 0, "overload never triggered shedding"
-        assert live.offered == stats.accepted + stats.rejected + stats.shed
+        assert not check_conservation(live.offered, stats.as_dict())
         assert len(shed) == stats.shed
         assert len(served) == stats.accepted - stats.dropped
-        ids = [r.request_id for r in live.responses]
-        assert len(ids) == len(set(ids)), "duplicate responses"
+        assert not check_exactly_once(len(live.responses), live.responses)
         # The handoff actually took effect.
         assert len(live.tiers[0].pool) == 2
         assert live.last_repartition.workers_per_tier == {"devices": 2, "cloud": 2}
@@ -214,15 +205,14 @@ class TestDrainAccounting:
         assert stats.rejected + stats.dropped > 0, "overload never turned work away"
         assert live.offered == stats.accepted + stats.rejected
         assert len(live.responses) == stats.accepted - stats.dropped
-        ids = [r.request_id for r in live.responses]
-        assert len(ids) == len(set(ids)), "duplicate responses"
+        assert not check_exactly_once(len(live.responses), live.responses)
         # Everything queued at the handoff was served exactly once.
         requeued = {
             rid
             for tier_ids in live.last_repartition.requeued_ids.values()
             for rid in tier_ids
         }
-        assert requeued <= set(ids)
+        assert requeued <= {r.request_id for r in live.responses}
 
 
 class TestAutoscaler:

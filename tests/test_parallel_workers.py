@@ -1,8 +1,8 @@
 """Tests for the real thread-pool worker backend behind the serving fabric.
 
 Covers the wall clock and realtime event loop, the worker-pool backends'
-routing equivalence (thread vs simulated, server and fabric, several worker
-counts), the constructor validation around backend/compile/clock choices,
+routing equivalence (thread vs simulated fabric, several worker counts),
+the constructor validation around backend/compile/clock choices,
 and thread-safety of the process-wide compiled-plan cache and the
 experiment harness's oracle memo under concurrent hammering.
 
@@ -27,7 +27,6 @@ from repro.experiments import capture_oracle, ci_scale, get_dataset
 from repro.hierarchy import partition_ddnn
 from repro.serving import (
     BatchingPolicy,
-    DDNNServer,
     DistributedServingFabric,
     EventLoop,
     SimulatedClock,
@@ -36,15 +35,11 @@ from repro.serving import (
     WallClock,
     make_worker_pool,
 )
+from repro.serving.invariants import routing
 
 
-def _routing(responses):
-    responses = sorted(responses, key=lambda r: r.request_id)
-    return (
-        np.array([r.prediction for r in responses]),
-        np.array([r.exit_index for r in responses]),
-        np.array([r.entropy for r in responses]),
-    )
+def _entropies(responses):
+    return np.array([r.entropy for r in sorted(responses, key=lambda r: r.request_id)])
 
 
 class TestWallClock:
@@ -127,7 +122,8 @@ class TestThreadBackendEquivalence:
             compile=True,
         )
         with fabric:
-            return _routing(fabric.serve_dataset(tiny_test))
+            responses = fabric.serve_dataset(tiny_test)
+        return routing(responses), _entropies(responses)
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_fabric_thread_backend_matches_simulated(
@@ -142,22 +138,10 @@ class TestThreadBackendEquivalence:
             backend="thread",
         )
         with fabric:
-            predictions, exits, entropies = _routing(fabric.serve_dataset(tiny_test))
-        ref_predictions, ref_exits, ref_entropies = reference
-        np.testing.assert_array_equal(predictions, ref_predictions)
-        np.testing.assert_array_equal(exits, ref_exits)
-        np.testing.assert_allclose(entropies, ref_entropies, rtol=0, atol=1e-9)
-
-    def test_server_thread_backend_matches_sequential(self, trained_ddnn, tiny_test):
-        with DDNNServer(trained_ddnn, 0.8, compile=True) as sequential:
-            ref = _routing(sequential.serve_dataset(tiny_test))
-        with DDNNServer(
-            trained_ddnn, 0.8, compile=True, workers=3, backend="thread"
-        ) as server:
-            got = _routing(server.serve_dataset(tiny_test))
-        np.testing.assert_array_equal(got[0], ref[0])
-        np.testing.assert_array_equal(got[1], ref[1])
-        np.testing.assert_allclose(got[2], ref[2], rtol=0, atol=1e-9)
+            responses = fabric.serve_dataset(tiny_test)
+        ref_routing, ref_entropies = reference
+        assert routing(responses) == ref_routing
+        np.testing.assert_allclose(_entropies(responses), ref_entropies, rtol=0, atol=1e-9)
 
 
 class TestBackendValidation:
@@ -182,18 +166,6 @@ class TestBackendValidation:
             DistributedServingFabric(
                 partition_ddnn(trained_ddnn), 0.8, backend="multiprocess"
             )
-
-    def test_server_multiworker_requires_thread_backend(self, trained_ddnn):
-        with pytest.raises(ValueError, match="thread"):
-            DDNNServer(trained_ddnn, 0.8, compile=True, workers=2)
-
-    def test_server_thread_requires_compile(self, trained_ddnn):
-        with pytest.raises(ValueError, match="compile"):
-            DDNNServer(trained_ddnn, 0.8, workers=2, backend="thread")
-
-    def test_server_worker_count_positive(self, trained_ddnn):
-        with pytest.raises(ValueError, match="workers"):
-            DDNNServer(trained_ddnn, 0.8, compile=True, workers=0, backend="thread")
 
 
 class TestPlanCacheConcurrency:

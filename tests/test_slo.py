@@ -25,6 +25,11 @@ from repro.serving import (
     RetryPolicy,
     ServiceModel,
 )
+from repro.serving.invariants import (
+    accounting,
+    check_exactly_once,
+    check_no_expired_compute,
+)
 
 THRESHOLD = 0.5  # low threshold => most requests offload, exercising the uplink
 SERVICE = ServiceModel(batch_overhead_s=0.002, per_sample_s=0.004)
@@ -59,24 +64,6 @@ def _submit_trace(fabric, tiny_test, num_requests=16, rate=40.0, seed=0):
         fabric.submit(
             tiny_test.images[index], target=int(tiny_test.labels[index]), at=when
         )
-
-
-def _accounting(responses):
-    return sorted(
-        (
-            r.request_id,
-            r.prediction,
-            r.exit_index,
-            r.exit_name,
-            r.degraded,
-            r.retries,
-            r.hedged,
-            r.deadline_exceeded,
-            r.completion_time,
-            r.bytes_transferred,
-        )
-        for r in responses
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -131,13 +118,12 @@ class TestDeadlinePropagation:
         _submit_trace(fabric, tiny_test)
         fabric.run_until_idle(drain=True)
         responses = fabric.responses
-        assert len(responses) == 16
-        assert len({r.request_id for r in responses}) == 16
+        assert not check_exactly_once(16, responses)
         stats = fabric.resilience_stats
         retired = [r for r in responses if r.deadline_exceeded]
         assert retired, "the blackout never pushed a queued request past its budget"
         assert stats.deadline_expired == len(retired)
-        assert stats.expired_compute == 0
+        assert not check_no_expired_compute(stats.as_dict())
         first_exit = fabric.sections[0].exit_name
         for r in retired:
             assert r.degraded and r.exit_name == first_exit
@@ -159,8 +145,7 @@ class TestDeadlinePropagation:
         _submit_trace(fabric, tiny_test)
         fabric.run_until_idle(drain=True)
         responses = fabric.responses
-        assert len(responses) == 16
-        assert len({r.request_id for r in responses}) == 16
+        assert not check_exactly_once(16, responses)
         stats = fabric.resilience_stats
         assert stats.clipped_retries > 0
         assert stats.retries == 0, "a clipped ladder must not also re-send"
@@ -258,8 +243,7 @@ class TestHedgedOffloads:
             chaos=ChaosSchedule(outages=[LinkOutage(destination="cloud")], seed=0),
         )
         report = self._drive(balancer, tiny_test)
-        assert report.served == 12
-        assert len({r.request_id for r in report.responses}) == 12
+        assert not check_exactly_once(12, report.responses)
         resilience = report.metadata["resilience"]
         assert report.hedge_total > 0
         assert resilience["hedge_wins"] > 0
@@ -282,8 +266,7 @@ class TestHedgedOffloads:
         # the original and, over an identical sibling link, lands after it.
         balancer = self._balancer(trained_ddnn, slo_s=4.0 * estimate, trigger=0.1)
         report = self._drive(balancer, tiny_test)
-        assert report.served == 12
-        assert len({r.request_id for r in report.responses}) == 12
+        assert not check_exactly_once(12, report.responses)
         resilience = report.metadata["resilience"]
         assert report.hedge_total > 0, "the trigger never fired mid-flight"
         assert resilience["hedge_wins"] == 0
@@ -318,7 +301,7 @@ class TestHedgedOffloads:
                 ),
             )
             report = self._drive(balancer, tiny_test)
-            return _accounting(report.responses), report.metadata["resilience"]
+            return accounting(report.responses), report.metadata["resilience"]
 
         first_acc, first_stats = run()
         second_acc, second_stats = run()
@@ -445,10 +428,9 @@ class TestWallClockSLO:
             elapsed = fabric.clock.now - started
         finally:
             fabric.close()
-        assert len(responses) == 10
-        assert len({r.request_id for r in responses}) == 10
+        assert not check_exactly_once(10, responses)
         stats = fabric.resilience_stats
-        assert stats.expired_compute == 0
+        assert not check_no_expired_compute(stats.as_dict())
         assert stats.deadline_expired > 0, (
             "a 0.35s blackout must expire some 0.15s budgets"
         )
