@@ -8,13 +8,15 @@ and emits plans executing on raw ``np.ndarray``s with
 
 * BatchNorm folded into preceding conv/linear weights (running stats),
 * conv+ReLU and BatchNorm+sign fusion,
-* zero-copy strided-window im2col over pre-packed (pre-binarized) weight
-  matrices, and
-* a per-plan buffer arena reused across batches (re-planned on shape
-  change), and
+* zero-copy strided-window (or contiguous row-run) im2col over pre-packed
+  (pre-binarized) weight matrices,
+* a cache-resident memory plan: forwards run depth-first in batch passes
+  over one pass-sized buffer arena per plan, with im2col scratch shared by
+  every op, and the device tier's identical branches stacked into one
+  grouped program, and
 * selectable compute precision (``PRECISIONS``): exact ``"float64"``
-  (default), tolerance-mode ``"float32"`` (fp32 weights/buffers/GEMMs,
-  cache-blocked im2col), and ``"bitpacked"`` (uint64 XNOR+popcount GEMMs on
+  (default), tolerance-mode ``"float32"`` (fp32 weights/buffers/GEMMs),
+  and ``"bitpacked"`` (uint64 XNOR+popcount GEMMs on
   the ±1 binary blocks, bit-identical to float64) — each enforced by
   :func:`verify_compiled` with its own documented guarantee.
 

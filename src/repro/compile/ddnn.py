@@ -6,9 +6,13 @@ becomes a :class:`~repro.compile.plan.CompiledPlan` and every aggregator a
 plain function over ``np.ndarray``s, so a full multi-exit forward pass never
 touches the autograd :class:`~repro.nn.tensor.Tensor` machinery.
 
-The sub-plans (``device_branches``, ``edge_tiers``, ``cloud``) are exposed
-individually so the hierarchy simulator can hand each node its own compiled
-section, and :func:`verify_compiled` provides the numerical-equivalence
+The paper's end devices all run the same block on their own view, so their
+compiled branches *stack*: ``device_group`` is one grouped program computing
+every device's features and class scores in a single pass (per-branch
+``device_branches`` exist only for hand-built heterogeneous models).  The
+sub-plans (``device_group``, ``edge_tiers``, ``cloud``) are exposed
+individually so the hierarchy simulator can run each tier's section on its
+own, and :func:`verify_compiled` provides the numerical-equivalence
 guarantee against the eager path.
 """
 
@@ -129,6 +133,20 @@ class CompiledBranch:
             input_signed=self.features.output_signed,
         )
 
+    @classmethod
+    def stacked(cls, branches: Sequence["CompiledBranch"]) -> Optional["CompiledBranch"]:
+        """All ``branches`` as one grouped branch in device-major layout —
+        ``(D, N, C, H, W)`` views in, ``(D, N, ...)`` feature maps and class
+        scores out, so each device's rows stay contiguous — or ``None`` when
+        the branches are not structurally identical."""
+        features = CompiledPlan.stacked([branch.features for branch in branches])
+        classify = CompiledPlan.stacked([branch.classify for branch in branches])
+        if features is None or classify is None:
+            return None
+        group = cls.__new__(cls)
+        group.features, group.classify = features, classify
+        return group
+
     @property
     def output_signed(self) -> bool:
         return self.features.output_signed
@@ -178,8 +196,10 @@ class CompiledTier:
 class CompiledDDNNOutput:
     """All exit and intermediate outputs of one compiled forward pass.
 
-    Mirrors :class:`~repro.core.ddnn.DDNNOutput` but holds raw arrays; the
-    arrays are views into plan buffers, valid until the next forward call.
+    Mirrors :class:`~repro.core.ddnn.DDNNOutput` but holds raw arrays.  The
+    arrays are views into plan buffers that forwards of every batch size
+    share: they are valid until the next forward call on the same
+    :class:`CompiledDDNN`, whatever its batch size — copy what must outlive it.
     """
 
     exit_logits: List[np.ndarray]
@@ -204,8 +224,9 @@ class CompiledDDNN:
     """Inference-only compiled counterpart of a trained :class:`DDNN`.
 
     Weights are snapshotted at compile time; recompile after (re)training.
-    Plans re-build automatically when the batch shape changes and reuse
-    their buffer arenas otherwise.
+    Every plan keeps one set of buffers sized for the largest batch it has
+    met (see :class:`~repro.compile.plan.CompiledPlan`), so one bundle is
+    for one caller at a time and its outputs live until its next forward.
     """
 
     def __init__(self, model: DDNN, precision: str = "float64") -> None:
@@ -220,10 +241,15 @@ class CompiledDDNN:
         self.has_local_exit = model.has_local_exit
         self.has_edge = model.has_edge
 
-        self.device_branches = [
+        branches = [
             CompiledBranch(branch, precision=precision)
             for branch in model.device_branches
         ]
+        #: The whole device tier as one grouped program (``None`` only for
+        #: hand-built models whose branches differ structurally, which keep
+        #: one plan pair per device in ``device_branches`` instead).
+        self.device_group = CompiledBranch.stacked(branches)
+        self.device_branches = [] if self.device_group is not None else branches
         self.local_aggregator: Optional[CompiledAggregator] = (
             compile_aggregator(model.local_aggregator) if model.has_local_exit else None
         )
@@ -238,7 +264,7 @@ class CompiledDDNN:
                 model._edge_aggregators, model.edge_models, self.edge_device_groups
             ):
                 signed = _aggregator_preserves_sign(aggregator) and all(
-                    self.device_branches[i].output_signed for i in group
+                    branches[i].output_signed for i in group
                 )
                 self.edge_aggregators.append(compile_aggregator(aggregator))
                 self.edge_tiers.append(
@@ -249,7 +275,7 @@ class CompiledDDNN:
         cloud_sources_signed = (
             all(tier.output_signed for tier in self.edge_tiers)
             if model.has_edge
-            else all(branch.output_signed for branch in self.device_branches)
+            else all(branch.output_signed for branch in branches)
         )
         cloud_signed = (
             _aggregator_preserves_sign(model.cloud_aggregator) and cloud_sources_signed
@@ -263,7 +289,7 @@ class CompiledDDNN:
     def plans(self) -> List[CompiledPlan]:
         """Every :class:`CompiledPlan` in the model, in forward order."""
         found: List[CompiledPlan] = []
-        for branch in self.device_branches:
+        for branch in self.device_branches or [self.device_group]:
             found.extend([branch.features, branch.classify])
         for tier in self.edge_tiers:
             found.extend([tier.features, tier.head])
@@ -295,35 +321,42 @@ class CompiledDDNN:
             timings.extend(plan.op_timings())
         return timings
 
+    def arena_bytes(self) -> int:
+        """Bytes of buffer memory every plan of the bundle currently holds."""
+        return sum(plan.arena_bytes() for plan in self.plans())
+
     # ------------------------------------------------------------------ #
-    def _split_views(self, views: ViewsLike) -> List[np.ndarray]:
+    def _device_major(self, views: ViewsLike) -> np.ndarray:
+        """The multi-view batch as a ``(D, N, C, H, W)`` array (a view of a
+        batch-major ``(N, D, C, H, W)`` array, a stack of per-device streams)."""
         if isinstance(views, (list, tuple)):
-            arrays = [
-                np.asarray(v.data if isinstance(v, Tensor) else v, dtype=self.dtype)
-                for v in views
-            ]
+            array = np.stack(
+                [np.asarray(v.data if isinstance(v, Tensor) else v) for v in views]
+            )
         else:
-            array = np.asarray(views, dtype=self.dtype)
+            array = np.asarray(views)
             if array.ndim != 5:
                 raise ValueError(f"expected views of shape (N, D, C, H, W), got {array.shape}")
-            arrays = [array[:, index] for index in range(array.shape[1])]
-        if len(arrays) != self.num_devices:
+            array = np.moveaxis(array, 1, 0)
+        if len(array) != self.num_devices:
             raise ValueError(
                 f"model has {self.num_devices} devices but received "
-                f"{len(arrays)} view streams"
+                f"{len(array)} view streams"
             )
-        return arrays
+        return array
 
     def forward(self, views: ViewsLike) -> CompiledDDNNOutput:
         """Compute every exit's logits for a multi-view batch, autograd-free."""
-        device_inputs = self._split_views(views)
-
-        device_features: List[np.ndarray] = []
-        device_scores: List[np.ndarray] = []
-        for branch, device_input in zip(self.device_branches, device_inputs):
-            feature_map, scores = branch(device_input)
-            device_features.append(feature_map)
-            device_scores.append(scores)
+        device_inputs = self._device_major(views)
+        if self.device_group is not None:
+            feature_maps, scores = self.device_group(device_inputs)
+            device_features, device_scores = list(feature_maps), list(scores)
+        else:
+            device_features, device_scores = [], []
+            for branch, device_input in zip(self.device_branches, device_inputs):
+                feature_map, scores = branch(device_input)
+                device_features.append(feature_map)
+                device_scores.append(scores)
 
         exit_logits: List[np.ndarray] = []
         exit_names: List[str] = []

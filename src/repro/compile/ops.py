@@ -1,42 +1,53 @@
 """Raw-``ndarray`` inference kernels and the per-plan buffer arena.
 
 These ops are what a :class:`~repro.compile.plan.CompiledPlan` executes: no
-autograd graph, no per-op :class:`~repro.nn.tensor.Tensor` wrapping.  Each op
-is *prepared* once per batch shape — binding its scratch and output buffers
-from the plan's :class:`Arena` into a per-shape context — and then *run*
-once per forward pass against that context, writing into the pre-allocated
-buffers (``out=`` everywhere, in-place epilogues for bias/ReLU/sign).
-Because the context carries all shape-dependent state, a plan alternating
-between batch shapes (e.g. a server interleaving batch-1 shed forwards with
-micro-batches) switches programs without re-preparing anything.
+autograd graph, no per-op :class:`~repro.nn.tensor.Tensor` wrapping.  Every
+array an op sees has two leading axes, ``(groups, batch, ...)``: a plan
+compiled from one module stack has ``groups == 1``, a plan *stacked* from N
+structurally identical stacks (the DDNN's device branches) carries N sets
+of parameters along the group axis and computes all of them in one pass.
+Each op is *prepared* once per input shape — binding views of the plan's
+:class:`Arena` into a context — and then *run* once per forward pass against
+that context, writing into the pre-allocated buffers (``out=`` everywhere,
+in-place epilogues for bias/ReLU/sign).
 
-Numerical contract: where no folding applies, every op reproduces the eager
-path bit for bit — the same im2col window ordering (via the shared
-:func:`repro.nn.functional.sliding_windows` helper), the same operand
-layouts handed to BLAS, and the same elementwise operation order as the
-eager BatchNorm/activation code.  Folded ops (BatchNorm absorbed into conv
-or linear weights) and the shift-add conv strategy are equivalent up to
-float rounding — and remain *exact* on the binary interior blocks, whose
-±1 arithmetic stays integral in float64 under any summation order.
+Memory plan: arena buffers are sized for the largest batch the plan has
+run in one pass and a program for a smaller batch binds their leading rows,
+so a plan that serves batches of 1..8 owns one set of buffers, not eight
+(padded borders are per-image constants, valid under every such view).
+Operands that are dead when their op returns — the im2col column matrix,
+the shift-add per-position products — are not per-op at all: they are views
+of the arena's one scratch block.  The plan keeps a pass small enough that
+all of this stays cache-resident (see :class:`~repro.compile.plan.CompiledPlan`,
+which owns the one blocking scheme: ``_IM2COL_BLOCK_BYTES`` per pass).
 
-Precision modes: every op takes a ``dtype`` (float64 by default — the exact
-mode above; float32 halves memory traffic at fp32 tolerance).  In fp32 mode
-the im2col gather is additionally *cache-blocked* along the output rows so
-the column scratch stays L2-resident; fp64 never blocks, because splitting
-the GEMM would change BLAS summation order and break the bit-identity
-contract.  :class:`PackedConvOp` / :class:`PackedLinearOp` are the
-``"bitpacked"`` kernels for binary blocks whose inputs are provably ±1:
-signs are packed 64-per-word into ``uint64``, the GEMM becomes XNOR +
-popcount (``dot = K - 2 * popcount(a ^ b)``), and zero padding is restored
-by a per-position integer correction precomputed at prepare time.  Because
-±1 dot products are exact small integers in float64, the packed kernels are
-*bit-identical* to the float path — not merely close.
+Numerical contract: elementwise ops, pooling, BatchNorm and the linear
+layers replay the eager arithmetic bit for bit (same operation order, same
+operand layouts handed to BLAS), and so does the window-gather im2col
+convolution (strided or unpadded).  Three conv strategies are equivalent to
+eager only up to float rounding — BatchNorm folded into the weights,
+shift-add, and the *row-run* im2col used for padded stride-1 convolutions,
+whose GEMM runs on the padded-width output grid (BLAS edge kernels may
+round a column differently depending on where it sits in the matrix).  All
+three remain *exact* on the binary interior blocks, whose ±1 arithmetic
+stays integral in float64 under any summation order, and the sign that
+ends every binary block absorbs last-bit differences in the first.
+
+Precision modes: every op takes a ``dtype`` (float64 by default; float32
+halves memory traffic at fp32 tolerance).  :class:`PackedConvOp` /
+:class:`PackedLinearOp` are the ``"bitpacked"`` kernels for binary blocks
+whose inputs are provably ±1: signs are packed 64-per-word into ``uint64``,
+the GEMM becomes XNOR + popcount (``dot = K - 2 * popcount(a ^ b)``), and
+zero padding is restored by a per-position integer correction precomputed
+at prepare time.  Because ±1 dot products are exact small integers in
+float64, the packed kernels are *bit-identical* to the float path — not
+merely close.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,7 +88,8 @@ class CompileError(RuntimeError):
 #:   the float sign path (±1 dots are exact integers in float64).
 PRECISIONS = ("float64", "float32", "bitpacked")
 
-#: Cache-block budget (bytes) for the fp32 im2col column scratch.
+#: Cache-block budget (bytes) for one pass of a plan over a slice of the
+#: batch: every buffer the pass touches plus its im2col/shift-add scratch.
 _IM2COL_BLOCK_BYTES = 1 << 20
 
 
@@ -138,22 +150,43 @@ def _pack_sign_rows(weight_matrix: np.ndarray) -> Tuple[np.ndarray, int]:
 
 
 class Arena:
-    """Shape-keyed buffer pool owned by one compiled plan.
+    """Capacity-sized buffer pool owned by one compiled plan.
 
-    Buffers are allocated when the plan first prepares a batch shape and
-    reused across every subsequent forward pass with that shape.  The pool
-    key includes the shape, so programs for several batch shapes coexist
-    without re-allocating each other's buffers.  ``fill`` is applied only
-    on allocation: padded scratch buffers keep their constant border (zeros
-    for convolution, ``-inf`` for max pooling) because the ops only ever
-    overwrite the interior.  The arena carries the plan's float dtype
-    (float64 by default, float32 in fp32 mode); non-float scratch (sign
-    masks, packed words, popcount bytes) requests an explicit dtype.
+    Every buffer is requested with a ``(groups, batch, *sample)`` shape and
+    allocated once for ``groups * capacity`` samples, where ``capacity`` is
+    the largest batch the plan has reserved; the request returns the leading
+    ``groups * batch`` samples viewed in the requested shape.  Programs for
+    smaller batches therefore share the larger batch's memory instead of
+    owning their own, and :meth:`reserve` drops everything when a larger
+    batch arrives (the plan then re-prepares its programs — rare: capacity
+    only ever grows, and no further than the plan's pass size).
+
+    ``fill`` is applied only on allocation: padded buffers keep their
+    constant border (zeros for convolution, ``-inf`` for max pooling)
+    because ops only ever overwrite the interior, and the border sits at
+    the same offsets of every sample whatever the batch view.  The arena
+    carries the plan's float dtype (float64 by default, float32 in fp32
+    mode); non-float buffers (sign masks, packed words, popcount bytes)
+    request an explicit dtype.
+
+    :meth:`scratch` hands out views of one shared block for operands that
+    are dead when their op returns; every op that takes one fills it before
+    reading it, so ops (and programs) can alias each other's scratch freely.
     """
 
     def __init__(self, dtype: np.dtype = np.float64) -> None:
         self.dtype = np.dtype(dtype)
+        self.capacity = 0
         self._buffers: Dict[object, np.ndarray] = {}
+        self._scratch = np.empty(0, dtype=np.uint8)
+
+    def reserve(self, batch: int) -> bool:
+        """Make room for ``batch`` samples; true when that dropped the buffers."""
+        if batch <= self.capacity:
+            return False
+        self.capacity = int(batch)
+        self._buffers.clear()
+        return True
 
     def buffer(
         self,
@@ -163,31 +196,44 @@ class Arena:
         dtype: Optional[np.dtype] = None,
     ) -> np.ndarray:
         dtype = self.dtype if dtype is None else np.dtype(dtype)
-        pool_key = (key, tuple(shape), dtype.str)
+        groups, batch = shape[:2]
+        sample = tuple(shape[2:])
+        pool_key = (key, (groups,) + sample, dtype.str)
         buf = self._buffers.get(pool_key)
         if buf is None:
-            buf = np.empty(shape, dtype=dtype)
+            buf = np.empty((groups * self.capacity,) + sample, dtype=dtype)
             if fill is not None:
                 buf.fill(fill)
             self._buffers[pool_key] = buf
-        return buf
+        return buf[: groups * batch].reshape(shape)
 
     def bool_buffer(self, key: object, shape: Tuple[int, ...]) -> np.ndarray:
         return self.buffer(key, shape, dtype=bool)
+
+    def scratch(self, shape: Tuple[int, ...]) -> np.ndarray:
+        """An uninitialised float view of the shared scratch block."""
+        nbytes = int(np.prod(shape, dtype=np.int64)) * self.dtype.itemsize
+        if nbytes > self._scratch.nbytes:
+            # Views bound by earlier programs keep the old block alive and
+            # stay correct; only the sharing is lost until they re-prepare.
+            self._scratch = np.empty(nbytes, dtype=np.uint8)
+        return self._scratch[:nbytes].view(self.dtype).reshape(shape)
+
+    def nbytes(self) -> int:
+        """Bytes currently held (buffers plus the scratch block)."""
+        return self._scratch.nbytes + sum(buf.nbytes for buf in self._buffers.values())
 
 
 def _window_position_slices(source: np.ndarray, kernel: int, stride: int) -> list:
     """One strided sub-view of ``source`` per kernel position.
 
-    ``slices[ky * kernel + kx][n, c, oy, ox]`` is the value the window at
-    output position ``(oy, ox)`` sees at kernel offset ``(ky, kx)``.  Pool
-    ops accumulate max/sum over these views instead of reducing over the
-    overlapping 6-D window view, which iterates with far better locality.
+    ``slices[ky * kernel + kx][..., c, oy, ox]`` is the value the window at
+    output position ``(oy, ox)`` sees at kernel offset ``(ky, kx)``.
+    Average pooling accumulates over these views instead of reducing over
+    the overlapping window view, which iterates with far better locality.
     """
     windows = sliding_windows(source, kernel, kernel, stride)
-    return [
-        windows[:, :, :, :, ky, kx] for ky in range(kernel) for kx in range(kernel)
-    ]
+    return [windows[..., ky, kx] for ky in range(kernel) for kx in range(kernel)]
 
 
 def _sign_inplace(buf: np.ndarray, mask: np.ndarray) -> None:
@@ -197,12 +243,23 @@ def _sign_inplace(buf: np.ndarray, mask: np.ndarray) -> None:
     buf -= 1.0
 
 
+def _grouped(array: np.ndarray, ndim: int) -> np.ndarray:
+    """``array`` with a leading group axis (added when it has ``ndim`` axes)."""
+    return array[None] if array.ndim == ndim else array
+
+
 class _Op:
     """One step of a compiled plan.
 
-    ``prepare`` binds buffers for one batch shape into a context namespace
-    (with at least ``output_shape``); ``run`` executes against a context.
+    ``prepare`` binds buffers for one ``(groups, batch, ...)`` input shape
+    into a context namespace (with at least ``output_shape``); ``run``
+    executes against a context.  Ops with parameters hold them with a
+    leading group axis and implement :meth:`signature` / :meth:`stacked` so
+    N structurally identical ops can be fused into one grouped op.
     """
+
+    #: Parameter sets along the group axis (1 unless built by :meth:`stacked`).
+    groups = 1
 
     def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
         raise NotImplementedError
@@ -210,24 +267,54 @@ class _Op:
     def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
         raise NotImplementedError
 
+    def signature(self) -> tuple:
+        """Everything about the op but its parameter values."""
+        return (type(self),)
+
+    def stacked(self, ops: Sequence["_Op"]) -> "_Op":
+        """One op computing ``ops`` (all of this op's signature) side by side;
+        an op without parameters is its own stack."""
+        return self
+
+    def _check_groups(self, shape: Tuple[int, ...]) -> None:
+        if shape[0] != self.groups:
+            raise CompileError(
+                f"{type(self).__name__} holds {self.groups} parameter group(s), "
+                f"got an input with {shape[0]}"
+            )
+
+
+def stack_ops(ops: Sequence[_Op]) -> Optional[_Op]:
+    """The grouped op for ``ops``, or ``None`` when their structure differs."""
+    first = ops[0]
+    if any(op.signature() != first.signature() for op in ops[1:]):
+        return None
+    return first.stacked(ops)
+
 
 class ConvOp(_Op):
     """2-D convolution on pre-packed weight matrices.
 
     ``weight`` is the (possibly binarized and/or BatchNorm-folded) 4-D
-    kernel.  Two execution strategies:
+    kernel, or a 5-D stack of them (one per group).  Three strategies, each
+    with its dead-on-return operand in the arena's scratch block:
 
-    * **shift-add** (stride 1, ``out_channels < in_channels``): one big
-      batched GEMM of the per-position weight stack against the
-      *unexpanded* padded image, followed by ``kh * kw`` strided
-      accumulations — no im2col gather at all.  The gather/accumulate
-      memory traffic is proportional to ``out_channels`` instead of
-      ``in_channels``, and BLAS sees contiguous operands.
-    * **im2col** otherwise: zero-copy strided window view gathered into a
-      pre-allocated column buffer, then the same batched GEMM the eager
-      path performs (bit-identical when nothing was folded).
+    * **shift-add** (stride 1, ``out_channels < in_channels``): one GEMM of
+      the per-position weight stack against the *unexpanded* padded image,
+      followed by ``kh * kw`` strided accumulations — no im2col gather at
+      all.  The gather/accumulate memory traffic is proportional to
+      ``out_channels`` instead of ``in_channels``.
+    * **row-run im2col** (other padded stride-1 convolutions): on the
+      padded-width output grid the values one kernel offset contributes are
+      *one contiguous run* of the padded image, so the gather copies
+      ``C * kh * kw`` long runs per sample instead of ``out_h`` short rows
+      for each.  The GEMM computes a few never-read columns per output row
+      (the grid's right margin); the result is the valid-column view.
+    * **window-gather im2col** otherwise: zero-copy strided window view
+      gathered into the column matrix, then the same GEMM the eager path
+      performs (bit-identical when nothing was folded).
 
-    Bias add and the optional fused ReLU run in place on the output buffer.
+    Bias add and the optional fused ReLU run in place on the GEMM output.
     """
 
     def __init__(
@@ -240,23 +327,58 @@ class ConvOp(_Op):
         dtype: np.dtype = np.float64,
     ) -> None:
         self.dtype = np.dtype(dtype)
-        self.weight = np.ascontiguousarray(weight, dtype=self.dtype)
-        self.out_channels, self.in_channels, self.kernel_h, self.kernel_w = self.weight.shape
-        self.bias = None if bias is None else np.asarray(bias, dtype=self.dtype)
+        self.weight = np.ascontiguousarray(_grouped(np.asarray(weight), 4), dtype=self.dtype)
+        (
+            self.groups,
+            self.out_channels,
+            self.in_channels,
+            self.kernel_h,
+            self.kernel_w,
+        ) = self.weight.shape
+        self.bias = (
+            None
+            if bias is None
+            else np.asarray(bias, dtype=self.dtype).reshape(self.groups, 1, self.out_channels, 1)
+        )
         self.stride = int(stride)
         self.padding = int(padding)
         self.relu = bool(relu)
         self._shift_add = self.stride == 1 and self.out_channels < self.in_channels
+        self._row_runs = not self._shift_add and self.stride == 1 and self.padding > 0
         if self._shift_add:
-            # (kh*kw*out, in): one (out, in) block per kernel position.
-            self._weight_stack = np.ascontiguousarray(
-                self.weight.transpose(2, 3, 0, 1).reshape(-1, self.in_channels)
+            # (G, 1, kh*kw*out, in): one (out, in) block per kernel position.
+            self._weights = np.ascontiguousarray(
+                self.weight.transpose(0, 3, 4, 1, 2).reshape(
+                    self.groups, 1, -1, self.in_channels
+                )
             )
         else:
-            self._weight_matrix = self.weight.reshape(self.out_channels, -1)
+            self._weights = self.weight.reshape(self.groups, 1, self.out_channels, -1)
 
-    def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
-        batch, channels, height, width = shape
+    def signature(self) -> tuple:
+        return (
+            type(self),
+            self.weight.shape,
+            self.bias is None,
+            self.stride,
+            self.padding,
+            self.relu,
+            self.dtype,
+        )
+
+    def stacked(self, ops: Sequence["ConvOp"]) -> "ConvOp":
+        return type(self)(
+            np.concatenate([op.weight for op in ops]),
+            None if self.bias is None else np.concatenate([op.bias for op in ops]),
+            stride=self.stride,
+            padding=self.padding,
+            relu=self.relu,
+            dtype=self.dtype,
+        )
+
+    def _output_size(self, shape: Tuple[int, ...]) -> Tuple[int, int]:
+        self._check_groups(shape)
+        channels, height, width = shape[2:]
         if channels != self.in_channels:
             raise CompileError(
                 f"conv expects {self.in_channels} input channels, got {channels}"
@@ -265,114 +387,103 @@ class ConvOp(_Op):
         out_w = conv_output_size(width, self.kernel_w, self.stride, self.padding)
         if out_h < 1 or out_w < 1:
             raise CompileError(f"conv output collapses to {out_h}x{out_w}")
+        return out_h, out_w
+
+    def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
+        groups, batch, channels, height, width = shape
+        out_h, out_w = self._output_size(shape)
         pad = self.padding
         padded_h, padded_w = height + 2 * pad, width + 2 * pad
-        ctx = SimpleNamespace(output_shape=(batch, self.out_channels, out_h, out_w))
+        lead = (groups, batch)
+        ctx = SimpleNamespace(output_shape=lead + (self.out_channels, out_h, out_w))
         ctx.padded = (
-            arena.buffer((key, "pad"), (batch, channels, padded_h, padded_w), fill=0.0)
+            arena.buffer((key, "pad"), lead + (channels, padded_h, padded_w), fill=0.0)
             if pad
             else None
         )
-        ctx.out = arena.buffer((key, "out"), (batch, self.out_channels, out_h * out_w))
-        ctx.out4 = ctx.out.reshape(batch, self.out_channels, out_h, out_w)
+        ctx.interior = ctx.padded[..., pad:-pad, pad:-pad] if pad else None
+        # Width of the grid the GEMM computes: the padded width on the
+        # row-run path (its right margin is never read), else the output's.
+        grid_w = padded_w if self._row_runs else out_w
+        # Columns computed per sample: the whole grid but the last row's
+        # right margin (where a row run would leave the padded image); the
+        # margin's tail of ``out`` keeps its allocation-time zeros.
+        columns = (out_h - 1) * grid_w + out_w
+        ctx.out = arena.buffer(
+            (key, "out"),
+            lead + (self.out_channels, out_h * grid_w),
+            fill=0.0 if self._row_runs else None,
+        )
+        ctx.result = ctx.out[..., :columns]
+        ctx.out5 = ctx.out.reshape(lead + (self.out_channels, out_h, grid_w))[..., :out_w]
         if self._shift_add:
             positions = self.kernel_h * self.kernel_w
-            ctx.per_position = arena.buffer(
-                (key, "pos"), (batch, positions * self.out_channels, padded_h * padded_w)
+            ctx.products = arena.scratch(
+                lead + (positions * self.out_channels, padded_h * padded_w)
             )
-            per_position5 = ctx.per_position.reshape(
-                batch, positions, self.out_channels, padded_h, padded_w
+            per_position = ctx.products.reshape(
+                lead + (positions, self.out_channels, padded_h, padded_w)
             )
             ctx.position_slices = [
-                per_position5[:, ky * self.kernel_w + kx, :, ky : ky + out_h, kx : kx + out_w]
+                per_position[:, :, ky * self.kernel_w + kx, :, ky : ky + out_h, kx : kx + out_w]
                 for ky in range(self.kernel_h)
                 for kx in range(self.kernel_w)
             ]
-        else:
-            window = channels * self.kernel_h * self.kernel_w
-            # The window view over the persistent padded buffer never moves;
-            # compute it once per (plan, shape) instead of once per batch.
-            ctx.windows = (
-                sliding_windows(ctx.padded, self.kernel_h, self.kernel_w, self.stride)
-                if ctx.padded is not None
-                else None
-            )
-            ctx.blocks = None
-            rows = self._block_rows(batch, window, out_h, out_w)
-            if rows < out_h:
-                ctx.blocks = []
-                for start in range(0, out_h, rows):
-                    stop = min(start + rows, out_h)
-                    count = stop - start
-                    cols = arena.buffer(
-                        (key, "cols", count), (batch, window, count * out_w)
-                    )
-                    cols6 = cols.reshape(
-                        batch, channels, self.kernel_h, self.kernel_w, count, out_w
-                    )
-                    block_out = arena.buffer(
-                        (key, "blk", count), (batch, self.out_channels, count * out_w)
-                    )
-                    block_out4 = block_out.reshape(
-                        batch, self.out_channels, count, out_w
-                    )
-                    out_slice = ctx.out4[:, :, start:stop, :]
-                    ctx.blocks.append((start, stop, cols, cols6, block_out, block_out4, out_slice))
-            else:
-                ctx.cols = arena.buffer((key, "cols"), (batch, window, out_h * out_w))
-                ctx.cols6 = ctx.cols.reshape(
-                    batch, channels, self.kernel_h, self.kernel_w, out_h, out_w
-                )
+            return ctx
+        ctx.cols = arena.scratch(
+            lead + (channels * self.kernel_h * self.kernel_w, columns)
+        )
+        grid = (columns,) if self._row_runs else (out_h, out_w)
+        ctx.gathered = ctx.cols.reshape(
+            lead + (channels, self.kernel_h, self.kernel_w) + grid
+        )
+        # Patch views over the persistent padded buffer never move; without
+        # padding the source is the op's input and they are taken per run.
+        ctx.patches = None
+        if self._row_runs:
+            ctx.patches = self._row_runs_of(ctx.padded, columns)
+        elif pad:
+            ctx.patches = self._windows_of(ctx.padded)
         return ctx
 
-    def _block_rows(self, batch: int, window: int, out_h: int, out_w: int) -> int:
-        """Output rows per im2col block.
+    def _row_runs_of(self, padded: np.ndarray, columns: int) -> np.ndarray:
+        """``(G, B, C, kh, kw, columns)`` view: kernel offset ``(ky, kx)`` sees
+        the padded image from element ``ky * padded_w + kx`` on, read straight
+        through — one contiguous run per (sample, channel, offset)."""
+        row, item = padded.strides[-2:]
+        return np.lib.stride_tricks.as_strided(
+            padded,
+            shape=padded.shape[:3] + (self.kernel_h, self.kernel_w, columns),
+            strides=padded.strides[:3] + (row, item, item),
+            writeable=False,
+        )
 
-        fp64 never blocks — splitting the GEMM changes BLAS summation
-        composition and would break the bit-identity contract.  fp32 blocks
-        whenever the full column scratch would exceed the block budget, so
-        the gathered operand stays cache-resident.
-        """
-        if self.dtype == np.float64:
-            return out_h
-        row_bytes = batch * window * out_w * self.dtype.itemsize
-        if row_bytes * out_h <= _IM2COL_BLOCK_BYTES:
-            return out_h
-        return max(1, _IM2COL_BLOCK_BYTES // row_bytes)
+    def _windows_of(self, source: np.ndarray) -> np.ndarray:
+        """``(G, B, C, kh, kw, out_h, out_w)`` view of every kernel offset's window."""
+        windows = sliding_windows(source, self.kernel_h, self.kernel_w, self.stride)
+        return windows.transpose(0, 1, 2, 5, 6, 3, 4)
 
     def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
         if ctx.padded is not None:
-            pad = self.padding
-            ctx.padded[:, :, pad:-pad, pad:-pad] = x
+            ctx.interior[...] = x
             source = ctx.padded
         else:
             source = x
         if self._shift_add:
-            batch, channels = source.shape[:2]
-            flat = source.reshape(batch, channels, -1)
-            np.matmul(self._weight_stack, flat, out=ctx.per_position)
-            np.copyto(ctx.out4, ctx.position_slices[0])
+            flat = source.reshape(source.shape[:3] + (-1,))
+            np.matmul(self._weights, flat, out=ctx.products)
+            np.copyto(ctx.out5, ctx.position_slices[0])
             for position in ctx.position_slices[1:]:
-                np.add(ctx.out4, position, out=ctx.out4)
+                np.add(ctx.out5, position, out=ctx.out5)
         else:
-            windows = (
-                ctx.windows
-                if ctx.windows is not None
-                else sliding_windows(source, self.kernel_h, self.kernel_w, self.stride)
-            )
-            if ctx.blocks is None:
-                np.copyto(ctx.cols6, windows.transpose(0, 1, 4, 5, 2, 3))
-                np.matmul(self._weight_matrix, ctx.cols, out=ctx.out)
-            else:
-                for start, stop, cols, cols6, block_out, block_out4, out_slice in ctx.blocks:
-                    np.copyto(cols6, windows[:, :, start:stop].transpose(0, 1, 4, 5, 2, 3))
-                    np.matmul(self._weight_matrix, cols, out=block_out)
-                    np.copyto(out_slice, block_out4)
+            patches = ctx.patches if ctx.patches is not None else self._windows_of(source)
+            np.copyto(ctx.gathered, patches)
+            np.matmul(self._weights, ctx.cols, out=ctx.result)
         if self.bias is not None:
-            ctx.out += self.bias[:, None]
+            ctx.result += self.bias
         if self.relu:
-            np.maximum(ctx.out, 0.0, out=ctx.out)
-        return ctx.out4
+            np.maximum(ctx.result, 0.0, out=ctx.result)
+        return ctx.out5
 
 
 class LinearOp(_Op):
@@ -380,7 +491,10 @@ class LinearOp(_Op):
 
     The transposed-view operand layout matches the eager
     ``inputs.matmul(weight.transpose())`` call exactly, so unfolded results
-    are bit-identical.  The optional ReLU epilogue runs in place.
+    are bit-identical.  A stacked op holds ``(G, out, in)`` weights and runs
+    ``(G, B, in) @ (G, in, out)``: one GEMM per group over that group's
+    contiguous rows, each with the single op's operand layout.  The optional
+    ReLU epilogue runs in place.
     """
 
     def __init__(
@@ -391,21 +505,39 @@ class LinearOp(_Op):
         dtype: np.dtype = np.float64,
     ) -> None:
         self.dtype = np.dtype(dtype)
-        self.weight = np.ascontiguousarray(weight, dtype=self.dtype)
-        self.out_features, self.in_features = self.weight.shape
-        self._weight_t = self.weight.transpose()
-        self.bias = None if bias is None else np.asarray(bias, dtype=self.dtype)
+        self.weight = np.ascontiguousarray(_grouped(np.asarray(weight), 2), dtype=self.dtype)
+        self.groups, self.out_features, self.in_features = self.weight.shape
+        self._weight_t = self.weight.transpose(0, 2, 1)
+        self.bias = (
+            None
+            if bias is None
+            else np.asarray(bias, dtype=self.dtype).reshape(self.groups, 1, self.out_features)
+        )
         self.relu = bool(relu)
 
-    def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
-        batch, features = shape
-        if features != self.in_features:
+    def signature(self) -> tuple:
+        return (type(self), self.weight.shape, self.bias is None, self.relu, self.dtype)
+
+    def stacked(self, ops: Sequence["LinearOp"]) -> "LinearOp":
+        return type(self)(
+            np.concatenate([op.weight for op in ops]),
+            None if self.bias is None else np.concatenate([op.bias for op in ops]),
+            relu=self.relu,
+            dtype=self.dtype,
+        )
+
+    def _check_input(self, shape: Tuple[int, ...]) -> None:
+        self._check_groups(shape)
+        if shape[2] != self.in_features:
             raise CompileError(
-                f"linear expects {self.in_features} input features, got {features}"
+                f"linear expects {self.in_features} input features, got {shape[2]}"
             )
+
+    def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
+        self._check_input(shape)
+        output_shape = shape[:2] + (self.out_features,)
         return SimpleNamespace(
-            output_shape=(batch, self.out_features),
-            out=arena.buffer((key, "out"), (batch, self.out_features)),
+            output_shape=output_shape, out=arena.buffer((key, "out"), output_shape)
         )
 
     def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
@@ -427,63 +559,109 @@ class _PoolOp(_Op):
         self.stride = int(stride) if stride is not None else self.kernel_size
         self.padding = int(padding)
 
+    def signature(self) -> tuple:
+        return (type(self), self.kernel_size, self.stride, self.padding)
+
     def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
-        batch, channels, height, width = shape
+        height, width = shape[-2:]
         out_h = conv_output_size(height, self.kernel_size, self.stride, self.padding)
         out_w = conv_output_size(width, self.kernel_size, self.stride, self.padding)
         pad = self.padding
-        ctx = SimpleNamespace(output_shape=(batch, channels, out_h, out_w))
+        ctx = SimpleNamespace(output_shape=shape[:3] + (out_h, out_w))
         ctx.padded = (
             arena.buffer(
                 (key, "pad"),
-                (batch, channels, height + 2 * pad, width + 2 * pad),
+                shape[:3] + (height + 2 * pad, width + 2 * pad),
                 fill=self.pad_fill,
             )
             if pad
             else None
         )
-        ctx.out = arena.buffer((key, "out"), (batch, channels, out_h, out_w))
-        ctx.slices = (
-            _window_position_slices(ctx.padded, self.kernel_size, self.stride)
-            if ctx.padded is not None
-            else None
-        )
+        ctx.interior = ctx.padded[..., pad:-pad, pad:-pad] if pad else None
+        ctx.out = arena.buffer((key, "out"), ctx.output_shape)
         return ctx
 
-    def _window_slices(self, x: np.ndarray, ctx: SimpleNamespace) -> list:
-        if ctx.padded is not None:
-            pad = self.padding
-            ctx.padded[:, :, pad:-pad, pad:-pad] = x
-            return ctx.slices
-        return _window_position_slices(x, self.kernel_size, self.stride)
+
+def _maximum_into(out: np.ndarray, operands: Sequence[np.ndarray]) -> None:
+    """``out`` = elementwise maximum of ``operands`` (max is exact in any order)."""
+    if len(operands) == 1:
+        np.copyto(out, operands[0])
+        return
+    np.maximum(operands[0], operands[1], out=out)
+    for operand in operands[2:]:
+        np.maximum(out, operand, out=out)
 
 
 class MaxPoolOp(_PoolOp):
     """2-D max pooling; padded border stays ``-inf`` so it never wins.
 
-    Accumulating ``np.maximum`` over the k*k window positions is ~7-17x
-    faster than reducing over the strided window axes directly (the
-    reduction iterates the overlapping view with terrible locality); max is
-    exact, so the result is bit-identical either way.
+    Separable: first the maximum over the window's *rows*, taken on whole
+    contiguous image rows at every column, then the maximum over the
+    window's columns of that, which is also where the column stride is
+    applied.  ``2k - 2`` elementwise passes (the first ``k - 1`` streaming
+    contiguous rows) instead of ``k * k`` passes over doubly strided views;
+    max is exact, so the result is bit-identical to any other order.
     """
 
     pad_fill = -np.inf
 
+    def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
+        ctx = super().prepare(shape, arena, key)
+        out_h, out_w = ctx.output_shape[-2:]
+        source_w = shape[-1] + 2 * self.padding
+        ctx.row_max = arena.buffer((key, "rows"), shape[:3] + (out_h, source_w))
+        span = self.stride * (out_w - 1) + 1
+        ctx.column_views = [
+            ctx.row_max[..., offset : offset + span : self.stride]
+            for offset in range(self.kernel_size)
+        ]
+        # Row views over the persistent padded buffer never move; without
+        # padding the source is the op's input and they are taken per run.
+        ctx.row_views = self._row_views(ctx.padded, out_h) if self.padding else None
+        return ctx
+
+    def _row_views(self, source: np.ndarray, out_h: int) -> list:
+        span = self.stride * (out_h - 1) + 1
+        return [
+            source[..., offset : offset + span : self.stride, :]
+            for offset in range(self.kernel_size)
+        ]
+
     def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
-        slices = self._window_slices(x, ctx)
-        np.copyto(ctx.out, slices[0])
-        for window in slices[1:]:
-            np.maximum(ctx.out, window, out=ctx.out)
+        if ctx.padded is not None:
+            ctx.interior[...] = x
+            row_views = ctx.row_views
+        else:
+            row_views = self._row_views(x, ctx.output_shape[-2])
+        _maximum_into(ctx.row_max, row_views)
+        _maximum_into(ctx.out, ctx.column_views)
         return ctx.out
 
 
 class AvgPoolOp(_PoolOp):
-    """2-D average pooling (``count_include_pad`` style, like the eager op)."""
+    """2-D average pooling (``count_include_pad`` style, like the eager op).
+
+    Accumulates over the ``k * k`` window-position views in the eager
+    summation order (a separable sum would round differently).
+    """
 
     pad_fill = 0.0
 
+    def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
+        ctx = super().prepare(shape, arena, key)
+        ctx.slices = (
+            _window_position_slices(ctx.padded, self.kernel_size, self.stride)
+            if self.padding
+            else None
+        )
+        return ctx
+
     def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
-        slices = self._window_slices(x, ctx)
+        if ctx.padded is not None:
+            ctx.interior[...] = x
+            slices = ctx.slices
+        else:
+            slices = _window_position_slices(x, self.kernel_size, self.stride)
         np.copyto(ctx.out, slices[0])
         for window in slices[1:]:
             np.add(ctx.out, window, out=ctx.out)
@@ -507,6 +685,9 @@ class BatchNormOp(_Op):
     to a single ``np.copysign``; at serving batch sizes the per-op numpy
     dispatch cost rivals the array work, so halving the dispatch count is
     where much of fp32's batch-1 latency win comes from.
+
+    Parameters arrive shaped to broadcast against ``(groups, batch, ...)``
+    inputs — ``(G, 1, F)`` or ``(G, 1, F, 1, 1)``.
     """
 
     def __init__(
@@ -520,23 +701,38 @@ class BatchNormOp(_Op):
         dtype: np.dtype = np.float64,
     ) -> None:
         self.dtype = np.dtype(dtype)
-        self.mean = np.asarray(mean, dtype=self.dtype)
-        self.std = np.asarray(std, dtype=self.dtype)
-        self.gamma = np.asarray(gamma, dtype=self.dtype)
-        self.beta = np.asarray(beta, dtype=self.dtype)
+        # Statistics stay float64 whatever the mode: the exact path computes
+        # in float64, and the fp32 affine is folded before it is cast.
+        self.mean = np.asarray(mean, dtype=np.float64)
+        self.std = np.asarray(std, dtype=np.float64)
+        self.gamma = np.asarray(gamma, dtype=np.float64)
+        self.beta = np.asarray(beta, dtype=np.float64)
+        self.groups = self.mean.shape[0]
         self.sign = bool(sign)
         self.relu = bool(relu)
         self._exact = self.dtype == np.float64
         if not self._exact:
             # Affine fold in float64, cast once: y = x * scale + shift.
-            scale = np.asarray(gamma, dtype=np.float64) / np.asarray(std, dtype=np.float64)
-            shift = np.asarray(beta, dtype=np.float64) - np.asarray(
-                mean, dtype=np.float64
-            ) * scale
+            scale = self.gamma / self.std
             self._scale = scale.astype(self.dtype)
-            self._shift = shift.astype(self.dtype)
+            self._shift = (self.beta - self.mean * scale).astype(self.dtype)
+
+    def signature(self) -> tuple:
+        return (type(self), self.mean.shape, self.sign, self.relu, self.dtype)
+
+    def stacked(self, ops: Sequence["BatchNormOp"]) -> "BatchNormOp":
+        return type(self)(
+            *(
+                np.concatenate([getattr(op, name) for op in ops])
+                for name in ("mean", "std", "gamma", "beta")
+            ),
+            sign=self.sign,
+            relu=self.relu,
+            dtype=self.dtype,
+        )
 
     def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
+        self._check_groups(shape)
         return SimpleNamespace(
             output_shape=tuple(shape),
             out=arena.buffer((key, "out"), shape),
@@ -615,12 +811,11 @@ class TanhOp(_ElementwiseOp):
 
 
 class FlattenOp(_Op):
-    """Flatten all dimensions after the batch dimension (a reshape view)."""
+    """Flatten each sample (all axes after ``(groups, batch)``); a reshape view."""
 
     def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
-        batch = shape[0]
-        flattened = int(np.prod(shape[1:], dtype=np.int64)) if len(shape) > 1 else 1
-        return SimpleNamespace(output_shape=(batch, flattened))
+        flattened = int(np.prod(shape[2:], dtype=np.int64))
+        return SimpleNamespace(output_shape=tuple(shape[:2]) + (flattened,))
 
     def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
         return x.reshape(ctx.output_shape)
@@ -653,76 +848,85 @@ class PackedConvOp(_Op):
         dtype: np.dtype = np.float64,
     ) -> None:
         self.dtype = np.dtype(dtype)
-        self.weight = np.ascontiguousarray(weight, dtype=np.float64)
-        self.out_channels, self.in_channels, self.kernel_h, self.kernel_w = self.weight.shape
-        self.bias = None if bias is None else np.asarray(bias, dtype=self.dtype)
+        self.weight = np.ascontiguousarray(_grouped(np.asarray(weight), 4), dtype=np.float64)
+        (
+            self.groups,
+            self.out_channels,
+            self.in_channels,
+            self.kernel_h,
+            self.kernel_w,
+        ) = self.weight.shape
+        self.bias = (
+            None
+            if bias is None
+            else np.asarray(bias, dtype=self.dtype).reshape(self.groups, 1, self.out_channels, 1)
+        )
         self.stride = int(stride)
         self.padding = int(padding)
         self.relu = bool(relu)
-        self._weight_matrix = self.weight.reshape(self.out_channels, -1)
-        self.k_valid = self._weight_matrix.shape[1]
-        self._weight_packed, self._words = _pack_sign_rows(self._weight_matrix)
+        self._weight_matrix = self.weight.reshape(self.groups, self.out_channels, -1)
+        self.k_valid = self._weight_matrix.shape[-1]
+        packed, self._words = _pack_sign_rows(self._weight_matrix.reshape(-1, self.k_valid))
+        # Broadcasts against (G, B, 1, positions, words) packed activations.
+        self._weight_packed = packed.reshape(self.groups, 1, self.out_channels, 1, self._words)
+
+    signature = ConvOp.signature
+    stacked = ConvOp.stacked
+    _output_size = ConvOp._output_size
 
     def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
-        batch, channels, height, width = shape
-        if channels != self.in_channels:
-            raise CompileError(
-                f"conv expects {self.in_channels} input channels, got {channels}"
-            )
-        out_h = conv_output_size(height, self.kernel_h, self.stride, self.padding)
-        out_w = conv_output_size(width, self.kernel_w, self.stride, self.padding)
-        if out_h < 1 or out_w < 1:
-            raise CompileError(f"conv output collapses to {out_h}x{out_w}")
+        groups, batch, channels, height, width = shape
+        out_h, out_w = self._output_size(shape)
         pad = self.padding
         padded_h, padded_w = height + 2 * pad, width + 2 * pad
         positions = out_h * out_w
         words = self._words
-        ctx = SimpleNamespace(output_shape=(batch, self.out_channels, out_h, out_w))
+        lead = (groups, batch)
+        ctx = SimpleNamespace(output_shape=lead + (self.out_channels, out_h, out_w))
         # Signs are taken on the compact (padded) source — kh*kw times fewer
         # elements than the expanded window view — and the im2col gather then
         # moves 1-byte bools instead of 8-byte floats.  The padded border is
         # pre-filled False (= the packed -1 the correction term repairs) and
         # never written again.
         ctx.source_bits = arena.buffer(
-            (key, "sbits"), (batch, channels, padded_h, padded_w), fill=0, dtype=bool
+            (key, "sbits"), lead + (channels, padded_h, padded_w), fill=0, dtype=bool
         )
         ctx.interior_bits = (
-            ctx.source_bits[:, :, pad:-pad, pad:-pad] if pad else ctx.source_bits
+            ctx.source_bits[..., pad:-pad, pad:-pad] if pad else ctx.source_bits
         )
-        ctx.bit_windows = sliding_windows(
-            ctx.source_bits, self.kernel_h, self.kernel_w, self.stride
+        windows = sliding_windows(ctx.source_bits, self.kernel_h, self.kernel_w, self.stride)
+        ctx.bit_windows = windows.transpose(0, 1, 3, 4, 2, 5, 6)
+        ctx.bits = arena.bool_buffer(
+            (key, "bits"), lead + (out_h, out_w, channels, self.kernel_h, self.kernel_w)
         )
-        ctx.bits6 = arena.bool_buffer(
-            (key, "bits"), (batch, out_h, out_w, channels, self.kernel_h, self.kernel_w)
-        )
-        ctx.bits3 = ctx.bits6.reshape(batch, positions, self.k_valid)
+        ctx.bits_flat = ctx.bits.reshape(lead + (positions, self.k_valid))
         # Packed activations: the byte tail past ceil(K/8) is zero-filled at
         # allocation and never written, so it XORs clean against the weights'
         # matching zero tail.
         ctx.act = arena.buffer(
-            (key, "act"), (batch, positions, words), fill=0, dtype=np.uint64
+            (key, "act"), lead + (1, positions, words), fill=0, dtype=np.uint64
         )
-        ctx.act_u8 = ctx.act.view(np.uint8)
+        ctx.act_u8 = ctx.act.view(np.uint8)[:, :, 0]
         ctx.xor = arena.buffer(
-            (key, "xor"), (batch, self.out_channels, positions, words), dtype=np.uint64
+            (key, "xor"), lead + (self.out_channels, positions, words), dtype=np.uint64
         )
         ctx.pop = arena.buffer(
             (key, "pop"),
-            (batch, self.out_channels, positions, _popcount_scratch_width(words)),
+            lead + (self.out_channels, positions, _popcount_scratch_width(words)),
             dtype=np.uint8,
         )
         ctx.counts = arena.buffer(
-            (key, "cnt"), (batch, self.out_channels, positions), dtype=np.int64
+            (key, "cnt"), lead + (self.out_channels, positions), dtype=np.int64
         )
-        ctx.out = arena.buffer((key, "out"), (batch, self.out_channels, positions))
-        ctx.out4 = ctx.out.reshape(batch, self.out_channels, out_h, out_w)
+        ctx.out = arena.buffer((key, "out"), lead + (self.out_channels, positions))
+        ctx.out5 = ctx.out.reshape(ctx.output_shape)
         ctx.corr = self._pad_correction(channels, padded_h, padded_w, positions) if pad else None
         return ctx
 
     def _pad_correction(
         self, channels: int, padded_h: int, padded_w: int, positions: int
     ) -> np.ndarray:
-        """Exact integer ``(out_channels, positions)`` zero-padding repair."""
+        """Exact integer ``(G, 1, out_channels, positions)`` zero-padding repair."""
         pad = self.padding
         mask = np.ones((1, channels, padded_h, padded_w), dtype=np.float64)
         mask[:, :, pad:-pad, pad:-pad] = 0.0
@@ -730,37 +934,33 @@ class PackedConvOp(_Op):
         mask_cols = np.ascontiguousarray(
             mask_windows.transpose(0, 1, 4, 5, 2, 3)
         ).reshape(self.k_valid, positions)
-        return self._weight_matrix @ mask_cols
+        return (self._weight_matrix @ mask_cols)[:, None]
 
     def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
         np.greater(x, 0.0, out=ctx.interior_bits)
-        np.copyto(ctx.bits6, ctx.bit_windows.transpose(0, 2, 3, 1, 4, 5))
-        packed = np.packbits(ctx.bits3, axis=-1)
+        np.copyto(ctx.bits, ctx.bit_windows)
+        packed = np.packbits(ctx.bits_flat, axis=-1)
         ctx.act_u8[..., : packed.shape[-1]] = packed
-        np.bitwise_xor(
-            ctx.act[:, None, :, :],
-            self._weight_packed[None, :, None, :],
-            out=ctx.xor,
-        )
+        np.bitwise_xor(ctx.act, self._weight_packed, out=ctx.xor)
         _popcount_words(ctx.xor, ctx.pop, ctx.counts)
         np.multiply(ctx.counts, -2.0, out=ctx.out)
         ctx.out += float(self.k_valid)
         if ctx.corr is not None:
             ctx.out += ctx.corr
         if self.bias is not None:
-            ctx.out += self.bias[:, None]
+            ctx.out += self.bias
         if self.relu:
             np.maximum(ctx.out, 0.0, out=ctx.out)
-        return ctx.out4
+        return ctx.out5
 
 
 class PackedLinearOp(_Op):
     """Bitpacked XNOR+popcount fully connected layer for ±1 weights/inputs.
 
-    One broadcast XOR of the packed ``(batch, words)`` activations against
-    the packed ``(out_features, words)`` weights, then the same popcount
-    reduction as :class:`PackedConvOp`.  Exact integers, bit-identical to
-    the float path.
+    One broadcast XOR of the packed ``(G, B, 1, words)`` activations against
+    the packed ``(G, 1, out_features, words)`` weights, then the same
+    popcount reduction as :class:`PackedConvOp`.  Exact integers,
+    bit-identical to the float path.
     """
 
     def __init__(
@@ -771,40 +971,46 @@ class PackedLinearOp(_Op):
         dtype: np.dtype = np.float64,
     ) -> None:
         self.dtype = np.dtype(dtype)
-        self.weight = np.ascontiguousarray(weight, dtype=np.float64)
-        self.out_features, self.in_features = self.weight.shape
-        self._weight_packed, self._words = _pack_sign_rows(self.weight)
-        self.bias = None if bias is None else np.asarray(bias, dtype=self.dtype)
+        self.weight = np.ascontiguousarray(_grouped(np.asarray(weight), 2), dtype=np.float64)
+        self.groups, self.out_features, self.in_features = self.weight.shape
+        packed, self._words = _pack_sign_rows(self.weight.reshape(-1, self.in_features))
+        self._weight_packed = packed.reshape(self.groups, 1, self.out_features, self._words)
+        self.bias = (
+            None
+            if bias is None
+            else np.asarray(bias, dtype=self.dtype).reshape(self.groups, 1, self.out_features)
+        )
         self.relu = bool(relu)
 
+    signature = LinearOp.signature
+    stacked = LinearOp.stacked
+    _check_input = LinearOp._check_input
+
     def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
-        batch, features = shape
-        if features != self.in_features:
-            raise CompileError(
-                f"linear expects {self.in_features} input features, got {features}"
-            )
+        self._check_input(shape)
+        lead = tuple(shape[:2])
         words = self._words
-        ctx = SimpleNamespace(output_shape=(batch, self.out_features))
-        ctx.bits = arena.bool_buffer((key, "bits"), (batch, features))
-        ctx.act = arena.buffer((key, "act"), (batch, words), fill=0, dtype=np.uint64)
-        ctx.act_u8 = ctx.act.view(np.uint8)
+        ctx = SimpleNamespace(output_shape=lead + (self.out_features,))
+        ctx.bits = arena.bool_buffer((key, "bits"), shape)
+        ctx.act = arena.buffer((key, "act"), lead + (1, words), fill=0, dtype=np.uint64)
+        ctx.act_u8 = ctx.act.view(np.uint8)[:, :, 0]
         ctx.xor = arena.buffer(
-            (key, "xor"), (batch, self.out_features, words), dtype=np.uint64
+            (key, "xor"), lead + (self.out_features, words), dtype=np.uint64
         )
         ctx.pop = arena.buffer(
             (key, "pop"),
-            (batch, self.out_features, _popcount_scratch_width(words)),
+            lead + (self.out_features, _popcount_scratch_width(words)),
             dtype=np.uint8,
         )
-        ctx.counts = arena.buffer((key, "cnt"), (batch, self.out_features), dtype=np.int64)
-        ctx.out = arena.buffer((key, "out"), (batch, self.out_features))
+        ctx.counts = arena.buffer((key, "cnt"), ctx.output_shape, dtype=np.int64)
+        ctx.out = arena.buffer((key, "out"), ctx.output_shape)
         return ctx
 
     def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
         np.greater(x, 0.0, out=ctx.bits)
         packed = np.packbits(ctx.bits, axis=-1)
-        ctx.act_u8[:, : packed.shape[-1]] = packed
-        np.bitwise_xor(ctx.act[:, None, :], self._weight_packed[None, :, :], out=ctx.xor)
+        ctx.act_u8[..., : packed.shape[-1]] = packed
+        np.bitwise_xor(ctx.act, self._weight_packed, out=ctx.xor)
         _popcount_words(ctx.xor, ctx.pop, ctx.counts)
         np.multiply(ctx.counts, -2.0, out=ctx.out)
         ctx.out += float(self.in_features)

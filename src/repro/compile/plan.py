@@ -16,11 +16,17 @@ layers, then runs a peephole pass that:
   sign into the preceding BatchNorm (the blocks never emit a bare
   linear-then-sign pair, so that is the only sign fusion site).
 
-The resulting :class:`CompiledPlan` executes on raw ``np.ndarray``s with a
-buffer arena reused across batches; programs (per-op buffer bindings) are
-cached per batch shape, so alternating shapes — a server interleaving
-batch-1 shed forwards with micro-batches — pays the preparation cost once
-per shape, not per switch.
+The resulting :class:`CompiledPlan` executes on raw ``np.ndarray``s,
+depth-first over the batch: a forward runs in *passes* of as many samples
+as keep every buffer the ops touch cache-resident, each pass going through
+all the ops before the next starts.  The buffer arena is therefore sized
+for one pass, whatever the batch; programs (per-op bindings of the arena's
+leading rows) are cached per pass shape, so alternating shapes — a server
+interleaving batch-1 shed forwards with micro-batches — pays the
+preparation cost once per shape and owns one set of buffers, not one per
+shape.  :meth:`CompiledPlan.stacked` fuses N structurally identical plans
+(the DDNN's device branches) into one grouped plan that computes all of
+them side by side.
 """
 
 from __future__ import annotations
@@ -63,8 +69,10 @@ from .ops import (
     SigmoidOp,
     SignOp,
     TanhOp,
+    _IM2COL_BLOCK_BYTES,
     _Op,
     precision_dtype,
+    stack_ops,
 )
 
 __all__ = [
@@ -240,10 +248,11 @@ def build_ops(
             follower = _at(index + 1)
             sign = isinstance(follower, BinaryActivation)
             relu = (not sign) and isinstance(follower, ReLU)
+            # Broadcasts against (groups, batch, features[, h, w]) inputs.
             shape = (
-                (1, module.num_features)
+                (1, 1, module.num_features)
                 if isinstance(module, BatchNorm1d)
-                else (1, module.num_features, 1, 1)
+                else (1, 1, module.num_features, 1, 1)
             )
             std = np.sqrt(np.asarray(module.running_var, dtype=np.float64) + module.eps)
             ops.append(
@@ -299,13 +308,32 @@ class CompiledPlan:
     """A fused/folded inference program over raw ``np.ndarray``s.
 
     The plan snapshots the module's weights at compile time (inference
-    semantics: BatchNorm always uses running statistics).  Buffers live in a
-    private :class:`Arena` keyed by batch shape: the first forward with a
-    new input shape prepares a program (binding buffers per op) which is
-    then cached, so every later forward with that shape — including after
-    switching to other shapes in between — runs with zero preparation work.
-    The returned array is a view into the plan's output buffer — valid
-    until the next forward call with the same batch shape.
+    semantics: BatchNorm always uses running statistics).
+
+    **Passes.**  A forward splits its batch into passes of ``_pass_size``
+    samples — as many as keep the ops' buffers plus their im2col scratch
+    within ``_IM2COL_BLOCK_BYTES`` — and runs every op on one pass before
+    the next pass starts, so intermediates are consumed while still in
+    cache instead of streaming the whole batch through memory once per op.
+    This is the one blocking scheme of the compiled stack, the same in
+    every precision, and it is exact: every op treats the samples of a
+    batch independently (a conv is one GEMM per sample), except that a
+    linear layer's GEMM sees fewer rows per call — and plans of linear
+    layers are never split in practice, a sample of theirs being a few
+    hundred bytes.  Buffers live in a private :class:`Arena` sized for the
+    largest pass so far; the first forward with a new pass shape prepares a
+    program (binding the arena's leading rows per op) which is then cached,
+    so later forwards — also after other shapes in between — run with zero
+    preparation work.
+
+    **Output lifetime.**  The returned array is a view into a buffer that
+    forwards of *every* batch size share: it is valid until the next
+    forward call on this plan, whatever that call's shape.  Copy a result
+    that must outlive it.
+
+    A plan built by :meth:`stacked` is *grouped*: it holds N parameter sets
+    and maps a ``(N, batch, ...)`` input to a ``(N, batch, ...)`` output,
+    row ``n`` being what the ``n``-th source plan computes.
     """
 
     def __init__(
@@ -318,12 +346,22 @@ class CompiledPlan:
         self.name = name
         self.precision = precision
         self.dtype = precision_dtype(precision)
-        self.ops, self.output_signed = build_ops(
+        ops, self.output_signed = build_ops(
             flatten_modules(module), precision=precision, input_signed=input_signed
         )
+        self._bind(ops, grouped=False)
+
+    def _bind(self, ops: List[_Op], grouped: bool) -> None:
+        self.ops = ops
+        #: Whether inputs carry the leading group axis themselves.
+        self.grouped = grouped
         self._arena = Arena(dtype=self.dtype)
-        #: shape -> (list of (op, context) pairs, output shape)
+        #: Whole-batch outputs of forwards that ran in several passes.
+        self._outputs = Arena(dtype=self.dtype)
+        #: input shape of one pass -> list of (op, context) pairs
         self._programs: dict = {}
+        #: (groups, *sample shape) -> samples one pass takes
+        self._pass_sizes: dict = {}
         self._planned_shape: Optional[Tuple[int, ...]] = None
         self.output_shape: Optional[Tuple[int, ...]] = None
         # Per-op wall-time accumulation (opt-in; the untimed forward loop
@@ -332,43 +370,108 @@ class CompiledPlan:
         self._op_seconds = np.zeros(len(self.ops))
         self._op_calls = np.zeros(len(self.ops), dtype=np.int64)
 
+    @classmethod
+    def stacked(cls, plans: Sequence["CompiledPlan"]) -> Optional["CompiledPlan"]:
+        """One grouped plan computing ``plans`` side by side, or ``None``
+        when they are not structurally identical (op for op, shape for shape)."""
+        first = plans[0]
+        if any(len(plan.ops) != len(first.ops) for plan in plans):
+            return None
+        ops = [stack_ops(column) for column in zip(*(plan.ops for plan in plans))]
+        if any(op is None for op in ops):
+            return None
+        plan = cls.__new__(cls)
+        plan.name = first.name
+        plan.precision = first.precision
+        plan.dtype = first.dtype
+        plan.output_signed = all(each.output_signed for each in plans)
+        plan._bind(ops, grouped=True)
+        return plan
+
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"CompiledPlan({len(self.ops)} ops{label})"
 
-    def _program_for(self, shape: Tuple[int, ...]):
-        program = self._programs.get(shape)
-        if program is None:
+    def arena_bytes(self) -> int:
+        """Bytes of buffer memory the plan currently holds."""
+        return self._arena.nbytes() + self._outputs.nbytes()
+
+    def _program_for(self, shape: Tuple[int, ...]) -> list:
+        """The ``(op, context)`` steps for one pass over a ``(groups, batch, ...)`` input."""
+        if self._arena.reserve(shape[1]):
+            self._programs.clear()  # they bind the dropped, smaller buffers
+        steps = self._programs.get(shape)
+        if steps is None:
             current = tuple(shape)
             steps = []
             for index, op in enumerate(self.ops):
                 context = op.prepare(current, self._arena, index)
                 steps.append((op, context))
                 current = context.output_shape
-            program = (steps, current)
-            self._programs[shape] = program
-        self._planned_shape = tuple(shape)
-        self.output_shape = program[1]
-        return program
+            self._programs[shape] = steps
+        return steps
+
+    def _pass_size(self, shape: Tuple[int, ...]) -> int:
+        """Samples (per group) one pass over this kind of input takes: as many
+        as keep the pass's buffers and scratch inside the cache-block budget,
+        sized by preparing a single-sample program on a throwaway arena."""
+        kind = shape[:1] + shape[2:]
+        size = self._pass_sizes.get(kind)
+        if size is None:
+            probe = Arena(dtype=self.dtype)
+            probe.reserve(1)
+            current = shape[:1] + (1,) + shape[2:]
+            for index, op in enumerate(self.ops):
+                current = op.prepare(current, probe, index).output_shape
+            size = self._pass_sizes[kind] = max(
+                1, _IM2COL_BLOCK_BYTES // max(1, probe.nbytes())
+            )
+        return size
+
+    def _run(self, x: np.ndarray) -> np.ndarray:
+        out = x
+        steps = self._program_for(x.shape)
+        if self._timed:
+            for index, (op, context) in enumerate(steps):
+                started = time.perf_counter()
+                out = op.run(out, context)
+                self._op_seconds[index] += time.perf_counter() - started
+        else:
+            for op, context in steps:
+                out = op.run(out, context)
+        return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(x, dtype=self.dtype)
-        steps, _ = self._program_for(out.shape)
+        x = np.asarray(x, dtype=self.dtype)
+        if not self.grouped:
+            x = x[None]
+        if x.ndim < 3:
+            raise CompileError(
+                "plan input needs a batch axis and at least one sample axis, "
+                f"got shape {x.shape[1:]}"
+            )
+        batch, size = x.shape[1], self._pass_size(x.shape)
+        if batch <= size:
+            out = self._run(x)
+        else:
+            # Depth-first over the batch: every op on one cache-sized slice of
+            # samples before the next slice, rather than every sample through
+            # one op (and out of the cache) before the next op.
+            out = None
+            for start in range(0, batch, size):
+                part = self._run(x[:, start : start + size])
+                if out is None:
+                    self._outputs.reserve(batch)
+                    out = self._outputs.buffer("out", (len(part), batch) + part.shape[2:])
+                out[:, start : start + size] = part
         if self._timed:
-            return self._forward_timed(out, steps)
-        for op, context in steps:
-            out = op.run(out, context)
+            self._op_calls += 1  # per forward, however many passes it took
+        if not self.grouped:
+            x, out = x[0], out[0]
+        self._planned_shape, self.output_shape = x.shape, out.shape
         return out
 
     __call__ = forward
-
-    def _forward_timed(self, out: np.ndarray, steps) -> np.ndarray:
-        for index, (op, context) in enumerate(steps):
-            started = time.perf_counter()
-            out = op.run(out, context)
-            self._op_seconds[index] += time.perf_counter() - started
-            self._op_calls[index] += 1
-        return out
 
     # -- operator timing hook ------------------------------------------- #
     def enable_timing(self) -> None:

@@ -75,6 +75,9 @@ class DeviceBranch(Module):
         self.classifier = FCBlock(
             channels * size * size, num_classes, binary=binary, final=True, rng=rng
         )
+        #: Operations one sample costs (one per weight): the constant the
+        #: hierarchy's compute-latency model multiplies by the batch size.
+        self.operations_per_sample = self.num_parameters()
 
     def forward(self, inputs: Tensor) -> Tuple[Tensor, Tensor]:
         """Return ``(feature_map, class_scores)`` for a batch of views."""
@@ -127,6 +130,8 @@ class _UpperTier(Module):
             self.hidden = None
             classifier_in = flattened
         self.classifier = FCBlock(classifier_in, num_classes, binary=binary, final=True, rng=rng)
+        #: Operations one sample costs (one per weight), as on a device branch.
+        self.operations_per_sample = self.num_parameters()
 
     def forward(self, inputs: Tensor) -> Tuple[Tensor, Tensor]:
         """Return ``(feature_map, logits)`` for an aggregated input map."""

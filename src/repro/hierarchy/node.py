@@ -111,6 +111,9 @@ class EndDeviceNode(ComputeNode):
     ) -> None:
         super().__init__(name, ops_per_second)
         self.branch = branch
+        #: Operations one sample costs on this node (one per weight), read
+        #: off the section once instead of walking its parameters per batch.
+        self.operations_per_sample = branch.operations_per_sample
 
     # -- payload sizes -------------------------------------------------- #
     def summary_bytes(self) -> float:
@@ -147,7 +150,7 @@ class EndDeviceNode(ComputeNode):
             return features, scores, 0.0
         with no_grad():
             feature_map, scores = self.branch(Tensor(view))
-        operations = self.branch.num_parameters() * batch
+        operations = self.operations_per_sample * batch
         seconds = self._account(operations, samples=batch)
         return feature_map.data, scores.data, seconds
 
@@ -188,6 +191,7 @@ class EdgeComputeNode(ComputeNode):
         super().__init__(name, ops_per_second)
         self.aggregator = aggregator
         self.model = model
+        self.operations_per_sample = model.operations_per_sample
         self.device_indices = list(device_indices)
 
     def feature_bytes(self) -> float:
@@ -202,7 +206,7 @@ class EdgeComputeNode(ComputeNode):
             aggregated = self.aggregator([Tensor(array) for array in arrays])
             feature_map, logits = self.model(aggregated)
         batch = len(arrays[0])
-        operations = self.model.num_parameters() * batch
+        operations = self.operations_per_sample * batch
         seconds = self._account(operations, samples=batch)
         return feature_map.data, logits.data, seconds
 
@@ -220,6 +224,7 @@ class CloudComputeNode(ComputeNode):
         super().__init__(name, ops_per_second)
         self.aggregator = aggregator
         self.model = model
+        self.operations_per_sample = model.operations_per_sample
 
     def process(self, source_features: Sequence[np.ndarray]) -> Tuple[np.ndarray, float]:
         """Aggregate incoming feature maps and produce the cloud exit logits."""
@@ -228,6 +233,6 @@ class CloudComputeNode(ComputeNode):
             aggregated = self.aggregator([Tensor(array) for array in arrays])
             _, logits = self.model(aggregated)
         batch = len(arrays[0])
-        operations = self.model.num_parameters() * batch
+        operations = self.operations_per_sample * batch
         seconds = self._account(operations, samples=batch)
         return logits.data, seconds

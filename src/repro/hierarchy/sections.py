@@ -39,7 +39,12 @@ bundle — handed to ``process`` per call (``plans=...``: the fabric gives
 every worker its own plan instances, so the compiled buffer arenas are
 thread-safe by construction) or, failing that, the section's own
 :attr:`TierSection.compiled` default (the ``HierarchyRuntime(compile=True)``
-path).  The deployment's nodes are never mutated to select one.
+path).  The deployment's nodes are never mutated to select one.  Under a
+bundle the device tier is *one* call: the bundle's grouped program computes
+every device's branch on the device-major view of the batch, and failed
+devices and dropped samples are masks on its output.  A section copies what
+it keeps of a plan's output (the carry, the logits): plan outputs live only
+until that plan's next forward.
 """
 
 from __future__ import annotations
@@ -168,26 +173,15 @@ class DeviceTierSection(TierSection):
         fabric = deployment.fabric
         devices = deployment.devices
         batch = len(views)
-        num_devices = len(devices)
 
-        device_features: List[np.ndarray] = []
-        device_scores: List[np.ndarray] = []
-        device_latency = np.zeros(num_devices)
-        device_seconds = np.zeros(num_devices)
-        delivered = np.ones((num_devices, batch), dtype=bool)
-        for device_index, device in enumerate(devices):
-            features, scores, seconds = self._device_forward(
-                device, device_index, views[:, device_index], plans
-            )
-            for sample in range(batch):
-                if not self.fault_plan.sample_delivery(device_index):
-                    delivered[device_index, sample] = False
-                    features[sample] = 0.0
-                    scores[sample] = 0.0
-            device_features.append(features)
-            device_scores.append(scores)
-            device_seconds[device_index] = seconds
-            device_latency[device_index] = seconds / max(batch, 1)
+        delivered = self._draw_delivery(batch)
+        device_features, device_scores, device_seconds = self._device_forwards(views, plans)
+        if not delivered.all():
+            for device_index in range(len(devices)):
+                lost = ~delivered[device_index]
+                device_features[device_index][lost] = 0.0
+                device_scores[device_index][lost] = 0.0
+        device_latency = device_seconds / max(batch, 1)
 
         intake_s = np.zeros(batch)
         intake_bytes = np.zeros(batch)
@@ -230,15 +224,61 @@ class DeviceTierSection(TierSection):
             intake_bytes=intake_bytes,
         )
 
+    def _draw_delivery(self, batch: int) -> np.ndarray:
+        """``(devices, batch)`` mask of samples each device delivers, drawn
+        from the fault plan device by device, sample by sample."""
+        delivered = np.ones((len(self.deployment.devices), batch), dtype=bool)
+        if not self.fault_plan.is_empty():
+            for device_index in range(len(delivered)):
+                for sample in range(batch):
+                    if not self.fault_plan.sample_delivery(device_index):
+                        delivered[device_index, sample] = False
+        return delivered
+
+    def _device_forwards(self, views: np.ndarray, plans):
+        """Every device's ``(features, scores)`` for a ``(n, D, C, H, W)``
+        batch as per-device lists, plus per-device compute seconds.
+
+        With a plan bundle whose branches stack, the whole tier is one call
+        of its grouped program on the device-major view of the batch; a
+        failed device's rows are zeroed afterwards (it transmits nothing,
+        see :meth:`EndDeviceNode.process`) and it accounts no compute.
+        """
+        devices = self.deployment.devices
+        group = None if plans is None else plans.device_group
+        seconds = np.zeros(len(devices))
+        if group is None:
+            features, scores, seconds[:] = zip(
+                *(
+                    self._device_forward(device, index, views[:, index], plans)
+                    for index, device in enumerate(devices)
+                )
+            )
+            return list(features), list(scores), seconds
+        batch = len(views)
+        # No dtype force: the plans cast to their own precision mode's dtype
+        # (float64 plans see the historical bit-exact input).  One copy of
+        # each output: they are views into buffers the group's next forward
+        # reuses, and the carry must outlive it.
+        features, scores = (out.copy() for out in group(np.moveaxis(views, 1, 0)))
+        for index, device in enumerate(devices):
+            if device.failed:
+                features[index] = 0.0
+                scores[index] = 0.0
+            else:
+                seconds[index] = device._account(
+                    device.operations_per_sample * batch, samples=batch
+                )
+        return list(features), list(scores), seconds
+
     def _device_forward(self, device, device_index: int, view_batch, plans):
-        branch = None if plans is None else plans.device_branches[device_index]
-        if branch is None or device.failed:
+        """One device's forward: eager, or its own plan pair when the bundle's
+        branches differ structurally (no grouped program)."""
+        if plans is None or device.failed:
             return device.process(view_batch)
-        # No dtype force: the compiled branch casts to its own precision
-        # mode's dtype (float64 plans see the historical bit-exact input).
-        features, scores = branch(np.asarray(view_batch))
+        features, scores = plans.device_branches[device_index](np.asarray(view_batch))
         batch = len(features)
-        seconds = device._account(device.branch.num_parameters() * batch, samples=batch)
+        seconds = device._account(device.operations_per_sample * batch, samples=batch)
         # The branch returns views into the plan's reused buffers; the carry
         # must survive later forwards through the same plan instance.
         return features.copy(), scores.copy(), seconds
@@ -346,7 +386,7 @@ class EdgeTierSection(TierSection):
         aggregated = plans.edge_aggregators[edge_index](arrays)
         features, logits = plans.edge_tiers[edge_index](aggregated)
         batch = len(arrays[0])
-        seconds = edge._account(edge.model.num_parameters() * batch, samples=batch)
+        seconds = edge._account(edge.operations_per_sample * batch, samples=batch)
         return features.copy(), logits.copy(), seconds
 
     def _fuse_exit_logits(self, edge_logit_list, plans):
@@ -431,7 +471,7 @@ class CloudTierSection(TierSection):
         aggregated = plans.cloud_aggregator(arrays)
         _, logits = plans.cloud(aggregated)
         batch = len(arrays[0])
-        seconds = cloud._account(cloud.model.num_parameters() * batch, samples=batch)
+        seconds = cloud._account(cloud.operations_per_sample * batch, samples=batch)
         return logits.copy(), seconds
 
     def offload(self, carry, rows: np.ndarray) -> TransferResult:

@@ -40,12 +40,15 @@ def sliding_windows(
 
     Returns a read-only view of shape ``(N, C, out_h, out_w, kernel_h,
     kernel_w)`` where ``windows[n, c, oy, ox]`` is the receptive field of
-    output position ``(oy, ox)``.  Shared by the eager conv/pool ops and the
+    output position ``(oy, ox)`` (any number of leading axes: the windows
+    slide over the last two).  Shared by the eager conv/pool ops and the
     compiled inference plans (:mod:`repro.compile`); the strided view
     replaces the former Python loop over kernel positions.
     """
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kernel_h, kernel_w), axis=(2, 3))
-    return windows[:, :, ::stride, ::stride]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, (kernel_h, kernel_w), axis=(-2, -1)
+    )
+    return windows[..., ::stride, ::stride, :, :]
 
 
 def im2col(

@@ -26,6 +26,7 @@ queue momentarily drains.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from typing import Deque, List, Optional, Sequence, Tuple, Union
 
@@ -80,7 +81,9 @@ class Autoscaler:
         fabric,
         policies: Union[AutoscalePolicy, Sequence[Optional[AutoscalePolicy]]],
     ) -> None:
-        self.fabric = fabric
+        # The fabric owns its autoscaler; a strong reference back would
+        # make the pair cyclic garbage.
+        self.fabric = weakref.proxy(fabric)
         self.policies: List[Optional[AutoscalePolicy]] = []
         self.trackers: List[Optional[RateTracker]] = []
         self._last_change: List[Optional[float]] = []

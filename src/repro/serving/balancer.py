@@ -39,6 +39,7 @@ fleet-honest view.
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -173,6 +174,15 @@ class LoadBalancer:
                 "(LoadBalancer.from_plan does this automatically)"
             )
         shared_ids = self.replicas[0]._ids
+        # The replicas reach the balancer weakly (it owns them): a dropped
+        # balancer frees itself and its replicas, and a replica that
+        # outlives its balancer simply has no sibling to hedge to.
+        sibling_of = weakref.WeakMethod(self._hedge_sibling)
+
+        def route(origin: DistributedServingFabric, origin_tier: int):
+            route_from = sibling_of()
+            return None if route_from is None else route_from(origin, origin_tier)
+
         for index, fabric in enumerate(self.replicas):
             if not fabric.offload_policy.can_time_out:
                 raise ValueError(
@@ -187,7 +197,7 @@ class LoadBalancer:
                     "or construct the fabrics with hedge=..."
                 )
             fabric._ids = shared_ids
-            fabric.hedge_router = self._hedge_sibling
+            fabric.hedge_router = route
         return self
 
     def _hedge_sibling(

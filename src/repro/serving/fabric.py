@@ -49,6 +49,7 @@ letting the offload queue grow.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
@@ -62,7 +63,7 @@ from ..hierarchy.faults import ChaosSchedule
 from ..hierarchy.network import Message, NetworkLink
 from ..hierarchy.partition import HierarchyDeployment, LinkSpec
 from ..hierarchy.plan import PartitionPlan
-from ..hierarchy.sections import TierSection, build_tier_sections, stack_rows
+from ..hierarchy.sections import TierSection, build_tier_sections
 from ..nn.tensor import no_grad
 from .admission import (
     AdmissionOutcome,
@@ -334,7 +335,9 @@ class _IngressQueueView:
     """
 
     def __init__(self, fabric: "DistributedServingFabric") -> None:
-        self._fabric = fabric
+        # The fabric owns this view: a strong reference back would make
+        # every fabric (and its compiled arenas) cyclic garbage.
+        self._fabric = weakref.proxy(fabric)
 
     @property
     def capacity(self) -> Optional[int]:
@@ -720,7 +723,11 @@ class DistributedServingFabric:
         # Per-request expiry timers are daemon events; this gate keeps the
         # loop alive while real work is queued or computing (e.g. a backlog
         # waiting for an offload delivery that is still in flight).
-        self.events.add_idle_gate(self._idle_gate)
+        # Held weakly (the fabric owns the loop that would hold the gate): a
+        # dropped fabric frees itself, and a gate for a fabric that is gone
+        # vetoes nothing.
+        gate = weakref.WeakMethod(self._idle_gate)
+        self.events.add_idle_gate(lambda: (method := gate()) is None or method())
         self.chaos: Optional[ChaosSchedule] = None
         if chaos is not None:
             self.attach_chaos(chaos)
@@ -1280,11 +1287,18 @@ class DistributedServingFabric:
                 batch.append(item)
             if not batch:
                 continue
+            # Batches form in the buffers of the worker that will run them,
+            # not in a fresh array per dispatch.
+            capacity = tier.policy.max_batch_size
             payload: object
             if tier_index == 0:
-                payload = np.stack([item.payload for item in batch])
+                payload = worker.stage([item.payload for item in batch], 0, capacity)
             else:
-                payload = stack_rows([item.payload for item in batch])
+                # Upper tiers: one array per source node feeding the tier.
+                payload = [
+                    worker.stage([item.payload[source] for item in batch], source, capacity)
+                    for source in range(len(batch[0].payload))
+                ]
             tier.batches_dispatched += 1
             tier.samples_processed += len(batch)
             self._inflight_batches += 1

@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from .clock import EventLoop
 
@@ -63,6 +65,34 @@ class WorkerHandle:
     #: Crashed by a chaos schedule: the slot exists but takes no work until
     #: its crash window closes (see :meth:`WorkerPool.apply_offline`).
     offline: bool = False
+    #: Batch-formation buffers, one per payload source (see :meth:`stage`).
+    _staging: Dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+
+    def stage(self, rows: Sequence[np.ndarray], source: int, capacity: int) -> np.ndarray:
+        """Stack one payload source's per-request ``rows`` into this worker's
+        reusable batch buffer and return the stacked view.
+
+        The buffer holds ``capacity`` rows (the tier's maximum batch size)
+        and is re-made when the rows' shape or dtype changes or a batch
+        outgrows it.  Only the batch this worker is about to run may be
+        staged here: a worker is busy until its completion is posted, and
+        the section it runs does not keep its payload.
+        """
+        shape, dtype = rows[0].shape, np.result_type(*rows)
+        if any(row.shape != shape for row in rows):
+            raise ValueError("all payloads of one batch must have the same shape")
+        buffer = self._staging.get(source)
+        if (
+            buffer is None
+            or buffer.shape[1:] != shape
+            or buffer.dtype != dtype
+            or len(buffer) < len(rows)
+        ):
+            buffer = np.empty((max(capacity, len(rows)),) + shape, dtype=dtype)
+            self._staging[source] = buffer
+        for index, row in enumerate(rows):
+            buffer[index] = row
+        return buffer[: len(rows)]
 
 
 class WorkerPool:

@@ -348,3 +348,108 @@ class TestFabricValidation:
         np.testing.assert_allclose(
             [r.bytes_transferred for r in responses], offline.bytes_per_sample
         )
+
+
+class TestFabricLifetime:
+    """A dropped fabric frees itself (and its compiled arenas) by reference
+    counting alone: nothing it owns may hold it strongly."""
+
+    @staticmethod
+    def _freed_without_gc(build, use=lambda target: None) -> bool:
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            target = build()
+            use(target)
+            watch = [weakref.ref(target)]
+            watch += [weakref.ref(replica) for replica in getattr(target, "replicas", [])]
+            del target
+            return all(ref() is None for ref in watch)
+        finally:
+            gc.enable()
+
+    @staticmethod
+    def _fabric(model, **kwargs):
+        return DistributedServingFabric(
+            partition_ddnn(model),
+            0.8,
+            workers_per_tier=2,
+            batching=BatchingPolicy(max_batch_size=4, max_wait_s=0.002),
+            compile=True,
+            **kwargs,
+        )
+
+    def test_fresh_fabric(self, trained_ddnn):
+        assert self._freed_without_gc(lambda: self._fabric(trained_ddnn))
+
+    def test_served_simulated_fabric(self, trained_ddnn, tiny_test):
+        assert self._freed_without_gc(
+            lambda: self._fabric(trained_ddnn), lambda fabric: fabric.serve_dataset(tiny_test)
+        )
+
+    def test_autoscaled_fabric(self, trained_ddnn, tiny_test):
+        from repro.hierarchy.plan import AutoscalePolicy
+
+        def serve(fabric):
+            fabric.enable_autoscaling(AutoscalePolicy())
+            fabric.serve_dataset(tiny_test)
+
+        assert self._freed_without_gc(lambda: self._fabric(trained_ddnn), serve)
+
+    @pytest.mark.parametrize("hedged", [False, True], ids=["plain", "hedged"])
+    def test_load_balancer_with_two_replicas(self, trained_ddnn, tiny_test, hedged):
+        from repro.hierarchy.plan import PartitionPlan
+        from repro.serving import HedgePolicy, LoadBalancer, RetryPolicy
+
+        def build():
+            plan = PartitionPlan(
+                trained_ddnn,
+                replicas=2,
+                slo_s=1.0 if hedged else None,
+                hedge=HedgePolicy(0.1, 1) if hedged else None,
+            )
+            return LoadBalancer.from_plan(
+                plan,
+                0.8,
+                batching=BatchingPolicy(max_batch_size=4, max_wait_s=0.002),
+                compile=True,
+                offload=RetryPolicy(deadline_s=0.05, max_retries=1, seed=0) if hedged else None,
+            )
+
+        def serve(balancer):
+            for index, views in enumerate(tiny_test.images):
+                balancer.submit(views, at=0.001 * index)
+            assert len(balancer.run_until_idle(drain=True)) == len(tiny_test)
+
+        assert self._freed_without_gc(build, serve)
+
+
+class TestWorkerStaging:
+    def test_batches_form_in_the_workers_buffer(self):
+        from repro.serving.workers import WorkerHandle
+
+        worker = WorkerHandle(0)
+        rows = [np.full((2, 3), float(index)) for index in range(3)]
+        first = worker.stage(rows, source=0, capacity=4)
+        np.testing.assert_array_equal(first, np.stack(rows))
+        second = worker.stage(rows[:2], source=0, capacity=4)
+        assert np.shares_memory(first, second)  # reused, not re-allocated
+        other = worker.stage(rows, source=1, capacity=4)
+        assert not np.shares_memory(first, other)  # one buffer per payload source
+
+    def test_buffer_is_remade_when_it_no_longer_fits(self):
+        from repro.serving.workers import WorkerHandle
+
+        worker = WorkerHandle(0)
+        small = worker.stage([np.zeros((2, 3))] * 2, source=0, capacity=2)
+        grown = worker.stage([np.ones((2, 3))] * 5, source=0, capacity=2)
+        assert grown.shape == (5, 2, 3) and not np.shares_memory(small, grown)
+        reshaped = worker.stage([np.ones((4,))] * 2, source=0, capacity=2)
+        assert reshaped.shape == (2, 4)
+        widened = worker.stage([np.ones((4,), dtype=np.float32), np.ones((4,))], 0, 2)
+        assert widened.dtype == np.float64  # as np.stack would have promoted
+        with pytest.raises(ValueError, match="same shape"):
+            worker.stage([np.ones((4,)), np.ones((1,))], source=0, capacity=2)

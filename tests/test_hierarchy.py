@@ -239,6 +239,43 @@ class TestIntermittentFaultReplay:
         np.testing.assert_allclose(result.latencies_s, expected_s, rtol=1e-12, atol=0.0)
 
 
+class TestGroupedDeviceTierFaults:
+    """The compiled device tier is one grouped program: a failed device and
+    dropped samples are masks on its output, and must account — answers,
+    bytes on the wire, per-node work — exactly as the eager per-device loop."""
+
+    @pytest.mark.parametrize(
+        "fault_plan",
+        [
+            FaultPlan(failed_devices={1}),
+            FaultPlan(intermittent={0: 0.3, 2: 0.6}, seed=9),
+            FaultPlan(failed_devices={2}, intermittent={1: 0.5}, seed=4),
+        ],
+        ids=["failed-device", "intermittent", "both"],
+    )
+    def test_compiled_matches_eager_under_faults(self, trained_ddnn, tiny_test, fault_plan):
+        outcomes = []
+        for compile in (False, True):
+            deployment = partition_ddnn(trained_ddnn)
+            runtime = HierarchyRuntime(deployment, 0.8, fault_plan=fault_plan, compile=compile)
+            result = runtime.run(tiny_test)
+            outcomes.append(
+                (
+                    result.predictions.tolist(),
+                    result.exit_names_per_sample,
+                    result.bytes_per_sample.tolist(),
+                    [
+                        (d.stats.samples_processed, d.stats.compute_seconds, d.stats.bytes_sent)
+                        for d in deployment.devices
+                    ],
+                )
+            )
+        assert outcomes[0] == outcomes[1]
+        # The failed device did no work and sent nothing.
+        for index in fault_plan.failed_devices:
+            assert outcomes[1][3][index] == (0, 0.0, 0.0)
+
+
 class TestEdgeRuntime:
     def test_edge_topology_runtime_matches_central(self, tiny_train, tiny_test):
         from repro.core import DDNNConfig, DDNNTopology, DDNNTrainer, TrainingConfig, build_ddnn

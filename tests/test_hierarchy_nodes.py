@@ -150,3 +150,30 @@ class TestLinkSpecsAndPartition:
         assert not deployment.devices[0].failed
         assert deployment.devices[1].stats.bytes_sent == 0.0
         assert deployment.fabric.total_bytes() == 0.0
+
+
+class TestOperationsPerSample:
+    def test_sections_and_nodes_carry_the_constant(self, small_model):
+        deployment = partition_ddnn(small_model)
+        for device in deployment.devices:
+            assert device.operations_per_sample == device.branch.num_parameters()
+        assert deployment.cloud.operations_per_sample == small_model.cloud.num_parameters()
+
+    @pytest.mark.parametrize("compile", [False, True], ids=["eager", "compiled"])
+    def test_no_parameter_walk_once_the_model_is_built(self, small_model, monkeypatch, compile):
+        """Partitioning and running a deployment read the per-sample cost off
+        the sections; nothing walks a parameter tree per node or per batch."""
+        from repro.hierarchy import HierarchyRuntime
+        from repro.nn.layers import Module
+
+        def walked(module):
+            raise AssertionError(f"num_parameters() walked {type(module).__name__}")
+
+        small_model.eval()
+        monkeypatch.setattr(Module, "num_parameters", walked)
+        from repro.datasets.mvmc import MVMCDataset
+
+        views = np.random.default_rng(1).random((5, 3, 3, 32, 32))
+        dataset = MVMCDataset(views, np.zeros(5), np.zeros((5, 3)))
+        result = HierarchyRuntime(partition_ddnn(small_model), 0.8, compile=compile).run(dataset)
+        assert len(result.predictions) == 5
