@@ -80,7 +80,14 @@ class CompileError(RuntimeError):
 #: Supported compute precision modes for compiled plans, with their
 #: documented guarantees (enforced by ``repro.compile.ddnn.verify_compiled``):
 #:
-#: * ``"float64"`` — the exact default: byte-identical routing vs eager.
+#: * ``"float64"`` — the default.  Bit-identical to eager on binary (±1)
+#:   blocks and on everything downstream of a sign; within 1e-12 of eager on
+#:   a raw float convolution (the row-run GEMM's grid is wider than eager's,
+#:   so BLAS may round the last bits of a column differently) and at
+#:   float32-level tolerance where BatchNorm was folded.  Routing is
+#:   byte-identical to eager as long as no pre-sign value of a float-input
+#:   block lies within that last-bit distance of zero — true of every input
+#:   the tests and benchmarks replay, not guaranteed by construction.
 #: * ``"float32"`` — fp32 weights/buffers/GEMMs; routing agreement >= 99.9%
 #:   vs the fp64 oracle, per-exit logits allclose at fp32 tolerance.
 #: * ``"bitpacked"`` — float64 carriers everywhere, but binary blocks with
@@ -284,11 +291,15 @@ class _Op:
             )
 
 
-def stack_ops(ops: Sequence[_Op]) -> Optional[_Op]:
-    """The grouped op for ``ops``, or ``None`` when their structure differs."""
+def stack_ops(ops: Sequence[_Op]) -> _Op:
+    """The grouped op for ``ops``, which must all have one signature."""
     first = ops[0]
-    if any(op.signature() != first.signature() for op in ops[1:]):
-        return None
+    for op in ops[1:]:
+        if op.signature() != first.signature():
+            raise CompileError(
+                f"cannot stack ops of different structure: {first.signature()} "
+                f"vs {op.signature()}"
+            )
     return first.stacked(ops)
 
 
@@ -406,14 +417,10 @@ class ConvOp(_Op):
         # row-run path (its right margin is never read), else the output's.
         grid_w = padded_w if self._row_runs else out_w
         # Columns computed per sample: the whole grid but the last row's
-        # right margin (where a row run would leave the padded image); the
-        # margin's tail of ``out`` keeps its allocation-time zeros.
+        # right margin (where a row run would leave the padded image); that
+        # tail of ``out`` is never read.
         columns = (out_h - 1) * grid_w + out_w
-        ctx.out = arena.buffer(
-            (key, "out"),
-            lead + (self.out_channels, out_h * grid_w),
-            fill=0.0 if self._row_runs else None,
-        )
+        ctx.out = arena.buffer((key, "out"), lead + (self.out_channels, out_h * grid_w))
         ctx.result = ctx.out[..., :columns]
         ctx.out5 = ctx.out.reshape(lead + (self.out_channels, out_h, grid_w))[..., :out_w]
         if self._shift_add:

@@ -316,15 +316,17 @@ class CompiledPlan:
     the next pass starts, so intermediates are consumed while still in
     cache instead of streaming the whole batch through memory once per op.
     This is the one blocking scheme of the compiled stack, the same in
-    every precision, and it is exact: every op treats the samples of a
-    batch independently (a conv is one GEMM per sample), except that a
-    linear layer's GEMM sees fewer rows per call — and plans of linear
-    layers are never split in practice, a sample of theirs being a few
-    hundred bytes.  Buffers live in a private :class:`Arena` sized for the
-    largest pass so far; the first forward with a new pass shape prepares a
-    program (binding the arena's leading rows per op) which is then cached,
-    so later forwards — also after other shapes in between — run with zero
-    preparation work.
+    every precision, and it is exact: every op a pass goes through treats
+    the samples of a batch independently (a conv is one GEMM per sample).
+    The one op that does not is the float linear layer, whose GEMM has the
+    batch as its row count (and BLAS may round a row differently in a
+    shorter matrix), so a plan that contains one — alone or after convs —
+    always runs its batch as a single pass; a sample of the DDNN's linear
+    plans is a few hundred bytes.  Buffers live in a private :class:`Arena`
+    sized for the largest pass so far; the first forward with a new pass
+    shape prepares a program (binding the arena's leading rows per op) which
+    is then cached, so later forwards — also after other shapes in between —
+    run with zero preparation work.
 
     **Output lifetime.**  The returned array is a view into a buffer that
     forwards of *every* batch size share: it is valid until the next
@@ -362,6 +364,8 @@ class CompiledPlan:
         self._programs: dict = {}
         #: (groups, *sample shape) -> samples one pass takes
         self._pass_sizes: dict = {}
+        #: A float linear GEMM takes the batch as rows: never split it.
+        self._single_pass = any(type(op) is LinearOp for op in ops)
         self._planned_shape: Optional[Tuple[int, ...]] = None
         self.output_shape: Optional[Tuple[int, ...]] = None
         # Per-op wall-time accumulation (opt-in; the untimed forward loop
@@ -371,15 +375,17 @@ class CompiledPlan:
         self._op_calls = np.zeros(len(self.ops), dtype=np.int64)
 
     @classmethod
-    def stacked(cls, plans: Sequence["CompiledPlan"]) -> Optional["CompiledPlan"]:
-        """One grouped plan computing ``plans`` side by side, or ``None``
-        when they are not structurally identical (op for op, shape for shape)."""
+    def stacked(cls, plans: Sequence["CompiledPlan"]) -> "CompiledPlan":
+        """One grouped plan computing ``plans`` side by side; they must be
+        structurally identical (op for op, shape for shape) or it raises
+        :class:`CompileError`."""
         first = plans[0]
         if any(len(plan.ops) != len(first.ops) for plan in plans):
-            return None
+            raise CompileError(
+                "cannot stack plans of different length: "
+                f"{[len(plan.ops) for plan in plans]} ops"
+            )
         ops = [stack_ops(column) for column in zip(*(plan.ops for plan in plans))]
-        if any(op is None for op in ops):
-            return None
         plan = cls.__new__(cls)
         plan.name = first.name
         plan.precision = first.precision
@@ -414,7 +420,10 @@ class CompiledPlan:
     def _pass_size(self, shape: Tuple[int, ...]) -> int:
         """Samples (per group) one pass over this kind of input takes: as many
         as keep the pass's buffers and scratch inside the cache-block budget,
-        sized by preparing a single-sample program on a throwaway arena."""
+        sized by preparing a single-sample program on a throwaway arena — or
+        the whole batch when a float linear layer's GEMM would be split."""
+        if self._single_pass:
+            return shape[1]
         kind = shape[:1] + shape[2:]
         size = self._pass_sizes.get(kind)
         if size is None:

@@ -50,7 +50,7 @@ until that plan's next forward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -92,12 +92,6 @@ class TransferResult:
     payloads: List[RowPayload]  # one payload per offloaded row, in row order
     delay_s: np.ndarray  # per-offloaded-row transfer delay
     bytes: np.ndarray  # per-offloaded-row bytes put on the wire
-
-
-def stack_rows(payloads: Sequence[RowPayload]) -> List[np.ndarray]:
-    """Recombine per-row payloads into per-source batch arrays."""
-    num_sources = len(payloads[0])
-    return [np.stack([payload[s] for payload in payloads]) for s in range(num_sources)]
 
 
 class TierSection:
@@ -239,20 +233,17 @@ class DeviceTierSection(TierSection):
         """Every device's ``(features, scores)`` for a ``(n, D, C, H, W)``
         batch as per-device lists, plus per-device compute seconds.
 
-        With a plan bundle whose branches stack, the whole tier is one call
-        of its grouped program on the device-major view of the batch; a
-        failed device's rows are zeroed afterwards (it transmits nothing,
-        see :meth:`EndDeviceNode.process`) and it accounts no compute.
+        Eagerly that is each node's own ``process``; with a plan bundle the
+        whole tier is one call of its grouped program on the device-major
+        view of the batch, a failed device's rows are zeroed afterwards (it
+        transmits nothing, see :meth:`EndDeviceNode.process`) and it
+        accounts no compute.
         """
         devices = self.deployment.devices
-        group = None if plans is None else plans.device_group
         seconds = np.zeros(len(devices))
-        if group is None:
+        if plans is None:
             features, scores, seconds[:] = zip(
-                *(
-                    self._device_forward(device, index, views[:, index], plans)
-                    for index, device in enumerate(devices)
-                )
+                *(device.process(views[:, index]) for index, device in enumerate(devices))
             )
             return list(features), list(scores), seconds
         batch = len(views)
@@ -260,7 +251,9 @@ class DeviceTierSection(TierSection):
         # (float64 plans see the historical bit-exact input).  One copy of
         # each output: they are views into buffers the group's next forward
         # reuses, and the carry must outlive it.
-        features, scores = (out.copy() for out in group(np.moveaxis(views, 1, 0)))
+        features, scores = (
+            out.copy() for out in plans.device_group(np.moveaxis(views, 1, 0))
+        )
         for index, device in enumerate(devices):
             if device.failed:
                 features[index] = 0.0
@@ -270,18 +263,6 @@ class DeviceTierSection(TierSection):
                     device.operations_per_sample * batch, samples=batch
                 )
         return list(features), list(scores), seconds
-
-    def _device_forward(self, device, device_index: int, view_batch, plans):
-        """One device's forward: eager, or its own plan pair when the bundle's
-        branches differ structurally (no grouped program)."""
-        if plans is None or device.failed:
-            return device.process(view_batch)
-        features, scores = plans.device_branches[device_index](np.asarray(view_batch))
-        batch = len(features)
-        seconds = device._account(device.operations_per_sample * batch, samples=batch)
-        # The branch returns views into the plan's reused buffers; the carry
-        # must survive later forwards through the same plan instance.
-        return features.copy(), scores.copy(), seconds
 
     def _aggregate(self, aggregator, device_scores, plans):
         if plans is not None and plans.local_aggregator is not None:

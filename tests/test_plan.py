@@ -182,9 +182,10 @@ class TestPlanSections:
         views = np.random.default_rng(0).normal(size=(2, 4, 3, 32, 32))
         result = sections[0].process(views)
         transfer = sections[0].offload(result.carry, np.array([0, 1]))
-        from repro.hierarchy.sections import stack_rows
-
-        edge_result = sections[1].process(stack_rows(transfer.payloads))
+        # Per-row payloads back to one batch array per source device.
+        edge_result = sections[1].process(
+            [np.stack(source) for source in zip(*transfer.payloads)]
+        )
         assert edge_result.logits is None
         assert edge_result.carry is not None
 
