@@ -7,13 +7,15 @@ serving stack runs on: an ahead-of-time compiler that takes a trained model
 and emits plans executing on raw ``np.ndarray``s with
 
 * BatchNorm folded into preceding conv/linear weights (running stats),
-* conv+ReLU and BatchNorm+sign fusion,
+* conv+ReLU fusion, and the paper's fused binary block — conv/linear ->
+  [max-pool ->] BatchNorm -> sign — as one GEMM plus one comparison against
+  exact per-channel thresholds, pooled as booleans,
 * zero-copy strided-window (or contiguous row-run) im2col over pre-packed
   (pre-binarized) weight matrices,
-* a cache-resident memory plan: forwards run depth-first in batch passes
-  over one pass-sized buffer arena per plan, with im2col scratch shared by
-  every op, and the device tier's identical branches stacked into one
-  grouped program, and
+* a cache-resident memory plan: forwards run depth-first in (group range,
+  batch range) tiles over one tile-sized buffer arena per plan, with
+  im2col scratch shared by every op, and the device tier's identical
+  branches stacked into one grouped program, and
 * selectable compute precision (``PRECISIONS``): exact ``"float64"``
   (default), tolerance-mode ``"float32"`` (fp32 weights/buffers/GEMMs),
   and ``"bitpacked"`` (uint64 XNOR+popcount GEMMs on

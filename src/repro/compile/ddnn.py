@@ -469,6 +469,10 @@ def verify_compiled(
     """Assert the compiled model honors its precision-mode guarantee.
 
     Returns the max abs per-exit logit difference vs the eager forward.
+    ``views`` must be finite: compiled plans are specified for finite inputs
+    (``±0.0`` and subnormals included) and what a NaN or an infinity turns
+    into is not — a compiled binary block ORs comparisons where eager takes
+    a maximum, and only the maximum carries a NaN through to a -1.
     Per-mode guarantees (each raises :class:`AssertionError` on violation):
 
     * ``"float64"`` — the default: per-exit logits allclose to eager at
@@ -482,7 +486,9 @@ def verify_compiled(
     * ``"float32"`` — per-exit logits allclose to eager at fp32 tolerance,
       plus entropy-threshold routing agreement >= ``min_routing_agreement``
       (99.9% by default) against the fp64 logits, pooled over a threshold
-      grid (or the explicit ``thresholds``).
+      grid (or the explicit ``thresholds``).  Binary blocks compare their
+      fp32 GEMM output against the float64-derived sign thresholds cast to
+      float32.
     * ``"bitpacked"`` — every exit's logits must be *bit-identical* to a
       freshly compiled float64 model (±1 dot products are exact integers in
       either representation), and therefore inherit the float64 guarantee.

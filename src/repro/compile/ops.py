@@ -5,25 +5,38 @@ autograd graph, no per-op :class:`~repro.nn.tensor.Tensor` wrapping.  Every
 array an op sees has two leading axes, ``(groups, batch, ...)``: a plan
 compiled from one module stack has ``groups == 1``, a plan *stacked* from N
 structurally identical stacks (the DDNN's device branches) carries N sets
-of parameters along the group axis and computes all of them in one pass.
-Each op is *prepared* once per input shape — binding views of the plan's
-:class:`Arena` into a context — and then *run* once per forward pass against
+of parameters along the group axis and computes all of them — or, a range of
+them at a time — in one pass.  Each op is *prepared* once per input shape
+and group range — binding views of the plan's :class:`Arena` and the range's
+parameter rows into a context — and then *run* once per forward pass against
 that context, writing into the pre-allocated buffers (``out=`` everywhere,
-in-place epilogues for bias/ReLU/sign).
+in-place epilogues for bias/ReLU).
+
+Binary blocks: the paper's fused block (Fig. 3) — conv/linear -> [max-pool
+->] BatchNorm -> sign — is one GEMM op with a :class:`SignOp` behind it: the
+GEMM's output is compared against exact per-channel thresholds
+(:func:`sign_thresholds`; the layer's bias is part of them), pooled as
+booleans and materialised as ±1 once, so no float temporary survives the
+block.
 
 Memory plan: arena buffers are sized for the largest batch the plan has
 run in one pass and a program for a smaller batch binds their leading rows,
 so a plan that serves batches of 1..8 owns one set of buffers, not eight
 (padded borders are per-image constants, valid under every such view).
 Operands that are dead when their op returns — the im2col column matrix,
-the shift-add per-position products — are not per-op at all: they are views
-of the arena's one scratch block.  The plan keeps a pass small enough that
-all of this stays cache-resident (see :class:`~repro.compile.plan.CompiledPlan`,
-which owns the one blocking scheme: ``_IM2COL_BLOCK_BYTES`` per pass).
+the shift-add per-position products, the bool pool's shifted ORs — are not
+per-op at all: they are views of the arena's one scratch block.  The plan
+keeps a pass small enough that all of this stays cache-resident (see
+:class:`~repro.compile.plan.CompiledPlan`, which owns the one blocking
+scheme: ``_IM2COL_BLOCK_BYTES`` per pass).
 
-Numerical contract: elementwise ops, pooling, BatchNorm and the linear
+Numerical contract, for *finite* inputs (``±0.0`` and subnormals included;
+what a NaN or an infinity turns into is unspecified — eager max-pooling
+carries a NaN through BatchNorm to a -1, an OR of comparisons does not):
+elementwise ops, pooling, BatchNorm, the sign thresholds and the linear
 layers replay the eager arithmetic bit for bit (same operation order, same
-operand layouts handed to BLAS), and so does the window-gather im2col
+operand layouts handed to BLAS; a threshold is the exact position of the
+step the eager chain makes), and so does the window-gather im2col
 convolution (strided or unpadded).  Three conv strategies are equivalent to
 eager only up to float rounding — BatchNorm folded into the weights,
 shift-add, and the *row-run* im2col used for padded stride-1 convolutions,
@@ -78,7 +91,10 @@ class CompileError(RuntimeError):
 
 
 #: Supported compute precision modes for compiled plans, with their
-#: documented guarantees (enforced by ``repro.compile.ddnn.verify_compiled``):
+#: documented guarantees (enforced by ``repro.compile.ddnn.verify_compiled``).
+#: Every mode is specified for finite inputs — ``±0.0`` and subnormals
+#: included; NaN and ±inf payloads are unspecified (a binary block is an OR
+#: of comparisons, which does not propagate a NaN the way eager's max does):
 #:
 #: * ``"float64"`` — the default.  Bit-identical to eager on binary (±1)
 #:   blocks and on everything downstream of a sign; within 1e-12 of eager on
@@ -89,7 +105,9 @@ class CompileError(RuntimeError):
 #:   block lies within that last-bit distance of zero — true of every input
 #:   the tests and benchmarks replay, not guaranteed by construction.
 #: * ``"float32"`` — fp32 weights/buffers/GEMMs; routing agreement >= 99.9%
-#:   vs the fp64 oracle, per-exit logits allclose at fp32 tolerance.
+#:   vs the fp64 oracle, per-exit logits allclose at fp32 tolerance.  A
+#:   binary block's sign is ``x >= threshold`` on the fp32 GEMM output, the
+#:   threshold being the float64-derived one cast to float32.
 #: * ``"bitpacked"`` — float64 carriers everywhere, but binary blocks with
 #:   provably-±1 inputs run the uint64 XNOR+popcount GEMM; bit-identical to
 #:   the float sign path (±1 dots are exact integers in float64).
@@ -166,15 +184,15 @@ class Arena:
     smaller batches therefore share the larger batch's memory instead of
     owning their own, and :meth:`reserve` drops everything when a larger
     batch arrives (the plan then re-prepares its programs — rare: capacity
-    only ever grows, and no further than the plan's pass size).
+    only ever grows, and no further than the batch range of the plan's tiles).
 
     ``fill`` is applied only on allocation: padded buffers keep their
-    constant border (zeros for convolution, ``-inf`` for max pooling)
-    because ops only ever overwrite the interior, and the border sits at
-    the same offsets of every sample whatever the batch view.  The arena
-    carries the plan's float dtype (float64 by default, float32 in fp32
-    mode); non-float buffers (sign masks, packed words, popcount bytes)
-    request an explicit dtype.
+    constant border (zeros for convolution, ``-inf`` for max pooling,
+    ``False`` for a binary block's bool pool) because ops only ever
+    overwrite the interior, and the border sits at the same offsets of every
+    sample whatever the batch view.  The arena carries the plan's float
+    dtype (float64 by default, float32 in fp32 mode); non-float buffers
+    (sign bits, packed words, popcount bytes) request an explicit dtype.
 
     :meth:`scratch` hands out views of one shared block for operands that
     are dead when their op returns; every op that takes one fills it before
@@ -217,14 +235,16 @@ class Arena:
     def bool_buffer(self, key: object, shape: Tuple[int, ...]) -> np.ndarray:
         return self.buffer(key, shape, dtype=bool)
 
-    def scratch(self, shape: Tuple[int, ...]) -> np.ndarray:
-        """An uninitialised float view of the shared scratch block."""
-        nbytes = int(np.prod(shape, dtype=np.int64)) * self.dtype.itemsize
+    def scratch(self, shape: Tuple[int, ...], dtype: Optional[np.dtype] = None) -> np.ndarray:
+        """An uninitialised view (float unless ``dtype`` says otherwise) of
+        the shared scratch block."""
+        dtype = self.dtype if dtype is None else np.dtype(dtype)
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         if nbytes > self._scratch.nbytes:
             # Views bound by earlier programs keep the old block alive and
             # stay correct; only the sharing is lost until they re-prepare.
             self._scratch = np.empty(nbytes, dtype=np.uint8)
-        return self._scratch[:nbytes].view(self.dtype).reshape(shape)
+        return self._scratch[:nbytes].view(dtype).reshape(shape)
 
     def nbytes(self) -> int:
         """Bytes currently held (buffers plus the scratch block)."""
@@ -243,13 +263,6 @@ def _window_position_slices(source: np.ndarray, kernel: int, stride: int) -> lis
     return [windows[..., ky, kx] for ky in range(kernel) for kx in range(kernel)]
 
 
-def _sign_inplace(buf: np.ndarray, mask: np.ndarray) -> None:
-    """In-place ``x -> {-1, +1}`` with the eager ``x >= 0 -> +1`` convention."""
-    np.greater_equal(buf, 0.0, out=mask)
-    np.multiply(mask, 2.0, out=buf)
-    buf -= 1.0
-
-
 def _grouped(array: np.ndarray, ndim: int) -> np.ndarray:
     """``array`` with a leading group axis (added when it has ``ndim`` axes)."""
     return array[None] if array.ndim == ndim else array
@@ -262,13 +275,20 @@ class _Op:
     into a context namespace (with at least ``output_shape``); ``run``
     executes against a context.  Ops with parameters hold them with a
     leading group axis and implement :meth:`signature` / :meth:`stacked` so
-    N structurally identical ops can be fused into one grouped op.
+    N structurally identical ops can be fused into one grouped op; a
+    program over a *range* of the groups binds that range's parameter rows
+    (``first_group`` on, as many as the input has) at prepare time.
     """
 
     #: Parameter sets along the group axis (1 unless built by :meth:`stacked`).
     groups = 1
+    #: Whether the samples of a batch are computed independently of each
+    #: other, so a plan may run the batch in several passes.
+    splits_batch = True
 
-    def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
+    def prepare(
+        self, shape: Tuple[int, ...], arena: Arena, key: object, first_group: int = 0
+    ) -> SimpleNamespace:
         raise NotImplementedError
 
     def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
@@ -283,12 +303,16 @@ class _Op:
         an op without parameters is its own stack."""
         return self
 
-    def _check_groups(self, shape: Tuple[int, ...]) -> None:
-        if shape[0] != self.groups:
+    def _rows(self, shape: Tuple[int, ...], first_group: int) -> slice:
+        """The parameter rows an input of ``shape`` takes when its first
+        group is this op's ``first_group``-th."""
+        stop = first_group + shape[0]
+        if stop > self.groups:
             raise CompileError(
                 f"{type(self).__name__} holds {self.groups} parameter group(s), "
-                f"got an input with {shape[0]}"
+                f"got an input for groups {first_group}..{stop - 1}"
             )
+        return slice(first_group, stop)
 
 
 def stack_ops(ops: Sequence[_Op]) -> _Op:
@@ -303,7 +327,264 @@ def stack_ops(ops: Sequence[_Op]) -> _Op:
     return first.stacked(ops)
 
 
-class ConvOp(_Op):
+#: XOR mask between a float64's bit pattern (read as int64) and an integer
+#: ordered like the float: negative floats have their low 63 bits flipped.
+_ORDER_FLIP = np.int64(np.iinfo(np.int64).max)
+
+
+def _order_flip(words: np.ndarray) -> np.ndarray:
+    """float64 bit patterns (as int64) <-> integers in the floats' order; an
+    involution (``-0.0`` is -1, ``+0.0`` is 0, neighbours are 1 apart)."""
+    return np.where(words < 0, words ^ _ORDER_FLIP, words)
+
+
+def sign_thresholds(
+    bias: Optional[np.ndarray],
+    mean: np.ndarray,
+    std: np.ndarray,
+    gamma: np.ndarray,
+    beta: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-channel ``(threshold, flipped)`` with ``(x >= threshold) ^ flipped``
+    equal, for every finite float64 ``x``, to what the eager binary block
+    computes from it: ``(((x + bias) - mean) / std) * gamma + beta >= 0``.
+
+    Each step of that chain is monotone in ``x`` under IEEE rounding, so per
+    channel the whole chain is a step function (rising for ``gamma > 0``,
+    falling for ``gamma < 0``, constant otherwise) and one comparison
+    reproduces it *bit for bit* once the step's position is known to the
+    last ulp.  It is found by bisecting the float64 bit patterns between
+    ``-max`` and ``+max`` on the chain itself, 64 steps, all channels at
+    once — no algebra on the parameters, so nothing is re-associated.  A
+    channel whose chain never changes gets ``-inf`` (always +1) or ``+inf``
+    (always -1); a falling channel gets the first ``x`` that yields -1 and
+    ``flipped``.  ``gamma == 0`` is the sign of ``beta`` (the chain's value
+    wherever its normalised term has not overflowed into ``inf * 0``).
+    """
+    mean, std, gamma, beta = (
+        np.asarray(array, dtype=np.float64) for array in (mean, std, gamma, beta)
+    )
+
+    def positive(x) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if bias is not None:
+                x = x + bias
+            return ((x - mean) / std) * gamma + beta >= 0
+
+    top = np.finfo(np.float64).max
+    at_low, at_high = positive(-top), positive(top)
+    low = np.full(mean.shape, _order_flip(np.float64(-top).view(np.int64)))
+    high = np.full(mean.shape, _order_flip(np.float64(top).view(np.int64)))
+    for _ in range(64):
+        middle = (low & high) + ((low ^ high) >> 1)  # floor mean, overflow-free
+        below = positive(_order_flip(middle).view(np.float64)) == at_low
+        low = np.where(below, middle, low)
+        high = np.where(below, high, middle)
+    steps = at_low != at_high
+    constant = np.where(gamma == 0, beta >= 0, at_low)
+    threshold = np.where(
+        steps, _order_flip(high).view(np.float64), np.where(constant, -np.inf, np.inf)
+    )
+    return threshold, steps & at_low
+
+
+class SignOp(_Op):
+    """The tail of a binary block: ``x -> {-1, +1}`` by one comparison.
+
+    A bare sign activation compares against zero (eager's ``x >= 0 -> +1``).
+    Compiled from ``BatchNorm -> sign`` it compares against the thresholds of
+    :func:`sign_thresholds` instead, and with ``pool`` — the paper's fused
+    block, ``max-pool -> BatchNorm -> sign`` — the comparison is hoisted
+    above the pooling: a monotone step commutes with max, so the maximum of
+    floats becomes an OR of booleans (with a ``False`` border; a flipped
+    channel's NOT-OR is eager's AND).  No float temporary survives the
+    block: ±1 values are materialised once, at its output, with each
+    channel's orientation.
+
+    Every step runs on contiguous memory where the geometry allows.  The op
+    is used on its own or *behind a GEMM op* (``ConvOp(..., sign=op)`` and
+    the like), which then hands it its whole output grid: when that grid's
+    row pitch equals the pool's padded pitch (``kernel - 1 == 2 *
+    pool_padding``: every ConvPBlock) the grid is compared against a
+    per-position threshold row straight into the padded ``bool`` buffer, the
+    grid's never-read margin columns landing exactly on the border with a
+    ``+inf`` threshold that writes ``False``.  Other geometries bind the
+    strided valid/interior views instead; the calls are the same.  The pool
+    is ``2k - 2`` flat byte-ORs over the whole buffer — ``k - 1`` shifts by
+    one pitch, then ``k - 1`` unit shifts — whose wrap-around garbage only
+    lands in rows and columns the strided subsample never reads.
+    """
+
+    def __init__(
+        self,
+        threshold: Optional[np.ndarray] = None,
+        flipped: Optional[np.ndarray] = None,
+        pool: Tuple[int, int, int] = (1, 1, 0),
+        dtype: np.dtype = np.float64,
+    ) -> None:
+        self.dtype = np.dtype(dtype)
+        #: ``(kernel, stride, padding)`` of the max pool the comparison was
+        #: hoisted above; ``(1, 1, 0)`` pools nothing.
+        self.pool = tuple(int(value) for value in pool)
+        # (G, C); a bare sign broadcasts one zero over every channel.
+        self.threshold = (
+            np.zeros((1, 1)) if threshold is None else np.asarray(threshold, dtype=np.float64)
+        )
+        self.flipped = (
+            np.zeros(self.threshold.shape, dtype=bool)
+            if flipped is None
+            else np.asarray(flipped, dtype=bool)
+        )
+        self.groups = self.threshold.shape[0]
+
+    def signature(self) -> tuple:
+        return (type(self), self.threshold.shape[1:], self.pool, self.dtype)
+
+    def stacked(self, ops: Sequence["SignOp"]) -> "SignOp":
+        return type(self)(
+            np.concatenate([op.threshold for op in ops]),
+            np.concatenate([op.flipped for op in ops]),
+            pool=self.pool,
+            dtype=self.dtype,
+        )
+
+    def prepare(
+        self,
+        shape: Tuple[int, ...],
+        arena: Arena,
+        key: object,
+        first_group: int = 0,
+        grid: Optional[np.ndarray] = None,
+        grid_w: int = 0,
+    ) -> SimpleNamespace:
+        """``shape`` is that of the values to binarise; a GEMM op also passes
+        its contiguous output ``grid`` (of which they are the valid view)
+        and the grid's row pitch."""
+        rows = self._rows(shape, first_group)
+        lead, channels, spatial = tuple(shape[:2]), shape[2], tuple(shape[3:])
+        kernel, stride, pad = self.pool
+        padded = tuple(size + 2 * pad for size in spatial)
+        pooled = tuple(conv_output_size(size, kernel, stride, pad) for size in spatial)
+        if min(pooled, default=1) < 1:
+            raise CompileError(f"pooling {spatial} collapses to {pooled}")
+        ctx = SimpleNamespace(output_shape=lead + (channels,) + pooled)
+        bits = arena.buffer(
+            (key, "bits"), lead + (channels,) + padded, fill=False, dtype=bool
+        )
+        per_channel = (-1, 1, self.threshold.shape[1]) + (1,) * len(spatial)
+        with np.errstate(over="ignore"):  # beyond float32's range: never / always
+            threshold = self.threshold[rows].astype(self.dtype).reshape(per_channel)
+        if spatial and grid is not None and grid_w == padded[1]:
+            columns = grid.shape[-1]
+            start = pad * grid_w + pad
+            ctx.source = grid
+            ctx.target = bits.reshape(lead + (channels, -1))[..., start : start + columns]
+            in_margin = np.arange(columns) % grid_w >= spatial[1]
+            ctx.threshold = np.where(
+                in_margin, self.dtype.type(np.inf), threshold.reshape(per_channel[:4])
+            )
+        else:
+            ctx.source = None
+            ctx.target = bits[(Ellipsis,) + tuple(slice(pad, pad + size) for size in spatial)]
+            ctx.threshold = threshold
+        ctx.pool_steps = []
+        if kernel > 1:
+            flat = bits.reshape(-1)
+            pitch = padded[1]
+            scratch = arena.scratch((2, flat.size), dtype=bool)
+            row_count = flat.size - (kernel - 1) * pitch
+            column_count = row_count - (kernel - 1)
+            row_or, column_or = scratch[0, :row_count], scratch[1, :column_count]
+            # Window rows first (shifts by one pitch), then window columns.
+            for source, count, shift, out in (
+                (flat, row_count, pitch, row_or),
+                (row_or, column_count, 1, column_or),
+            ):
+                for offset in range(1, kernel):
+                    ctx.pool_steps.append(
+                        (
+                            source[:count] if offset == 1 else out,
+                            source[offset * shift : offset * shift + count],
+                            out,
+                        )
+                    )
+            bits = scratch[1].reshape(bits.shape)
+        ctx.pooled = bits[
+            (Ellipsis,) + tuple(slice(0, stride * (size - 1) + 1, stride) for size in pooled)
+        ]
+        ctx.high = np.where(self.flipped[rows], -1.0, 1.0).astype(self.dtype).reshape(per_channel)
+        ctx.low = -ctx.high
+        ctx.out = arena.buffer((key, "out"), ctx.output_shape)
+        return ctx
+
+    def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
+        np.greater_equal(
+            x if ctx.source is None else ctx.source, ctx.threshold, out=ctx.target
+        )
+        for left, right, out in ctx.pool_steps:
+            np.bitwise_or(left, right, out=out)
+        np.copyto(ctx.out, ctx.low)
+        np.copyto(ctx.out, ctx.high, where=ctx.pooled)
+        return ctx.out
+
+
+class _GemmOp(_Op):
+    """What the four GEMM ops — conv and linear, float and bitpacked — fuse
+    behind the GEMM: bias add, ReLU, or the rest of a binary block."""
+
+    def _set_tail(
+        self,
+        bias: Optional[np.ndarray],
+        bias_shape: Tuple[int, ...],
+        relu: bool,
+        sign: Optional[SignOp],
+    ) -> None:
+        self.bias = (
+            None if bias is None else np.asarray(bias, dtype=self.dtype).reshape(bias_shape)
+        )
+        self.relu = bool(relu)
+        self.sign = sign
+
+    def _tail_signature(self) -> tuple:
+        return (
+            self.bias is None,
+            self.relu,
+            None if self.sign is None else self.sign.signature(),
+        )
+
+    def _stacked_tail(self, ops: Sequence["_GemmOp"]) -> dict:
+        return dict(
+            bias=None if self.bias is None else np.concatenate([op.bias for op in ops]),
+            relu=self.relu,
+            sign=None if self.sign is None else self.sign.stacked([op.sign for op in ops]),
+            dtype=self.dtype,
+        )
+
+    def _bind_tail(
+        self, ctx: SimpleNamespace, arena: Arena, key: object, rows: slice, grid_w: int = 0
+    ) -> None:
+        """``ctx.result`` is the GEMM's contiguous output, ``ctx.valid`` the
+        view of it that is the op's value."""
+        ctx.bias = None if self.bias is None else self.bias[rows]
+        ctx.output_shape = ctx.valid.shape
+        ctx.sign = None
+        if self.sign is not None:
+            ctx.sign = self.sign.prepare(
+                ctx.valid.shape, arena, (key, "sign"), rows.start, grid=ctx.result, grid_w=grid_w
+            )
+            ctx.output_shape = ctx.sign.output_shape
+
+    def _finish(self, ctx: SimpleNamespace) -> np.ndarray:
+        if ctx.bias is not None:
+            ctx.result += ctx.bias
+        if self.relu:
+            np.maximum(ctx.result, 0.0, out=ctx.result)
+        if ctx.sign is None:
+            return ctx.valid
+        return self.sign.run(ctx.valid, ctx.sign)
+
+
+class ConvOp(_GemmOp):
     """2-D convolution on pre-packed weight matrices.
 
     ``weight`` is the (possibly binarized and/or BatchNorm-folded) 4-D
@@ -325,7 +606,9 @@ class ConvOp(_Op):
       gathered into the column matrix, then the same GEMM the eager path
       performs (bit-identical when nothing was folded).
 
-    Bias add and the optional fused ReLU run in place on the GEMM output.
+    Bias add and the optional fused ReLU run in place on the GEMM output;
+    ``sign`` is the rest of a binary block (see :class:`SignOp`), run on the
+    GEMM grid itself.
     """
 
     def __init__(
@@ -336,6 +619,7 @@ class ConvOp(_Op):
         padding: int,
         relu: bool = False,
         dtype: np.dtype = np.float64,
+        sign: Optional[SignOp] = None,
     ) -> None:
         self.dtype = np.dtype(dtype)
         self.weight = np.ascontiguousarray(_grouped(np.asarray(weight), 4), dtype=self.dtype)
@@ -346,14 +630,9 @@ class ConvOp(_Op):
             self.kernel_h,
             self.kernel_w,
         ) = self.weight.shape
-        self.bias = (
-            None
-            if bias is None
-            else np.asarray(bias, dtype=self.dtype).reshape(self.groups, 1, self.out_channels, 1)
-        )
+        self._set_tail(bias, (self.groups, 1, self.out_channels, 1), relu, sign)
         self.stride = int(stride)
         self.padding = int(padding)
-        self.relu = bool(relu)
         self._shift_add = self.stride == 1 and self.out_channels < self.in_channels
         self._row_runs = not self._shift_add and self.stride == 1 and self.padding > 0
         if self._shift_add:
@@ -370,25 +649,20 @@ class ConvOp(_Op):
         return (
             type(self),
             self.weight.shape,
-            self.bias is None,
             self.stride,
             self.padding,
-            self.relu,
             self.dtype,
-        )
+        ) + self._tail_signature()
 
     def stacked(self, ops: Sequence["ConvOp"]) -> "ConvOp":
         return type(self)(
             np.concatenate([op.weight for op in ops]),
-            None if self.bias is None else np.concatenate([op.bias for op in ops]),
             stride=self.stride,
             padding=self.padding,
-            relu=self.relu,
-            dtype=self.dtype,
+            **self._stacked_tail(ops),
         )
 
     def _output_size(self, shape: Tuple[int, ...]) -> Tuple[int, int]:
-        self._check_groups(shape)
         channels, height, width = shape[2:]
         if channels != self.in_channels:
             raise CompileError(
@@ -400,13 +674,16 @@ class ConvOp(_Op):
             raise CompileError(f"conv output collapses to {out_h}x{out_w}")
         return out_h, out_w
 
-    def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
+    def prepare(
+        self, shape: Tuple[int, ...], arena: Arena, key: object, first_group: int = 0
+    ) -> SimpleNamespace:
         groups, batch, channels, height, width = shape
+        rows = self._rows(shape, first_group)
         out_h, out_w = self._output_size(shape)
         pad = self.padding
         padded_h, padded_w = height + 2 * pad, width + 2 * pad
         lead = (groups, batch)
-        ctx = SimpleNamespace(output_shape=lead + (self.out_channels, out_h, out_w))
+        ctx = SimpleNamespace(weights=self._weights[rows])
         ctx.padded = (
             arena.buffer((key, "pad"), lead + (channels, padded_h, padded_w), fill=0.0)
             if pad
@@ -420,9 +697,9 @@ class ConvOp(_Op):
         # right margin (where a row run would leave the padded image); that
         # tail of ``out`` is never read.
         columns = (out_h - 1) * grid_w + out_w
-        ctx.out = arena.buffer((key, "out"), lead + (self.out_channels, out_h * grid_w))
-        ctx.result = ctx.out[..., :columns]
-        ctx.out5 = ctx.out.reshape(lead + (self.out_channels, out_h, grid_w))[..., :out_w]
+        out = arena.buffer((key, "out"), lead + (self.out_channels, out_h * grid_w))
+        ctx.result = out[..., :columns]
+        ctx.valid = out.reshape(lead + (self.out_channels, out_h, grid_w))[..., :out_w]
         if self._shift_add:
             positions = self.kernel_h * self.kernel_w
             ctx.products = arena.scratch(
@@ -436,21 +713,22 @@ class ConvOp(_Op):
                 for ky in range(self.kernel_h)
                 for kx in range(self.kernel_w)
             ]
-            return ctx
-        ctx.cols = arena.scratch(
-            lead + (channels * self.kernel_h * self.kernel_w, columns)
-        )
-        grid = (columns,) if self._row_runs else (out_h, out_w)
-        ctx.gathered = ctx.cols.reshape(
-            lead + (channels, self.kernel_h, self.kernel_w) + grid
-        )
-        # Patch views over the persistent padded buffer never move; without
-        # padding the source is the op's input and they are taken per run.
-        ctx.patches = None
-        if self._row_runs:
-            ctx.patches = self._row_runs_of(ctx.padded, columns)
-        elif pad:
-            ctx.patches = self._windows_of(ctx.padded)
+        else:
+            ctx.cols = arena.scratch(
+                lead + (channels * self.kernel_h * self.kernel_w, columns)
+            )
+            grid = (columns,) if self._row_runs else (out_h, out_w)
+            ctx.gathered = ctx.cols.reshape(
+                lead + (channels, self.kernel_h, self.kernel_w) + grid
+            )
+            # Patch views over the persistent padded buffer never move; without
+            # padding the source is the op's input and they are taken per run.
+            ctx.patches = None
+            if self._row_runs:
+                ctx.patches = self._row_runs_of(ctx.padded, columns)
+            elif pad:
+                ctx.patches = self._windows_of(ctx.padded)
+        self._bind_tail(ctx, arena, key, rows, grid_w)
         return ctx
 
     def _row_runs_of(self, padded: np.ndarray, columns: int) -> np.ndarray:
@@ -478,31 +756,31 @@ class ConvOp(_Op):
             source = x
         if self._shift_add:
             flat = source.reshape(source.shape[:3] + (-1,))
-            np.matmul(self._weights, flat, out=ctx.products)
-            np.copyto(ctx.out5, ctx.position_slices[0])
+            np.matmul(ctx.weights, flat, out=ctx.products)
+            np.copyto(ctx.valid, ctx.position_slices[0])
             for position in ctx.position_slices[1:]:
-                np.add(ctx.out5, position, out=ctx.out5)
+                np.add(ctx.valid, position, out=ctx.valid)
         else:
             patches = ctx.patches if ctx.patches is not None else self._windows_of(source)
             np.copyto(ctx.gathered, patches)
-            np.matmul(self._weights, ctx.cols, out=ctx.result)
-        if self.bias is not None:
-            ctx.result += self.bias
-        if self.relu:
-            np.maximum(ctx.result, 0.0, out=ctx.result)
-        return ctx.out5
+            np.matmul(ctx.weights, ctx.cols, out=ctx.result)
+        return self._finish(ctx)
 
 
-class LinearOp(_Op):
+class LinearOp(_GemmOp):
     """Fully connected layer on a pre-packed (possibly folded) weight.
 
     The transposed-view operand layout matches the eager
     ``inputs.matmul(weight.transpose())`` call exactly, so unfolded results
     are bit-identical.  A stacked op holds ``(G, out, in)`` weights and runs
     ``(G, B, in) @ (G, in, out)``: one GEMM per group over that group's
-    contiguous rows, each with the single op's operand layout.  The optional
-    ReLU epilogue runs in place.
+    contiguous rows, each with the single op's operand layout — which makes
+    the groups independent of each other, but not the samples of a batch
+    (they are the GEMM's rows).  The optional ReLU epilogue runs in place;
+    ``sign`` is the rest of a binary FC block (see :class:`SignOp`).
     """
+
+    splits_batch = False
 
     def __init__(
         self,
@@ -510,50 +788,43 @@ class LinearOp(_Op):
         bias: Optional[np.ndarray],
         relu: bool = False,
         dtype: np.dtype = np.float64,
+        sign: Optional[SignOp] = None,
     ) -> None:
         self.dtype = np.dtype(dtype)
         self.weight = np.ascontiguousarray(_grouped(np.asarray(weight), 2), dtype=self.dtype)
         self.groups, self.out_features, self.in_features = self.weight.shape
         self._weight_t = self.weight.transpose(0, 2, 1)
-        self.bias = (
-            None
-            if bias is None
-            else np.asarray(bias, dtype=self.dtype).reshape(self.groups, 1, self.out_features)
-        )
-        self.relu = bool(relu)
+        self._set_tail(bias, (self.groups, 1, self.out_features), relu, sign)
 
     def signature(self) -> tuple:
-        return (type(self), self.weight.shape, self.bias is None, self.relu, self.dtype)
+        return (type(self), self.weight.shape, self.dtype) + self._tail_signature()
 
     def stacked(self, ops: Sequence["LinearOp"]) -> "LinearOp":
         return type(self)(
-            np.concatenate([op.weight for op in ops]),
-            None if self.bias is None else np.concatenate([op.bias for op in ops]),
-            relu=self.relu,
-            dtype=self.dtype,
+            np.concatenate([op.weight for op in ops]), **self._stacked_tail(ops)
         )
 
     def _check_input(self, shape: Tuple[int, ...]) -> None:
-        self._check_groups(shape)
         if shape[2] != self.in_features:
             raise CompileError(
                 f"linear expects {self.in_features} input features, got {shape[2]}"
             )
 
-    def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
+    def prepare(
+        self, shape: Tuple[int, ...], arena: Arena, key: object, first_group: int = 0
+    ) -> SimpleNamespace:
         self._check_input(shape)
-        output_shape = shape[:2] + (self.out_features,)
-        return SimpleNamespace(
-            output_shape=output_shape, out=arena.buffer((key, "out"), output_shape)
+        rows = self._rows(shape, first_group)
+        ctx = SimpleNamespace(weights=self._weight_t[rows])
+        ctx.result = ctx.valid = arena.buffer(
+            (key, "out"), tuple(shape[:2]) + (self.out_features,)
         )
+        self._bind_tail(ctx, arena, key, rows)
+        return ctx
 
     def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
-        np.matmul(x, self._weight_t, out=ctx.out)
-        if self.bias is not None:
-            ctx.out += self.bias
-        if self.relu:
-            np.maximum(ctx.out, 0.0, out=ctx.out)
-        return ctx.out
+        np.matmul(x, ctx.weights, out=ctx.result)
+        return self._finish(ctx)
 
 
 class _PoolOp(_Op):
@@ -569,7 +840,9 @@ class _PoolOp(_Op):
     def signature(self) -> tuple:
         return (type(self), self.kernel_size, self.stride, self.padding)
 
-    def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
+    def prepare(
+        self, shape: Tuple[int, ...], arena: Arena, key: object, first_group: int = 0
+    ) -> SimpleNamespace:
         height, width = shape[-2:]
         out_h = conv_output_size(height, self.kernel_size, self.stride, self.padding)
         out_w = conv_output_size(width, self.kernel_size, self.stride, self.padding)
@@ -612,7 +885,9 @@ class MaxPoolOp(_PoolOp):
 
     pad_fill = -np.inf
 
-    def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
+    def prepare(
+        self, shape: Tuple[int, ...], arena: Arena, key: object, first_group: int = 0
+    ) -> SimpleNamespace:
         ctx = super().prepare(shape, arena, key)
         out_h, out_w = ctx.output_shape[-2:]
         source_w = shape[-1] + 2 * self.padding
@@ -654,7 +929,9 @@ class AvgPoolOp(_PoolOp):
 
     pad_fill = 0.0
 
-    def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
+    def prepare(
+        self, shape: Tuple[int, ...], arena: Arena, key: object, first_group: int = 0
+    ) -> SimpleNamespace:
         ctx = super().prepare(shape, arena, key)
         ctx.slices = (
             _window_position_slices(ctx.padded, self.kernel_size, self.stride)
@@ -679,19 +956,16 @@ class AvgPoolOp(_PoolOp):
 class BatchNormOp(_Op):
     """Inference batch norm replaying the eager op order bit for bit.
 
-    Used when the BatchNorm could not be folded into a preceding linear op —
-    in particular when a sign activation follows, where re-associated
-    arithmetic could flip a borderline sign.  In exact (float64/bitpacked)
-    modes it computes ``(x - mean) / std * gamma + beta`` with exactly the
-    eager sequence of broadcast elementwise ops, then the optional fused
-    sign/ReLU epilogue.
+    Used when the BatchNorm could neither be folded into a preceding linear
+    op nor, a sign following it, be turned into a :class:`SignOp`'s
+    thresholds.  In exact (float64/bitpacked) modes it computes
+    ``(x - mean) / std * gamma + beta`` with exactly the eager sequence of
+    broadcast elementwise ops, then the optional fused ReLU.
 
     In ``float32`` mode — where the guarantee is tolerance-based, not
     bitwise — the four broadcast ops collapse to the pre-computed affine
-    ``x * scale + shift`` (two dispatches) and the 3-dispatch sign epilogue
-    to a single ``np.copysign``; at serving batch sizes the per-op numpy
-    dispatch cost rivals the array work, so halving the dispatch count is
-    where much of fp32's batch-1 latency win comes from.
+    ``x * scale + shift`` (two dispatches); at serving batch sizes the
+    per-op numpy dispatch cost rivals the array work.
 
     Parameters arrive shaped to broadcast against ``(groups, batch, ...)``
     inputs — ``(G, 1, F)`` or ``(G, 1, F, 1, 1)``.
@@ -703,7 +977,6 @@ class BatchNormOp(_Op):
         std: np.ndarray,
         gamma: np.ndarray,
         beta: np.ndarray,
-        sign: bool = False,
         relu: bool = False,
         dtype: np.dtype = np.float64,
     ) -> None:
@@ -715,7 +988,6 @@ class BatchNormOp(_Op):
         self.gamma = np.asarray(gamma, dtype=np.float64)
         self.beta = np.asarray(beta, dtype=np.float64)
         self.groups = self.mean.shape[0]
-        self.sign = bool(sign)
         self.relu = bool(relu)
         self._exact = self.dtype == np.float64
         if not self._exact:
@@ -725,7 +997,7 @@ class BatchNormOp(_Op):
             self._shift = (self.beta - self.mean * scale).astype(self.dtype)
 
     def signature(self) -> tuple:
-        return (type(self), self.mean.shape, self.sign, self.relu, self.dtype)
+        return (type(self), self.mean.shape, self.relu, self.dtype)
 
     def stacked(self, ops: Sequence["BatchNormOp"]) -> "BatchNormOp":
         return type(self)(
@@ -733,42 +1005,31 @@ class BatchNormOp(_Op):
                 np.concatenate([getattr(op, name) for op in ops])
                 for name in ("mean", "std", "gamma", "beta")
             ),
-            sign=self.sign,
             relu=self.relu,
             dtype=self.dtype,
         )
 
-    def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
-        self._check_groups(shape)
+    def prepare(
+        self, shape: Tuple[int, ...], arena: Arena, key: object, first_group: int = 0
+    ) -> SimpleNamespace:
+        rows = self._rows(shape, first_group)
+        names = ("mean", "std", "gamma", "beta") if self._exact else ("_scale", "_shift")
         return SimpleNamespace(
             output_shape=tuple(shape),
             out=arena.buffer((key, "out"), shape),
-            mask=(
-                arena.bool_buffer((key, "mask"), shape)
-                if self.sign and self._exact
-                else None
-            ),
+            **{name.lstrip("_"): getattr(self, name)[rows] for name in names},
         )
 
     def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
         if self._exact:
-            np.subtract(x, self.mean, out=ctx.out)
-            np.divide(ctx.out, self.std, out=ctx.out)
-            np.multiply(ctx.out, self.gamma, out=ctx.out)
-            np.add(ctx.out, self.beta, out=ctx.out)
-            if self.sign:
-                _sign_inplace(ctx.out, ctx.mask)
-            elif self.relu:
-                np.maximum(ctx.out, 0.0, out=ctx.out)
-            return ctx.out
-        np.multiply(x, self._scale, out=ctx.out)
-        np.add(ctx.out, self._shift, out=ctx.out)
-        if self.sign:
-            # copysign(1, -0.0) is -1 where the eager rule gives +1; exact
-            # zeros are vanishingly rare in fp32 BN output and covered by
-            # the mode's routing-agreement tolerance.
-            np.copysign(self.dtype.type(1.0), ctx.out, out=ctx.out)
-        elif self.relu:
+            np.subtract(x, ctx.mean, out=ctx.out)
+            np.divide(ctx.out, ctx.std, out=ctx.out)
+            np.multiply(ctx.out, ctx.gamma, out=ctx.out)
+            np.add(ctx.out, ctx.beta, out=ctx.out)
+        else:
+            np.multiply(x, ctx.scale, out=ctx.out)
+            np.add(ctx.out, ctx.shift, out=ctx.out)
+        if self.relu:
             np.maximum(ctx.out, 0.0, out=ctx.out)
         return ctx.out
 
@@ -776,29 +1037,17 @@ class BatchNormOp(_Op):
 class _ElementwiseOp(_Op):
     """Base for activations that write into their own same-shaped buffer."""
 
-    needs_mask = False
-
-    def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
+    def prepare(
+        self, shape: Tuple[int, ...], arena: Arena, key: object, first_group: int = 0
+    ) -> SimpleNamespace:
         return SimpleNamespace(
-            output_shape=tuple(shape),
-            out=arena.buffer((key, "out"), shape),
-            mask=arena.bool_buffer((key, "mask"), shape) if self.needs_mask else None,
+            output_shape=tuple(shape), out=arena.buffer((key, "out"), shape)
         )
 
 
 class ReluOp(_ElementwiseOp):
     def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
         np.maximum(x, 0.0, out=ctx.out)
-        return ctx.out
-
-
-class SignOp(_ElementwiseOp):
-    needs_mask = True
-
-    def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
-        np.greater_equal(x, 0.0, out=ctx.mask)
-        np.multiply(ctx.mask, 2.0, out=ctx.out)
-        ctx.out -= 1.0
         return ctx.out
 
 
@@ -820,7 +1069,9 @@ class TanhOp(_ElementwiseOp):
 class FlattenOp(_Op):
     """Flatten each sample (all axes after ``(groups, batch)``); a reshape view."""
 
-    def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
+    def prepare(
+        self, shape: Tuple[int, ...], arena: Arena, key: object, first_group: int = 0
+    ) -> SimpleNamespace:
         flattened = int(np.prod(shape[2:], dtype=np.int64))
         return SimpleNamespace(output_shape=tuple(shape[:2]) + (flattened,))
 
@@ -828,7 +1079,7 @@ class FlattenOp(_Op):
         return x.reshape(ctx.output_shape)
 
 
-class PackedConvOp(_Op):
+class PackedConvOp(_GemmOp):
     """Bitpacked XNOR+popcount convolution for ±1 weights over ±1 inputs.
 
     Signs of the im2col windows are packed 64-per-word into ``uint64``; each
@@ -853,6 +1104,7 @@ class PackedConvOp(_Op):
         padding: int,
         relu: bool = False,
         dtype: np.dtype = np.float64,
+        sign: Optional[SignOp] = None,
     ) -> None:
         self.dtype = np.dtype(dtype)
         self.weight = np.ascontiguousarray(_grouped(np.asarray(weight), 4), dtype=np.float64)
@@ -863,14 +1115,9 @@ class PackedConvOp(_Op):
             self.kernel_h,
             self.kernel_w,
         ) = self.weight.shape
-        self.bias = (
-            None
-            if bias is None
-            else np.asarray(bias, dtype=self.dtype).reshape(self.groups, 1, self.out_channels, 1)
-        )
+        self._set_tail(bias, (self.groups, 1, self.out_channels, 1), relu, sign)
         self.stride = int(stride)
         self.padding = int(padding)
-        self.relu = bool(relu)
         self._weight_matrix = self.weight.reshape(self.groups, self.out_channels, -1)
         self.k_valid = self._weight_matrix.shape[-1]
         packed, self._words = _pack_sign_rows(self._weight_matrix.reshape(-1, self.k_valid))
@@ -881,15 +1128,18 @@ class PackedConvOp(_Op):
     stacked = ConvOp.stacked
     _output_size = ConvOp._output_size
 
-    def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
+    def prepare(
+        self, shape: Tuple[int, ...], arena: Arena, key: object, first_group: int = 0
+    ) -> SimpleNamespace:
         groups, batch, channels, height, width = shape
+        rows = self._rows(shape, first_group)
         out_h, out_w = self._output_size(shape)
         pad = self.padding
         padded_h, padded_w = height + 2 * pad, width + 2 * pad
         positions = out_h * out_w
         words = self._words
         lead = (groups, batch)
-        ctx = SimpleNamespace(output_shape=lead + (self.out_channels, out_h, out_w))
+        ctx = SimpleNamespace(weights=self._weight_packed[rows])
         # Signs are taken on the compact (padded) source — kh*kw times fewer
         # elements than the expanded window view — and the im2col gather then
         # moves 1-byte bools instead of 8-byte floats.  The padded border is
@@ -925,13 +1175,16 @@ class PackedConvOp(_Op):
         ctx.counts = arena.buffer(
             (key, "cnt"), lead + (self.out_channels, positions), dtype=np.int64
         )
-        ctx.out = arena.buffer((key, "out"), lead + (self.out_channels, positions))
-        ctx.out5 = ctx.out.reshape(ctx.output_shape)
-        ctx.corr = self._pad_correction(channels, padded_h, padded_w, positions) if pad else None
+        ctx.result = arena.buffer((key, "out"), lead + (self.out_channels, positions))
+        ctx.valid = ctx.result.reshape(lead + (self.out_channels, out_h, out_w))
+        ctx.corr = (
+            self._pad_correction(rows, channels, padded_h, padded_w, positions) if pad else None
+        )
+        self._bind_tail(ctx, arena, key, rows, grid_w=out_w)
         return ctx
 
     def _pad_correction(
-        self, channels: int, padded_h: int, padded_w: int, positions: int
+        self, rows: slice, channels: int, padded_h: int, padded_w: int, positions: int
     ) -> np.ndarray:
         """Exact integer ``(G, 1, out_channels, positions)`` zero-padding repair."""
         pad = self.padding
@@ -941,27 +1194,23 @@ class PackedConvOp(_Op):
         mask_cols = np.ascontiguousarray(
             mask_windows.transpose(0, 1, 4, 5, 2, 3)
         ).reshape(self.k_valid, positions)
-        return (self._weight_matrix @ mask_cols)[:, None]
+        return (self._weight_matrix[rows] @ mask_cols)[:, None]
 
     def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
         np.greater(x, 0.0, out=ctx.interior_bits)
         np.copyto(ctx.bits, ctx.bit_windows)
         packed = np.packbits(ctx.bits_flat, axis=-1)
         ctx.act_u8[..., : packed.shape[-1]] = packed
-        np.bitwise_xor(ctx.act, self._weight_packed, out=ctx.xor)
+        np.bitwise_xor(ctx.act, ctx.weights, out=ctx.xor)
         _popcount_words(ctx.xor, ctx.pop, ctx.counts)
-        np.multiply(ctx.counts, -2.0, out=ctx.out)
-        ctx.out += float(self.k_valid)
+        np.multiply(ctx.counts, -2.0, out=ctx.result)
+        ctx.result += float(self.k_valid)
         if ctx.corr is not None:
-            ctx.out += ctx.corr
-        if self.bias is not None:
-            ctx.out += self.bias
-        if self.relu:
-            np.maximum(ctx.out, 0.0, out=ctx.out)
-        return ctx.out5
+            ctx.result += ctx.corr
+        return self._finish(ctx)
 
 
-class PackedLinearOp(_Op):
+class PackedLinearOp(_GemmOp):
     """Bitpacked XNOR+popcount fully connected layer for ±1 weights/inputs.
 
     One broadcast XOR of the packed ``(G, B, 1, words)`` activations against
@@ -976,28 +1225,28 @@ class PackedLinearOp(_Op):
         bias: Optional[np.ndarray],
         relu: bool = False,
         dtype: np.dtype = np.float64,
+        sign: Optional[SignOp] = None,
     ) -> None:
         self.dtype = np.dtype(dtype)
         self.weight = np.ascontiguousarray(_grouped(np.asarray(weight), 2), dtype=np.float64)
         self.groups, self.out_features, self.in_features = self.weight.shape
         packed, self._words = _pack_sign_rows(self.weight.reshape(-1, self.in_features))
         self._weight_packed = packed.reshape(self.groups, 1, self.out_features, self._words)
-        self.bias = (
-            None
-            if bias is None
-            else np.asarray(bias, dtype=self.dtype).reshape(self.groups, 1, self.out_features)
-        )
-        self.relu = bool(relu)
+        self._set_tail(bias, (self.groups, 1, self.out_features), relu, sign)
 
     signature = LinearOp.signature
     stacked = LinearOp.stacked
     _check_input = LinearOp._check_input
 
-    def prepare(self, shape: Tuple[int, ...], arena: Arena, key: object) -> SimpleNamespace:
+    def prepare(
+        self, shape: Tuple[int, ...], arena: Arena, key: object, first_group: int = 0
+    ) -> SimpleNamespace:
         self._check_input(shape)
+        rows = self._rows(shape, first_group)
         lead = tuple(shape[:2])
         words = self._words
-        ctx = SimpleNamespace(output_shape=lead + (self.out_features,))
+        output_shape = lead + (self.out_features,)
+        ctx = SimpleNamespace(weights=self._weight_packed[rows])
         ctx.bits = arena.bool_buffer((key, "bits"), shape)
         ctx.act = arena.buffer((key, "act"), lead + (1, words), fill=0, dtype=np.uint64)
         ctx.act_u8 = ctx.act.view(np.uint8)[:, :, 0]
@@ -1009,20 +1258,17 @@ class PackedLinearOp(_Op):
             lead + (self.out_features, _popcount_scratch_width(words)),
             dtype=np.uint8,
         )
-        ctx.counts = arena.buffer((key, "cnt"), ctx.output_shape, dtype=np.int64)
-        ctx.out = arena.buffer((key, "out"), ctx.output_shape)
+        ctx.counts = arena.buffer((key, "cnt"), output_shape, dtype=np.int64)
+        ctx.result = ctx.valid = arena.buffer((key, "out"), output_shape)
+        self._bind_tail(ctx, arena, key, rows)
         return ctx
 
     def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
         np.greater(x, 0.0, out=ctx.bits)
         packed = np.packbits(ctx.bits, axis=-1)
         ctx.act_u8[..., : packed.shape[-1]] = packed
-        np.bitwise_xor(ctx.act, self._weight_packed, out=ctx.xor)
+        np.bitwise_xor(ctx.act, ctx.weights, out=ctx.xor)
         _popcount_words(ctx.xor, ctx.pop, ctx.counts)
-        np.multiply(ctx.counts, -2.0, out=ctx.out)
-        ctx.out += float(self.in_features)
-        if self.bias is not None:
-            ctx.out += self.bias
-        if self.relu:
-            np.maximum(ctx.out, 0.0, out=ctx.out)
-        return ctx.out
+        np.multiply(ctx.counts, -2.0, out=ctx.result)
+        ctx.result += float(self.in_features)
+        return self._finish(ctx)

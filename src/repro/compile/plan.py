@@ -9,24 +9,28 @@ layers, then runs a peephole pass that:
 * **folds BatchNorm** into the immediately preceding ``Conv2d``/``Linear``
   weights using the running statistics (``W' = W * gamma/std``,
   ``b' = b * gamma/std + beta - mean * gamma/std``) — *except* when a sign
-  activation follows, where the re-associated arithmetic could flip a
-  borderline sign; there the exact eager BatchNorm op is kept and the sign
-  is fused into it instead;
-* **fuses activations** — ReLU into the preceding conv/linear/BatchNorm,
-  sign into the preceding BatchNorm (the blocks never emit a bare
-  linear-then-sign pair, so that is the only sign fusion site).
+  activation follows, where re-associated arithmetic could flip a
+  borderline sign;
+* **turns the tail of a binary block into one comparison** — ``[MaxPool2d
+  ->] BatchNorm -> sign`` behind a conv/linear layer (the paper's fused
+  blocks, Fig. 3) becomes that layer's :class:`~repro.compile.ops.SignOp`:
+  exact per-channel thresholds on the GEMM output (the layer's bias and the
+  BatchNorm are inside them), hoisted above the pool, which then ORs
+  booleans; a ``BatchNorm -> sign`` pair behind anything else becomes a
+  ``SignOp`` of its own;
+* **fuses ReLU** into the preceding conv/linear/BatchNorm.
 
 The resulting :class:`CompiledPlan` executes on raw ``np.ndarray``s,
-depth-first over the batch: a forward runs in *passes* of as many samples
-as keep every buffer the ops touch cache-resident, each pass going through
-all the ops before the next starts.  The buffer arena is therefore sized
-for one pass, whatever the batch; programs (per-op bindings of the arena's
-leading rows) are cached per pass shape, so alternating shapes — a server
-interleaving batch-1 shed forwards with micro-batches — pays the
-preparation cost once per shape and owns one set of buffers, not one per
-shape.  :meth:`CompiledPlan.stacked` fuses N structurally identical plans
-(the DDNN's device branches) into one grouped plan that computes all of
-them side by side.
+depth-first in *tiles*: a forward runs in passes over as many groups and
+samples as keep every buffer the ops touch cache-resident, each pass going
+through all the ops before the next starts.  The buffer arena is therefore
+sized for one tile, whatever the batch; programs (per-op bindings of the
+arena's leading rows and a group range's parameter rows) are cached per
+tile shape, so alternating shapes — a server interleaving batch-1 shed
+forwards with micro-batches — pays the preparation cost once per shape and
+owns one set of buffers, not one per shape.  :meth:`CompiledPlan.stacked`
+fuses N structurally identical plans (the DDNN's device branches) into one
+grouped plan that computes all of them side by side.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ from .ops import (
     _IM2COL_BLOCK_BYTES,
     _Op,
     precision_dtype,
+    sign_thresholds,
     stack_ops,
 )
 
@@ -133,24 +138,15 @@ def _bn_scale_shift(bn) -> Tuple[np.ndarray, np.ndarray]:
     return scale, shift
 
 
-def _conv_weights(conv) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Snapshot (and binarize, for BNN layers) a conv's weights at compile time."""
-    weight = np.asarray(conv.weight.data, dtype=np.float64)
-    if isinstance(conv, BinaryConv2d):
+def _layer_weights(layer) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Snapshot (and binarize, for BNN layers) a conv/linear layer's weights
+    at compile time."""
+    weight = np.asarray(layer.weight.data, dtype=np.float64)
+    if isinstance(layer, (BinaryConv2d, BinaryLinear)):
         weight = np.where(weight >= 0, 1.0, -1.0)
     else:
         weight = weight.copy()
-    bias = None if conv.bias is None else np.asarray(conv.bias.data, dtype=np.float64).copy()
-    return weight, bias
-
-
-def _linear_weights(linear) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    weight = np.asarray(linear.weight.data, dtype=np.float64)
-    if isinstance(linear, BinaryLinear):
-        weight = np.where(weight >= 0, 1.0, -1.0)
-    else:
-        weight = weight.copy()
-    bias = None if linear.bias is None else np.asarray(linear.bias.data, dtype=np.float64).copy()
+    bias = None if layer.bias is None else np.asarray(layer.bias.data, dtype=np.float64).copy()
     return weight, bias
 
 
@@ -164,12 +160,12 @@ def build_ops(
     Returns ``(ops, output_signed)`` where ``output_signed`` records whether
     the plan's output is provably ±1 — the sign-propagation fact a caller
     feeds into the next plan's ``input_signed`` (and the precondition for
-    the bitpacked kernels).  ``signed`` becomes true after a fused
-    BatchNorm+sign or bare sign op, survives max pooling and flattening
-    (which only move/select ±1 values), and is destroyed by everything
-    else.  In ``"bitpacked"`` mode a Binary conv/linear whose weights stayed
-    pure ±1 (no BatchNorm folded in) and whose input is signed compiles to
-    the XNOR+popcount kernel instead of the float GEMM.
+    the bitpacked kernels).  ``signed`` becomes true after a binary block's
+    tail or a bare sign op, survives max pooling and flattening (which only
+    move/select ±1 values), and is destroyed by everything else.  In
+    ``"bitpacked"`` mode a Binary conv/linear whose weights stayed pure ±1
+    (no BatchNorm folded in) and whose input is signed compiles to the
+    XNOR+popcount kernel instead of the float GEMM.
     """
     dtype = precision_dtype(precision)
     bitpack = precision == "bitpacked"
@@ -182,72 +178,80 @@ def build_ops(
     def _at(position: int) -> Optional[Module]:
         return primitives[position] if position < total else None
 
+    def _binary_tail(cursor: int, batch_norm: type, bias: Optional[np.ndarray]):
+        """``(SignOp, position after it)`` when the rest of a binary block —
+        ``[MaxPool2d ->] BatchNorm -> sign`` — starts at ``cursor``, behind a
+        conv/linear layer with ``bias`` (which becomes part of the
+        thresholds: the caller drops its add) or behind nothing; else ``None``."""
+        pool = _at(cursor) if batch_norm is BatchNorm2d else None
+        if not isinstance(pool, MaxPool2d):
+            pool = None
+        at = cursor if pool is None else cursor + 1
+        bn = _at(at)
+        if not (isinstance(bn, batch_norm) and isinstance(_at(at + 1), BinaryActivation)):
+            return None
+        threshold, flipped = sign_thresholds(
+            bias,
+            np.asarray(bn.running_mean, dtype=np.float64),
+            np.sqrt(np.asarray(bn.running_var, dtype=np.float64) + bn.eps),
+            np.asarray(bn.gamma.data, dtype=np.float64),
+            np.asarray(bn.beta.data, dtype=np.float64),
+        )
+        geometry = (1, 1, 0) if pool is None else (pool.kernel_size, pool.stride, pool.padding)
+        return SignOp(threshold[None], flipped[None], pool=geometry, dtype=dtype), at + 2
+
     while index < total:
         module = primitives[index]
 
-        if isinstance(module, (Conv2d, BinaryConv2d)):
-            weight, bias = _conv_weights(module)
+        if isinstance(module, (Conv2d, BinaryConv2d, Linear, BinaryLinear)):
+            conv = isinstance(module, (Conv2d, BinaryConv2d))
+            batch_norm = BatchNorm2d if conv else BatchNorm1d
+            weight, bias = _layer_weights(module)
             folded = False
+            relu = False
             cursor = index + 1
-            if isinstance(_at(cursor), BatchNorm2d) and not isinstance(
-                _at(cursor + 1), BinaryActivation
-            ):
-                scale, shift = _bn_scale_shift(_at(cursor))
-                weight = weight * scale[:, None, None, None]
-                bias = shift if bias is None else bias * scale + shift
-                folded = True
-                cursor += 1
-            relu = isinstance(_at(cursor), ReLU)
-            if relu:
-                cursor += 1
-            conv_cls = (
-                PackedConvOp
-                if bitpack and signed and not folded and isinstance(module, BinaryConv2d)
-                else ConvOp
+            tail = _binary_tail(cursor, batch_norm, bias)
+            if tail is not None:
+                sign, cursor = tail
+                bias = None  # part of the thresholds
+            else:
+                sign = None
+                if isinstance(_at(cursor), batch_norm):
+                    scale, shift = _bn_scale_shift(_at(cursor))
+                    weight = weight * scale.reshape((-1,) + (1,) * (weight.ndim - 1))
+                    bias = shift if bias is None else bias * scale + shift
+                    folded = True
+                    cursor += 1
+                relu = isinstance(_at(cursor), ReLU)
+                if relu:
+                    cursor += 1
+            packed = (
+                bitpack
+                and signed
+                and not folded
+                and isinstance(module, (BinaryConv2d, BinaryLinear))
             )
-            ops.append(
-                conv_cls(
-                    weight,
-                    bias,
-                    stride=module.stride,
-                    padding=module.padding,
-                    relu=relu,
-                    dtype=dtype,
+            tail_kwargs = dict(relu=relu, dtype=dtype, sign=sign)
+            if conv:
+                ops.append(
+                    (PackedConvOp if packed else ConvOp)(
+                        weight, bias, stride=module.stride, padding=module.padding, **tail_kwargs
+                    )
                 )
-            )
-            signed = False
-            index = cursor
-            continue
-
-        if isinstance(module, (Linear, BinaryLinear)):
-            weight, bias = _linear_weights(module)
-            folded = False
-            cursor = index + 1
-            if isinstance(_at(cursor), BatchNorm1d) and not isinstance(
-                _at(cursor + 1), BinaryActivation
-            ):
-                scale, shift = _bn_scale_shift(_at(cursor))
-                weight = weight * scale[:, None]
-                bias = shift if bias is None else bias * scale + shift
-                folded = True
-                cursor += 1
-            relu = isinstance(_at(cursor), ReLU)
-            if relu:
-                cursor += 1
-            linear_cls = (
-                PackedLinearOp
-                if bitpack and signed and not folded and isinstance(module, BinaryLinear)
-                else LinearOp
-            )
-            ops.append(linear_cls(weight, bias, relu=relu, dtype=dtype))
-            signed = False
+            else:
+                ops.append((PackedLinearOp if packed else LinearOp)(weight, bias, **tail_kwargs))
+            signed = sign is not None
             index = cursor
             continue
 
         if isinstance(module, (BatchNorm1d, BatchNorm2d)):
-            follower = _at(index + 1)
-            sign = isinstance(follower, BinaryActivation)
-            relu = (not sign) and isinstance(follower, ReLU)
+            tail = _binary_tail(index, type(module), None)
+            if tail is not None:
+                sign, index = tail
+                ops.append(sign)
+                signed = True
+                continue
+            relu = isinstance(_at(index + 1), ReLU)
             # Broadcasts against (groups, batch, features[, h, w]) inputs.
             shape = (
                 (1, 1, module.num_features)
@@ -261,13 +265,12 @@ def build_ops(
                     std=std.reshape(shape),
                     gamma=np.asarray(module.gamma.data, dtype=np.float64).reshape(shape),
                     beta=np.asarray(module.beta.data, dtype=np.float64).reshape(shape),
-                    sign=sign,
                     relu=relu,
                     dtype=dtype,
                 )
             )
-            signed = sign
-            index += 2 if (sign or relu) else 1
+            signed = False
+            index += 2 if relu else 1
             continue
 
         if isinstance(module, MaxPool2d):
@@ -280,7 +283,7 @@ def build_ops(
             ops.append(ReluOp())
             signed = False
         elif isinstance(module, BinaryActivation):
-            ops.append(SignOp())
+            ops.append(SignOp(dtype=dtype))
             signed = True
         elif isinstance(module, Sigmoid):
             ops.append(SigmoidOp())
@@ -310,23 +313,27 @@ class CompiledPlan:
     The plan snapshots the module's weights at compile time (inference
     semantics: BatchNorm always uses running statistics).
 
-    **Passes.**  A forward splits its batch into passes of ``_pass_size``
-    samples — as many as keep the ops' buffers plus their im2col scratch
-    within ``_IM2COL_BLOCK_BYTES`` — and runs every op on one pass before
-    the next pass starts, so intermediates are consumed while still in
-    cache instead of streaming the whole batch through memory once per op.
-    This is the one blocking scheme of the compiled stack, the same in
-    every precision, and it is exact: every op a pass goes through treats
-    the samples of a batch independently (a conv is one GEMM per sample).
-    The one op that does not is the float linear layer, whose GEMM has the
-    batch as its row count (and BLAS may round a row differently in a
-    shorter matrix), so a plan that contains one — alone or after convs —
-    always runs its batch as a single pass; a sample of the DDNN's linear
-    plans is a few hundred bytes.  Buffers live in a private :class:`Arena`
-    sized for the largest pass so far; the first forward with a new pass
-    shape prepares a program (binding the arena's leading rows per op) which
-    is then cached, so later forwards — also after other shapes in between —
-    run with zero preparation work.
+    **Passes.**  A forward runs in tiles of ``(group range, batch range)``
+    — as many samples of every group as keep the ops' buffers plus their
+    im2col scratch within ``_IM2COL_BLOCK_BYTES`` or, when one sample of all
+    groups already exceeds that (the six device branches: 1.9 MB), as many
+    *groups* of one sample as fit — and runs every op on one tile before the
+    next tile starts, so intermediates are consumed while still in cache
+    instead of streaming the whole batch through memory once per op.  This
+    is the one blocking scheme of the compiled stack, the same in every
+    precision, and it is exact: groups are independent in every op (a
+    grouped linear layer is one GEMM per group), and every op a batch range
+    goes through treats the samples of a batch independently (a conv is one
+    GEMM per sample).  The one op that does not is the float linear layer,
+    whose GEMM has the batch as its row count (and BLAS may round a row
+    differently in a shorter matrix), so a plan that contains one — alone
+    or after convs — never splits its batch, only its groups; a sample of
+    the DDNN's linear plans is a few hundred bytes.  Buffers live in a
+    private :class:`Arena` sized for the largest tile so far, which every
+    group range shares; the first forward with a new tile shape prepares a
+    program per group range (binding the arena's leading rows and the
+    range's parameter rows per op) which is then cached, so later forwards —
+    also after other shapes in between — run with zero preparation work.
 
     **Output lifetime.**  The returned array is a view into a buffer that
     forwards of *every* batch size share: it is valid until the next
@@ -351,21 +358,22 @@ class CompiledPlan:
         ops, self.output_signed = build_ops(
             flatten_modules(module), precision=precision, input_signed=input_signed
         )
-        self._bind(ops, grouped=False)
+        self._bind(ops, groups=None)
 
-    def _bind(self, ops: List[_Op], grouped: bool) -> None:
+    def _bind(self, ops: List[_Op], groups: Optional[int]) -> None:
         self.ops = ops
-        #: Whether inputs carry the leading group axis themselves.
-        self.grouped = grouped
+        #: Parameter sets the ops hold, which inputs then carry as their leading
+        #: axis; ``None`` for a plan compiled from one module stack.
+        self.groups = groups
         self._arena = Arena(dtype=self.dtype)
-        #: Whole-batch outputs of forwards that ran in several passes.
+        #: Whole-batch outputs of forwards that ran in several tiles.
         self._outputs = Arena(dtype=self.dtype)
-        #: input shape of one pass -> list of (op, context) pairs
+        #: (tile input shape, first group) -> list of (op, context) pairs
         self._programs: dict = {}
-        #: (groups, *sample shape) -> samples one pass takes
-        self._pass_sizes: dict = {}
+        #: (groups, *sample shape) -> bytes one sample of every group takes
+        self._sample_bytes: dict = {}
         #: A float linear GEMM takes the batch as rows: never split it.
-        self._single_pass = any(type(op) is LinearOp for op in ops)
+        self._splits_batch = all(op.splits_batch for op in ops)
         self._planned_shape: Optional[Tuple[int, ...]] = None
         self.output_shape: Optional[Tuple[int, ...]] = None
         # Per-op wall-time accumulation (opt-in; the untimed forward loop
@@ -391,7 +399,7 @@ class CompiledPlan:
         plan.precision = first.precision
         plan.dtype = first.dtype
         plan.output_signed = all(each.output_signed for each in plans)
-        plan._bind(ops, grouped=True)
+        plan._bind(ops, groups=len(plans))
         return plan
 
     def __repr__(self) -> str:
@@ -402,44 +410,49 @@ class CompiledPlan:
         """Bytes of buffer memory the plan currently holds."""
         return self._arena.nbytes() + self._outputs.nbytes()
 
-    def _program_for(self, shape: Tuple[int, ...]) -> list:
-        """The ``(op, context)`` steps for one pass over a ``(groups, batch, ...)`` input."""
+    def _program_for(self, shape: Tuple[int, ...], first_group: int) -> list:
+        """The ``(op, context)`` steps for one tile: a ``(groups, batch, ...)``
+        input holding the groups from ``first_group`` on."""
         if self._arena.reserve(shape[1]):
             self._programs.clear()  # they bind the dropped, smaller buffers
-        steps = self._programs.get(shape)
+        steps = self._programs.get((shape, first_group))
         if steps is None:
             current = tuple(shape)
             steps = []
             for index, op in enumerate(self.ops):
-                context = op.prepare(current, self._arena, index)
+                context = op.prepare(current, self._arena, index, first_group)
                 steps.append((op, context))
                 current = context.output_shape
-            self._programs[shape] = steps
+            self._programs[shape, first_group] = steps
         return steps
 
-    def _pass_size(self, shape: Tuple[int, ...]) -> int:
-        """Samples (per group) one pass over this kind of input takes: as many
-        as keep the pass's buffers and scratch inside the cache-block budget,
-        sized by preparing a single-sample program on a throwaway arena — or
-        the whole batch when a float linear layer's GEMM would be split."""
-        if self._single_pass:
-            return shape[1]
+    def _tile(self, shape: Tuple[int, ...]) -> Tuple[int, int]:
+        """``(groups, samples)`` one pass over this kind of input takes: as
+        many samples of every group as keep the pass's buffers and scratch
+        inside the cache-block budget — sized by preparing a single-sample
+        program on a throwaway arena — and, when not even one sample of
+        every group fits, as many groups as do.  A float linear layer's GEMM
+        is never split: the batch stays whole and only the groups divide."""
+        groups, batch = shape[:2]
         kind = shape[:1] + shape[2:]
-        size = self._pass_sizes.get(kind)
-        if size is None:
+        sample = self._sample_bytes.get(kind)
+        if sample is None:
             probe = Arena(dtype=self.dtype)
             probe.reserve(1)
             current = shape[:1] + (1,) + shape[2:]
             for index, op in enumerate(self.ops):
                 current = op.prepare(current, probe, index).output_shape
-            size = self._pass_sizes[kind] = max(
-                1, _IM2COL_BLOCK_BYTES // max(1, probe.nbytes())
-            )
-        return size
+            sample = self._sample_bytes[kind] = max(1, probe.nbytes())
+        samples = batch
+        if self._splits_batch:
+            samples = min(batch, max(1, _IM2COL_BLOCK_BYTES // sample))
+        # ``sample / groups`` bytes per image: every group when the samples fit.
+        fitting = _IM2COL_BLOCK_BYTES * groups // (sample * samples)
+        return min(groups, max(1, fitting)), samples
 
-    def _run(self, x: np.ndarray) -> np.ndarray:
+    def _run(self, x: np.ndarray, first_group: int) -> np.ndarray:
         out = x
-        steps = self._program_for(x.shape)
+        steps = self._program_for(x.shape, first_group)
         if self._timed:
             for index, (op, context) in enumerate(steps):
                 started = time.perf_counter()
@@ -452,30 +465,37 @@ class CompiledPlan:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)
-        if not self.grouped:
+        if self.groups is None:
             x = x[None]
         if x.ndim < 3:
             raise CompileError(
                 "plan input needs a batch axis and at least one sample axis, "
                 f"got shape {x.shape[1:]}"
             )
-        batch, size = x.shape[1], self._pass_size(x.shape)
-        if batch <= size:
-            out = self._run(x)
+        groups, batch = x.shape[:2]
+        if groups != (self.groups or 1):
+            raise CompileError(
+                f"plan holds {self.groups} parameter groups, got an input with {groups}"
+            )
+        tile_groups, tile_batch = self._tile(x.shape)
+        if groups <= tile_groups and batch <= tile_batch:
+            out = self._run(x, 0)
         else:
-            # Depth-first over the batch: every op on one cache-sized slice of
-            # samples before the next slice, rather than every sample through
-            # one op (and out of the cache) before the next op.
+            # Depth-first over the tiles: every op on one cache-sized slice of
+            # groups and samples before the next slice, rather than every
+            # sample through one op (and out of the cache) before the next op.
             out = None
-            for start in range(0, batch, size):
-                part = self._run(x[:, start : start + size])
-                if out is None:
-                    self._outputs.reserve(batch)
-                    out = self._outputs.buffer("out", (len(part), batch) + part.shape[2:])
-                out[:, start : start + size] = part
+            for first in range(0, groups, tile_groups):
+                for start in range(0, batch, tile_batch):
+                    samples = slice(start, start + tile_batch)
+                    part = self._run(x[first : first + tile_groups, samples], first)
+                    if out is None:
+                        self._outputs.reserve(batch)
+                        out = self._outputs.buffer("out", (groups, batch) + part.shape[2:])
+                    out[first : first + tile_groups, samples] = part
         if self._timed:
-            self._op_calls += 1  # per forward, however many passes it took
-        if not self.grouped:
+            self._op_calls += 1  # per forward, however many tiles it took
+        if self.groups is None:
             x, out = x[0], out[0]
         self._planned_shape, self.output_shape = x.shape, out.shape
         return out

@@ -76,11 +76,22 @@ class NetworkLink:
 
     def send(self, message: Message) -> float:
         """Account for a message and return its transfer time in seconds."""
-        seconds = self.transfer_time(message.size_bytes)
+        return self.send_batch(message.size_bytes, 1)
+
+    def send_batch(self, size_bytes: float, count: int) -> float:
+        """Account for ``count`` messages of ``size_bytes`` each under one
+        lock and return the transfer time of *one* of them.
+
+        The totals are accumulated by repeated addition, so the stats are
+        bit-identical to those of ``count`` single sends.
+        """
+        seconds = self.transfer_time(size_bytes)
         with self._lock:
-            self.stats.messages += 1
-            self.stats.bytes_transferred += message.size_bytes
-            self.stats.transfer_seconds += seconds
+            stats = self.stats
+            stats.messages += count
+            for _ in range(count):
+                stats.bytes_transferred += size_bytes
+                stats.transfer_seconds += seconds
         return seconds
 
     def reset(self) -> None:
@@ -143,6 +154,14 @@ class NetworkFabric:
             with self._log_lock:
                 self.log.append(message)
         return seconds
+
+    def send_batch(
+        self, source: str, destination: str, size_bytes: float, count: int
+    ) -> float:
+        """Route ``count`` equal messages over their (direct) link — charged
+        exactly as ``count`` unrecorded :meth:`send` calls — and return the
+        transfer time of one of them."""
+        return self.link(source, destination).send_batch(size_bytes, count)
 
     # -- runtime fault injection ---------------------------------------- #
     def attach_chaos(self, schedule) -> None:

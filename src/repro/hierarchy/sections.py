@@ -15,8 +15,9 @@ Each section does two things:
   and byte accounting, and a batch-level *carry* (the feature maps an
   offload would forward);
 * :meth:`TierSection.offload` — send the carried features for the
-  not-confident rows up the hierarchy as :class:`~repro.hierarchy.network.Message`s
-  over the deployment's :class:`~repro.hierarchy.network.NetworkFabric`,
+  not-confident rows up the hierarchy over the deployment's
+  :class:`~repro.hierarchy.network.NetworkFabric` (one batched charge per
+  sending node, accounted exactly as one message per row would be),
   returning per-row transfer delay/bytes and the per-row payloads the next
   tier will stack back into a batch.
 
@@ -56,7 +57,6 @@ import numpy as np
 
 from ..nn.tensor import Tensor, no_grad
 from .faults import FaultPlan
-from .network import Message
 from .partition import CLOUD_NAME, LOCAL_AGGREGATOR_NAME, HierarchyDeployment
 
 __all__ = [
@@ -169,8 +169,9 @@ class DeviceTierSection(TierSection):
         batch = len(views)
 
         delivered = self._draw_delivery(batch)
+        everything_delivered = bool(delivered.all())
         device_features, device_scores, device_seconds = self._device_forwards(views, plans)
-        if not delivered.all():
+        if not everything_delivered:
             for device_index in range(len(devices)):
                 lost = ~delivered[device_index]
                 device_features[device_index][lost] = 0.0
@@ -188,24 +189,21 @@ class DeviceTierSection(TierSection):
             for device_index, device in enumerate(devices):
                 if device.failed:
                     continue
+                # One charge per device for the samples it delivered (all of
+                # them unless the fault plan dropped some: no mask then).
+                mask = True if everything_delivered else delivered[device_index]
+                count = batch if everything_delivered else int(np.count_nonzero(mask))
+                if not count:
+                    continue
                 summary_size = device.summary_bytes()
-                for sample in range(batch):
-                    if not delivered[device_index, sample]:
-                        continue
-                    seconds = fabric.send(
-                        Message(
-                            source=device.name,
-                            destination=LOCAL_AGGREGATOR_NAME,
-                            size_bytes=summary_size,
-                            kind="class-scores",
-                        ),
-                        record=False,
-                    )
-                    device.record_bytes_sent(summary_size)
-                    intake_bytes[sample] += summary_size
-                    intake_s[sample] = max(
-                        intake_s[sample], device_latency[device_index] + seconds
-                    )
+                seconds = fabric.send_batch(
+                    device.name, LOCAL_AGGREGATOR_NAME, summary_size, count
+                )
+                device.record_bytes_sent(summary_size * count)
+                np.add(intake_bytes, summary_size, out=intake_bytes, where=mask)
+                np.maximum(
+                    intake_s, device_latency[device_index] + seconds, out=intake_s, where=mask
+                )
             logits, aggregate_seconds = self._aggregate(aggregator, device_scores, plans)
             compute_s += aggregate_seconds / max(batch, 1)
 
@@ -280,26 +278,21 @@ class DeviceTierSection(TierSection):
         rows = np.asarray(rows, dtype=np.int64)
         delay = np.zeros(len(rows))
         transferred = np.zeros(len(rows))
+        everything_delivered = bool(delivered.all())
         for device_index, device in enumerate(deployment.devices):
             if device.failed:
                 continue
+            mask = True if everything_delivered else delivered[device_index, rows]
+            count = len(rows) if everything_delivered else int(np.count_nonzero(mask))
+            if not count:
+                continue
             size = device.feature_bytes()
-            destination = self._uplink_destination[device_index]
-            for position, row in enumerate(rows):
-                if not delivered[device_index, row]:
-                    continue
-                seconds = fabric.send(
-                    Message(
-                        source=device.name,
-                        destination=destination,
-                        size_bytes=size,
-                        kind="features",
-                    ),
-                    record=False,
-                )
-                device.record_bytes_sent(size)
-                transferred[position] += size
-                delay[position] = max(delay[position], seconds)
+            seconds = fabric.send_batch(
+                device.name, self._uplink_destination[device_index], size, count
+            )
+            device.record_bytes_sent(size * count)
+            np.add(transferred, size, out=transferred, where=mask)
+            np.maximum(delay, seconds, out=delay, where=mask)
         payloads = [
             tuple(features[row] for features in device_features) for row in rows
         ]
@@ -388,22 +381,13 @@ class EdgeTierSection(TierSection):
         delay = np.zeros(len(rows))
         transferred = np.zeros(len(rows))
         for edge in deployment.edges:
-            if edge.failed:
+            if edge.failed or not len(rows):
                 continue
             size = edge.feature_bytes()
-            for position, _ in enumerate(rows):
-                seconds = fabric.send(
-                    Message(
-                        source=edge.name,
-                        destination=CLOUD_NAME,
-                        size_bytes=size,
-                        kind="features",
-                    ),
-                    record=False,
-                )
-                edge.record_bytes_sent(size)
-                transferred[position] += size
-                delay[position] = max(delay[position], seconds)
+            seconds = fabric.send_batch(edge.name, CLOUD_NAME, size, len(rows))
+            edge.record_bytes_sent(size * len(rows))
+            transferred += size
+            np.maximum(delay, seconds, out=delay)
         payloads = [tuple(features[row] for features in edge_features) for row in rows]
         return TransferResult(payloads=payloads, delay_s=delay, bytes=transferred)
 

@@ -16,9 +16,13 @@ thread-pool worker backend turns completed forwards on real worker threads
 back into loop events.  While external work is outstanding
 (:meth:`EventLoop.begin_inflight` / :meth:`EventLoop.end_inflight`), an
 empty queue blocks instead of terminating, so ``run()`` still means "serve
-until everything in flight has completed".  All queue operations are
-lock-protected, so scheduling is thread-safe in either mode; in simulated
-mode the firing order is unchanged, bit for bit.
+until everything in flight has completed".  Queue operations take the
+loop's lock whenever another thread can be involved — in realtime mode, and
+while in-flight work is registered; a simulated loop with nothing in flight
+is only ever touched by the thread that runs it and pushes and pops its
+heap directly (thousands of events per simulated second of traffic, each of
+which would otherwise pay a lock and a ``notify_all``).  The firing order is
+the same either way, bit for bit.
 """
 
 from __future__ import annotations
@@ -155,7 +159,9 @@ class EventLoop:
         callback: Callable[[float], None],
         daemon: bool = False,
     ) -> EventHandle:
-        """Enqueue ``callback(fire_time)`` to run at time ``when`` (thread-safe).
+        """Enqueue ``callback(fire_time)`` to run at time ``when`` (from any
+        thread on a realtime loop or while work is in flight, else from the
+        loop's own).
 
         Returns an :class:`EventHandle` whose :meth:`~EventHandle.cancel`
         prevents the callback from firing (no-op if it already fired).
@@ -165,15 +171,23 @@ class EventLoop:
         if math.isnan(when):
             raise ValueError("cannot schedule an event at NaN time")
         handle = EventHandle(daemon=daemon)
-        with self._wakeup:
-            heapq.heappush(
-                self._heap, (max(when, self.clock.now), self._sequence, callback, handle)
-            )
-            self._sequence += 1
-            if not daemon:
-                self._non_daemon += 1
-            self._wakeup.notify_all()
+        # Another thread can only touch the queue of a realtime loop (worker
+        # threads post completions) or of one with external work in flight.
+        if self.realtime or self._inflight:
+            with self._wakeup:
+                self._push(when, callback, handle)
+                self._wakeup.notify_all()
+        else:
+            self._push(when, callback, handle)
         return handle
+
+    def _push(self, when: float, callback: Callable[[float], None], handle: EventHandle) -> None:
+        heapq.heappush(
+            self._heap, (max(when, self.clock.now), self._sequence, callback, handle)
+        )
+        self._sequence += 1
+        if not handle.daemon:
+            self._non_daemon += 1
 
     def schedule_after(self, delay: float, callback: Callable[[float], None]) -> EventHandle:
         """Enqueue a callback ``delay`` seconds from the current instant."""
@@ -221,30 +235,36 @@ class EventLoop:
 
     def _next_event(self):
         """Pop the next due event, waiting in realtime mode; None when idle."""
-        with self._wakeup:
-            while True:
-                # Cancelled events are discarded at the head so the loop
-                # neither fires nor (in realtime mode) waits for them.
-                while self._heap and self._heap[0][3].cancelled:
-                    self._pop()
-                if self._heap:
-                    if self._daemon_only_idle():
-                        # A timetable of daemon events (chaos boundaries,
-                        # expiry timers) with no work left to govern: done.
-                        return None
-                    if not self.realtime:
-                        return self._pop()
-                    delay = self._heap[0][0] - self.clock.now
-                    if delay <= 0.0:
-                        return self._pop()
-                    # Wait for the deadline; an earlier post() re-examines.
-                    self._wakeup.wait(timeout=delay)
-                elif self._inflight > 0:
-                    # Nothing queued, but worker threads owe completions.
-                    # The timeout is belt-and-braces against a lost notify.
-                    self._wakeup.wait(timeout=0.1)
-                else:
+        if self.realtime or self._inflight:  # shared with other threads
+            with self._wakeup:
+                return self._next_due()
+        return self._next_due()
+
+    def _next_due(self):
+        # Only waits when the loop is shared, i.e. with the lock held.
+        while True:
+            # Cancelled events are discarded at the head so the loop
+            # neither fires nor (in realtime mode) waits for them.
+            while self._heap and self._heap[0][3].cancelled:
+                self._pop()
+            if self._heap:
+                if self._daemon_only_idle():
+                    # A timetable of daemon events (chaos boundaries,
+                    # expiry timers) with no work left to govern: done.
                     return None
+                if not self.realtime:
+                    return self._pop()
+                delay = self._heap[0][0] - self.clock.now
+                if delay <= 0.0:
+                    return self._pop()
+                # Wait for the deadline; an earlier post() re-examines.
+                self._wakeup.wait(timeout=delay)
+            elif self._inflight > 0:
+                # Nothing queued, but worker threads owe completions.
+                # The timeout is belt-and-braces against a lost notify.
+                self._wakeup.wait(timeout=0.1)
+            else:
+                return None
 
     def run(self, max_events: int | None = None) -> int:
         """Fire events until the queue is empty and nothing is in flight.

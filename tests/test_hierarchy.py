@@ -56,6 +56,38 @@ class TestNetwork:
         fabric.reset()
         assert fabric.total_bytes() == 0.0 and not fabric.log
 
+    def test_send_batch_charges_a_link_exactly_like_that_many_sends(self):
+        """Same message count, and byte and airtime totals equal bit for bit
+        (sizes and times that do not sum exactly: repeated addition, not a
+        product); nothing is logged; the result is one message's time."""
+        one, batched = NetworkFabric(), NetworkFabric()
+        for fabric in (one, batched):
+            fabric.connect("device-0", "cloud", bandwidth_bytes_per_s=300.0, latency_s=0.1)
+        size = 0.1
+        seconds = [
+            one.send(Message("device-0", "cloud", size), record=False) for _ in range(7)
+        ]
+        assert batched.send_batch("device-0", "cloud", size, 7) == seconds[0]
+        stats = batched.link("device-0", "cloud").stats
+        assert stats == one.link("device-0", "cloud").stats
+        total_bytes = total_seconds = 0.0
+        for each in seconds:
+            total_bytes += size
+            total_seconds += each
+        assert (stats.messages, stats.bytes_transferred, stats.transfer_seconds) == (
+            7,
+            total_bytes,
+            total_seconds,
+        )
+        assert batched.link("device-0", "cloud").stats.bytes_transferred != size * 7
+        assert batched.total_messages() == 7 and not batched.log
+        assert batched.send_batch("device-0", "cloud", size, 0) == seconds[0]
+        assert batched.total_messages() == 7
+        with pytest.raises(ValueError):
+            batched.send_batch("device-0", "cloud", -1.0, 2)
+        with pytest.raises(KeyError):
+            batched.send_batch("device-0", "edge", 1.0, 2)
+
     def test_fabric_rejects_duplicates_and_unknown_links(self):
         fabric = NetworkFabric()
         fabric.connect("a", "b")
@@ -274,6 +306,57 @@ class TestGroupedDeviceTierFaults:
         # The failed device did no work and sent nothing.
         for index in fault_plan.failed_devices:
             assert outcomes[1][3][index] == (0, 0.0, 0.0)
+
+
+class TestBatchedLinkAccounting:
+    """Sections charge each link once per batch (``send_batch``); totals,
+    per-row bytes and delays must be what one message per delivered row gave."""
+
+    @pytest.mark.parametrize(
+        "fault_plan",
+        [FaultPlan(), FaultPlan(intermittent={0: 0.4, 3: 0.7}, seed=2)],
+        ids=["all-delivered", "partially-delivered"],
+    )
+    def test_device_tier_equals_one_message_per_delivered_row(self, trained_ddnn, tiny_test, fault_plan):
+        from repro.hierarchy.sections import build_tier_sections
+
+        deployment = partition_ddnn(trained_ddnn)
+        section = build_tier_sections(deployment, fault_plan)[0]
+        views = tiny_test.images[:9]
+        result = section.process(views)
+        _, delivered = result.carry
+        assert delivered.all() == fault_plan.is_empty()
+        rows = np.array([0, 2, 3, 7])
+        transfer = section.offload(result.carry, rows)
+
+        # The per-message reference, on a second deployment's links.
+        reference = partition_ddnn(trained_ddnn)
+        intake_bytes, intake_s = np.zeros(len(views)), np.zeros(len(views))
+        sent, delay = np.zeros(len(rows)), np.zeros(len(rows))
+        for index, device in enumerate(reference.devices):
+            compute_s = deployment.devices[index].stats.compute_seconds / len(views)
+            for sample in np.flatnonzero(delivered[index]):
+                message = Message(device.name, LOCAL_AGGREGATOR_NAME, device.summary_bytes())
+                seconds = reference.fabric.send(message, record=False)
+                device.record_bytes_sent(message.size_bytes)
+                intake_bytes[sample] += message.size_bytes
+                intake_s[sample] = max(intake_s[sample], compute_s + seconds)
+            for position, row in enumerate(rows):
+                if delivered[index, row]:
+                    message = Message(device.name, CLOUD_NAME, device.feature_bytes())
+                    seconds = reference.fabric.send(message, record=False)
+                    device.record_bytes_sent(message.size_bytes)
+                    sent[position] += message.size_bytes
+                    delay[position] = max(delay[position], seconds)
+
+        np.testing.assert_array_equal(result.intake_bytes, intake_bytes)
+        np.testing.assert_array_equal(result.intake_s, intake_s)
+        np.testing.assert_array_equal(transfer.bytes, sent)
+        np.testing.assert_array_equal(transfer.delay_s, delay)
+        for mine, theirs in zip(deployment.fabric.links(), reference.fabric.links()):
+            assert mine.stats == theirs.stats
+        for mine, theirs in zip(deployment.devices, reference.devices):
+            assert mine.stats.bytes_sent == theirs.stats.bytes_sent
 
 
 class TestEdgeRuntime:

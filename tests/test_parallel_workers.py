@@ -84,6 +84,45 @@ class TestRealtimeEventLoop:
         thread.join()
         assert len(fired) == 1
 
+    def test_simulated_loop_locks_only_while_work_is_in_flight(self):
+        """A simulated loop pushes and pops its heap without the lock, and
+        goes back to it for as long as another thread owes it a completion:
+        the firing order — ties in scheduling order, cancelled events
+        skipped, trailing daemon events dropped — is the same throughout."""
+        loop = EventLoop()
+        fired = []
+
+        def worker():
+            loop.post(lambda t: fired.append(("posted", t)))
+            loop.end_inflight()
+
+        def hand_off(now):
+            fired.append(("hand-off", now))
+            loop.begin_inflight()
+            loop.schedule(2.5, lambda t: fired.append(("while in flight", t)))
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+
+        loop.schedule(3.0, lambda t: fired.append(("c", t)))
+        loop.schedule(1.0, lambda t: fired.append(("a", t)))
+        loop.schedule(2.0, hand_off)
+        loop.schedule(1.0, lambda t: fired.append(("b", t)))
+        loop.schedule(1.5, lambda t: fired.append(("cancelled", t))).cancel()
+        loop.schedule(0.5, lambda t: fired.append(("daemon", t)), daemon=True)
+        loop.schedule(9.0, lambda t: fired.append(("late daemon", t)), daemon=True)
+        assert loop.run() == 7
+        assert fired == [
+            ("daemon", 0.5),
+            ("a", 1.0),
+            ("b", 1.0),
+            ("hand-off", 2.0),
+            ("posted", 2.0),
+            ("while in flight", 2.5),
+            ("c", 3.0),
+        ]
+
     def test_unmatched_end_inflight_raises(self):
         loop = EventLoop(WallClock())
         with pytest.raises(RuntimeError):
