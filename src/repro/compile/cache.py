@@ -15,7 +15,13 @@ process had already compiled.  The cache here is shared by all of them:
   to a model evicts its plans instead of leaking them;
 * :func:`invalidate_plan` is the explicit hook to call after (re)training a
   model in place (it evicts *every* precision's plan for that model, since
-  all of them snapshot weights at compile time);
+  all of them snapshot weights at compile time, the scoped plans below
+  included);
+* :func:`scoped_plan_for` keeps one plan per ``(scope, model, precision)``
+  instead, for callers that must not share a plan's buffer arenas with the
+  rest of the process but can share one among themselves (the simulated
+  serving workers of one event loop, which compute one at a time); a scoped
+  plan lives as long as its scope, and both are held weakly;
 * all bookkeeping is guarded by one re-entrant lock, so worker threads
   (:mod:`repro.serving.workers`) can look plans up while a training loop
   invalidates them — compilation itself happens *outside* the lock, so a
@@ -31,10 +37,12 @@ from typing import Dict, Optional, Tuple
 
 from .ops import PRECISIONS
 
-__all__ = ["compiled_plan_for", "invalidate_plan", "cached_plan_count"]
+__all__ = ["compiled_plan_for", "scoped_plan_for", "invalidate_plan", "cached_plan_count"]
 
 #: (id(model), precision) -> (weakref to the model, its CompiledDDNN plan).
 _PLAN_CACHE: Dict[Tuple[int, str], Tuple["weakref.ref", object]] = {}
+#: scope -> model -> precision -> that scope's CompiledDDNN plan.
+_SCOPED_PLANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 # RLock, not Lock: the weakref eviction callback can fire during a GC
 # triggered while the owning thread already holds the lock.
 _CACHE_LOCK = threading.RLock()
@@ -80,8 +88,30 @@ def compiled_plan_for(model, precision: str = "float64"):
     return plan
 
 
+def scoped_plan_for(model, precision: str, scope):
+    """``scope``'s own compiled plan for a model, compiling on first use.
+
+    Every call with the same ``scope`` object, model and precision returns
+    one plan, distinct from :func:`compiled_plan_for`'s and from every other
+    scope's, so its users need no synchronisation beyond their own.  The
+    entry goes when the scope or the model is collected, or when
+    :func:`invalidate_plan` evicts the model.
+    """
+    with _CACHE_LOCK:
+        plans = _SCOPED_PLANS.setdefault(scope, weakref.WeakKeyDictionary())
+        plan = plans.get(model, {}).get(precision)
+    if plan is None:
+        from .ddnn import compile_ddnn
+
+        plan = compile_ddnn(model, precision=precision)
+        with _CACHE_LOCK:
+            plan = plans.setdefault(model, {}).setdefault(precision, plan)
+    return plan
+
+
 def invalidate_plan(model: Optional[object] = None) -> None:
-    """Drop every cached plan for one model (all precisions), or all plans.
+    """Drop every cached plan for one model (all precisions and scopes), or
+    all plans.
 
     Required after in-place retraining: compiled plans bake the weights in
     and would otherwise keep serving the stale snapshot.
@@ -89,7 +119,10 @@ def invalidate_plan(model: Optional[object] = None) -> None:
     with _CACHE_LOCK:
         if model is None:
             _PLAN_CACHE.clear()
+            _SCOPED_PLANS.clear()
             return
+        for plans in list(_SCOPED_PLANS.values()):
+            plans.pop(model, None)
         stale = [
             key
             for key, entry in _PLAN_CACHE.items()

@@ -29,7 +29,7 @@ from ..core.aggregation import (
     MaxPoolAggregator,
 )
 from ..core.ddnn import DDNN, DeviceBranch, _UpperTier
-from ..core.exits import normalized_entropy, softmax_probabilities
+from ..core.exits import exit_statistics
 from ..nn.layers import Flatten
 from ..nn.tensor import Tensor, no_grad
 from .ops import CompileError, PRECISIONS, precision_dtype
@@ -49,35 +49,38 @@ __all__ = [
 
 ViewsLike = Union[np.ndarray, Sequence[np.ndarray], Sequence[Tensor]]
 
-#: A compiled aggregator: list of same-shaped arrays -> fused array.
-CompiledAggregator = Callable[[List[np.ndarray]], np.ndarray]
+#: A compiled aggregator: a ``(batch, sources, ...)`` array -> fused array.
+CompiledAggregator = Callable[[np.ndarray], np.ndarray]
 
 
 def compile_aggregator(aggregator: Aggregator) -> CompiledAggregator:
     """Compile an aggregation scheme into a plain-array function.
 
-    Each compiled form replays the eager computation order exactly
-    (stack+max for MP, sequential sum for AP, concatenate+projection for CC)
-    so fused outputs are bit-identical to the eager aggregators.
+    The compiled form takes its sources stacked along axis 1 — a
+    ``(batch, sources, ...)`` array, the layout a tier stages its arriving
+    rows in — and replays the eager computation order exactly (max for MP,
+    sequential sum for AP, concatenation along the feature axis + projection
+    for CC), so fused outputs are bit-identical to the eager aggregators.
+    In that layout a concatenation is a reshape: free for a staged,
+    contiguous batch.
     """
     if isinstance(aggregator, MaxPoolAggregator):
 
-        def run_max(arrays: List[np.ndarray]) -> np.ndarray:
-            if len(arrays) == 1:
-                return arrays[0]
-            return np.stack(arrays, axis=0).max(axis=0)
+        def run_max(stacked: np.ndarray) -> np.ndarray:
+            return stacked.max(axis=1)
 
         return run_max
 
     if isinstance(aggregator, AveragePoolAggregator):
 
-        def run_avg(arrays: List[np.ndarray]) -> np.ndarray:
-            if len(arrays) == 1:
-                return arrays[0]
-            total = arrays[0]
-            for array in arrays[1:]:
-                total = total + array
-            return total * (1.0 / len(arrays))
+        def run_avg(stacked: np.ndarray) -> np.ndarray:
+            sources = stacked.shape[1]
+            if sources == 1:
+                return stacked[:, 0]
+            total = stacked[:, 0]
+            for index in range(1, sources):
+                total = total + stacked[:, index]
+            return total * (1.0 / sources)
 
         return run_avg
 
@@ -90,8 +93,8 @@ def compile_aggregator(aggregator: Aggregator) -> CompiledAggregator:
             else projection.bias.data.copy()
         )
 
-        def run_concat(arrays: List[np.ndarray]) -> np.ndarray:
-            combined = np.concatenate(arrays, axis=1)
+        def run_concat(stacked: np.ndarray) -> np.ndarray:
+            combined = stacked.reshape((len(stacked), -1) + stacked.shape[3:])
             if weight_t is not None:
                 combined = combined @ weight_t
                 if bias is not None:
@@ -327,7 +330,7 @@ class CompiledDDNN:
             array = np.asarray(views)
             if array.ndim != 5:
                 raise ValueError(f"expected views of shape (N, D, C, H, W), got {array.shape}")
-            array = np.moveaxis(array, 1, 0)
+            array = array.swapaxes(0, 1)
         if len(array) != self.num_devices:
             raise ValueError(
                 f"model has {self.num_devices} devices but received "
@@ -335,16 +338,28 @@ class CompiledDDNN:
             )
         return array
 
+    def first_exit_logits(self, views: ViewsLike) -> np.ndarray:
+        """The first exit's logits, computing no more of the model than they
+        need: the device group and the local aggregator when the model has a
+        local exit (the whole forward otherwise).  Bit-identical to
+        ``forward(views).exit_logits[0]`` and, like it, valid until the
+        bundle's next forward."""
+        if not self.has_local_exit:
+            return self.forward(views).exit_logits[0]
+        _, scores = self.device_group(self._device_major(views))
+        return self.local_aggregator(scores.swapaxes(0, 1))
+
     def forward(self, views: ViewsLike) -> CompiledDDNNOutput:
         """Compute every exit's logits for a multi-view batch, autograd-free."""
         feature_maps, scores = self.device_group(self._device_major(views))
-        device_features, device_scores = list(feature_maps), list(scores)
+        # Batch-major views: every compiled aggregator takes its sources on axis 1.
+        by_sample = feature_maps.swapaxes(0, 1)
 
         exit_logits: List[np.ndarray] = []
         exit_names: List[str] = []
 
         if self.has_local_exit:
-            exit_logits.append(self.local_aggregator(device_scores))
+            exit_logits.append(self.local_aggregator(scores.swapaxes(0, 1)))
             exit_names.append("local")
 
         edge_features: List[np.ndarray] = []
@@ -353,19 +368,19 @@ class CompiledDDNN:
             for aggregator, tier, group in zip(
                 self.edge_aggregators, self.edge_tiers, self.edge_device_groups
             ):
-                aggregated = aggregator([device_features[i] for i in group])
+                aggregated = aggregator(by_sample[:, group])
                 feature_map, logits = tier(aggregated)
                 edge_features.append(feature_map)
                 edge_scores.append(logits)
             if len(edge_scores) == 1:
                 edge_logits = edge_scores[0]
             else:
-                edge_logits = self.edge_exit_aggregator(edge_scores)
+                edge_logits = self.edge_exit_aggregator(np.stack(edge_scores, axis=1))
             exit_logits.append(edge_logits)
             exit_names.append("edge")
-            cloud_sources = edge_features
+            cloud_sources = np.stack(edge_features, axis=1)
         else:
-            cloud_sources = device_features
+            cloud_sources = by_sample
 
         aggregated = self.cloud_aggregator(cloud_sources)
         _, cloud_logits = self.cloud(aggregated)
@@ -375,8 +390,8 @@ class CompiledDDNN:
         return CompiledDDNNOutput(
             exit_logits=exit_logits,
             exit_names=exit_names,
-            device_scores=device_scores,
-            device_features=device_features,
+            device_scores=list(scores),
+            device_features=list(feature_maps),
             edge_features=edge_features,
         )
 
@@ -419,8 +434,7 @@ def _routed_exits(
     chosen = np.full(count, num_exits - 1, dtype=np.int64)
     undecided = np.ones(count, dtype=bool)
     for index, threshold in enumerate(thresholds[: num_exits - 1]):
-        logits = np.asarray(exit_logits[index], dtype=np.float64)
-        entropy = normalized_entropy(softmax_probabilities(logits))
+        _, entropy, _ = exit_statistics(exit_logits[index])
         taken = undecided & (entropy <= threshold)
         chosen[taken] = index
         undecided &= ~taken

@@ -372,6 +372,8 @@ class CompiledPlan:
         self._programs: dict = {}
         #: (groups, *sample shape) -> bytes one sample of every group takes
         self._sample_bytes: dict = {}
+        #: input shape -> its (groups, samples) tile, checked and sized once
+        self._schedules: dict = {}
         #: A float linear GEMM takes the batch as rows: never split it.
         self._splits_batch = all(op.splits_batch for op in ops)
         self._planned_shape: Optional[Tuple[int, ...]] = None
@@ -463,21 +465,29 @@ class CompiledPlan:
                 out = op.run(out, context)
         return out
 
+    def _schedule(self, shape: Tuple[int, ...]) -> Tuple[int, int]:
+        """:meth:`_tile` for a checked input shape, derived once per shape."""
+        if len(shape) < 3:
+            raise CompileError(
+                "plan input needs a batch axis and at least one sample axis, "
+                f"got shape {shape[1:]}"
+            )
+        if shape[0] != (self.groups or 1):
+            raise CompileError(
+                f"plan holds {self.groups} parameter groups, got an input with {shape[0]}"
+            )
+        self._schedules[shape] = tiles = self._tile(shape)
+        return tiles
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)
         if self.groups is None:
             x = x[None]
-        if x.ndim < 3:
-            raise CompileError(
-                "plan input needs a batch axis and at least one sample axis, "
-                f"got shape {x.shape[1:]}"
-            )
+        tiles = self._schedules.get(x.shape)
+        if tiles is None:
+            tiles = self._schedule(x.shape)
+        tile_groups, tile_batch = tiles
         groups, batch = x.shape[:2]
-        if groups != (self.groups or 1):
-            raise CompileError(
-                f"plan holds {self.groups} parameter groups, got an input with {groups}"
-            )
-        tile_groups, tile_batch = self._tile(x.shape)
         if groups <= tile_groups and batch <= tile_batch:
             out = self._run(x, 0)
         else:

@@ -299,6 +299,24 @@ class ExitCascade:
             invalidate_plan(served)
         self._compiled_models.clear()
 
+    def first_exit(self, model, views, compile: Optional[bool] = None) -> ExitDecision:
+        """The cascade's first exit applied to a batch, computing only that
+        exit's logits (see ``first_exit_logits`` on the eager and compiled
+        models) — what shedding a request to the local exit costs.
+
+        ``compile`` overrides ``compile_enabled`` as in :meth:`run_model`;
+        the decision is bit-identical to the first exit's on a whole
+        forward of the same batch.
+        """
+        use_compiled = self.compile_enabled if compile is None else bool(compile)
+        model.eval()
+        if use_compiled:
+            logits = self.compiled_for(model).first_exit_logits(views)
+        else:
+            with no_grad():
+                logits = model.first_exit_logits(views)
+        return self.criteria[0].evaluate(logits)
+
     def run_model(
         self,
         model,

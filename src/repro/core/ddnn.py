@@ -343,6 +343,22 @@ class DDNN(Module):
             )
         return tensors
 
+    def first_exit_logits(self, views: ViewsLike) -> Tensor:
+        """The first exit's logits, computing no more of the model than they
+        need: the device branches and the local aggregator when the model has
+        a local exit (the whole forward otherwise).  Bit-identical to
+        ``forward(views).exit_logits[0]``."""
+        if not self.has_local_exit:
+            return self.forward(views).exit_logits[0]
+        return self.local_aggregator(
+            [
+                branch(device_input)[1]
+                for branch, device_input in zip(
+                    self._device_branches, self._split_views(views)
+                )
+            ]
+        )
+
     def forward(self, views: ViewsLike) -> DDNNOutput:
         """Compute every exit's logits for a multi-view batch."""
         device_inputs = self._split_views(views)

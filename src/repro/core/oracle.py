@@ -41,7 +41,7 @@ from ..nn.tensor import Tensor, no_grad
 from .cascade import Thresholds, normalize_thresholds
 from .communication import CommunicationModel
 from .ddnn import DDNN
-from .exits import normalized_entropy, softmax_probabilities
+from .exits import exit_statistics
 from .inference import InferenceResult
 
 __all__ = ["ExitOracle", "SweepPoint", "SweepTable"]
@@ -137,9 +137,8 @@ class ExitOracle:
         self.targets = None if targets is None else np.asarray(targets)
         self.communication = communication
 
-        probabilities = softmax_probabilities(logits)
-        self.predictions = probabilities.argmax(axis=-1).astype(np.int64)
-        self.entropies = normalized_entropy(probabilities)
+        _, self.entropies, predictions = exit_statistics(logits)
+        self.predictions = predictions.astype(np.int64)
         # Local-exit entropies sorted once: exit-rate CDF lookups and quantile
         # calibration are O(log N) searchsorted calls from here on.
         self._sorted_local_entropies = np.sort(self.entropies[0])

@@ -86,12 +86,18 @@ class FaultPlan:
 
     def sample_delivery(self, device_index: int) -> bool:
         """Draw whether a device delivers the current sample."""
+        return bool(self.sample_deliveries(device_index, 1)[0])
+
+    def sample_deliveries(self, device_index: int, count: int) -> np.ndarray:
+        """Draw whether a device delivers each of the next ``count`` samples:
+        the draws ``count`` calls of :meth:`sample_delivery` would make, in
+        the same order, as one boolean array."""
         if self.device_is_down(device_index):
-            return False
+            return np.zeros(count, dtype=bool)
         probability = self.intermittent.get(device_index, 0.0)
         if probability <= 0.0:
-            return True
-        return bool(self._rng.random() >= probability)
+            return np.ones(count, dtype=bool)
+        return self._rng.random(count) >= probability
 
     def reset(self) -> "FaultPlan":
         """Restore the intermittent-draw RNG to its freshly-seeded state.

@@ -12,14 +12,21 @@ Each section does two things:
 
 * :meth:`TierSection.process` — run the tier's NN sections on a batch,
   returning the tier's exit logits (if it has an exit), per-sample latency
-  and byte accounting, and a batch-level *carry* (the feature maps an
-  offload would forward);
+  and byte accounting, and a batch-level *carry*: the feature maps an
+  offload would forward, as one batch-major ``(n, sources, ...)`` array —
+  ``(n, D, f, h, w)`` out of the device tier, ``(n, E, ...)`` out of the edge;
 * :meth:`TierSection.offload` — send the carried features for the
   not-confident rows up the hierarchy over the deployment's
   :class:`~repro.hierarchy.network.NetworkFabric` (one batched charge per
   sending node, accounted exactly as one message per row would be),
-  returning per-row transfer delay/bytes and the per-row payloads the next
-  tier will stack back into a batch.
+  returning per-row transfer delay/bytes.
+
+An offload is *row indices* into the carry, never per-row copies: row ``r``
+travels as ``features[r]``, one ``(sources, ...)`` view, and the next tier
+stages each arriving row once, straight into the ``(batch, sources, ...)``
+layout its compiled aggregator takes (a CC aggregator is then a reshape).
+A batch of one is a view of its row, not a copy
+(:meth:`~repro.serving.workers.WorkerHandle.stage`).
 
 The accounting reproduces the original runtime loop: summaries are sent
 for every delivered sample, features only for offloaded samples from
@@ -32,31 +39,36 @@ the split stages charge ``max(transfer)`` at the device offload and
 ``max(compute)`` at the edge — identical for the homogeneous edge tiers
 :func:`~repro.hierarchy.partition.partition_ddnn` builds (every edge has
 the same per-sample compute), and an upper bound if edges are hand-tuned
-to heterogeneous speeds.
+to heterogeneous speeds.  The device tier charges from per-device vectors
+built once per set of ``failed`` flags, and a ``(D, n)`` delivery mask
+that is ``None`` unless the fault plan dropped a sample.
 
 A tier forward runs one of two ways: eagerly through the nodes' own
 ``process`` methods, or through a :class:`~repro.compile.CompiledDDNN` plan
 bundle — handed to ``process`` per call (``plans=...``: the fabric gives
-every worker its own plan instances, so the compiled buffer arenas are
-thread-safe by construction) or, failing that, the section's own
-:attr:`TierSection.compiled` default (the ``HierarchyRuntime(compile=True)``
-path).  The deployment's nodes are never mutated to select one.  Under a
-bundle the device tier is *one* call: the bundle's grouped program computes
-every device's branch on the device-major view of the batch, and failed
-devices and dropped samples are masks on its output.  A section copies what
-it keeps of a plan's output (the carry, the logits): plan outputs live only
+every thread worker its own plan instances, so the compiled buffer arenas
+are thread-safe by construction, and lets the simulated workers of one
+event loop, which compute one at a time, share one) or, failing that, the
+section's own :attr:`TierSection.compiled` default (the
+``HierarchyRuntime(compile=True)`` path).  The deployment's nodes are never
+mutated to select one.  Under a bundle the device tier is *one* call: the
+bundle's grouped program computes every device's branch on the
+device-major view of the batch, and failed devices and dropped samples are
+masks on its output.  A section copies what it keeps of a plan's output
+(the carry, the scores it aggregates, the logits): plan outputs live only
 until that plan's next forward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..nn.tensor import Tensor, no_grad
 from .faults import FaultPlan
+from .network import NetworkLink
 from .partition import CLOUD_NAME, LOCAL_AGGREGATOR_NAME, HierarchyDeployment
 
 __all__ = [
@@ -68,9 +80,6 @@ __all__ = [
     "CloudTierSection",
     "build_tier_sections",
 ]
-
-#: Per-row payload forwarded between tiers: one feature array per source node.
-RowPayload = Tuple[np.ndarray, ...]
 
 
 @dataclass
@@ -89,9 +98,35 @@ class SectionResult:
 class TransferResult:
     """Outcome of offloading a set of rows to the next tier."""
 
-    payloads: List[RowPayload]  # one payload per offloaded row, in row order
+    features: np.ndarray  # the batch-major carry: offloaded row r travels as features[r]
     delay_s: np.ndarray  # per-offloaded-row transfer delay
     bytes: np.ndarray  # per-offloaded-row bytes put on the wire
+
+
+def _charge(nodes, links, sizes, counts) -> List[float]:
+    """Charge ``count`` messages of ``size`` bytes from each node over its
+    link (as ``count`` single messages would be) and return one message's
+    transfer time per node (0.0 for a node that sent none)."""
+    seconds = [0.0] * len(counts)
+    for index, (node, link, size, count) in enumerate(zip(nodes, links, sizes, counts)):
+        if count:
+            seconds[index] = link.send_batch(size, count)
+            node.record_bytes_sent(size * count)
+    return seconds
+
+
+def _per_row(
+    values: Sequence[float], sizes: Sequence[float], sends: Optional[np.ndarray], rows: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row, the largest of its senders' ``values`` and the sum of their
+    ``sizes`` in sender order; ``sends`` is a ``(senders, rows)`` mask, or
+    ``None`` when every sender sends every row."""
+    if sends is None:
+        return np.full(rows, max(values, default=0.0)), np.full(rows, sum(sizes, 0.0))
+    return (
+        np.where(sends, np.array(values)[:, None], 0.0).max(axis=0, initial=0.0),
+        np.where(sends, np.array(sizes, dtype=np.float64)[:, None], 0.0).sum(axis=0),
+    )
 
 
 class TierSection:
@@ -126,14 +161,41 @@ class TierSection:
         raise NotImplementedError
 
 
+class _DeviceVectors:
+    """What the device tier charges per batch, for its live devices in
+    device order.  Built for one set of ``failed`` flags; link parameters
+    change only when a re-partition retunes them, and that builds new
+    sections first (``DistributedServingFabric.apply_plan``)."""
+
+    def __init__(self, deployment: HierarchyDeployment, destinations) -> None:
+        devices, fabric = deployment.devices, deployment.fabric
+        self.failed = [device.failed for device in devices]
+        self.live = [index for index, failed in enumerate(self.failed) if not failed]
+        self.dead = [index for index, failed in enumerate(self.failed) if failed]
+        self.devices = [devices[index] for index in self.live]
+        self.operations = [device.operations_per_sample for device in self.devices]
+        self.summary_bytes = [device.summary_bytes() for device in self.devices]
+        self.summary_links = [
+            fabric.link(device.name, LOCAL_AGGREGATOR_NAME)
+            for device in (self.devices if deployment.local_aggregator is not None else [])
+        ]
+        self.feature_bytes = [device.feature_bytes() for device in self.devices]
+        self.uplinks = [fabric.link(devices[i].name, destinations[i]) for i in self.live]
+        self.transfer_estimate_s = max(
+            map(NetworkLink.transfer_time, self.uplinks, self.feature_bytes), default=0.0
+        )
+
+
 class DeviceTierSection(TierSection):
     """End devices plus (optionally) the local aggregator and local exit.
 
     ``process`` consumes raw multi-view batches of shape ``(n, D, C, H, W)``;
-    the carry holds the per-device binarized feature maps and the
-    delivered mask (intermittent-fault bookkeeping).  ``offload`` sends each
-    delivered device's feature map for every offloaded row to that device's
-    uplink destination (its edge, or the cloud when no edge tier exists).
+    the carry is ``(features, delivered)``: the batch-major ``(n, D, f, h,
+    w)`` binarized feature maps and the fault plan's ``(D, n)`` delivery
+    mask (``None`` when every device delivered every sample).  ``offload``
+    sends each delivered device's feature map for every offloaded row to
+    that device's uplink destination (its edge, or the cloud when no edge
+    tier exists).
     """
 
     tier_name = "devices"
@@ -158,159 +220,123 @@ class DeviceTierSection(TierSection):
         else:
             for device_index in range(len(deployment.devices)):
                 self._uplink_destination[device_index] = CLOUD_NAME
+        self._built: Optional[_DeviceVectors] = None
+
+    def _vectors(self) -> _DeviceVectors:
+        vectors = self._built
+        if vectors is None or vectors.failed != [d.failed for d in self.deployment.devices]:
+            vectors = self._built = _DeviceVectors(self.deployment, self._uplink_destination)
+        return vectors
 
     def process(self, payload, plans=None) -> SectionResult:
         if plans is None:
             plans = self.compiled
         views = np.asarray(payload)
-        deployment = self.deployment
-        fabric = deployment.fabric
-        devices = deployment.devices
         batch = len(views)
 
+        vectors = self._vectors()
         delivered = self._draw_delivery(batch)
-        everything_delivered = bool(delivered.all())
-        device_features, device_scores, device_seconds = self._device_forwards(views, plans)
-        if not everything_delivered:
-            for device_index in range(len(devices)):
-                lost = ~delivered[device_index]
-                device_features[device_index][lost] = 0.0
-                device_scores[device_index][lost] = 0.0
-        device_latency = device_seconds / max(batch, 1)
+        features, scores, seconds = self._device_forwards(views, plans, vectors)
+        # A failed device transmits nothing, a dropped sample nothing of its row.
+        if vectors.dead:
+            features[:, vectors.dead] = 0.0
+            scores[vectors.dead] = 0.0
+        if delivered is not None:
+            features[~delivered.T] = 0.0
+            scores[~delivered] = 0.0
 
-        intake_s = np.zeros(batch)
-        intake_bytes = np.zeros(batch)
-        compute_s = np.zeros(batch)
         logits: Optional[np.ndarray] = None
         aggregate_seconds = 0.0
-
-        if self.exit_index is not None:
-            aggregator = deployment.local_aggregator
-            for device_index, device in enumerate(devices):
-                if device.failed:
-                    continue
-                # One charge per device for the samples it delivered (all of
-                # them unless the fault plan dropped some: no mask then).
-                mask = True if everything_delivered else delivered[device_index]
-                count = batch if everything_delivered else int(np.count_nonzero(mask))
-                if not count:
-                    continue
-                summary_size = device.summary_bytes()
-                seconds = fabric.send_batch(
-                    device.name, LOCAL_AGGREGATOR_NAME, summary_size, count
-                )
-                device.record_bytes_sent(summary_size * count)
-                np.add(intake_bytes, summary_size, out=intake_bytes, where=mask)
-                np.maximum(
-                    intake_s, device_latency[device_index] + seconds, out=intake_s, where=mask
-                )
-            logits, aggregate_seconds = self._aggregate(aggregator, device_scores, plans)
-            compute_s += aggregate_seconds / max(batch, 1)
+        if self.exit_index is None:
+            intake_s = np.zeros(batch)
+            intake_bytes = np.zeros(batch)
+            compute_s = np.zeros(batch)
+        else:
+            # One charge per device for the samples it delivered.
+            sends = None if delivered is None else delivered[vectors.live]
+            counts = [batch] * len(vectors.live) if sends is None else sends.sum(1).tolist()
+            link_seconds = _charge(
+                vectors.devices, vectors.summary_links, vectors.summary_bytes, counts
+            )
+            latency = [own / max(batch, 1) + link for own, link in zip(seconds, link_seconds)]
+            intake_s, intake_bytes = _per_row(latency, vectors.summary_bytes, sends, batch)
+            logits, aggregate_seconds = self._aggregate(scores, plans)
+            compute_s = np.full(batch, aggregate_seconds / max(batch, 1))
 
         return SectionResult(
             logits=logits,
-            carry=(device_features, delivered),
-            service_s=float(device_seconds.max(initial=0.0)) + aggregate_seconds,
+            carry=(features, delivered),
+            service_s=max(seconds, default=0.0) + aggregate_seconds,
             intake_s=intake_s,
             compute_s=compute_s,
             intake_bytes=intake_bytes,
         )
 
-    def _draw_delivery(self, batch: int) -> np.ndarray:
+    def _draw_delivery(self, batch: int) -> Optional[np.ndarray]:
         """``(devices, batch)`` mask of samples each device delivers, drawn
-        from the fault plan device by device, sample by sample."""
-        delivered = np.ones((len(self.deployment.devices), batch), dtype=bool)
-        if not self.fault_plan.is_empty():
-            for device_index in range(len(delivered)):
-                for sample in range(batch):
-                    if not self.fault_plan.sample_delivery(device_index):
-                        delivered[device_index, sample] = False
-        return delivered
+        from the fault plan device by device, sample by sample — ``None``
+        when it delivers everything (always, for an empty plan)."""
+        plan = self.fault_plan
+        if plan.is_empty():
+            return None
+        devices = range(len(self.deployment.devices))
+        delivered = np.array([plan.sample_deliveries(index, batch) for index in devices])
+        return None if delivered.all() else delivered
 
-    def _device_forwards(self, views: np.ndarray, plans):
-        """Every device's ``(features, scores)`` for a ``(n, D, C, H, W)``
-        batch as per-device lists, plus per-device compute seconds.
+    def _device_forwards(self, views: np.ndarray, plans, vectors: _DeviceVectors):
+        """``(features, scores, seconds)`` for a ``(n, D, C, H, W)`` batch:
+        the ``(n, D, f, h, w)`` feature maps and ``(D, n, C)`` class scores,
+        both the section's own arrays, and the live devices' compute seconds.
 
         Eagerly that is each node's own ``process``; with a plan bundle the
         whole tier is one call of its grouped program on the device-major
-        view of the batch, a failed device's rows are zeroed afterwards (it
-        transmits nothing, see :meth:`EndDeviceNode.process`) and it
-        accounts no compute.
+        view of the batch, and a failed device accounts no compute.
         """
-        devices = self.deployment.devices
-        seconds = np.zeros(len(devices))
         if plans is None:
-            features, scores, seconds[:] = zip(
-                *(device.process(views[:, index]) for index, device in enumerate(devices))
-            )
-            return list(features), list(scores), seconds
+            outputs = [
+                device.process(views[:, index])
+                for index, device in enumerate(self.deployment.devices)
+            ]
+            features = np.stack([output[0] for output in outputs], axis=1)
+            scores = np.stack([output[1] for output in outputs])
+            return features, scores, [outputs[index][2] for index in vectors.live]
         batch = len(views)
         # No dtype force: the plans cast to their own precision mode's dtype
-        # (float64 plans see the historical bit-exact input).  One copy of
-        # each output: they are views into buffers the group's next forward
-        # reuses, and the carry must outlive it.
-        features, scores = (
-            out.copy() for out in plans.device_group(np.moveaxis(views, 1, 0))
-        )
-        for index, device in enumerate(devices):
-            if device.failed:
-                features[index] = 0.0
-                scores[index] = 0.0
-            else:
-                seconds[index] = device._account(
-                    device.operations_per_sample * batch, samples=batch
-                )
-        return list(features), list(scores), seconds
+        # (float64 plans see the historical bit-exact input).
+        features, scores = plans.device_group(views.swapaxes(0, 1))
+        seconds = [
+            device._account(operations * batch, samples=batch)
+            for device, operations in zip(vectors.devices, vectors.operations)
+        ]
+        return features.swapaxes(0, 1).copy(), scores.copy(), seconds
 
-    def _aggregate(self, aggregator, device_scores, plans):
+    def _aggregate(self, scores: np.ndarray, plans):
+        aggregator = self.deployment.local_aggregator
         if plans is not None and plans.local_aggregator is not None:
-            arrays = [np.asarray(scores) for scores in device_scores]
-            fused = plans.local_aggregator(arrays)
-            operations = sum(array.size for array in arrays)
-            seconds = aggregator._account(operations, samples=len(arrays[0]))
-            return fused, seconds
-        return aggregator.aggregate(device_scores)
+            fused = plans.local_aggregator(scores.swapaxes(0, 1))
+            return fused, aggregator._account(scores.size, samples=scores.shape[1])
+        return aggregator.aggregate(list(scores))
 
     def offload(self, carry, rows: np.ndarray) -> TransferResult:
-        device_features, delivered = carry
-        deployment = self.deployment
-        fabric = deployment.fabric
+        features, delivered = carry
         rows = np.asarray(rows, dtype=np.int64)
-        delay = np.zeros(len(rows))
-        transferred = np.zeros(len(rows))
-        everything_delivered = bool(delivered.all())
-        for device_index, device in enumerate(deployment.devices):
-            if device.failed:
-                continue
-            mask = True if everything_delivered else delivered[device_index, rows]
-            count = len(rows) if everything_delivered else int(np.count_nonzero(mask))
-            if not count:
-                continue
-            size = device.feature_bytes()
-            seconds = fabric.send_batch(
-                device.name, self._uplink_destination[device_index], size, count
-            )
-            device.record_bytes_sent(size * count)
-            np.add(transferred, size, out=transferred, where=mask)
-            np.maximum(delay, seconds, out=delay, where=mask)
-        payloads = [
-            tuple(features[row] for features in device_features) for row in rows
-        ]
-        return TransferResult(payloads=payloads, delay_s=delay, bytes=transferred)
+        vectors = self._vectors()
+        sends = None if delivered is None else delivered[vectors.live][:, rows]
+        counts = [len(rows)] * len(vectors.live) if sends is None else sends.sum(1).tolist()
+        seconds = _charge(vectors.devices, vectors.uplinks, vectors.feature_bytes, counts)
+        delay, transferred = _per_row(seconds, vectors.feature_bytes, sends, len(rows))
+        return TransferResult(features=features, delay_s=delay, bytes=transferred)
 
     def transfer_estimate_s(self) -> float:
-        worst = 0.0
-        fabric = self.deployment.fabric
-        for device_index, device in enumerate(self.deployment.devices):
-            if device.failed:
-                continue
-            link = fabric.link(device.name, self._uplink_destination[device_index])
-            worst = max(worst, link.transfer_time(device.feature_bytes()))
-        return worst
+        return self._vectors().transfer_estimate_s
 
 
 class EdgeTierSection(TierSection):
-    """The edge (fog) tier: per-edge aggregation + NN sections + edge exit."""
+    """The edge (fog) tier: per-edge aggregation + NN sections + edge exit.
+
+    ``process`` consumes staged device rows, ``(n, D, f, h, w)``; the carry
+    is the batch-major ``(n, E, ...)`` stack of every edge's feature maps.
+    """
 
     tier_name = "edge"
 
@@ -322,15 +348,15 @@ class EdgeTierSection(TierSection):
     def process(self, payload, plans=None) -> SectionResult:
         if plans is None:
             plans = self.compiled
-        device_features = [np.asarray(array) for array in payload]
+        device_features = np.asarray(payload)
         deployment = self.deployment
-        batch = len(device_features[0])
+        batch = len(device_features)
 
         edge_features: List[np.ndarray] = []
         edge_logit_list: List[np.ndarray] = []
         edge_seconds = np.zeros(max(len(deployment.edges), 1))
         for edge_index, edge in enumerate(deployment.edges):
-            group = [device_features[i] for i in edge.device_indices]
+            group = device_features[:, edge.device_indices]
             features, logits, seconds = self._edge_forward(edge, edge_index, group, plans)
             edge_features.append(features)
             edge_logit_list.append(logits)
@@ -346,64 +372,57 @@ class EdgeTierSection(TierSection):
         per_sample = float(edge_seconds.max(initial=0.0)) / max(batch, 1)
         return SectionResult(
             logits=logits,
-            carry=edge_features,
+            carry=np.stack(edge_features, axis=1),
             service_s=float(edge_seconds.max(initial=0.0)),
             intake_s=np.zeros(batch),
             compute_s=np.full(batch, per_sample),
             intake_bytes=np.zeros(batch),
         )
 
-    def _edge_forward(self, edge, edge_index: int, group, plans):
+    def _edge_forward(self, edge, edge_index: int, group: np.ndarray, plans):
+        """One edge's ``(features, logits, seconds)``; the features are read
+        only until every edge has run (each edge has plans of its own)."""
         if plans is None:
-            return edge.process(group)
-        arrays = [np.asarray(array) for array in group]
-        aggregated = plans.edge_aggregators[edge_index](arrays)
+            return edge.process(list(group.swapaxes(0, 1)))
+        aggregated = plans.edge_aggregators[edge_index](group)
         features, logits = plans.edge_tiers[edge_index](aggregated)
-        batch = len(arrays[0])
+        batch = len(group)
         seconds = edge._account(edge.operations_per_sample * batch, samples=batch)
-        return features.copy(), logits.copy(), seconds
+        return features, logits.copy(), seconds
 
     def _fuse_exit_logits(self, edge_logit_list, plans):
         if len(edge_logit_list) == 1:
             return edge_logit_list[0]
         if plans is not None and plans.edge_exit_aggregator is not None:
-            return plans.edge_exit_aggregator(edge_logit_list)
+            return plans.edge_exit_aggregator(np.stack(edge_logit_list, axis=1))
         with no_grad():
             return self.deployment.model.edge_exit_aggregator(
                 [Tensor(logits) for logits in edge_logit_list]
             ).data
 
+    def _uplinks(self):
+        """The live edges, their cloud links and their feature sizes."""
+        fabric = self.deployment.fabric
+        edges = [edge for edge in self.deployment.edges if not edge.failed]
+        links = [fabric.link(edge.name, CLOUD_NAME) for edge in edges]
+        return edges, links, [edge.feature_bytes() for edge in edges]
+
     def offload(self, carry, rows: np.ndarray) -> TransferResult:
-        edge_features = carry
-        deployment = self.deployment
-        fabric = deployment.fabric
-        rows = np.asarray(rows, dtype=np.int64)
-        delay = np.zeros(len(rows))
-        transferred = np.zeros(len(rows))
-        for edge in deployment.edges:
-            if edge.failed or not len(rows):
-                continue
-            size = edge.feature_bytes()
-            seconds = fabric.send_batch(edge.name, CLOUD_NAME, size, len(rows))
-            edge.record_bytes_sent(size * len(rows))
-            transferred += size
-            np.maximum(delay, seconds, out=delay)
-        payloads = [tuple(features[row] for features in edge_features) for row in rows]
-        return TransferResult(payloads=payloads, delay_s=delay, bytes=transferred)
+        edges, links, sizes = self._uplinks()
+        seconds = _charge(edges, links, sizes, [len(rows)] * len(edges))
+        delay, transferred = _per_row(seconds, sizes, None, len(rows))
+        return TransferResult(features=carry, delay_s=delay, bytes=transferred)
 
     def transfer_estimate_s(self) -> float:
-        worst = 0.0
-        fabric = self.deployment.fabric
-        for edge in self.deployment.edges:
-            if edge.failed:
-                continue
-            link = fabric.link(edge.name, CLOUD_NAME)
-            worst = max(worst, link.transfer_time(edge.feature_bytes()))
-        return worst
+        _, links, sizes = self._uplinks()
+        return max(map(NetworkLink.transfer_time, links, sizes), default=0.0)
 
 
 class CloudTierSection(TierSection):
-    """The cloud tier: final aggregation + cloud NN section (always exits)."""
+    """The cloud tier: final aggregation + cloud NN section (always exits).
+
+    ``process`` consumes staged rows of the tier below, ``(n, sources, ...)``.
+    """
 
     tier_name = "cloud"
 
@@ -415,8 +434,8 @@ class CloudTierSection(TierSection):
     def process(self, payload, plans=None) -> SectionResult:
         if plans is None:
             plans = self.compiled
-        sources = [np.asarray(array) for array in payload]
-        batch = len(sources[0])
+        sources = np.asarray(payload)
+        batch = len(sources)
         logits, seconds = self._cloud_forward(sources, plans)
         per_sample = seconds / max(batch, 1)
         return SectionResult(
@@ -428,14 +447,13 @@ class CloudTierSection(TierSection):
             intake_bytes=np.zeros(batch),
         )
 
-    def _cloud_forward(self, sources, plans):
+    def _cloud_forward(self, sources: np.ndarray, plans):
         cloud = self.deployment.cloud
         if plans is None:
-            return cloud.process(sources)
-        arrays = [np.asarray(array) for array in sources]
-        aggregated = plans.cloud_aggregator(arrays)
+            return cloud.process(list(sources.swapaxes(0, 1)))
+        aggregated = plans.cloud_aggregator(sources)
         _, logits = plans.cloud(aggregated)
-        batch = len(arrays[0])
+        batch = len(sources)
         seconds = cloud._account(cloud.operations_per_sample * batch, samples=batch)
         return logits.copy(), seconds
 

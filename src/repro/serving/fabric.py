@@ -13,8 +13,9 @@ The fabric is a discrete-event simulation on the shared
 * each cascade tier is a :class:`TierServer` — a FIFO queue, a
   :class:`~repro.serving.batcher.BatchingPolicy`, and ``N`` workers, each
   executing the tier's :class:`~repro.hierarchy.sections.TierSection`
-  (eager, or a per-worker compiled plan bundle, so the compile-path buffer
-  arenas are safe by construction);
+  (eager, or on a compiled plan bundle: one per event loop and precision
+  for simulated workers, which compute one at a time on the loop's thread,
+  one per worker for thread workers, which compute concurrently);
 * a batch occupies a worker for the section's modelled compute time (or an
   explicit :class:`~repro.serving.loadgen.ServiceModel` override), then its
   rows either exit — producing a :class:`FabricResponse` — or are offloaded
@@ -64,7 +65,6 @@ from ..hierarchy.network import Message, NetworkLink
 from ..hierarchy.partition import HierarchyDeployment, LinkSpec
 from ..hierarchy.plan import PartitionPlan
 from ..hierarchy.sections import TierSection, build_tier_sections
-from ..nn.tensor import no_grad
 from .admission import (
     AdmissionOutcome,
     AdmissionPolicy,
@@ -422,8 +422,10 @@ class DistributedServingFabric:
     batching:
         :class:`BatchingPolicy` per tier (single policy broadcasts).
     compile:
-        Build one compiled plan bundle *per worker* (fused inference plans
-        with private buffer arenas; same decisions as eager).
+        Run the tiers on compiled plan bundles (fused inference plans; same
+        decisions as eager): every simulated worker on the fabric's event
+        loop shares one bundle per precision, every thread worker owns one
+        (see :meth:`_worker_bundles`).
     precision:
         Compute mode(s) for the compiled bundles — a single mode
         (broadcast) or one per tier, so a bandwidth-starved device tier
@@ -608,31 +610,15 @@ class DistributedServingFabric:
             )
         self.precisions = precisions
 
-        # One compiled bundle per worker *slot*, shared across same-precision
-        # tiers: tier t's worker w uses only bundle w's tier-t plans, so
-        # concurrently-busy workers always touch disjoint plan objects (arena
-        # safety) without compiling the whole model once per (tier, worker)
-        # pair.  Tiers at different precision modes draw from separate pools,
-        # each sized by the largest worker count among its tiers.
-        bundles: Dict[str, List[object]] = {}
-        if self.compile_enabled:
-            from ..compile import compile_ddnn
-
-            for mode in dict.fromkeys(precisions):
-                slots = max(
-                    int(count) if count is not None else 1
-                    for count, tier_mode in zip(workers, precisions)
-                    if tier_mode == mode
-                )
-                bundles[mode] = [
-                    compile_ddnn(self.model, precision=mode) for _ in range(slots)
-                ]
-        self._bundles = bundles
-
+        #: Thread-backend bundles per precision, one per worker slot (see
+        #: :meth:`_worker_bundles`).
+        self._bundles: Dict[str, List[object]] = {}
         self.tiers: List[TierServer] = []
         for index, section in enumerate(self.sections):
             count = int(workers[index]) if workers[index] is not None else 1
-            plans = bundles[precisions[index]][:count] if self.compile_enabled else None
+            plans = (
+                self._worker_bundles(precisions[index], count) if self.compile_enabled else None
+            )
             pool = make_worker_pool(
                 backend,
                 self.events,
@@ -1110,14 +1096,8 @@ class DistributedServingFabric:
         tier had none), flagged ``degraded`` instead of ``shed``.
         """
         exit_index = self._require_first_exit(failover=degraded)
-        self.model.eval()
-        if self.compile_enabled:
-            output = self.cascade.compiled_for(self.model)(request.views[None])
-        else:
-            with no_grad():
-                output = self.model(request.views[None])
-        decision = self.cascade.criteria[exit_index].evaluate(
-            output.exit_logits[exit_index]
+        decision = self.cascade.first_exit(
+            self.model, request.views[None], compile=self.compile_enabled
         )
         if max_entropy is not None and float(decision.entropies[0]) > max_entropy:
             return None
@@ -1287,18 +1267,12 @@ class DistributedServingFabric:
                 batch.append(item)
             if not batch:
                 continue
-            # Batches form in the buffers of the worker that will run them,
-            # not in a fresh array per dispatch.
-            capacity = tier.policy.max_batch_size
-            payload: object
-            if tier_index == 0:
-                payload = worker.stage([item.payload for item in batch], 0, capacity)
-            else:
-                # Upper tiers: one array per source node feeding the tier.
-                payload = [
-                    worker.stage([item.payload[source] for item in batch], source, capacity)
-                    for source in range(len(batch[0].payload))
-                ]
+            # Batches form in the buffer of the worker that will run them
+            # (a batch of one is a view of its row): raw views at the device
+            # tier, (sources, ...) rows of the tier below further up.
+            payload = worker.stage(
+                [item.payload for item in batch], tier.policy.max_batch_size
+            )
             tier.batches_dispatched += 1
             tier.samples_processed += len(batch)
             self._inflight_batches += 1
@@ -1337,73 +1311,80 @@ class DistributedServingFabric:
         section = self.sections[tier_index]
         final = tier_index == len(self.tiers) - 1
         batch_size = len(batch)
-        for row, item in enumerate(batch):
-            item.request.path_latency_s += float(result.intake_s[row] + result.compute_s[row])
-            item.request.bytes_transferred += float(result.intake_bytes[row])
+        requests = [item.request for item in batch]
+        for request, latency, size in zip(
+            requests,
+            (result.intake_s + result.compute_s).tolist(),
+            result.intake_bytes.tolist(),
+        ):
+            request.path_latency_s += latency
+            request.bytes_transferred += size
 
         if section.exit_index is None:
-            exit_mask = np.zeros(batch_size, dtype=bool)
-            decision = None
+            exits = [False] * batch_size
         else:
             decision = self._criterion(tier_index, relaxed).evaluate(result.logits)
-            exit_mask = np.ones(batch_size, dtype=bool) if final else decision.exit_mask
+            predictions = decision.predictions.tolist()
+            entropies = decision.entropies.tolist()
+            exits = [True] * batch_size if final else decision.exit_mask.tolist()
 
-        for row in np.flatnonzero(exit_mask):
+        remaining: List[int] = []
+        for row, leaves in enumerate(exits):
+            if not leaves:
+                remaining.append(row)
+                continue
             if relaxed:
                 self.relaxed_samples += 1
             self._finalize(
-                batch[row].request,
+                requests[row],
                 now,
-                decision.predictions[row],
-                decision.entropies[row],
+                predictions[row],
+                entropies[row],
                 section.exit_index,
                 section.exit_name,
                 batch_size=batch_size,
                 relaxed=relaxed,
             )
 
-        remaining = np.flatnonzero(~exit_mask)
-        if remaining.size:
+        sendable: List[int] = []
+        estimate: Optional[float] = None
+        for row in remaining:
+            request = requests[row]
             # Remember the decision each non-exiting row would fail over or
             # retire to (the deepest exit already cleared).
-            if decision is not None:
-                for row in remaining:
-                    batch[row].request.fallback = (
-                        int(decision.predictions[row]),
-                        float(decision.entropies[row]),
-                        section.exit_index,
-                        section.exit_name,
-                    )
+            if section.exit_index is not None:
+                request.fallback = (
+                    predictions[row],
+                    entropies[row],
+                    section.exit_index,
+                    section.exit_name,
+                )
             # SLO budget pre-filter: a row whose remaining budget cannot
             # cover even the (conservative, chargeless) transfer estimate is
             # answered locally *before* any bytes hit the wire — an SLO
             # shorter than one link transfer never sends an offload at all.
-            sendable: List[int] = []
-            estimate: Optional[float] = None
-            for row in remaining:
-                request = batch[row].request
-                if request.deadline is not None and self._can_retire(request):
-                    if estimate is None:
-                        estimate = section.transfer_estimate_s()
-                    if now + estimate >= request.deadline.expires_at:
-                        self._deadline_response(request, now, batch_size=batch_size)
-                        continue
-                sendable.append(int(row))
-            remaining = np.asarray(sendable, dtype=np.int64)
-        if remaining.size:
+            if request.deadline is not None and self._can_retire(request):
+                if estimate is None:
+                    estimate = section.transfer_estimate_s()
+                if now + estimate >= request.deadline.expires_at:
+                    self._deadline_response(request, now, batch_size=batch_size)
+                    continue
+            sendable.append(row)
+        if sendable:
             # The rows travel (and are retried, and hedged) as one
             # message-group whose budget is the earliest member deadline, so
             # the next tier sees them as one batch-forming event.
+            members = [requests[row] for row in sendable]
             group = _OffloadGroup(
                 origin=tier_index,
-                requests=[batch[row].request for row in remaining],
-                rows=remaining,
+                requests=members,
+                rows=np.asarray(sendable, dtype=np.int64),
                 carry=result.carry,
                 expires_at=min(
                     (
-                        batch[row].request.deadline.expires_at
-                        for row in remaining
-                        if batch[row].request.deadline is not None
+                        request.deadline.expires_at
+                        for request in members
+                        if request.deadline is not None
                     ),
                     default=math.inf,
                 ),
@@ -1461,18 +1442,24 @@ class DistributedServingFabric:
         """
         origin = via.tiers[group.origin]
         transfer = origin.section.offload(group.carry, group.rows)
-        for position, request in enumerate(group.requests):
-            request.path_latency_s += float(transfer.delay_s[position])
-            request.bytes_transferred += float(transfer.bytes[position])
+        delays = transfer.delay_s.tolist()
+        for request, delay, size in zip(group.requests, delays, transfer.bytes.tolist()):
+            request.path_latency_s += delay
+            request.bytes_transferred += size
         if via is not self:
             self.hedge_bytes += float(np.sum(transfer.bytes))
         if not via.deployment.fabric.delivery(
             origin.name, via.tiers[group.origin + 1].name, now
         ):
             return None
-        items = list(zip(group.requests, transfer.payloads))
+        # Each row travels as its (sources, ...) view of the carry.
+        features = transfer.features
+        items = [
+            (request, features[row])
+            for request, row in zip(group.requests, group.rows.tolist())
+        ]
         return self.events.schedule(
-            now + float(np.max(transfer.delay_s)),
+            now + max(delays),
             lambda fire_time: on_arrival(group, *args, items, fire_time),
         )
 
@@ -1763,31 +1750,44 @@ class DistributedServingFabric:
                 )
         return report
 
-    def _resize_tier(self, tier_index: int, num_workers: int, now: float) -> int:
-        """Resize one tier's worker pool; returns the actual size.
+    def _worker_bundles(self, mode: str, count: int, in_use=()) -> List[object]:
+        """Compiled bundles at precision ``mode`` for ``count`` new workers.
 
-        On the compile path every added worker needs its own plan bundle
-        (disjoint buffer arenas).  Bundles freed by earlier shrinks are
-        reused first; genuinely new slots compile fresh bundles.
+        Simulated workers run every forward inline on the event loop's
+        thread, one at a time, so every simulated worker on one loop — this
+        fabric's and its sibling replicas' — shares the loop's one bundle
+        per precision (:func:`~repro.compile.cache.scoped_plan_for`; like
+        every cached plan it is dropped by ``invalidate_plan(model)``, so a
+        fabric built after retraining and invalidating gets fresh weights).
+        Thread workers compute concurrently: each *slot* gets a bundle of
+        its own, none of those the tier's workers already hold (``in_use``:
+        their ids), from one pool per precision that tiers share (tier t's
+        worker w runs only its bundle's tier-t plans) and that compiles a
+        fresh bundle only when it runs out.
         """
+        from ..compile import compile_ddnn
+        from ..compile.cache import scoped_plan_for
+
+        if self.backend == "simulated":
+            return [scoped_plan_for(self.model, mode, self.events)] * count
+        pool = self._bundles.setdefault(mode, [])
+        spare = [bundle for bundle in pool if id(bundle) not in in_use]
+        while len(spare) < count:
+            pool.append(compile_ddnn(self.model, precision=mode))
+            spare.append(pool[-1])
+        return spare[:count]
+
+    def _resize_tier(self, tier_index: int, num_workers: int, now: float) -> int:
+        """Resize one tier's worker pool; returns the actual size (added
+        workers get bundles from :meth:`_worker_bundles`)."""
         tier = self.tiers[tier_index]
         current = len(tier.pool)
         if num_workers > current and self.compile_enabled:
-            mode = self.precisions[tier_index]
-            pool = self._bundles.setdefault(mode, [])
-            added = num_workers - current
             in_use = {id(worker.plans) for worker in tier.pool.workers}
-            spare = [bundle for bundle in pool if id(bundle) not in in_use]
-            if len(spare) < added:
-                from ..compile import compile_ddnn
-
-                fresh = [
-                    compile_ddnn(self.model, precision=mode)
-                    for _ in range(added - len(spare))
-                ]
-                pool.extend(fresh)
-                spare.extend(fresh)
-            actual = tier.pool.resize(num_workers, now, worker_plans=spare[:added])
+            added = self._worker_bundles(
+                self.precisions[tier_index], num_workers - current, in_use
+            )
+            actual = tier.pool.resize(num_workers, now, worker_plans=added)
         else:
             actual = tier.pool.resize(num_workers, now)
         if not self._paused:

@@ -37,7 +37,6 @@ import numpy as np
 from ..core.cascade import ExitCascade, Thresholds
 from ..core.ddnn import DDNN
 from ..datasets.mvmc import MVMCDataset
-from ..nn.tensor import no_grad
 from .admission import AdmissionOutcome, AdmissionPolicy, AdmissionResult, QueueFullError
 from .batcher import BatchingPolicy, MicroBatcher
 from .queue import InferenceRequest, InferenceResponse, RequestQueue
@@ -222,13 +221,7 @@ class DDNNServer:
         otherwise nothing is delivered and ``None`` is returned so the
         caller can queue the request instead.
         """
-        self.model.eval()
-        if self.cascade.compile_enabled:
-            output = self.cascade.compiled_for(self.model)(request.views[None])
-        else:
-            with no_grad():
-                output = self.model(request.views[None])
-        decision = self.cascade.criteria[0].evaluate(output.exit_logits[0])
+        decision = self.cascade.first_exit(self.model, request.views[None])
         if max_entropy is not None and float(decision.entropies[0]) > max_entropy:
             return None
         response = InferenceResponse(

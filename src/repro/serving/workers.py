@@ -9,7 +9,9 @@ there are two answers:
   paper-table replays use: the batch is computed inline at dispatch, the
   worker is marked busy for the *modelled* service time, and the completion
   fires as a simulated-time event.  Semantics (event order, timestamps,
-  results) are byte-identical to the pre-pool fabric.
+  results) are byte-identical to the pre-pool fabric.  Every forward runs
+  on the event loop's thread, one at a time, so the workers of every
+  simulated pool on one loop can share one compiled plan bundle.
 * :class:`ThreadPoolWorkerPool` — real concurrency: each worker slot owns a
   thread on a :class:`~concurrent.futures.ThreadPoolExecutor` plus its own
   compiled plan bundle (disjoint buffer arenas), the batch runs on the
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -57,20 +59,21 @@ OnComplete = Callable[[object, float], None]
 
 @dataclass
 class WorkerHandle:
-    """One worker slot: occupancy bookkeeping plus its private plan bundle."""
+    """One worker slot: occupancy bookkeeping plus the plan bundle it runs."""
 
     index: int
     busy_until: float = 0.0
-    plans: object = None  # per-worker CompiledDDNN bundle (compile=True only)
+    plans: object = None  # CompiledDDNN bundle (compile=True only)
     #: Crashed by a chaos schedule: the slot exists but takes no work until
     #: its crash window closes (see :meth:`WorkerPool.apply_offline`).
     offline: bool = False
-    #: Batch-formation buffers, one per payload source (see :meth:`stage`).
-    _staging: Dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    #: Batch-formation buffer (see :meth:`stage`).
+    _staging: Optional[np.ndarray] = field(default=None, repr=False)
 
-    def stage(self, rows: Sequence[np.ndarray], source: int, capacity: int) -> np.ndarray:
-        """Stack one payload source's per-request ``rows`` into this worker's
-        reusable batch buffer and return the stacked view.
+    def stage(self, rows: Sequence[np.ndarray], capacity: int) -> np.ndarray:
+        """The per-request ``rows`` of one batch as a ``(len(rows), ...)``
+        array: a view of the row for a batch of one, else the rows stacked
+        into this worker's reusable batch buffer.
 
         The buffer holds ``capacity`` rows (the tier's maximum batch size)
         and is re-made when the rows' shape or dtype changes or a batch
@@ -78,10 +81,10 @@ class WorkerHandle:
         staged here: a worker is busy until its completion is posted, and
         the section it runs does not keep its payload.
         """
+        if len(rows) == 1:
+            return rows[0][None]
         shape, dtype = rows[0].shape, np.result_type(*rows)
-        if any(row.shape != shape for row in rows):
-            raise ValueError("all payloads of one batch must have the same shape")
-        buffer = self._staging.get(source)
+        buffer = self._staging
         if (
             buffer is None
             or buffer.shape[1:] != shape
@@ -89,10 +92,8 @@ class WorkerHandle:
             or len(buffer) < len(rows)
         ):
             buffer = np.empty((max(capacity, len(rows)),) + shape, dtype=dtype)
-            self._staging[source] = buffer
-        for index, row in enumerate(rows):
-            buffer[index] = row
-        return buffer[: len(rows)]
+            self._staging = buffer
+        return np.stack(rows, out=buffer[: len(rows)])
 
 
 class WorkerPool:

@@ -115,11 +115,10 @@ class TestFabricEquivalence:
             compile=True,
             batching=BatchingPolicy(max_batch_size=8, max_wait_s=0.0),
         )
-        # Every worker owns a *distinct* plan bundle (buffer-arena safety).
-        for tier in fabric.tiers:
-            bundles = [worker.plans for worker in tier.workers]
-            assert all(bundle is not None for bundle in bundles)
-            assert len({id(bundle) for bundle in bundles}) == len(bundles)
+        # Simulated workers compute one at a time on the loop's thread: every
+        # worker of every tier runs the loop's one bundle.
+        bundles = {id(worker.plans) for tier in fabric.tiers for worker in tier.workers}
+        assert len(bundles) == 1 and fabric.tiers[0].workers[0].plans is not None
         predictions, exits, _ = _decisions(fabric.serve_dataset(tiny_test))
         np.testing.assert_array_equal(predictions, baseline.predictions)
         np.testing.assert_array_equal(exits, baseline.exit_indices)
@@ -433,23 +432,23 @@ class TestWorkerStaging:
 
         worker = WorkerHandle(0)
         rows = [np.full((2, 3), float(index)) for index in range(3)]
-        first = worker.stage(rows, source=0, capacity=4)
+        first = worker.stage(rows, capacity=4)
         np.testing.assert_array_equal(first, np.stack(rows))
-        second = worker.stage(rows[:2], source=0, capacity=4)
+        second = worker.stage(rows[:2], capacity=4)
         assert np.shares_memory(first, second)  # reused, not re-allocated
-        other = worker.stage(rows, source=1, capacity=4)
-        assert not np.shares_memory(first, other)  # one buffer per payload source
+        alone = worker.stage(rows[2:], capacity=4)
+        assert alone.shape == (1, 2, 3) and np.shares_memory(alone, rows[2])  # a view
 
     def test_buffer_is_remade_when_it_no_longer_fits(self):
         from repro.serving.workers import WorkerHandle
 
         worker = WorkerHandle(0)
-        small = worker.stage([np.zeros((2, 3))] * 2, source=0, capacity=2)
-        grown = worker.stage([np.ones((2, 3))] * 5, source=0, capacity=2)
+        small = worker.stage([np.zeros((2, 3))] * 2, capacity=2)
+        grown = worker.stage([np.ones((2, 3))] * 5, capacity=2)
         assert grown.shape == (5, 2, 3) and not np.shares_memory(small, grown)
-        reshaped = worker.stage([np.ones((4,))] * 2, source=0, capacity=2)
+        reshaped = worker.stage([np.ones((4,))] * 2, capacity=2)
         assert reshaped.shape == (2, 4)
-        widened = worker.stage([np.ones((4,), dtype=np.float32), np.ones((4,))], 0, 2)
+        widened = worker.stage([np.ones((4,), dtype=np.float32), np.ones((4,))], 2)
         assert widened.dtype == np.float64  # as np.stack would have promoted
         with pytest.raises(ValueError, match="same shape"):
-            worker.stage([np.ones((4,)), np.ones((1,))], source=0, capacity=2)
+            worker.stage([np.ones((4,)), np.ones((1,))], capacity=2)

@@ -325,7 +325,9 @@ class TestBatchedLinkAccounting:
         views = tiny_test.images[:9]
         result = section.process(views)
         _, delivered = result.carry
-        assert delivered.all() == fault_plan.is_empty()
+        assert (delivered is None) == fault_plan.is_empty()
+        if delivered is None:
+            delivered = np.ones((len(deployment.devices), len(views)), dtype=bool)
         rows = np.array([0, 2, 3, 7])
         transfer = section.offload(result.carry, rows)
 

@@ -182,10 +182,8 @@ class TestPlanSections:
         views = np.random.default_rng(0).normal(size=(2, 4, 3, 32, 32))
         result = sections[0].process(views)
         transfer = sections[0].offload(result.carry, np.array([0, 1]))
-        # Per-row payloads back to one batch array per source device.
-        edge_result = sections[1].process(
-            [np.stack(source) for source in zip(*transfer.payloads)]
-        )
+        # The offloaded rows of the carry, staged as the edge tier's input.
+        edge_result = sections[1].process(transfer.features[[0, 1]])
         assert edge_result.logits is None
         assert edge_result.carry is not None
 

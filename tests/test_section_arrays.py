@@ -1,0 +1,545 @@
+"""Contracts of the whole-batch serving path.
+
+* The fused exit decision equals the two public reference helpers bit for bit.
+* Device, edge and cloud sections equal a per-device, per-message reference
+  loop kept here (the form the sections had before they charged from
+  per-tier vectors): exit logits, latency and byte vectors, carries, offload
+  delays and bytes, and every link's and node's stats.
+* A section result never aliases the buffers of the plan bundle it ran on.
+* The device tier's cached transfer estimate follows ``fail()``,
+  ``restore()`` and a live re-partition.
+* Simulated workers on one event loop share one bundle per precision,
+  which retraining (or ``invalidate_plan``) replaces; thread workers own
+  theirs.
+* A shed answer computes only the first exit.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.compile import compile_ddnn, invalidate_plan
+from repro.core import DDNNConfig, DDNNTopology, DDNNTrainer, TrainingConfig, build_ddnn
+from repro.core.exits import ExitCriterion, normalized_entropy, softmax_probabilities
+from repro.hierarchy import FaultPlan, LinkSpec, PartitionPlan, build_tier_sections
+from repro.hierarchy.network import Message
+from repro.hierarchy.partition import CLOUD_NAME, LOCAL_AGGREGATOR_NAME
+from repro.nn.tensor import Tensor, no_grad
+from repro.serving import (
+    BatchingPolicy,
+    DDNNServer,
+    DistributedServingFabric,
+    LoadBalancer,
+)
+from repro.serving.admission import ShedToLocalExit
+from repro.serving.clock import EventLoop
+
+
+# --------------------------------------------------------------------------- #
+# The fused exit decision
+# --------------------------------------------------------------------------- #
+@settings(max_examples=80, deadline=None)
+@given(
+    batch=st.sampled_from([0, 1, 8, 64]),
+    classes=st.integers(2, 10),
+    log_scale=st.floats(-3.0, 3.0),
+    ties=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_exit_decision_equals_the_reference_helpers(batch, classes, log_scale, ties, seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(size=(batch, classes))
+    if ties:
+        # Few distinct values per row: tied maxima and tied probabilities.
+        logits = np.round(logits)
+    logits *= 10.0**log_scale
+    original = logits.copy()
+
+    decision = ExitCriterion(0.5).evaluate(logits)
+    probabilities = softmax_probabilities(logits)
+    entropies = normalized_entropy(probabilities)
+
+    np.testing.assert_array_equal(logits, original)  # the input is not written
+    for mine, reference in (
+        (decision.probabilities, probabilities),
+        (decision.entropies, entropies),
+        (decision.predictions, probabilities.argmax(axis=-1)),
+        (decision.exit_mask, entropies <= 0.5),
+    ):
+        assert mine.dtype == reference.dtype and mine.shape == reference.shape
+        np.testing.assert_array_equal(mine, reference)
+    assert ExitCriterion(0.5).evaluate(Tensor(logits)).entropies.tobytes() == entropies.tobytes()
+
+
+# --------------------------------------------------------------------------- #
+# Sections against the per-device reference loop
+# --------------------------------------------------------------------------- #
+def _edge_model():
+    config = DDNNConfig(
+        num_devices=4,
+        device_filters=2,
+        cloud_filters=4,
+        edge_filters=3,
+        cloud_hidden_units=8,
+        topology=DDNNTopology.from_name("devices_edges_cloud", num_edges=2),
+        seed=5,
+    )
+    return build_ddnn(config).eval()
+
+
+class _Reference:
+    """The per-device loop: every device, row and message one at a time."""
+
+    def __init__(self, deployment, fault_plan, exit_flags, plans):
+        self.deployment = deployment
+        self.fault_plan = fault_plan
+        self.local_exit, self.edge_exit = exit_flags
+        self.plans = plans
+
+    def devices(self, views):
+        deployment, plans = self.deployment, self.plans
+        devices, batch = deployment.devices, len(views)
+        delivered = np.ones((len(devices), batch), dtype=bool)
+        if not self.fault_plan.is_empty():
+            for index in range(len(devices)):
+                for sample in range(batch):
+                    delivered[index, sample] = self.fault_plan.sample_delivery(index)
+        if plans is not None:
+            group_features, group_scores = plans.device_group(np.moveaxis(views, 1, 0))
+        features, scores, seconds = [], [], []
+        for index, device in enumerate(devices):
+            if plans is None:
+                feature, score, second = device.process(views[:, index])
+            elif device.failed:
+                feature, score, second = (
+                    np.zeros_like(group_features[index]),
+                    np.zeros_like(group_scores[index]),
+                    0.0,
+                )
+            else:
+                feature, score = group_features[index].copy(), group_scores[index].copy()
+                second = device._account(device.operations_per_sample * batch, samples=batch)
+            feature[~delivered[index]] = 0.0
+            score[~delivered[index]] = 0.0
+            features.append(feature)
+            scores.append(score)
+            seconds.append(second)
+
+        intake_s, intake_bytes = np.zeros(batch), np.zeros(batch)
+        logits, aggregate_s = None, 0.0
+        if self.local_exit:
+            for index, device in enumerate(devices):
+                if device.failed:
+                    continue
+                for sample in np.flatnonzero(delivered[index]):
+                    message = Message(device.name, LOCAL_AGGREGATOR_NAME, device.summary_bytes())
+                    link_s = deployment.fabric.send(message, record=False)
+                    device.record_bytes_sent(message.size_bytes)
+                    intake_bytes[sample] += message.size_bytes
+                    intake_s[sample] = max(intake_s[sample], seconds[index] / batch + link_s)
+            logits, aggregate_s = deployment.local_aggregator.aggregate(scores)
+        return dict(
+            logits=logits,
+            features=features,
+            delivered=delivered,
+            service_s=max(seconds) + aggregate_s,
+            intake_s=intake_s,
+            compute_s=np.zeros(batch) + aggregate_s / batch,
+            intake_bytes=intake_bytes,
+        )
+
+    def offload(self, senders, destinations, sizes, delivered, rows):
+        delay, sent = np.zeros(len(rows)), np.zeros(len(rows))
+        for index, node in enumerate(senders):
+            if node.failed:
+                continue
+            for position, row in enumerate(rows):
+                if delivered is None or delivered[index, row]:
+                    message = Message(node.name, destinations[index], sizes[index])
+                    link_s = self.deployment.fabric.send(message, record=False)
+                    node.record_bytes_sent(message.size_bytes)
+                    sent[position] += message.size_bytes
+                    delay[position] = max(delay[position], link_s)
+        return delay, sent
+
+    def device_offload(self, result, rows):
+        devices = self.deployment.devices
+        destination = {index: CLOUD_NAME for index in range(len(devices))}
+        for edge in self.deployment.edges:
+            destination.update(dict.fromkeys(edge.device_indices, edge.name))
+        return self.offload(
+            devices,
+            [destination[index] for index in range(len(devices))],
+            [device.feature_bytes() for device in devices],
+            result["delivered"],
+            rows,
+        )
+
+    def _aggregate(self, node, sources):
+        with no_grad():
+            return node.aggregator([Tensor(array) for array in sources]).data
+
+    def edges(self, sources):
+        plans, batch = self.plans, len(sources[0])
+        features, logits, seconds = [], [], []
+        for index, edge in enumerate(self.deployment.edges):
+            group = [sources[device] for device in edge.device_indices]
+            if plans is None:
+                feature, logit, second = edge.process(group)
+            else:
+                feature, logit = plans.edge_tiers[index](self._aggregate(edge, group))
+                feature, logit = feature.copy(), logit.copy()
+                second = edge._account(edge.operations_per_sample * batch, samples=batch)
+            features.append(feature)
+            logits.append(logit)
+            seconds.append(second)
+        fused = None
+        if self.edge_exit:
+            with no_grad():
+                fused = self.deployment.model.edge_exit_aggregator(
+                    [Tensor(logit) for logit in logits]
+                ).data
+        return dict(
+            logits=fused,
+            features=features,
+            service_s=max(seconds),
+            compute_s=np.zeros(batch) + max(seconds) / batch,
+        )
+
+    def edge_offload(self, rows):
+        edges = self.deployment.edges
+        return self.offload(
+            edges, [CLOUD_NAME] * len(edges), [edge.feature_bytes() for edge in edges], None, rows
+        )
+
+    def cloud(self, sources):
+        cloud, batch = self.deployment.cloud, len(sources[0])
+        if self.plans is None:
+            logits, seconds = cloud.process(sources)
+        else:
+            _, logits = self.plans.cloud(self._aggregate(cloud, sources))
+            seconds = cloud._account(cloud.operations_per_sample * batch, samples=batch)
+        return dict(logits=logits, service_s=seconds, compute_s=np.zeros(batch) + seconds / batch)
+
+
+SCENARIOS = {
+    "fault-free": dict(),
+    "failed-device": dict(failed={1}),
+    "intermittent": dict(intermittent={0: 0.5, 2: 0.3}),
+    "local-exit-disabled": dict(local_exit=False),
+    "edge-topology": dict(edges=True, intermittent={3: 0.4}),
+}
+
+
+def _deploy(model, scenario):
+    plan = PartitionPlan(model, local_exit=scenario.get("local_exit"))
+    deployment = plan.materialize()
+    for index in scenario.get("failed", ()):
+        deployment.devices[index].fail()
+    fault_plan = FaultPlan(
+        failed_devices=scenario.get("failed", set()),
+        intermittent=scenario.get("intermittent", {}),
+        seed=13,
+    )
+    return plan, deployment, fault_plan
+
+
+def _equal(mine, reference):
+    if reference is None:
+        assert mine is None
+        return
+    assert np.asarray(mine).dtype == np.asarray(reference).dtype
+    np.testing.assert_array_equal(mine, reference)
+
+
+def _stats(deployment):
+    nodes = [*deployment.devices, deployment.local_aggregator, *deployment.edges, deployment.cloud]
+    return (
+        [(link.source, link.destination, link.stats) for link in deployment.fabric.links()],
+        [(node.name, node.stats) for node in nodes if node is not None],
+    )
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["eager", "compiled"])
+@pytest.mark.parametrize("batch", [1, 7, 8])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_sections_equal_the_per_device_reference(trained_ddnn, tiny_test, name, batch, compiled):
+    scenario = SCENARIOS[name]
+    model = _edge_model() if scenario.get("edges") else trained_ddnn
+    plans = compile_ddnn(model) if compiled else None
+    views = tiny_test.images[:batch]
+    rows = np.array([row for row in range(batch) if row % 3 != 1])
+
+    plan, deployment, fault_plan = _deploy(model, scenario)
+    sections = build_tier_sections(deployment, fault_plan, plan=plan)
+    plan, reference_deployment, reference_faults = _deploy(model, scenario)
+    exit_flags = (plan.resolved_local_exit(), plan.resolved_edge_exit())
+    reference = _Reference(reference_deployment, reference_faults, exit_flags, plans)
+
+    # Device tier.
+    result = sections[0].process(views, plans=plans)
+    expected = reference.devices(views)
+    features, delivered = result.carry
+    _equal(features, np.stack(expected["features"], axis=1))
+    if delivered is None:
+        assert expected["delivered"].all()
+    else:
+        _equal(delivered, expected["delivered"])
+    for field in ("logits", "intake_s", "compute_s", "intake_bytes"):
+        _equal(getattr(result, field), expected[field])
+    assert result.service_s == expected["service_s"]
+    transfer = sections[0].offload(result.carry, rows)
+    delay, sent = reference.device_offload(expected, rows)
+    _equal(transfer.delay_s, delay)
+    _equal(transfer.bytes, sent)
+    # The next tier stages the offloaded rows of the carry; the reference
+    # forwards one batch per source device.
+    staged = np.stack([transfer.features[row] for row in rows])
+    sources = [feature[rows] for feature in expected["features"]]
+
+    if len(sections) == 3:
+        result = sections[1].process(staged, plans=plans)
+        expected = reference.edges(sources)
+        _equal(result.carry, np.stack(expected["features"], axis=1))
+        for field in ("logits", "compute_s"):
+            _equal(getattr(result, field), expected[field])
+        assert result.service_s == expected["service_s"]
+        upper = np.arange(len(rows))[::2]
+        transfer = sections[1].offload(result.carry, upper)
+        delay, sent = reference.edge_offload(upper)
+        _equal(transfer.delay_s, delay)
+        _equal(transfer.bytes, sent)
+        staged = np.stack([transfer.features[row] for row in upper])
+        sources = [feature[upper] for feature in expected["features"]]
+
+    result = sections[-1].process(staged, plans=plans)
+    expected = reference.cloud(sources)
+    _equal(result.logits, expected["logits"])
+    _equal(result.compute_s, expected["compute_s"])
+    assert result.service_s == expected["service_s"]
+
+    assert _stats(deployment) == _stats(reference_deployment)
+
+
+# --------------------------------------------------------------------------- #
+# Results own their arrays
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("edges", [False, True], ids=["devices-cloud", "edge-topology"])
+def test_section_results_survive_the_bundles_next_batch(trained_ddnn, tiny_test, edges):
+    model = _edge_model() if edges else trained_ddnn
+    plans = compile_ddnn(model)
+    sections = build_tier_sections(PartitionPlan(model).materialize())
+    first, second = tiny_test.images[:5], tiny_test.images[5:10]
+
+    def run(views):
+        results = [sections[0].process(views, plans=plans)]
+        rows = np.arange(len(views))
+        for section in sections[1:]:
+            transfer = sections[sections.index(section) - 1].offload(results[-1].carry, rows)
+            staged = np.stack([transfer.features[row] for row in rows])
+            results.append(section.process(staged, plans=plans))
+        return results
+
+    results = run(first)
+    snapshot = copy.deepcopy(results)
+    run(second)
+    run(second[:1])  # a batch of one stages a view, not a copy
+    for mine, kept in zip(results, snapshot):
+        for field in ("logits", "intake_s", "compute_s", "intake_bytes"):
+            _equal(getattr(mine, field), getattr(kept, field))
+        carry, kept_carry = mine.carry, kept.carry
+        if isinstance(carry, tuple):
+            (carry, _), (kept_carry, _) = carry, kept_carry
+        _equal(carry, kept_carry)
+
+
+# --------------------------------------------------------------------------- #
+# The device tier's cached transfer estimate
+# --------------------------------------------------------------------------- #
+def _fresh_estimate(deployment):
+    return max(
+        deployment.fabric.link(device.name, CLOUD_NAME).transfer_time(device.feature_bytes())
+        for device in deployment.devices
+        if not device.failed
+    )
+
+
+def test_transfer_estimate_follows_failures_and_repartitions(trained_ddnn):
+    deployment = PartitionPlan(trained_ddnn).materialize()
+    slow = deployment.devices[2]
+    LinkSpec(1_000.0, 0.5).retune(deployment.fabric.link(slow.name, CLOUD_NAME))
+    fabric = DistributedServingFabric(deployment, 0.8)
+    slowest = fabric.sections[0].transfer_estimate_s()
+    assert slowest == _fresh_estimate(deployment) == 0.5 + slow.feature_bytes() / 1_000.0
+
+    slow.fail()
+    assert fabric.sections[0].transfer_estimate_s() == _fresh_estimate(deployment) < slowest
+    slow.restore()
+    assert fabric.sections[0].transfer_estimate_s() == _fresh_estimate(deployment) == slowest
+
+    # A live re-partition retunes every uplink to the new plan's.
+    fabric.apply_plan(PartitionPlan(trained_ddnn, uplink=LinkSpec(2_000.0, 0.25)))
+    estimate = fabric.sections[0].transfer_estimate_s()
+    assert estimate == _fresh_estimate(deployment) == 0.25 + slow.feature_bytes() / 2_000.0
+
+
+# --------------------------------------------------------------------------- #
+# Compiled bundles: one per event loop and precision, or one per thread worker
+# --------------------------------------------------------------------------- #
+def _bundles(fabric):
+    return [worker.plans for tier in fabric.tiers for worker in tier.workers]
+
+
+def test_simulated_replicas_on_one_loop_share_one_bundle_per_precision(trained_ddnn):
+    plan = PartitionPlan(trained_ddnn, replicas=2, workers_per_tier=2)
+    balancer = LoadBalancer.from_plan(plan, 0.8, compile=True, events=EventLoop())
+    bundles = [bundle for replica in balancer.replicas for bundle in _bundles(replica)]
+    assert len(bundles) == 8 and len({id(bundle) for bundle in bundles}) == 1
+    # Replicas on loops of their own compute concurrently: one bundle each.
+    apart = LoadBalancer.from_plan(plan, 0.8, compile=True)
+    assert len({id(bundle) for replica in apart.replicas for bundle in _bundles(replica)}) == 2
+
+    mixed = LoadBalancer.from_plan(
+        plan.with_changes(precision=("float32", "float64")), 0.8, compile=True, events=EventLoop()
+    )
+    for replica in mixed.replicas:
+        devices, cloud = ({id(w.plans) for w in tier.workers} for tier in replica.tiers)
+        assert len(devices) == len(cloud) == 1 and devices != cloud
+    first, second = mixed.replicas
+    assert first.tiers[0].workers[0].plans is second.tiers[0].workers[1].plans
+
+    # A grown tier's new workers run the loop's bundle too.
+    fabric = balancer.replicas[0]
+    fabric._resize_tier(0, 4, now=0.0)
+    assert {id(bundle) for bundle in _bundles(fabric)} == {id(bundles[0])}
+
+
+def test_a_retrained_model_gets_a_fresh_bundle_on_the_same_loop(untrained_ddnn, tiny_train, tiny_test):
+    model, loop = untrained_ddnn, EventLoop()
+    views = tiny_test.images[:6]
+
+    def build():
+        fabric = DistributedServingFabric(
+            PartitionPlan(model).materialize(), 0.8, compile=True, events=loop
+        )
+        return fabric, fabric.tiers[0].workers[0].plans
+
+    def final_logits(bundle):
+        return bundle.forward(views).exit_logits[-1].copy()
+
+    _, first = build()
+    stale = final_logits(first)
+    # Training evicts the model's plans after every epoch, the loop's included.
+    DDNNTrainer(model, TrainingConfig(epochs=1, batch_size=32, seed=0)).fit(tiny_train)
+    fabric, trained = build()
+    assert trained is not first
+    fresh = final_logits(compile_ddnn(model))
+    assert not np.array_equal(stale, fresh)
+    np.testing.assert_array_equal(final_logits(trained), fresh)
+
+    # It answers as a fabric on a loop of its own, which compiles afresh.
+    alone = DistributedServingFabric(PartitionPlan(model).materialize(), 0.8, compile=True)
+    answers = []
+    for host in (fabric, alone):
+        host.submit_many(list(views))
+        host.run_until_idle(drain=True)
+        ordered = sorted(host.responses, key=lambda response: response.request_id)
+        answers.append([(response.prediction, response.entropy) for response in ordered])
+    assert len(answers[0]) == len(views) and answers[0] == answers[1]
+
+    # Weights changed by hand: the loop keeps its snapshot until invalidate_plan.
+    for parameter in model.parameters():
+        parameter.data *= -1.0
+    assert build()[1] is trained
+    invalidate_plan(model)
+    _, flipped = build()
+    assert flipped is not trained
+    np.testing.assert_array_equal(final_logits(flipped), final_logits(compile_ddnn(model)))
+
+
+def test_thread_workers_own_distinct_bundles(trained_ddnn):
+    fabric = DistributedServingFabric(
+        PartitionPlan(trained_ddnn).materialize(),
+        0.8,
+        workers_per_tier=[2, 3],
+        compile=True,
+        backend="thread",
+    )
+    try:
+        for tier in fabric.tiers:
+            assert len({id(worker.plans) for worker in tier.workers}) == len(tier.workers)
+        # Slot w of every same-precision tier draws from one pool: three bundles in all.
+        assert len({id(bundle) for bundle in _bundles(fabric)}) == 3
+        fabric._resize_tier(0, 4, now=0.0)
+        devices = [worker.plans for worker in fabric.tiers[0].workers]
+        assert len({id(bundle) for bundle in devices}) == 4
+    finally:
+        fabric.close()
+
+
+# --------------------------------------------------------------------------- #
+# Shedding computes only the first exit
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("edges", [False, True], ids=["devices-cloud", "edge-topology"])
+def test_first_exit_logits_equal_the_full_forward(trained_ddnn, tiny_test, edges):
+    model = _edge_model() if edges else trained_ddnn
+    views = tiny_test.images[:6]
+    with no_grad():
+        eager = model.first_exit_logits(views).data
+        full = model(views).exit_logits[0].data
+    np.testing.assert_array_equal(eager, full)
+    bundle = compile_ddnn(model)
+    first = bundle.first_exit_logits(views).copy()
+    np.testing.assert_array_equal(first, bundle.forward(views).exit_logits[0])
+
+
+def _cloud_calls(bundle):
+    plans = (bundle.cloud.features, bundle.cloud.head)
+    return [timing.calls for plan in plans for timing in plan.op_timings()]
+
+
+@pytest.mark.parametrize("surface", ["fabric", "server"])
+def test_a_shed_runs_no_cloud_plan(trained_ddnn, tiny_test, surface):
+    views = list(tiny_test.images[:6])
+    if surface == "fabric":
+        host = DistributedServingFabric(
+            PartitionPlan(trained_ddnn).materialize(),
+            0.8,
+            compile=True,
+            batching=BatchingPolicy(max_batch_size=1, max_wait_s=0.0),
+            capacity=1,
+            admission=ShedToLocalExit(),
+        )
+    else:
+        host = DDNNServer(trained_ddnn, 0.8, capacity=1, admission=ShedToLocalExit(), compile=True)
+    bundle = host.cascade.compiled_for(trained_ddnn)
+    bundle.reset_timing()
+    bundle.enable_timing()
+    try:
+        before = _cloud_calls(bundle)
+        if surface == "fabric":
+            ids = host.submit_many(views)
+            host.run_until_idle(drain=True)  # its workers run bundles of their own
+            responses = host.responses
+        else:
+            ids = [host.submit(sample, client_id="cam") for sample in views]
+            responses = host.queue.session("cam").responses
+        shed = [response for response in responses if response.shed]
+        assert shed
+        assert _cloud_calls(bundle) == before
+        assert bundle.device_group.features.op_timings()[0].calls >= len(shed)
+    finally:
+        bundle.disable_timing()
+        bundle.reset_timing()
+
+    # A shed answer is the first exit's decision on a whole forward of its sample.
+    for response in shed:
+        views_of_one = views[ids.index(response.request_id)][None]
+        expected = ExitCriterion(0.8).evaluate(bundle.forward(views_of_one).exit_logits[0])
+        assert response.prediction == expected.predictions[0]
+        assert response.entropy == expected.entropies[0]
