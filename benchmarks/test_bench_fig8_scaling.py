@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.experiments import ExperimentResult, run_scaling_devices
-from repro.hierarchy.telemetry import SampleTrace, Telemetry
+from repro.experiments import run_scaling_devices
 
 
 def test_bench_fig8_scaling_devices(benchmark, scale, record_result):
@@ -37,70 +34,3 @@ def test_bench_fig8_scaling_devices(benchmark, scale, record_result):
     # system at its best exit.
     assert max(cloud[-1], local[-1]) >= max(cloud[0], local[0]) - 1e-9
 
-
-def test_bench_fig8_telemetry_record_batch(record_result):
-    """Measure the saving of batch-recording telemetry over per-sample records.
-
-    The hierarchy runtime used to build one ``SampleTrace`` per sample in a
-    Python loop after every run; ``Telemetry.record_batch`` now ingests the
-    whole run's arrays at once.  This microbenchmark records the speedup at
-    a traffic volume matching a paper-scale fig8 sweep.
-    """
-    num_samples = 50_000
-    rng = np.random.default_rng(0)
-    predictions = rng.integers(0, 3, num_samples)
-    targets = rng.integers(0, 3, num_samples)
-    exit_names = ["local" if flag else "cloud" for flag in rng.random(num_samples) < 0.6]
-    latencies = rng.random(num_samples)
-    transferred = rng.random(num_samples) * 100.0
-    entropies = rng.random(num_samples)
-    indices = np.arange(num_samples)
-
-    started = time.perf_counter()
-    loop_telemetry = Telemetry()
-    for index in range(num_samples):
-        loop_telemetry.record(
-            SampleTrace(
-                sample_index=index,
-                prediction=int(predictions[index]),
-                exit_name=exit_names[index],
-                latency_s=float(latencies[index]),
-                bytes_transferred=float(transferred[index]),
-                entropy=float(entropies[index]),
-                correct=bool(predictions[index] == targets[index]),
-            )
-        )
-    loop_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    batch_telemetry = Telemetry()
-    batch_telemetry.record_batch(
-        sample_indices=indices,
-        predictions=predictions,
-        exit_names=exit_names,
-        latencies_s=latencies,
-        bytes_transferred=transferred,
-        entropies=entropies,
-        correct=predictions == targets,
-    )
-    batch_seconds = time.perf_counter() - started
-
-    assert len(loop_telemetry) == len(batch_telemetry) == num_samples
-    loop_summary = loop_telemetry.summary()
-    batch_summary = batch_telemetry.summary()
-    assert batch_summary.accuracy == loop_summary.accuracy
-    assert batch_summary.exit_fractions == loop_summary.exit_fractions
-    assert batch_summary.total_bytes == loop_summary.total_bytes
-
-    speedup = loop_seconds / batch_seconds
-    result = ExperimentResult(
-        name="fig8_telemetry_record_batch",
-        paper_reference="Figure 8 (runtime telemetry)",
-        columns=["method", "samples", "seconds", "speedup"],
-        metadata={"num_samples": num_samples},
-    )
-    result.add_row(method="per-sample record", samples=num_samples, seconds=loop_seconds, speedup=1.0)
-    result.add_row(method="record_batch", samples=num_samples, seconds=batch_seconds, speedup=speedup)
-    record_result(result)
-
-    assert speedup > 2.0, f"record_batch only {speedup:.2f}x faster than the per-sample loop"

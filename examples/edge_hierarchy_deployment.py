@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import argparse
 
+import numpy as np
+
 from repro.core import (
     DDNNConfig,
     DDNNTopology,
@@ -82,11 +84,12 @@ def main() -> None:
     deployment = partition_ddnn(model)
     runtime = HierarchyRuntime(deployment, thresholds)
     distributed = runtime.run(test_set)
-    summary = distributed.telemetry.summary()
-    print(f"  accuracy          : {100 * summary.accuracy:.1f}%")
-    print(f"  mean latency      : {1e3 * summary.mean_latency_s:.2f} ms "
-          f"(p95 {1e3 * summary.p95_latency_s:.2f} ms)")
-    print(f"  bytes per sample  : {summary.mean_bytes_per_sample:.1f} B (all devices combined)")
+    latencies = distributed.latencies_s
+    print(f"  accuracy          : {100 * distributed.accuracy():.1f}%")
+    print(f"  mean latency      : {1e3 * latencies.mean():.2f} ms "
+          f"(p95 {1e3 * np.percentile(latencies, 95):.2f} ms)")
+    print(f"  bytes per sample  : {distributed.bytes_per_sample.mean():.1f} B "
+          "(all devices combined)")
     print("  bytes by uplink   :")
     for link in deployment.fabric.links():
         if link.stats.bytes_transferred:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 
+import numpy as np
+
 from repro.core import DDNNConfig, DDNNTrainer, TrainingConfig, build_ddnn
 from repro.datasets import load_mvmc_splits
 from repro.hierarchy import FaultPlan, HierarchyRuntime, partition_ddnn
@@ -33,15 +35,16 @@ def parse_args() -> argparse.Namespace:
 
 def describe(label: str, runtime: HierarchyRuntime, dataset) -> None:
     result = runtime.run(dataset)
-    summary = result.telemetry.summary()
+    latencies = result.latencies_s
     print(f"\n{label}")
-    print(f"  accuracy          : {100 * summary.accuracy:.1f}%")
+    print(f"  accuracy          : {100 * result.accuracy():.1f}%")
     print(f"  exit fractions    : " + ", ".join(
-        f"{name}={100 * fraction:.1f}%" for name, fraction in summary.exit_fractions.items()
+        f"{name}={100 * result.exit_fraction(name):.1f}%"
+        for name in sorted(set(result.exit_names_per_sample))
     ))
-    print(f"  mean latency      : {1e3 * summary.mean_latency_s:.2f} ms "
-          f"(p95 {1e3 * summary.p95_latency_s:.2f} ms)")
-    print(f"  bytes per sample  : {summary.mean_bytes_per_sample:.1f} B (all devices combined)")
+    print(f"  mean latency      : {1e3 * latencies.mean():.2f} ms "
+          f"(p95 {1e3 * np.percentile(latencies, 95):.2f} ms)")
+    print(f"  bytes per sample  : {result.bytes_per_sample.mean():.1f} B (all devices combined)")
 
 
 def main() -> None:

@@ -22,10 +22,12 @@ clock the whole realisation is deterministic under the seed.
 
 Run with::
 
-    PYTHONPATH=src python examples/slo_serving.py
+    PYTHONPATH=src python examples/slo_serving.py [--epochs 10] [--train-samples 160]
 """
 
 from __future__ import annotations
+
+import argparse
 
 from repro.core import DDNNTrainer, TrainingConfig, build_ddnn
 from repro.datasets import DEFAULT_DEVICE_PROFILES, load_mvmc_splits
@@ -48,11 +50,23 @@ from repro.serving import (
 )
 
 
+def parse_args() -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--train-samples", type=int, default=160)
+    parser.add_argument("--test-samples", type=int, default=60)
+    parser.add_argument("--epochs", type=int, default=10)
+    return parser.parse_args()
+
+
 def main() -> None:
+    args = parse_args()
     num_devices = 4
     profiles = DEFAULT_DEVICE_PROFILES[:num_devices]
     train_set, test_set = load_mvmc_splits(
-        train_samples=160, test_samples=60, profiles=profiles, seed=7
+        train_samples=args.train_samples,
+        test_samples=args.test_samples,
+        profiles=profiles,
+        seed=7,
     )
 
     print("Training a small DDNN (4 devices)...")
@@ -64,7 +78,7 @@ def main() -> None:
         cloud_hidden_units=32,
         seed=1,
     )
-    DDNNTrainer(model, TrainingConfig(epochs=10, batch_size=32, seed=0)).fit(train_set)
+    DDNNTrainer(model, TrainingConfig(epochs=args.epochs, batch_size=32, seed=0)).fit(train_set)
 
     threshold = 0.8
     num_requests = 120

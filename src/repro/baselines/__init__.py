@@ -1,6 +1,6 @@
 """Baseline systems the paper compares DDNN against."""
 
-from .cloud_only import CloudOnlyBaseline, train_cloud_only_baseline
+from .cloud_only import CloudOnlyBaseline
 from .individual import IndividualDeviceModel, individual_accuracies, train_individual_model
 
 __all__ = [
@@ -8,5 +8,4 @@ __all__ = [
     "train_individual_model",
     "individual_accuracies",
     "CloudOnlyBaseline",
-    "train_cloud_only_baseline",
 ]

@@ -25,7 +25,7 @@ from ..datasets.mvmc import MVMCDataset
 from ..nn.metrics import accuracy
 from ..nn.tensor import no_grad
 
-__all__ = ["CloudOnlyBaseline", "train_cloud_only_baseline"]
+__all__ = ["CloudOnlyBaseline"]
 
 
 @dataclass
@@ -95,19 +95,3 @@ class CloudOnlyBaseline:
         """Raw input size each device ships to the cloud for every sample."""
         return raw_offload_bytes(self.config.input_channels, self.config.input_size)
 
-
-def train_cloud_only_baseline(
-    train_set: MVMCDataset,
-    training: Optional[TrainingConfig] = None,
-    **architecture_overrides,
-) -> CloudOnlyBaseline:
-    """Convenience constructor: build and train the cloud-only baseline."""
-    baseline = CloudOnlyBaseline(
-        num_devices=train_set.num_devices,
-        num_classes=train_set.num_classes,
-        input_channels=train_set.image_shape[0],
-        input_size=train_set.image_shape[1],
-        **architecture_overrides,
-    )
-    baseline.fit(train_set, training)
-    return baseline

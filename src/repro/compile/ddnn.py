@@ -207,13 +207,6 @@ class CompiledDDNNOutput:
     device_features: List[np.ndarray] = field(default_factory=list)
     edge_features: List[np.ndarray] = field(default_factory=list)
 
-    def logits_by_name(self, name: str) -> np.ndarray:
-        try:
-            index = self.exit_names.index(name)
-        except ValueError as error:
-            raise KeyError(f"no exit named '{name}' (have {self.exit_names})") from error
-        return self.exit_logits[index]
-
     @property
     def final_logits(self) -> np.ndarray:
         return self.exit_logits[-1]

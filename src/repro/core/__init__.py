@@ -13,10 +13,10 @@ Public surface:
 * :class:`ExitOracle` — forward-once logit cache: vectorized threshold
   sweeps, exit-rate quantile calibration and accuracy reports;
 * :class:`CommunicationModel` — the paper's Eq. 1 byte accounting;
-* threshold search and accuracy reporting helpers.
+* threshold search and the per-exit accuracy helper.
 """
 
-from .accuracy import AccuracyReport, evaluate_exit_accuracies, evaluate_overall, full_accuracy_report
+from .accuracy import evaluate_exit_accuracies
 from .cascade import (
     CascadeResult,
     CascadeRouter,
@@ -49,7 +49,7 @@ from .threshold import (
     search_threshold,
     threshold_for_exit_rate,
 )
-from .training import DDNNTrainer, EpochStats, TrainingHistory, train_ddnn
+from .training import DDNNTrainer, EpochStats, TrainingHistory
 
 __all__ = [
     "DDNNConfig",
@@ -80,7 +80,6 @@ __all__ = [
     "DDNNTrainer",
     "EpochStats",
     "TrainingHistory",
-    "train_ddnn",
     "StagedInferenceEngine",
     "InferenceResult",
     "staged_inference",
@@ -94,8 +93,5 @@ __all__ = [
     "ThresholdSearchResult",
     "search_threshold",
     "threshold_for_exit_rate",
-    "AccuracyReport",
     "evaluate_exit_accuracies",
-    "evaluate_overall",
-    "full_accuracy_report",
 ]

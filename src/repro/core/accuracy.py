@@ -6,64 +6,24 @@
   classified at the first exit whose normalized entropy is below its
   threshold.
 * **Individual accuracy** — accuracy of a per-device model trained in
-  isolation (see :mod:`repro.baselines.individual`); included here only as a
-  result container so every measure lives in one report type.
+  isolation (see :mod:`repro.baselines.individual`).
 
-Every function here is a thin veneer over the forward-once
+The exit accuracies here are a thin veneer over the forward-once
 :class:`~repro.core.oracle.ExitOracle`: the model is forwarded exactly once
-per (model, dataset) call, and all measures are vectorized numpy over the
-cached per-exit logits.  Pass ``oracle=`` to reuse an existing capture and
-skip the forward entirely.
+per (model, dataset) call.  Pass ``oracle=`` to reuse an existing capture
+and skip the forward entirely; overall accuracy is
+``ExitOracle.route(thresholds).overall_accuracy()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional
 
 from ..datasets.mvmc import MVMCDataset
 from .ddnn import DDNN
 from .oracle import ExitOracle
 
-__all__ = ["AccuracyReport", "evaluate_exit_accuracies", "evaluate_overall", "full_accuracy_report"]
-
-
-@dataclass
-class AccuracyReport:
-    """All paper accuracy measures for one trained DDNN on one dataset."""
-
-    exit_accuracy: Dict[str, float] = field(default_factory=dict)
-    overall_accuracy: Optional[float] = None
-    local_exit_fraction: Optional[float] = None
-    communication_bytes: Optional[float] = None
-    individual_accuracy: Dict[int, float] = field(default_factory=dict)
-
-    @property
-    def local_accuracy(self) -> Optional[float]:
-        return self.exit_accuracy.get("local")
-
-    @property
-    def edge_accuracy(self) -> Optional[float]:
-        return self.exit_accuracy.get("edge")
-
-    @property
-    def cloud_accuracy(self) -> Optional[float]:
-        return self.exit_accuracy.get("cloud")
-
-    def as_dict(self) -> Dict[str, object]:
-        """Flat dictionary form used by the experiment result tables."""
-        payload: Dict[str, object] = {
-            f"{name}_accuracy": value for name, value in self.exit_accuracy.items()
-        }
-        if self.overall_accuracy is not None:
-            payload["overall_accuracy"] = self.overall_accuracy
-        if self.local_exit_fraction is not None:
-            payload["local_exit_fraction"] = self.local_exit_fraction
-        if self.communication_bytes is not None:
-            payload["communication_bytes"] = self.communication_bytes
-        if self.individual_accuracy:
-            payload["individual_accuracy"] = dict(self.individual_accuracy)
-        return payload
+__all__ = ["evaluate_exit_accuracies"]
 
 
 def evaluate_exit_accuracies(
@@ -76,32 +36,3 @@ def evaluate_exit_accuracies(
     """Accuracy of each exit when classifying 100% of the dataset there."""
     resolved = ExitOracle.resolve(model, dataset, batch_size, compile, oracle)
     return resolved.exit_accuracies()
-
-
-def evaluate_overall(
-    model: DDNN,
-    dataset: MVMCDataset,
-    thresholds: Union[float, Sequence[float]],
-    batch_size: int = 64,
-    compile: bool = False,
-    oracle: Optional[ExitOracle] = None,
-) -> AccuracyReport:
-    """Overall accuracy under staged inference plus the implied comm. cost."""
-    resolved = ExitOracle.resolve(model, dataset, batch_size, compile, oracle)
-    return resolved.accuracy_report(thresholds, targets=dataset.labels)
-
-
-def full_accuracy_report(
-    model: DDNN,
-    dataset: MVMCDataset,
-    thresholds: Union[float, Sequence[float]],
-    individual_accuracy: Optional[Dict[int, float]] = None,
-    batch_size: int = 64,
-    compile: bool = False,
-    oracle: Optional[ExitOracle] = None,
-) -> AccuracyReport:
-    """Every paper accuracy measure in one report (one forward pass total)."""
-    resolved = ExitOracle.resolve(model, dataset, batch_size, compile, oracle)
-    return resolved.accuracy_report(
-        thresholds, targets=dataset.labels, individual_accuracy=individual_accuracy
-    )

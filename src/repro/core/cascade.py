@@ -111,11 +111,6 @@ class StageOutcome:
     decision: ExitDecision
     newly_assigned: np.ndarray  # bool mask over the batch
 
-    @property
-    def assigned_rows(self) -> np.ndarray:
-        """Batch row indices the exit claimed on this offer."""
-        return np.flatnonzero(self.newly_assigned)
-
 
 class CascadeRouter:
     """Stateful per-batch router applying the exit criteria tier by tier.

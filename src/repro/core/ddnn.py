@@ -175,14 +175,6 @@ class DDNNOutput:
     device_features: List[Tensor] = field(default_factory=list)
     edge_features: List[Tensor] = field(default_factory=list)
 
-    def logits_by_name(self, name: str) -> Tensor:
-        """Look up an exit's logits by its name (``local``/``edge``/``cloud``)."""
-        try:
-            index = self.exit_names.index(name)
-        except ValueError as error:
-            raise KeyError(f"no exit named '{name}' (have {self.exit_names})") from error
-        return self.exit_logits[index]
-
     @property
     def final_logits(self) -> Tensor:
         """Logits of the last (always-classifying) exit."""

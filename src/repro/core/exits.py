@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -166,18 +166,3 @@ class ExitCriterion:
             entropies=entropies,
             exit_mask=exit_mask,
         )
-
-    def with_threshold(self, threshold: float) -> "ExitCriterion":
-        """Return a copy with a different threshold."""
-        return ExitCriterion(threshold, name=self.name)
-
-
-def exit_thresholds_from_sequence(
-    thresholds: Sequence[float], names: Optional[Sequence[str]] = None
-) -> list:
-    """Build a list of :class:`ExitCriterion` from plain thresholds."""
-    if names is None:
-        names = [f"exit{i}" for i in range(len(thresholds))]
-    if len(names) != len(thresholds):
-        raise ValueError("names and thresholds must have the same length")
-    return [ExitCriterion(t, name=n) for t, n in zip(thresholds, names)]

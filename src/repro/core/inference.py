@@ -76,17 +76,6 @@ class InferenceResult:
         targets = self._resolve_targets(targets)
         return float(np.mean(self.exit_predictions[exit_name] == targets))
 
-    def accuracy_of_exited_samples(
-        self, exit_name: str, targets: Optional[np.ndarray] = None
-    ) -> float:
-        """Accuracy restricted to the samples that actually used this exit."""
-        targets = self._resolve_targets(targets)
-        index = self.exit_names.index(exit_name)
-        mask = self.exit_indices == index
-        if not mask.any():
-            return float("nan")
-        return float(np.mean(self.predictions[mask] == targets[mask]))
-
     def _resolve_targets(self, targets: Optional[np.ndarray]) -> np.ndarray:
         if targets is not None:
             return np.asarray(targets)
@@ -174,7 +163,7 @@ class StagedInferenceEngine:
 def staged_inference(
     model: DDNN,
     dataset: MVMCDataset,
-    thresholds: Union[float, Sequence[float]],
+    thresholds: Thresholds,
     batch_size: int = 64,
     compile: bool = False,
     precision: str = "float64",

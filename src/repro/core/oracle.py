@@ -17,8 +17,8 @@ logits, argmax predictions and normalized entropies.  From the cache,
 * :meth:`sweep` answers an entire threshold grid in ``O(num_exits x N)``
   numpy per grid point — a 21-point calibration costs one forward instead
   of 21;
-* :meth:`exit_accuracies` / :meth:`accuracy_report` replace the
-  double-forward ``evaluate_exit_accuracies`` + engine-run pattern;
+* :meth:`exit_accuracies` replaces the double-forward
+  ``evaluate_exit_accuracies`` + engine-run pattern;
 * :meth:`exit_rate_cdf` / :meth:`quantile_threshold` read local-exit rates
   straight off the empirical entropy CDF, making exit-rate calibration an
   exact quantile lookup.
@@ -349,43 +349,6 @@ class ExitOracle:
             name: float(np.mean(logit_argmax[index] == targets))
             for index, name in enumerate(self.exit_names)
         }
-
-    def overall_accuracy(self, thresholds: Thresholds, targets: Optional[np.ndarray] = None) -> float:
-        """Staged-inference accuracy at one threshold setting."""
-        targets = self._require_targets(targets)
-        return self.route(thresholds).overall_accuracy(targets)
-
-    def accuracy_report(
-        self,
-        thresholds: Thresholds,
-        targets: Optional[np.ndarray] = None,
-        individual_accuracy: Optional[Dict[int, float]] = None,
-    ):
-        """Every paper accuracy measure in one report, from the cache.
-
-        The forward-once replacement for the ``evaluate_exit_accuracies`` +
-        ``StagedInferenceEngine.run`` double-forward pattern.
-        """
-        from .accuracy import AccuracyReport
-
-        targets = self._require_targets(targets)
-        routed = self.route(thresholds)
-        report = AccuracyReport(
-            exit_accuracy={
-                name: float(np.mean(routed.exit_predictions[name] == targets))
-                for name in self.exit_names
-            },
-            overall_accuracy=routed.overall_accuracy(targets),
-            local_exit_fraction=routed.local_exit_fraction,
-            communication_bytes=(
-                None
-                if self.communication is None
-                else self.communication.per_device_bytes(routed.local_exit_fraction)
-            ),
-        )
-        if individual_accuracy is not None:
-            report.individual_accuracy = dict(individual_accuracy)
-        return report
 
     def communication_bytes(self, result: InferenceResult) -> float:
         """Average per-device communication per sample implied by a result.

@@ -21,7 +21,7 @@ from ..nn.optim import Adam
 from .config import TrainingConfig
 from .ddnn import DDNN
 
-__all__ = ["EpochStats", "TrainingHistory", "DDNNTrainer", "train_ddnn"]
+__all__ = ["EpochStats", "TrainingHistory", "DDNNTrainer"]
 
 
 @dataclass
@@ -151,14 +151,3 @@ class DDNNTrainer:
             batch_size=batch_size or self.config.batch_size,
             compile=compile,
         )
-
-
-def train_ddnn(
-    model: DDNN,
-    train_set: MVMCDataset,
-    config: Optional[TrainingConfig] = None,
-) -> DDNNTrainer:
-    """Convenience wrapper: build a trainer, fit it, and return it."""
-    trainer = DDNNTrainer(model, config)
-    trainer.fit(train_set)
-    return trainer

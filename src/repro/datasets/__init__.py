@@ -20,7 +20,6 @@ from .shapes import (
     render_view,
     sample_object,
 )
-from .transforms import Standardizer, add_gaussian_noise, denormalize, normalize, random_flip
 
 __all__ = [
     "DeviceProfile",
@@ -39,9 +38,4 @@ __all__ = [
     "sample_object",
     "render_view",
     "blank_view",
-    "normalize",
-    "denormalize",
-    "random_flip",
-    "add_gaussian_noise",
-    "Standardizer",
 ]

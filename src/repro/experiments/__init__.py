@@ -13,7 +13,6 @@ from .chaos_serving import DEFAULT_SCENARIOS, run_chaos_serving
 from .cli import EXPERIMENT_REGISTRY
 from .cloud_offloading import DEFAULT_FILTER_SWEEP, run_cloud_offloading
 from .communication_reduction import run_communication_reduction
-from .compiled_forward import REFERENCE_BATCH_SIZE, run_compiled_forward
 from .dataset_stats import run_dataset_stats
 from .distributed_serving import (
     DEFAULT_BANDWIDTH_SCALES,
@@ -31,7 +30,6 @@ from .overload_study import (
     queue_latency_bound_s,
     run_overload_study,
 )
-from .parallel_serving import DEFAULT_PARALLEL_WORKER_COUNTS, run_parallel_serving
 from .results import ExperimentResult, format_table
 from .runner import (
     ExperimentScale,
@@ -46,9 +44,7 @@ from .runner import (
     train_fresh_ddnn,
 )
 from .scaling_devices import compute_individual_accuracies, run_scaling_devices
-from .serving_benchmark import DEFAULT_BATCH_SIZES, run_serving_throughput
 from .slo_serving import DEFAULT_MODES, run_slo_serving, run_wallclock_slo_smoke
-from .sweep_fastpath import DEFAULT_SWEEP_GRIDS, REFERENCE_GRID, run_sweep_fastpath
 from .threshold_sweep import PAPER_TABLE2_THRESHOLDS, run_threshold_sweep
 from .weight_ablation import run_weight_ablation
 
@@ -79,10 +75,6 @@ __all__ = [
     "run_weight_ablation",
     "run_edge_hierarchy",
     "run_mixed_precision",
-    "run_serving_throughput",
-    "DEFAULT_BATCH_SIZES",
-    "run_compiled_forward",
-    "REFERENCE_BATCH_SIZE",
     "run_overload_study",
     "DEFAULT_LOAD_MULTIPLIERS",
     "DEFAULT_POLICIES",
@@ -91,8 +83,6 @@ __all__ = [
     "DEFAULT_WORKER_COUNTS",
     "DEFAULT_BANDWIDTH_SCALES",
     "DEFAULT_THRESHOLD_SWEEP",
-    "run_parallel_serving",
-    "DEFAULT_PARALLEL_WORKER_COUNTS",
     "available_cpu_count",
     "run_elastic_serving",
     "DEFAULT_PEAK_WORKERS",
@@ -101,8 +91,5 @@ __all__ = [
     "run_slo_serving",
     "run_wallclock_slo_smoke",
     "DEFAULT_MODES",
-    "run_sweep_fastpath",
-    "DEFAULT_SWEEP_GRIDS",
-    "REFERENCE_GRID",
     "EXPERIMENT_REGISTRY",
 ]

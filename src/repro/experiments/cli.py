@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import operator
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -30,7 +29,6 @@ from .aggregation_table import run_aggregation_table
 from .chaos_serving import run_chaos_serving
 from .cloud_offloading import run_cloud_offloading
 from .communication_reduction import run_communication_reduction
-from .compiled_forward import run_compiled_forward
 from .dataset_stats import run_dataset_stats
 from .distributed_serving import run_distributed_serving
 from .edge_hierarchy import run_edge_hierarchy
@@ -41,11 +39,9 @@ from .flags import (
     MAX_BATCH_SIZE,
     NUM_REQUESTS,
     OUTPUT_DIR,
-    REPEATS,
     SCALE,
     SEED,
     THRESHOLD,
-    TIMING_ROUNDS,
     WORKERS,
     Flag,
     fraction,
@@ -54,12 +50,9 @@ from .flags import (
 )
 from .mixed_precision import run_mixed_precision
 from .overload_study import run_overload_study
-from .parallel_serving import run_parallel_serving
 from .results import ExperimentResult
 from .scaling_devices import run_scaling_devices
-from .serving_benchmark import run_serving_throughput
 from .slo_serving import run_slo_serving, run_wallclock_slo_smoke
-from .sweep_fastpath import run_sweep_fastpath
 from .threshold_sweep import run_threshold_sweep
 from .weight_ablation import run_weight_ablation
 
@@ -76,10 +69,6 @@ def _dist_epilogue(m: dict) -> Iterator[str]:
     )
 
 
-def _parallel_epilogue(m: dict) -> Iterator[str]:
-    yield f"cpu_count={m['cpu_count']}; wall-clock rows are machine-dependent (see metadata note)"
-
-
 def _elastic_epilogue(m: dict) -> Iterator[str]:
     trajectory = m["elastic_trajectory"]
     yield f"elastic trajectory ({len(trajectory)} scale events): {trajectory}"
@@ -89,23 +78,6 @@ def _resilience_epilogue(m: dict) -> Iterator[str]:
     stats, breakers = m["resilience_stats"], m["breakers"]
     yield "resilience accounting: " + "; ".join(f"{cell}: {v}" for cell, v in stats.items())
     yield "breakers: " + "; ".join(f"{cell}: {v or '-'}" for cell, v in breakers.items())
-
-
-def _infer_epilogue(m: dict) -> Iterator[str]:
-    yield (
-        f"reference speedup (batch {m['reference_batch_size']}): {m['reference_speedup']:.2f}x, "
-        f"max |logit diff| {m['max_abs_logit_diff']:.2e}"
-    )
-    if m.get("fp32_reference_speedup") is not None:
-        yield f"fp32 kernel reference speedup (batch 1): {m['fp32_reference_speedup']:.2f}x"
-
-
-def _sweep_epilogue(m: dict) -> Iterator[str]:
-    if "reference_speedup" in m:
-        yield (
-            f"reference speedup ({m.get('scale')} scale, Table II grid): "
-            f"{m['reference_speedup']:.1f}x"
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -146,20 +118,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
     Experiment("ext_edge_hierarchy", run_edge_hierarchy),
     Experiment("ext_mixed_precision", run_mixed_precision),
     Experiment(
-        "serving_throughput",
-        run_serving_throughput,
-        "serve-bench",
-        "benchmark online serving: dynamic micro-batching vs sequential",
-        Flag.repeatable(
-            "--max-batch-size",
-            "batch_sizes",
-            "micro-batch ceiling to measure (repeatable; default: 8, 32 and 64)",
-            type=positive_int,
-        ),
-        REPEATS.but("passes over the test set forming the request stream"),
-        OUTPUT_DIR.but("directory to write the serving table as {id}.txt"),
-    ),
-    Experiment(
         "overload_tail_latency",
         run_overload_study,
         "load-bench",
@@ -180,34 +138,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
             choices=("unbounded", "reject", "drop-oldest", "shed-local"),
         ),
         SEED.but("base seed for the arrival processes"),
-        Flag.switch(
-            "--eager",
-            "run the server's forwards on the eager path (default: compiled)",
-            kwarg="compiled",
-            convert=operator.not_,
-        ),
-    ),
-    Experiment(
-        "compiled_forward",
-        run_compiled_forward,
-        "infer-bench",
-        "benchmark the compiled inference fast path against the eager forward",
-        SCALE.but("experiment scale for the model and measured stream"),
-        Flag.repeatable(
-            "--batch-size",
-            "batch_sizes",
-            "batch size to measure (repeatable; default: 1, 8 and 64)",
-            type=positive_int,
-        ),
-        REPEATS.but("passes over the test set forming the measured stream"),
-        TIMING_ROUNDS.but("timed rounds per cell (fastest kept)"),
-        Flag.repeatable(
-            "--precision",
-            "precisions",
-            "compiled compute mode to measure (repeatable; default: all three)",
-            choices=("float64", "float32", "bitpacked"),
-        ),
-        epilogue=_infer_epilogue,
     ),
     Experiment(
         "distributed_serving",
@@ -252,16 +182,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         epilogue=_dist_epilogue,
     ),
     Experiment(
-        "parallel_serving",
-        run_parallel_serving,
-        "parallel-bench",
-        "wall-clock parallel serving: thread-pool worker scaling + backend equivalence",
-        WORKERS.but("thread worker counts to measure (repeatable; default: 1, 2 and 4)"),
-        NUM_REQUESTS.but("batch-1 requests per scaling row"),
-        Flag("--rounds", "timed rounds per scaling row (fastest kept)", type=positive_int),
-        epilogue=_parallel_epilogue,
-    ),
-    Experiment(
         "elastic_serving",
         run_elastic_serving,
         "elastic-bench",
@@ -302,24 +222,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
             passed=False,
         ),
         epilogue=_resilience_epilogue,
-    ),
-    Experiment(
-        "threshold_sweep_fastpath",
-        run_sweep_fastpath,
-        "sweep-bench",
-        "benchmark forward-once oracle threshold sweeps vs the per-threshold eager loop",
-        SCALE.but("experiment scale for the model and swept dataset"),
-        Flag.repeatable(
-            "--threshold",
-            "thresholds",
-            "custom grid threshold (repeatable; default: Table II grid + 21-point "
-            "calibration grid)",
-            type=fraction,
-            kwarg="grids",
-            convert=lambda thresholds: (("custom", tuple(thresholds)),),
-        ),
-        TIMING_ROUNDS.but("timed rounds per path (fastest kept)"),
-        epilogue=_sweep_epilogue,
     ),
 )
 

@@ -24,8 +24,6 @@ __all__ = [
     "MAX_BATCH_SIZE",
     "SEED",
     "WORKERS",
-    "REPEATS",
-    "TIMING_ROUNDS",
     "CAPACITY",
 ]
 
@@ -102,8 +100,6 @@ MAX_BATCH_SIZE = Flag(
     "--max-batch-size", "micro-batch ceiling of every tier's batching policy", type=positive_int
 )
 SEED = Flag("--seed", "seed for the arrival process, chaos draws and retry jitter", type=int)
-# ... and two commands each take one of these.
+# ... and a few take one of these.
 WORKERS = Flag.repeatable("--workers", "worker_counts", type=positive_int)
-REPEATS = Flag("--repeats", type=positive_int)
-TIMING_ROUNDS = Flag("--timing-rounds", type=positive_int)
 CAPACITY = Flag("--capacity", type=positive_int)

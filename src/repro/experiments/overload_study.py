@@ -1,13 +1,12 @@
 """Experiment S2 — tail latency under open-loop overload with admission control.
 
-The serving-throughput experiment (S1) measures a *closed* system: the
-driver submits a fixed backlog and drains it, so the server can never fall
-behind.  The paper's end devices are the opposite — an **open-loop** stream
-that keeps arriving whether or not the serving tier keeps up.  This study
-drives :class:`~repro.serving.server.DDNNServer` with a seeded Poisson
-arrival process on a simulated clock and an affine service-time model
-(deterministic, machine-independent latencies; real model predictions) and
-sweeps offered load against serving capacity:
+A *closed* loop submits a fixed backlog and drains it, so the server can
+never fall behind.  The paper's end devices are the opposite — an
+**open-loop** stream that keeps arriving whether or not the serving tier
+keeps up.  This study drives :class:`~repro.serving.server.DDNNServer` with
+a seeded Poisson arrival process on a simulated clock and an affine
+service-time model (deterministic, machine-independent latencies; real
+model predictions) and sweeps offered load against serving capacity:
 
 * ``unbounded`` — today's default FIFO queue: every request is eventually
   served, but past saturation the backlog (and therefore p95/p99 latency)
@@ -78,7 +77,6 @@ def _run_one(
     offered_rps: float,
     num_requests: int,
     seed: int,
-    compiled: bool = False,
 ) -> LoadReport:
     clock = SimulatedClock()
     server = DDNNServer(
@@ -88,7 +86,7 @@ def _run_one(
         clock=clock,
         capacity=None if policy_name == "unbounded" else capacity,
         admission=None if policy_name == "unbounded" else admission_policy(policy_name),
-        compile=compiled,
+        compile=True,
     )
     generator = LoadGenerator(
         server,
@@ -112,7 +110,6 @@ def run_overload_study(
     growth_lengths: Optional[Tuple[int, ...]] = None,
     service_model: Optional[ServiceModel] = None,
     seed: int = 0,
-    compiled: bool = True,
 ) -> ExperimentResult:
     """Sweep offered load x admission policy; add a run-length sweep for the
     unbounded baseline at 2x capacity (the divergence demonstration).
@@ -121,12 +118,10 @@ def run_overload_study(
     2 * num_requests)`` so one knob scales the whole study (the CI smoke
     job runs it tiny).
 
-    ``compiled`` selects the forward path the server's real inference runs
-    on.  The tabulated latencies come from the deterministic affine
-    ``service_model`` either way (machine-independent rows); when compiled,
-    the metadata additionally records a *measured* eager vs compiled
-    service-time calibration so the end-to-end capacity lift of the
-    compiled path is on the record.
+    The server's real inference runs on the compiled path (it routes
+    exactly like the eager one); the tabulated latencies come from the
+    deterministic affine ``service_model``, so every row is
+    machine-independent and the table is reproduced byte for byte.
     """
     scale = scale if scale is not None else default_scale()
     if num_requests < 2:
@@ -141,39 +136,9 @@ def run_overload_study(
     model, _ = get_trained_ddnn(scale)
     _, test_set = get_dataset(scale)
 
-    calibration = {}
-    if compiled:
-        # Real wall-clock calibration of both forward paths on this machine:
-        # the end-to-end capacity lift the compiled path buys the server.
-        calibration_batch = max(2, min(32, len(test_set)))
-        eager_model = ServiceModel.measure(
-            DDNNServer(model, threshold), test_set.images[0], batch_size=calibration_batch
-        )
-        compiled_model = ServiceModel.measure(
-            DDNNServer(model, threshold, compile=True),
-            test_set.images[0],
-            batch_size=calibration_batch,
-        )
-        calibration = {
-            "measured_eager_batch_ms": 1e3 * eager_model.batch_time_s(max_batch_size),
-            "measured_compiled_batch_ms": 1e3 * compiled_model.batch_time_s(max_batch_size),
-            "measured_capacity_lift": (
-                compiled_model.capacity_rps(max_batch_size)
-                / eager_model.capacity_rps(max_batch_size)
-            ),
-        }
-
-    reference = "Overload study (open-loop serving)"
-    if calibration:
-        # Rows below use the deterministic simulated service model; the real
-        # measured win of the compiled forward goes on the record here.
-        reference += (
-            f" — compiled forward, measured capacity lift "
-            f"{calibration['measured_capacity_lift']:.1f}x"
-        )
     result = ExperimentResult(
         name="overload_tail_latency",
-        paper_reference=reference,
+        paper_reference="Overload study (open-loop serving)",
         columns=[
             "policy",
             "offered_x",
@@ -200,8 +165,6 @@ def run_overload_study(
             "num_requests": num_requests,
             "growth_lengths": tuple(growth_lengths),
             "seed": seed,
-            "forward_path": "compiled" if compiled else "eager",
-            **calibration,
         },
     )
 
@@ -234,7 +197,6 @@ def run_overload_study(
                 offered_rps=multiplier * capacity_rps,
                 num_requests=num_requests,
                 seed=seed + multiplier_index,
-                compiled=compiled,
             )
             _add_row(policy_name, multiplier, num_requests, report)
 
@@ -255,7 +217,6 @@ def run_overload_study(
             offered_rps=2.0 * capacity_rps,
             num_requests=length,
             seed=seed + 1000,
-            compiled=compiled,
         )
         _add_row("unbounded", 2.0, length, report)
     return result

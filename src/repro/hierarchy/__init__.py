@@ -16,7 +16,8 @@ bandwidth-constrained wireless network).  It provides:
   swap onto a live fabric;
 * :class:`HierarchyRuntime` which executes the paper's staged inference
   procedure over the simulated deployment;
-* fault injection (:class:`FaultPlan`) and per-sample telemetry.
+* fault injection (:class:`FaultPlan`, and the timed
+  :class:`ChaosSchedule` the serving fabric consults).
 """
 
 from .faults import (
@@ -26,8 +27,6 @@ from .faults import (
     LinkLoss,
     LinkOutage,
     WorkerCrash,
-    random_failures,
-    single_device_failures,
 )
 from .network import LinkStats, Message, NetworkFabric, NetworkLink
 from .node import (
@@ -59,7 +58,6 @@ from .sections import (
     TransferResult,
     build_tier_sections,
 )
-from .telemetry import SampleTrace, Telemetry, TelemetrySummary
 
 __all__ = [
     "Message",
@@ -92,14 +90,9 @@ __all__ = [
     "TransferResult",
     "build_tier_sections",
     "FaultPlan",
-    "single_device_failures",
-    "random_failures",
     "ChaosSchedule",
     "LinkOutage",
     "LinkFlap",
     "LinkLoss",
     "WorkerCrash",
-    "SampleTrace",
-    "Telemetry",
-    "TelemetrySummary",
 ]

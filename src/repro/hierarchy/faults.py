@@ -32,8 +32,6 @@ import numpy as np
 
 __all__ = [
     "FaultPlan",
-    "single_device_failures",
-    "random_failures",
     "LinkOutage",
     "LinkFlap",
     "LinkLoss",
@@ -114,22 +112,6 @@ class FaultPlan:
 
     def is_empty(self) -> bool:
         return not self.failed_devices and not self.failed_edges and not self.intermittent
-
-
-def single_device_failures(num_devices: int) -> List[FaultPlan]:
-    """One fault plan per device, each failing exactly that device (Fig. 10)."""
-    return [FaultPlan(failed_devices={index}) for index in range(num_devices)]
-
-
-def random_failures(
-    num_devices: int, num_failed: int, seed: int = 0
-) -> FaultPlan:
-    """A fault plan with ``num_failed`` devices chosen uniformly at random."""
-    if not 0 <= num_failed <= num_devices:
-        raise ValueError("num_failed must be between 0 and num_devices")
-    rng = np.random.default_rng(seed)
-    failed = rng.choice(num_devices, size=num_failed, replace=False)
-    return FaultPlan(failed_devices=set(int(i) for i in failed), seed=seed)
 
 
 # --------------------------------------------------------------------------- #
@@ -294,28 +276,6 @@ class ChaosSchedule:
         """Rewind the loss-draw RNG to its seeded state (fresh-run semantics)."""
         self._rng = np.random.default_rng(self.seed)
         return self
-
-    def is_empty(self) -> bool:
-        return not (self.outages or self.flaps or self.losses or self.crashes)
-
-    def horizon_s(self) -> float:
-        """Latest finite event boundary in the timetable (0.0 when empty).
-
-        Wall-clock chaos runs size their workload and tolerance windows off
-        this: after the horizon the schedule is in its final (typically
-        fault-free) regime, so a run that extends past it is guaranteed a
-        recovery phase.  Unbounded windows (``end=inf``) contribute their
-        *start* only — the fault never clears, so there is nothing to wait
-        for beyond its onset.
-        """
-        horizon = 0.0
-        for event in (*self.outages, *self.flaps, *self.losses):
-            horizon = max(horizon, event.start)
-            if math.isfinite(event.end):
-                horizon = max(horizon, event.end)
-        for crash in self.crashes:
-            horizon = max(horizon, crash.end)  # crash windows are always finite
-        return horizon
 
     @property
     def has_link_chaos(self) -> bool:

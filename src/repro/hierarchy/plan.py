@@ -148,18 +148,8 @@ class PartitionPlan:
     # Structure
     # ------------------------------------------------------------------ #
     @property
-    def has_edge_tier(self) -> bool:
-        return self.model.has_edge
-
-    @property
     def num_tiers(self) -> int:
         return 2 + (1 if self.model.has_edge else 0)
-
-    @property
-    def tier_names(self) -> Tuple[str, ...]:
-        if self.model.has_edge:
-            return ("devices", "edge", "cloud")
-        return ("devices", "cloud")
 
     def resolved_local_exit(self) -> bool:
         if self.local_exit is None:
@@ -170,12 +160,6 @@ class PartitionPlan:
         if self.edge_exit is None:
             return self.model.has_edge
         return bool(self.edge_exit)
-
-    def exit_flags(self) -> Tuple[bool, ...]:
-        """Whether each tier (in chain order) evaluates its exit."""
-        if self.model.has_edge:
-            return (self.resolved_local_exit(), self.resolved_edge_exit(), True)
-        return (self.resolved_local_exit(), True)
 
     def validate(self) -> None:
         if self.local_exit and not self.model.has_local_exit:

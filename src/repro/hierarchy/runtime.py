@@ -21,7 +21,9 @@ transfer along the sample's route, no queueing), which reproduces the
 original runtime's accounting exactly.  Communication is accounted per
 sample so the byte counts match the paper's Eq. 1, and the predictions are
 identical to :class:`~repro.core.inference.StagedInferenceEngine` running
-the monolithic model (both equivalences are covered by tests).
+the monolithic model (both equivalences are covered by tests).  The
+:class:`DistributedInferenceResult` carries those per-sample numbers as
+arrays: prediction, exit name, path latency and bytes.
 """
 
 from __future__ import annotations
@@ -37,20 +39,18 @@ from ..datasets.mvmc import MVMCDataset
 from .faults import FaultPlan
 from .partition import HierarchyDeployment
 from .sections import build_tier_sections
-from .telemetry import Telemetry
 
 __all__ = ["DistributedInferenceResult", "HierarchyRuntime"]
 
 
 @dataclass
 class DistributedInferenceResult:
-    """Outcome of a distributed inference run over the simulator."""
+    """Outcome of a distributed inference run: one entry per sample."""
 
     predictions: np.ndarray
     exit_names_per_sample: List[str]
     latencies_s: np.ndarray
     bytes_per_sample: np.ndarray
-    telemetry: Telemetry
     targets: Optional[np.ndarray] = None
 
     @property
@@ -131,7 +131,6 @@ class HierarchyRuntime:
         self.model.eval()
 
         num_samples = len(dataset)
-        targets = dataset.labels
         fabric = DistributedServingFabric(
             self.deployment,
             self.cascade.thresholds,
@@ -147,32 +146,18 @@ class HierarchyRuntime:
         exit_names: List[str] = [""] * num_samples
         latencies = np.zeros(num_samples, dtype=np.float64)
         bytes_per_sample = np.zeros(num_samples, dtype=np.float64)
-        entropies_seen = np.zeros(num_samples, dtype=np.float64)
         for index, response in enumerate(responses):
             predictions[index] = response.prediction
             exit_names[index] = response.exit_name
             latencies[index] = response.path_latency_s
             bytes_per_sample[index] = response.bytes_transferred
-            entropies_seen[index] = response.entropy
-
-        telemetry = Telemetry()
-        telemetry.record_batch(
-            sample_indices=np.arange(num_samples),
-            predictions=predictions,
-            exit_names=exit_names,
-            latencies_s=latencies,
-            bytes_transferred=bytes_per_sample,
-            entropies=entropies_seen,
-            correct=predictions == targets,
-        )
 
         return DistributedInferenceResult(
             predictions=predictions,
             exit_names_per_sample=exit_names,
             latencies_s=latencies,
             bytes_per_sample=bytes_per_sample,
-            telemetry=telemetry,
-            targets=targets,
+            targets=dataset.labels,
         )
 
     # ------------------------------------------------------------------ #

@@ -5,21 +5,21 @@ upward, most requests exit at the local aggregator, and the cloud only sees
 the hard tail.  This package provides the online counterpart of the offline
 :class:`~repro.core.inference.StagedInferenceEngine`:
 
-* :class:`RequestQueue` / :class:`ClientSession` — request intake with
-  per-client bookkeeping, optional capacity bound and QoS weights;
+* :class:`RequestQueue` / :class:`ClientSession` — FIFO request intake
+  with per-client bookkeeping and an optional capacity bound;
 * :class:`AdmissionPolicy` (:class:`RejectNewest`, :class:`DropOldest`,
-  :class:`ShedToLocalExit`) — what a full queue does under overload;
+  :class:`ShedToLocalExit`) — what a full queue (or a full fabric ingress)
+  does under overload;
 * :class:`BatchingPolicy` / :class:`MicroBatcher` — dynamic micro-batching
-  with ``max_batch_size`` and ``max_wait_s`` knobs, QoS-weighted draining;
+  with ``max_batch_size`` and ``max_wait_s`` knobs;
 * :class:`DDNNServer` — a synchronous-loop server draining the queue
   through the shared :class:`~repro.core.cascade.ExitCascade`, routing
   responses per exit, with an immediate local-exit path for shed requests;
 * :class:`ServerStats` — rolling throughput / latency / exit-rate
   telemetry with pinned window semantics;
 * :class:`LoadGenerator` + arrival processes (:class:`PoissonProcess`,
-  :class:`BurstyProcess`, :class:`DiurnalProcess`, :class:`TraceReplay`)
-  and :class:`ServiceModel` — deterministic open-loop overload studies on
-  a :class:`SimulatedClock`;
+  :class:`DiurnalProcess`) and :class:`ServiceModel` — deterministic
+  open-loop overload studies on a :class:`SimulatedClock`;
 * :class:`DistributedServingFabric` — the tier-aware distributed runtime:
   an :class:`EventLoop`-driven fabric of :class:`TierServer`s (N workers
   per tier, per-worker compiled plans) where offloads cross
@@ -64,7 +64,6 @@ deterministic under test while real deployments use wall time.
 
 from .admission import (
     ADMISSION_POLICIES,
-    AdaptiveShed,
     AdmissionOutcome,
     AdmissionPolicy,
     AdmissionResult,
@@ -73,7 +72,6 @@ from .admission import (
     QueueFullError,
     RejectNewest,
     ShedToLocalExit,
-    TokenBucketPolicy,
     admission_policy,
 )
 from .autoscale import Autoscaler, RateTracker
@@ -91,13 +89,11 @@ from .fabric import (
 )
 from .loadgen import (
     ArrivalProcess,
-    BurstyProcess,
     DiurnalProcess,
     LoadGenerator,
     LoadReport,
     PoissonProcess,
     ServiceModel,
-    TraceReplay,
 )
 from .queue import ClientSession, InferenceRequest, InferenceResponse, RequestQueue
 from .resilience import (
@@ -131,8 +127,6 @@ __all__ = [
     "RejectNewest",
     "DropOldest",
     "ShedToLocalExit",
-    "TokenBucketPolicy",
-    "AdaptiveShed",
     "QueueFullError",
     "ADMISSION_POLICIES",
     "admission_policy",
@@ -170,9 +164,7 @@ __all__ = [
     "BALANCER_STRATEGIES",
     "ArrivalProcess",
     "PoissonProcess",
-    "BurstyProcess",
     "DiurnalProcess",
-    "TraceReplay",
     "ServiceModel",
     "LoadGenerator",
     "LoadReport",

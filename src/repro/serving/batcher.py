@@ -8,18 +8,14 @@ The scheduler trades latency for throughput with two knobs:
 
 A batch is released as soon as it is full, or as soon as the oldest
 pending request has waited ``max_wait_s``.  ``max_batch_size=1`` degrades
-to sequential (request-at-a-time) serving, which is the baseline the
-throughput benchmark compares against.
-
-Batch *composition* honours per-client QoS weights: draining delegates to
-:meth:`~repro.serving.queue.RequestQueue.pop_batch`, which switches from
-pure FIFO to weighted round-robin once any client weight is configured
-(see :meth:`MicroBatcher.set_client_weight`), so a backlogged high-priority
-client gets proportionally more slots per micro-batch.
+to sequential (request-at-a-time) serving.  The same policy forms the
+batches of every tier of the distributed fabric.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -36,15 +32,19 @@ class BatchingPolicy:
     max_wait_s: float = 0.002
 
     def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_wait_s < 0.0:
-            raise ValueError(f"max_wait_s must be >= 0, got {self.max_wait_s}")
-
-    @classmethod
-    def sequential(cls) -> "BatchingPolicy":
-        """The batch-size-1 baseline: every request runs alone."""
-        return cls(max_batch_size=1, max_wait_s=0.0)
+        # A bool is an int; a fractional size pops more rows than it names.
+        size = self.max_batch_size
+        if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
+            raise ValueError(f"max_batch_size must be an int >= 1, got {size!r}")
+        # NaN passes a `< 0` test and then never triggers the wait timer;
+        # inf answers everything at t = inf.
+        wait = self.max_wait_s
+        if (
+            isinstance(wait, bool)
+            or not isinstance(wait, numbers.Real)
+            or not (math.isfinite(wait) and wait >= 0.0)
+        ):
+            raise ValueError(f"max_wait_s must be a finite number >= 0, got {wait!r}")
 
 
 class MicroBatcher:
@@ -60,10 +60,6 @@ class MicroBatcher:
         self.policy = policy if policy is not None else BatchingPolicy()
         self.clock = clock if clock is not None else queue.clock
         self.batches_formed = 0
-
-    def set_client_weight(self, client_id: str, weight: float) -> None:
-        """Assign a QoS weight (relative micro-batch share) to a client."""
-        self.queue.set_weight(client_id, weight)
 
     def ready(self, now: Optional[float] = None) -> bool:
         """Whether a batch should be released right now."""

@@ -189,12 +189,6 @@ class EventLoop:
         if not handle.daemon:
             self._non_daemon += 1
 
-    def schedule_after(self, delay: float, callback: Callable[[float], None]) -> EventHandle:
-        """Enqueue a callback ``delay`` seconds from the current instant."""
-        if delay < 0.0:
-            raise ValueError(f"event delay must be >= 0, got {delay}")
-        return self.schedule(self.clock.now + delay, callback)
-
     def post(self, callback: Callable[[float], None]) -> EventHandle:
         """Enqueue a callback at the current instant, waking a waiting run().
 

@@ -323,37 +323,6 @@ class _OffloadGroup:
     hedge_deliveries: List[EventHandle] = field(default_factory=list)
 
 
-class _IngressQueueView:
-    """The device-tier queue through an :class:`AdmissionPolicy`'s eyes.
-
-    Policies were written against :class:`~repro.serving.queue.RequestQueue`
-    and only touch its ``capacity``, ``len()``, ``clock()`` and ``admission``
-    surface; this adapter presents the fabric's tier-0 backlog the same way
-    so the whole policy registry (reject / drop-oldest / shed-local /
-    token-bucket / adaptive-shed) applies to the distributed fabric
-    unchanged.
-    """
-
-    def __init__(self, fabric: "DistributedServingFabric") -> None:
-        # The fabric owns this view: a strong reference back would make
-        # every fabric (and its compiled arenas) cyclic garbage.
-        self._fabric = weakref.proxy(fabric)
-
-    @property
-    def capacity(self) -> Optional[int]:
-        return self._fabric.capacity
-
-    @property
-    def admission(self) -> AdmissionPolicy:
-        return self._fabric.admission
-
-    def __len__(self) -> int:
-        return len(self._fabric.tiers[0].queue)
-
-    def clock(self) -> float:
-        return self._fabric.clock.now
-
-
 class TierServer:
     """One tier of the fabric: queue + batching policy + a worker pool.
 
@@ -651,7 +620,6 @@ class DistributedServingFabric:
         self.capacity = capacity
         self.admission = admission if admission is not None else RejectNewest()
         self.admission_stats = AdmissionStats()
-        self._queue_view = _IngressQueueView(self)
 
         #: Plan the fabric currently runs (set by :meth:`from_plan` and
         #: :meth:`apply_plan`; ``None`` for directly-constructed fabrics).
@@ -994,47 +962,21 @@ class DistributedServingFabric:
     def _admit(self, request: FabricRequest, payload: object, now: float) -> int:
         """Offer one fresh arrival to the bounded device-tier queue.
 
-        Mirrors :meth:`RequestQueue.offer` / :meth:`RequestQueue.requeue`
-        accounting exactly: accepted requests enqueue (evicting the head
-        under drop-oldest, counted ``dropped``), rejected ones vanish with a
-        counter, shed ones are answered immediately from the first exit —
-        and an adaptive policy's conditional shed rolls its ``shed`` count
-        back into ``accepted`` when the entropy probe forces a requeue.
-        Returns the number of requests enqueued (0 or 1).
+        Mirrors :meth:`RequestQueue.offer` accounting exactly: accepted
+        requests enqueue (evicting the head under drop-oldest, counted
+        ``dropped``), rejected ones vanish with a counter, shed ones are
+        answered immediately from the first exit.  Returns the number of
+        requests enqueued (0 or 1).
         """
-        queue = self.tiers[0].queue
-        full = self.capacity is not None and len(queue) >= self.capacity
-        if not full and not self.admission.pre_queue:
-            self._enqueue(0, request, payload, now)
-            self.admission_stats.accepted += 1
-            return 1
-        outcome = self.admission.decide(self._queue_view, request.client_id)
-        if outcome is AdmissionOutcome.REJECTED:
-            self.admission_stats.rejected += 1
-            return 0
-        if outcome is AdmissionOutcome.SHED:
-            self.admission_stats.shed += 1
-            shed_threshold = getattr(self.admission, "shed_threshold", None)
-            if shed_threshold is not None:
-                exit_index = self._require_first_exit()
-                bound = shed_threshold(
-                    self._queue_view, self.cascade.thresholds[exit_index]
-                )
-                if self._shed_response(request, now, max_entropy=bound) is None:
-                    # Local entropy too high for a degraded answer: requeue
-                    # with the original stamps — shed rolls back into
-                    # accepted, a full queue evicts its head to make room.
-                    self.admission_stats.shed -= 1
-                    if self.capacity is not None and len(queue) >= self.capacity:
-                        self._evict_head()
-                        self.admission_stats.dropped += 1
-                    self._enqueue(0, request, payload, now)
-                    self.admission_stats.accepted += 1
-                    return 1
-            else:
+        if self.capacity is not None and len(self.tiers[0].queue) >= self.capacity:
+            outcome = self.admission.decide(request.client_id)
+            if outcome is AdmissionOutcome.REJECTED:
+                self.admission_stats.rejected += 1
+                return 0
+            if outcome is AdmissionOutcome.SHED:
+                self.admission_stats.shed += 1
                 self._shed_response(request, now)
-            return 0
-        if full:
+                return 0
             # ACCEPTED while full: evict the head-of-line request.
             self._evict_head()
             self.admission_stats.dropped += 1
@@ -1076,31 +1018,23 @@ class DistributedServingFabric:
         return exit_index
 
     def _shed_response(
-        self,
-        request: FabricRequest,
-        now: float,
-        max_entropy: Optional[float] = None,
-        degraded: bool = False,
-    ) -> Optional[FabricResponse]:
+        self, request: FabricRequest, now: float, degraded: bool = False
+    ) -> FabricResponse:
         """Answer a shed request from the first exit, bypassing the tiers.
 
         Mirrors :meth:`DDNNServer._shed_to_local`: the sample is evaluated
         through the cascade's first exit directly (compiled plan when the
         fabric compiles, eager otherwise) with no hierarchy byte/latency
         accounting — a shed answer is produced at the ingress, before the
-        request ever enters the tier plane.  With ``max_entropy`` set the
-        answer is only delivered when its entropy clears the bound;
-        ``None`` is returned otherwise so the caller can queue the request.
-        With ``degraded=True`` the same first-exit evaluation serves an
-        offload failover whose journey never cleared an exit (the origin
-        tier had none), flagged ``degraded`` instead of ``shed``.
+        request ever enters the tier plane.  With ``degraded=True`` the same
+        first-exit evaluation serves an offload failover whose journey never
+        cleared an exit (the origin tier had none), flagged ``degraded``
+        instead of ``shed``.
         """
         exit_index = self._require_first_exit(failover=degraded)
         decision = self.cascade.first_exit(
             self.model, request.views[None], compile=self.compile_enabled
         )
-        if max_entropy is not None and float(decision.entropies[0]) > max_entropy:
-            return None
         return self._finalize(
             request,
             now,

@@ -10,9 +10,9 @@ keeps up.
 Everything runs on a :class:`SimulatedClock` as a deterministic
 discrete-event simulation:
 
-* an :class:`ArrivalProcess` (:class:`PoissonProcess`, bursty two-state
-  :class:`BurstyProcess` (MMPP), or :class:`TraceReplay`) yields absolute
-  arrival times from a seeded RNG;
+* an :class:`ArrivalProcess` (:class:`PoissonProcess`, or the sinusoidal
+  day/night :class:`DiurnalProcess`) yields absolute arrival times from a
+  seeded RNG;
 * a :class:`ServiceModel` (affine in batch size: ``overhead + n * per_sample``)
   stands in for wall-clock compute, so latency numbers are exactly
   reproducible and independent of the machine running the study;
@@ -28,7 +28,6 @@ summarised in a :class:`LoadReport`.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence
 
@@ -43,9 +42,7 @@ __all__ = [
     "SimulatedClock",
     "ArrivalProcess",
     "PoissonProcess",
-    "BurstyProcess",
     "DiurnalProcess",
-    "TraceReplay",
     "ServiceModel",
     "LoadReport",
     "LoadGenerator",
@@ -80,74 +77,13 @@ class PoissonProcess(ArrivalProcess):
             yield now
 
 
-class BurstyProcess(ArrivalProcess):
-    """Two-state Markov-modulated Poisson process (MMPP-2).
-
-    The process alternates between a ``base`` state emitting Poisson
-    arrivals at ``base_rate_rps`` and a ``burst`` state emitting them at
-    ``burst_rate_rps``; dwell times in each state are exponential with the
-    given means.  This reproduces the bursty uplink traffic of clustered
-    end devices (many cameras triggered by the same physical event) that a
-    plain Poisson stream smooths away.
-    """
-
-    def __init__(
-        self,
-        base_rate_rps: float,
-        burst_rate_rps: float,
-        mean_base_dwell_s: float = 1.0,
-        mean_burst_dwell_s: float = 0.25,
-        seed: int = 0,
-        start: float = 0.0,
-    ) -> None:
-        for label, value in (
-            ("base_rate_rps", base_rate_rps),
-            ("burst_rate_rps", burst_rate_rps),
-            ("mean_base_dwell_s", mean_base_dwell_s),
-            ("mean_burst_dwell_s", mean_burst_dwell_s),
-        ):
-            if not value > 0.0:
-                raise ValueError(f"{label} must be > 0, got {value}")
-        self.base_rate_rps = float(base_rate_rps)
-        self.burst_rate_rps = float(burst_rate_rps)
-        self.mean_base_dwell_s = float(mean_base_dwell_s)
-        self.mean_burst_dwell_s = float(mean_burst_dwell_s)
-        self.seed = int(seed)
-        self.start = float(start)
-
-    def mean_rate_rps(self) -> float:
-        """Long-run arrival rate (dwell-time-weighted state mix)."""
-        total = self.mean_base_dwell_s + self.mean_burst_dwell_s
-        return (
-            self.base_rate_rps * self.mean_base_dwell_s
-            + self.burst_rate_rps * self.mean_burst_dwell_s
-        ) / total
-
-    def times(self) -> Iterator[float]:
-        rng = np.random.default_rng(self.seed)
-        now = self.start
-        in_burst = False
-        while True:
-            rate = self.burst_rate_rps if in_burst else self.base_rate_rps
-            dwell = self.mean_burst_dwell_s if in_burst else self.mean_base_dwell_s
-            # Competing exponentials: next arrival vs next state switch.
-            to_arrival = rng.exponential(1.0 / rate)
-            to_switch = rng.exponential(dwell)
-            if to_switch < to_arrival:
-                now += to_switch
-                in_burst = not in_burst
-            else:
-                now += to_arrival
-                yield now
-
-
 class DiurnalProcess(ArrivalProcess):
     """Non-homogeneous Poisson arrivals on a sinusoidal day/night cycle.
 
     The instantaneous rate ramps smoothly between ``base_rate_rps``
     (trough) and ``peak_rate_rps`` (crest) with period ``period_s``,
     starting at the trough — the slow load swing an autoscaler is built
-    for, as opposed to the second-scale bursts of :class:`BurstyProcess`.
+    for.
     Arrivals are generated by thinning a homogeneous process at the peak
     rate, so the sequence is deterministic for a given seed.
     """
@@ -183,10 +119,6 @@ class DiurnalProcess(ArrivalProcess):
         # -cos starts the cycle at the trough and crests at period/2.
         return mid - amplitude * math.cos(phase)
 
-    def mean_rate_rps(self) -> float:
-        """Long-run arrival rate (the sinusoid's midline)."""
-        return (self.base_rate_rps + self.peak_rate_rps) / 2.0
-
     def times(self) -> Iterator[float]:
         rng = np.random.default_rng(self.seed)
         now = self.start
@@ -198,27 +130,15 @@ class DiurnalProcess(ArrivalProcess):
                 yield now
 
 
-class TraceReplay(ArrivalProcess):
-    """Replay an explicit (finite) list of absolute arrival times."""
-
-    def __init__(self, arrival_times: Sequence[float]) -> None:
-        times = [float(t) for t in arrival_times]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError("trace arrival times must be non-decreasing")
-        self.arrival_times = times
-
-    def times(self) -> Iterator[float]:
-        return iter(self.arrival_times)
-
-
 @dataclass(frozen=True)
 class ServiceModel:
     """Affine batch service-time model: ``overhead + n * per_sample``.
 
     The affine shape is what micro-batching exploits (amortising the fixed
     overhead over ``n`` samples) and is what the real NumPy forward pass
-    exhibits; :meth:`measure` calibrates the two coefficients from real
-    timings of a server when machine-specific numbers are wanted.
+    exhibits; :meth:`from_plan_timings` calibrates the two coefficients from
+    the compiled plan's kernel timings when machine-specific numbers are
+    wanted.
     """
 
     batch_overhead_s: float = 0.002
@@ -240,34 +160,6 @@ class ServiceModel:
         return batch_size / self.batch_time_s(batch_size)
 
     @classmethod
-    def measure(
-        cls,
-        server: DDNNServer,
-        views: np.ndarray,
-        batch_size: int = 32,
-        repeats: int = 3,
-    ) -> "ServiceModel":
-        """Calibrate from real wall-clock forwards at sizes 1 and ``batch_size``."""
-        if batch_size < 2:
-            raise ValueError("batch_size must be >= 2 to fit two coefficients")
-        views = np.asarray(views)
-
-        def _time(n: int) -> float:
-            batch = np.repeat(views[None], n, axis=0) if views.ndim == 4 else views[:n]
-            best = math.inf
-            for _ in range(repeats):
-                started = time.perf_counter()
-                server.cascade.run_model(server.model, batch, batch_size=n)
-                best = min(best, time.perf_counter() - started)
-            return best
-
-        t_one = _time(1)
-        t_full = _time(batch_size)
-        per_sample = max((t_full - t_one) / (batch_size - 1), 1e-9)
-        overhead = max(t_one - per_sample, 0.0)
-        return cls(batch_overhead_s=overhead, per_sample_s=per_sample)
-
-    @classmethod
     def from_plan_timings(
         cls,
         server: DDNNServer,
@@ -277,8 +169,8 @@ class ServiceModel:
     ) -> "ServiceModel":
         """Calibrate from the compiled plan's per-op timing hook.
 
-        Instead of timing whole wall-clock forwards (:meth:`measure`), this
-        enables :meth:`repro.compile.CompiledDDNN.enable_timing`, runs the
+        Instead of timing whole wall-clock forwards, this enables
+        :meth:`repro.compile.CompiledDDNN.enable_timing`, runs the
         server's compiled cascade at batch sizes 1 and ``batch_size``, and
         fits the affine model to the summed per-op times — pure kernel
         time, free of Python dispatch and routing noise.  The per-op
@@ -419,7 +311,7 @@ class LoadGenerator:
     def run(self, num_requests: int) -> LoadReport:
         """Generate ``num_requests`` arrivals, then drain; returns the report.
 
-        A finite :class:`TraceReplay` may end the run early.  Batches start
+        A finite arrival process may end the run early.  Batches start
         when the batching policy fires *and* the (single) serving worker is
         free; each batch occupies the worker for the service model's batch
         time, which is how sustained overload turns into queueing delay.

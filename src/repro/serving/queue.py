@@ -8,14 +8,10 @@ observable.  Timestamps come from an injectable ``clock`` callable, which
 keeps the scheduler fully deterministic under test.
 
 The queue is unbounded FIFO by default — bit-identical to the original
-serving behaviour.  Two opt-in mechanisms make it overload-safe:
-
-* ``capacity`` bounds the backlog; a full queue consults an
-  :class:`~repro.serving.admission.AdmissionPolicy` (reject / drop-oldest /
-  shed-to-local-exit) for every further arrival;
-* per-client QoS weights (:meth:`RequestQueue.set_weight`) switch batch
-  draining from pure FIFO to weighted round-robin, so a backlogged
-  high-priority client gets proportionally more slots per micro-batch.
+serving behaviour.  An opt-in ``capacity`` makes it overload-safe: a full
+queue consults an :class:`~repro.serving.admission.AdmissionPolicy`
+(reject / drop-oldest / shed-to-local-exit) for every further arrival.
+Batches are always drained in FIFO order.
 """
 
 from __future__ import annotations
@@ -101,7 +97,6 @@ class ClientSession:
     rejected: int = 0
     dropped: int = 0
     shed: int = 0
-    weight: float = 1.0
     responses: Deque[InferenceResponse] = field(default_factory=deque)
 
     def __post_init__(self) -> None:
@@ -120,7 +115,7 @@ class ClientSession:
 
 
 class RequestQueue:
-    """Request intake with client sessions, optional bound and QoS weights.
+    """Request intake with client sessions and an optional bound.
 
     Parameters
     ----------
@@ -155,16 +150,6 @@ class RequestQueue:
         self.admission_stats = AdmissionStats()
         self._pending: Deque[InferenceRequest] = deque()
         self._sessions: Dict[str, ClientSession] = {}
-        self._weights: Dict[str, float] = {}
-        # Deficit-round-robin state carried across pop_batch calls: fractional
-        # credit per *backlogged* client (idle clients are dropped — no
-        # banking), and the client whose turn comes next.  Both must persist
-        # or small batches break proportionality: without credit carry-over a
-        # weight-<1 client never reaches a whole credit inside one pop and is
-        # starved; without the pointer every pop restarts at the same client
-        # and weights degrade toward plain round-robin.
-        self._qos_credits: Dict[str, float] = {}
-        self._qos_next: Optional[str] = None
         self._next_id = 0
 
     # ------------------------------------------------------------------ #
@@ -173,33 +158,6 @@ class RequestQueue:
         if client_id not in self._sessions:
             self._sessions[client_id] = ClientSession(client_id, retention=self.retention)
         return self._sessions[client_id]
-
-    @property
-    def sessions(self) -> Dict[str, ClientSession]:
-        return dict(self._sessions)
-
-    # ------------------------------------------------------------------ #
-    def set_weight(self, client_id: str, weight: float) -> None:
-        """Assign a QoS weight to a client (relative micro-batch share).
-
-        Setting any weight switches :meth:`pop_batch` from pure FIFO to
-        weighted round-robin over the backlogged clients; a client with
-        weight 2.0 gets twice the slots of a weight-1.0 client while both
-        are backlogged.  Unset clients default to 1.0.
-        """
-        weight = float(weight)
-        if not weight > 0.0:
-            raise ValueError(f"QoS weight must be > 0, got {weight}")
-        self._weights[client_id] = weight
-        self.session(client_id).weight = weight
-
-    def weight(self, client_id: str) -> float:
-        return self._weights.get(client_id, 1.0)
-
-    @property
-    def weighted(self) -> bool:
-        """Whether any QoS weight has been configured."""
-        return bool(self._weights)
 
     # ------------------------------------------------------------------ #
     def _build_request(
@@ -236,9 +194,8 @@ class RequestQueue:
         """
         session = self.session(client_id)
         evicted: Optional[InferenceRequest] = None
-        full = self.capacity is not None and len(self._pending) >= self.capacity
-        if full or self.admission.pre_queue:
-            outcome = self.admission.decide(self, client_id)
+        if self.capacity is not None and len(self._pending) >= self.capacity:
+            outcome = self.admission.decide(client_id)
             if outcome is AdmissionOutcome.REJECTED:
                 self.admission_stats.rejected += 1
                 session.rejected += 1
@@ -248,11 +205,10 @@ class RequestQueue:
                 self.admission_stats.shed += 1
                 session.shed += 1
                 return AdmissionResult(AdmissionOutcome.SHED, request=request)
-            if full:
-                # ACCEPTED while full: evict the head-of-line request.
-                evicted = self._pending.popleft()
-                self.admission_stats.dropped += 1
-                self.session(evicted.client_id).dropped += 1
+            # ACCEPTED while full: evict the head-of-line request.
+            evicted = self._pending.popleft()
+            self.admission_stats.dropped += 1
+            self.session(evicted.client_id).dropped += 1
         request = self._build_request(views, client_id, target)
         self._pending.append(request)
         session.submitted += 1
@@ -290,29 +246,6 @@ class RequestQueue:
             "request — use offer() to handle overload outcomes"
         )
 
-    def requeue(self, request: InferenceRequest) -> Optional[InferenceRequest]:
-        """Admit a previously shed request after all, converting its counters.
-
-        Used by the adaptive-shed path when a pressured request's local-exit
-        entropy is too high for a degraded answer: the request keeps its
-        original enqueue stamp (its wait started when it first knocked) and
-        the shed counters are rolled back into accepted ones.  On a full
-        queue the head-of-line request is evicted to make room (returned so
-        the caller can account the drop).
-        """
-        session = self.session(request.client_id)
-        self.admission_stats.shed -= 1
-        session.shed -= 1
-        evicted: Optional[InferenceRequest] = None
-        if self.capacity is not None and len(self._pending) >= self.capacity:
-            evicted = self._pending.popleft()
-            self.admission_stats.dropped += 1
-            self.session(evicted.client_id).dropped += 1
-        self._pending.append(request)
-        session.submitted += 1
-        self.admission_stats.accepted += 1
-        return evicted
-
     def __len__(self) -> int:
         return len(self._pending)
 
@@ -328,66 +261,10 @@ class RequestQueue:
 
     # ------------------------------------------------------------------ #
     def pop_batch(self, max_size: int) -> List[InferenceRequest]:
-        """Dequeue up to ``max_size`` requests.
-
-        Pure FIFO until any QoS weight is configured; then weighted
-        round-robin over backlogged clients (see :meth:`set_weight`), with
-        each client's own requests still served in FIFO order.
-        """
+        """Dequeue up to ``max_size`` requests, oldest first."""
         if max_size < 1:
             raise ValueError("max_size must be at least 1")
-        if not self._weights:
-            batch: List[InferenceRequest] = []
-            while self._pending and len(batch) < max_size:
-                batch.append(self._pending.popleft())
-            return batch
-        return self._pop_weighted(max_size)
-
-    def _pop_weighted(self, max_size: int) -> List[InferenceRequest]:
-        # Group the backlog per client, clients ordered by their oldest
-        # pending request (deterministic, arrival-based).
-        per_client: Dict[str, Deque[InferenceRequest]] = {}
-        order: List[str] = []
-        for request in self._pending:
-            if request.client_id not in per_client:
-                per_client[request.client_id] = deque()
-                order.append(request.client_id)
-            per_client[request.client_id].append(request)
-
-        # Resume the circular visiting order where the previous pop stopped.
-        if self._qos_next in per_client:
-            start = order.index(self._qos_next)
-            order = order[start:] + order[:start]
-
         batch: List[InferenceRequest] = []
-        credits = {client_id: self._qos_credits.get(client_id, 0.0) for client_id in order}
-        # Deficit round-robin: on each visit a backlogged client earns its
-        # weight in credit and serves one request per whole credit.
-        visit = 0
-        last_visited: Optional[str] = None
-        while len(batch) < max_size and any(per_client[c] for c in order):
-            client_id = order[visit % len(order)]
-            visit += 1
-            if not per_client[client_id]:
-                credits[client_id] = 0.0  # no banking credit while idle
-                continue
-            last_visited = client_id
-            credits[client_id] += self.weight(client_id)
-            while (
-                credits[client_id] >= 1.0
-                and per_client[client_id]
-                and len(batch) < max_size
-            ):
-                batch.append(per_client[client_id].popleft())
-                credits[client_id] -= 1.0
-        if last_visited is not None:
-            self._qos_next = order[(order.index(last_visited) + 1) % len(order)]
-        # Carry fractional credit forward only for still-backlogged clients.
-        self._qos_credits = {
-            client_id: credits[client_id] for client_id in order if per_client[client_id]
-        }
-        taken = {request.request_id for request in batch}
-        self._pending = deque(
-            request for request in self._pending if request.request_id not in taken
-        )
+        while self._pending and len(batch) < max_size:
+            batch.append(self._pending.popleft())
         return batch

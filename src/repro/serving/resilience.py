@@ -73,9 +73,6 @@ class Deadline:
     def from_slo(cls, slo_s: float, now: float) -> "Deadline":
         return cls(slo_s=float(slo_s), expires_at=now + float(slo_s))
 
-    def remaining(self, now: float) -> float:
-        return self.expires_at - now
-
     def expired(self, now: float) -> bool:
         return now >= self.expires_at
 

@@ -11,12 +11,10 @@ delivered to the issuing client's session.
 
 Overload safety is opt-in: a bounded ``capacity`` plus an
 :class:`~repro.serving.admission.AdmissionPolicy` keeps the backlog (and
-therefore tail latency) finite under sustained overload, and per-client QoS
-weights bias micro-batch slots toward high-priority clients.  With the
-defaults (unbounded queue, no weights) the server runs the exact same
-cascade as :class:`~repro.core.inference.StagedInferenceEngine`, so online
-serving is numerically identical to offline batch inference (covered by
-tests).
+therefore tail latency) finite under sustained overload.  With the default
+unbounded queue the server runs the exact same cascade as
+:class:`~repro.core.inference.StagedInferenceEngine`, so online serving is
+numerically identical to offline batch inference (covered by tests).
 
 This server is the *single-tier degenerate case* of the distributed
 :class:`~repro.serving.fabric.DistributedServingFabric`: one tier, one
@@ -30,7 +28,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Mapping, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -56,8 +54,8 @@ class DDNNServer:
         Entropy thresholds for the exit cascade (same rules as
         :class:`~repro.core.inference.StagedInferenceEngine`).
     policy:
-        Micro-batching knobs; defaults to ``BatchingPolicy()``.  Use
-        :meth:`BatchingPolicy.sequential` for the batch-size-1 baseline.
+        Micro-batching knobs; defaults to ``BatchingPolicy()``
+        (``max_batch_size=1`` serves one request at a time).
     clock:
         Time source for enqueue/completion stamps; injectable for
         deterministic tests.
@@ -69,9 +67,6 @@ class DDNNServer:
     admission:
         Full-queue policy (reject / drop-oldest / shed-to-local-exit);
         only consulted when ``capacity`` is set.
-    client_weights:
-        Optional ``{client_id: weight}`` QoS map; configuring any weight
-        switches batch draining to weighted round-robin.
     retention:
         Bound on per-session response history and per-exit outboxes;
         defaults to ``stats_window`` so a long-lived server's memory stays
@@ -98,7 +93,6 @@ class DDNNServer:
         stats_window: int = 1024,
         capacity: Optional[int] = None,
         admission: Optional[AdmissionPolicy] = None,
-        client_weights: Optional[Mapping[str, float]] = None,
         retention: Optional[int] = None,
         compile: bool = False,
         precision: str = "float64",
@@ -122,8 +116,6 @@ class DDNNServer:
             admission=admission,
             retention=self.retention,
         )
-        for client_id, weight in dict(client_weights or {}).items():
-            self.queue.set_weight(client_id, weight)
         self.batcher = MicroBatcher(self.queue, self.policy, clock)
         self.stats = ServerStats(window=stats_window)
         self._exit_outboxes: Dict[str, Deque[InferenceResponse]] = {
@@ -148,10 +140,6 @@ class DDNNServer:
     def snapshot(self) -> StatsSnapshot:
         """Current rolling telemetry reading."""
         return self.stats.snapshot()
-
-    def set_client_weight(self, client_id: str, weight: float) -> None:
-        """Assign a QoS weight (relative micro-batch share) to a client."""
-        self.queue.set_weight(client_id, weight)
 
     # ------------------------------------------------------------------ #
     def submit(
@@ -189,41 +177,15 @@ class DDNNServer:
         the cascade's first (local) exit — bounded latency, degraded
         confidence — and the response is delivered to the client session
         and local outbox before this method returns.
-
-        An adaptive policy (one exposing ``shed_threshold``, e.g.
-        :class:`~repro.serving.admission.AdaptiveShed`) sheds
-        *conditionally*: the local answer is delivered only when its entropy
-        clears the pressure-raised threshold, and the request is queued
-        normally otherwise — the result then reports ``ACCEPTED`` (with any
-        head-of-line eviction a full queue forced in ``evicted``).
         """
         result = self.queue.offer(views, client_id=client_id, target=target)
         if result.outcome is AdmissionOutcome.SHED and result.request is not None:
-            shed_threshold = getattr(self.queue.admission, "shed_threshold", None)
-            if shed_threshold is not None:
-                bound = shed_threshold(self.queue, self.cascade.thresholds[0])
-                if self._shed_to_local(result.request, max_entropy=bound) is None:
-                    evicted = self.queue.requeue(result.request)
-                    return AdmissionResult(
-                        AdmissionOutcome.ACCEPTED, request=result.request, evicted=evicted
-                    )
-            else:
-                self._shed_to_local(result.request)
+            self._shed_to_local(result.request)
         return result
 
-    def _shed_to_local(
-        self, request: InferenceRequest, max_entropy: Optional[float] = None
-    ) -> Optional[InferenceResponse]:
-        """Answer a shed request from the local exit, bypassing the queue.
-
-        With ``max_entropy`` set (adaptive shedding), the local answer is
-        delivered only when its normalized entropy is at most the bound;
-        otherwise nothing is delivered and ``None`` is returned so the
-        caller can queue the request instead.
-        """
+    def _shed_to_local(self, request: InferenceRequest) -> None:
+        """Answer a shed request from the local exit, bypassing the queue."""
         decision = self.cascade.first_exit(self.model, request.views[None])
-        if max_entropy is not None and float(decision.entropies[0]) > max_entropy:
-            return None
         response = InferenceResponse(
             request_id=request.request_id,
             client_id=request.client_id,
@@ -239,7 +201,6 @@ class DDNNServer:
         )
         self._exit_outboxes[response.exit_name].append(response)
         self.queue.session(request.client_id).deliver(response)
-        return response
 
     def step(self, force: bool = False) -> List[InferenceResponse]:
         """Process at most one micro-batch; returns its responses.

@@ -1,4 +1,4 @@
-"""Tests for overload safety: admission control, QoS weights, load generation."""
+"""Tests for overload safety: admission control and load generation."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ import pytest
 
 from repro.serving import (
     AdmissionOutcome,
+    ArrivalProcess,
     BatchingPolicy,
-    BurstyProcess,
     DDNNServer,
     DropOldest,
     LoadGenerator,
@@ -21,7 +21,6 @@ from repro.serving import (
     ServiceModel,
     ShedToLocalExit,
     SimulatedClock,
-    TraceReplay,
     admission_policy,
 )
 
@@ -39,7 +38,7 @@ class TestAdmissionPolicies:
 
     def test_unbounded_queue_never_consults_admission(self):
         class Exploding(RejectNewest):
-            def decide(self, queue, client_id):  # pragma: no cover - must not run
+            def decide(self, client_id):  # pragma: no cover - must not run
                 raise AssertionError("admission consulted on an unbounded queue")
 
         queue = RequestQueue(clock=SimulatedClock(), admission=Exploding())
@@ -103,100 +102,55 @@ class TestAdmissionPolicies:
         assert queue.session("late").shed == 0
         assert queue.session("late").rejected == 1
 
+    # (accepted, rejected, dropped, shed) after 8 offers to a full queue of 3.
+    OVERFLOW = {
+        "reject": (3, 8, 0, 0),
+        "drop-oldest": (11, 0, 8, 0),
+        "shed-local": (3, 0, 0, 8),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOW))
+    def test_overflow_accounting_balances_per_client(self, name):
+        queue = self._full_queue(admission_policy(name), capacity=3)
+        for index in range(8):
+            queue.offer(_views(), client_id=f"late-{index % 2}")
+        stats = queue.admission_stats
+        assert (stats.accepted, stats.rejected, stats.dropped, stats.shed) == self.OVERFLOW[name]
+        assert stats.offered == 11
+        assert len(queue) == 3 == stats.accepted - stats.dropped
+        # Per-client counters partition the queue-wide ones.
+        sessions = [queue.session(f"seed-{index}") for index in range(3)]
+        sessions += [queue.session(f"late-{index}") for index in range(2)]
+        for counter in ("rejected", "dropped", "shed"):
+            assert sum(getattr(s, counter) for s in sessions) == getattr(stats, counter)
+        assert sum(s.in_flight for s in sessions) == len(queue)
+        # Under drop-oldest the survivors are the newest arrivals.
+        if name == "drop-oldest":
+            assert [r.client_id for r in queue.pop_batch(3)] == ["late-1", "late-0", "late-1"]
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOW))
+    def test_server_offer_answers_or_accounts_every_sample(self, trained_ddnn, tiny_test, name):
+        server = DDNNServer(trained_ddnn, 0.8, capacity=3, admission=admission_policy(name))
+        outcomes = [server.offer(tiny_test.images[index], client_id="cam") for index in range(8)]
+        server.run_until_drained()
+        session = server.queue.session("cam")
+        stats = server.queue.admission_stats
+        shed = [r for r in session.responses if r.shed]
+        # A shed sample is answered at once from the local exit; everything
+        # else that stayed in the queue gets the full cascade.
+        assert len(shed) == stats.shed == sum(o.outcome is AdmissionOutcome.SHED for o in outcomes)
+        assert all(r.exit_index == 0 for r in shed)
+        assert session.completed == stats.accepted - stats.dropped == 3
+        assert len(session.responses) == session.completed + stats.shed
+        assert session.completed + stats.rejected + stats.dropped + stats.shed == 8
+        assert session.in_flight == 0
+
     def test_admission_policy_registry(self):
         assert isinstance(admission_policy("reject"), RejectNewest)
         assert isinstance(admission_policy("drop-oldest"), DropOldest)
         assert isinstance(admission_policy("shed-local"), ShedToLocalExit)
         with pytest.raises(ValueError):
             admission_policy("nope")
-
-
-class TestQoSWeights:
-    def _backlogged(self, weights, per_client=6):
-        queue = RequestQueue(clock=SimulatedClock())
-        for client_id, weight in weights.items():
-            queue.set_weight(client_id, weight)
-        for _ in range(per_client):
-            for client_id in weights:
-                queue.submit(_views(), client_id=client_id)
-        return queue
-
-    def test_weighted_round_robin_share(self):
-        queue = self._backlogged({"premium": 2.0, "basic": 1.0})
-        batch = [request.client_id for request in queue.pop_batch(6)]
-        assert batch.count("premium") == 4
-        assert batch.count("basic") == 2
-
-    def test_fractional_weights(self):
-        queue = self._backlogged({"a": 1.0, "b": 0.5})
-        batch = [request.client_id for request in queue.pop_batch(6)]
-        assert batch.count("a") == 4
-        assert batch.count("b") == 2
-
-    def test_per_client_order_stays_fifo_under_weights(self):
-        queue = self._backlogged({"a": 2.0, "b": 1.0})
-        batch = queue.pop_batch(12)
-        for client_id in ("a", "b"):
-            ids = [r.request_id for r in batch if r.client_id == client_id]
-            assert ids == sorted(ids)
-
-    def test_idle_client_gets_no_banked_credit(self):
-        queue = RequestQueue(clock=SimulatedClock())
-        queue.set_weight("hi", 5.0)
-        # Only "lo" is backlogged; "hi" being absent must not starve it.
-        for _ in range(4):
-            queue.submit(_views(), client_id="lo")
-        assert len(queue.pop_batch(4)) == 4
-
-    def test_no_weights_means_pure_fifo(self):
-        queue = RequestQueue(clock=SimulatedClock())
-        ids = [queue.submit(_views(), client_id=f"c{i % 3}").request_id for i in range(9)]
-        popped = [request.request_id for request in queue.pop_batch(9)]
-        assert popped == ids
-
-    def test_weight_validation(self):
-        queue = RequestQueue(clock=SimulatedClock())
-        with pytest.raises(ValueError):
-            queue.set_weight("a", 0.0)
-        with pytest.raises(ValueError):
-            queue.set_weight("a", -1.0)
-
-    def test_fractional_weight_client_not_starved_by_small_batches(self):
-        """Regression: deficit credit must persist across pop_batch calls —
-        with max_batch_size=1 a weight-0.5 client never reaches a whole
-        credit inside one pop and was starved forever."""
-        queue = RequestQueue(clock=SimulatedClock())
-        queue.set_weight("bulk", 0.5)
-        queue.set_weight("prio", 1.0)
-        for _ in range(12):
-            queue.submit(_views(), client_id="bulk")
-            queue.submit(_views(), client_id="prio")
-        served = [queue.pop_batch(1)[0].client_id for _ in range(9)]
-        assert served.count("bulk") == 3  # the 1-in-3 share its weight implies
-        assert served.count("prio") == 6
-
-    def test_idle_client_credit_not_banked_across_pops(self):
-        queue = RequestQueue(clock=SimulatedClock())
-        queue.set_weight("sleepy", 0.5)
-        queue.set_weight("busy", 1.0)
-        # "sleepy" is idle for many pops, then shows up: it must not have
-        # accumulated credit while it had nothing queued.
-        for _ in range(8):
-            queue.submit(_views(), client_id="busy")
-        for _ in range(4):
-            queue.pop_batch(1)
-        queue.submit(_views(), client_id="sleepy")
-        first = queue.pop_batch(1)[0]
-        assert first.client_id == "busy"  # sleepy still owes 1.0 of credit
-
-    def test_weights_leave_queue_length_consistent(self):
-        queue = self._backlogged({"a": 3.0, "b": 1.0}, per_client=5)
-        batch = queue.pop_batch(4)
-        assert len(batch) == 4
-        assert len(queue) == 6
-        rest = queue.pop_batch(100)
-        assert len(rest) == 6
-        assert len(queue) == 0
 
 
 class TestArrivalProcesses:
@@ -214,31 +168,9 @@ class TestArrivalProcesses:
         b = list(itertools.islice(iter(PoissonProcess(100.0, seed=2)), 10))
         assert a != b
 
-    def test_bursty_deterministic_and_mean_rate(self):
-        process = BurstyProcess(50.0, 500.0, mean_base_dwell_s=0.5,
-                                mean_burst_dwell_s=0.125, seed=3)
-        first = list(itertools.islice(iter(process), 40))
-        second = list(itertools.islice(iter(process), 40))
-        assert first == second
-        times = np.array(list(itertools.islice(iter(process), 6000)))
-        empirical = len(times) / times[-1]
-        assert empirical == pytest.approx(process.mean_rate_rps(), rel=0.15)
-        # The mix rate sits strictly between the two state rates.
-        assert 50.0 < process.mean_rate_rps() < 500.0
-
-    def test_trace_replay_exact_and_validated(self):
-        trace = TraceReplay([0.0, 0.5, 0.5, 2.0])
-        assert list(trace) == [0.0, 0.5, 0.5, 2.0]
-        with pytest.raises(ValueError):
-            TraceReplay([1.0, 0.5])
-
     def test_process_parameter_validation(self):
         with pytest.raises(ValueError):
             PoissonProcess(0.0)
-        with pytest.raises(ValueError):
-            BurstyProcess(0.0, 10.0)
-        with pytest.raises(ValueError):
-            BurstyProcess(10.0, 10.0, mean_base_dwell_s=0.0)
 
 
 class TestServiceModel:
@@ -364,200 +296,17 @@ class TestLoadGenerator:
 
     def test_trace_replay_drives_exact_arrival_times(self, trained_ddnn, tiny_test):
         trace = [0.0, 0.001, 0.002, 0.2, 0.4]
+
+        class Replay(ArrivalProcess):  # a finite process ends the run by itself
+            def times(self):
+                return iter(trace)
+
         _, report = self._run(
             trained_ddnn,
             tiny_test,
-            process=TraceReplay(trace),
-            num_requests=5,
+            process=Replay(),
+            num_requests=10,
         )
         assert report.offered == 5
         assert report.served == 5
         assert [r.enqueue_time for r in sorted(report.responses, key=lambda r: r.request_id)] == trace
-
-
-class TestTokenBucketPolicy:
-    def _queue(self, policy, capacity=None):
-        return RequestQueue(clock=SimulatedClock(), capacity=capacity, admission=policy)
-
-    def test_burst_then_reject_then_refill(self):
-        from repro.serving import TokenBucketPolicy
-
-        policy = TokenBucketPolicy(rate_rps=1.0, burst=3.0)
-        queue = self._queue(policy)
-        for _ in range(3):
-            assert queue.offer(_views(), client_id="a").accepted
-        result = queue.offer(_views(), client_id="a")
-        assert result.outcome is AdmissionOutcome.REJECTED
-        assert queue.admission_stats.rejected == 1
-        # One token refills per simulated second.
-        queue.clock.advance(1.0)
-        assert queue.offer(_views(), client_id="a").accepted
-        assert queue.offer(_views(), client_id="a").outcome is AdmissionOutcome.REJECTED
-
-    def test_buckets_are_per_client(self):
-        from repro.serving import TokenBucketPolicy
-
-        queue = self._queue(TokenBucketPolicy(rate_rps=1.0, burst=1.0))
-        assert queue.offer(_views(), client_id="a").accepted
-        assert queue.offer(_views(), client_id="a").outcome is AdmissionOutcome.REJECTED
-        # Client b's bucket is untouched by a's exhaustion.
-        assert queue.offer(_views(), client_id="b").accepted
-
-    def test_bucket_never_exceeds_burst(self):
-        from repro.serving import TokenBucketPolicy
-
-        policy = TokenBucketPolicy(rate_rps=10.0, burst=2.0)
-        queue = self._queue(policy)
-        queue.clock.advance(100.0)  # long idle: bucket caps at burst
-        assert policy.tokens("a", queue.clock()) == pytest.approx(2.0)
-
-    def test_full_queue_delegates_to_inner_policy_without_charging_rejects(self):
-        from repro.serving import TokenBucketPolicy
-
-        policy = TokenBucketPolicy(rate_rps=0.001, burst=5.0, inner=RejectNewest())
-        queue = self._queue(policy, capacity=1)
-        assert queue.offer(_views(), client_id="a").accepted
-        before = policy.tokens("a", queue.clock())
-        result = queue.offer(_views(), client_id="a")
-        assert result.outcome is AdmissionOutcome.REJECTED
-        # The inner full-queue rejection must not consume a token.
-        assert policy.tokens("a", queue.clock()) == pytest.approx(before)
-
-    def test_full_queue_drop_oldest_inner_still_rate_limits(self):
-        from repro.serving import TokenBucketPolicy
-
-        policy = TokenBucketPolicy(rate_rps=0.001, burst=2.0, inner=DropOldest())
-        queue = self._queue(policy, capacity=1)
-        assert queue.offer(_views(), client_id="a").accepted
-        result = queue.offer(_views(), client_id="a")
-        assert result.accepted and result.evicted is not None
-        # Bucket empty now: rejected even though drop-oldest would make room.
-        assert queue.offer(_views(), client_id="a").outcome is AdmissionOutcome.REJECTED
-
-    def test_validation_and_registry(self):
-        from repro.serving import TokenBucketPolicy
-
-        with pytest.raises(ValueError):
-            TokenBucketPolicy(rate_rps=0.0)
-        with pytest.raises(ValueError):
-            TokenBucketPolicy(rate_rps=1.0, burst=0.5)
-        policy = admission_policy("token-bucket", rate_rps=5.0, burst=2.0)
-        assert isinstance(policy, TokenBucketPolicy)
-        assert policy.rate_rps == 5.0
-
-    def test_server_rate_limits_chatty_client(self, trained_ddnn, tiny_test):
-        from repro.serving import TokenBucketPolicy
-
-        clock = SimulatedClock()
-        server = DDNNServer(
-            trained_ddnn,
-            0.8,
-            clock=clock,
-            capacity=64,
-            admission=TokenBucketPolicy(rate_rps=1.0, burst=4.0),
-        )
-        outcomes = [
-            server.offer(tiny_test.images[i % len(tiny_test)], client_id="chatty").outcome
-            for i in range(10)
-        ]
-        assert outcomes.count(AdmissionOutcome.ACCEPTED) == 4
-        assert outcomes.count(AdmissionOutcome.REJECTED) == 6
-        # A polite client still gets in.
-        assert server.offer(tiny_test.images[0], client_id="polite").accepted
-
-
-class TestAdaptiveShed:
-    def _server(self, model, capacity=8, low_watermark=0.5, relaxed=1.0):
-        from repro.serving import AdaptiveShed
-
-        clock = SimulatedClock()
-        return DDNNServer(
-            model,
-            0.8,
-            clock=clock,
-            capacity=capacity,
-            admission=AdaptiveShed(low_watermark=low_watermark, relaxed_threshold=relaxed),
-        )
-
-    def test_below_watermark_accepts_everything(self, trained_ddnn, tiny_test):
-        server = self._server(trained_ddnn, capacity=8)
-        for i in range(4):  # stays at/below the 0.5 * 8 watermark
-            assert server.offer(tiny_test.images[i % len(tiny_test)]).accepted
-        assert server.queue.admission_stats.shed == 0
-
-    def test_under_pressure_sheds_or_requeues_consistently(self, trained_ddnn, tiny_test):
-        server = self._server(trained_ddnn, capacity=8)
-        shed = accepted = 0
-        for i in range(24):
-            result = server.offer(tiny_test.images[i % len(tiny_test)], client_id="c")
-            if result.outcome is AdmissionOutcome.SHED:
-                shed += 1
-            else:
-                assert result.accepted
-                accepted += 1
-        stats = server.queue.admission_stats
-        # Nothing is rejected outright; counters stay consistent after requeues.
-        assert stats.rejected == 0
-        assert stats.shed == shed
-        assert stats.accepted == accepted
-        assert stats.offered == 24
-        assert shed > 0, "sustained pressure must shed something"
-        # Shed answers were delivered immediately from the local exit.
-        session = server.queue.session("c")
-        assert session.shed == shed
-        assert sum(1 for r in session.responses if r.shed) == shed
-        assert all(r.exit_index == 0 for r in session.responses if r.shed)
-
-    def test_full_queue_sheds_everything_at_relaxed_one(self, trained_ddnn, tiny_test):
-        server = self._server(trained_ddnn, capacity=4)
-        outcomes = []
-        for i in range(12):
-            outcomes.append(
-                server.offer(tiny_test.images[i % len(tiny_test)]).outcome
-            )
-        # Once the queue is pinned at capacity the threshold reaches 1.0 and
-        # every further arrival is answered locally.
-        assert len(server.queue) <= 4
-        assert outcomes[-1] is AdmissionOutcome.SHED
-
-    def test_shed_threshold_interpolates_with_pressure(self):
-        from repro.serving import AdaptiveShed
-
-        policy = AdaptiveShed(low_watermark=0.5, relaxed_threshold=1.0)
-        # shed_threshold only reads depth/capacity; fill a plain queue.
-        queue = RequestQueue(clock=SimulatedClock(), capacity=10)
-        base = 0.6
-        assert policy.shed_threshold(queue, base) == pytest.approx(base)  # empty
-        for _ in range(5):
-            queue.submit(_views())
-        assert policy.shed_threshold(queue, base) == pytest.approx(base)  # at watermark
-        for _ in range(5):
-            queue.submit(_views())
-        assert policy.shed_threshold(queue, base) == pytest.approx(1.0)  # full
-
-    def test_requires_bounded_queue(self):
-        from repro.serving import AdaptiveShed
-
-        queue = RequestQueue(clock=SimulatedClock(), admission=AdaptiveShed())
-        with pytest.raises(ValueError):
-            queue.offer(_views())
-
-    def test_validation(self):
-        from repro.serving import AdaptiveShed
-
-        with pytest.raises(ValueError):
-            AdaptiveShed(low_watermark=1.0)
-        with pytest.raises(ValueError):
-            AdaptiveShed(relaxed_threshold=-0.1)
-
-    def test_requeue_preserves_offer_accounting(self):
-        queue = RequestQueue(clock=SimulatedClock(), capacity=4)
-        result_request = queue._build_request(_views(), "c", None)
-        queue.admission_stats.shed += 1
-        queue.session("c").shed += 1
-        evicted = queue.requeue(result_request)
-        assert evicted is None
-        assert len(queue) == 1
-        stats = queue.admission_stats
-        assert stats.shed == 0 and stats.accepted == 1
-        assert queue.session("c").submitted == 1

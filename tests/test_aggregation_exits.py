@@ -14,7 +14,6 @@ from repro.core import (
     normalized_entropy,
     softmax_probabilities,
 )
-from repro.core.exits import exit_thresholds_from_sequence
 from repro.nn import Tensor
 
 
@@ -159,18 +158,6 @@ class TestExitCriterion:
     def test_accepts_tensor_input(self):
         decision = ExitCriterion(0.5).evaluate(Tensor(np.zeros((2, 3))))
         assert decision.probabilities.shape == (2, 3)
-
-    def test_with_threshold_copies(self):
-        criterion = ExitCriterion(0.3, name="local")
-        other = criterion.with_threshold(0.9)
-        assert other.threshold == 0.9 and other.name == "local"
-        assert criterion.threshold == 0.3
-
-    def test_exit_thresholds_from_sequence(self):
-        criteria = exit_thresholds_from_sequence([0.1, 0.9], names=["local", "cloud"])
-        assert [c.name for c in criteria] == ["local", "cloud"]
-        with pytest.raises(ValueError):
-            exit_thresholds_from_sequence([0.1], names=["a", "b"])
 
     def test_repr_contains_name(self):
         assert "local" in repr(ExitCriterion(0.5, name="local"))

@@ -163,10 +163,8 @@ class TestChaosSchedule:
         first.reset()
         assert inside == [first.sample_loss("a", "b", 1.5) for _ in range(20)]
 
-    def test_is_empty_and_has_link_chaos(self):
-        assert ChaosSchedule().is_empty()
+    def test_has_link_chaos(self):
         crash_only = ChaosSchedule(crashes=[WorkerCrash(tier="cloud", start=0.0, end=1.0)])
-        assert not crash_only.is_empty()
         assert not crash_only.has_link_chaos
         assert ChaosSchedule(outages=[LinkOutage()]).has_link_chaos
 

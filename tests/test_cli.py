@@ -19,14 +19,6 @@ REPO = Path(__file__).resolve().parent.parent
 GOLDEN_DEFAULTS = {
     "list": {"command": "list"},
     "run": {"command": "run", "experiment": "all", "scale": "ci", "output_dir": None},
-    "serve-bench": {
-        "command": "serve-bench",
-        "scale": "ci",
-        "threshold": 0.8,
-        "batch_sizes": None,
-        "repeats": 2,
-        "output_dir": None,
-    },
     "load-bench": {
         "command": "load-bench",
         "scale": "ci",
@@ -38,7 +30,6 @@ GOLDEN_DEFAULTS = {
         "policies": None,
         "seed": 0,
         "output_dir": None,
-        "eager": False,
     },
     "dist-bench": {
         "command": "dist-bench",
@@ -54,15 +45,6 @@ GOLDEN_DEFAULTS = {
         "compiled": False,
         "backend": "simulated",
         "calibrate": False,
-        "output_dir": None,
-    },
-    "parallel-bench": {
-        "command": "parallel-bench",
-        "scale": "ci",
-        "threshold": 0.8,
-        "worker_counts": None,
-        "num_requests": 96,
-        "rounds": 2,
         "output_dir": None,
     },
     "elastic-bench": {
@@ -93,23 +75,6 @@ GOLDEN_DEFAULTS = {
         "max_batch_size": 4,
         "seed": 0,
         "wallclock_smoke": False,
-        "output_dir": None,
-    },
-    "infer-bench": {
-        "command": "infer-bench",
-        "scale": "ci",
-        "threshold": 0.8,
-        "batch_sizes": None,
-        "repeats": 2,
-        "timing_rounds": 3,
-        "precisions": None,
-        "output_dir": None,
-    },
-    "sweep-bench": {
-        "command": "sweep-bench",
-        "scale": "ci",
-        "thresholds": None,
-        "timing_rounds": 3,
         "output_dir": None,
     },
 }
@@ -165,7 +130,7 @@ class TestGeneratedParser:
 
     def test_every_ci_workflow_command_line_parses(self):
         command_lines = list(_ci_command_lines())
-        assert len(command_lines) >= 11, command_lines
+        assert len(command_lines) >= 7, command_lines
         parser = build_parser()
         for argv in command_lines:
             assert parser.parse_args(argv).command == argv[0]
@@ -177,7 +142,7 @@ class TestGeneratedParser:
             ["elastic-bench", "--capacity", "0"],
             ["load-bench", "--offered-x", "-1"],
             ["chaos-bench", "--threshold", "1.5"],
-            ["infer-bench", "--batch-size", "two"],
+            ["slo-bench", "--max-batch-size", "two"],
         ],
     )
     def test_bad_values_fail_at_the_parser_before_any_training(

@@ -177,6 +177,34 @@ def _eager_exit_logits(model, dataset):
         return model(dataset.images).exit_logits
 
 
+def test_float32_beats_float64_at_the_batch_one_kernel_reference():
+    """fp32 kernels must run a float ConvPBlock(3, 48) + (48, 96) stack at
+    batch 1 at least 1.3x faster than fp64.  The stack is wide enough that
+    GEMM and memory traffic, not per-op numpy dispatch, set its wall time;
+    each mode keeps its fastest of three rounds, so one noisy round on a
+    shared runner cannot sink the ratio."""
+    import time
+
+    from repro.nn.blocks import ConvPBlock
+
+    rng = np.random.default_rng(7)
+    stack = [ConvPBlock(3, 48, binary=False, rng=rng), ConvPBlock(48, 96, binary=False, rng=rng)]
+    x = rng.standard_normal((1, 3, 32, 32))
+    walls = {}
+    for mode in ("float64", "float32"):
+        plan = compile_plan(stack, name=f"fp32-reference-{mode}", precision=mode)
+        plan(x)  # binds the arena program for this shape
+        best = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            for _ in range(40):
+                plan(x)
+            best = min(best, (time.perf_counter() - started) / 40)
+        walls[mode] = best
+    speedup = walls["float64"] / walls["float32"]
+    assert speedup >= 1.3, f"fp32 kernel reference only {speedup:.2f}x fp64 at batch 1"
+
+
 # --------------------------------------------------------------------------- #
 # Oracle vs engine parity per mode
 # --------------------------------------------------------------------------- #

@@ -11,15 +11,10 @@ from repro.datasets import (
     IMAGE_SIZE,
     NOT_PRESENT_LABEL,
     MVMCDataset,
-    Standardizer,
-    add_gaussian_noise,
     blank_view,
     class_distribution_per_device,
-    denormalize,
     generate_mvmc,
     load_mvmc_splits,
-    normalize,
-    random_flip,
     render_view,
     sample_object,
 )
@@ -166,34 +161,3 @@ class TestSplitsAndStats:
         present_counts = dataset.presence().sum(axis=0)
         assert present_counts[-1] > present_counts[0]
 
-
-class TestTransforms:
-    def test_normalize_denormalize_roundtrip(self):
-        images = np.random.default_rng(0).random((2, 3, 4, 4))
-        np.testing.assert_allclose(denormalize(normalize(images)), images)
-
-    def test_random_flip_preserves_content(self):
-        images = np.random.default_rng(0).random((6, 3, 8, 8))
-        flipped = random_flip(images, np.random.default_rng(1), probability=1.0)
-        np.testing.assert_allclose(flipped, images[..., ::-1])
-
-    def test_random_flip_is_consistent_across_device_views(self):
-        images = np.random.default_rng(0).random((4, 6, 3, 8, 8))
-        flipped = random_flip(images, np.random.default_rng(2), probability=1.0)
-        np.testing.assert_allclose(flipped, images[..., ::-1])
-
-    def test_add_gaussian_noise_changes_values(self):
-        images = np.zeros((2, 3, 4, 4))
-        noisy = add_gaussian_noise(images, np.random.default_rng(0), std=0.1)
-        assert np.abs(noisy).mean() > 0
-
-    def test_standardizer_zero_mean_unit_std(self):
-        images = np.random.default_rng(0).random((50, 3, 8, 8)) * 3 + 1
-        scaler = Standardizer()
-        transformed = scaler.fit_transform(images)
-        np.testing.assert_allclose(transformed.mean(axis=(0, 2, 3)), np.zeros(3), atol=1e-10)
-        np.testing.assert_allclose(transformed.std(axis=(0, 2, 3)), np.ones(3), atol=1e-6)
-
-    def test_standardizer_requires_fit(self):
-        with pytest.raises(RuntimeError):
-            Standardizer().transform(np.zeros((1, 3, 4, 4)))

@@ -97,9 +97,6 @@ class TestBuildDDNN:
         assert len(output.device_scores) == tiny_config.num_devices
         assert output.device_features[0].shape == (5, tiny_config.device_filters, 16, 16)
         assert output.final_logits is output.exit_logits[-1]
-        assert output.logits_by_name("local") is output.exit_logits[0]
-        with pytest.raises(KeyError):
-            output.logits_by_name("edge")
 
     def test_forward_accepts_list_of_views(self, tiny_config):
         model = build_ddnn(tiny_config)

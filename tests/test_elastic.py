@@ -319,12 +319,11 @@ class TestLoadBalancer:
 
 
 class TestDiurnalProcess:
-    def test_rate_endpoints_and_mean(self):
+    def test_rate_endpoints(self):
         process = DiurnalProcess(10.0, 30.0, period_s=60.0)
         assert process.rate_at(0.0) == pytest.approx(10.0)  # starts at trough
         assert process.rate_at(30.0) == pytest.approx(30.0)  # crest at half period
         assert process.rate_at(60.0) == pytest.approx(10.0)
-        assert process.mean_rate_rps() == pytest.approx(20.0)
 
     def test_times_deterministic_and_monotone(self):
         def take(seed):
@@ -336,6 +335,20 @@ class TestDiurnalProcess:
         assert a != c
         assert len(a) == 50
         assert all(later >= earlier for earlier, later in zip(a, a[1:]))
+
+    def test_thinned_arrivals_follow_the_cycle(self):
+        """Over whole periods the arrival rate averages to the midpoint, and
+        the crest half of each period draws more than the trough half."""
+        process = DiurnalProcess(20.0, 60.0, period_s=10.0, seed=1)
+        times = process.times()
+        arrivals = []
+        while not arrivals or arrivals[-1] < 200.0:
+            arrivals.append(next(times))
+        arrivals = np.array(arrivals[:-1])
+        assert len(arrivals) / 200.0 == pytest.approx(40.0, rel=0.05)
+        phase = np.mod(arrivals, 10.0)
+        crest = ((phase >= 2.5) & (phase < 7.5)).sum()
+        assert crest > 1.5 * (len(arrivals) - crest)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="base_rate_rps"):

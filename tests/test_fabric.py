@@ -47,7 +47,7 @@ class TestEventLoop:
         def chain(t):
             fired.append(t)
             if len(fired) < 3:
-                loop.schedule_after(1.0, chain)
+                loop.schedule(t + 1.0, chain)
 
         loop.schedule(0.5, chain)
         loop.run()
@@ -64,7 +64,7 @@ class TestEventLoop:
         loop = EventLoop()
 
         def forever(t):
-            loop.schedule_after(1.0, forever)
+            loop.schedule(t + 1.0, forever)
 
         loop.schedule(0.0, forever)
         with pytest.raises(RuntimeError):
@@ -310,6 +310,71 @@ class TestOpenLoopAndAdaptive:
             AdaptiveThreshold(depth_trigger=0)
         with pytest.raises(ValueError):
             AdaptiveThreshold(depth_trigger=4, relaxed_threshold=1.5)
+
+
+class TestIngressAdmission:
+    """The device-tier ingress guards its bounded queue with the same three
+    policies, and the same accounting, as the single-box queue."""
+
+    # (accepted, rejected, dropped, shed): 12 samples arrive in one event at
+    # a device-tier queue of capacity 4.
+    OVERFLOW = {
+        "reject": (4, 8, 0, 0),
+        "drop-oldest": (12, 0, 8, 0),
+        "shed-local": (4, 0, 0, 8),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOW))
+    def test_every_arrival_is_answered_or_counted(self, trained_ddnn, tiny_test, name):
+        from repro.serving import admission_policy
+
+        baseline = ExitCascade.for_model(trained_ddnn, 0.8).run_model(
+            trained_ddnn, tiny_test.images[:12]
+        )
+        fabric = DistributedServingFabric(
+            partition_ddnn(trained_ddnn),
+            0.8,
+            batching=BatchingPolicy(max_batch_size=8, max_wait_s=0.0),
+            capacity=4,
+            admission=admission_policy(name),
+        )
+        ids = fabric.submit_many(list(tiny_test.images[:12]))
+        responses = fabric.run_until_idle()
+        stats = fabric.admission_stats
+        assert (stats.accepted, stats.rejected, stats.dropped, stats.shed) == self.OVERFLOW[name]
+        assert stats.offered == 12
+        assert len(responses) == stats.accepted - stats.dropped + stats.shed
+        sample_of = {request_id: index for index, request_id in enumerate(ids)}
+        served = [r for r in responses if not r.shed]
+        # The queue keeps its first four arrivals, or under drop-oldest its
+        # last four; those get the full cascade, exactly as offline.
+        kept = list(range(8, 12)) if name == "drop-oldest" else list(range(4))
+        assert sorted(sample_of[r.request_id] for r in served) == kept
+        for response in served:
+            index = sample_of[response.request_id]
+            assert response.prediction == baseline.predictions[index]
+            assert response.exit_index == baseline.exit_indices[index]
+        # Shed samples are answered at the ingress from the first exit.
+        assert all(r.exit_index == 0 for r in responses if r.shed)
+
+    @pytest.mark.parametrize("max_wait_s", [0.0, 0.002, 0.05])
+    def test_partial_batch_is_answered_once_its_wait_expires(
+        self, trained_ddnn, tiny_test, max_wait_s
+    ):
+        """Three requests never fill a batch of eight: the wait trigger alone
+        must release them (a NaN wait used to strand all three)."""
+        fabric = DistributedServingFabric(
+            partition_ddnn(trained_ddnn),
+            0.8,
+            batching=BatchingPolicy(max_batch_size=8, max_wait_s=max_wait_s),
+        )
+        for index in range(3):
+            fabric.submit(tiny_test.images[index])
+        responses = fabric.run_until_idle()
+        assert len(responses) == 3
+        for response in responses:
+            assert np.isfinite(response.completion_time)
+            assert response.completion_time >= response.submit_time + max_wait_s
 
 
 class TestFabricValidation:

@@ -9,16 +9,14 @@ from repro.core import StagedInferenceEngine
 from repro.hierarchy import (
     CLOUD_NAME,
     LOCAL_AGGREGATOR_NAME,
+    DistributedInferenceResult,
     FaultPlan,
     HierarchyRuntime,
     Message,
     NetworkFabric,
     NetworkLink,
     partition_ddnn,
-    random_failures,
-    single_device_failures,
 )
-from repro.hierarchy.telemetry import SampleTrace, Telemetry
 
 
 class TestNetwork:
@@ -115,17 +113,6 @@ class TestFaultPlans:
         with pytest.raises(ValueError):
             FaultPlan(intermittent={0: 1.5})
 
-    def test_single_device_failures_helper(self):
-        plans = single_device_failures(6)
-        assert len(plans) == 6
-        assert plans[2].failed_devices == {2}
-
-    def test_random_failures_helper(self):
-        plan = random_failures(6, 2, seed=1)
-        assert len(plan.failed_devices) == 2
-        with pytest.raises(ValueError):
-            random_failures(4, 5)
-
 
 class TestPartition:
     def test_deployment_structure(self, trained_ddnn):
@@ -198,25 +185,40 @@ class TestHierarchyRuntime:
         assert deployment.fabric.bytes_from(deployment.devices[0].name) == 0.0
         assert 0.0 <= result.accuracy() <= 1.0
 
-    def test_telemetry_summary(self, trained_ddnn, tiny_test):
-        runtime = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8)
-        result = runtime.run(tiny_test)
-        summary = result.telemetry.summary()
-        assert summary.num_samples == len(tiny_test)
-        assert sum(summary.exit_fractions.values()) == pytest.approx(1.0)
-        assert summary.accuracy == pytest.approx(result.accuracy())
-        assert summary.mean_latency_s > 0
-        assert summary.total_bytes == pytest.approx(result.bytes_per_sample.sum())
+    def test_result_arrays_account_for_every_sample(self, trained_ddnn, tiny_test):
+        deployment = partition_ddnn(trained_ddnn)
+        result = HierarchyRuntime(deployment, 0.8).run(tiny_test)
+        count = len(tiny_test)
+        assert len(result.exit_names_per_sample) == count
+        assert result.predictions.shape == result.latencies_s.shape == (count,)
+        assert result.bytes_per_sample.shape == (count,)
+        fractions = [result.exit_fraction(name) for name in trained_ddnn.exit_names]
+        assert sum(fractions) == pytest.approx(1.0)
+        assert result.accuracy() == pytest.approx(np.mean(result.predictions == tiny_test.labels))
+        assert (result.latencies_s > 0).all()
+        assert result.bytes_per_sample.sum() == pytest.approx(deployment.fabric.total_bytes())
 
-    def test_empty_telemetry_summary(self):
-        summary = Telemetry().summary()
-        assert summary.num_samples == 0
-        assert summary.accuracy is None
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+    def test_per_sample_arrays_match_the_engine(self, trained_ddnn, tiny_test, threshold):
+        """Each sample's exit, prediction and bytes line up with the central
+        engine's: a local exit sends only the devices' class summaries, a
+        cloud exit sends those plus the offloaded features (Eq. 1)."""
+        central = StagedInferenceEngine(trained_ddnn, threshold).run(tiny_test)
+        result = HierarchyRuntime(partition_ddnn(trained_ddnn), threshold).run(tiny_test)
+        expected = [trained_ddnn.exit_names[index] for index in central.exit_indices]
+        assert result.exit_names_per_sample == expected
+        np.testing.assert_array_equal(result.predictions, central.predictions)
+        local = np.array(result.exit_names_per_sample) == "local"
+        assert result.local_exit_fraction == pytest.approx(local.mean())
+        if 0 < local.sum() < len(local):  # 0.5 mixes both exits on this model
+            assert result.bytes_per_sample[local].max() < result.bytes_per_sample[~local].min()
+            assert result.latencies_s[local].max() < result.latencies_s[~local].min()
 
-    def test_telemetry_records(self):
-        telemetry = Telemetry()
-        telemetry.record(SampleTrace(0, 1, "local", 0.01, 12.0, 0.2, correct=True))
-        assert len(telemetry) == 1
+    def test_empty_result_fractions(self):
+        empty = np.zeros(0)
+        result = DistributedInferenceResult(empty, [], empty, empty)
+        assert result.local_exit_fraction == 0.0
+        assert result.exit_fraction("cloud") == 0.0
 
     def test_threshold_validation(self, trained_ddnn):
         with pytest.raises(ValueError):

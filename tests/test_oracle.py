@@ -28,8 +28,6 @@ from repro.core import (
     TrainingConfig,
     build_ddnn,
     evaluate_exit_accuracies,
-    evaluate_overall,
-    full_accuracy_report,
     search_threshold,
     threshold_for_exit_rate,
 )
@@ -124,8 +122,6 @@ class TestRouteByteIdentity:
     def test_helpers_reject_out_of_range_like_engine(self, trained_ddnn, tiny_test):
         """The oracle rewiring must not widen the engine's validation."""
         with pytest.raises(ValueError):
-            evaluate_overall(trained_ddnn, tiny_test, 1.5)
-        with pytest.raises(ValueError):
             search_threshold(trained_ddnn, tiny_test, grid=(0.5, 80.0))
 
 
@@ -163,20 +159,6 @@ class TestSweepAndReports:
         oracle = ExitOracle.capture(trained_ddnn, tiny_test, compile=False)
         assert oracle.exit_accuracies() == legacy
         assert evaluate_exit_accuracies(trained_ddnn, tiny_test) == legacy
-
-    def test_accuracy_helpers_use_one_capture(self, trained_ddnn, tiny_test):
-        oracle = ExitOracle.capture(trained_ddnn, tiny_test, compile=False)
-        direct = evaluate_overall(trained_ddnn, tiny_test, 0.8)
-        via_oracle = evaluate_overall(trained_ddnn, tiny_test, 0.8, oracle=oracle)
-        assert direct.overall_accuracy == via_oracle.overall_accuracy
-        assert direct.exit_accuracy == via_oracle.exit_accuracy
-        assert direct.communication_bytes == via_oracle.communication_bytes
-
-        report = full_accuracy_report(
-            trained_ddnn, tiny_test, 0.8, individual_accuracy={0: 0.5}, oracle=oracle
-        )
-        assert report.individual_accuracy == {0: 0.5}
-        assert report.overall_accuracy == direct.overall_accuracy
 
     def test_trainer_evaluate_exits_delegates(self, trained_ddnn, tiny_test, tiny_config):
         trainer = DDNNTrainer(trained_ddnn)

@@ -91,6 +91,25 @@ class TestRequestQueue:
         queue.pop_batch(1)
         assert queue.oldest_wait_s(now=99.0) == 0.0
 
+    @pytest.mark.parametrize("batch_size", [1, 2, 5])
+    def test_interleaved_clients_pop_in_arrival_order(self, batch_size):
+        """One FIFO across clients: a batch takes the oldest requests whoever
+        sent them.  A popped request is being served, not answered, so it
+        stays in its client's ``in_flight``."""
+        queue = RequestQueue(clock=FakeClock())
+        clients = ["a", "b", "c", "a", "a", "b", "c", "c", "a"]
+        ids = [queue.submit(_views(), client_id=client).request_id for client in clients]
+        popped = []
+        while len(queue):
+            batch = queue.pop_batch(batch_size)
+            assert 0 < len(batch) <= batch_size
+            popped += batch
+            assert len(queue) == len(clients) - len(popped)
+            for client in set(clients):
+                assert queue.session(client).in_flight == clients.count(client)
+        assert [request.request_id for request in popped] == ids
+        assert [request.client_id for request in popped] == clients
+
 
 class TestMicroBatcher:
     def test_full_batch_releases_immediately(self):
@@ -137,7 +156,36 @@ class TestMicroBatcher:
             BatchingPolicy(max_batch_size=0)
         with pytest.raises(ValueError):
             BatchingPolicy(max_wait_s=-1.0)
-        assert BatchingPolicy.sequential().max_batch_size == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # NaN never fires the wait trigger nor arms a timer: requests strand.
+            ("max_wait_s", float("nan")),
+            # inf answers everything at t = inf (NaN percentiles).
+            ("max_wait_s", float("inf")),
+            ("max_wait_s", float("-inf")),
+            ("max_wait_s", "0.002"),
+            ("max_wait_s", None),
+            ("max_batch_size", 2.5),
+            ("max_batch_size", True),
+            # Integral-valued but not an int: still a float slice bound.
+            ("max_batch_size", 8.0),
+            ("max_batch_size", "8"),
+            ("max_batch_size", None),
+        ],
+    )
+    def test_policy_rejects_values_that_strand_or_corrupt_a_run(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BatchingPolicy(**{field: value})
+
+    @pytest.mark.parametrize(
+        "max_batch_size, max_wait_s", [(1, 0.0), (np.int64(8), 0.002), (64, 30.0)]
+    )
+    def test_policy_keeps_integral_sizes_and_finite_waits(self, max_batch_size, max_wait_s):
+        policy = BatchingPolicy(max_batch_size=max_batch_size, max_wait_s=max_wait_s)
+        assert policy.max_batch_size == max_batch_size
+        assert policy.max_wait_s == max_wait_s
 
 
 class TestServerStats:
@@ -244,7 +292,7 @@ class TestDDNNServer:
         """Satellite acceptance: request-at-a-time serving is byte-identical
         to offline StagedInferenceEngine.run on the same model."""
         offline = StagedInferenceEngine(trained_ddnn, 0.8).run(tiny_test)
-        server = DDNNServer(trained_ddnn, 0.8, policy=BatchingPolicy.sequential())
+        server = DDNNServer(trained_ddnn, 0.8, policy=BatchingPolicy(max_batch_size=1, max_wait_s=0.0))
         responses = server.serve_dataset(tiny_test)
         predictions = np.array([response.prediction for response in responses])
         exits = np.array([response.exit_index for response in responses])

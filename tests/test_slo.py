@@ -72,7 +72,6 @@ class TestDeadlinePrimitives:
         deadline = Deadline.from_slo(0.5, now=2.0)
         assert deadline.slo_s == 0.5
         assert deadline.expires_at == pytest.approx(2.5)
-        assert deadline.remaining(2.1) == pytest.approx(0.4)
         assert not deadline.expired(2.4999)
         assert deadline.expired(2.5)  # at the boundary counts as expired
 

@@ -11,12 +11,9 @@ from repro.core import (
     TrainingConfig,
     build_ddnn,
     evaluate_exit_accuracies,
-    evaluate_overall,
-    full_accuracy_report,
     search_threshold,
     staged_inference,
     threshold_for_exit_rate,
-    train_ddnn,
 )
 from repro.nn import load_module, save_module
 
@@ -49,11 +46,6 @@ class TestDDNNTrainer:
         # With a zero cloud weight the cloud exit stays near chance while the
         # local exit learns.
         assert accuracies["local"] > accuracies["cloud"] - 0.05
-
-    def test_train_ddnn_helper(self, tiny_config, tiny_train):
-        model = build_ddnn(tiny_config)
-        trainer = train_ddnn(model, tiny_train, TrainingConfig(epochs=1, batch_size=32))
-        assert len(trainer.history.epochs) == 1
 
     def test_empty_history_raises(self, tiny_config):
         trainer = DDNNTrainer(build_ddnn(tiny_config), TrainingConfig(epochs=1))
@@ -109,8 +101,6 @@ class TestStagedInference:
         overall = result.overall_accuracy(tiny_test.labels)
         assert 0.0 <= overall <= 1.0
         assert 0.0 <= result.exit_accuracy("cloud", tiny_test.labels) <= 1.0
-        exited = result.accuracy_of_exited_samples("local", tiny_test.labels)
-        assert np.isnan(exited) or 0.0 <= exited <= 1.0
 
     def test_targets_captured_from_dataset(self, trained_ddnn, tiny_test):
         result = StagedInferenceEngine(trained_ddnn, 0.5).run(tiny_test)
@@ -151,24 +141,6 @@ class TestThresholdSearch:
     def test_invalid_target_fraction(self, trained_ddnn, tiny_test):
         with pytest.raises(ValueError):
             threshold_for_exit_rate(trained_ddnn, tiny_test, target_fraction=1.5)
-
-
-class TestAccuracyReports:
-    def test_evaluate_overall_produces_full_report(self, trained_ddnn, tiny_test):
-        report = evaluate_overall(trained_ddnn, tiny_test, thresholds=0.8)
-        assert report.local_accuracy is not None
-        assert report.cloud_accuracy is not None
-        assert report.edge_accuracy is None
-        assert 0.0 <= report.overall_accuracy <= 1.0
-        assert report.communication_bytes > 0
-
-    def test_full_report_includes_individual_accuracy(self, trained_ddnn, tiny_test):
-        report = full_accuracy_report(
-            trained_ddnn, tiny_test, thresholds=0.8, individual_accuracy={0: 0.5}
-        )
-        payload = report.as_dict()
-        assert payload["individual_accuracy"] == {0: 0.5}
-        assert "local_accuracy" in payload and "overall_accuracy" in payload
 
 
 class TestSerializationOfDDNN:
