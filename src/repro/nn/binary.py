@@ -101,6 +101,7 @@ class BinaryConv2d(Module):
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
+        F._check_window("BinaryConv2d", kernel_size, stride, padding)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size

@@ -232,6 +232,7 @@ class Conv2d(Module):
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
+        F._check_window("Conv2d", kernel_size, stride, padding)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -256,6 +257,7 @@ class MaxPool2d(Module):
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
         self.padding = padding
+        F._check_window("MaxPool2d", kernel_size, self.stride, padding, pool=True)
 
     def forward(self, inputs: Tensor) -> Tensor:
         return F.max_pool2d(inputs, self.kernel_size, self.stride, self.padding)
@@ -269,6 +271,7 @@ class AvgPool2d(Module):
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
         self.padding = padding
+        F._check_window("AvgPool2d", kernel_size, self.stride, padding)
 
     def forward(self, inputs: Tensor) -> Tensor:
         return F.avg_pool2d(inputs, self.kernel_size, self.stride, self.padding)

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 import repro.nn.functional as F
+from repro.datasets import NOT_PRESENT_LABEL
 from repro.nn import Tensor
+from repro.nn.binary import BinaryConv2d
+from repro.nn.layers import Conv2d, MaxPool2d
 
 
 class TestIm2Col:
@@ -96,6 +99,57 @@ class TestPooling:
         assert out.shape == (1, 2, 8, 8)
 
 
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+class TestDegenerateGeometry:
+    """Geometry no output can come from fails at the boundary, naming the
+    argument, instead of returning ``-inf`` windows or a numpy error."""
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            # Windows wholly in the padding (16 of 25 outputs were -inf).
+            (lambda: F.max_pool2d(_zeros(1, 1, 2, 2), 2, stride=1, padding=2), "padding"),
+            (lambda: F.max_pool2d(_zeros(1, 1, 4, 4), 2, stride=0), "stride"),
+            (lambda: F.max_pool2d(_zeros(1, 1, 4, 4), 3, stride=1, padding=-1), "padding"),
+            (lambda: F.max_pool2d(_zeros(1, 1, 2, 2), 3, stride=1), "no output"),
+            (lambda: F.max_pool2d(_zeros(1, 4, 4), 2), "4-D"),
+            (lambda: F.conv2d(_zeros(1, 1, 4, 4), _zeros(1, 1, 3, 3), stride=0), "stride"),
+            (lambda: F.conv2d(_zeros(1, 1, 4, 4), _zeros(1, 1, 3, 3), padding=-1), "padding"),
+            (lambda: F.conv2d(_zeros(1, 1, 2, 2), _zeros(1, 1, 3, 3)), "no output"),
+            (lambda: F.conv2d(_zeros(1, 4, 4), _zeros(1, 1, 3, 3)), "4-D"),
+            (lambda: F.avg_pool2d(_zeros(1, 1, 4, 4), 2, stride=0), "stride"),
+            (lambda: MaxPool2d(3, stride=0), "stride"),
+            (lambda: MaxPool2d(2, padding=2), "padding"),
+            (lambda: Conv2d(1, 1, 3, stride=0), "stride"),
+            (lambda: Conv2d(1, 1, 3, padding=-1), "padding"),
+            (lambda: BinaryConv2d(1, 1, 3, stride=0), "stride"),
+        ],
+        ids=[
+            "pool-windows-in-padding",
+            "pool-stride-0",
+            "pool-negative-padding",
+            "pool-no-output",
+            "pool-3d-input",
+            "conv-stride-0",
+            "conv-negative-padding",
+            "conv-no-output",
+            "conv-3d-input",
+            "avg-pool-stride-0",
+            "MaxPool2d-stride-0",
+            "MaxPool2d-padding-over-half-kernel",
+            "Conv2d-stride-0",
+            "Conv2d-negative-padding",
+            "BinaryConv2d-stride-0",
+        ],
+    )
+    def test_raises_value_error_naming_the_argument(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 class TestSoftmax:
     def test_softmax_sums_to_one(self):
         logits = Tensor(np.random.default_rng(0).standard_normal((4, 6)))
@@ -150,3 +204,22 @@ class TestSoftmaxCrossEntropy:
     def test_target_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             F.softmax_cross_entropy(Tensor(np.zeros((3, 2))), np.array([0, 1]))
+
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            [NOT_PRESENT_LABEL],  # used to score exactly like the last class
+            [3],
+            [1.7],  # used to be truncated to class 1
+            [np.nan],
+        ],
+    )
+    def test_invalid_labels_raise(self, targets):
+        with pytest.raises(ValueError, match="class labels"):
+            F.softmax_cross_entropy(Tensor(np.array([[0.0, 0.0, 5.0]])), np.array(targets))
+
+    def test_integral_float_labels_are_accepted(self):
+        logits = Tensor(np.array([[0.0, 0.0, 5.0]]))
+        assert F.softmax_cross_entropy(logits, np.array([2.0])).item() == pytest.approx(
+            F.softmax_cross_entropy(logits, np.array([2])).item()
+        )
