@@ -5,18 +5,16 @@ upward, most requests exit at the local aggregator, and the cloud only sees
 the hard tail.  This package provides the online counterpart of the offline
 :class:`~repro.core.inference.StagedInferenceEngine`:
 
-* :class:`RequestQueue` / :class:`ClientSession` — FIFO request intake
-  with per-client bookkeeping and an optional capacity bound;
+* :class:`FabricRequest` / :class:`FabricResponse` — the one request and
+  the one response type every serving path queues and answers with;
 * :class:`AdmissionPolicy` (:class:`RejectNewest`, :class:`DropOldest`,
-  :class:`ShedToLocalExit`) — what a full queue (or a full fabric ingress)
-  does under overload;
-* :class:`BatchingPolicy` / :class:`MicroBatcher` — dynamic micro-batching
-  with ``max_batch_size`` and ``max_wait_s`` knobs;
-* :class:`DDNNServer` — a synchronous-loop server draining the queue
-  through the shared :class:`~repro.core.cascade.ExitCascade`, routing
-  responses per exit, with an immediate local-exit path for shed requests;
-* :class:`ServerStats` — rolling throughput / latency / exit-rate
-  telemetry with pinned window semantics;
+  :class:`ShedToLocalExit`) and the one :func:`admit` rule — what a full
+  queue (the server's, or the fabric's ingress) does under overload;
+* :class:`BatchingPolicy` — dynamic micro-batching with ``max_batch_size``
+  and ``max_wait_s`` knobs, and the one :meth:`BatchingPolicy.due` trigger;
+* :class:`DDNNServer` — a small synchronous single-tier server draining
+  its queue through the shared :class:`~repro.core.cascade.ExitCascade`,
+  with an immediate local-exit answer for shed requests;
 * :class:`LoadGenerator` + arrival processes (:class:`PoissonProcess`,
   :class:`DiurnalProcess`) and :class:`ServiceModel` — deterministic
   open-loop overload studies on a :class:`SimulatedClock`;
@@ -25,8 +23,7 @@ the hard tail.  This package provides the online counterpart of the offline
   per tier, per-worker compiled plans) where offloads cross
   :class:`~repro.hierarchy.network.NetworkFabric` links with simulated
   transfer delay, with optional :class:`AdaptiveThreshold` shedding.
-  :class:`DDNNServer` is its single-tier degenerate case, and
-  :class:`~repro.hierarchy.runtime.HierarchyRuntime` its offline replay.
+  :class:`~repro.hierarchy.runtime.HierarchyRuntime` is its offline replay.
 * :class:`WorkerPool` backends (:class:`SimulatedWorkerPool`,
   :class:`ThreadPoolWorkerPool`) — how the fabric's tier workers occupy
   time: deterministic simulated slots (the paper-table default) or real
@@ -73,10 +70,11 @@ from .admission import (
     RejectNewest,
     ShedToLocalExit,
     admission_policy,
+    admit,
 )
 from .autoscale import Autoscaler, RateTracker
 from .balancer import BALANCER_STRATEGIES, LoadBalancer
-from .batcher import BatchingPolicy, MicroBatcher
+from .batcher import BatchingPolicy
 from .clock import EventHandle, EventLoop, SimulatedClock, WallClock
 from .fabric import (
     AdaptiveThreshold,
@@ -95,7 +93,6 @@ from .loadgen import (
     PoissonProcess,
     ServiceModel,
 )
-from .queue import ClientSession, InferenceRequest, InferenceResponse, RequestQueue
 from .resilience import (
     BreakerState,
     CircuitBreaker,
@@ -105,7 +102,6 @@ from .resilience import (
     RetryPolicy,
 )
 from .server import DDNNServer
-from .stats import ServerStats, StatsSnapshot
 from .workers import (
     WORKER_POOL_BACKENDS,
     SimulatedWorkerPool,
@@ -116,10 +112,6 @@ from .workers import (
 )
 
 __all__ = [
-    "InferenceRequest",
-    "InferenceResponse",
-    "ClientSession",
-    "RequestQueue",
     "AdmissionOutcome",
     "AdmissionResult",
     "AdmissionStats",
@@ -130,11 +122,9 @@ __all__ = [
     "QueueFullError",
     "ADMISSION_POLICIES",
     "admission_policy",
+    "admit",
     "BatchingPolicy",
-    "MicroBatcher",
     "DDNNServer",
-    "ServerStats",
-    "StatsSnapshot",
     "SimulatedClock",
     "WallClock",
     "EventLoop",

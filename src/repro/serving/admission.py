@@ -1,10 +1,10 @@
-"""Admission control for the bounded serving queue (overload protection).
+"""Admission control for bounded serving queues (overload protection).
 
 The paper's end devices stream samples upward continuously, so a serving
 tier must decide what to do when requests arrive faster than the cascade
 can drain them.  An unbounded FIFO queue keeps every request but lets
-latency grow without bound; a bounded :class:`~repro.serving.queue.RequestQueue`
-instead consults an :class:`AdmissionPolicy` whenever it is full:
+latency grow without bound; a bounded queue instead consults an
+:class:`AdmissionPolicy` whenever it is full:
 
 * :class:`RejectNewest` — refuse the arriving request (classic tail-drop
   backpressure; the client sees an explicit rejection and may retry);
@@ -16,22 +16,22 @@ instead consults an :class:`AdmissionPolicy` whenever it is full:
   deployment where the local aggregator can always produce a (less
   confident) answer without the upper tiers.
 
-The same policies guard the device-tier ingress of the distributed
-:class:`~repro.serving.fabric.DistributedServingFabric`.  A policy decides
-without looking at the queue; the queue (or fabric) interprets the decision
-and does all bookkeeping, so policies stay trivially testable.  Aggregate
-counts live in :class:`AdmissionStats` (queue-wide) and on each
-:class:`~repro.serving.queue.ClientSession` (per client).
+:func:`admit` is the one admission rule: it guards the queue of
+:class:`~repro.serving.server.DDNNServer` and the device-tier ingress of
+the distributed :class:`~repro.serving.fabric.DistributedServingFabric`
+alike.  A policy decides without looking at the queue; :func:`admit`
+interprets the decision and keeps the :class:`AdmissionStats`, so policies
+stay trivially testable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .queue import InferenceRequest
+    from .fabric import FabricRequest, FabricResponse
 
 __all__ = [
     "AdmissionOutcome",
@@ -43,11 +43,13 @@ __all__ = [
     "ShedToLocalExit",
     "QueueFullError",
     "admission_policy",
+    "admit",
 ]
 
 
 class QueueFullError(RuntimeError):
-    """Raised by :meth:`RequestQueue.submit` when admission refuses a request."""
+    """Raised by :meth:`DDNNServer.submit
+    <repro.serving.server.DDNNServer.submit>` when admission rejects a request."""
 
 
 class AdmissionOutcome(str, Enum):
@@ -69,21 +71,19 @@ class AdmissionResult:
     ----------
     outcome:
         ``ACCEPTED`` (enqueued), ``REJECTED`` (refused, ``request`` is None)
-        or ``SHED`` (not enqueued; ``request`` carries the sample so the
-        caller can answer it from the local exit).
+        or ``SHED`` (not enqueued; answered at once from the local exit).
     request:
         The admitted or shed request, ``None`` on rejection.
     evicted:
         The head-of-line request removed to make room (``DropOldest`` only).
+    response:
+        The immediate local-exit answer of a ``SHED`` outcome.
     """
 
     outcome: AdmissionOutcome
-    request: Optional["InferenceRequest"] = None
-    evicted: Optional["InferenceRequest"] = None
-
-    @property
-    def accepted(self) -> bool:
-        return self.outcome is AdmissionOutcome.ACCEPTED
+    request: Optional["FabricRequest"] = None
+    evicted: Optional["FabricRequest"] = None
+    response: Optional["FabricResponse"] = None
 
 
 @dataclass
@@ -131,7 +131,7 @@ class AdmissionPolicy:
 
     name = "accept"
 
-    def decide(self, client_id: str) -> AdmissionOutcome:
+    def decide(self) -> AdmissionOutcome:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -143,7 +143,7 @@ class RejectNewest(AdmissionPolicy):
 
     name = "reject"
 
-    def decide(self, client_id: str) -> AdmissionOutcome:
+    def decide(self) -> AdmissionOutcome:
         return AdmissionOutcome.REJECTED
 
 
@@ -152,23 +152,22 @@ class DropOldest(AdmissionPolicy):
 
     name = "drop-oldest"
 
-    def decide(self, client_id: str) -> AdmissionOutcome:
-        # The queue interprets ACCEPTED-while-full as "evict the head first".
+    def decide(self) -> AdmissionOutcome:
+        # admit() interprets ACCEPTED-while-full as "evict the head first".
         return AdmissionOutcome.ACCEPTED
 
 
 class ShedToLocalExit(AdmissionPolicy):
     """Answer the arriving request from the local exit instead of queueing.
 
-    The queue stays intact; the request is stamped and returned with a
-    ``SHED`` outcome so the server can produce an immediate, local-exit-only
-    response — the degraded-but-bounded-latency mode of the paper's
-    deployment.
+    The queue stays intact; the caller answers the request at once from the
+    cascade's first exit — the degraded-but-bounded-latency mode of the
+    paper's deployment.
     """
 
     name = "shed-local"
 
-    def decide(self, client_id: str) -> AdmissionOutcome:
+    def decide(self) -> AdmissionOutcome:
         return AdmissionOutcome.SHED
 
 
@@ -189,3 +188,29 @@ def admission_policy(name: str) -> AdmissionPolicy:
             f"unknown admission policy '{name}' (have {sorted(ADMISSION_POLICIES)})"
         ) from error
     return policy_class()
+
+
+def admit(
+    queue: Deque, capacity: Optional[int], policy: AdmissionPolicy, stats: AdmissionStats
+) -> Tuple[AdmissionOutcome, Optional[object]]:
+    """Offer one arrival to ``queue``; returns ``(outcome, evicted)``.
+
+    Below ``capacity`` (or with ``capacity=None``) the arrival is accepted
+    without consulting ``policy``.  A full queue asks the policy: under
+    ``ACCEPTED`` the head-of-line entry is popped and returned as
+    ``evicted`` (counted ``dropped``).  The caller enqueues an accepted
+    arrival and answers a shed one; ``stats`` is updated here either way.
+    """
+    evicted = None
+    if capacity is not None and len(queue) >= capacity:
+        outcome = policy.decide()
+        if outcome is AdmissionOutcome.REJECTED:
+            stats.rejected += 1
+            return outcome, None
+        if outcome is AdmissionOutcome.SHED:
+            stats.shed += 1
+            return outcome, None
+        evicted = queue.popleft()
+        stats.dropped += 1
+    stats.accepted += 1
+    return AdmissionOutcome.ACCEPTED, evicted

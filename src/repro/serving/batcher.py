@@ -1,15 +1,18 @@
-"""Dynamic micro-batching scheduler for the DDNN server.
+"""Dynamic micro-batching policy shared by every serving queue.
 
-The scheduler trades latency for throughput with two knobs:
+The policy trades latency for throughput with two knobs:
 
 * ``max_batch_size`` — never run the model on more samples than this;
 * ``max_wait_s`` — never hold the head-of-line request longer than this
   waiting for the batch to fill.
 
 A batch is released as soon as it is full, or as soon as the oldest
-pending request has waited ``max_wait_s``.  ``max_batch_size=1`` degrades
-to sequential (request-at-a-time) serving.  The same policy forms the
-batches of every tier of the distributed fabric.
+pending request has waited ``max_wait_s`` (:meth:`BatchingPolicy.due`).
+``max_batch_size=1`` degrades to sequential (request-at-a-time) serving.
+The same policy, and the same trigger, forms the batches of
+:class:`~repro.serving.server.DDNNServer`, of the open-loop
+:class:`~repro.serving.loadgen.LoadGenerator` and of every tier of the
+distributed fabric.
 """
 
 from __future__ import annotations
@@ -17,11 +20,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, List, Optional
 
-from .queue import InferenceRequest, RequestQueue
-
-__all__ = ["BatchingPolicy", "MicroBatcher"]
+__all__ = ["BatchingPolicy"]
 
 
 @dataclass(frozen=True)
@@ -46,41 +46,17 @@ class BatchingPolicy:
         ):
             raise ValueError(f"max_wait_s must be a finite number >= 0, got {wait!r}")
 
+    def due(self, depth: int, oldest_arrival: float, now: float, draining: bool) -> bool:
+        """Whether a queue of ``depth`` requests, the oldest of which arrived
+        at ``oldest_arrival``, releases a batch at ``now``.
 
-class MicroBatcher:
-    """Drains a :class:`RequestQueue` into micro-batches per the policy."""
-
-    def __init__(
-        self,
-        queue: RequestQueue,
-        policy: Optional[BatchingPolicy] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        self.queue = queue
-        self.policy = policy if policy is not None else BatchingPolicy()
-        self.clock = clock if clock is not None else queue.clock
-        self.batches_formed = 0
-
-    def ready(self, now: Optional[float] = None) -> bool:
-        """Whether a batch should be released right now."""
-        depth = len(self.queue)
+        ``draining`` releases any non-empty queue (shutdown, dataset replay).
+        """
         if depth == 0:
             return False
-        if depth >= self.policy.max_batch_size:
+        if draining or depth >= self.max_batch_size:
             return True
-        now = self.clock() if now is None else now
-        return self.queue.oldest_wait_s(now) >= self.policy.max_wait_s
-
-    def next_batch(self, force: bool = False) -> List[InferenceRequest]:
-        """Release the next micro-batch, or ``[]`` if none is due.
-
-        With ``force=True`` a non-empty queue always yields a batch, even if
-        neither the size nor the wait trigger has fired — used when draining
-        the queue at shutdown.
-        """
-        if not force and not self.ready():
-            return []
-        batch = self.queue.pop_batch(self.policy.max_batch_size)
-        if batch:
-            self.batches_formed += 1
-        return batch
+        # Same float expression a wait timer is scheduled with, so a timer
+        # firing at exactly arrival + max_wait always finds the batch due
+        # (now - arrival >= max_wait can round the other way).
+        return now >= oldest_arrival + self.max_wait_s

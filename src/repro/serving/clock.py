@@ -74,8 +74,9 @@ class SimulatedClock:
         return self.now
 
     def advance(self, seconds: float) -> None:
-        if seconds < 0.0:
-            raise ValueError(f"cannot advance time by {seconds} (negative)")
+        # NaN passes a `< 0` test and would poison every later reading.
+        if not (math.isfinite(seconds) and seconds >= 0.0):
+            raise ValueError(f"cannot advance time by {seconds!r} (need a finite number >= 0)")
         self.now += seconds
 
     def advance_to(self, timestamp: float) -> None:

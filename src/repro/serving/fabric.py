@@ -35,10 +35,13 @@ number.  Exit decisions are byte-identical across backends; only timing
 Exit decisions are byte-identical to the monolithic single-loop baseline
 (:meth:`~repro.core.cascade.ExitCascade.run_model`) for any worker count
 and link configuration — workers and links change *when* things happen,
-never *what* is computed (covered by tests).  The single-tier special case
-of this fabric is exactly what :class:`~repro.serving.server.DDNNServer`
-implements; the offline :class:`~repro.hierarchy.runtime.HierarchyRuntime`
-is the fabric replayed at infinite arrival rate.
+never *what* is computed (covered by tests).  The offline
+:class:`~repro.hierarchy.runtime.HierarchyRuntime` is the fabric replayed at
+infinite arrival rate, and :class:`~repro.serving.server.DDNNServer` is a
+one-tier synchronous server built from the fabric's parts: the
+:class:`FabricRequest` / :class:`FabricResponse` types, the
+:meth:`BatchingPolicy.due <repro.serving.batcher.BatchingPolicy.due>`
+trigger and the :func:`~repro.serving.admission.admit` rule.
 
 Overload behaviour can additionally be made *adaptive*: an
 :class:`AdaptiveThreshold` raises the local-exit threshold while the device
@@ -50,6 +53,7 @@ letting the offload queue grow.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
@@ -61,8 +65,7 @@ from ..core.cascade import ExitCascade, Thresholds
 from ..core.exits import ExitCriterion
 from ..datasets.mvmc import MVMCDataset
 from ..hierarchy.faults import ChaosSchedule
-from ..hierarchy.network import Message, NetworkLink
-from ..hierarchy.partition import HierarchyDeployment, LinkSpec
+from ..hierarchy.partition import HierarchyDeployment
 from ..hierarchy.plan import PartitionPlan
 from ..hierarchy.sections import TierSection, build_tier_sections
 from .admission import (
@@ -70,6 +73,7 @@ from .admission import (
     AdmissionPolicy,
     AdmissionStats,
     RejectNewest,
+    admit,
 )
 from .batcher import BatchingPolicy
 from .clock import EventHandle, EventLoop, SimulatedClock, WallClock
@@ -356,18 +360,11 @@ class TierServer:
     def workers(self) -> List[WorkerHandle]:
         return self.pool.workers
 
-    def free_worker(self, now: float) -> Optional[WorkerHandle]:
-        return self.pool.acquire(now)
-
     def due(self, now: float, draining: bool) -> bool:
-        if not self.queue:
-            return False
-        if draining or len(self.queue) >= self.policy.max_batch_size:
-            return True
-        # Same float expression the wait timer is scheduled with, so the
-        # timer firing at exactly arrival + max_wait always finds the batch
-        # due (now - arrival >= max_wait can round the other way).
-        return now >= self.queue[0].arrival_time + self.policy.max_wait_s
+        queue = self.queue
+        return bool(queue) and self.policy.due(
+            len(queue), queue[0].arrival_time, now, draining
+        )
 
     def service_time(self, batch_size: int, section_service_s: float) -> float:
         if self.service_model is not None:
@@ -410,13 +407,6 @@ class DistributedServingFabric:
         ops-model compute time for worker occupancy (used for calibrated /
         machine-independent studies); ``None`` entries keep the section
         estimate.
-    client_link:
-        Optional ingress :class:`LinkSpec`; when set, every submitted
-        request reaches the device tier only after
-        ``latency + request_bytes / bandwidth`` of simulated delay.
-    request_bytes:
-        Payload size used for the ingress link (0 models a pure
-        propagation delay).
     adaptive:
         Optional :class:`AdaptiveThreshold` queue-pressure shedding.
     backend:
@@ -453,9 +443,6 @@ class DistributedServingFabric:
         offloads over to the local exit immediately instead of burning a
         deadline + backoff ladder per batch.  Only timeouts trip it, so it
         requires an ``offload`` policy whose attempts can time out.
-    chaos:
-        Optional :class:`~repro.hierarchy.faults.ChaosSchedule` applied at
-        construction (equivalent to calling :meth:`attach_chaos`).
     slo_s:
         Default end-to-end SLO budget stamped on every submission as a
         :class:`~repro.serving.resilience.Deadline` (per-call ``slo_s``
@@ -492,15 +479,12 @@ class DistributedServingFabric:
         clock: Union[None, SimulatedClock, WallClock] = None,
         sections: Optional[Sequence[TierSection]] = None,
         service_models: Optional[Sequence[Optional[ServiceModel]]] = None,
-        client_link: Optional[LinkSpec] = None,
-        request_bytes: float = 0.0,
         adaptive: Optional[AdaptiveThreshold] = None,
         backend: str = "simulated",
         capacity: Optional[int] = None,
         admission: Optional[AdmissionPolicy] = None,
         offload: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        chaos: Optional[ChaosSchedule] = None,
         slo_s: Optional[float] = None,
         edf: bool = False,
         hedge: Optional[HedgePolicy] = None,
@@ -607,16 +591,6 @@ class DistributedServingFabric:
         if self.sections[-1].exit_index is None:
             raise ValueError("the final tier must carry the cascade's final exit")
 
-        self.ingress: Optional[NetworkLink] = None
-        if client_link is not None:
-            self.ingress = NetworkLink(
-                "clients",
-                self.tiers[0].name,
-                bandwidth_bytes_per_s=client_link.bandwidth_bytes_per_s,
-                latency_s=client_link.latency_s,
-            )
-        self.request_bytes = float(request_bytes)
-
         self.capacity = capacity
         self.admission = admission if admission is not None else RejectNewest()
         self.admission_stats = AdmissionStats()
@@ -683,17 +657,11 @@ class DistributedServingFabric:
         gate = weakref.WeakMethod(self._idle_gate)
         self.events.add_idle_gate(lambda: (method := gate()) is None or method())
         self.chaos: Optional[ChaosSchedule] = None
-        if chaos is not None:
-            self.attach_chaos(chaos)
 
     # ------------------------------------------------------------------ #
     @property
     def clock(self) -> Union[SimulatedClock, WallClock]:
         return self.events.clock
-
-    @property
-    def _next_id(self) -> int:
-        return self._ids.next
 
     def _idle_gate(self) -> bool:
         """Loop-idleness veto: daemon timers alone never keep the loop
@@ -789,7 +757,9 @@ class DistributedServingFabric:
 
     @staticmethod
     def _per_tier(value, num_tiers: int, label: str) -> List:
-        if value is None or isinstance(value, (int, str, BatchingPolicy)):
+        if isinstance(value, bool):
+            raise ValueError(f"{label} must be one value or one per tier, got {value!r}")
+        if value is None or isinstance(value, (numbers.Integral, str, BatchingPolicy)):
             return [value] * num_tiers
         values = list(value)
         if len(values) != num_tiers:
@@ -867,9 +837,9 @@ class DistributedServingFabric:
 
         ``slo_s`` stamps each request with an end-to-end
         :class:`~repro.serving.resilience.Deadline` whose budget starts at
-        submit time (ingress transfer included); ``None`` falls back to the
-        fabric-wide default.  The deadline travels with the request across
-        tiers — and across replicas when a hedge wins.
+        submit time; ``None`` falls back to the fabric-wide default.  The
+        deadline travels with the request across tiers — and across
+        replicas when a hedge wins.
         """
         when = self.clock.now if at is None else float(at)
         slo = self.slo_s if slo_s is None else float(slo_s)
@@ -878,32 +848,18 @@ class DistributedServingFabric:
         if len(targets) != len(views_list):
             raise ValueError("targets must align with views_list")
         requests = []
-        ingress_delay = 0.0
         for views, target in zip(views_list, targets):
             views = np.asarray(views)
             if views.ndim != 4:
                 raise ValueError(
                     f"views must have shape (num_devices, C, H, W), got {views.shape}"
                 )
-            delay = 0.0
-            if self.ingress is not None:
-                delay = self.ingress.send(
-                    Message(
-                        source="clients",
-                        destination=self.tiers[0].name,
-                        size_bytes=self.request_bytes,
-                        kind="request",
-                    )
-                )
-                ingress_delay = delay
             request = FabricRequest(
                 request_id=self._ids.take(),
                 client_id=client_id,
                 views=views,
                 target=None if target is None else int(target),
                 submit_time=when,
-                path_latency_s=delay,
-                bytes_transferred=self.request_bytes if self.ingress is not None else 0.0,
             )
             if slo is not None:
                 request.deadline = Deadline.from_slo(slo, when)
@@ -919,8 +875,7 @@ class DistributedServingFabric:
             requests.append(request)
         items = [(request, request.views) for request in requests]
         self.events.schedule(
-            when + ingress_delay,
-            lambda now, items=items: self._arrive(0, items, now, fresh=True),
+            when, lambda now, items=items: self._arrive(0, items, now, fresh=True)
         )
         return [request.request_id for request in requests]
 
@@ -932,22 +887,18 @@ class DistributedServingFabric:
         fresh: bool = False,
     ) -> None:
         tier = self.tiers[tier_index]
-        if fresh:
-            # Ingress admission: only brand-new tier-0 arrivals knock;
-            # offloads from lower tiers and repartition requeues are already
-            # inside the system and bypass the policy.  A request whose SLO
-            # already expired in the ingress link is retired before it even
-            # knocks.
-            admitted = 0
-            for request, payload in items:
-                if self._retire_if_expired(request, now):
-                    continue
+        admitted = 0
+        for request, payload in items:
+            # A request whose SLO expired on the way here is retired
+            # instead of queued (or, at the ingress, before it knocks).
+            if self._retire_if_expired(request, now):
+                continue
+            if fresh:
+                # Ingress admission: only brand-new tier-0 arrivals knock;
+                # offloads from lower tiers and repartition requeues are
+                # already inside the system and bypass the policy.
                 admitted += self._admit(request, payload, now)
-        else:
-            admitted = 0
-            for request, payload in items:
-                if self._retire_if_expired(request, now):
-                    continue
+            else:
                 self._enqueue(tier_index, request, payload, now)
                 admitted += 1
         if self.autoscaler is not None and admitted:
@@ -962,26 +913,27 @@ class DistributedServingFabric:
     def _admit(self, request: FabricRequest, payload: object, now: float) -> int:
         """Offer one fresh arrival to the bounded device-tier queue.
 
-        Mirrors :meth:`RequestQueue.offer` accounting exactly: accepted
-        requests enqueue (evicting the head under drop-oldest, counted
-        ``dropped``), rejected ones vanish with a counter, shed ones are
-        answered immediately from the first exit.  Returns the number of
-        requests enqueued (0 or 1).
+        :func:`~repro.serving.admission.admit` decides and counts, as for
+        :class:`~repro.serving.server.DDNNServer`: accepted requests enqueue,
+        rejected ones vanish with a counter, shed ones are answered
+        immediately from the first exit.  A drop-oldest victim leaves the
+        system entirely, so its expiry timer (if any) is cancelled.
+        Returns the number of requests enqueued (0 or 1).
         """
-        if self.capacity is not None and len(self.tiers[0].queue) >= self.capacity:
-            outcome = self.admission.decide(request.client_id)
-            if outcome is AdmissionOutcome.REJECTED:
-                self.admission_stats.rejected += 1
-                return 0
-            if outcome is AdmissionOutcome.SHED:
-                self.admission_stats.shed += 1
-                self._shed_response(request, now)
-                return 0
-            # ACCEPTED while full: evict the head-of-line request.
-            self._evict_head()
-            self.admission_stats.dropped += 1
+        outcome, evicted = admit(
+            self.tiers[0].queue, self.capacity, self.admission, self.admission_stats
+        )
+        if outcome is AdmissionOutcome.REJECTED:
+            return 0
+        if outcome is AdmissionOutcome.SHED:
+            self._shed_response(request, now)
+            return 0
+        if evicted is not None:
+            evicted.request.queued_in = None
+            if evicted.request.expiry_handle is not None:
+                evicted.request.expiry_handle.cancel()
+                evicted.request.expiry_handle = None
         self._enqueue(0, request, payload, now)
-        self.admission_stats.accepted += 1
         return 1
 
     def _enqueue(
@@ -992,15 +944,6 @@ class DistributedServingFabric:
         item = _PendingItem(request, payload, now)
         request.queued_in = (self, tier_index, item)
         self.tiers[tier_index].queue.append(item)
-
-    def _evict_head(self) -> None:
-        """Drop-oldest eviction: the victim leaves the system entirely, so
-        its expiry timer (if any) must not fire on a request that is gone."""
-        evicted = self.tiers[0].queue.popleft()
-        evicted.request.queued_in = None
-        if evicted.request.expiry_handle is not None:
-            evicted.request.expiry_handle.cancel()
-            evicted.request.expiry_handle = None
 
     def _require_first_exit(self, failover: bool = False) -> int:
         exit_index = self.sections[0].exit_index
@@ -1022,7 +965,8 @@ class DistributedServingFabric:
     ) -> FabricResponse:
         """Answer a shed request from the first exit, bypassing the tiers.
 
-        Mirrors :meth:`DDNNServer._shed_to_local`: the sample is evaluated
+        As in :meth:`DDNNServer.offer
+        <repro.serving.server.DDNNServer.offer>`, the sample is evaluated
         through the cascade's first exit directly (compiled plan when the
         fabric compiles, eager otherwise) with no hierarchy byte/latency
         accounting — a shed answer is produced at the ingress, before the
@@ -1159,7 +1103,7 @@ class DistributedServingFabric:
             return
         tier = self.tiers[tier_index]
         while tier.due(now, self._draining):
-            worker = tier.free_worker(now)
+            worker = tier.pool.acquire(now)
             if worker is None:
                 return
             relaxed = (
@@ -1781,7 +1725,7 @@ class DistributedServingFabric:
         batching policy's size cap still applies), which is exactly the
         offline hierarchy-runtime regime.
         """
-        first_id = self._next_id
+        first_id = self._ids.next
         self.submit_many(
             [dataset.images[index] for index in range(len(dataset))],
             client_id=client_id,
@@ -1818,7 +1762,7 @@ class DistributedServingFabric:
         if not clients:
             raise ValueError("at least one client id is required")
         arrivals = iter(process)
-        first_id = self._next_id
+        first_id = self._ids.next
         started = self.clock.now
 
         def _next_arrival(count: int) -> None:

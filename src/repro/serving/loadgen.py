@@ -16,10 +16,13 @@ discrete-event simulation:
 * a :class:`ServiceModel` (affine in batch size: ``overhead + n * per_sample``)
   stands in for wall-clock compute, so latency numbers are exactly
   reproducible and independent of the machine running the study;
-* :class:`LoadGenerator` interleaves arrivals and batch completions in
+* :class:`LoadGenerator` interleaves arrivals and batch releases in
   simulated-time order, submitting through the server's admission control
-  (:meth:`DDNNServer.offer`) and running real model inference for every
-  served batch — predictions are real, only *time* is simulated.
+  (:meth:`DDNNServer.offer`), releasing a batch when the shared
+  :meth:`BatchingPolicy.due <repro.serving.batcher.BatchingPolicy.due>`
+  trigger fires and the single worker is free, and running real model
+  inference for every served batch — predictions are real, only *time* is
+  simulated.
 
 The per-request latencies, reject/drop/shed rates and tail percentiles are
 summarised in a :class:`LoadReport`.
@@ -28,15 +31,18 @@ summarised in a :class:`LoadReport`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from .admission import AdmissionOutcome
 from .clock import SimulatedClock
-from .queue import InferenceResponse
-from .server import DDNNServer
+
+if TYPE_CHECKING:  # pragma: no cover - the server imports the fabric, which imports this
+    from .fabric import FabricResponse
+    from .server import DDNNServer
 
 __all__ = [
     "SimulatedClock",
@@ -145,10 +151,19 @@ class ServiceModel:
     per_sample_s: float = 0.001
 
     def __post_init__(self) -> None:
-        if self.batch_overhead_s < 0.0:
-            raise ValueError(f"batch_overhead_s must be >= 0, got {self.batch_overhead_s}")
-        if not self.per_sample_s > 0.0:
-            raise ValueError(f"per_sample_s must be > 0, got {self.per_sample_s}")
+        # NaN passes a `< 0` test and then turns every latency (and the
+        # clock) into NaN; inf parks the worker forever.
+        for name, positive in (("batch_overhead_s", False), ("per_sample_s", True)):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+                or value < 0.0
+                or (positive and value == 0.0)
+            ):
+                bound = "> 0" if positive else ">= 0"
+                raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
     def batch_time_s(self, batch_size: int) -> float:
         if batch_size < 1:
@@ -162,7 +177,7 @@ class ServiceModel:
     @classmethod
     def from_plan_timings(
         cls,
-        server: DDNNServer,
+        server: "DDNNServer",
         views: np.ndarray,
         batch_size: int = 32,
         repeats: int = 3,
@@ -180,6 +195,12 @@ class ServiceModel:
         if batch_size < 2:
             raise ValueError("batch_size must be >= 2 to fit two coefficients")
         views = np.asarray(views)
+        if views.ndim != 4 and len(views) < batch_size:
+            # views[:n] would silently fit on a smaller batch than asked for.
+            raise ValueError(
+                f"views holds {len(views)} samples, fewer than batch_size={batch_size}; "
+                "pass one sample (repeated to the batch) or at least batch_size"
+            )
         compiled = server.cascade.compiled_for(server.model)
         compiled.enable_timing()
         try:
@@ -225,8 +246,8 @@ class LoadReport:
     p95_latency_s: float = 0.0
     p99_latency_s: float = 0.0
     max_latency_s: float = 0.0
-    responses: List[InferenceResponse] = field(default_factory=list)
-    shed_responses: List[InferenceResponse] = field(default_factory=list)
+    responses: List["FabricResponse"] = field(default_factory=list)
+    shed_responses: List["FabricResponse"] = field(default_factory=list)
 
     @property
     def reject_rate(self) -> float:
@@ -247,7 +268,7 @@ class LoadGenerator:
     Parameters
     ----------
     server:
-        A :class:`DDNNServer` built on the *same* :class:`SimulatedClock`
+        A :class:`~repro.serving.server.DDNNServer` built on the *same* :class:`SimulatedClock`
         instance passed here — the generator owns time, the server stamps
         requests and responses with it.
     process:
@@ -265,7 +286,7 @@ class LoadGenerator:
 
     def __init__(
         self,
-        server: DDNNServer,
+        server: "DDNNServer",
         process: ArrivalProcess,
         views: np.ndarray,
         targets: Optional[Sequence[int]] = None,
@@ -298,15 +319,14 @@ class LoadGenerator:
     def _next_release_time(self, busy_until: float, draining: bool) -> float:
         """When the next micro-batch may start, given queue state and policy."""
         queue = self.server.queue
-        head = queue.peek_oldest()
-        if head is None:
+        if not queue:
             return math.inf
-        policy = self.server.batcher.policy
-        if draining or len(queue) >= policy.max_batch_size:
-            trigger = self.clock.now
-        else:
-            trigger = head.enqueue_time + policy.max_wait_s
-        return max(trigger, busy_until, self.clock.now)
+        policy = self.server.policy
+        now = self.clock.now
+        oldest = queue[0].submit_time
+        if policy.due(len(queue), oldest, now, draining):
+            return max(now, busy_until)
+        return max(oldest + policy.max_wait_s, busy_until)
 
     def run(self, num_requests: int) -> LoadReport:
         """Generate ``num_requests`` arrivals, then drain; returns the report.
@@ -326,12 +346,12 @@ class LoadGenerator:
         rejected = 0
         shed = 0
         dropped = 0
-        responses: List[InferenceResponse] = []
-        shed_responses: List[InferenceResponse] = []
+        responses: List["FabricResponse"] = []
+        shed_responses: List["FabricResponse"] = []
 
         while True:
             arrivals_open = submitted < num_requests and next_arrival is not None
-            if not arrivals_open and len(self.server.queue) == 0:
+            if not arrivals_open and not self.server.queue:
                 break
             arrival_time = next_arrival if arrivals_open else math.inf
             release_time = self._next_release_time(busy_until, draining=not arrivals_open)
@@ -350,9 +370,7 @@ class LoadGenerator:
                     rejected += 1
                 elif result.outcome is AdmissionOutcome.SHED:
                     shed += 1
-                    session = self.server.queue.session(result.request.client_id)
-                    if session.responses:
-                        shed_responses.append(session.responses[-1])
+                    shed_responses.append(result.response)
                 elif result.evicted is not None:
                     dropped += 1
                 submitted += 1
@@ -360,12 +378,13 @@ class LoadGenerator:
                 continue
 
             # A batch is due: the policy trigger fired and the worker is free.
+            # It occupies the worker for its service time; the server forms
+            # and answers it at the completion instant, and since no arrival
+            # is offered in between it is the batch that was due at release.
             self.clock.advance_to(release_time)
-            batch = self.server.batcher.next_batch(force=True)
-            if not batch:  # pragma: no cover - defensive; queue was non-empty
-                break
-            self.clock.advance(self.service_model.batch_time_s(len(batch)))
-            responses.extend(self.server.process_batch(batch))
+            size = min(len(self.server.queue), self.server.policy.max_batch_size)
+            self.clock.advance(self.service_model.batch_time_s(size))
+            responses.extend(self.server.step(force=True))
             busy_until = self.clock.now
 
         duration = max(self.clock.now - started_at, 0.0)

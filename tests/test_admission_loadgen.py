@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
 
 from repro.serving import (
     AdmissionOutcome,
+    AdmissionStats,
     ArrivalProcess,
     BatchingPolicy,
     DDNNServer,
@@ -17,90 +19,53 @@ from repro.serving import (
     PoissonProcess,
     QueueFullError,
     RejectNewest,
-    RequestQueue,
     ServiceModel,
     ShedToLocalExit,
     SimulatedClock,
     admission_policy,
+    admit,
 )
 
 
-def _views(num_devices: int = 2, size: int = 4) -> np.ndarray:
-    return np.zeros((num_devices, 3, size, size))
-
-
 class TestAdmissionPolicies:
-    def _full_queue(self, admission, capacity=2):
-        queue = RequestQueue(clock=SimulatedClock(), capacity=capacity, admission=admission)
-        for index in range(capacity):
-            queue.submit(_views(), client_id=f"seed-{index}")
-        return queue
-
     def test_unbounded_queue_never_consults_admission(self):
         class Exploding(RejectNewest):
-            def decide(self, client_id):  # pragma: no cover - must not run
+            def decide(self):  # pragma: no cover - must not run
                 raise AssertionError("admission consulted on an unbounded queue")
 
-        queue = RequestQueue(clock=SimulatedClock(), admission=Exploding())
-        for _ in range(100):
-            queue.submit(_views())
-        assert len(queue) == 100
+        queue, stats = deque(), AdmissionStats()
+        for index in range(100):
+            assert admit(queue, None, Exploding(), stats) == (AdmissionOutcome.ACCEPTED, None)
+            queue.append(index)
+        assert stats.accepted == stats.offered == 100
 
     def test_reject_newest_refuses_and_counts(self):
-        queue = self._full_queue(RejectNewest())
-        result = queue.offer(_views(), client_id="late")
-        assert result.outcome is AdmissionOutcome.REJECTED
-        assert result.request is None
-        assert len(queue) == 2
-        assert queue.admission_stats.rejected == 1
-        assert queue.session("late").rejected == 1
-        assert queue.admission_stats.offered == 3
-
-    def test_submit_raises_on_rejection(self):
-        queue = self._full_queue(RejectNewest())
-        with pytest.raises(QueueFullError):
-            queue.submit(_views(), client_id="late")
+        queue, stats = deque(["a", "b"]), AdmissionStats()
+        assert admit(queue, 2, RejectNewest(), stats) == (AdmissionOutcome.REJECTED, None)
+        assert list(queue) == ["a", "b"]
+        assert (stats.rejected, stats.offered) == (1, 1)
 
     def test_drop_oldest_evicts_head_and_accepts(self):
-        queue = self._full_queue(DropOldest())
-        head = queue.peek_oldest()
-        result = queue.offer(_views(), client_id="late")
-        assert result.outcome is AdmissionOutcome.ACCEPTED
-        assert result.evicted is head
-        assert len(queue) == 2
-        assert queue.admission_stats.dropped == 1
-        assert queue.session(head.client_id).dropped == 1
-        # The evicted request no longer counts as in flight for its client.
-        assert queue.session(head.client_id).in_flight == 0
-        # The new request really is enqueued (tail position).
-        remaining_ids = [request.request_id for request in queue.pop_batch(10)]
-        assert result.request.request_id == remaining_ids[-1]
+        queue, stats = deque(["a", "b"]), AdmissionStats()
+        assert admit(queue, 2, DropOldest(), stats) == (AdmissionOutcome.ACCEPTED, "a")
+        # The caller enqueues the arrival behind the survivors.
+        assert list(queue) == ["b"]
+        assert (stats.accepted, stats.dropped) == (1, 1)
 
-    def test_shed_returns_stamped_request_without_enqueueing(self):
-        queue = self._full_queue(ShedToLocalExit())
-        result = queue.offer(_views(), client_id="late")
-        assert result.outcome is AdmissionOutcome.SHED
-        assert result.request is not None
-        assert result.request.client_id == "late"
-        assert len(queue) == 2
-        assert queue.admission_stats.shed == 1
-        assert queue.session("late").shed == 1
+    def test_shed_keeps_the_queue_intact(self):
+        queue, stats = deque(["a", "b"]), AdmissionStats()
+        assert admit(queue, 2, ShedToLocalExit(), stats) == (AdmissionOutcome.SHED, None)
+        assert list(queue) == ["a", "b"]
+        assert (stats.shed, stats.offered) == (1, 1)
 
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            RequestQueue(clock=SimulatedClock(), capacity=0)
-
-    def test_submit_on_shed_policy_recounts_as_rejection(self):
-        """Regression: a bare queue cannot deliver the local-exit answer a
-        SHED outcome promises, so submit() must not leave shed counters
-        claiming an answer that never existed."""
-        queue = self._full_queue(ShedToLocalExit())
+    def test_submit_raises_on_rejection(self, trained_ddnn, tiny_test):
+        server = DDNNServer(trained_ddnn, 0.8, capacity=2, admission=RejectNewest())
+        for index in range(2):
+            server.submit(tiny_test.images[index])
         with pytest.raises(QueueFullError):
-            queue.submit(_views(), client_id="late")
-        assert queue.admission_stats.shed == 0
-        assert queue.admission_stats.rejected == 1
-        assert queue.session("late").shed == 0
-        assert queue.session("late").rejected == 1
+            server.submit(tiny_test.images[2])
+        assert server.admission_stats.rejected == 1
+        assert len(server.queue) == 2
 
     # (accepted, rejected, dropped, shed) after 8 offers to a full queue of 3.
     OVERFLOW = {
@@ -110,40 +75,34 @@ class TestAdmissionPolicies:
     }
 
     @pytest.mark.parametrize("name", sorted(OVERFLOW))
-    def test_overflow_accounting_balances_per_client(self, name):
-        queue = self._full_queue(admission_policy(name), capacity=3)
-        for index in range(8):
-            queue.offer(_views(), client_id=f"late-{index % 2}")
-        stats = queue.admission_stats
+    def test_overflow_accounting_balances(self, name):
+        queue, stats = deque(), AdmissionStats()
+        policy = admission_policy(name)
+        for index in range(11):
+            outcome, _ = admit(queue, 3, policy, stats)
+            if outcome is AdmissionOutcome.ACCEPTED:
+                queue.append(index)
         assert (stats.accepted, stats.rejected, stats.dropped, stats.shed) == self.OVERFLOW[name]
         assert stats.offered == 11
         assert len(queue) == 3 == stats.accepted - stats.dropped
-        # Per-client counters partition the queue-wide ones.
-        sessions = [queue.session(f"seed-{index}") for index in range(3)]
-        sessions += [queue.session(f"late-{index}") for index in range(2)]
-        for counter in ("rejected", "dropped", "shed"):
-            assert sum(getattr(s, counter) for s in sessions) == getattr(stats, counter)
-        assert sum(s.in_flight for s in sessions) == len(queue)
         # Under drop-oldest the survivors are the newest arrivals.
-        if name == "drop-oldest":
-            assert [r.client_id for r in queue.pop_batch(3)] == ["late-1", "late-0", "late-1"]
+        assert list(queue) == ([8, 9, 10] if name == "drop-oldest" else [0, 1, 2])
 
     @pytest.mark.parametrize("name", sorted(OVERFLOW))
     def test_server_offer_answers_or_accounts_every_sample(self, trained_ddnn, tiny_test, name):
         server = DDNNServer(trained_ddnn, 0.8, capacity=3, admission=admission_policy(name))
         outcomes = [server.offer(tiny_test.images[index], client_id="cam") for index in range(8)]
-        server.run_until_drained()
-        session = server.queue.session("cam")
-        stats = server.queue.admission_stats
-        shed = [r for r in session.responses if r.shed]
+        served = server.run_until_drained()
+        stats = server.admission_stats
+        shed = [o.response for o in outcomes if o.outcome is AdmissionOutcome.SHED]
         # A shed sample is answered at once from the local exit; everything
         # else that stayed in the queue gets the full cascade.
-        assert len(shed) == stats.shed == sum(o.outcome is AdmissionOutcome.SHED for o in outcomes)
-        assert all(r.exit_index == 0 for r in shed)
-        assert session.completed == stats.accepted - stats.dropped == 3
-        assert len(session.responses) == session.completed + stats.shed
-        assert session.completed + stats.rejected + stats.dropped + stats.shed == 8
-        assert session.in_flight == 0
+        assert len(shed) == stats.shed
+        assert all(r.shed and r.exit_index == 0 for r in shed)
+        assert len(served) == stats.accepted - stats.dropped == 3
+        assert not any(r.shed for r in served)
+        assert len(served) + stats.rejected + stats.dropped + stats.shed == 8
+        assert sum(o.evicted is not None for o in outcomes) == stats.dropped
 
     def test_admission_policy_registry(self):
         assert isinstance(admission_policy("reject"), RejectNewest)
@@ -190,6 +149,34 @@ class TestServiceModel:
         with pytest.raises(ValueError):
             ServiceModel().batch_time_s(0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # NaN passes a `< 0` test: 40 of 40 requests "served" at p95 = NaN.
+            ("batch_overhead_s", float("nan")),
+            ("per_sample_s", float("nan")),
+            ("batch_overhead_s", float("inf")),
+            ("per_sample_s", float("inf")),
+            ("batch_overhead_s", "0.002"),
+            ("per_sample_s", None),
+            ("per_sample_s", True),
+        ],
+    )
+    def test_rejects_values_that_corrupt_a_run(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServiceModel(**{field: value})
+
+    def test_calibration_needs_a_full_batch_of_views(self, trained_ddnn, tiny_test):
+        """Four views cannot time a 32-row batch: the fit used to run on a
+        4-row batch and report a per-sample cost ten times too small."""
+        server = DDNNServer(trained_ddnn, 0.8, compile=True)
+        with pytest.raises(ValueError, match="batch_size"):
+            ServiceModel.from_plan_timings(server, tiny_test.images[:4], batch_size=32)
+        fitted = ServiceModel.from_plan_timings(
+            server, tiny_test.images[:4], batch_size=4, repeats=1
+        )
+        assert fitted.per_sample_s > 0.0
+
 
 class TestSimulatedClock:
     def test_advance_and_advance_to(self):
@@ -203,6 +190,13 @@ class TestSimulatedClock:
         assert clock() == 2.0
         with pytest.raises(ValueError):
             clock.advance(-0.1)
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -float("inf")])
+    def test_advance_rejects_non_finite_steps(self, seconds):
+        clock = SimulatedClock(1.0)
+        with pytest.raises(ValueError):
+            clock.advance(seconds)
+        assert clock() == 1.0
 
 
 class TestLoadGenerator:
@@ -280,7 +274,7 @@ class TestLoadGenerator:
             assert len(report.shed_responses) == report.shed
             assert all(r.shed and r.exit_index == 0 for r in report.shed_responses)
 
-    def test_shed_responses_delivered_to_sessions(self, trained_ddnn, tiny_test):
+    def test_shed_responses_come_back_from_offer(self, trained_ddnn, tiny_test):
         server, report = self._run(
             trained_ddnn,
             tiny_test,
@@ -289,10 +283,12 @@ class TestLoadGenerator:
             multiplier=4.0,
             num_requests=120,
         )
-        session = server.queue.session("client-0")
-        assert session.shed == report.shed > 0
-        # Shed answers appear in responses but never inflate `completed`.
-        assert session.completed == report.served
+        stats = server.admission_stats
+        assert stats.shed == report.shed == len(report.shed_responses) > 0
+        assert len({r.request_id for r in report.shed_responses}) == report.shed
+        # Shed answers are reported apart from the served ones.
+        assert not any(r.shed for r in report.responses)
+        assert report.served == stats.accepted - stats.dropped
 
     def test_trace_replay_drives_exact_arrival_times(self, trained_ddnn, tiny_test):
         trace = [0.0, 0.001, 0.002, 0.2, 0.4]
@@ -309,4 +305,4 @@ class TestLoadGenerator:
         )
         assert report.offered == 5
         assert report.served == 5
-        assert [r.enqueue_time for r in sorted(report.responses, key=lambda r: r.request_id)] == trace
+        assert [r.submit_time for r in sorted(report.responses, key=lambda r: r.request_id)] == trace

@@ -57,22 +57,22 @@ def _resolves(name: str) -> bool:
 
 
 def test_definitions_name_public_code_by_its_first_line(definitions):
-    from repro.serving.admission import AdmissionResult
-    from repro.serving.batcher import MicroBatcher
+    from repro.serving.admission import AdmissionStats
+    from repro.serving.batcher import BatchingPolicy
 
     codes, public = definitions
     assert ("repro.serving.batcher.BatchingPolicy", "class") in public
-    assert ("repro.serving.batcher.MicroBatcher.ready", "method") in public
+    assert ("repro.serving.batcher.BatchingPolicy.due", "method") in public
     assert not [name for name, _ in public if any(p.startswith("_") for p in name.split("."))]
-    ready = MicroBatcher.ready.__code__
-    assert codes[(os.path.realpath(ready.co_filename), ready.co_firstlineno)] == (
+    due = BatchingPolicy.due.__code__
+    assert codes[(os.path.realpath(due.co_filename), due.co_firstlineno)] == (
         "repro.serving.batcher",
-        "MicroBatcher",
-        "ready",
+        "BatchingPolicy",
+        "due",
     )
     # A decorated function's code starts at its decorator.
-    accepted = AdmissionResult.accepted.fget.__code__
-    assert codes[(os.path.realpath(accepted.co_filename), accepted.co_firstlineno)][2] == "accepted"
+    offered = AdmissionStats.offered.fget.__code__
+    assert codes[(os.path.realpath(offered.co_filename), offered.co_firstlineno)][2] == "offered"
 
 
 def test_recorder_credits_overrides_bases_and_generated_inits(audit, definitions):
@@ -80,7 +80,7 @@ def test_recorder_credits_overrides_bases_and_generated_inits(audit, definitions
 
     recorder = audit.Recorder()
     with recorder.recording():
-        RejectNewest().decide("client")
+        RejectNewest().decide()
         AdmissionStats()  # a dataclass: its __init__ is generated code
     entered = recorder.entered(definitions[0])
     prefix = "repro.serving.admission."

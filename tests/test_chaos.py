@@ -387,8 +387,7 @@ class TestResilientOffload:
             trained_ddnn,
             offload=POLICY,
             breaker=CircuitBreaker(failure_threshold=3, reset_timeout_s=1.0),
-            chaos=ChaosSchedule(outages=[LinkOutage(destination="cloud")], seed=0),
-        )
+        ).attach_chaos(ChaosSchedule(outages=[LinkOutage(destination="cloud")], seed=0))
         report = _serve(fabric, tiny_test)
         assert not check_exactly_once(32, report.responses)
         degraded = [r for r in report.responses if r.degraded]
@@ -410,7 +409,7 @@ class TestResilientOffload:
             losses=[LinkLoss(probability=0.1, destination="cloud")],
             seed=0,
         )
-        fabric = _fabric(trained_ddnn, offload=POLICY, chaos=chaos)
+        fabric = _fabric(trained_ddnn, offload=POLICY).attach_chaos(chaos)
         report = _serve(fabric, tiny_test)
         assert report.served == 32
         assert report.retry_total > 0
@@ -428,7 +427,7 @@ class TestResilientOffload:
                 outages=[LinkOutage(destination="cloud", start=0.5, end=0.8)],
                 seed=4,
             )
-            fabric = _fabric(trained_ddnn, offload=POLICY, chaos=chaos)
+            fabric = _fabric(trained_ddnn, offload=POLICY).attach_chaos(chaos)
             report = _serve(fabric, tiny_test)
             return accounting(report.responses), fabric.resilience_stats.as_dict()
 
@@ -442,9 +441,8 @@ class TestResilientOffload:
             trained_ddnn,
             offload=POLICY,
             breaker=CircuitBreaker(failure_threshold=1, reset_timeout_s=0.05),
-            chaos=ChaosSchedule(
-                outages=[LinkOutage(destination="cloud", start=0.0, end=0.4)], seed=0
-            ),
+        ).attach_chaos(
+            ChaosSchedule(outages=[LinkOutage(destination="cloud", start=0.0, end=0.4)], seed=0)
         )
         report = _serve(fabric, tiny_test, num_requests=32, rate=30.0)
         assert report.served == 32
@@ -461,10 +459,8 @@ class TestResilientOffload:
 
     def test_worker_crash_delays_but_never_degrades(self, trained_ddnn, tiny_test):
         crash = WorkerCrash(tier="cloud", start=0.2, end=0.6)
-        fabric = _fabric(
-            trained_ddnn,
-            offload=POLICY,
-            chaos=ChaosSchedule(crashes=[crash], seed=0),
+        fabric = _fabric(trained_ddnn, offload=POLICY).attach_chaos(
+            ChaosSchedule(crashes=[crash], seed=0)
         )
         probes = {}
         fabric.events.schedule(0.3, lambda now: probes.update(mid=fabric.healthy))
@@ -494,7 +490,7 @@ class TestResilientOffload:
         immortal = RetryPolicy(deadline_s=math.inf)
         outage = ChaosSchedule(outages=[LinkOutage(destination="cloud")])
         with pytest.raises(ValueError, match="RetryPolicy"):
-            _fabric(trained_ddnn, offload=immortal, chaos=outage)
+            _fabric(trained_ddnn, offload=immortal).attach_chaos(outage)
         with pytest.raises(ValueError, match="breaker without offload"):
             _fabric(trained_ddnn, offload=immortal, breaker=CircuitBreaker())
         with pytest.raises(ValueError, match="hedge without offload"):
@@ -508,18 +504,14 @@ class TestResilientOffload:
 
     def test_link_chaos_needs_a_device_exit_to_fail_over_to(self, trained_ddnn):
         """Regression: a failover with no cleared exit and no device exit
-        used to die mid-run blaming admission.  All three ways of combining
+        used to die mid-run blaming admission.  Both ways of combining
         link chaos with an exit-less device tier are rejected up front."""
         outage = ChaosSchedule(outages=[LinkOutage(destination="cloud")])
         no_exit = PartitionPlan(trained_ddnn, local_exit=False)
-        with pytest.raises(ValueError, match="device tier has no exit"):
-            DistributedServingFabric.from_plan(
-                no_exit, THRESHOLD, offload=POLICY, chaos=outage
-            )
         fabric = DistributedServingFabric.from_plan(no_exit, THRESHOLD, offload=POLICY)
         with pytest.raises(ValueError, match="device tier has no exit"):
             fabric.attach_chaos(outage)
-        armed = _fabric(trained_ddnn, offload=POLICY, chaos=outage)
+        armed = _fabric(trained_ddnn, offload=POLICY).attach_chaos(outage)
         with pytest.raises(ValueError, match="device tier has no exit"):
             armed.apply_plan(no_exit)
         # Worker chaos never forces a failover, so it stays allowed.
@@ -560,8 +552,7 @@ class TestChaosAccounting:
             offload=POLICY,
             capacity=6,
             admission=admission_policy("shed-local"),
-            chaos=chaos,
-        )
+        ).attach_chaos(chaos)
         views = list(tiny_test.images)
         gap = 1.0 / (4.0 * SERVICE.capacity_rps(4))  # 4x overload
         for index, sample in enumerate(views):

@@ -150,9 +150,9 @@ class TestFabricEquivalence:
         np.testing.assert_array_equal(predictions, baseline.predictions)
         np.testing.assert_array_equal(exits, baseline.exit_indices)
 
-    def test_single_tier_degenerate_case_is_the_server(self, trained_ddnn, tiny_test):
+    def test_single_tier_server_routes_like_the_fabric(self, trained_ddnn, tiny_test):
         """DDNNServer (one tier running the whole cascade) routes and
-        predicts exactly like the fabric — the degenerate case stays valid."""
+        predicts exactly like the fabric."""
         server = DDNNServer(trained_ddnn, 0.8)
         server_responses = server.serve_dataset(tiny_test)
         fabric = DistributedServingFabric(
@@ -222,25 +222,6 @@ class TestLinkDelayAccounting:
         for fast, slow in zip(*(sorted(r[0], key=lambda x: x.request_id) for r in runs.values())):
             assert fast.prediction == slow.prediction
             assert fast.bytes_transferred == pytest.approx(slow.bytes_transferred)
-
-    def test_client_ingress_link_delays_every_request(self, trained_ddnn, tiny_test):
-        ingress = LinkSpec(bandwidth_bytes_per_s=1_000.0, latency_s=0.5)
-        fabric = DistributedServingFabric(
-            partition_ddnn(trained_ddnn),
-            0.8,
-            batching=BatchingPolicy(max_batch_size=8, max_wait_s=0.0),
-            client_link=ingress,
-            request_bytes=500.0,
-        )
-        responses = fabric.serve_dataset(tiny_test)
-        expected = 0.5 + 500.0 / 1_000.0
-        for response in responses:
-            assert response.path_latency_s >= expected
-            assert response.latency_s >= expected
-        assert fabric.ingress.stats.messages == len(tiny_test)
-        assert fabric.ingress.stats.bytes_transferred == pytest.approx(
-            500.0 * len(tiny_test)
-        )
 
 
 class TestOpenLoopAndAdaptive:
@@ -357,6 +338,41 @@ class TestIngressAdmission:
         # Shed samples are answered at the ingress from the first exit.
         assert all(r.exit_index == 0 for r in responses if r.shed)
 
+    @pytest.mark.parametrize("name", sorted(OVERFLOW))
+    def test_server_and_fabric_admit_alike(self, trained_ddnn, tiny_test, name):
+        """One admission rule: the same over-capacity arrivals leave the
+        server's queue and the fabric's ingress with equal counters, the same
+        survivors, and the same answers for the shed and the served."""
+        from repro.serving import admission_policy
+
+        views = list(tiny_test.images[:12])
+        # Nothing is due until every arrival has knocked: the batch never
+        # fills, and its wait outlasts the fabric's single arrival event.
+        batching = BatchingPolicy(max_batch_size=16, max_wait_s=1.0)
+        server = DDNNServer(
+            trained_ddnn, 0.8, policy=batching, capacity=4, admission=admission_policy(name)
+        )
+        results = [server.offer(sample) for sample in views]
+        fabric = DistributedServingFabric(
+            partition_ddnn(trained_ddnn),
+            0.8,
+            batching=batching,
+            capacity=4,
+            admission=admission_policy(name),
+        )
+        fabric.submit_many(views)
+        fabric_answers = fabric.run_until_idle()
+        assert server.admission_stats == fabric.admission_stats
+        survivors = [request.request_id for request in server.queue]
+        assert survivors == sorted(r.request_id for r in fabric_answers if not r.shed)
+
+        def answers(responses):
+            return sorted((r.request_id, r.prediction, r.exit_index, r.shed) for r in responses)
+
+        server_answers = [r.response for r in results if r.response is not None]
+        server_answers += server.run_until_drained()
+        assert answers(server_answers) == answers(fabric_answers)
+
     @pytest.mark.parametrize("max_wait_s", [0.0, 0.002, 0.05])
     def test_partial_batch_is_answered_once_its_wait_expires(
         self, trained_ddnn, tiny_test, max_wait_s
@@ -387,6 +403,14 @@ class TestFabricValidation:
             DistributedServingFabric(
                 partition_ddnn(trained_ddnn), 0.8, service_models=[None]
             )
+
+    def test_numpy_worker_count_broadcasts(self, trained_ddnn):
+        fabric = DistributedServingFabric(
+            partition_ddnn(trained_ddnn), 0.8, workers_per_tier=np.int64(2)
+        )
+        assert [len(tier.workers) for tier in fabric.tiers] == [2] * len(fabric.tiers)
+        with pytest.raises(ValueError, match="workers_per_tier"):
+            DistributedServingFabric(partition_ddnn(trained_ddnn), 0.8, workers_per_tier=True)
 
     def test_rejects_bad_views_shape(self, trained_ddnn, tiny_test):
         fabric = DistributedServingFabric(partition_ddnn(trained_ddnn), 0.8)

@@ -527,8 +527,9 @@ def test_a_shed_runs_no_cloud_plan(trained_ddnn, tiny_test, surface):
             host.run_until_idle(drain=True)  # its workers run bundles of their own
             responses = host.responses
         else:
-            ids = [host.submit(sample, client_id="cam") for sample in views]
-            responses = host.queue.session("cam").responses
+            results = [host.offer(sample) for sample in views]
+            ids = [result.request.request_id for result in results]
+            responses = [result.response for result in results if result.response is not None]
         shed = [response for response in responses if response.shed]
         assert shed
         assert _cloud_calls(bundle) == before

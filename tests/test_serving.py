@@ -1,19 +1,23 @@
-"""Tests for the online serving subsystem (queue, batcher, server, stats)."""
+"""Tests for the single-tier server and the shared batching trigger."""
 
 from __future__ import annotations
+
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core import StagedInferenceEngine
 from repro.serving import (
+    ArrivalProcess,
     BatchingPolicy,
     DDNNServer,
-    MicroBatcher,
-    RequestQueue,
-    ServerStats,
+    LoadGenerator,
+    ServiceModel,
+    SimulatedClock,
+    TierServer,
 )
-from repro.serving.queue import InferenceResponse
 
 
 class FakeClock:
@@ -29,127 +33,21 @@ class FakeClock:
         self.now += seconds
 
 
-def _views(num_devices: int = 2, size: int = 4) -> np.ndarray:
-    return np.zeros((num_devices, 3, size, size))
-
-
-class TestRequestQueue:
-    def test_fifo_order_and_ids(self):
-        queue = RequestQueue(clock=FakeClock())
-        first = queue.submit(_views(), client_id="a")
-        second = queue.submit(_views(), client_id="b")
-        assert (first.request_id, second.request_id) == (0, 1)
-        batch = queue.pop_batch(5)
-        assert [request.request_id for request in batch] == [0, 1]
-        assert len(queue) == 0
-
-    def test_sessions_track_submissions(self):
-        queue = RequestQueue(clock=FakeClock())
-        queue.submit(_views(), client_id="a")
-        queue.submit(_views(), client_id="a")
-        queue.submit(_views(), client_id="b")
-        assert queue.session("a").submitted == 2
-        assert queue.session("b").submitted == 1
-        assert queue.session("a").in_flight == 2
-
-    def test_bad_views_shape_rejected(self):
-        queue = RequestQueue(clock=FakeClock())
-        with pytest.raises(ValueError):
-            queue.submit(np.zeros((3, 4, 4)))
-
-    def test_oldest_wait_tracks_clock(self):
-        clock = FakeClock()
-        queue = RequestQueue(clock=clock)
-        assert queue.oldest_wait_s() == 0.0
-        queue.submit(_views())
-        clock.advance(0.25)
-        assert queue.oldest_wait_s() == pytest.approx(0.25)
-
-    def test_pop_batch_validates_size(self):
-        queue = RequestQueue(clock=FakeClock())
-        with pytest.raises(ValueError):
-            queue.pop_batch(0)
-
-    def test_pop_batch_larger_than_backlog_drains_everything(self):
-        queue = RequestQueue(clock=FakeClock())
-        for _ in range(3):
-            queue.submit(_views())
-        assert len(queue.pop_batch(100)) == 3
-        assert queue.pop_batch(100) == []
-        assert queue.peek_oldest() is None
-
-    def test_oldest_wait_with_explicit_now_and_after_pop(self):
-        clock = FakeClock()
-        queue = RequestQueue(clock=clock)
-        queue.submit(_views())
-        clock.advance(1.0)
-        queue.submit(_views())
-        assert queue.oldest_wait_s(now=1.5) == pytest.approx(1.5)
-        queue.pop_batch(1)
-        # Head-of-line is now the second request, enqueued at t=1.0.
-        assert queue.oldest_wait_s(now=1.5) == pytest.approx(0.5)
-        queue.pop_batch(1)
-        assert queue.oldest_wait_s(now=99.0) == 0.0
-
-    @pytest.mark.parametrize("batch_size", [1, 2, 5])
-    def test_interleaved_clients_pop_in_arrival_order(self, batch_size):
-        """One FIFO across clients: a batch takes the oldest requests whoever
-        sent them.  A popped request is being served, not answered, so it
-        stays in its client's ``in_flight``."""
-        queue = RequestQueue(clock=FakeClock())
-        clients = ["a", "b", "c", "a", "a", "b", "c", "c", "a"]
-        ids = [queue.submit(_views(), client_id=client).request_id for client in clients]
-        popped = []
-        while len(queue):
-            batch = queue.pop_batch(batch_size)
-            assert 0 < len(batch) <= batch_size
-            popped += batch
-            assert len(queue) == len(clients) - len(popped)
-            for client in set(clients):
-                assert queue.session(client).in_flight == clients.count(client)
-        assert [request.request_id for request in popped] == ids
-        assert [request.client_id for request in popped] == clients
-
-
-class TestMicroBatcher:
-    def test_full_batch_releases_immediately(self):
-        clock = FakeClock()
-        queue = RequestQueue(clock=clock)
-        batcher = MicroBatcher(queue, BatchingPolicy(max_batch_size=2, max_wait_s=10.0), clock)
-        queue.submit(_views())
-        assert not batcher.ready()
-        queue.submit(_views())
-        assert batcher.ready()
-        assert len(batcher.next_batch()) == 2
+class TestBatchingPolicy:
+    def test_full_batch_is_due_at_once(self):
+        policy = BatchingPolicy(max_batch_size=2, max_wait_s=10.0)
+        assert not policy.due(1, 0.0, 0.0, draining=False)
+        assert policy.due(2, 0.0, 0.0, draining=False)
 
     def test_partial_batch_waits_for_max_wait(self):
-        clock = FakeClock()
-        queue = RequestQueue(clock=clock)
-        batcher = MicroBatcher(queue, BatchingPolicy(max_batch_size=8, max_wait_s=0.5), clock)
-        queue.submit(_views())
-        assert batcher.next_batch() == []
-        clock.advance(0.6)
-        batch = batcher.next_batch()
-        assert len(batch) == 1
-        assert batcher.batches_formed == 1
+        policy = BatchingPolicy(max_batch_size=8, max_wait_s=0.5)
+        assert not policy.due(1, 1.0, 1.4, draining=False)
+        assert policy.due(1, 1.0, 1.5, draining=False)
 
-    def test_force_drains_regardless_of_policy(self):
-        clock = FakeClock()
-        queue = RequestQueue(clock=clock)
-        batcher = MicroBatcher(queue, BatchingPolicy(max_batch_size=8, max_wait_s=60.0), clock)
-        queue.submit(_views())
-        assert len(batcher.next_batch(force=True)) == 1
-
-    def test_batch_never_exceeds_max_size(self):
-        clock = FakeClock()
-        queue = RequestQueue(clock=clock)
-        batcher = MicroBatcher(queue, BatchingPolicy(max_batch_size=3, max_wait_s=0.0), clock)
-        for _ in range(7):
-            queue.submit(_views())
-        sizes = []
-        while len(queue):
-            sizes.append(len(batcher.next_batch(force=True)))
-        assert sizes == [3, 3, 1]
+    def test_draining_releases_any_non_empty_queue(self):
+        policy = BatchingPolicy(max_batch_size=8, max_wait_s=60.0)
+        assert policy.due(1, 0.0, 0.0, draining=True)
+        assert not policy.due(0, 0.0, 99.0, draining=True)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -188,103 +86,46 @@ class TestMicroBatcher:
         assert policy.max_wait_s == max_wait_s
 
 
-class TestServerStats:
-    def _response(self, enqueue, complete, exit_name="local", correct=True):
-        return InferenceResponse(
-            request_id=0,
-            client_id="c",
-            prediction=1,
-            exit_index=0,
-            exit_name=exit_name,
-            entropy=0.1,
-            target=1 if correct else 0,
-            enqueue_time=enqueue,
-            completion_time=complete,
-        )
 
-    def test_empty_snapshot(self):
-        snapshot = ServerStats().snapshot()
-        assert snapshot.window_requests == 0
-        assert snapshot.throughput_rps == 0.0
-        assert snapshot.accuracy is None
+#: Arrival instants x waits on which `now - arrival >= max_wait` (the old
+#: server trigger) and `now >= arrival + max_wait` (the timer's) disagree at
+#: `now = arrival + max_wait` in 290 of the 796 cases.
+ARRIVALS = np.linspace(0.01, 2.0, 199)
+WAITS = (0.0005, 0.002, 0.005, 0.05)
 
-    def test_snapshot_aggregates(self):
-        stats = ServerStats()
-        stats.observe_batch([self._response(0.0, 0.1), self._response(0.0, 0.1)])
-        stats.observe_batch([self._response(0.1, 0.3, exit_name="cloud", correct=False)])
-        snapshot = stats.snapshot()
-        assert snapshot.total_requests == 3
-        assert snapshot.total_batches == 2
-        assert snapshot.exit_fractions == {"cloud": pytest.approx(1 / 3), "local": pytest.approx(2 / 3)}
-        assert snapshot.accuracy == pytest.approx(2 / 3)
-        assert snapshot.mean_batch_size == pytest.approx(1.5)
-        assert snapshot.throughput_rps > 0
 
-    def test_rolling_window_bounds_memory(self):
-        stats = ServerStats(window=4)
-        for index in range(10):
-            stats.observe_batch([self._response(index * 1.0, index * 1.0 + 0.1)])
-        snapshot = stats.snapshot()
-        assert snapshot.total_requests == 10
-        assert snapshot.window_requests == 4
+@pytest.mark.parametrize("max_wait_s", WAITS)
+def test_every_queue_fires_at_exactly_arrival_plus_max_wait(trained_ddnn, tiny_test, max_wait_s):
+    """The server's step(), the load generator's release time and a fabric
+    tier's due() agree: a lone request is due at exactly arrival + max_wait,
+    the instant a wait timer scheduled for it fires."""
+    policy = BatchingPolicy(max_batch_size=8, max_wait_s=max_wait_s)
+    service = ServiceModel(batch_overhead_s=0.002, per_sample_s=0.001)
+    views = tiny_test.images[0]
+    for arrival in ARRIVALS:
+        arrival = float(arrival)
+        release = arrival + max_wait_s
+        clock = SimulatedClock(arrival)
+        server = DDNNServer(trained_ddnn, 0.8, policy=policy, clock=clock, compile=True)
+        server.submit(views)
+        clock.advance_to(math.nextafter(release, -math.inf))
+        assert server.step() == []
+        clock.advance_to(release)
+        assert len(server.step()) == 1, (arrival, max_wait_s)
 
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            ServerStats(window=0)
+        class Lone(ArrivalProcess):  # the next arrival comes long after the release
+            def times(self, arrival=arrival):
+                return iter([arrival, arrival + 1.0])
 
-    def _batch(self, size, complete, enqueue=0.0, **kwargs):
-        return [self._response(enqueue, complete, **kwargs) for _ in range(size)]
+        server = DDNNServer(trained_ddnn, 0.8, policy=policy, clock=SimulatedClock(), compile=True)
+        report = LoadGenerator(server, Lone(), views[None], service_model=service).run(2)
+        first = min(report.responses, key=lambda response: response.request_id)
+        assert first.completion_time == release + service.batch_time_s(1)
 
-    def test_throughput_counts_whole_batches_against_elapsed_time(self):
-        """Pinned semantics: two 16-deep batches one second apart is 16 rps —
-        the old per-response formula reported (32-1)/1 = 31 rps because every
-        response in a batch shares one completion stamp."""
-        stats = ServerStats()
-        stats.observe_batch(self._batch(16, complete=1.0))
-        stats.observe_batch(self._batch(16, complete=2.0))
-        assert stats.snapshot().throughput_rps == pytest.approx(16.0)
-
-    def test_throughput_needs_two_completion_events(self):
-        stats = ServerStats()
-        stats.observe_batch(self._batch(32, complete=1.0))
-        assert stats.snapshot().throughput_rps == 0.0
-
-    def test_throughput_survives_window_no_larger_than_batch(self):
-        """Regression: with window <= batch size, eviction used to leave a
-        single completion event, reporting 0.0 rps forever."""
-        stats = ServerStats(window=16)
-        for index in range(10):
-            stats.observe_batch(self._batch(16, complete=1.0 + index))
-        assert stats.snapshot().throughput_rps == pytest.approx(16.0)
-
-    def test_throughput_steady_stream_of_single_requests(self):
-        stats = ServerStats(window=8)
-        for index in range(20):
-            stats.observe_batch(self._batch(1, complete=float(index), enqueue=float(index)))
-        assert stats.snapshot().throughput_rps == pytest.approx(1.0)
-
-    def test_batch_window_tracks_request_window(self):
-        """Pinned semantics: mean_batch_size covers the trailing batches that
-        produced the windowed requests — not a separate batch-count window."""
-        stats = ServerStats(window=8)
-        stats.observe_batch(self._batch(1, complete=0.5))
-        for index in range(4):
-            stats.observe_batch(self._batch(2, complete=1.0 + index))
-        # 9 requests total; the size-1 batch is evicted once the four 2-deep
-        # batches cover the 8-request window on their own.
-        snapshot = stats.snapshot()
-        assert snapshot.window_requests == 8
-        assert snapshot.window_batches == 4
-        assert snapshot.mean_batch_size == pytest.approx(2.0)
-
-    def test_batch_window_keeps_partially_covered_batch(self):
-        stats = ServerStats(window=4)
-        stats.observe_batch(self._batch(3, complete=1.0))
-        stats.observe_batch(self._batch(3, complete=2.0))
-        # Evicting the older batch would leave only 3 < window requests.
-        snapshot = stats.snapshot()
-        assert snapshot.window_batches == 2
-        assert snapshot.mean_batch_size == pytest.approx(3.0)
+        tier = TierServer(section=None, pool=None, policy=policy)
+        tier.queue.append(SimpleNamespace(arrival_time=arrival))
+        assert not tier.due(math.nextafter(release, -math.inf), draining=False)
+        assert tier.due(release, draining=False)
 
 
 class TestDDNNServer:
@@ -325,39 +166,130 @@ class TestDDNNServer:
         server.submit(tiny_test.images[1])
         assert len(server.step(force=True)) == 1
 
-    def test_responses_routed_per_exit(self, trained_ddnn, tiny_test):
+    def test_batches_drain_fifo_across_clients(self, trained_ddnn, tiny_test):
+        """One FIFO across clients: a batch takes the oldest requests whoever
+        sent them, never more than max_batch_size of them."""
+        server = DDNNServer(
+            trained_ddnn, 0.8, policy=BatchingPolicy(max_batch_size=3, max_wait_s=0.0)
+        )
+        clients = ["a", "b", "c", "a", "a", "b", "c"]
+        ids = [
+            server.submit(tiny_test.images[index], client_id=client)
+            for index, client in enumerate(clients)
+        ]
+        assert ids == list(range(len(clients)))
+        batches = []
+        while server.queue:
+            batches.append(server.step(force=True))
+        assert [len(batch) for batch in batches] == [3, 3, 1]
+        responses = [response for batch in batches for response in batch]
+        assert [r.request_id for r in responses] == ids
+        assert [r.client_id for r in responses] == clients
+        assert all(r.batch_size == len(batch) for batch in batches for r in batch)
+        assert server.step(force=True) == []
+
+    @pytest.mark.parametrize("num_clients", [1, 2, 5])
+    def test_interleaved_clients_are_served_in_arrival_order(
+        self, trained_ddnn, tiny_test, num_clients
+    ):
+        server = DDNNServer(
+            trained_ddnn, 0.8, policy=BatchingPolicy(max_batch_size=4, max_wait_s=0.0)
+        )
+        clients = [f"client-{index % num_clients}" for index in range(10)]
+        for index, client in enumerate(clients):
+            server.submit(tiny_test.images[index], client_id=client)
+        responses = server.run_until_drained()
+        assert [r.request_id for r in responses] == list(range(10))
+        assert [r.client_id for r in responses] == clients
+
+    @pytest.mark.parametrize("backlog", [1, 4, 9])
+    def test_forced_step_takes_at_most_one_batch(self, trained_ddnn, tiny_test, backlog):
+        """A forced step drains a backlog smaller than a batch whole and
+        never takes more than max_batch_size from a larger one."""
+        server = DDNNServer(
+            trained_ddnn, 0.8, policy=BatchingPolicy(max_batch_size=4, max_wait_s=60.0)
+        )
+        for index in range(backlog):
+            server.submit(tiny_test.images[index])
+        served = server.step(force=True)
+        assert len(served) == min(backlog, 4)
+        assert [r.request_id for r in served] == list(range(len(served)))
+        assert len(server.queue) == backlog - len(served)
+
+    def test_responses_name_their_exit(self, trained_ddnn, tiny_test):
+        """Each response carries the exit that answered it, so filtering by
+        exit_name partitions the answers as the offline cascade routes them."""
         server = DDNNServer(trained_ddnn, 0.8)
         responses = server.serve_dataset(tiny_test)
-        by_exit = {name: server.responses_for_exit(name) for name in server.exit_names}
-        assert sum(len(bucket) for bucket in by_exit.values()) == len(responses)
-        for name, bucket in by_exit.items():
-            assert all(response.exit_name == name for response in bucket)
-        with pytest.raises(KeyError):
-            server.responses_for_exit("nope")
+        offline = server.cascade.run_model(
+            trained_ddnn, tiny_test.images, batch_size=len(tiny_test)
+        )
+        assert [r.exit_name for r in responses] == offline.exit_names_per_sample
+        assert all(
+            r.exit_name == server.cascade.exit_names[r.exit_index] for r in responses
+        )
+        by_exit = {
+            name: [r for r in responses if r.exit_name == name]
+            for name in server.cascade.exit_names
+        }
+        assert sum(len(group) for group in by_exit.values()) == len(responses)
 
-    def test_sessions_receive_their_responses(self, trained_ddnn, tiny_test):
-        server = DDNNServer(trained_ddnn, 0.8)
-        server.submit(tiny_test.images[0], client_id="a")
-        server.submit(tiny_test.images[1], client_id="b")
-        server.submit(tiny_test.images[2], client_id="a")
-        server.run_until_drained()
-        assert server.queue.session("a").completed == 2
-        assert server.queue.session("b").completed == 1
-        assert all(r.client_id == "a" for r in server.queue.session("a").responses)
+    def test_responses_carry_clock_stamps(self, trained_ddnn, tiny_test):
+        clock = FakeClock()
+        server = DDNNServer(
+            trained_ddnn,
+            0.8,
+            policy=BatchingPolicy(max_batch_size=8, max_wait_s=0.5),
+            clock=clock,
+        )
+        server.submit(tiny_test.images[0])
+        clock.advance(0.25)
+        server.submit(tiny_test.images[1])
+        clock.advance(0.25)
+        responses = server.step()
+        assert [r.submit_time for r in responses] == [0.0, 0.25]
+        assert [r.completion_time for r in responses] == [0.5, 0.5]
+        assert all(r.batch_size == 2 for r in responses)
 
-    def test_snapshot_reflects_traffic(self, trained_ddnn, tiny_test):
+    def test_shed_answer_is_stamped_and_never_queued(self, trained_ddnn, tiny_test):
+        from repro.serving import AdmissionOutcome, ShedToLocalExit
+
+        clock = FakeClock()
+        server = DDNNServer(
+            trained_ddnn, 0.8, clock=clock, capacity=1, admission=ShedToLocalExit()
+        )
+        server.offer(tiny_test.images[0])
+        clock.advance(3.0)
+        result = server.offer(tiny_test.images[1], target=int(tiny_test.labels[1]))
+        assert result.outcome is AdmissionOutcome.SHED
+        assert result.request.submit_time == result.response.submit_time == 3.0
+        assert result.response.completion_time == 3.0
+        assert result.response.target == int(tiny_test.labels[1])
+        assert [request.request_id for request in server.queue] == [0]
+
+    def test_drop_oldest_evicts_the_head_unanswered(self, trained_ddnn, tiny_test):
+        from repro.serving import DropOldest
+
+        server = DDNNServer(trained_ddnn, 0.8, capacity=2, admission=DropOldest())
+        results = [server.offer(tiny_test.images[index]) for index in range(4)]
+        assert [r.evicted and r.evicted.request_id for r in results] == [None, None, 0, 1]
+        assert [r.request_id for r in server.run_until_drained()] == [2, 3]
+        assert server.admission_stats.dropped == 2
+
+    def test_reduced_precision_requires_compile(self, trained_ddnn):
+        with pytest.raises(ValueError, match="compile=True"):
+            DDNNServer(trained_ddnn, 0.8, precision="float32")
+
+    def test_bad_views_shape_rejected(self, trained_ddnn):
         server = DDNNServer(trained_ddnn, 0.8)
-        server.serve_dataset(tiny_test)
-        snapshot = server.snapshot()
-        assert snapshot.total_requests == len(tiny_test)
-        assert sum(snapshot.exit_fractions.values()) == pytest.approx(1.0)
-        assert snapshot.accuracy is not None
-        assert snapshot.mean_latency_s >= 0.0
+        with pytest.raises(ValueError, match="views"):
+            server.submit(np.zeros((3, 4, 4)))
+        with pytest.raises(ValueError, match="capacity"):
+            DDNNServer(trained_ddnn, 0.8, capacity=0)
 
     def test_serve_dataset_ignores_preexisting_backlog(self, trained_ddnn, tiny_test):
-        """Regression: a backlog from other clients must not leak into the
-        dataset response list (which is documented to line up with
-        ``dataset.labels``)."""
+        """Regression: a backlog must not leak into the dataset response
+        list (which is documented to line up with ``dataset.labels``)."""
         server = DDNNServer(trained_ddnn, 0.8)
         for index in range(3):
             server.submit(tiny_test.images[index], client_id="backlog")
@@ -367,35 +299,12 @@ class TestDDNNServer:
         assert [response.target for response in responses] == [
             int(label) for label in tiny_test.labels
         ]
-        # The backlog was still served, to its own session.
-        assert server.queue.session("backlog").completed == 3
+        # The backlog was served along the way.
+        assert not server.queue
         # ... and the filtered responses match a clean-server run exactly.
         clean = DDNNServer(trained_ddnn, 0.8).serve_dataset(tiny_test)
         assert [r.prediction for r in responses] == [r.prediction for r in clean]
         assert [r.exit_index for r in responses] == [r.exit_index for r in clean]
-
-    def test_retention_bounds_sessions_and_outboxes(self, trained_ddnn, tiny_test):
-        """Regression: long-lived servers must not grow memory without bound
-        in ClientSession.responses / per-exit outboxes; counters stay exact."""
-        server = DDNNServer(trained_ddnn, 0.8, stats_window=64, retention=5)
-        repeats = 3
-        for _ in range(repeats):
-            for index in range(len(tiny_test)):
-                server.submit(tiny_test.images[index], client_id="cam")
-            server.run_until_drained()
-        session = server.queue.session("cam")
-        assert session.submitted == session.completed == repeats * len(tiny_test)
-        assert len(session.responses) == 5
-        total_boxed = sum(
-            len(server.responses_for_exit(name)) for name in server.exit_names
-        )
-        assert total_boxed <= 5 * len(server.exit_names)
-        assert server.snapshot().total_requests == repeats * len(tiny_test)
-
-    def test_retention_defaults_to_stats_window(self, trained_ddnn):
-        server = DDNNServer(trained_ddnn, 0.8, stats_window=7)
-        assert server.retention == 7
-        assert server.queue.retention == 7
 
     @pytest.mark.parametrize("policy_name", ["reject", "drop-oldest", "shed-local"])
     def test_serve_dataset_on_bounded_queue_serves_every_sample(
@@ -417,29 +326,32 @@ class TestDDNNServer:
         assert [r.target for r in responses] == [int(l) for l in tiny_test.labels]
         # Every sample got the full cascade, never a degraded shed answer.
         assert not any(r.shed for r in responses)
-        stats = server.queue.admission_stats
+        stats = server.admission_stats
         assert stats.rejected == stats.dropped == stats.shed == 0
         # ... and predictions match the unbounded server exactly.
         clean = DDNNServer(trained_ddnn, 0.8).serve_dataset(tiny_test)
         assert [r.prediction for r in responses] == [r.prediction for r in clean]
 
-    def test_submit_with_shed_policy_answers_from_local_exit(self, trained_ddnn, tiny_test):
-        """server.submit() under shed-local must deliver the promised
-        local-exit answer instead of raising with a phantom shed count."""
-        from repro.serving import ShedToLocalExit
+    def test_shed_offer_answers_from_local_exit(self, trained_ddnn, tiny_test):
+        """Under shed-local a full queue answers the arrival at once from the
+        local exit; the answer comes back from offer() and the queue is kept."""
+        from repro.serving import AdmissionOutcome, ShedToLocalExit
 
         server = DDNNServer(
             trained_ddnn, 0.8, capacity=2, admission=ShedToLocalExit()
         )
-        ids = [
-            server.submit(tiny_test.images[index], client_id="cam")
-            for index in range(3)
+        results = [server.offer(tiny_test.images[index], client_id="cam") for index in range(3)]
+        assert [r.outcome for r in results] == [AdmissionOutcome.ACCEPTED] * 2 + [
+            AdmissionOutcome.SHED
         ]
-        session = server.queue.session("cam")
-        assert session.shed == 1
-        assert len(session.responses) == 1
-        shed_response = session.responses[0]
-        assert shed_response.shed and shed_response.request_id == ids[2]
-        assert shed_response.exit_index == 0
-        server.run_until_drained()
-        assert session.completed == 2  # shed answers never count as completed
+        shed_response = results[2].response
+        assert shed_response.shed and shed_response.request_id == results[2].request.request_id
+        assert shed_response.exit_index == 0 and shed_response.batch_size == 1
+        assert [r.response for r in results[:2]] == [None, None]
+        assert len(server.queue) == 2
+        # submit() still hands out an id for a shed sample; only a rejection raises.
+        assert server.submit(tiny_test.images[3], client_id="cam") == 3
+        served = server.run_until_drained()
+        assert [r.request_id for r in served] == [0, 1]
+        assert not any(r.shed for r in served)
+        assert server.admission_stats.shed == 2

@@ -110,9 +110,8 @@ class TestDeadlinePropagation:
             trained_ddnn,
             offload=POLICY,
             slo_s=0.3,
-            chaos=ChaosSchedule(
-                crashes=[WorkerCrash(tier="cloud", start=0.0, end=30.0)], seed=0
-            ),
+        ).attach_chaos(
+            ChaosSchedule(crashes=[WorkerCrash(tier="cloud", start=0.0, end=30.0)], seed=0)
         )
         _submit_trace(fabric, tiny_test)
         fabric.run_until_idle(drain=True)
@@ -139,8 +138,7 @@ class TestDeadlinePropagation:
             trained_ddnn,
             offload=POLICY,
             slo_s=POLICY.deadline_s + estimate + 0.01,
-            chaos=ChaosSchedule(outages=[LinkOutage(destination="cloud")], seed=0),
-        )
+        ).attach_chaos(ChaosSchedule(outages=[LinkOutage(destination="cloud")], seed=0))
         _submit_trace(fabric, tiny_test)
         fabric.run_until_idle(drain=True)
         responses = fabric.responses
