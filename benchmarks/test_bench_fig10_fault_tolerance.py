@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import StagedInferenceEngine
+from repro.core import ExitOracle
 from repro.experiments import (
     get_dataset,
     get_trained_ddnn,
@@ -25,8 +25,8 @@ def test_bench_fig10_fault_tolerance(benchmark, scale, record_result):
     # Baseline (no failure) accuracy of the same trained model.
     model, _ = get_trained_ddnn(scale)
     _, test_set = get_dataset(scale)
-    healthy = StagedInferenceEngine(model, 0.8).run(test_set)
-    healthy_overall = 100.0 * healthy.overall_accuracy(test_set.labels)
+    healthy = ExitOracle.capture(model, test_set, compile=False).route(0.8)
+    healthy_overall = 100.0 * healthy.accuracy()
 
     # Losing any single device keeps the system well above chance and within a
     # modest margin of the healthy system (the paper reports a <= 3% drop; we

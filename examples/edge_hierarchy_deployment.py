@@ -27,10 +27,9 @@ from repro.core import (
     DDNNConfig,
     DDNNTopology,
     DDNNTrainer,
-    StagedInferenceEngine,
+    ExitOracle,
     TrainingConfig,
     build_ddnn,
-    evaluate_exit_accuracies,
 )
 from repro.datasets import load_mvmc_splits
 from repro.hierarchy import HierarchyRuntime, partition_ddnn
@@ -68,15 +67,15 @@ def main() -> None:
     print(f"Training for {args.epochs} epochs ...")
     DDNNTrainer(model, TrainingConfig(epochs=args.epochs, batch_size=32)).fit(train_set)
 
-    accuracies = evaluate_exit_accuracies(model, test_set)
+    oracle = ExitOracle.capture(model, test_set)
     print("\nExit accuracies (100% of samples at each exit):")
-    for name, value in accuracies.items():
+    for name, value in oracle.exit_accuracies().items():
         print(f"  {name:>6}: {100 * value:.1f}%")
 
     thresholds = [args.local_threshold, args.edge_threshold]
-    staged = StagedInferenceEngine(model, thresholds).run(test_set)
+    staged = oracle.route(thresholds)
     print(f"\nStaged inference with T_local={args.local_threshold}, T_edge={args.edge_threshold}:")
-    print(f"  overall accuracy : {100 * staged.overall_accuracy(test_set.labels):.1f}%")
+    print(f"  overall accuracy : {100 * staged.accuracy():.1f}%")
     for name in model.exit_names:
         print(f"  exited at {name:>6}: {100 * staged.exit_fraction(name):.1f}%")
 

@@ -6,8 +6,9 @@ This is the five-minute tour of the library:
 2. build the paper's evaluation architecture (binary ConvP/FC device blocks,
    MP local aggregation, CC cloud aggregation);
 3. jointly train all exits with the weighted multi-exit loss;
-4. run staged inference with a normalized-entropy threshold and report the
-   accuracy / communication trade-off.
+4. forward the test set once (:class:`ExitOracle`), route it with a
+   normalized-entropy threshold and report the accuracy / communication
+   trade-off.
 
 Run with::
 
@@ -19,12 +20,12 @@ from __future__ import annotations
 import argparse
 
 from repro.core import (
+    CommunicationModel,
     DDNNConfig,
     DDNNTrainer,
-    StagedInferenceEngine,
+    ExitOracle,
     TrainingConfig,
     build_ddnn,
-    evaluate_exit_accuracies,
 )
 from repro.datasets import load_mvmc_splits
 
@@ -69,19 +70,19 @@ def main() -> None:
     )
     trainer.fit(train_set)
 
-    accuracies = evaluate_exit_accuracies(model, test_set)
+    oracle = ExitOracle.capture(model, test_set)
     print("\nExit accuracies (100% of samples classified at each exit):")
-    for name, value in accuracies.items():
+    for name, value in oracle.exit_accuracies().items():
         print(f"  {name:>6}: {100 * value:.1f}%")
 
-    engine = StagedInferenceEngine(model, args.threshold)
-    result = engine.run(test_set)
+    result = oracle.route(args.threshold)
+    communication = CommunicationModel(config)
     print(f"\nStaged inference with T = {args.threshold}:")
-    print(f"  overall accuracy:     {100 * result.overall_accuracy(test_set.labels):.1f}%")
+    print(f"  overall accuracy:     {100 * result.accuracy():.1f}%")
     print(f"  exited locally:       {100 * result.local_exit_fraction:.1f}%")
-    print(f"  comm. per device:     {engine.communication_bytes(result):.1f} B/sample")
-    print(f"  raw offload baseline: 3072 B/sample "
-          f"({engine.communication_reduction(result):.1f}x reduction)")
+    print(f"  comm. per device:     {oracle.communication_bytes(result):.1f} B/sample")
+    print(f"  raw offload baseline: {communication.raw_offload_per_device_bytes():.0f} B/sample "
+          f"({communication.reduction_factor(result.local_exit_fraction):.1f}x reduction)")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ Entry points: :func:`compile_plan` for a single module stack,
 :func:`compile_ddnn` for a whole multi-exit DDNN, and :func:`verify_compiled`
 for the numerical-equivalence guarantee against the eager path.  The
 ``compile=True`` knobs on :class:`~repro.core.cascade.ExitCascade`,
-:class:`~repro.core.inference.StagedInferenceEngine`,
+:class:`~repro.core.oracle.ExitOracle`,
 :class:`~repro.hierarchy.runtime.HierarchyRuntime` and
 :class:`~repro.serving.server.DDNNServer` route their forwards through this
 package.

@@ -1,8 +1,8 @@
 """Module-level memoization of compiled inference plans.
 
 Before this cache existed every :class:`~repro.core.cascade.ExitCascade`
-(and therefore every fresh :class:`~repro.core.inference.StagedInferenceEngine`,
-grid helper or short-lived server) carried its own ``_compiled_plans`` dict
+(and therefore every fresh oracle capture, grid helper or short-lived
+server) carried its own ``_compiled_plans`` dict
 and recompiled :func:`~repro.compile.ddnn.compile_ddnn` for a model the
 process had already compiled.  The cache here is shared by all of them:
 

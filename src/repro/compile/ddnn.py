@@ -29,7 +29,7 @@ from ..core.aggregation import (
     MaxPoolAggregator,
 )
 from ..core.ddnn import DDNN, DeviceBranch, _UpperTier
-from ..core.exits import exit_statistics
+from ..core.oracle import ExitOracle
 from ..nn.layers import Flatten
 from ..nn.tensor import Tensor, no_grad
 from .ops import CompileError, PRECISIONS, precision_dtype
@@ -413,27 +413,6 @@ _VERIFY_TOLERANCES = {
 _AGREEMENT_THRESHOLD_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
-def _routed_exits(
-    exit_logits: Sequence[np.ndarray], thresholds: Sequence[float]
-) -> np.ndarray:
-    """Per-sample chosen exit index under the entropy-threshold cascade.
-
-    Pure-numpy replay of the :class:`~repro.core.cascade.ExitCascade` rule:
-    take the first exit whose normalized entropy is at or below its
-    threshold; the deepest exit takes whatever remains.
-    """
-    num_exits = len(exit_logits)
-    count = exit_logits[0].shape[0]
-    chosen = np.full(count, num_exits - 1, dtype=np.int64)
-    undecided = np.ones(count, dtype=bool)
-    for index, threshold in enumerate(thresholds[: num_exits - 1]):
-        _, entropy, _ = exit_statistics(exit_logits[index])
-        taken = undecided & (entropy <= threshold)
-        chosen[taken] = index
-        undecided &= ~taken
-    return chosen
-
-
 def routing_agreement(
     reference_logits: Sequence[np.ndarray],
     candidate_logits: Sequence[np.ndarray],
@@ -453,11 +432,14 @@ def routing_agreement(
         if thresholds is None
         else [list(thresholds)]
     )
+    names = [f"exit{index}" for index in range(num_exits)]
+    reference_oracle = ExitOracle(np.stack(reference_logits), names)
+    candidate_oracle = ExitOracle(np.stack(candidate_logits), names)
     agree = 0
     total = 0
     for grid in grids:
-        reference = _routed_exits(reference_logits, grid)
-        candidate = _routed_exits(candidate_logits, grid)
+        reference = reference_oracle.route(grid).exit_indices
+        candidate = candidate_oracle.route(grid).exit_indices
         agree += int(np.count_nonzero(reference == candidate))
         total += reference.shape[0]
     return agree / total if total else 1.0

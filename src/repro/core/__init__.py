@@ -8,20 +8,16 @@ Public surface:
 * aggregation schemes (MP / AP / CC);
 * :class:`ExitCriterion` and :func:`normalized_entropy` — the confidence rule;
 * :class:`DDNNTrainer` — joint multi-exit training;
-* :class:`ExitCascade` — the shared staged exit-cascade engine;
-* :class:`StagedInferenceEngine` — threshold-based distributed inference;
-* :class:`ExitOracle` — forward-once logit cache: vectorized threshold
-  sweeps, exit-rate quantile calibration and accuracy reports;
+* :class:`ExitCascade` — threshold rules and the exit criteria they build;
+* :class:`ExitOracle` — forward-once logit cache and the untimed exit rule:
+  routing (:class:`InferenceResult`), vectorized threshold sweeps,
+  exit-rate quantile calibration and accuracy reports;
 * :class:`CommunicationModel` — the paper's Eq. 1 byte accounting;
-* threshold search and the per-exit accuracy helper.
+* threshold search.
 """
 
-from .accuracy import evaluate_exit_accuracies
 from .cascade import (
-    CascadeResult,
-    CascadeRouter,
     ExitCascade,
-    StageOutcome,
     build_exit_criteria,
     normalize_thresholds,
 )
@@ -41,10 +37,8 @@ from .communication import (
 from .config import DDNNConfig, DDNNTopology, TrainingConfig
 from .ddnn import DDNN, CloudModel, DDNNOutput, DeviceBranch, EdgeModel, build_ddnn
 from .exits import ExitCriterion, ExitDecision, normalized_entropy, softmax_probabilities
-from .inference import InferenceResult, StagedInferenceEngine, staged_inference
-from .oracle import ExitOracle, SweepPoint, SweepTable
+from .oracle import ExitOracle, InferenceResult, SweepPoint, SweepTable
 from .threshold import (
-    ThresholdCandidate,
     ThresholdSearchResult,
     search_threshold,
     threshold_for_exit_rate,
@@ -72,26 +66,19 @@ __all__ = [
     "normalized_entropy",
     "softmax_probabilities",
     "ExitCascade",
-    "CascadeRouter",
-    "CascadeResult",
-    "StageOutcome",
     "normalize_thresholds",
     "build_exit_criteria",
     "DDNNTrainer",
     "EpochStats",
     "TrainingHistory",
-    "StagedInferenceEngine",
     "InferenceResult",
-    "staged_inference",
     "ExitOracle",
     "SweepPoint",
     "SweepTable",
     "CommunicationModel",
     "ddnn_communication_bytes",
     "raw_offload_bytes",
-    "ThresholdCandidate",
     "ThresholdSearchResult",
     "search_threshold",
     "threshold_for_exit_rate",
-    "evaluate_exit_accuracies",
 ]

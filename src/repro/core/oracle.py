@@ -1,4 +1,4 @@
-"""Forward-once evaluation plane: the per-exit logit cache (``ExitOracle``).
+"""The untimed evaluation plane: the per-exit logit cache (``ExitOracle``).
 
 Every offline result of the paper — Table II's threshold sweep, Figure 9's
 calibrated offloading points, Figure 10's fault-tolerance rows, all the exit
@@ -11,22 +11,23 @@ at the inputs again once the logits exist; routing is pure numpy over the
 forward pass **once** (batched, compiled by default) and stores every exit's
 logits, argmax predictions and normalized entropies.  From the cache,
 
-* :meth:`route` reproduces :meth:`~repro.core.cascade.ExitCascade.run_model`
-  routing *byte-identically* (first exit at-or-below threshold, final exit
-  forced) without touching the model;
+* :meth:`route` applies the paper's exit rule (Sec. III-D: first exit whose
+  normalized entropy is at or below its threshold, final exit forced) and
+  returns an :class:`InferenceResult`.  This is the one untimed
+  implementation of the rule; the timed one is the serving fabric's
+  per-tier :class:`~repro.core.exits.ExitCriterion` step, and the two agree
+  sample for sample (covered by tests);
 * :meth:`sweep` answers an entire threshold grid in ``O(num_exits x N)``
   numpy per grid point — a 21-point calibration costs one forward instead
   of 21;
-* :meth:`exit_accuracies` replaces the double-forward
-  ``evaluate_exit_accuracies`` + engine-run pattern;
+* :meth:`exit_accuracies` reports each exit classifying every sample;
 * :meth:`exit_rate_cdf` / :meth:`quantile_threshold` read local-exit rates
   straight off the empirical entropy CDF, making exit-rate calibration an
   exact quantile lookup.
 
-Byte-identity with the eager cascade holds because every per-sample quantity
-(softmax, entropy, argmax) is computed row-wise by the same code paths on the
-same logits: the oracle forwards the dataset in the same ``batch_size``
-chunks the engine would, so even BLAS batch-blocking effects are identical.
+A model's local-exit fraction is the fraction of samples at the exit named
+``"local"`` — 0.0 for a model without one (``cloud_only``) — the same rule
+the fabric's accounting uses.
 """
 
 from __future__ import annotations
@@ -42,9 +43,76 @@ from .cascade import Thresholds, normalize_thresholds
 from .communication import CommunicationModel
 from .ddnn import DDNN
 from .exits import exit_statistics
-from .inference import InferenceResult
 
-__all__ = ["ExitOracle", "SweepPoint", "SweepTable"]
+__all__ = ["ExitOracle", "InferenceResult", "SweepPoint", "SweepTable"]
+
+#: The exit whose rate Eq. 1's offload term depends on.
+LOCAL_EXIT = "local"
+
+
+@dataclass
+class InferenceResult:
+    """Per-sample outcome of the entropy-exit cascade.
+
+    :meth:`ExitOracle.route` fills the routing fields;
+    :meth:`~repro.hierarchy.runtime.HierarchyRuntime.run` also fills the
+    path latency and bytes the fabric accounted for each sample.
+
+    Attributes
+    ----------
+    predictions:
+        Final predicted class per sample (from whichever exit classified it).
+    exit_indices:
+        Index of the exit each sample used (0 = first, last = cloud).
+    exit_names:
+        Names of the exits, indexed by ``exit_indices`` values.
+    entropies:
+        Normalized entropy observed at the exit that classified each sample.
+    exit_predictions:
+        Each exit's prediction for every sample (as if all samples were
+        classified there); filled by :meth:`ExitOracle.route`.
+    targets:
+        Ground-truth labels if they were supplied.
+    latencies_s, bytes_per_sample:
+        Path latency and bytes sent per sample; filled by the hierarchy
+        runtime.
+    """
+
+    predictions: np.ndarray
+    exit_indices: np.ndarray
+    exit_names: List[str]
+    entropies: np.ndarray
+    exit_predictions: Dict[str, np.ndarray] = field(default_factory=dict)
+    targets: Optional[np.ndarray] = None
+    latencies_s: Optional[np.ndarray] = None
+    bytes_per_sample: Optional[np.ndarray] = None
+
+    @property
+    def exit_names_per_sample(self) -> List[str]:
+        """The exit name each sample used, in sample order."""
+        return [self.exit_names[index] for index in self.exit_indices.tolist()]
+
+    def exit_fraction(self, exit_name: str) -> float:
+        """Fraction of samples classified at the named exit (0.0 if absent)."""
+        if exit_name not in self.exit_names or self.exit_indices.size == 0:
+            return 0.0
+        return float(np.mean(self.exit_indices == self.exit_names.index(exit_name)))
+
+    @property
+    def local_exit_fraction(self) -> float:
+        """Fraction of samples exited at the local exit (0.0 without one)."""
+        return self.exit_fraction(LOCAL_EXIT)
+
+    def accuracy(self, targets: Optional[np.ndarray] = None) -> float:
+        """Accuracy of the cascade's predictions against the targets."""
+        return float(np.mean(self.predictions == self._resolve_targets(targets)))
+
+    def _resolve_targets(self, targets: Optional[np.ndarray]) -> np.ndarray:
+        if targets is not None:
+            return np.asarray(targets)
+        if self.targets is None:
+            raise ValueError("targets were not recorded; pass them explicitly")
+        return self.targets
 
 
 @dataclass
@@ -139,9 +207,12 @@ class ExitOracle:
 
         _, self.entropies, predictions = exit_statistics(logits)
         self.predictions = predictions.astype(np.int64)
+        self._local = self.exit_names.index(LOCAL_EXIT) if LOCAL_EXIT in self.exit_names else None
         # Local-exit entropies sorted once: exit-rate CDF lookups and quantile
         # calibration are O(log N) searchsorted calls from here on.
-        self._sorted_local_entropies = np.sort(self.entropies[0])
+        self._sorted_local_entropies = (
+            np.empty(0) if self._local is None else np.sort(self.entropies[self._local])
+        )
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -158,13 +229,14 @@ class ExitOracle:
 
         ``compile=True`` (the default) runs the shared
         :mod:`repro.compile` plan from the process-wide plan cache; the
-        forward happens in ``batch_size`` chunks — the same chunks
-        :class:`~repro.core.inference.StagedInferenceEngine` would use — so
-        captured logits are byte-identical to what the engine at the same
-        ``compile`` setting would see.  ``precision`` selects the compiled
-        compute mode (exact ``"float64"`` default, tolerance ``"float32"``,
-        ``"bitpacked"``); the cached logit matrix is always stored as
-        float64 regardless of the compute mode.
+        forward happens in ``batch_size`` chunks.  ``precision`` selects the
+        compiled compute mode (exact ``"float64"`` default, tolerance
+        ``"float32"``, ``"bitpacked"``); the cached logit matrix is always
+        stored as float64 regardless of the compute mode.
+
+        Views must be finite: the binary blocks' sign compare would turn a
+        NaN into -1 and answer it with a confident exit, so a non-finite
+        sample is a :class:`ValueError` naming its index.
         """
         if isinstance(dataset, MVMCDataset):
             views = dataset.images
@@ -172,6 +244,10 @@ class ExitOracle:
                 targets = dataset.labels
         else:
             views = np.asarray(dataset)
+        finite = np.isfinite(views)
+        if not finite.all():
+            bad = int(np.argmin(finite.reshape(len(views), -1).all(axis=1)))
+            raise ValueError(f"sample {bad} has non-finite views (NaN or infinity)")
 
         plan = None
         if compile:
@@ -221,7 +297,7 @@ class ExitOracle:
         """Return ``oracle`` unchanged if given, else capture a fresh one.
 
         The shared resolve-or-capture step behind every ``oracle=`` kwarg in
-        :mod:`repro.core.accuracy` and :mod:`repro.core.threshold`.
+        :mod:`repro.core.threshold`.
         """
         if oracle is not None:
             return oracle
@@ -264,11 +340,10 @@ class ExitOracle:
         """First confident exit per (grid row, sample); final exit forced.
 
         ``threshold_matrix`` has shape ``(G, num_exits)``; the result is
-        ``(G, N)`` int64.  This is exactly the
-        :class:`~repro.core.cascade.CascadeRouter` rule — a sample leaves at
-        the earliest exit with ``entropy <= threshold`` and the last exit
-        claims whatever remains — evaluated as an argmax over a boolean
-        mask instead of a per-tier loop.
+        ``(G, N)`` int64.  The paper's exit rule — a sample leaves at the
+        earliest exit with ``entropy <= threshold`` and the last exit claims
+        whatever remains — evaluated as an argmax over a boolean mask
+        instead of a per-tier loop.
         """
         confident = self.entropies[None, :, :] <= threshold_matrix[:, :, None]
         confident[:, -1, :] = True
@@ -276,13 +351,7 @@ class ExitOracle:
 
     # ------------------------------------------------------------------ #
     def route(self, thresholds: Thresholds) -> InferenceResult:
-        """Replay cascade routing for one threshold setting — no model call.
-
-        Byte-identical to
-        ``StagedInferenceEngine(model, thresholds, batch_size).run(dataset)``
-        at the capture's ``compile`` setting: predictions, exit indices and
-        entropies match element for element.
-        """
+        """Route every captured sample for one threshold setting — no model call."""
         values = self._normalized(thresholds)
         exit_indices = self._first_exits(values[None, :])[0]
         sample_axis = np.arange(self.num_samples)
@@ -291,8 +360,8 @@ class ExitOracle:
             exit_indices=exit_indices,
             exit_names=list(self.exit_names),
             entropies=self.entropies[exit_indices, sample_axis],
-            # Copies, not views: the engine returned fresh arrays, and a
-            # caller mutating its result must not corrupt this cache.
+            # Copies, not views: a caller mutating its result must not
+            # corrupt this cache.
             exit_predictions={
                 name: self.predictions[index].copy()
                 for index, name in enumerate(self.exit_names)
@@ -306,9 +375,9 @@ class ExitOracle:
         """Cascade metrics for every (broadcast) threshold of a grid at once.
 
         Each grid value is broadcast across the non-final exits exactly as a
-        scalar threshold passed to the engine would be; per-point results are
-        identical to running the engine per threshold, but the whole grid
-        costs ``O(num_exits x N)`` numpy per point and zero forwards.
+        scalar threshold passed to :meth:`route` is; per-point results equal
+        :meth:`route` per threshold, but the whole grid costs
+        ``O(num_exits x N)`` numpy per point and zero forwards.
         """
         targets = self._require_targets(targets)
         grid_values = np.array([float(value) for value in grid], dtype=np.float64)
@@ -321,15 +390,18 @@ class ExitOracle:
              for index in range(self.num_exits)],
             axis=1,
         )
+        local = (
+            np.zeros(len(grid_values)) if self._local is None else exit_fractions[:, self._local]
+        )
         communication = None
         if self.communication is not None:
             communication = np.array(
-                [self.communication.per_device_bytes(fraction) for fraction in exit_fractions[:, 0]]
+                [self.communication.per_device_bytes(fraction) for fraction in local]
             )
         return SweepTable(
             thresholds=grid_values,
             overall_accuracy=overall,
-            local_exit_fraction=exit_fractions[:, 0],
+            local_exit_fraction=local,
             exit_fractions=exit_fractions,
             exit_names=list(self.exit_names),
             communication_bytes=communication,
@@ -339,9 +411,8 @@ class ExitOracle:
     def exit_accuracies(self, targets: Optional[np.ndarray] = None) -> Dict[str, float]:
         """Accuracy of each exit classifying 100% of the samples there.
 
-        Matches the historical ``evaluate_exit_accuracies`` loop exactly: it
-        compares raw-logit argmax (not softmax argmax) against the targets,
-        preserving that code path's tie behaviour bit for bit.
+        It compares raw-logit argmax (not softmax argmax) against the
+        targets, the convention of the training loop's per-epoch report.
         """
         targets = self._require_targets(targets)
         logit_argmax = self.logits.argmax(axis=-1)
@@ -351,11 +422,7 @@ class ExitOracle:
         }
 
     def communication_bytes(self, result: InferenceResult) -> float:
-        """Average per-device communication per sample implied by a result.
-
-        Mirrors :meth:`StagedInferenceEngine.communication_bytes` so oracle
-        consumers keep the one-call Eq. 1 accounting.
-        """
+        """Average per-device bytes per sample implied by a result (Eq. 1)."""
         if self.communication is None:
             raise ValueError("this oracle was built without a CommunicationModel")
         return self.communication.per_device_bytes(result.local_exit_fraction)
@@ -369,7 +436,7 @@ class ExitOracle:
         produces at threshold ``T``, without routing anything.
         """
         values = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
-        if self.num_samples == 0:
+        if self.num_samples == 0 or self._local is None:
             return np.zeros(values.shape)
         counts = np.searchsorted(self._sorted_local_entropies, values, side="right")
         return counts / self.num_samples

@@ -27,10 +27,9 @@ import numpy as np
 
 from ..datasets.mvmc import MVMCDataset
 from .ddnn import DDNN
-from .oracle import ExitOracle
+from .oracle import ExitOracle, SweepPoint
 
 __all__ = [
-    "ThresholdCandidate",
     "ThresholdSearchResult",
     "search_threshold",
     "threshold_for_exit_rate",
@@ -40,46 +39,15 @@ DEFAULT_GRID = tuple(np.round(np.arange(0.0, 1.0001, 0.05), 4))
 
 
 @dataclass
-class ThresholdCandidate:
-    """Metrics observed for one candidate threshold."""
-
-    threshold: float
-    overall_accuracy: float
-    local_exit_fraction: float
-    communication_bytes: float
-
-
-@dataclass
 class ThresholdSearchResult:
-    """Outcome of a threshold sweep."""
+    """Outcome of a threshold sweep: one :class:`SweepPoint` per candidate."""
 
-    best: ThresholdCandidate
-    candidates: List[ThresholdCandidate]
+    best: SweepPoint
+    candidates: List[SweepPoint]
 
     @property
     def best_threshold(self) -> float:
         return self.best.threshold
-
-
-def _evaluate_candidates(
-    model: DDNN,
-    dataset: MVMCDataset,
-    grid: Sequence[float],
-    batch_size: int = 64,
-    compile: bool = False,
-    oracle: Optional[ExitOracle] = None,
-) -> List[ThresholdCandidate]:
-    oracle = ExitOracle.resolve(model, dataset, batch_size, compile, oracle)
-    table = oracle.sweep(grid)
-    return [
-        ThresholdCandidate(
-            threshold=point.threshold,
-            overall_accuracy=point.overall_accuracy,
-            local_exit_fraction=point.local_exit_fraction,
-            communication_bytes=point.communication_bytes,
-        )
-        for point in table.points()
-    ]
 
 
 def search_threshold(
@@ -98,9 +66,8 @@ def search_threshold(
     supplied).
     """
     grid = DEFAULT_GRID if grid is None else grid
-    candidates = _evaluate_candidates(
-        model, validation_set, grid, batch_size=batch_size, compile=compile, oracle=oracle
-    )
+    oracle = ExitOracle.resolve(model, validation_set, batch_size, compile, oracle)
+    candidates = oracle.sweep(grid).points()
     best = max(candidates, key=lambda c: (c.overall_accuracy, c.local_exit_fraction))
     return ThresholdSearchResult(best=best, candidates=candidates)
 
@@ -132,11 +99,11 @@ def threshold_for_exit_rate(
     oracle = ExitOracle.resolve(model, validation_set, batch_size, compile, oracle)
     if exact:
         threshold = oracle.quantile_threshold(target_fraction)
-        candidates = _evaluate_candidates(model, validation_set, [threshold], oracle=oracle)
+        candidates = oracle.sweep([threshold]).points()
         return ThresholdSearchResult(best=candidates[0], candidates=candidates)
 
     grid = DEFAULT_GRID if grid is None else grid
-    candidates = _evaluate_candidates(model, validation_set, grid, oracle=oracle)
+    candidates = oracle.sweep(grid).points()
     best = min(
         candidates,
         key=lambda c: (abs(c.local_exit_fraction - target_fraction), -c.overall_accuracy),

@@ -138,16 +138,13 @@ class DDNNTrainer:
         batch_size: Optional[int] = None,
         compile: bool = False,
     ) -> Dict[str, float]:
-        """Accuracy of every exit when 100% of samples exit at that point.
+        """Accuracy of every exit when 100% of samples exit at that point
+        (one :class:`~repro.core.oracle.ExitOracle` forward pass)."""
+        from .oracle import ExitOracle
 
-        Delegates to :func:`repro.core.accuracy.evaluate_exit_accuracies`
-        (one oracle forward pass) — this used to be a duplicated eager loop.
-        """
-        from .accuracy import evaluate_exit_accuracies
-
-        return evaluate_exit_accuracies(
+        return ExitOracle.capture(
             self.model,
             dataset,
             batch_size=batch_size or self.config.batch_size,
             compile=compile,
-        )
+        ).exit_accuracies()

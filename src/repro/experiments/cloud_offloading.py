@@ -70,7 +70,7 @@ def run_cloud_offloading(
             communication_bytes=oracle.communication_bytes(staged),
             local_accuracy_pct=100.0 * exit_accuracy["local"],
             cloud_accuracy_pct=100.0 * exit_accuracy["cloud"],
-            overall_accuracy_pct=100.0 * staged.overall_accuracy(test_set.labels),
+            overall_accuracy_pct=100.0 * staged.accuracy(test_set.labels),
             device_memory_bytes=max(model.device_memory_bytes()),
         )
     return result

@@ -50,7 +50,7 @@ def run_communication_reduction(
     result.add_row(
         system="ddnn",
         bytes_per_sample=ddnn_bytes,
-        overall_accuracy_pct=100.0 * staged.overall_accuracy(test_set.labels),
+        overall_accuracy_pct=100.0 * staged.accuracy(test_set.labels),
         local_exit_pct=100.0 * staged.local_exit_fraction,
         reduction_factor=raw_bytes / ddnn_bytes,
     )

@@ -64,8 +64,8 @@ def run_edge_hierarchy(
             local_accuracy_pct=100.0 * accuracies.get("local", float("nan")),
             edge_accuracy_pct=100.0 * accuracies.get("edge", float("nan")),
             cloud_accuracy_pct=100.0 * accuracies.get("cloud", float("nan")),
-            overall_accuracy_pct=100.0 * staged.overall_accuracy(test_set.labels),
-            local_exit_pct=100.0 * staged.exit_fraction("local") if "local" in model.exit_names else 0.0,
-            edge_exit_pct=100.0 * staged.exit_fraction("edge") if "edge" in model.exit_names else 0.0,
+            overall_accuracy_pct=100.0 * staged.accuracy(test_set.labels),
+            local_exit_pct=100.0 * staged.local_exit_fraction,
+            edge_exit_pct=100.0 * staged.exit_fraction("edge"),
         )
     return result

@@ -57,7 +57,7 @@ def run_fault_tolerance(
             individual_accuracy_pct=100.0 * individual.get(device_index, float("nan")),
             local_accuracy_pct=100.0 * exit_accuracy["local"],
             cloud_accuracy_pct=100.0 * exit_accuracy["cloud"],
-            overall_accuracy_pct=100.0 * staged.overall_accuracy(degraded.labels),
+            overall_accuracy_pct=100.0 * staged.accuracy(degraded.labels),
             local_exit_pct=100.0 * staged.local_exit_fraction,
         )
     return result
@@ -100,6 +100,6 @@ def run_multi_device_failures(
             failed_devices=",".join(str(d + 1) for d in failed) if failed else "-",
             local_accuracy_pct=100.0 * exit_accuracy["local"],
             cloud_accuracy_pct=100.0 * exit_accuracy["cloud"],
-            overall_accuracy_pct=100.0 * staged.overall_accuracy(degraded.labels),
+            overall_accuracy_pct=100.0 * staged.accuracy(degraded.labels),
         )
     return result

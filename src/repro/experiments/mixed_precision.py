@@ -70,9 +70,9 @@ def run_mixed_precision(
             cloud_precision=label,
             local_accuracy_pct=100.0 * accuracies["local"],
             cloud_accuracy_pct=100.0 * accuracies["cloud"],
-            overall_accuracy_pct=100.0 * staged.overall_accuracy(test_set.labels),
+            overall_accuracy_pct=100.0 * staged.accuracy(test_set.labels),
             fp32_overall_accuracy_pct=100.0
-            * fp32_staged.overall_accuracy(test_set.labels),
+            * fp32_staged.accuracy(test_set.labels),
             fp32_routing_agreement=float(agreement),
             bitpacked_identical="yes" if packed_identical else "no",
         )

@@ -99,7 +99,7 @@ def run_scaling_devices(
             individual_accuracy_pct=100.0 * individual[selected[-1]],
             local_accuracy_pct=100.0 * exit_accuracy["local"],
             cloud_accuracy_pct=100.0 * exit_accuracy["cloud"],
-            overall_accuracy_pct=100.0 * staged.overall_accuracy(subset_test.labels),
+            overall_accuracy_pct=100.0 * staged.accuracy(subset_test.labels),
             local_exit_pct=100.0 * staged.local_exit_fraction,
         )
     return result

@@ -59,6 +59,6 @@ def run_weight_ablation(
             cloud_weight=cloud_weight,
             local_accuracy_pct=100.0 * accuracies["local"],
             cloud_accuracy_pct=100.0 * accuracies["cloud"],
-            overall_accuracy_pct=100.0 * staged.overall_accuracy(test_set.labels),
+            overall_accuracy_pct=100.0 * staged.accuracy(test_set.labels),
         )
     return result

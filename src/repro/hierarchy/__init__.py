@@ -48,7 +48,7 @@ from .partition import (
     partition_ddnn,
 )
 from .plan import AutoscalePolicy, PartitionPlan
-from .runtime import DistributedInferenceResult, HierarchyRuntime
+from .runtime import HierarchyRuntime
 from .sections import (
     CloudTierSection,
     DeviceTierSection,
@@ -81,7 +81,6 @@ __all__ = [
     "DEFAULT_UPLINK",
     "DEFAULT_EDGE_LINK",
     "HierarchyRuntime",
-    "DistributedInferenceResult",
     "TierSection",
     "DeviceTierSection",
     "EdgeTierSection",

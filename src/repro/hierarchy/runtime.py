@@ -19,60 +19,28 @@ the whole dataset arrives at time zero, one worker per tier drains it in
 fixed-size batches, and per-sample latency is the path latency (compute +
 transfer along the sample's route, no queueing), which reproduces the
 original runtime's accounting exactly.  Communication is accounted per
-sample so the byte counts match the paper's Eq. 1, and the predictions are
-identical to :class:`~repro.core.inference.StagedInferenceEngine` running
-the monolithic model (both equivalences are covered by tests).  The
-:class:`DistributedInferenceResult` carries those per-sample numbers as
-arrays: prediction, exit name, path latency and bytes.
+sample so the byte counts match the paper's Eq. 1, and the routing is
+identical to :meth:`~repro.core.oracle.ExitOracle.route` on the monolithic
+model (both equivalences are covered by tests).  The result is the oracle's
+:class:`~repro.core.oracle.InferenceResult` with the per-sample path
+latency and bytes filled in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from ..core.cascade import ExitCascade, Thresholds
 from ..core.exits import ExitCriterion
+from ..core.oracle import InferenceResult
 from ..datasets.mvmc import MVMCDataset
 from .faults import FaultPlan
 from .partition import HierarchyDeployment
 from .sections import build_tier_sections
 
-__all__ = ["DistributedInferenceResult", "HierarchyRuntime"]
-
-
-@dataclass
-class DistributedInferenceResult:
-    """Outcome of a distributed inference run: one entry per sample."""
-
-    predictions: np.ndarray
-    exit_names_per_sample: List[str]
-    latencies_s: np.ndarray
-    bytes_per_sample: np.ndarray
-    targets: Optional[np.ndarray] = None
-
-    @property
-    def local_exit_fraction(self) -> float:
-        if not self.exit_names_per_sample:
-            return 0.0
-        return self.exit_names_per_sample.count("local") / len(self.exit_names_per_sample)
-
-    def exit_fraction(self, name: str) -> float:
-        if not self.exit_names_per_sample:
-            return 0.0
-        return self.exit_names_per_sample.count(name) / len(self.exit_names_per_sample)
-
-    def accuracy(self, targets: Optional[np.ndarray] = None) -> float:
-        targets = self.targets if targets is None else np.asarray(targets)
-        if targets is None:
-            raise ValueError("targets are required to compute accuracy")
-        return float(np.mean(self.predictions == targets))
-
-    def mean_bytes_per_device(self, num_devices: int) -> float:
-        """Average per-device transmission per sample (comparable to Eq. 1)."""
-        return float(self.bytes_per_sample.mean() / num_devices)
+__all__ = ["HierarchyRuntime"]
 
 
 class HierarchyRuntime:
@@ -117,7 +85,7 @@ class HierarchyRuntime:
         return self.cascade.criteria
 
     # ------------------------------------------------------------------ #
-    def run(self, dataset: MVMCDataset) -> DistributedInferenceResult:
+    def run(self, dataset: MVMCDataset) -> InferenceResult:
         """Run distributed inference over every sample of ``dataset``."""
         from ..serving.batcher import BatchingPolicy
         from ..serving.fabric import DistributedServingFabric
@@ -143,21 +111,25 @@ class HierarchyRuntime:
         responses = fabric.serve_dataset(dataset)
 
         predictions = np.zeros(num_samples, dtype=np.int64)
-        exit_names: List[str] = [""] * num_samples
+        exit_indices = np.zeros(num_samples, dtype=np.int64)
+        entropies = np.zeros(num_samples, dtype=np.float64)
         latencies = np.zeros(num_samples, dtype=np.float64)
         bytes_per_sample = np.zeros(num_samples, dtype=np.float64)
         for index, response in enumerate(responses):
             predictions[index] = response.prediction
-            exit_names[index] = response.exit_name
+            exit_indices[index] = response.exit_index
+            entropies[index] = response.entropy
             latencies[index] = response.path_latency_s
             bytes_per_sample[index] = response.bytes_transferred
 
-        return DistributedInferenceResult(
+        return InferenceResult(
             predictions=predictions,
-            exit_names_per_sample=exit_names,
+            exit_indices=exit_indices,
+            exit_names=list(self.cascade.exit_names),
+            entropies=entropies,
+            targets=dataset.labels,
             latencies_s=latencies,
             bytes_per_sample=bytes_per_sample,
-            targets=dataset.labels,
         )
 
     # ------------------------------------------------------------------ #

@@ -2,8 +2,8 @@
 
 The paper frames DDNN as a serving system: end devices stream samples
 upward, most requests exit at the local aggregator, and the cloud only sees
-the hard tail.  This package provides the online counterpart of the offline
-:class:`~repro.core.inference.StagedInferenceEngine`:
+the hard tail.  This package provides the timed, online counterpart of the
+untimed :meth:`ExitOracle.route <repro.core.oracle.ExitOracle.route>`:
 
 * :class:`FabricRequest` / :class:`FabricResponse` — the one request and
   the one response type every serving path queues and answers with;
@@ -12,9 +12,9 @@ the hard tail.  This package provides the online counterpart of the offline
   queue (the server's, or the fabric's ingress) does under overload;
 * :class:`BatchingPolicy` — dynamic micro-batching with ``max_batch_size``
   and ``max_wait_s`` knobs, and the one :meth:`BatchingPolicy.due` trigger;
-* :class:`DDNNServer` — a small synchronous single-tier server draining
-  its queue through the shared :class:`~repro.core.cascade.ExitCascade`,
-  with an immediate local-exit answer for shed requests;
+* :class:`DDNNServer` — a small synchronous single-tier server routing
+  each micro-batch with :class:`~repro.core.oracle.ExitOracle`, with an
+  immediate local-exit answer for shed requests;
 * :class:`LoadGenerator` + arrival processes (:class:`PoissonProcess`,
   :class:`DiurnalProcess`) and :class:`ServiceModel` — deterministic
   open-loop overload studies on a :class:`SimulatedClock`;

@@ -32,9 +32,9 @@ becomes a genuinely concurrent server whose throughput is a wall-clock
 number.  Exit decisions are byte-identical across backends; only timing
 (and, for stochastic fault plans, the order of RNG draws) differs.
 
-Exit decisions are byte-identical to the monolithic single-loop baseline
-(:meth:`~repro.core.cascade.ExitCascade.run_model`) for any worker count
-and link configuration — workers and links change *when* things happen,
+Exit decisions are identical to the untimed rule on the monolithic model
+(:meth:`~repro.core.oracle.ExitOracle.route`) for any worker count and
+link configuration — workers and links change *when* things happen,
 never *what* is computed (covered by tests).  The offline
 :class:`~repro.hierarchy.runtime.HierarchyRuntime` is the fabric replayed at
 infinite arrival rate, and :class:`~repro.serving.server.DDNNServer` is a

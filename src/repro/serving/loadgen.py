@@ -186,7 +186,7 @@ class ServiceModel:
 
         Instead of timing whole wall-clock forwards, this enables
         :meth:`repro.compile.CompiledDDNN.enable_timing`, runs the
-        server's compiled cascade at batch sizes 1 and ``batch_size``, and
+        server's compiled plan at batch sizes 1 and ``batch_size``, and
         fits the affine model to the summed per-op times — pure kernel
         time, free of Python dispatch and routing noise.  The per-op
         breakdown stays available on the compiled plan afterwards
@@ -210,9 +210,7 @@ class ServiceModel:
                 best = math.inf
                 for _ in range(repeats):
                     compiled.reset_timing()
-                    server.cascade.run_model(
-                        server.model, batch, batch_size=n, compile=True
-                    )
+                    compiled(batch)
                     best = min(best, compiled.total_time_s)
                 return best
 

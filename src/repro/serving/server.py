@@ -5,8 +5,9 @@ serving fabric's parts: clients ``submit()`` (or ``offer()``) multi-view
 samples as :class:`~repro.serving.fabric.FabricRequest` objects, and each
 ``step()`` drains one micro-batch — when the shared
 :meth:`BatchingPolicy.due <repro.serving.batcher.BatchingPolicy.due>`
-trigger fires — through the :class:`~repro.core.cascade.ExitCascade`,
-returning one :class:`~repro.serving.fabric.FabricResponse` per request.
+trigger fires — through one :class:`~repro.core.oracle.ExitOracle` capture
+and route, returning one :class:`~repro.serving.fabric.FabricResponse` per
+request.
 Each response names its exit (``exit_name``); the server keeps no answer
 history — the call that produced an answer returns it.
 
@@ -14,9 +15,9 @@ Overload safety is opt-in: a bounded ``capacity`` plus an
 :class:`~repro.serving.admission.AdmissionPolicy`, applied by the same
 :func:`~repro.serving.admission.admit` rule the fabric's ingress uses, keeps
 the backlog (and therefore tail latency) finite under sustained overload.
-With the default unbounded queue the server runs the exact same cascade as
-:class:`~repro.core.inference.StagedInferenceEngine`, so online serving is
-numerically identical to offline batch inference (covered by tests).
+With the default unbounded queue every answer is the oracle's route of its
+sample, so online serving is numerically identical to offline batch
+inference (covered by tests).
 
 Use :class:`~repro.serving.fabric.DistributedServingFabric` when the
 device/edge/cloud split, link delays, or multiple (simulated or
@@ -34,6 +35,7 @@ import numpy as np
 
 from ..core.cascade import ExitCascade, Thresholds
 from ..core.ddnn import DDNN
+from ..core.oracle import ExitOracle
 from ..datasets.mvmc import MVMCDataset
 from .admission import (
     AdmissionOutcome,
@@ -59,7 +61,7 @@ class DDNNServer:
         A trained :class:`~repro.core.ddnn.DDNN`.
     thresholds:
         Entropy thresholds for the exit cascade (same rules as
-        :class:`~repro.core.inference.StagedInferenceEngine`).
+        :meth:`~repro.core.oracle.ExitOracle.route`).
     policy:
         Micro-batching knobs; defaults to ``BatchingPolicy()``.
     clock:
@@ -154,6 +156,8 @@ class DDNNServer:
             raise ValueError(
                 f"views must have shape (num_devices, C, H, W), got {views.shape}"
             )
+        if not np.isfinite(views).all():
+            raise ValueError("views must be finite (no NaN or infinity)")
         outcome, evicted = admit(
             self.queue, self.capacity, self.admission, self.admission_stats
         )
@@ -236,7 +240,16 @@ class DDNNServer:
     def process_batch(self, batch: List[FabricRequest]) -> List[FabricResponse]:
         """Run one already-popped micro-batch through the cascade."""
         views = np.stack([request.views for request in batch])
-        routed = self.cascade.run_model(self.model, views, batch_size=len(batch))
+        cascade = self.cascade
+        if cascade.compile_enabled:
+            cascade.compiled_for(self.model)  # what cascade.invalidate_compiled() evicts
+        routed = ExitOracle.capture(
+            self.model,
+            views,
+            batch_size=len(batch),
+            compile=cascade.compile_enabled,
+            precision=self.precision,
+        ).route(cascade.thresholds)
         completion_time = self.clock()
         return [
             self._respond(

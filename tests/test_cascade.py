@@ -1,13 +1,14 @@
-"""Tests for the shared exit-cascade engine (threshold rules + routing)."""
+"""Tests for the shared threshold rules and exit criteria of the cascade."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import StagedInferenceEngine, build_ddnn, normalize_thresholds
-from repro.core.cascade import CascadeRouter, ExitCascade, build_exit_criteria
+from repro.core import ExitOracle, build_ddnn, normalize_thresholds
+from repro.core.cascade import ExitCascade, build_exit_criteria
 from repro.hierarchy import HierarchyRuntime, partition_ddnn
+from repro.serving import DDNNServer
 
 
 class TestNormalizeThresholds:
@@ -74,121 +75,47 @@ class TestNormalizeThresholds:
         assert normalize_thresholds(np.int64(0), 2) == [0.0, 1.0]
 
 
-class TestCascadeRouter:
-    def _cascade(self, thresholds=(0.5,)):
-        return ExitCascade(list(thresholds), ["local", "cloud"])
-
-    def test_confident_samples_exit_early(self):
-        router = self._cascade().router(3)
-        confident = np.array([[10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.1, 0.0, 0.05]])
-        outcome = router.offer(confident)
-        # The two peaked rows exit locally; the flat row continues.
-        assert outcome.exit_name == "local"
-        assert outcome.newly_assigned.tolist() == [True, True, False]
-        assert router.has_remaining()
-        final = router.offer(np.array([[0.0, 0.0, 1.0]] * 3))
-        assert final.newly_assigned.tolist() == [False, False, True]
-        assert not router.has_remaining()
-        assert router.exit_indices.tolist() == [0, 0, 1]
-        assert router.predictions.tolist() == [0, 1, 2]
-
-    def test_final_exit_takes_everything_regardless_of_entropy(self):
-        cascade = ExitCascade(0.0, ["local", "cloud"])
-        router = cascade.router(2)
-        router.offer(np.array([[5.0, 0.0], [0.0, 5.0]]))  # threshold 0: nobody exits
-        assert router.remaining.all()
-        flat = np.zeros((2, 2))  # maximal entropy, still classified at the end
-        router.offer(flat)
-        assert not router.has_remaining()
-        assert router.exit_indices.tolist() == [1, 1]
-
-    def test_batch_size_mismatch_rejected(self):
-        router = self._cascade().router(4)
-        with pytest.raises(ValueError):
-            router.offer(np.zeros((3, 3)))
-
-    def test_exit_index_out_of_range_rejected(self):
-        router = self._cascade().router(1)
-        with pytest.raises(IndexError):
-            router.offer(np.zeros((1, 3)), exit_index=5)
-
-    def test_skipping_exhausted_tiers_is_valid(self):
-        cascade = ExitCascade([1.0, 0.5], ["local", "edge", "cloud"])
-        router = cascade.router(2)
-        router.offer(np.array([[9.0, 0.0], [0.0, 9.0]]))  # threshold 1.0: all exit
-        assert not router.has_remaining()
-        # Upper tiers are simply never offered; results are already complete.
-        assert router.exit_indices.tolist() == [0, 0]
-
-
-class TestCascadeSharedByBothEngines:
-    def test_engines_share_one_cascade_implementation(self, trained_ddnn):
-        engine = StagedInferenceEngine(trained_ddnn, 0.8)
+class TestCascadeSharedByEveryConsumer:
+    def test_runtime_and_server_share_one_cascade_implementation(self, trained_ddnn):
         runtime = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8)
-        assert isinstance(engine.cascade, ExitCascade)
+        server = DDNNServer(trained_ddnn, 0.8)
         assert isinstance(runtime.cascade, ExitCascade)
-        assert not hasattr(engine, "_build_criteria")
-        assert not hasattr(runtime, "_build_criteria")
-        assert engine.cascade.thresholds == runtime.cascade.thresholds
+        assert isinstance(server.cascade, ExitCascade)
+        assert runtime.cascade.thresholds == server.cascade.thresholds
 
     @pytest.mark.parametrize("thresholds", [0.8, [0.8], [0.8, 0.3]])
-    def test_threshold_normalization_identical_across_engines(self, trained_ddnn, thresholds):
-        engine = StagedInferenceEngine(trained_ddnn, thresholds)
+    def test_threshold_normalization_identical_across_consumers(self, trained_ddnn, thresholds):
         runtime = HierarchyRuntime(partition_ddnn(trained_ddnn), thresholds)
-        assert [c.threshold for c in engine.criteria] == [c.threshold for c in runtime.criteria]
-        assert engine.criteria[-1].threshold == 1.0
+        server = DDNNServer(trained_ddnn, thresholds)
+        assert [c.threshold for c in server.cascade.criteria] == [
+            c.threshold for c in runtime.criteria
+        ]
         assert runtime.criteria[-1].threshold == 1.0
 
     @pytest.mark.parametrize("bad", [[0.1, 0.2, 0.3, 0.4], []])
-    def test_wrong_length_raises_in_both_engines(self, trained_ddnn, bad):
+    def test_wrong_length_raises_in_oracle_and_runtime(self, trained_ddnn, tiny_test, bad):
+        oracle = ExitOracle.capture(trained_ddnn, tiny_test, compile=False)
         with pytest.raises(ValueError):
-            StagedInferenceEngine(trained_ddnn, bad)
+            oracle.route(bad)
         with pytest.raises(ValueError):
             HierarchyRuntime(partition_ddnn(trained_ddnn), bad)
 
     @pytest.mark.parametrize("bad", [True, float("nan"), -0.2, [True, 0.5], [0.3, float("nan")]])
-    def test_invalid_threshold_values_raise_in_all_three_consumers(self, trained_ddnn, bad):
+    def test_invalid_threshold_values_raise_in_all_three_consumers(self, trained_ddnn, tiny_test, bad):
         """bool / NaN / negative thresholds must fail loudly in every cascade
-        consumer: the offline engine, the hierarchy runtime and the server."""
-        from repro.serving import DDNNServer
-
+        consumer: the oracle, the hierarchy runtime and the server."""
+        oracle = ExitOracle.capture(trained_ddnn, tiny_test, compile=False)
         with pytest.raises(ValueError):
-            StagedInferenceEngine(trained_ddnn, bad)
+            oracle.route(bad)
         with pytest.raises(ValueError):
             HierarchyRuntime(partition_ddnn(trained_ddnn), bad)
         with pytest.raises(ValueError):
             DDNNServer(trained_ddnn, bad)
 
-    def test_run_model_matches_engine_run(self, trained_ddnn, tiny_test):
-        engine = StagedInferenceEngine(trained_ddnn, 0.8)
-        result = engine.run(tiny_test)
-        routed = engine.cascade.run_model(trained_ddnn, tiny_test.images)
-        np.testing.assert_array_equal(result.predictions, routed.predictions)
-        np.testing.assert_array_equal(result.exit_indices, routed.exit_indices)
-        np.testing.assert_array_equal(result.entropies, routed.entropies)
-        assert routed.exit_names_per_sample == [
-            result.exit_names[i] for i in result.exit_indices
-        ]
-
-    def test_cascade_communication_accounting(self, trained_ddnn, tiny_test):
-        engine = StagedInferenceEngine(trained_ddnn, 0.8)
-        result = engine.run(tiny_test)
-        fraction = result.local_exit_fraction
-        assert engine.cascade.per_device_bytes(fraction) == engine.communication_bytes(result)
-        assert engine.cascade.communication_reduction(fraction) == pytest.approx(
-            engine.communication_reduction(result)
-        )
-
-    def test_cascade_without_communication_model_raises(self):
-        cascade = ExitCascade(0.5, ["local", "cloud"])
-        with pytest.raises(ValueError):
-            cascade.per_device_bytes(0.5)
-
     def test_for_model_builds_matching_exits(self, trained_ddnn):
         cascade = ExitCascade.for_model(trained_ddnn, 0.7)
         assert cascade.exit_names == trained_ddnn.exit_names
         assert cascade.num_exits == trained_ddnn.num_exits
-        assert cascade.communication is not None
 
 
 class TestCascadeWithUntrainedTopologies:
@@ -206,7 +133,7 @@ class TestCascadeWithUntrainedTopologies:
         )
         model = build_ddnn(config)
         # Three exits: 2 or 3 thresholds are accepted, others are not.
-        assert StagedInferenceEngine(model, [0.7, 0.8]).criteria[-1].threshold == 1.0
-        assert StagedInferenceEngine(model, [0.7, 0.8, 0.2]).criteria[-1].threshold == 1.0
+        assert ExitCascade.for_model(model, [0.7, 0.8]).criteria[-1].threshold == 1.0
+        assert ExitCascade.for_model(model, [0.7, 0.8, 0.2]).criteria[-1].threshold == 1.0
         with pytest.raises(ValueError):
-            StagedInferenceEngine(model, [0.7])
+            ExitCascade.for_model(model, [0.7])

@@ -15,7 +15,7 @@ from repro.compile import (
 from repro.core.cascade import ExitCascade
 from repro.core.config import DDNNTopology
 from repro.core.ddnn import build_ddnn
-from repro.core.inference import StagedInferenceEngine
+from repro.core.oracle import ExitOracle
 from repro.nn.blocks import ConvPBlock, FCBlock
 from repro.nn.layers import (
     AvgPool2d,
@@ -203,35 +203,26 @@ def test_compiled_ddnn_mixed_precision_cloud():
     assert verify_compiled(model, compiled, views) < 1e-6
 
 
-def test_routing_decisions_byte_identical_through_cascade_router():
+def test_routing_decisions_byte_identical_through_the_oracle():
     model, views = _warmed_model()
-    cascade = ExitCascade.for_model(model, [0.5, 1.0])
-    eager = cascade.run_model(model, views, batch_size=4, compile=False)
-    fast = cascade.run_model(model, views, batch_size=4, compile=True)
+    eager = ExitOracle.capture(model, views, batch_size=4, compile=False)
+    fast = ExitOracle.capture(model, views, batch_size=4, compile=True)
+    routed_eager, routed_fast = eager.route([0.5, 1.0]), fast.route([0.5, 1.0])
+    np.testing.assert_array_equal(routed_eager.predictions, routed_fast.predictions)
+    np.testing.assert_array_equal(routed_eager.exit_indices, routed_fast.exit_indices)
     np.testing.assert_array_equal(eager.predictions, fast.predictions)
-    np.testing.assert_array_equal(eager.exit_indices, fast.exit_indices)
-    for name in cascade.exit_names:
-        np.testing.assert_array_equal(eager.exit_predictions[name], fast.exit_predictions[name])
 
 
 @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
 def test_routing_identical_across_thresholds_and_batch_sizes(threshold):
     model, views = _warmed_model()
-    cascade = ExitCascade.for_model(model, threshold)
     for batch_size in (1, 3, 16):
-        eager = cascade.run_model(model, views, batch_size=batch_size, compile=False)
-        fast = cascade.run_model(model, views, batch_size=batch_size, compile=True)
+        eager = ExitOracle.capture(model, views, batch_size=batch_size, compile=False)
+        fast = ExitOracle.capture(model, views, batch_size=batch_size, compile=True)
+        eager, fast = eager.route(threshold), fast.route(threshold)
         np.testing.assert_array_equal(eager.predictions, fast.predictions)
         np.testing.assert_array_equal(eager.exit_indices, fast.exit_indices)
         np.testing.assert_allclose(eager.entropies, fast.entropies, rtol=1e-9, atol=1e-12)
-
-
-def test_staged_inference_engine_compile_knob():
-    model, views = _warmed_model()
-    eager = StagedInferenceEngine(model, 0.8, batch_size=4).run(views)
-    fast = StagedInferenceEngine(model, 0.8, batch_size=4, compile=True).run(views)
-    np.testing.assert_array_equal(eager.predictions, fast.predictions)
-    np.testing.assert_array_equal(eager.exit_indices, fast.exit_indices)
 
 
 def test_compiled_plan_cache_and_invalidate():

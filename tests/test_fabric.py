@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import DDNNConfig, DDNNTopology, DDNNTrainer, TrainingConfig, build_ddnn
-from repro.core.cascade import ExitCascade
+from repro.core import ExitOracle
 from repro.hierarchy import LinkSpec, partition_ddnn
 from repro.hierarchy.partition import DEFAULT_LOCAL_LINK, DEFAULT_UPLINK
 from repro.serving import (
@@ -74,10 +74,8 @@ class TestEventLoop:
 class TestFabricEquivalence:
     def test_two_tier_multiworker_matches_eager_baseline(self, trained_ddnn, tiny_test):
         """Acceptance: >=2 tiers, N>=2 workers, link delays on — exit
-        decisions byte-identical to the monolithic single-loop baseline."""
-        baseline = ExitCascade.for_model(trained_ddnn, 0.8).run_model(
-            trained_ddnn, tiny_test.images
-        )
+        decisions byte-identical to the oracle on the monolithic model."""
+        baseline = ExitOracle.capture(trained_ddnn, tiny_test.images, compile=False).route(0.8)
         fabric = DistributedServingFabric(
             partition_ddnn(trained_ddnn),
             0.8,
@@ -105,9 +103,7 @@ class TestFabricEquivalence:
             np.testing.assert_array_equal(one, many)
 
     def test_compiled_per_worker_plans_match_eager(self, trained_ddnn, tiny_test):
-        baseline = ExitCascade.for_model(trained_ddnn, 0.8).run_model(
-            trained_ddnn, tiny_test.images
-        )
+        baseline = ExitOracle.capture(trained_ddnn, tiny_test.images, compile=False).route(0.8)
         fabric = DistributedServingFabric(
             partition_ddnn(trained_ddnn),
             0.8,
@@ -136,9 +132,7 @@ class TestFabricEquivalence:
         model = build_ddnn(config)
         DDNNTrainer(model, TrainingConfig(epochs=2, batch_size=32, seed=0)).fit(tiny_train)
         model.eval()
-        baseline = ExitCascade.for_model(model, [0.7, 0.8]).run_model(
-            model, tiny_test.images
-        )
+        baseline = ExitOracle.capture(model, tiny_test.images, compile=False).route([0.7, 0.8])
         fabric = DistributedServingFabric(
             partition_ddnn(model),
             [0.7, 0.8],
@@ -273,9 +267,7 @@ class TestOpenLoopAndAdaptive:
         assert adaptive.p95_latency_s < plain.p95_latency_s
 
     def test_adaptive_without_pressure_changes_nothing(self, trained_ddnn, tiny_test):
-        baseline = ExitCascade.for_model(trained_ddnn, 0.8).run_model(
-            trained_ddnn, tiny_test.images
-        )
+        baseline = ExitOracle.capture(trained_ddnn, tiny_test.images, compile=False).route(0.8)
         fabric = DistributedServingFabric(
             partition_ddnn(trained_ddnn),
             0.8,
@@ -309,9 +301,7 @@ class TestIngressAdmission:
     def test_every_arrival_is_answered_or_counted(self, trained_ddnn, tiny_test, name):
         from repro.serving import admission_policy
 
-        baseline = ExitCascade.for_model(trained_ddnn, 0.8).run_model(
-            trained_ddnn, tiny_test.images[:12]
-        )
+        baseline = ExitOracle.capture(trained_ddnn, tiny_test.images[:12], compile=False).route(0.8)
         fabric = DistributedServingFabric(
             partition_ddnn(trained_ddnn),
             0.8,

@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import StagedInferenceEngine
+from repro.core import ExitOracle, InferenceResult
 from repro.hierarchy import (
     CLOUD_NAME,
     LOCAL_AGGREGATOR_NAME,
-    DistributedInferenceResult,
     FaultPlan,
     HierarchyRuntime,
     Message,
@@ -143,22 +142,20 @@ class TestPartition:
 
 
 class TestHierarchyRuntime:
-    def test_matches_centralized_staged_inference(self, trained_ddnn, tiny_test):
-        engine = StagedInferenceEngine(trained_ddnn, 0.8)
-        central = engine.run(tiny_test)
+    def test_matches_the_oracle_on_the_monolithic_model(self, trained_ddnn, tiny_test):
+        central = ExitOracle.capture(trained_ddnn, tiny_test, compile=False).route(0.8)
         runtime = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8)
         distributed = runtime.run(tiny_test)
         np.testing.assert_array_equal(central.predictions, distributed.predictions)
         assert central.local_exit_fraction == pytest.approx(distributed.local_exit_fraction)
-        assert distributed.accuracy() == pytest.approx(central.overall_accuracy(tiny_test.labels))
+        assert distributed.accuracy() == pytest.approx(central.accuracy())
 
     def test_byte_accounting_matches_eq1(self, trained_ddnn, tiny_test):
-        engine = StagedInferenceEngine(trained_ddnn, 0.8)
-        central = engine.run(tiny_test)
+        oracle = ExitOracle.capture(trained_ddnn, tiny_test, compile=False)
         runtime = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8)
         distributed = runtime.run(tiny_test)
-        per_device = distributed.mean_bytes_per_device(trained_ddnn.config.num_devices)
-        assert per_device == pytest.approx(engine.communication_bytes(central))
+        per_device = distributed.bytes_per_sample.mean() / trained_ddnn.config.num_devices
+        assert per_device == pytest.approx(oracle.communication_bytes(oracle.route(0.8)))
 
     def test_local_exits_have_lower_latency(self, trained_ddnn, tiny_test):
         runtime = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8)
@@ -199,11 +196,11 @@ class TestHierarchyRuntime:
         assert result.bytes_per_sample.sum() == pytest.approx(deployment.fabric.total_bytes())
 
     @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
-    def test_per_sample_arrays_match_the_engine(self, trained_ddnn, tiny_test, threshold):
-        """Each sample's exit, prediction and bytes line up with the central
-        engine's: a local exit sends only the devices' class summaries, a
+    def test_per_sample_arrays_match_the_oracle(self, trained_ddnn, tiny_test, threshold):
+        """Each sample's exit, prediction and bytes line up with the oracle's
+        route: a local exit sends only the devices' class summaries, a
         cloud exit sends those plus the offloaded features (Eq. 1)."""
-        central = StagedInferenceEngine(trained_ddnn, threshold).run(tiny_test)
+        central = ExitOracle.capture(trained_ddnn, tiny_test, compile=False).route(threshold)
         result = HierarchyRuntime(partition_ddnn(trained_ddnn), threshold).run(tiny_test)
         expected = [trained_ddnn.exit_names[index] for index in central.exit_indices]
         assert result.exit_names_per_sample == expected
@@ -215,8 +212,8 @@ class TestHierarchyRuntime:
             assert result.latencies_s[local].max() < result.latencies_s[~local].min()
 
     def test_empty_result_fractions(self):
-        empty = np.zeros(0)
-        result = DistributedInferenceResult(empty, [], empty, empty)
+        empty = np.zeros(0, dtype=np.int64)
+        result = InferenceResult(empty, empty, ["local", "cloud"], np.zeros(0))
         assert result.local_exit_fraction == 0.0
         assert result.exit_fraction("cloud") == 0.0
 
@@ -364,7 +361,7 @@ class TestBatchedLinkAccounting:
 
 
 class TestEdgeRuntime:
-    def test_edge_topology_runtime_matches_central(self, tiny_train, tiny_test):
+    def test_edge_topology_runtime_matches_the_oracle(self, tiny_train, tiny_test):
         from repro.core import DDNNConfig, DDNNTopology, DDNNTrainer, TrainingConfig, build_ddnn
 
         config = DDNNConfig(
@@ -379,7 +376,7 @@ class TestEdgeRuntime:
         model = build_ddnn(config)
         DDNNTrainer(model, TrainingConfig(epochs=2, batch_size=32, seed=0)).fit(tiny_train)
         model.eval()
-        central = StagedInferenceEngine(model, [0.7, 0.8]).run(tiny_test)
+        central = ExitOracle.capture(model, tiny_test, compile=False).route([0.7, 0.8])
         deployment = partition_ddnn(model)
         assert len(deployment.edges) == 1
         distributed = HierarchyRuntime(deployment, [0.7, 0.8]).run(tiny_test)

@@ -1,8 +1,8 @@
 """Regression: inference-time forwards must never record an autograd graph.
 
-Every serving/inference entry point — ``ExitCascade.run_model``,
-``StagedInferenceEngine``, ``DDNNServer.process_batch`` (and the
-shed-to-local fast path), ``HierarchyRuntime`` and the baselines — must run
+Every serving/inference entry point — ``ExitOracle.capture``,
+``DDNNServer.process_batch`` (and the shed-to-local fast path),
+``HierarchyRuntime`` and the baselines — must run
 its forwards under ``no_grad()``.  A graph recorded at inference time leaks
 memory linearly in the request count, which is fatal for a long-lived
 server, so this is pinned by spying on the forwards and asserting that no
@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.individual import IndividualDeviceModel
-from repro.core.cascade import ExitCascade
 from repro.core.ddnn import DDNN, build_ddnn
-from repro.core.inference import StagedInferenceEngine
+from repro.core.oracle import ExitOracle
 from repro.hierarchy.partition import partition_ddnn
 from repro.hierarchy.runtime import HierarchyRuntime
 from repro.nn.tensor import Tensor, is_grad_enabled
@@ -63,13 +62,8 @@ def _assert_graph_free(records):
             assert logits._backward is None
 
 
-def test_run_model_records_no_graph(model, views, forward_spy):
-    ExitCascade.for_model(model, 0.8).run_model(model, views, batch_size=3)
-    _assert_graph_free(forward_spy)
-
-
-def test_staged_inference_records_no_graph(model, views, forward_spy):
-    StagedInferenceEngine(model, 0.8, batch_size=4).run(views)
+def test_oracle_capture_records_no_graph(model, views, forward_spy):
+    ExitOracle.capture(model, views, batch_size=3, compile=False).route(0.8)
     _assert_graph_free(forward_spy)
 
 

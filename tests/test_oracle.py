@@ -1,13 +1,17 @@
-"""Equivalence suite for the forward-once evaluation plane (``ExitOracle``).
+"""Equivalence suite for the untimed evaluation plane (``ExitOracle``).
 
-The oracle's contract is that it is a pure optimisation: every quantity it
-answers from its logit cache — routing, sweeps, accuracy reports, exit-rate
-calibration — must equal what the per-threshold
-:class:`~repro.core.inference.StagedInferenceEngine` / grid-search code
-computed with repeated forwards.  Routing equality is *byte*-equality
-(predictions, exit indices and entropies), across broadcast and per-exit
+The oracle holds the one untimed implementation of the paper's exit rule
+(Sec. III-D).  Two references check it: a per-sample loop local to this file
+(softmax, normalized entropy, first exit at or below its threshold, final
+exit forced), run as a Hypothesis property over synthetic logits; and the
+timed implementation, the serving fabric's per-tier criterion, replayed
+offline by :class:`~repro.hierarchy.runtime.HierarchyRuntime` on a trained
+model.  Against the fabric, routing equality is *byte*-equality
+(predictions, exit indices and entropies) across broadcast and per-exit
 thresholds, degraded (failed-device) datasets and three-exit edge
-topologies.
+topologies.  The fabric forwards per device section and the oracle forwards
+the monolithic model, so that equality rests on GEMM rounding: CI runs this
+file with BLAS pinned to one thread as well.
 """
 
 from __future__ import annotations
@@ -16,21 +20,27 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.compile.cache import cached_plan_count, compiled_plan_for, invalidate_plan
 from repro.core import (
+    CommunicationModel,
     DDNNConfig,
     DDNNTopology,
     DDNNTrainer,
     ExitCascade,
     ExitOracle,
-    StagedInferenceEngine,
     TrainingConfig,
     build_ddnn,
-    evaluate_exit_accuracies,
+    normalize_thresholds,
+    normalized_entropy,
     search_threshold,
+    softmax_probabilities,
     threshold_for_exit_rate,
 )
+from repro.hierarchy import HierarchyRuntime, partition_ddnn
 
 #: The paper's Table II grid plus the 21-point calibration grid used by the
 #: Figure 9 exit-rate search.
@@ -38,41 +48,108 @@ TABLE2_GRID = (0.1, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 CALIBRATION_GRID = tuple(np.round(np.arange(0.0, 1.0001, 0.05), 4))
 
 
-def assert_routing_identical(engine_result, oracle_result):
-    np.testing.assert_array_equal(engine_result.predictions, oracle_result.predictions)
-    np.testing.assert_array_equal(engine_result.exit_indices, oracle_result.exit_indices)
-    np.testing.assert_array_equal(engine_result.entropies, oracle_result.entropies)
-    assert engine_result.exit_names == oracle_result.exit_names
-    for name in engine_result.exit_names:
-        np.testing.assert_array_equal(
-            engine_result.exit_predictions[name], oracle_result.exit_predictions[name]
+def fabric_route(model, dataset, thresholds, compile=False, batch_size=64):
+    """The timed rule, replayed offline over the partitioned model."""
+    runtime = HierarchyRuntime(
+        partition_ddnn(model), thresholds, batch_size=batch_size, compile=compile
+    )
+    return runtime.run(dataset)
+
+
+def assert_routing_identical(fabric_result, oracle_result):
+    np.testing.assert_array_equal(fabric_result.predictions, oracle_result.predictions)
+    np.testing.assert_array_equal(fabric_result.exit_indices, oracle_result.exit_indices)
+    np.testing.assert_array_equal(fabric_result.entropies, oracle_result.entropies)
+    assert fabric_result.exit_names == oracle_result.exit_names
+    assert fabric_result.exit_names_per_sample == oracle_result.exit_names_per_sample
+    assert fabric_result.local_exit_fraction == oracle_result.local_exit_fraction
+
+
+def reference_route(logits, thresholds):
+    """The exit rule one sample at a time: ``(exit index, prediction)`` per sample."""
+    num_exits, num_samples, _ = logits.shape
+    values = normalize_thresholds(thresholds, num_exits)
+    routed = []
+    for sample in range(num_samples):
+        for index in range(num_exits):
+            probabilities = softmax_probabilities(logits[index, sample])
+            entropy = normalized_entropy(probabilities)
+            if entropy <= values[index] or index == num_exits - 1:
+                routed.append((index, int(np.argmax(probabilities))))
+                break
+    return routed
+
+
+_logits = st.tuples(
+    # Five classes: a uniform row's entropy is 1.0 plus one ulp.
+    st.integers(1, 3), st.integers(1, 8), st.integers(2, 5)
+).flatmap(
+    lambda shape: arrays(
+        np.float64,
+        shape,
+        elements=st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False),
+    )
+)
+
+
+class TestRouteMatchesThePerSampleRule:
+    @settings(max_examples=200, deadline=None)
+    @given(logits=_logits, uniform=st.lists(st.booleans(), max_size=24), data=st.data())
+    def test_route_equals_a_per_sample_loop(self, logits, uniform, data):
+        """Random logits, uniform rows (entropy a few ulps above 1.0),
+        thresholds exactly at an observed entropy, 1-3 exits, and broadcast
+        or per-exit threshold lists."""
+        num_exits, num_samples, _ = logits.shape
+        rows = [(e, n) for e in range(num_exits) for n in range(num_samples)]
+        for (exit_index, sample), flat in zip(rows, uniform):
+            if flat:
+                logits[exit_index, sample] = logits[exit_index, sample, 0]
+        oracle = ExitOracle(logits, [f"exit{index}" for index in range(num_exits)])
+        observed = [float(v) for v in oracle.entropies.ravel() if v <= 1.0]
+        value = st.floats(0.0, 1.0) | (
+            st.sampled_from(observed) if observed else st.just(1.0)
         )
+        thresholds = data.draw(
+            value
+            | st.lists(value, min_size=num_exits - 1, max_size=num_exits)
+        )
+        routed = oracle.route(thresholds)
+        expected = reference_route(logits, thresholds)
+        assert routed.exit_indices.tolist() == [index for index, _ in expected]
+        assert routed.predictions.tolist() == [prediction for _, prediction in expected]
+
+    def test_uniform_rows_overshoot_one_and_do_not_exit_early(self):
+        logits = np.zeros((2, 3, 5))
+        oracle = ExitOracle(logits, ["local", "cloud"])
+        assert (oracle.entropies[0] > 1.0).all()
+        assert reference_route(logits, 1.0) == [(1, 0)] * 3
+        assert oracle.route(1.0).exit_indices.tolist() == [1, 1, 1]
 
 
 class TestRouteByteIdentity:
     @pytest.mark.parametrize("compile", [False, True], ids=["eager", "compiled"])
-    def test_route_matches_engine_across_both_grids(self, trained_ddnn, tiny_test, compile):
+    def test_route_matches_fabric_across_both_grids(self, trained_ddnn, tiny_test, compile):
         oracle = ExitOracle.capture(trained_ddnn, tiny_test, compile=compile)
-        for threshold in set(TABLE2_GRID) | set(CALIBRATION_GRID):
-            engine = StagedInferenceEngine(trained_ddnn, float(threshold), compile=compile)
-            assert_routing_identical(engine.run(tiny_test), oracle.route(float(threshold)))
+        for threshold in sorted(set(TABLE2_GRID) | set(CALIBRATION_GRID)):
+            fabric = fabric_route(trained_ddnn, tiny_test, float(threshold), compile=compile)
+            assert_routing_identical(fabric, oracle.route(float(threshold)))
 
     @pytest.mark.parametrize("compile", [False, True], ids=["eager", "compiled"])
-    def test_route_matches_engine_on_failed_device_sets(self, trained_ddnn, tiny_test, compile):
+    def test_route_matches_fabric_on_failed_device_sets(self, trained_ddnn, tiny_test, compile):
         for failed in ([0], [1, 3]):
             degraded = tiny_test.with_failed_devices(failed)
             oracle = ExitOracle.capture(trained_ddnn, degraded, compile=compile)
             for threshold in TABLE2_GRID:
-                engine = StagedInferenceEngine(trained_ddnn, float(threshold), compile=compile)
-                assert_routing_identical(engine.run(degraded), oracle.route(float(threshold)))
+                fabric = fabric_route(trained_ddnn, degraded, float(threshold), compile=compile)
+                assert_routing_identical(fabric, oracle.route(float(threshold)))
 
-    def test_route_matches_engine_per_exit_thresholds(self, trained_ddnn, tiny_test):
+    def test_route_matches_fabric_per_exit_thresholds(self, trained_ddnn, tiny_test):
         oracle = ExitOracle.capture(trained_ddnn, tiny_test, compile=False)
         for thresholds in ([0.3, 0.9], [0.9, 0.1], [0.0, 0.0]):
-            engine = StagedInferenceEngine(trained_ddnn, thresholds)
-            assert_routing_identical(engine.run(tiny_test), oracle.route(thresholds))
+            fabric = fabric_route(trained_ddnn, tiny_test, thresholds)
+            assert_routing_identical(fabric, oracle.route(thresholds))
 
-    def test_route_matches_engine_on_edge_topology(self, tiny_train, tiny_test):
+    def test_route_matches_fabric_on_edge_topology(self, tiny_train, tiny_test):
         config = DDNNConfig(
             num_devices=4,
             device_filters=2,
@@ -87,8 +164,8 @@ class TestRouteByteIdentity:
         oracle = ExitOracle.capture(model, tiny_test, compile=False)
         assert oracle.exit_names == ["local", "edge", "cloud"]
         for thresholds in (0.8, [0.5, 0.7], [0.9, 0.2, 0.4]):
-            engine = StagedInferenceEngine(model, thresholds)
-            assert_routing_identical(engine.run(tiny_test), oracle.route(thresholds))
+            fabric = fabric_route(model, tiny_test, thresholds)
+            assert_routing_identical(fabric, oracle.route(thresholds))
 
     def test_route_results_are_isolated_from_the_cache(self, trained_ddnn, tiny_test):
         """Mutating a returned result must not corrupt later oracle answers."""
@@ -103,11 +180,10 @@ class TestRouteByteIdentity:
         )
         assert oracle.exit_accuracies() == expected_accuracies
 
-    def test_batch_size_chunks_match_engine_batching(self, trained_ddnn, tiny_test):
-        """Capture must chunk like the engine so logits are byte-identical."""
+    def test_batch_size_chunks_match_fabric_batching(self, trained_ddnn, tiny_test):
         oracle = ExitOracle.capture(trained_ddnn, tiny_test, batch_size=5, compile=False)
-        engine = StagedInferenceEngine(trained_ddnn, 0.8, batch_size=5)
-        assert_routing_identical(engine.run(tiny_test), oracle.route(0.8))
+        fabric = fabric_route(trained_ddnn, tiny_test, 0.8, batch_size=5)
+        assert_routing_identical(fabric, oracle.route(0.8))
 
     def test_route_rejects_bad_thresholds(self, trained_ddnn, tiny_test):
         oracle = ExitOracle.capture(trained_ddnn, tiny_test, compile=False)
@@ -116,33 +192,34 @@ class TestRouteByteIdentity:
                 oracle.route(bad)
         with pytest.raises(ValueError):
             oracle.sweep([0.5, 1.5])
-        # A final-exit threshold above 1.0 is forced to 1.0, like the engine.
+        # A final-exit threshold above 1.0 is forced to 1.0.
         oracle.route([0.5, 5.0])
 
-    def test_helpers_reject_out_of_range_like_engine(self, trained_ddnn, tiny_test):
-        """The oracle rewiring must not widen the engine's validation."""
+    def test_helpers_reject_out_of_range_thresholds(self, trained_ddnn, tiny_test):
         with pytest.raises(ValueError):
             search_threshold(trained_ddnn, tiny_test, grid=(0.5, 80.0))
 
 
 class TestSweepAndReports:
-    def test_sweep_equals_per_threshold_engine_loop(self, trained_ddnn, tiny_test):
+    def test_sweep_equals_per_threshold_route(self, trained_ddnn, tiny_test):
         oracle = ExitOracle.capture(trained_ddnn, tiny_test, compile=False)
+        communication = CommunicationModel(trained_ddnn.config)
         table = oracle.sweep(CALIBRATION_GRID)
         assert len(table) == len(CALIBRATION_GRID)
         for point in table.points():
-            engine = StagedInferenceEngine(trained_ddnn, point.threshold)
-            run = engine.run(tiny_test)
+            run = oracle.route(point.threshold)
             assert point.local_exit_fraction == run.local_exit_fraction
-            assert point.overall_accuracy == run.overall_accuracy(tiny_test.labels)
-            assert point.communication_bytes == engine.communication_bytes(run)
-            assert oracle.communication_bytes(run) == engine.communication_bytes(run)
+            assert point.overall_accuracy == run.accuracy(tiny_test.labels)
+            assert point.communication_bytes == oracle.communication_bytes(run)
+            assert point.communication_bytes == communication.per_device_bytes(
+                run.local_exit_fraction
+            )
 
     def test_exit_accuracies_match_legacy_loop(self, trained_ddnn, tiny_test):
         """The logit-argmax convention of the historical eager loop holds."""
         from repro.nn.tensor import no_grad
 
-        # The pre-oracle evaluate_exit_accuracies, verbatim.
+        # The eager per-exit accuracy loop the oracle replaced, verbatim.
         trained_ddnn.eval()
         correct = {name: 0 for name in trained_ddnn.exit_names}
         total = 0
@@ -158,13 +235,14 @@ class TestSweepAndReports:
 
         oracle = ExitOracle.capture(trained_ddnn, tiny_test, compile=False)
         assert oracle.exit_accuracies() == legacy
-        assert evaluate_exit_accuracies(trained_ddnn, tiny_test) == legacy
+        assert DDNNTrainer(trained_ddnn).evaluate_exits(tiny_test, batch_size=64) == legacy
 
     def test_trainer_evaluate_exits_delegates(self, trained_ddnn, tiny_test, tiny_config):
         trainer = DDNNTrainer(trained_ddnn)
-        assert trainer.evaluate_exits(tiny_test) == evaluate_exit_accuracies(
-            trained_ddnn, tiny_test
+        oracle = ExitOracle.capture(
+            trained_ddnn, tiny_test, batch_size=trainer.config.batch_size, compile=False
         )
+        assert trainer.evaluate_exits(tiny_test) == oracle.exit_accuracies()
 
     def test_compiled_capture_same_routing_as_eager(self, trained_ddnn, tiny_test):
         """Compiled logits are allclose, routing decisions identical."""
@@ -187,41 +265,28 @@ class TestQuantileCalibration:
         for threshold, fraction in zip(CALIBRATION_GRID, fractions):
             assert fraction == oracle.route(float(threshold)).local_exit_fraction
 
-    def test_grid_selection_matches_legacy_grid_search(self, trained_ddnn, tiny_test):
-        """Oracle-backed search reproduces the engine-per-point grid search."""
-
-        def legacy_threshold_for_exit_rate(model, dataset, target, grid):
-            candidates = []
-            for threshold in grid:
-                engine = StagedInferenceEngine(model, float(threshold))
-                run = engine.run(dataset)
-                candidates.append(
-                    (
-                        float(threshold),
-                        run.overall_accuracy(dataset.labels),
-                        run.local_exit_fraction,
-                    )
-                )
-            best = min(candidates, key=lambda c: (abs(c[2] - target), -c[1]))
-            return best[0]
+    def test_grid_selection_matches_a_fabric_grid_search(self, trained_ddnn, tiny_test):
+        """Oracle-backed search picks what a fabric run per grid point picks."""
+        candidates = []
+        for threshold in CALIBRATION_GRID:
+            run = fabric_route(trained_ddnn, tiny_test, float(threshold))
+            candidates.append((float(threshold), run.accuracy(), run.local_exit_fraction))
 
         for target in (0.25, 0.5, 0.75):
             fast = threshold_for_exit_rate(trained_ddnn, tiny_test, target)
-            slow = legacy_threshold_for_exit_rate(
-                trained_ddnn, tiny_test, target, CALIBRATION_GRID
-            )
+            slow = min(candidates, key=lambda c: (abs(c[2] - target), -c[1]))[0]
             assert fast.best_threshold == slow
             assert len(fast.candidates) == len(CALIBRATION_GRID)
 
-    def test_search_threshold_matches_legacy_sweep(self, trained_ddnn, tiny_test):
+    def test_search_threshold_matches_a_fabric_sweep(self, trained_ddnn, tiny_test):
         result = search_threshold(trained_ddnn, tiny_test, grid=TABLE2_GRID)
-        best_engine = None
+        best = None
         for threshold in TABLE2_GRID:
-            run = StagedInferenceEngine(trained_ddnn, float(threshold)).run(tiny_test)
-            key = (run.overall_accuracy(tiny_test.labels), run.local_exit_fraction)
-            if best_engine is None or key > best_engine[0]:
-                best_engine = (key, float(threshold))
-        assert result.best_threshold == best_engine[1]
+            run = fabric_route(trained_ddnn, tiny_test, float(threshold))
+            key = (run.accuracy(), run.local_exit_fraction)
+            if best is None or key > best[0]:
+                best = (key, float(threshold))
+        assert result.best_threshold == best[1]
 
     def test_exact_quantile_threshold_hits_closest_achievable_rate(
         self, trained_ddnn, tiny_test
@@ -303,11 +368,11 @@ class TestPlanCache:
         gc.collect()
         assert cached_plan_count() == 0
 
-    def test_engine_and_oracle_share_the_plan(self, trained_ddnn, tiny_test):
+    def test_runtime_and_oracle_share_the_plan(self, trained_ddnn, tiny_test):
         invalidate_plan()
         ExitOracle.capture(trained_ddnn, tiny_test, compile=True)
         assert cached_plan_count() == 1
-        StagedInferenceEngine(trained_ddnn, 0.8, compile=True).run(tiny_test)
+        fabric_route(trained_ddnn, tiny_test, 0.8, compile=True)
         assert cached_plan_count() == 1
 
     def test_training_evicts_stale_plan(self, tiny_config, tiny_train):
@@ -348,3 +413,47 @@ class TestOracleConstruction:
             oracle.sweep([0.5])
         with pytest.raises(ValueError):
             oracle.communication_bytes(oracle.route(0.5))
+
+
+class TestLocalExitFraction:
+    """One meaning everywhere: the fraction at the exit named ``local``."""
+
+    def test_cloud_only_model_exits_nothing_locally(self, tiny_test):
+        config = DDNNConfig(
+            num_devices=4,
+            device_filters=2,
+            cloud_filters=4,
+            cloud_hidden_units=8,
+            topology=DDNNTopology.from_name("cloud_only"),
+            seed=5,
+        )
+        model = build_ddnn(config)
+        subset = tiny_test.subset(np.arange(24))
+        oracle = ExitOracle.capture(model, subset, compile=False)
+        assert oracle.exit_names == ["cloud"]
+        routed = oracle.route(0.8)
+        fabric = fabric_route(model, subset, 0.8)
+        assert routed.local_exit_fraction == fabric.local_exit_fraction == 0.0
+        assert oracle.sweep([0.8]).local_exit_fraction.tolist() == [0.0]
+        assert oracle.exit_rate_cdf([0.8, 1.0]).tolist() == [0.0, 0.0]
+        no_local_exit = CommunicationModel(config).per_device_bytes(0.0)
+        assert oracle.communication_bytes(routed) == no_local_exit
+        assert oracle.sweep([0.8]).communication_bytes.tolist() == [no_local_exit]
+
+    def test_fraction_follows_the_name_not_the_position(self):
+        logits = np.zeros((2, 4, 3))
+        logits[1, :, 0] = 9.0  # confident second exit
+        oracle = ExitOracle(logits, ["edge", "local"])
+        assert oracle.route(0.5).local_exit_fraction == 1.0
+        assert oracle.route(0.5).exit_fraction("cloud") == 0.0
+
+
+class TestNonFiniteViews:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("compile", [False, True], ids=["eager", "compiled"])
+    def test_capture_names_the_first_bad_sample(self, trained_ddnn, tiny_test, value, compile):
+        views = tiny_test.images.copy()
+        views[5] = value
+        views[9, 1, 0, 2, 2] = value
+        with pytest.raises(ValueError, match="sample 5 "):
+            ExitOracle.capture(trained_ddnn, views, compile=compile)

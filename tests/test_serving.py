@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core import StagedInferenceEngine
+from repro.compile.cache import compiled_plan_for
+from repro.hierarchy import HierarchyRuntime, partition_ddnn
 from repro.serving import (
     ArrivalProcess,
     BatchingPolicy,
@@ -129,10 +130,10 @@ def test_every_queue_fires_at_exactly_arrival_plus_max_wait(trained_ddnn, tiny_t
 
 
 class TestDDNNServer:
-    def test_one_at_a_time_matches_staged_inference(self, trained_ddnn, tiny_test):
-        """Satellite acceptance: request-at-a-time serving is byte-identical
-        to offline StagedInferenceEngine.run on the same model."""
-        offline = StagedInferenceEngine(trained_ddnn, 0.8).run(tiny_test)
+    def test_one_at_a_time_matches_the_fabric(self, trained_ddnn, tiny_test):
+        """Request-at-a-time serving is byte-identical to the fabric's
+        offline replay on the same model."""
+        offline = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8).run(tiny_test)
         server = DDNNServer(trained_ddnn, 0.8, policy=BatchingPolicy(max_batch_size=1, max_wait_s=0.0))
         responses = server.serve_dataset(tiny_test)
         predictions = np.array([response.prediction for response in responses])
@@ -142,14 +143,33 @@ class TestDDNNServer:
         np.testing.assert_array_equal(exits, offline.exit_indices)
         np.testing.assert_array_equal(entropies, offline.entropies)
 
-    def test_dynamic_batching_matches_staged_inference(self, trained_ddnn, tiny_test):
-        offline = StagedInferenceEngine(trained_ddnn, 0.8).run(tiny_test)
+    def test_dynamic_batching_matches_the_fabric(self, trained_ddnn, tiny_test):
+        offline = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8).run(tiny_test)
         server = DDNNServer(
             trained_ddnn, 0.8, policy=BatchingPolicy(max_batch_size=8, max_wait_s=0.0)
         )
         responses = server.serve_dataset(tiny_test)
         predictions = np.array([response.prediction for response in responses])
         np.testing.assert_array_equal(predictions, offline.predictions)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_views_are_rejected_at_submit(self, trained_ddnn, tiny_test, value):
+        server = DDNNServer(trained_ddnn, 0.8)
+        server.submit(tiny_test.images[0])
+        views = tiny_test.images[1].copy()
+        views[0, 0, 0, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            server.submit(views)
+        assert len(server.queue) == 1
+        assert server.admission_stats.offered == 1
+        assert len(server.run_until_drained()) == 1
+
+    def test_invalidate_compiled_evicts_the_servers_plan(self, trained_ddnn, tiny_test):
+        server = DDNNServer(trained_ddnn, 0.8, compile=True)
+        server.serve_dataset(tiny_test)
+        served = compiled_plan_for(trained_ddnn)
+        server.cascade.invalidate_compiled()
+        assert compiled_plan_for(trained_ddnn) is not served
 
     def test_step_respects_policy_then_force_drains(self, trained_ddnn, tiny_test):
         clock = FakeClock()
@@ -221,9 +241,7 @@ class TestDDNNServer:
         exit_name partitions the answers as the offline cascade routes them."""
         server = DDNNServer(trained_ddnn, 0.8)
         responses = server.serve_dataset(tiny_test)
-        offline = server.cascade.run_model(
-            trained_ddnn, tiny_test.images, batch_size=len(tiny_test)
-        )
+        offline = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8).run(tiny_test)
         assert [r.exit_name for r in responses] == offline.exit_names_per_sample
         assert all(
             r.exit_name == server.cascade.exit_names[r.exit_index] for r in responses

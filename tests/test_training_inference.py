@@ -7,12 +7,10 @@ import pytest
 
 from repro.core import (
     DDNNTrainer,
-    StagedInferenceEngine,
+    ExitOracle,
     TrainingConfig,
     build_ddnn,
-    evaluate_exit_accuracies,
     search_threshold,
-    staged_inference,
     threshold_for_exit_rate,
 )
 from repro.nn import load_module, save_module
@@ -53,27 +51,31 @@ class TestDDNNTrainer:
             _ = trainer.history.final_loss
 
     def test_trained_model_beats_chance(self, trained_ddnn, tiny_test):
-        accuracies = evaluate_exit_accuracies(trained_ddnn, tiny_test)
+        accuracies = ExitOracle.capture(trained_ddnn, tiny_test).exit_accuracies()
         assert accuracies["cloud"] > 1.0 / 3.0
         assert accuracies["local"] > 1.0 / 3.0
 
 
+@pytest.fixture(scope="module")
+def oracle(trained_ddnn, tiny_test):
+    return ExitOracle.capture(trained_ddnn, tiny_test, compile=False)
+
+
 class TestStagedInference:
-    def test_threshold_one_exits_everything_locally(self, trained_ddnn, tiny_test):
-        result = staged_inference(trained_ddnn, tiny_test, thresholds=1.0)
+    def test_threshold_one_exits_everything_locally(self, oracle):
+        result = oracle.route(1.0)
         assert result.local_exit_fraction == 1.0
         assert set(result.exit_indices.tolist()) == {0}
 
-    def test_threshold_zero_sends_everything_to_cloud(self, trained_ddnn, tiny_test):
-        result = staged_inference(trained_ddnn, tiny_test, thresholds=0.0)
+    def test_threshold_zero_sends_everything_to_cloud(self, oracle):
+        result = oracle.route(0.0)
         assert result.local_exit_fraction == 0.0
         np.testing.assert_array_equal(
             result.predictions, result.exit_predictions["cloud"]
         )
 
-    def test_intermediate_threshold_splits_samples(self, trained_ddnn, tiny_test):
-        engine = StagedInferenceEngine(trained_ddnn, 0.8)
-        result = engine.run(tiny_test)
+    def test_intermediate_threshold_splits_samples(self, oracle):
+        result = oracle.route(0.8)
         assert 0.0 <= result.local_exit_fraction <= 1.0
         assert result.exit_fraction("local") + result.exit_fraction("cloud") == pytest.approx(1.0)
         # Predictions come from the exit each sample was assigned to.
@@ -82,45 +84,24 @@ class TestStagedInference:
             result.predictions[local_rows], result.exit_predictions["local"][local_rows]
         )
 
-    def test_exit_rate_monotonically_increases_with_threshold(self, trained_ddnn, tiny_test):
-        fractions = [
-            StagedInferenceEngine(trained_ddnn, t).run(tiny_test).local_exit_fraction
-            for t in (0.0, 0.3, 0.6, 0.9, 1.0)
-        ]
+    def test_exit_rate_monotonically_increases_with_threshold(self, oracle):
+        fractions = [oracle.route(t).local_exit_fraction for t in (0.0, 0.3, 0.6, 0.9, 1.0)]
         assert all(a <= b + 1e-12 for a, b in zip(fractions, fractions[1:]))
 
-    def test_communication_decreases_with_threshold(self, trained_ddnn, tiny_test):
-        low = StagedInferenceEngine(trained_ddnn, 0.1)
-        high = StagedInferenceEngine(trained_ddnn, 0.95)
-        assert low.communication_bytes(low.run(tiny_test)) >= high.communication_bytes(
-            high.run(tiny_test)
-        )
+    def test_communication_decreases_with_threshold(self, oracle):
+        low = oracle.communication_bytes(oracle.route(0.1))
+        assert low >= oracle.communication_bytes(oracle.route(0.95))
 
-    def test_overall_accuracy_and_per_exit_accuracy(self, trained_ddnn, tiny_test):
-        result = StagedInferenceEngine(trained_ddnn, 0.8).run(tiny_test)
-        overall = result.overall_accuracy(tiny_test.labels)
-        assert 0.0 <= overall <= 1.0
-        assert 0.0 <= result.exit_accuracy("cloud", tiny_test.labels) <= 1.0
-
-    def test_targets_captured_from_dataset(self, trained_ddnn, tiny_test):
-        result = StagedInferenceEngine(trained_ddnn, 0.5).run(tiny_test)
+    def test_targets_captured_from_dataset(self, oracle, tiny_test):
+        result = oracle.route(0.5)
         assert result.targets is not None
-        assert result.overall_accuracy() == result.overall_accuracy(tiny_test.labels)
-
-    def test_threshold_list_validation(self, trained_ddnn):
-        with pytest.raises(ValueError):
-            StagedInferenceEngine(trained_ddnn, [0.1, 0.2, 0.3, 0.4])
+        assert 0.0 <= result.accuracy() <= 1.0
+        assert result.accuracy() == result.accuracy(tiny_test.labels)
 
     def test_raw_array_input_requires_explicit_targets(self, trained_ddnn, tiny_test):
-        engine = StagedInferenceEngine(trained_ddnn, 0.8)
-        result = engine.run(tiny_test.images)
+        result = ExitOracle.capture(trained_ddnn, tiny_test.images).route(0.8)
         with pytest.raises(ValueError):
-            result.overall_accuracy()
-
-    def test_communication_reduction_factor(self, trained_ddnn, tiny_test):
-        engine = StagedInferenceEngine(trained_ddnn, 0.8)
-        result = engine.run(tiny_test)
-        assert engine.communication_reduction(result) > 1.0
+            result.accuracy()
 
 
 class TestThresholdSearch:
@@ -150,6 +131,6 @@ class TestSerializationOfDDNN:
         restored = build_ddnn(tiny_config)
         load_module(restored, path)
         restored.eval()
-        original = StagedInferenceEngine(trained_ddnn, 0.8).run(tiny_test)
-        reloaded = StagedInferenceEngine(restored, 0.8).run(tiny_test)
+        original = ExitOracle.capture(trained_ddnn, tiny_test, compile=False).route(0.8)
+        reloaded = ExitOracle.capture(restored, tiny_test, compile=False).route(0.8)
         np.testing.assert_array_equal(original.predictions, reloaded.predictions)
