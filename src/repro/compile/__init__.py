@@ -24,12 +24,13 @@ and emits plans executing on raw ``np.ndarray``s with
 
 Entry points: :func:`compile_plan` for a single module stack,
 :func:`compile_ddnn` for a whole multi-exit DDNN, and :func:`verify_compiled`
-for the numerical-equivalence guarantee against the eager path.  The
-``compile=True`` knobs on :class:`~repro.core.cascade.ExitCascade`,
-:class:`~repro.core.oracle.ExitOracle`,
-:class:`~repro.hierarchy.runtime.HierarchyRuntime` and
-:class:`~repro.serving.server.DDNNServer` route their forwards through this
-package.
+for the numerical-equivalence guarantee against the eager path.  Every
+inference forward outside training runs through this package: the serving
+fabric's tier sections, :class:`~repro.hierarchy.runtime.HierarchyRuntime`,
+:class:`~repro.serving.server.DDNNServer` and
+:class:`~repro.core.cascade.ExitCascade`'s shed path always do, and
+:class:`~repro.core.oracle.ExitOracle` does by default
+(``capture(compile=False)`` is the eager reference the tests compare to).
 """
 
 from .cache import compiled_plan_for, invalidate_plan

@@ -10,6 +10,8 @@ what both share:
 
 * :func:`normalize_thresholds` — threshold broadcasting/validation rules;
 * :func:`build_exit_criteria` — thresholds -> :class:`ExitCriterion` list;
+* :func:`require_compiled` — the serving constructors' refusal of
+  ``compile=False``;
 * :class:`ExitCascade` — the criteria of one deployment, the compiled plan
   it serves (:meth:`ExitCascade.compiled_for`, evicted by
   :meth:`ExitCascade.invalidate_compiled`) and the first-exit-only forward
@@ -23,7 +25,6 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..nn.tensor import no_grad
 from .exits import ExitCriterion, ExitDecision
 
 __all__ = [
@@ -93,6 +94,18 @@ def build_exit_criteria(thresholds: Thresholds, exit_names: Sequence[str]) -> Li
     return [ExitCriterion(value, name=name) for value, name in zip(values, exit_names)]
 
 
+def require_compiled(compile: bool) -> None:
+    """Reject ``compile=False`` on a serving constructor: the tier plane runs
+    only compiled plan bundles, and the parameter stays for callers that
+    still pass ``compile=True``."""
+    if not compile:
+        raise ValueError(
+            "compile=False is not supported: serving runs only on compiled "
+            "plan bundles; the eager reference forward is "
+            "ExitOracle.capture(compile=False)"
+        )
+
+
 class ExitCascade:
     """One deployment's exit criteria and the compiled plan it serves.
 
@@ -103,20 +116,16 @@ class ExitCascade:
         see :func:`normalize_thresholds`.
     exit_names:
         Exit names in cascade order (e.g. ``["local", "cloud"]``).
-    compile:
-        Default for :meth:`first_exit`: the compiled plan or the eager model.
     precision:
-        Compute mode for the compiled path (one of
+        Compute mode of the compiled plan it serves (one of
         :data:`repro.compile.PRECISIONS`): exact ``"float64"`` (default),
-        tolerance-mode ``"float32"``, or ``"bitpacked"``.  Ignored unless
-        the compiled path is used.
+        tolerance-mode ``"float32"``, or ``"bitpacked"``.
     """
 
     def __init__(
         self,
         thresholds: Thresholds,
         exit_names: Sequence[str],
-        compile: bool = False,
         precision: str = "float64",
     ) -> None:
         from ..compile.ops import PRECISIONS
@@ -127,7 +136,6 @@ class ExitCascade:
             )
         self.exit_names = list(exit_names)
         self.criteria = build_exit_criteria(thresholds, self.exit_names)
-        self.compile_enabled = bool(compile)
         self.precision = precision
         # Models this cascade has served compiled plans for, so a no-arg
         # invalidate_compiled() evicts exactly those from the shared cache.
@@ -138,11 +146,10 @@ class ExitCascade:
         cls,
         model,
         thresholds: Thresholds,
-        compile: bool = False,
         precision: str = "float64",
     ) -> "ExitCascade":
         """Build a cascade matching a :class:`~repro.core.ddnn.DDNN`'s exits."""
-        return cls(thresholds, model.exit_names, compile=compile, precision=precision)
+        return cls(thresholds, model.exit_names, precision=precision)
 
     @property
     def num_exits(self) -> int:
@@ -188,20 +195,13 @@ class ExitCascade:
             invalidate_plan(served)
         self._compiled_models.clear()
 
-    def first_exit(self, model, views, compile: Optional[bool] = None) -> ExitDecision:
-        """The cascade's first exit applied to a batch, computing only that
-        exit's logits (see ``first_exit_logits`` on the eager and compiled
-        models) — what shedding a request to the local exit costs.
-
-        ``compile`` overrides ``compile_enabled``; the decision is
+    def first_exit(self, model, views) -> ExitDecision:
+        """The cascade's first exit applied to a batch on the compiled plan,
+        computing only that exit's logits (``CompiledDDNN.first_exit_logits``)
+        — what shedding a request to the local exit costs.  The decision is
         bit-identical to the first exit's on a whole forward of the same
         batch.
         """
-        use_compiled = self.compile_enabled if compile is None else bool(compile)
         model.eval()
-        if use_compiled:
-            logits = self.compiled_for(model).first_exit_logits(views)
-        else:
-            with no_grad():
-                logits = model.first_exit_logits(views)
+        logits = self.compiled_for(model).first_exit_logits(views)
         return self.criteria[0].evaluate(logits)

@@ -166,13 +166,10 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         NUM_REQUESTS.but("open-loop arrivals per row"),
         MAX_BATCH_SIZE,
         SEED.but("base seed for the arrival processes"),
-        Flag.switch(
-            "--compiled", "run tier forwards on per-worker compiled plans (default: eager)"
-        ),
         Flag(
             "--backend",
             "worker-pool backend: deterministic simulated slots (default) or "
-            "real thread-pool workers on wall-clock time (implies --compiled)",
+            "real thread-pool workers on wall-clock time",
             choices=("simulated", "thread"),
         ),
         Flag.switch(

@@ -93,24 +93,20 @@ def run_distributed_serving(
     max_batch_size: int = 8,
     max_wait_s: float = 0.005,
     seed: int = 0,
-    compiled: bool = False,
     calibrate: bool = False,
     backend: str = "simulated",
 ) -> ExperimentResult:
     """Sweep p95 latency and offload fraction across the fabric's knobs.
 
     ``backend="thread"`` runs every row on real thread-pool workers against
-    wall-clock time (forcing the compiled forward path): latencies become
-    machine-dependent measurements instead of deterministic simulated
-    values, while offload fractions, bytes and accuracy stay identical to
-    the simulated table — that cross-check is what the CI smoke row relies
-    on.
+    wall-clock time: latencies become machine-dependent measurements
+    instead of deterministic simulated values, while offload fractions,
+    bytes and accuracy stay identical to the simulated table — that
+    cross-check is what the CI smoke row relies on.
     """
     scale = scale if scale is not None else default_scale()
     if num_requests < 1:
         raise ValueError("num_requests must be >= 1")
-    if backend == "thread":
-        compiled = True  # thread workers require compiled plan bundles
     model, _ = get_trained_ddnn(scale)
     _, test_set = get_dataset(scale)
 
@@ -118,7 +114,7 @@ def run_distributed_serving(
     # recorded in the metadata, swapped into the rows with calibrate=True.
     calibration_batch = max(2, min(max_batch_size, len(test_set)))
     measured = ServiceModel.from_plan_timings(
-        DDNNServer(model, threshold, compile=True),
+        DDNNServer(model, threshold),
         test_set.images[0],
         batch_size=calibration_batch,
     )
@@ -162,7 +158,6 @@ def run_distributed_serving(
             "max_wait_s": max_wait_s,
             "seed": seed,
             "backend": backend,
-            "forward_path": "compiled" if compiled else "eager",
             "service_calibration": "plan-timings" if calibrate else "hand-set",
             "measured_plan_batch_overhead_ms": 1e3 * measured.batch_overhead_s,
             "measured_plan_per_sample_ms": 1e3 * measured.per_sample_s,
@@ -188,7 +183,6 @@ def run_distributed_serving(
             row_threshold,
             workers_per_tier=workers,
             batching=batching,
-            compile=compiled,
             service_models=[device_service]
             + [upper_service] * (1 + (1 if deployment.model.has_edge else 0)),
             adaptive=adaptive,

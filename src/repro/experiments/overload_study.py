@@ -86,7 +86,6 @@ def _run_one(
         clock=clock,
         capacity=None if policy_name == "unbounded" else capacity,
         admission=None if policy_name == "unbounded" else admission_policy(policy_name),
-        compile=True,
     )
     generator = LoadGenerator(
         server,

@@ -146,10 +146,10 @@ def available_cpu_count() -> int:
 # --------------------------------------------------------------------------- #
 _DATASET_CACHE: Dict[Tuple, Tuple[MVMCDataset, MVMCDataset]] = {}
 _MODEL_CACHE: Dict[Tuple, Tuple[DDNN, DDNNTrainer]] = {}
-#: (id(model), id(dataset), eager flag, batch size) -> (model, dataset,
-#: oracle), for datasets owned by _DATASET_CACHE only.  The model/dataset
-#: references double-check identity against recycled ids and keep the key
-#: owners alive, mirroring _MODEL_CACHE's lifetime.
+#: (id(model), id(dataset), batch size, precision, weights version) ->
+#: (model, dataset, oracle), for datasets owned by _DATASET_CACHE only.  The
+#: model/dataset references double-check identity against recycled ids and
+#: keep the key owners alive, mirroring _MODEL_CACHE's lifetime.
 _ORACLE_CACHE: Dict[Tuple, Tuple] = {}
 #: Guards the oracle memo (lookup, cacheability probe, insert, clear) so
 #: concurrent captures from worker threads can't corrupt the dict; the
@@ -254,13 +254,13 @@ def capture_oracle(
 ):
     """Forward-once :class:`~repro.core.oracle.ExitOracle` for an experiment.
 
-    The offline harness defaults to the compiled fast path (one
+    The offline harness runs the compiled fast path (one
     :mod:`repro.compile` plan forward per dataset, plans memoized
-    process-wide); set ``REPRO_EAGER_EVAL=1`` to force the eager forward,
-    e.g. when bisecting a compiled-path discrepancy.  Compiled logits agree
-    with eager at float32-level tolerance, and routing has matched
-    byte-for-byte on every model and table in this suite (the experiment
-    benchmarks assert table identity).
+    process-wide).  Compiled logits agree with eager at float32-level
+    tolerance, and routing has matched byte-for-byte on every model and
+    table in this suite (the experiment benchmarks assert table identity);
+    ``ExitOracle.capture(model, dataset, compile=False)`` is the eager
+    reference when bisecting a compiled-path discrepancy.
 
     Captures over the splits :func:`get_dataset` owns are memoized per
     (model, dataset) identity, so experiments sharing the cached default
@@ -274,13 +274,11 @@ def capture_oracle(
     """
     from ..core.oracle import ExitOracle
 
-    eager = os.environ.get("REPRO_EAGER_EVAL", "").lower() in ("1", "true", "yes")
     # The weights version (bumped by DDNNTrainer.train_epoch) keys retrained
     # models away from their pre-training captures.
     key = (
         id(model),
         id(dataset),
-        eager,
         batch_size,
         precision,
         getattr(model, "_weights_version", 0),
@@ -299,11 +297,7 @@ def capture_oracle(
             if entry is not None and entry[0] is model and entry[1] is dataset:
                 return entry[2]
         oracle = ExitOracle.capture(
-            model,
-            dataset,
-            batch_size=batch_size,
-            compile=not eager,
-            precision=precision,
+            model, dataset, batch_size=batch_size, precision=precision
         )
         if cacheable:
             _ORACLE_CACHE[key] = (model, dataset, oracle)

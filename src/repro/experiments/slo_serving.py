@@ -408,7 +408,6 @@ def run_wallclock_slo_smoke(
         threshold,
         batching=trace.batching,
         backend="thread",
-        compile=True,
         offload=policy,
         slo_s=slo_s,
         edf=True,

@@ -6,7 +6,8 @@ bandwidth-constrained wireless network).  It provides:
 
 * compute nodes (:class:`EndDeviceNode`, :class:`EdgeComputeNode`,
   :class:`CloudComputeNode`, :class:`AggregatorNode`) holding the DDNN
-  sections mapped onto them;
+  sections mapped onto them and accounting the work the tier sections'
+  compiled forwards charge them;
 * a :class:`NetworkFabric` of links with byte and latency accounting;
 * :func:`partition_ddnn` to map a trained DDNN onto nodes and links, now a
   thin shim over :class:`PartitionPlan` — a first-class mutable description

@@ -1,24 +1,24 @@
 """Compute nodes of the distributed hierarchy (end devices, edge, cloud).
 
-Each node owns the NN section mapped onto it (a reference into the trained
-:class:`~repro.core.ddnn.DDNN`) plus a simple compute-speed model used to
-estimate per-sample processing latency.  The byte-level communication is
-handled by :class:`~repro.hierarchy.network.NetworkFabric`; nodes only expose
-the sizes of the payloads they emit.
+Each node holds the NN section mapped onto it (a reference into the trained
+:class:`~repro.core.ddnn.DDNN`, read for its shapes and per-sample cost) plus
+a simple compute-speed model used to estimate per-sample processing latency,
+and counts the work and bytes charged to it.  Nodes do not compute: a tier's
+forward runs on a compiled plan bundle
+(:class:`~repro.hierarchy.sections.TierSection`), which charges the node
+through :meth:`ComputeNode._account`.  The byte-level communication is handled
+by :class:`~repro.hierarchy.network.NetworkFabric`; nodes only expose the
+sizes of the payloads they emit.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence
 
-import numpy as np
-
-from ..core.aggregation import Aggregator
 from ..core.communication import BITS_PER_BYTE, FLOAT_BYTES
 from ..core.ddnn import CloudModel, DeviceBranch, EdgeModel
-from ..nn.tensor import Tensor, no_grad
 
 __all__ = ["NodeStats", "ComputeNode", "EndDeviceNode", "AggregatorNode", "EdgeComputeNode", "CloudComputeNode"]
 
@@ -129,52 +129,13 @@ class EndDeviceNode(ComputeNode):
         """Size of the raw sensor input (cloud-offloading baseline payload)."""
         return float(self.branch.in_channels * self.branch.input_size ** 2)
 
-    # -- compute --------------------------------------------------------- #
-    def process(self, view: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
-        """Run the device's NN section on one view (or a batch of views).
-
-        Returns ``(feature_map, class_scores, compute_seconds)``.  A failed
-        device returns zero scores and a zero feature map: it transmits
-        nothing useful, which is how the fault-tolerance experiment models a
-        dead camera.
-        """
-        view = np.asarray(view, dtype=np.float64)
-        if view.ndim == 3:
-            view = view[None, ...]
-        batch = len(view)
-        if self.failed:
-            features = np.zeros(
-                (batch, self.branch.output_channels, self.branch.output_size, self.branch.output_size)
-            )
-            scores = np.zeros((batch, self.branch.num_classes))
-            return features, scores, 0.0
-        with no_grad():
-            feature_map, scores = self.branch(Tensor(view))
-        operations = self.operations_per_sample * batch
-        seconds = self._account(operations, samples=batch)
-        return feature_map.data, scores.data, seconds
-
 
 class AggregatorNode(ComputeNode):
-    """A (local or upper-tier) aggregator plus exit classifier host.
-
-    The local aggregator is a lightweight gateway process: it fuses the
-    per-device class-score vectors and applies the entropy-threshold rule.
-    Aggregation work is negligible, so the default throughput is high.
+    """The local aggregator, a lightweight gateway: the device tier charges
+    it for fusing the per-device class scores into the local exit.  That
+    work is negligible, so it keeps the base class's high default
+    throughput.
     """
-
-    def __init__(self, name: str, aggregator: Aggregator, ops_per_second: float = 1e9) -> None:
-        super().__init__(name, ops_per_second)
-        self.aggregator = aggregator
-
-    def aggregate(self, device_outputs: Sequence[np.ndarray]) -> Tuple[np.ndarray, float]:
-        """Fuse device outputs; returns ``(fused_array, compute_seconds)``."""
-        arrays = [np.asarray(output, dtype=np.float64) for output in device_outputs]
-        with no_grad():
-            fused_data = self.aggregator([Tensor(array) for array in arrays]).data
-        operations = sum(array.size for array in arrays)
-        seconds = self._account(operations, samples=len(arrays[0]))
-        return fused_data, seconds
 
 
 class EdgeComputeNode(ComputeNode):
@@ -183,13 +144,11 @@ class EdgeComputeNode(ComputeNode):
     def __init__(
         self,
         name: str,
-        aggregator: Aggregator,
         model: EdgeModel,
         device_indices: Sequence[int],
         ops_per_second: float = 5e9,
     ) -> None:
         super().__init__(name, ops_per_second)
-        self.aggregator = aggregator
         self.model = model
         self.operations_per_sample = model.operations_per_sample
         self.device_indices = list(device_indices)
@@ -199,40 +158,16 @@ class EdgeComputeNode(ComputeNode):
         elements = self.model.output_channels * self.model.output_size ** 2
         return elements / BITS_PER_BYTE
 
-    def process(self, device_features: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, float]:
-        """Aggregate its devices' features and run the edge NN section."""
-        arrays = [np.asarray(f, dtype=np.float64) for f in device_features]
-        with no_grad():
-            aggregated = self.aggregator([Tensor(array) for array in arrays])
-            feature_map, logits = self.model(aggregated)
-        batch = len(arrays[0])
-        operations = self.operations_per_sample * batch
-        seconds = self._account(operations, samples=batch)
-        return feature_map.data, logits.data, seconds
-
 
 class CloudComputeNode(ComputeNode):
-    """The cloud node holding the final aggregator and the cloud NN section."""
+    """The cloud node holding the cloud NN section."""
 
     def __init__(
         self,
         name: str,
-        aggregator: Aggregator,
         model: CloudModel,
         ops_per_second: float = 5e10,
     ) -> None:
         super().__init__(name, ops_per_second)
-        self.aggregator = aggregator
         self.model = model
         self.operations_per_sample = model.operations_per_sample
-
-    def process(self, source_features: Sequence[np.ndarray]) -> Tuple[np.ndarray, float]:
-        """Aggregate incoming feature maps and produce the cloud exit logits."""
-        arrays = [np.asarray(f, dtype=np.float64) for f in source_features]
-        with no_grad():
-            aggregated = self.aggregator([Tensor(array) for array in arrays])
-            _, logits = self.model(aggregated)
-        batch = len(arrays[0])
-        operations = self.operations_per_sample * batch
-        seconds = self._account(operations, samples=batch)
-        return logits.data, seconds

@@ -53,9 +53,18 @@ DEFAULT_UPLINK = LinkSpec(bandwidth_bytes_per_s=250_000.0, latency_s=0.05)
 DEFAULT_EDGE_LINK = LinkSpec(bandwidth_bytes_per_s=500_000.0, latency_s=0.01)
 
 
-@dataclass
+@dataclass(eq=False)
 class HierarchyDeployment:
-    """All simulator objects for one partitioned DDNN."""
+    """All simulator objects for one partitioned DDNN.
+
+    Compared and hashed by identity: a deployment is single-threaded state
+    (its nodes' failure flags, its links' counters), so the simulated
+    serving workers over it share one compiled plan bundle per precision,
+    keyed by the deployment itself.  Simulated fabrics over one deployment
+    therefore must not be driven from different threads — they would write
+    the same arenas; run concurrent serving on the fabric's
+    ``backend="thread"``, or build one deployment per thread.
+    """
 
     model: DDNN
     devices: List[EndDeviceNode]

@@ -125,9 +125,9 @@ class PartitionPlan:
     ] = None
     #: Compiled compute mode per tier — a single mode (broadcast) or one
     #: entry per tier, e.g. ``("bitpacked", "float64")`` to run the device
-    #: tier on XNOR-popcount kernels while the cloud stays exact.  Only
-    #: consulted by compile-enabled consumers (the serving fabric and the
-    #: hierarchy runtime); the eager path always computes in float64.
+    #: tier on XNOR-popcount kernels while the cloud stays exact.  Fabrics
+    #: built from the plan (``DistributedServingFabric.from_plan``) compile
+    #: their tiers' plan bundles at these modes.
     precision: Union[str, Sequence[str]] = "float64"
     #: End-to-end latency objective per request, in seconds.  Fabrics built
     #: from the plan stamp every request with an absolute
@@ -275,18 +275,17 @@ class PartitionPlan:
 
         local_aggregator = None
         if model.has_local_exit:
-            local_aggregator = AggregatorNode(LOCAL_AGGREGATOR_NAME, model.local_aggregator)
+            local_aggregator = AggregatorNode(LOCAL_AGGREGATOR_NAME)
             for device in devices:
                 self.local_link.connect(fabric, device.name, LOCAL_AGGREGATOR_NAME)
 
         edges: List[EdgeComputeNode] = []
         if model.has_edge:
-            for edge_index, (aggregator, edge_model, group) in enumerate(
-                zip(model._edge_aggregators, model.edge_models, model.edge_device_groups)
+            for edge_index, (edge_model, group) in enumerate(
+                zip(model.edge_models, model.edge_device_groups)
             ):
                 edge = EdgeComputeNode(
                     f"edge-{edge_index}",
-                    aggregator,
                     edge_model,
                     device_indices=group,
                     ops_per_second=self.edge_ops_per_second,
@@ -300,10 +299,7 @@ class PartitionPlan:
                 self.uplink.connect(fabric, device.name, CLOUD_NAME)
 
         cloud = CloudComputeNode(
-            CLOUD_NAME,
-            model.cloud_aggregator,
-            model.cloud,
-            ops_per_second=self.cloud_ops_per_second,
+            CLOUD_NAME, model.cloud, ops_per_second=self.cloud_ops_per_second
         )
 
         return HierarchyDeployment(

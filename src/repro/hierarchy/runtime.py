@@ -32,7 +32,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.cascade import ExitCascade, Thresholds
+from ..core.cascade import ExitCascade, Thresholds, require_compiled
 from ..core.exits import ExitCriterion
 from ..core.oracle import InferenceResult
 from ..datasets.mvmc import MVMCDataset
@@ -57,27 +57,18 @@ class HierarchyRuntime:
         thresholds: Thresholds,
         fault_plan: Optional[FaultPlan] = None,
         batch_size: int = 64,
-        compile: bool = False,
+        compile: bool = True,
         precision: str = "float64",
     ) -> None:
-        if precision != "float64" and not compile:
-            raise ValueError(
-                f"precision='{precision}' requires compile=True: the eager "
-                "stack always computes in float64"
-            )
+        require_compiled(compile)
         self.deployment = deployment
         self.model = deployment.model
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self.batch_size = batch_size
-        # The cascade supplies criteria/routing; the tier sections own the
-        # forwards and take the compiled bundle (if any) as their default
-        # plan, so the shared deployment is never mutated.
-        self.cascade = ExitCascade.for_model(self.model, thresholds)
-        self.compiled = None
-        if compile:
-            from ..compile.cache import compiled_plan_for
-
-            self.compiled = compiled_plan_for(self.model, precision)
+        # The cascade supplies criteria/routing; each run's fabric runs the
+        # tier sections on the deployment's own plan bundle at this
+        # precision, compiled once and reused by every later run.
+        self.cascade = ExitCascade.for_model(self.model, thresholds, precision=precision)
 
     @property
     def criteria(self) -> List[ExitCriterion]:
@@ -104,9 +95,8 @@ class HierarchyRuntime:
             self.cascade.thresholds,
             workers_per_tier=1,
             batching=BatchingPolicy(max_batch_size=self.batch_size, max_wait_s=0.0),
-            sections=build_tier_sections(
-                self.deployment, self.fault_plan, compiled=self.compiled
-            ),
+            precision=self.cascade.precision,
+            sections=build_tier_sections(self.deployment, self.fault_plan),
         )
         responses = fabric.serve_dataset(dataset)
 

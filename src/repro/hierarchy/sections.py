@@ -43,15 +43,12 @@ to heterogeneous speeds.  The device tier charges from per-device vectors
 built once per set of ``failed`` flags, and a ``(D, n)`` delivery mask
 that is ``None`` unless the fault plan dropped a sample.
 
-A tier forward runs one of two ways: eagerly through the nodes' own
-``process`` methods, or through a :class:`~repro.compile.CompiledDDNN` plan
-bundle — handed to ``process`` per call (``plans=...``: the fabric gives
-every thread worker its own plan instances, so the compiled buffer arenas
-are thread-safe by construction, and lets the simulated workers of one
-event loop, which compute one at a time, share one) or, failing that, the
-section's own :attr:`TierSection.compiled` default (the
-``HierarchyRuntime(compile=True)`` path).  The deployment's nodes are never
-mutated to select one.  Under a bundle the device tier is *one* call: the
+A tier forward runs on a :class:`~repro.compile.CompiledDDNN` plan bundle
+handed to ``process`` per call: the fabric gives every thread worker its
+own bundle, so the compiled buffer arenas are thread-safe by construction,
+and lets the simulated workers over one deployment, which compute one at a
+time, share one.  The nodes only account: the section charges each node's
+ops model for the rows it computed.  The device tier is *one* call: the
 bundle's grouped program computes every device's branch on the
 device-major view of the batch, and failed devices and dropped samples are
 masks on its output.  A section copies what it keeps of a plan's output
@@ -66,7 +63,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.tensor import Tensor, no_grad
 from .faults import FaultPlan
 from .network import NetworkLink
 from .partition import CLOUD_NAME, LOCAL_AGGREGATOR_NAME, HierarchyDeployment
@@ -138,11 +134,9 @@ class TierSection:
     exit_index: Optional[int] = None
     #: Exit name matching ``exit_index`` ("" when the tier has no exit).
     exit_name: str = ""
-    #: Plan bundle :meth:`process` runs when called with ``plans=None``
-    #: (``None`` = the eager node forwards).
-    compiled = None
 
-    def process(self, payload, plans=None) -> SectionResult:
+    def process(self, payload, plans) -> SectionResult:
+        """Run the tier on a batch with ``plans``, a compiled plan bundle."""
         raise NotImplementedError
 
     def offload(self, carry, rows: np.ndarray) -> TransferResult:
@@ -228,9 +222,7 @@ class DeviceTierSection(TierSection):
             vectors = self._built = _DeviceVectors(self.deployment, self._uplink_destination)
         return vectors
 
-    def process(self, payload, plans=None) -> SectionResult:
-        if plans is None:
-            plans = self.compiled
+    def process(self, payload, plans) -> SectionResult:
         views = np.asarray(payload)
         batch = len(views)
 
@@ -288,18 +280,10 @@ class DeviceTierSection(TierSection):
         the ``(n, D, f, h, w)`` feature maps and ``(D, n, C)`` class scores,
         both the section's own arrays, and the live devices' compute seconds.
 
-        Eagerly that is each node's own ``process``; with a plan bundle the
-        whole tier is one call of its grouped program on the device-major
-        view of the batch, and a failed device accounts no compute.
+        The whole tier is one call of the bundle's grouped program on the
+        device-major view of the batch, and a failed device accounts no
+        compute.
         """
-        if plans is None:
-            outputs = [
-                device.process(views[:, index])
-                for index, device in enumerate(self.deployment.devices)
-            ]
-            features = np.stack([output[0] for output in outputs], axis=1)
-            scores = np.stack([output[1] for output in outputs])
-            return features, scores, [outputs[index][2] for index in vectors.live]
         batch = len(views)
         # No dtype force: the plans cast to their own precision mode's dtype
         # (float64 plans see the historical bit-exact input).
@@ -311,11 +295,9 @@ class DeviceTierSection(TierSection):
         return features.swapaxes(0, 1).copy(), scores.copy(), seconds
 
     def _aggregate(self, scores: np.ndarray, plans):
+        fused = plans.local_aggregator(scores.swapaxes(0, 1))
         aggregator = self.deployment.local_aggregator
-        if plans is not None and plans.local_aggregator is not None:
-            fused = plans.local_aggregator(scores.swapaxes(0, 1))
-            return fused, aggregator._account(scores.size, samples=scores.shape[1])
-        return aggregator.aggregate(list(scores))
+        return fused, aggregator._account(scores.size, samples=scores.shape[1])
 
     def offload(self, carry, rows: np.ndarray) -> TransferResult:
         features, delivered = carry
@@ -345,9 +327,7 @@ class EdgeTierSection(TierSection):
         self.exit_index = exit_index
         self.exit_name = "edge" if exit_index is not None else ""
 
-    def process(self, payload, plans=None) -> SectionResult:
-        if plans is None:
-            plans = self.compiled
+    def process(self, payload, plans) -> SectionResult:
         device_features = np.asarray(payload)
         deployment = self.deployment
         batch = len(device_features)
@@ -382,8 +362,6 @@ class EdgeTierSection(TierSection):
     def _edge_forward(self, edge, edge_index: int, group: np.ndarray, plans):
         """One edge's ``(features, logits, seconds)``; the features are read
         only until every edge has run (each edge has plans of its own)."""
-        if plans is None:
-            return edge.process(list(group.swapaxes(0, 1)))
         aggregated = plans.edge_aggregators[edge_index](group)
         features, logits = plans.edge_tiers[edge_index](aggregated)
         batch = len(group)
@@ -393,12 +371,7 @@ class EdgeTierSection(TierSection):
     def _fuse_exit_logits(self, edge_logit_list, plans):
         if len(edge_logit_list) == 1:
             return edge_logit_list[0]
-        if plans is not None and plans.edge_exit_aggregator is not None:
-            return plans.edge_exit_aggregator(np.stack(edge_logit_list, axis=1))
-        with no_grad():
-            return self.deployment.model.edge_exit_aggregator(
-                [Tensor(logits) for logits in edge_logit_list]
-            ).data
+        return plans.edge_exit_aggregator(np.stack(edge_logit_list, axis=1))
 
     def _uplinks(self):
         """The live edges, their cloud links and their feature sizes."""
@@ -431,9 +404,7 @@ class CloudTierSection(TierSection):
         self.exit_index = exit_index
         self.exit_name = "cloud"
 
-    def process(self, payload, plans=None) -> SectionResult:
-        if plans is None:
-            plans = self.compiled
+    def process(self, payload, plans) -> SectionResult:
         sources = np.asarray(payload)
         batch = len(sources)
         logits, seconds = self._cloud_forward(sources, plans)
@@ -449,8 +420,6 @@ class CloudTierSection(TierSection):
 
     def _cloud_forward(self, sources: np.ndarray, plans):
         cloud = self.deployment.cloud
-        if plans is None:
-            return cloud.process(list(sources.swapaxes(0, 1)))
         aggregated = plans.cloud_aggregator(sources)
         _, logits = plans.cloud(aggregated)
         batch = len(sources)
@@ -467,16 +436,9 @@ class CloudTierSection(TierSection):
 def build_tier_sections(
     deployment: HierarchyDeployment,
     fault_plan: Optional[FaultPlan] = None,
-    compiled=None,
     plan=None,
 ) -> List[TierSection]:
     """Decompose a deployment into its cascade tiers, in exit order.
-
-    ``compiled`` is an optional :class:`~repro.compile.CompiledDDNN` that
-    becomes every section's default plan bundle: ``process(payload)`` with no
-    explicit ``plans=`` then runs it instead of the eager node forwards (the
-    :class:`HierarchyRuntime` compile path).  One bundle serves one caller
-    at a time — concurrent workers pass their own ``plans=``.
 
     ``plan`` is an optional :class:`~repro.hierarchy.plan.PartitionPlan`
     that places the section boundary: a tier whose exit the plan disables
@@ -505,6 +467,4 @@ def build_tier_sections(
         next_exit += 1
         sections.append(EdgeTierSection(deployment, exit_index=edge_index))
     sections.append(CloudTierSection(deployment, exit_index=next_exit))
-    for section in sections:
-        section.compiled = compiled
     return sections

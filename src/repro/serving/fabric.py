@@ -12,10 +12,10 @@ The fabric is a discrete-event simulation on the shared
 
 * each cascade tier is a :class:`TierServer` — a FIFO queue, a
   :class:`~repro.serving.batcher.BatchingPolicy`, and ``N`` workers, each
-  executing the tier's :class:`~repro.hierarchy.sections.TierSection`
-  (eager, or on a compiled plan bundle: one per event loop and precision
-  for simulated workers, which compute one at a time on the loop's thread,
-  one per worker for thread workers, which compute concurrently);
+  executing the tier's :class:`~repro.hierarchy.sections.TierSection` on a
+  compiled plan bundle (one per deployment and precision for simulated
+  workers, which compute one at a time on the loop's thread, one per
+  worker for thread workers, which compute concurrently);
 * a batch occupies a worker for the section's modelled compute time (or an
   explicit :class:`~repro.serving.loadgen.ServiceModel` override), then its
   rows either exit — producing a :class:`FabricResponse` — or are offloaded
@@ -25,8 +25,8 @@ The fabric is a discrete-event simulation on the shared
 
 Workers are a pluggable backend (:mod:`repro.serving.workers`): the default
 ``backend="simulated"`` keeps the deterministic discrete-event slots above,
-while ``backend="thread"`` (with ``compile=True``) runs the same per-worker
-plan bundles on a real :class:`~concurrent.futures.ThreadPoolExecutor`
+while ``backend="thread"`` runs the same sections on per-worker plan
+bundles on a real :class:`~concurrent.futures.ThreadPoolExecutor`
 against a :class:`~repro.serving.clock.WallClock` — the same fabric script
 becomes a genuinely concurrent server whose throughput is a wall-clock
 number.  Exit decisions are byte-identical across backends; only timing
@@ -61,7 +61,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.cascade import ExitCascade, Thresholds
+from ..core.cascade import ExitCascade, Thresholds, require_compiled
 from ..core.exits import ExitCriterion
 from ..datasets.mvmc import MVMCDataset
 from ..hierarchy.faults import ChaosSchedule
@@ -126,6 +126,31 @@ class AdaptiveThreshold:
             raise ValueError(
                 f"relaxed_threshold must be in [0, 1], got {self.relaxed_threshold}"
             )
+
+
+def checked_views(model, views) -> np.ndarray:
+    """One sample's views as an array, validated against ``model``: shape
+    ``(num_devices, C, H, W)`` from its config and finite values (compiled
+    plans are specified for finite inputs only).  Serving entry points call
+    this on outside input before any of their state changes."""
+    views = np.asarray(views)
+    config = model.config
+    size = config.input_size
+    expected = (config.num_devices, config.input_channels, size, size)
+    if views.shape != expected:
+        raise ValueError(
+            f"views must have shape (num_devices, C, H, W) = {expected}, got {views.shape}"
+        )
+    if not np.isfinite(views).all():
+        raise ValueError("views must be finite (no NaN or infinity)")
+    return views
+
+
+def _finite(name: str, value, positive: bool = False) -> float:
+    value = float(value)
+    if not math.isfinite(value) or (positive and not value > 0.0):
+        raise ValueError(f"{name} must be finite{' and > 0' if positive else ''}, got {value}")
+    return value
 
 
 @dataclass
@@ -388,17 +413,20 @@ class DistributedServingFabric:
     batching:
         :class:`BatchingPolicy` per tier (single policy broadcasts).
     compile:
-        Run the tiers on compiled plan bundles (fused inference plans; same
-        decisions as eager): every simulated worker on the fabric's event
-        loop shares one bundle per precision, every thread worker owns one
-        (see :meth:`_worker_bundles`).
+        Must be ``True`` (the default): the tiers run on compiled plan
+        bundles — every simulated worker over the fabric's deployment
+        shares one bundle per precision, every thread worker owns one (see
+        :meth:`_worker_bundles`).  The eager reference is
+        ``ExitOracle.capture(compile=False)``.  Simulated fabrics built on
+        one deployment share that bundle's arenas, so they must not be
+        driven from different threads: run concurrent fabrics with
+        ``backend="thread"``, or give each thread a deployment of its own.
     precision:
         Compute mode(s) for the compiled bundles — a single mode
         (broadcast) or one per tier, so a bandwidth-starved device tier
         can run ``"bitpacked"`` or ``"float32"`` while the cloud stays
-        exact ``"float64"``.  Requires ``compile=True`` for non-default
-        modes.  Workers on tiers sharing a mode draw bundles from one
-        per-mode pool.
+        exact ``"float64"``.  Workers on tiers sharing a mode draw bundles
+        from one per-mode pool.
     sections:
         Pre-built tier sections (the hierarchy runtime passes sections that
         carry its fault plan); defaults to :func:`build_tier_sections`.
@@ -414,11 +442,10 @@ class DistributedServingFabric:
         discrete-event slots, the paper-table replay path, byte-identical
         to earlier releases) or ``"thread"`` (real
         :class:`~concurrent.futures.ThreadPoolExecutor` workers against a
-        :class:`~repro.serving.clock.WallClock`; requires ``compile=True``
-        because eager forwards share the process-wide ``no_grad`` switch).
-        The thread backend defaults ``clock`` to a fresh ``WallClock`` and
-        rejects a simulated one — wall-clock dispatch is what makes real
-        concurrency observable.
+        :class:`~repro.serving.clock.WallClock`).  The thread backend
+        defaults ``clock`` to a fresh ``WallClock`` and rejects a simulated
+        one — wall-clock dispatch is what makes real concurrency
+        observable.
     offload:
         :class:`~repro.serving.resilience.RetryPolicy` every offload to the
         next tier travels under: each attempt carries a deadline; on
@@ -474,7 +501,7 @@ class DistributedServingFabric:
         thresholds: Thresholds,
         workers_per_tier: Union[int, Sequence[int]] = 1,
         batching: Union[None, BatchingPolicy, Sequence[Optional[BatchingPolicy]]] = None,
-        compile: bool = False,
+        compile: bool = True,
         precision: Union[str, Sequence[str]] = "float64",
         clock: Union[None, SimulatedClock, WallClock] = None,
         sections: Optional[Sequence[TierSection]] = None,
@@ -490,6 +517,7 @@ class DistributedServingFabric:
         hedge: Optional[HedgePolicy] = None,
         events: Optional[EventLoop] = None,
     ) -> None:
+        require_compiled(compile)
         if capacity is not None and capacity < 1:
             raise ValueError(
                 f"capacity must be >= 1 (or None for unbounded), got {capacity}"
@@ -501,19 +529,13 @@ class DistributedServingFabric:
                     "mismatched pair (the loop already owns its clock)"
                 )
             clock = events.clock
-        if slo_s is not None and not slo_s > 0.0:
-            raise ValueError(f"slo_s must be > 0 (or None for no SLO), got {slo_s}")
+        if slo_s is not None:
+            slo_s = _finite("slo_s", slo_s, positive=True)
         if backend not in WORKER_POOL_BACKENDS:
             raise ValueError(
                 f"unknown backend '{backend}' (choose from {WORKER_POOL_BACKENDS})"
             )
         if backend == "thread":
-            if not compile:
-                raise ValueError(
-                    "backend='thread' requires compile=True: eager forwards "
-                    "toggle the process-wide no_grad switch and are not "
-                    "thread-safe; compiled plan bundles are"
-                )
             if clock is None:
                 clock = WallClock()
             elif not isinstance(clock, WallClock):
@@ -531,7 +553,6 @@ class DistributedServingFabric:
         self.cascade = ExitCascade.for_model(self.model, thresholds)
         self.events = events if events is not None else EventLoop(clock)
         self.adaptive = adaptive
-        self.compile_enabled = bool(compile)
         self.backend = backend
 
         if sections is None:
@@ -556,11 +577,6 @@ class DistributedServingFabric:
                 raise ValueError(
                     f"unknown precision {mode!r}; expected one of {PRECISIONS}"
                 )
-        if any(mode != "float64" for mode in precisions) and not compile:
-            raise ValueError(
-                "per-tier precision other than 'float64' requires compile=True: "
-                "the eager stack always computes in float64"
-            )
         self.precisions = precisions
 
         #: Thread-backend bundles per precision, one per worker slot (see
@@ -569,14 +585,11 @@ class DistributedServingFabric:
         self.tiers: List[TierServer] = []
         for index, section in enumerate(self.sections):
             count = int(workers[index]) if workers[index] is not None else 1
-            plans = (
-                self._worker_bundles(precisions[index], count) if self.compile_enabled else None
-            )
             pool = make_worker_pool(
                 backend,
                 self.events,
                 num_workers=count,
-                worker_plans=plans,
+                worker_plans=self._worker_bundles(precisions[index], count),
                 name=section.tier_name,
             )
             self.tiers.append(
@@ -616,7 +629,7 @@ class DistributedServingFabric:
         self._started_at = self.clock.now
         #: Default end-to-end SLO budget stamped on every submission
         #: (per-call ``slo_s`` overrides; ``None`` = no deadline).
-        self.slo_s = None if slo_s is None else float(slo_s)
+        self.slo_s = slo_s
         #: Earliest-deadline-first batch formation at every tier.
         self.edf = bool(edf)
 
@@ -841,24 +854,24 @@ class DistributedServingFabric:
         deadline travels with the request across tiers — and across
         replicas when a hedge wins.
         """
-        when = self.clock.now if at is None else float(at)
-        slo = self.slo_s if slo_s is None else float(slo_s)
+        # The whole call is validated before any id, counter or timer moves.
+        when = self.clock.now if at is None else _finite("at", at)
+        slo = self.slo_s if slo_s is None else _finite("slo_s", slo_s, positive=True)
         if targets is None:
             targets = [None] * len(views_list)
         if len(targets) != len(views_list):
             raise ValueError("targets must align with views_list")
+        checked = [
+            (checked_views(self.model, views), None if target is None else int(target))
+            for views, target in zip(views_list, targets)
+        ]
         requests = []
-        for views, target in zip(views_list, targets):
-            views = np.asarray(views)
-            if views.ndim != 4:
-                raise ValueError(
-                    f"views must have shape (num_devices, C, H, W), got {views.shape}"
-                )
+        for views, target in checked:
             request = FabricRequest(
                 request_id=self._ids.take(),
                 client_id=client_id,
                 views=views,
-                target=None if target is None else int(target),
+                target=target,
                 submit_time=when,
             )
             if slo is not None:
@@ -967,8 +980,8 @@ class DistributedServingFabric:
 
         As in :meth:`DDNNServer.offer
         <repro.serving.server.DDNNServer.offer>`, the sample is evaluated
-        through the cascade's first exit directly (compiled plan when the
-        fabric compiles, eager otherwise) with no hierarchy byte/latency
+        through the cascade's first exit directly, on the process-wide
+        compiled plan, with no hierarchy byte/latency
         accounting — a shed answer is produced at the ingress, before the
         request ever enters the tier plane.  With ``degraded=True`` the same
         first-exit evaluation serves an offload failover whose journey never
@@ -976,9 +989,7 @@ class DistributedServingFabric:
         instead of ``shed``.
         """
         exit_index = self._require_first_exit(failover=degraded)
-        decision = self.cascade.first_exit(
-            self.model, request.views[None], compile=self.compile_enabled
-        )
+        decision = self.cascade.first_exit(self.model, request.views[None])
         return self._finalize(
             request,
             now,
@@ -1159,7 +1170,7 @@ class DistributedServingFabric:
             # compute on the executor and complete when genuinely done.
             tier.pool.execute(
                 worker,
-                task=lambda plans, s=tier.section, p=payload: s.process(p, plans=plans),
+                task=lambda plans, s=tier.section, p=payload: s.process(p, plans),
                 service_for=lambda result, t=tier, n=len(batch): t.service_time(
                     n, result.service_s
                 ),
@@ -1586,14 +1597,11 @@ class DistributedServingFabric:
             for tier in self.tiers
         }
 
-        # Rebuild the sections at the new boundary.  The fault plan and the
-        # sections' default plan bundle carry over from the running sections
-        # so behaviour other than the boundary is unchanged.
+        # Rebuild the sections at the new boundary.  The fault plan carries
+        # over from the running sections so behaviour other than the
+        # boundary is unchanged.
         new_sections = build_tier_sections(
-            self.deployment,
-            fault_plan=self.sections[0].fault_plan,
-            compiled=self.sections[0].compiled,
-            plan=plan,
+            self.deployment, fault_plan=self.sections[0].fault_plan, plan=plan
         )
         if new_sections[-1].exit_index is None:
             raise ValueError("the final tier must carry the cascade's final exit")
@@ -1632,11 +1640,17 @@ class DistributedServingFabric:
         """Compiled bundles at precision ``mode`` for ``count`` new workers.
 
         Simulated workers run every forward inline on the event loop's
-        thread, one at a time, so every simulated worker on one loop — this
-        fabric's and its sibling replicas' — shares the loop's one bundle
-        per precision (:func:`~repro.compile.cache.scoped_plan_for`; like
-        every cached plan it is dropped by ``invalidate_plan(model)``, so a
-        fabric built after retraining and invalidating gets fresh weights).
+        thread, one at a time, and a deployment is single-threaded state
+        (simulated fabrics over one deployment must not be driven from
+        different threads: they would write the same arenas), so
+        every simulated worker over one deployment — of this fabric and of
+        every fabric built on it, e.g. each run of a
+        :class:`~repro.hierarchy.runtime.HierarchyRuntime` — shares the
+        deployment's one bundle per precision
+        (:func:`~repro.compile.cache.scoped_plan_for`; like every cached
+        plan it is dropped by ``invalidate_plan(model)``, so a fabric built
+        after retraining and invalidating gets fresh weights).  Replicas
+        each own a deployment, so each holds its own bundle.
         Thread workers compute concurrently: each *slot* gets a bundle of
         its own, none of those the tier's workers already hold (``in_use``:
         their ids), from one pool per precision that tiers share (tier t's
@@ -1647,7 +1661,7 @@ class DistributedServingFabric:
         from ..compile.cache import scoped_plan_for
 
         if self.backend == "simulated":
-            return [scoped_plan_for(self.model, mode, self.events)] * count
+            return [scoped_plan_for(self.model, mode, self.deployment)] * count
         pool = self._bundles.setdefault(mode, [])
         spare = [bundle for bundle in pool if id(bundle) not in in_use]
         while len(spare) < count:
@@ -1660,7 +1674,7 @@ class DistributedServingFabric:
         workers get bundles from :meth:`_worker_bundles`)."""
         tier = self.tiers[tier_index]
         current = len(tier.pool)
-        if num_workers > current and self.compile_enabled:
+        if num_workers > current:
             in_use = {id(worker.plans) for worker in tier.pool.workers}
             added = self._worker_bundles(
                 self.precisions[tier_index], num_workers - current, in_use

@@ -33,7 +33,7 @@ from typing import Callable, Deque, List, Optional
 
 import numpy as np
 
-from ..core.cascade import ExitCascade, Thresholds
+from ..core.cascade import ExitCascade, Thresholds, require_compiled
 from ..core.ddnn import DDNN
 from ..core.oracle import ExitOracle
 from ..datasets.mvmc import MVMCDataset
@@ -47,7 +47,7 @@ from .admission import (
     admit,
 )
 from .batcher import BatchingPolicy
-from .fabric import FabricRequest, FabricResponse
+from .fabric import FabricRequest, FabricResponse, checked_views
 
 __all__ = ["DDNNServer"]
 
@@ -74,16 +74,13 @@ class DDNNServer:
         Full-queue policy (reject / drop-oldest / shed-to-local-exit);
         only consulted when ``capacity`` is set.
     compile:
-        If ``True``, every forward (micro-batches *and* the shed-to-local
-        fast path) runs through the :mod:`repro.compile` fused inference
-        plan — same predictions and exit routing as the eager stack,
-        substantially higher throughput at serving batch sizes.
+        Must be ``True`` (the default): every forward (micro-batches *and*
+        the shed-to-local fast path) runs through the :mod:`repro.compile`
+        fused inference plan.  The eager reference is
+        ``ExitOracle.capture(compile=False)``.
     precision:
-        Compute mode for the compiled path — ``"float64"`` (exact,
+        Compute mode of the compiled plan — ``"float64"`` (exact,
         default), ``"float32"`` (tolerance mode) or ``"bitpacked"``.
-        Requires ``compile=True`` for the non-default modes: the eager
-        stack has no reduced-precision path, so a server that silently
-        ignored the knob would misreport what it serves.
     """
 
     def __init__(
@@ -94,20 +91,14 @@ class DDNNServer:
         clock: Callable[[], float] = time.perf_counter,
         capacity: Optional[int] = None,
         admission: Optional[AdmissionPolicy] = None,
-        compile: bool = False,
+        compile: bool = True,
         precision: str = "float64",
     ) -> None:
-        if precision != "float64" and not compile:
-            raise ValueError(
-                f"precision='{precision}' requires compile=True: the eager "
-                "stack always computes in float64"
-            )
+        require_compiled(compile)
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1 (or None for unbounded), got {capacity}")
         self.model = model
-        self.cascade = ExitCascade.for_model(
-            model, thresholds, compile=compile, precision=precision
-        )
+        self.cascade = ExitCascade.for_model(model, thresholds, precision=precision)
         self.precision = precision
         self.clock = clock
         self.policy = policy if policy is not None else BatchingPolicy()
@@ -151,13 +142,7 @@ class DDNNServer:
         the cascade's first (local) exit — bounded latency, degraded
         confidence — and the answer is the result's ``response``.
         """
-        views = np.asarray(views)
-        if views.ndim != 4:
-            raise ValueError(
-                f"views must have shape (num_devices, C, H, W), got {views.shape}"
-            )
-        if not np.isfinite(views).all():
-            raise ValueError("views must be finite (no NaN or infinity)")
+        views = checked_views(self.model, views)
         outcome, evicted = admit(
             self.queue, self.capacity, self.admission, self.admission_stats
         )
@@ -241,14 +226,9 @@ class DDNNServer:
         """Run one already-popped micro-batch through the cascade."""
         views = np.stack([request.views for request in batch])
         cascade = self.cascade
-        if cascade.compile_enabled:
-            cascade.compiled_for(self.model)  # what cascade.invalidate_compiled() evicts
+        cascade.compiled_for(self.model)  # what cascade.invalidate_compiled() evicts
         routed = ExitOracle.capture(
-            self.model,
-            views,
-            batch_size=len(batch),
-            compile=cascade.compile_enabled,
-            precision=self.precision,
+            self.model, views, batch_size=len(batch), precision=self.precision
         ).route(cascade.thresholds)
         completion_time = self.clock()
         return [

@@ -63,7 +63,7 @@ class WorkerHandle:
 
     index: int
     busy_until: float = 0.0
-    plans: object = None  # CompiledDDNN bundle (compile=True only)
+    plans: object = None  # the CompiledDDNN bundle this worker's forwards run on
     #: Crashed by a chaos schedule: the slot exists but takes no work until
     #: its crash window closes (see :meth:`WorkerPool.apply_offline`).
     offline: bool = False

@@ -169,7 +169,7 @@ class TestServiceModel:
     def test_calibration_needs_a_full_batch_of_views(self, trained_ddnn, tiny_test):
         """Four views cannot time a 32-row batch: the fit used to run on a
         4-row batch and report a per-sample cost ten times too small."""
-        server = DDNNServer(trained_ddnn, 0.8, compile=True)
+        server = DDNNServer(trained_ddnn, 0.8)
         with pytest.raises(ValueError, match="batch_size"):
             ServiceModel.from_plan_timings(server, tiny_test.images[:4], batch_size=32)
         fitted = ServiceModel.from_plan_timings(

@@ -42,7 +42,6 @@ GOLDEN_DEFAULTS = {
         "num_requests": 240,
         "max_batch_size": 8,
         "seed": 0,
-        "compiled": False,
         "backend": "simulated",
         "calibrate": False,
         "output_dir": None,

@@ -227,7 +227,7 @@ def test_routing_identical_across_thresholds_and_batch_sizes(threshold):
 
 def test_compiled_plan_cache_and_invalidate():
     model, views = _warmed_model()
-    cascade = ExitCascade.for_model(model, 0.8, compile=True)
+    cascade = ExitCascade.for_model(model, 0.8)
     first = cascade.compiled_for(model)
     assert cascade.compiled_for(model) is first
     cascade.invalidate_compiled()
@@ -251,9 +251,9 @@ def test_arena_keeps_buffers_per_batch_shape():
 
 
 def test_hierarchy_runtime_scopes_compiled_attachment_to_run():
-    """The compiled bundle lives on the runtime's own tier sections: a
-    shared deployment is never mutated, so eager and compiled runtimes can
-    alternate over it and stay equivalent."""
+    """The compiled bundle lives with each run's fabric, keyed by the
+    deployment: a run never mutates the deployment's nodes, so runtimes
+    can alternate over one deployment and stay equivalent."""
     from repro.datasets.mvmc import DEFAULT_DEVICE_PROFILES, MVMCDataset
     from repro.hierarchy.partition import partition_ddnn
     from repro.hierarchy.runtime import HierarchyRuntime
@@ -266,8 +266,8 @@ def test_hierarchy_runtime_scopes_compiled_attachment_to_run():
         profiles=DEFAULT_DEVICE_PROFILES[: views.shape[1]],
     )
     deployment = partition_ddnn(model)
-    fast = HierarchyRuntime(deployment, 0.8, compile=True)
-    eager = HierarchyRuntime(deployment, 0.8)
+    first = HierarchyRuntime(deployment, 0.8)
+    second = HierarchyRuntime(deployment, 0.8)
 
     nodes = [
         *deployment.devices,
@@ -276,12 +276,12 @@ def test_hierarchy_runtime_scopes_compiled_attachment_to_run():
         deployment.cloud,
     ]
     before = [dict(vars(node)) for node in nodes]
-    fast_result = fast.run(dataset)
-    # A compiled run selects its forward path without touching any node.
+    first_result = first.run(dataset)
+    # A run selects its plan bundle without touching any node.
     assert [dict(vars(node)) for node in nodes] == before
-    eager_result = eager.run(dataset)
-    np.testing.assert_array_equal(fast_result.predictions, eager_result.predictions)
-    assert fast_result.exit_names_per_sample == eager_result.exit_names_per_sample
+    second_result = second.run(dataset)
+    np.testing.assert_array_equal(first_result.predictions, second_result.predictions)
+    assert first_result.exit_names_per_sample == second_result.exit_names_per_sample
 
 
 class TestPlanTiming:
@@ -330,7 +330,7 @@ class TestPlanTiming:
         from repro.serving import DDNNServer, ServiceModel
 
         model, views = _warmed_model()
-        server = DDNNServer(model, 0.8, compile=True)
+        server = DDNNServer(model, 0.8)
         model = ServiceModel.from_plan_timings(
             server, views[0], batch_size=4, repeats=2
         )

@@ -243,7 +243,7 @@ class TestOracleFabricParity:
         oracle = ExitOracle.capture(trained_ddnn, tiny_test, precision=mode)
         routed = oracle.route(threshold)
         runtime = HierarchyRuntime(
-            partition_ddnn(trained_ddnn), threshold, compile=True, precision=mode
+            partition_ddnn(trained_ddnn), threshold, precision=mode
         )
         result = runtime.run(tiny_test)
         np.testing.assert_array_equal(routed.predictions, result.predictions)
@@ -292,12 +292,12 @@ class TestConsumerValidation:
         with pytest.raises(ValueError, match="unknown precision"):
             ExitOracle.capture(trained_ddnn, tiny_test, precision="tf32")
 
-    def test_server_requires_compile_for_reduced_precision(self, trained_ddnn):
+    def test_server_takes_a_reduced_precision(self, trained_ddnn):
         from repro.serving import DDNNServer
 
-        with pytest.raises(ValueError):
-            DDNNServer(trained_ddnn, 0.8, compile=False, precision="float32")
-        server = DDNNServer(trained_ddnn, 0.8, compile=True, precision="float32")
+        with pytest.raises(ValueError, match="unknown precision"):
+            DDNNServer(trained_ddnn, 0.8, precision="tf32")
+        server = DDNNServer(trained_ddnn, 0.8, precision="float32")
         assert server.precision == "float32"
 
     def test_fabric_per_tier_modes_validated(self, trained_ddnn):
@@ -306,13 +306,7 @@ class TestConsumerValidation:
 
         deployment = PartitionPlan(trained_ddnn).materialize()
         with pytest.raises(ValueError):
-            DistributedServingFabric(
-                deployment, 0.8, compile=True, precision="float128"
-            )
-        with pytest.raises(ValueError):
-            DistributedServingFabric(
-                deployment, 0.8, compile=False, precision="float32"
-            )
+            DistributedServingFabric(deployment, 0.8, precision="float128")
 
     def test_fabric_from_plan_mixed_modes_serves(self, trained_ddnn, tiny_test):
         from repro.hierarchy.plan import PartitionPlan
@@ -320,27 +314,34 @@ class TestConsumerValidation:
 
         plan = PartitionPlan(trained_ddnn)
         plan.precision = ("bitpacked",) + ("float64",) * (plan.num_tiers - 1)
-        fabric = DistributedServingFabric.from_plan(plan, 0.8, compile=True)
+        fabric = DistributedServingFabric.from_plan(plan, 0.8)
         assert list(fabric.precisions) == list(plan.precisions())
         # from_plan derives modes from the plan; an explicit kwarg conflicts.
         with pytest.raises(ValueError, match="precision"):
-            DistributedServingFabric.from_plan(
-                plan, 0.8, compile=True, precision="float64"
-            )
+            DistributedServingFabric.from_plan(plan, 0.8, precision="float64")
         responses = fabric.serve_dataset(tiny_test)
         baseline = ExitOracle.capture(trained_ddnn, tiny_test, compile=False).route(0.8)
         np.testing.assert_array_equal(
             np.array([r.prediction for r in responses]), baseline.predictions
         )
 
-    def test_hierarchy_runtime_requires_compile(self, trained_ddnn):
+    def test_hierarchy_runtime_rejects_unknown_mode(self, trained_ddnn):
         from repro.hierarchy import partition_ddnn
         from repro.hierarchy.runtime import HierarchyRuntime
 
-        with pytest.raises(ValueError):
-            HierarchyRuntime(
-                partition_ddnn(trained_ddnn), 0.8, compile=False, precision="float32"
-            )
+        with pytest.raises(ValueError, match="unknown precision"):
+            HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8, precision="float128")
+
+    def test_hierarchy_runtime_takes_a_reduced_precision(self, trained_ddnn, tiny_test):
+        from repro.hierarchy import partition_ddnn
+        from repro.hierarchy.runtime import HierarchyRuntime
+
+        runtime = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8, precision="float32")
+        result = runtime.run(tiny_test)
+        routed = ExitOracle.capture(trained_ddnn, tiny_test, precision="float32").route(0.8)
+        np.testing.assert_array_equal(result.predictions, routed.predictions)
+        np.testing.assert_array_equal(result.exit_indices, routed.exit_indices)
+        np.testing.assert_array_equal(result.entropies, routed.entropies)
 
     def test_partition_plan_precisions_broadcast_and_validate(self, trained_ddnn):
         from repro.hierarchy.plan import PartitionPlan

@@ -15,6 +15,7 @@ from repro.serving import (
     DDNNServer,
     DistributedServingFabric,
     EventLoop,
+    LoadBalancer,
     PoissonProcess,
     SimulatedClock,
 )
@@ -74,8 +75,10 @@ class TestEventLoop:
 class TestFabricEquivalence:
     def test_two_tier_multiworker_matches_eager_baseline(self, trained_ddnn, tiny_test):
         """Acceptance: >=2 tiers, N>=2 workers, link delays on — exit
-        decisions byte-identical to the oracle on the monolithic model."""
+        decisions byte-identical to the compiled oracle on the monolithic
+        model, predictions and exits equal to the eager reference's."""
         baseline = ExitOracle.capture(trained_ddnn, tiny_test.images, compile=False).route(0.8)
+        compiled = ExitOracle.capture(trained_ddnn, tiny_test.images).route(0.8)
         fabric = DistributedServingFabric(
             partition_ddnn(trained_ddnn),
             0.8,
@@ -86,7 +89,7 @@ class TestFabricEquivalence:
         predictions, exits, entropies = _decisions(fabric.serve_dataset(tiny_test))
         np.testing.assert_array_equal(predictions, baseline.predictions)
         np.testing.assert_array_equal(exits, baseline.exit_indices)
-        np.testing.assert_array_equal(entropies, baseline.entropies)
+        np.testing.assert_array_equal(entropies, compiled.entropies)
 
     def test_worker_count_invariance(self, trained_ddnn, tiny_test):
         """N-worker results equal 1-worker results up to response ordering."""
@@ -108,11 +111,10 @@ class TestFabricEquivalence:
             partition_ddnn(trained_ddnn),
             0.8,
             workers_per_tier=2,
-            compile=True,
             batching=BatchingPolicy(max_batch_size=8, max_wait_s=0.0),
         )
         # Simulated workers compute one at a time on the loop's thread: every
-        # worker of every tier runs the loop's one bundle.
+        # worker of every tier runs the deployment's one bundle.
         bundles = {id(worker.plans) for tier in fabric.tiers for worker in tier.workers}
         assert len(bundles) == 1 and fabric.tiers[0].workers[0].plans is not None
         predictions, exits, _ = _decisions(fabric.serve_dataset(tiny_test))
@@ -283,6 +285,84 @@ class TestOpenLoopAndAdaptive:
             AdaptiveThreshold(depth_trigger=0)
         with pytest.raises(ValueError):
             AdaptiveThreshold(depth_trigger=4, relaxed_threshold=1.5)
+
+
+class TestSubmitValidation:
+    """A bad submission is refused whole, before any id, counter or timer
+    moves: shape ``(num_devices, C, H, W)`` from the model's config, finite
+    views, finite ``at`` and ``slo_s``."""
+
+    @staticmethod
+    def _fabric(model, **kwargs):
+        return DistributedServingFabric(
+            partition_ddnn(model),
+            0.8,
+            batching=BatchingPolicy(max_batch_size=4, max_wait_s=0.0),
+            **kwargs,
+        )
+
+    def _refused(self, model, good, call, match, **kwargs):
+        fabric = self._fabric(model, **kwargs)
+        with pytest.raises(ValueError, match=match):
+            call(fabric)
+        assert fabric.offered == 0 and fabric.admission_stats.offered == 0
+        assert len(fabric.events) == 0
+        # The next good submission is the fabric's first, and is answered.
+        assert fabric.submit(good) == 0
+        assert len(fabric.run_until_idle()) == 1
+        assert fabric.offered == fabric.admission_stats.offered == 1
+
+    def test_non_finite_arrival_time(self, trained_ddnn, tiny_test):
+        good = tiny_test.images[0]
+        for at in (float("nan"), float("inf")):
+            self._refused(trained_ddnn, good, lambda f: f.submit_many([good, good], at=at), "at")
+
+    def test_bad_slo_budget(self, trained_ddnn, tiny_test):
+        good = tiny_test.images[0]
+        for slo in (float("nan"), float("inf"), 0.0):
+            self._refused(trained_ddnn, good, lambda f: f.submit(good, slo_s=slo), "slo_s")
+
+    def test_a_bad_view_late_in_the_call_arms_no_timer(self, trained_ddnn, tiny_test):
+        good = tiny_test.images[0]
+        self._refused(
+            trained_ddnn, good, lambda f: f.submit_many([good, good[0]]), "shape", slo_s=0.5
+        )
+
+    def test_a_view_with_a_nan_pixel(self, trained_ddnn, tiny_test):
+        good = tiny_test.images[0]
+        bad = good.copy()
+        bad[1, 0, 3, 3] = np.nan
+        self._refused(trained_ddnn, good, lambda f: f.submit_many([good, bad]), "finite")
+
+    def test_a_view_with_an_infinite_pixel(self, trained_ddnn, tiny_test):
+        good = tiny_test.images[0]
+        bad = good.copy()
+        bad[0, 2, 0, 0] = -np.inf
+        self._refused(trained_ddnn, good, lambda f: f.submit(bad), "finite")
+
+    def test_a_view_missing_devices(self, trained_ddnn, tiny_test):
+        good = tiny_test.images[0]
+        self._refused(trained_ddnn, good, lambda f: f.submit(good[:-1]), "num_devices")
+
+    def test_a_batched_view(self, trained_ddnn, tiny_test):
+        good = tiny_test.images[0]
+        self._refused(trained_ddnn, good, lambda f: f.submit(good[None]), "shape")
+
+    def test_a_balancer_refuses_a_bad_call_whole(self, trained_ddnn, tiny_test):
+        good = tiny_test.images[0]
+        balancer = LoadBalancer([self._fabric(trained_ddnn), self._fabric(trained_ddnn)])
+        with pytest.raises(ValueError, match="finite"):
+            balancer.submit_many([good, good], at=float("nan"))
+        assert balancer.assignments == [0, 0] and balancer.pick() == 0
+        assert [replica.offered for replica in balancer.replicas] == [0, 0]
+        assert balancer.submit(good) == (0, 0)
+        assert balancer.submit(good) == (1, 0)
+
+    def test_the_server_checks_the_device_count_too(self, trained_ddnn, tiny_test):
+        server = DDNNServer(trained_ddnn, 0.8)
+        with pytest.raises(ValueError, match="num_devices"):
+            server.offer(tiny_test.images[0][:-1])
+        assert server.admission_stats.offered == 0 and not server.queue
 
 
 class TestIngressAdmission:
@@ -456,7 +536,6 @@ class TestFabricLifetime:
             0.8,
             workers_per_tier=2,
             batching=BatchingPolicy(max_batch_size=4, max_wait_s=0.002),
-            compile=True,
             **kwargs,
         )
 
@@ -493,7 +572,6 @@ class TestFabricLifetime:
                 plan,
                 0.8,
                 batching=BatchingPolicy(max_batch_size=4, max_wait_s=0.002),
-                compile=True,
                 offload=RetryPolicy(deadline_s=0.05, max_retries=1, seed=0) if hedged else None,
             )
 

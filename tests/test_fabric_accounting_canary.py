@@ -74,7 +74,6 @@ def _steady(model, views):
         THRESHOLD,
         workers_per_tier=2,
         batching=BatchingPolicy(max_batch_size=8, max_wait_s=0.005),
-        compile=True,
         service_models=[
             ServiceModel(batch_overhead_s=0.002, per_sample_s=0.001),
             ServiceModel(batch_overhead_s=0.001, per_sample_s=0.0005),
@@ -95,7 +94,6 @@ def _chaos(model, views):
         plan,
         THRESHOLD,
         batching=BatchingPolicy(max_batch_size=4, max_wait_s=0.004),
-        compile=True,
         service_models=[ServiceModel(batch_overhead_s=0.002, per_sample_s=0.004)] * 2,
         offload=RetryPolicy(
             deadline_s=deadline,

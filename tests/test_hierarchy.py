@@ -222,22 +222,47 @@ class TestHierarchyRuntime:
             HierarchyRuntime(partition_ddnn(trained_ddnn), [0.1, 0.2, 0.3, 0.4])
 
 
-# Predictions, exits ("l"ocal / "c"loud) and bytes per sample recorded at the
-# commit before the node-attached compiled forward and the per-delay offload
-# grouping were deleted (trained_ddnn fixture, threshold 0.8, seed 5, one
-# batch of 28) — where eager and compiled runs already agreed.
-_INTERMITTENT_RECORDED = {
+# Predictions, exits ("l"ocal / "c"loud), bytes per sample and, where
+# recorded, per-device (samples, compute seconds, bytes sent) of the
+# trained_ddnn fixture at threshold 0.8, one batch of 28.  The intermittent
+# runs were recorded at the commit before the node-attached compiled forward
+# and the per-delay offload grouping were deleted, the rest from the eager
+# per-device tier forward; eager and compiled tiers agreed on every one.
+_RECORDED_RUNS = {
     "every-device-0.6": (
-        {0: 0.6, 1: 0.6, 2: 0.6, 3: 0.6},
+        FaultPlan(intermittent={0: 0.6, 1: 0.6, 2: 0.6, 3: 0.6}, seed=5),
         [2, 2, 0, 2, 2, 2, 2, 2, 1, 0, 0, 2, 0, 2, 2, 2, 2, 2, 0, 2, 1, 1, 2, 1, 0, 2, 2, 2],
         "lclcccclcllcllcccclccccclccc",
         [24, 152, 24, 76, 76, 0, 76, 24, 152, 24, 36, 76, 24, 24, 76, 152, 152, 152, 24, 76, 76, 152, 152, 76, 36, 228, 0, 152],
+        None,
     ),
     "one-device-0.3": (
-        {1: 0.3},
+        FaultPlan(intermittent={1: 0.3}, seed=5),
         [1, 1, 0, 2, 2, 2, 2, 2, 0, 0, 0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 2],
         "clccccclcllclccccclclllllclc",
         [304, 48, 304, 228, 228, 304, 304, 36, 228, 48, 48, 228, 48, 304, 304, 304, 304, 304, 48, 228, 48, 36, 48, 36, 48, 304, 36, 304],
+        None,
+    ),
+    "failed-device": (
+        FaultPlan(failed_devices={1}),
+        [1, 1, 2, 2, 2, 2, 2, 2, 0, 0, 0, 1, 0, 2, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2],
+        "clccccclcllclccllclclllllllc",
+        [228, 36, 228, 228, 228, 228, 228, 36, 228, 36, 36, 228, 36, 228, 228, 36, 36, 228, 36, 228, 36, 36, 36, 36, 36, 36, 36, 228],
+        [(28, 0.00089768, 1168.0), (0, 0.0, 0.0), (28, 0.00089768, 1168.0), (28, 0.00089768, 1168.0)],
+    ),
+    "intermittent": (
+        FaultPlan(intermittent={0: 0.3, 2: 0.6}, seed=9),
+        [1, 1, 2, 2, 1, 2, 1, 2, 1, 0, 0, 1, 0, 1, 0, 2, 0, 1, 1, 2, 0, 0, 0, 0, 0, 1, 1, 2],
+        "ccccccclcllclccccccclllllccc",
+        [304, 152, 228, 304, 228, 304, 228, 36, 152, 48, 36, 152, 24, 304, 304, 228, 304, 304, 152, 228, 24, 36, 36, 36, 48, 304, 304, 228],
+        [(28, 0.00089768, 1224.0), (28, 0.00089768, 1552.0), (28, 0.00089768, 708.0), (28, 0.00089768, 1552.0)],
+    ),
+    "both": (
+        FaultPlan(failed_devices={2}, intermittent={1: 0.5}, seed=4),
+        [2, 2, 2, 2, 1, 2, 1, 2, 1, 0, 0, 0, 0, 2, 2, 0, 2, 2, 0, 2, 0, 0, 0, 0, 2, 0, 1, 2],
+        "lcclccclcclclcclccccllllclcc",
+        [36, 228, 228, 24, 228, 152, 228, 24, 228, 228, 36, 152, 24, 228, 228, 24, 228, 228, 152, 228, 36, 36, 36, 24, 152, 24, 228, 228],
+        [(28, 0.00089768, 1424.0), (28, 0.00089768, 1048.0), (0, 0.0, 0.0), (28, 0.00089768, 1424.0)],
     ),
 }
 #: Path latency by route: local exit, cloud exit, and cloud exit for a
@@ -246,20 +271,24 @@ _LOCAL_S, _CLOUD_S, _CLOUD_UNSENT_S = 0.002044072, 0.052300103540000004, 4.35400
 
 
 class TestIntermittentFaultReplay:
-    @pytest.mark.parametrize("compile", [False, True], ids=["eager", "compiled"])
-    @pytest.mark.parametrize("scenario", sorted(_INTERMITTENT_RECORDED))
-    def test_matches_recorded_run(self, trained_ddnn, tiny_test, scenario, compile):
-        intermittent, predictions, exits, sent = _INTERMITTENT_RECORDED[scenario]
-        runtime = HierarchyRuntime(
-            partition_ddnn(trained_ddnn),
-            0.8,
-            fault_plan=FaultPlan(intermittent=intermittent, seed=5),
-            compile=compile,
-        )
-        result = runtime.run(tiny_test)
+    """Intermittent and permanent device faults.  The compiled device tier
+    is one grouped program: a failed device and dropped samples are masks
+    on its output, and must account — answers, bytes on the wire, per-node
+    work — exactly as the recorded runs did."""
+
+    @pytest.mark.parametrize("scenario", sorted(_RECORDED_RUNS))
+    def test_matches_recorded_run(self, trained_ddnn, tiny_test, scenario):
+        fault_plan, predictions, exits, sent, device_stats = _RECORDED_RUNS[scenario]
+        deployment = partition_ddnn(trained_ddnn)
+        result = HierarchyRuntime(deployment, 0.8, fault_plan=fault_plan).run(tiny_test)
         assert result.predictions.tolist() == predictions
         assert "".join(name[0] for name in result.exit_names_per_sample) == exits
         assert result.bytes_per_sample.tolist() == sent
+        if device_stats is not None:
+            assert [
+                (d.stats.samples_processed, d.stats.compute_seconds, d.stats.bytes_sent)
+                for d in deployment.devices
+            ] == device_stats
         expected_s = [
             _LOCAL_S if exit == "l" else _CLOUD_S if size else _CLOUD_UNSENT_S
             for exit, size in zip(exits, sent)
@@ -268,43 +297,6 @@ class TestIntermittentFaultReplay:
         # an undelivered row joins a bigger cloud batch, and per-sample
         # compute is ``seconds / batch`` — one ulp apart across batch sizes.
         np.testing.assert_allclose(result.latencies_s, expected_s, rtol=1e-12, atol=0.0)
-
-
-class TestGroupedDeviceTierFaults:
-    """The compiled device tier is one grouped program: a failed device and
-    dropped samples are masks on its output, and must account — answers,
-    bytes on the wire, per-node work — exactly as the eager per-device loop."""
-
-    @pytest.mark.parametrize(
-        "fault_plan",
-        [
-            FaultPlan(failed_devices={1}),
-            FaultPlan(intermittent={0: 0.3, 2: 0.6}, seed=9),
-            FaultPlan(failed_devices={2}, intermittent={1: 0.5}, seed=4),
-        ],
-        ids=["failed-device", "intermittent", "both"],
-    )
-    def test_compiled_matches_eager_under_faults(self, trained_ddnn, tiny_test, fault_plan):
-        outcomes = []
-        for compile in (False, True):
-            deployment = partition_ddnn(trained_ddnn)
-            runtime = HierarchyRuntime(deployment, 0.8, fault_plan=fault_plan, compile=compile)
-            result = runtime.run(tiny_test)
-            outcomes.append(
-                (
-                    result.predictions.tolist(),
-                    result.exit_names_per_sample,
-                    result.bytes_per_sample.tolist(),
-                    [
-                        (d.stats.samples_processed, d.stats.compute_seconds, d.stats.bytes_sent)
-                        for d in deployment.devices
-                    ],
-                )
-            )
-        assert outcomes[0] == outcomes[1]
-        # The failed device did no work and sent nothing.
-        for index in fault_plan.failed_devices:
-            assert outcomes[1][3][index] == (0, 0.0, 0.0)
 
 
 class TestBatchedLinkAccounting:
@@ -317,12 +309,13 @@ class TestBatchedLinkAccounting:
         ids=["all-delivered", "partially-delivered"],
     )
     def test_device_tier_equals_one_message_per_delivered_row(self, trained_ddnn, tiny_test, fault_plan):
+        from repro.compile import compiled_plan_for
         from repro.hierarchy.sections import build_tier_sections
 
         deployment = partition_ddnn(trained_ddnn)
         section = build_tier_sections(deployment, fault_plan)[0]
         views = tiny_test.images[:9]
-        result = section.process(views)
+        result = section.process(views, compiled_plan_for(trained_ddnn))
         _, delivered = result.carry
         assert (delivered is None) == fault_plan.is_empty()
         if delivered is None:

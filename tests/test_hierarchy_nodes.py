@@ -6,19 +6,16 @@ import numpy as np
 import pytest
 
 from repro.core import DDNNConfig, DDNNTopology, build_ddnn
-from repro.core.aggregation import MaxPoolAggregator
 from repro.hierarchy import (
     CLOUD_NAME,
     DEFAULT_EDGE_LINK,
     DEFAULT_LOCAL_LINK,
     DEFAULT_UPLINK,
-    AggregatorNode,
     ComputeNode,
     EndDeviceNode,
     LinkSpec,
     partition_ddnn,
 )
-from repro.nn import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -53,27 +50,6 @@ class TestComputeNode:
 
 
 class TestEndDeviceNode:
-    def test_process_returns_features_scores_and_time(self, small_model):
-        node = EndDeviceNode("device-0", small_model.device_branches[0])
-        views = np.random.default_rng(0).random((3, 3, 32, 32))
-        features, scores, seconds = node.process(views)
-        assert features.shape == (3, 2, 16, 16)
-        assert scores.shape == (3, 3)
-        assert seconds > 0
-
-    def test_process_accepts_single_view(self, small_model):
-        node = EndDeviceNode("device-0", small_model.device_branches[0])
-        features, scores, _ = node.process(np.zeros((3, 32, 32)))
-        assert features.shape[0] == 1 and scores.shape[0] == 1
-
-    def test_failed_device_emits_zeros_and_no_compute(self, small_model):
-        node = EndDeviceNode("device-0", small_model.device_branches[0])
-        node.fail()
-        features, scores, seconds = node.process(np.ones((2, 3, 32, 32)))
-        assert seconds == 0.0
-        np.testing.assert_allclose(features, 0.0)
-        np.testing.assert_allclose(scores, 0.0)
-
     def test_payload_sizes(self, small_model):
         node = EndDeviceNode("device-0", small_model.device_branches[0])
         assert node.summary_bytes() == 12.0  # 4 bytes * 3 classes
@@ -81,15 +57,52 @@ class TestEndDeviceNode:
         assert node.raw_input_bytes() == 3072.0
 
 
-class TestAggregatorNode:
-    def test_aggregate_matches_aggregator(self):
-        node = AggregatorNode("gateway", MaxPoolAggregator(2))
-        a = np.array([[1.0, 5.0]])
-        b = np.array([[3.0, 2.0]])
-        fused, seconds = node.aggregate([a, b])
-        np.testing.assert_allclose(fused, [[3.0, 5.0]])
-        assert seconds >= 0
-        assert node.stats.samples_processed == 1
+class TestDeviceTierSection:
+    """A device's work is the device section's: one call of the compiled
+    bundle for the whole tier, charged to each device node."""
+
+    @staticmethod
+    def _run(model, views, failed=()):
+        from repro.compile import compiled_plan_for
+        from repro.hierarchy import build_tier_sections
+
+        model.eval()
+        deployment = partition_ddnn(model)
+        for index in failed:
+            deployment.devices[index].fail()
+        plans = compiled_plan_for(model)
+        return deployment, plans, build_tier_sections(deployment)[0].process(views, plans)
+
+    def test_process_returns_features_scores_and_time(self, small_model):
+        views = np.random.default_rng(0).random((3, 3, 3, 32, 32))
+        deployment, _, result = self._run(small_model, views)
+        features, delivered = result.carry
+        assert features.shape == (3, 3, 2, 16, 16) and delivered is None
+        assert result.logits.shape == (3, 3)
+        assert result.service_s > 0
+        for device in deployment.devices:
+            assert device.stats.samples_processed == 3 and device.stats.compute_seconds > 0
+
+    def test_failed_device_emits_zeros_and_no_compute(self, small_model):
+        views = np.random.default_rng(2).random((2, 3, 3, 32, 32))
+        deployment, plans, result = self._run(small_model, views, failed=[0])
+        features, _ = result.carry
+        np.testing.assert_array_equal(features[:, 0], 0.0)
+        assert np.abs(features[:, 1:]).sum() > 0
+        assert deployment.devices[0].stats.samples_processed == 0
+        assert deployment.devices[0].stats.compute_seconds == 0.0
+        # The local exit fuses zero scores in the failed device's place.
+        _, scores = plans.device_group(views.swapaxes(0, 1))
+        scores = scores.copy()
+        scores[0] = 0.0
+        np.testing.assert_array_equal(result.logits, plans.local_aggregator(scores.swapaxes(0, 1)))
+
+    def test_aggregate_matches_aggregator(self, small_model):
+        views = np.random.default_rng(3).random((4, 3, 3, 32, 32))
+        deployment, _, result = self._run(small_model, views)
+        eager = small_model.first_exit_logits(views).data
+        np.testing.assert_allclose(result.logits, eager, rtol=1e-12, atol=1e-12)
+        assert deployment.local_aggregator.stats.samples_processed == 4
 
 
 class TestLinkSpecsAndPartition:
@@ -159,8 +172,8 @@ class TestOperationsPerSample:
             assert device.operations_per_sample == device.branch.num_parameters()
         assert deployment.cloud.operations_per_sample == small_model.cloud.num_parameters()
 
-    @pytest.mark.parametrize("compile", [False, True], ids=["eager", "compiled"])
-    def test_no_parameter_walk_once_the_model_is_built(self, small_model, monkeypatch, compile):
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_no_parameter_walk_once_the_model_is_built(self, small_model, monkeypatch, precision):
         """Partitioning and running a deployment read the per-sample cost off
         the sections; nothing walks a parameter tree per node or per batch."""
         from repro.hierarchy import HierarchyRuntime
@@ -175,5 +188,5 @@ class TestOperationsPerSample:
 
         views = np.random.default_rng(1).random((5, 3, 3, 32, 32))
         dataset = MVMCDataset(views, np.zeros(5), np.zeros((5, 3)))
-        result = HierarchyRuntime(partition_ddnn(small_model), 0.8, compile=compile).run(dataset)
+        result = HierarchyRuntime(partition_ddnn(small_model), 0.8, precision=precision).run(dataset)
         assert len(result.predictions) == 5

@@ -1,12 +1,12 @@
 """Regression: inference-time forwards must never record an autograd graph.
 
-Every serving/inference entry point — ``ExitOracle.capture``,
-``DDNNServer.process_batch`` (and the shed-to-local fast path),
-``HierarchyRuntime`` and the baselines — must run
-its forwards under ``no_grad()``.  A graph recorded at inference time leaks
-memory linearly in the request count, which is fatal for a long-lived
-server, so this is pinned by spying on the forwards and asserting that no
-``Tensor`` parents are recorded.
+The eager inference entry points — ``ExitOracle.capture(compile=False)``
+and the baselines — must run their forwards under ``no_grad()``, and the
+compiled serving surfaces — ``DDNNServer.process_batch``, its
+shed-to-local fast path, ``HierarchyRuntime`` and the fabric on either
+worker backend — must not build a ``Tensor`` at all.  A graph recorded at inference time leaks memory
+linearly in the request count, which is fatal for a long-lived server, so
+this is pinned by spying on the forwards and on ``Tensor`` construction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,12 @@ from repro.core.oracle import ExitOracle
 from repro.hierarchy.partition import partition_ddnn
 from repro.hierarchy.runtime import HierarchyRuntime
 from repro.nn.tensor import Tensor, is_grad_enabled
-from repro.serving import BatchingPolicy, DDNNServer, admission_policy
+from repro.serving import (
+    BatchingPolicy,
+    DDNNServer,
+    DistributedServingFabric,
+    admission_policy,
+)
 
 
 @pytest.fixture()
@@ -67,47 +72,6 @@ def test_oracle_capture_records_no_graph(model, views, forward_spy):
     _assert_graph_free(forward_spy)
 
 
-def test_server_process_batch_records_no_graph(model, views, forward_spy):
-    server = DDNNServer(model, 0.8, policy=BatchingPolicy(max_batch_size=4, max_wait_s=0.0))
-    for sample in views:
-        server.submit(sample, client_id="spy")
-    server.run_until_drained()
-    _assert_graph_free(forward_spy)
-
-
-def test_server_shed_to_local_records_no_graph(model, views, forward_spy):
-    server = DDNNServer(model, 0.8, capacity=1, admission=admission_policy("shed-local"))
-    for sample in views:
-        server.offer(sample, client_id="spy")
-    server.run_until_drained()
-    _assert_graph_free(forward_spy)
-
-
-def test_hierarchy_runtime_records_no_graph(model, views):
-    from repro.datasets.mvmc import DEFAULT_DEVICE_PROFILES, MVMCDataset
-
-    labels = np.zeros(len(views), dtype=np.int64)
-    device_labels = np.zeros((len(views), views.shape[1]), dtype=np.int64)
-    dataset = MVMCDataset(
-        images=np.clip(views, 0.0, 1.0),
-        labels=labels,
-        device_labels=device_labels,
-        profiles=DEFAULT_DEVICE_PROFILES[: views.shape[1]],
-    )
-    runtime = HierarchyRuntime(partition_ddnn(model), 0.8, batch_size=4)
-    grad_flags = []
-    for device in runtime.deployment.devices:
-        original = device.branch.forward
-
-        def spy(inputs, _original=original):
-            grad_flags.append(is_grad_enabled())
-            return _original(inputs)
-
-        device.branch.forward = spy
-    runtime.run(dataset)
-    assert grad_flags and not any(grad_flags)
-
-
 def test_individual_baseline_predict_records_no_graph():
     baseline = IndividualDeviceModel(filters=2, seed=0)
     flags = []
@@ -126,9 +90,60 @@ def test_individual_baseline_predict_records_no_graph():
         assert parents == ()
 
 
-def test_compiled_serving_never_touches_tensors(model, views, monkeypatch):
-    """The compiled path must not construct autograd Tensors at all."""
-    server = DDNNServer(model, 0.8, compile=True)
+def _dataset(views):
+    from repro.datasets.mvmc import DEFAULT_DEVICE_PROFILES, MVMCDataset
+
+    return MVMCDataset(
+        images=np.clip(views, 0.0, 1.0),
+        labels=np.zeros(len(views), dtype=np.int64),
+        device_labels=np.zeros(views.shape[:2], dtype=np.int64),
+        profiles=DEFAULT_DEVICE_PROFILES[: views.shape[1]],
+    )
+
+
+@pytest.mark.parametrize("surface", ["server", "shed", "runtime", "fabric", "thread"])
+def test_compiled_serving_never_touches_tensors(model, views, monkeypatch, surface):
+    """No serving surface constructs autograd Tensors once its plans exist."""
+    close = None
+    if surface == "runtime":
+        runtime = HierarchyRuntime(partition_ddnn(model), 0.8, batch_size=4)
+        dataset = _dataset(views)
+
+        def serve():
+            return runtime.run(dataset).predictions.tolist()
+
+    elif surface in ("fabric", "thread"):
+        fabric = DistributedServingFabric(
+            partition_ddnn(model),
+            0.8,
+            workers_per_tier=2,
+            batching=BatchingPolicy(max_batch_size=4, max_wait_s=0.0),
+            backend="thread" if surface == "thread" else "simulated",
+        )
+        dataset = _dataset(views)
+
+        def serve():
+            return [response.prediction for response in fabric.serve_dataset(dataset)]
+
+        close = fabric.close
+
+    else:
+        shed = surface == "shed"
+        server = DDNNServer(
+            model,
+            0.8,
+            policy=BatchingPolicy(max_batch_size=4, max_wait_s=0.0),
+            capacity=1 if shed else None,
+            admission=admission_policy("shed-local") if shed else None,
+        )
+
+        def serve():
+            results = [server.offer(sample, client_id="spy") for sample in views]
+            drained = server.run_until_drained()
+            answered = [result.response for result in results if result.response is not None]
+            assert all(response.shed for response in answered) and len(answered) == shed * 5
+            return [response.prediction for response in answered + drained]
+
     constructed = []
     original_init = Tensor.__init__
 
@@ -136,10 +151,12 @@ def test_compiled_serving_never_touches_tensors(model, views, monkeypatch):
         constructed.append(1)
         original_init(self, data, requires_grad=requires_grad, name=name)
 
-    # Compile (and warm the plan) first, then watch the serving loop.
-    server.cascade.compiled_for(model)(views[:1])
-    monkeypatch.setattr(Tensor, "__init__", spy)
-    for sample in views:
-        server.submit(sample, client_id="spy")
-    server.run_until_drained()
+    # Compile (and warm the plans) first, then watch the serving loop.
+    try:
+        answers = serve()
+        monkeypatch.setattr(Tensor, "__init__", spy)
+        assert serve() == answers
+    finally:
+        if close is not None:
+            close()
     assert not constructed, "compiled serving built autograd Tensors"

@@ -158,7 +158,6 @@ class TestThreadBackendEquivalence:
             0.8,
             workers_per_tier=2,
             batching=BatchingPolicy(max_batch_size=4),
-            compile=True,
         )
         with fabric:
             responses = fabric.serve_dataset(tiny_test)
@@ -173,7 +172,6 @@ class TestThreadBackendEquivalence:
             0.8,
             workers_per_tier=workers,
             batching=BatchingPolicy(max_batch_size=4),
-            compile=True,
             backend="thread",
         )
         with fabric:
@@ -184,18 +182,11 @@ class TestThreadBackendEquivalence:
 
 
 class TestBackendValidation:
-    def test_fabric_thread_requires_compile(self, trained_ddnn):
-        with pytest.raises(ValueError, match="compile"):
-            DistributedServingFabric(
-                partition_ddnn(trained_ddnn), 0.8, backend="thread"
-            )
-
     def test_fabric_thread_rejects_simulated_clock(self, trained_ddnn):
         with pytest.raises(ValueError, match="clock"):
             DistributedServingFabric(
                 partition_ddnn(trained_ddnn),
                 0.8,
-                compile=True,
                 backend="thread",
                 clock=SimulatedClock(),
             )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compile import compile_ddnn
 from repro.core import DDNNConfig, DDNNTopology, build_ddnn
 from repro.hierarchy import (
     AutoscalePolicy,
@@ -180,10 +181,11 @@ class TestPlanSections:
         ]
         # An exit-less edge tier still carries features for the cloud.
         views = np.random.default_rng(0).normal(size=(2, 4, 3, 32, 32))
-        result = sections[0].process(views)
+        plans = compile_ddnn(model)
+        result = sections[0].process(views, plans)
         transfer = sections[0].offload(result.carry, np.array([0, 1]))
         # The offloaded rows of the carry, staged as the edge tier's input.
-        edge_result = sections[1].process(transfer.features[[0, 1]])
+        edge_result = sections[1].process(transfer.features[[0, 1]], plans)
         assert edge_result.logits is None
         assert edge_result.carry is not None
 

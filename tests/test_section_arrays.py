@@ -3,13 +3,16 @@
 * The fused exit decision equals the two public reference helpers bit for bit.
 * Device, edge and cloud sections equal a per-device, per-message reference
   loop kept here (the form the sections had before they charged from
-  per-tier vectors): exit logits, latency and byte vectors, carries, offload
-  delays and bytes, and every link's and node's stats.
+  per-tier vectors), on the same plan bundle's per-tier plans and the
+  model's eager aggregators: exit logits, latency and byte vectors, carries,
+  offload delays and bytes, and every link's and node's stats.
 * A section result never aliases the buffers of the plan bundle it ran on.
 * The device tier's cached transfer estimate follows ``fail()``,
   ``restore()`` and a live re-partition.
-* Simulated workers on one event loop share one bundle per precision,
-  which retraining (or ``invalidate_plan``) replaces; thread workers own
+* Simulated workers over one deployment — of every fabric and every
+  hierarchy-runtime run built on it — share one bundle per precision,
+  compiled once, which retraining (or ``invalidate_plan``) replaces;
+  replicas and other deployments hold their own; thread workers own
   theirs.
 * A shed answer computes only the first exit.
 """
@@ -17,6 +20,7 @@
 from __future__ import annotations
 
 import copy
+import threading
 
 import numpy as np
 import pytest
@@ -26,7 +30,14 @@ from hypothesis import strategies as st
 from repro.compile import compile_ddnn, invalidate_plan
 from repro.core import DDNNConfig, DDNNTopology, DDNNTrainer, TrainingConfig, build_ddnn
 from repro.core.exits import ExitCriterion, normalized_entropy, softmax_probabilities
-from repro.hierarchy import FaultPlan, LinkSpec, PartitionPlan, build_tier_sections
+from repro.hierarchy import (
+    FaultPlan,
+    HierarchyRuntime,
+    LinkSpec,
+    PartitionPlan,
+    build_tier_sections,
+    partition_ddnn,
+)
 from repro.hierarchy.network import Message
 from repro.hierarchy.partition import CLOUD_NAME, LOCAL_AGGREGATOR_NAME
 from repro.nn.tensor import Tensor, no_grad
@@ -97,6 +108,7 @@ class _Reference:
 
     def __init__(self, deployment, fault_plan, exit_flags, plans):
         self.deployment = deployment
+        self.model = deployment.model
         self.fault_plan = fault_plan
         self.local_exit, self.edge_exit = exit_flags
         self.plans = plans
@@ -109,13 +121,10 @@ class _Reference:
             for index in range(len(devices)):
                 for sample in range(batch):
                     delivered[index, sample] = self.fault_plan.sample_delivery(index)
-        if plans is not None:
-            group_features, group_scores = plans.device_group(np.moveaxis(views, 1, 0))
+        group_features, group_scores = plans.device_group(np.moveaxis(views, 1, 0))
         features, scores, seconds = [], [], []
         for index, device in enumerate(devices):
-            if plans is None:
-                feature, score, second = device.process(views[:, index])
-            elif device.failed:
+            if device.failed:
                 feature, score, second = (
                     np.zeros_like(group_features[index]),
                     np.zeros_like(group_scores[index]),
@@ -142,7 +151,10 @@ class _Reference:
                     device.record_bytes_sent(message.size_bytes)
                     intake_bytes[sample] += message.size_bytes
                     intake_s[sample] = max(intake_s[sample], seconds[index] / batch + link_s)
-            logits, aggregate_s = deployment.local_aggregator.aggregate(scores)
+            logits = self._aggregate(self.model.local_aggregator, scores)
+            aggregate_s = deployment.local_aggregator._account(
+                sum(score.size for score in scores), samples=batch
+            )
         return dict(
             logits=logits,
             features=features,
@@ -180,30 +192,24 @@ class _Reference:
             rows,
         )
 
-    def _aggregate(self, node, sources):
+    @staticmethod
+    def _aggregate(aggregator, sources):
         with no_grad():
-            return node.aggregator([Tensor(array) for array in sources]).data
+            return aggregator([Tensor(array) for array in sources]).data
 
     def edges(self, sources):
         plans, batch = self.plans, len(sources[0])
         features, logits, seconds = [], [], []
+        aggregators = self.model._edge_aggregators
         for index, edge in enumerate(self.deployment.edges):
             group = [sources[device] for device in edge.device_indices]
-            if plans is None:
-                feature, logit, second = edge.process(group)
-            else:
-                feature, logit = plans.edge_tiers[index](self._aggregate(edge, group))
-                feature, logit = feature.copy(), logit.copy()
-                second = edge._account(edge.operations_per_sample * batch, samples=batch)
-            features.append(feature)
-            logits.append(logit)
-            seconds.append(second)
+            feature, logit = plans.edge_tiers[index](self._aggregate(aggregators[index], group))
+            features.append(feature.copy())
+            logits.append(logit.copy())
+            seconds.append(edge._account(edge.operations_per_sample * batch, samples=batch))
         fused = None
         if self.edge_exit:
-            with no_grad():
-                fused = self.deployment.model.edge_exit_aggregator(
-                    [Tensor(logit) for logit in logits]
-                ).data
+            fused = self._aggregate(self.model.edge_exit_aggregator, logits)
         return dict(
             logits=fused,
             features=features,
@@ -219,11 +225,8 @@ class _Reference:
 
     def cloud(self, sources):
         cloud, batch = self.deployment.cloud, len(sources[0])
-        if self.plans is None:
-            logits, seconds = cloud.process(sources)
-        else:
-            _, logits = self.plans.cloud(self._aggregate(cloud, sources))
-            seconds = cloud._account(cloud.operations_per_sample * batch, samples=batch)
+        _, logits = self.plans.cloud(self._aggregate(self.model.cloud_aggregator, sources))
+        seconds = cloud._account(cloud.operations_per_sample * batch, samples=batch)
         return dict(logits=logits, service_s=seconds, compute_s=np.zeros(batch) + seconds / batch)
 
 
@@ -231,6 +234,7 @@ SCENARIOS = {
     "fault-free": dict(),
     "failed-device": dict(failed={1}),
     "intermittent": dict(intermittent={0: 0.5, 2: 0.3}),
+    "failed-and-intermittent": dict(failed={2}, intermittent={1: 0.5}),
     "local-exit-disabled": dict(local_exit=False),
     "edge-topology": dict(edges=True, intermittent={3: 0.4}),
 }
@@ -265,13 +269,12 @@ def _stats(deployment):
     )
 
 
-@pytest.mark.parametrize("compiled", [False, True], ids=["eager", "compiled"])
 @pytest.mark.parametrize("batch", [1, 7, 8])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_sections_equal_the_per_device_reference(trained_ddnn, tiny_test, name, batch, compiled):
+def test_sections_equal_the_per_device_reference(trained_ddnn, tiny_test, name, batch):
     scenario = SCENARIOS[name]
     model = _edge_model() if scenario.get("edges") else trained_ddnn
-    plans = compile_ddnn(model) if compiled else None
+    plans = compile_ddnn(model)
     views = tiny_test.images[:batch]
     rows = np.array([row for row in range(batch) if row % 3 != 1])
 
@@ -282,7 +285,7 @@ def test_sections_equal_the_per_device_reference(trained_ddnn, tiny_test, name, 
     reference = _Reference(reference_deployment, reference_faults, exit_flags, plans)
 
     # Device tier.
-    result = sections[0].process(views, plans=plans)
+    result = sections[0].process(views, plans)
     expected = reference.devices(views)
     features, delivered = result.carry
     _equal(features, np.stack(expected["features"], axis=1))
@@ -303,7 +306,7 @@ def test_sections_equal_the_per_device_reference(trained_ddnn, tiny_test, name, 
     sources = [feature[rows] for feature in expected["features"]]
 
     if len(sections) == 3:
-        result = sections[1].process(staged, plans=plans)
+        result = sections[1].process(staged, plans)
         expected = reference.edges(sources)
         _equal(result.carry, np.stack(expected["features"], axis=1))
         for field in ("logits", "compute_s"):
@@ -317,7 +320,7 @@ def test_sections_equal_the_per_device_reference(trained_ddnn, tiny_test, name, 
         staged = np.stack([transfer.features[row] for row in upper])
         sources = [feature[upper] for feature in expected["features"]]
 
-    result = sections[-1].process(staged, plans=plans)
+    result = sections[-1].process(staged, plans)
     expected = reference.cloud(sources)
     _equal(result.logits, expected["logits"])
     _equal(result.compute_s, expected["compute_s"])
@@ -337,12 +340,12 @@ def test_section_results_survive_the_bundles_next_batch(trained_ddnn, tiny_test,
     first, second = tiny_test.images[:5], tiny_test.images[5:10]
 
     def run(views):
-        results = [sections[0].process(views, plans=plans)]
+        results = [sections[0].process(views, plans)]
         rows = np.arange(len(views))
         for section in sections[1:]:
             transfer = sections[sections.index(section) - 1].offload(results[-1].carry, rows)
             staged = np.stack([transfer.features[row] for row in rows])
-            results.append(section.process(staged, plans=plans))
+            results.append(section.process(staged, plans))
         return results
 
     results = run(first)
@@ -389,44 +392,119 @@ def test_transfer_estimate_follows_failures_and_repartitions(trained_ddnn):
 
 
 # --------------------------------------------------------------------------- #
-# Compiled bundles: one per event loop and precision, or one per thread worker
+# Compiled bundles: one per deployment and precision, or one per thread worker
 # --------------------------------------------------------------------------- #
 def _bundles(fabric):
     return [worker.plans for tier in fabric.tiers for worker in tier.workers]
 
 
-def test_simulated_replicas_on_one_loop_share_one_bundle_per_precision(trained_ddnn):
+def _count_compiles(monkeypatch):
+    """The precision of every ``compile_ddnn`` call from here on."""
+    import repro.compile.ddnn as module
+
+    calls = []
+    original = module.compile_ddnn
+
+    def counting(model, *args, **kwargs):
+        calls.append(kwargs.get("precision"))
+        return original(model, *args, **kwargs)
+
+    monkeypatch.setattr(module, "compile_ddnn", counting)
+    return calls
+
+
+def test_simulated_workers_on_one_deployment_share_one_bundle_per_precision(trained_ddnn):
     plan = PartitionPlan(trained_ddnn, replicas=2, workers_per_tier=2)
-    balancer = LoadBalancer.from_plan(plan, 0.8, compile=True, events=EventLoop())
-    bundles = [bundle for replica in balancer.replicas for bundle in _bundles(replica)]
-    assert len(bundles) == 8 and len({id(bundle) for bundle in bundles}) == 1
-    # Replicas on loops of their own compute concurrently: one bundle each.
-    apart = LoadBalancer.from_plan(plan, 0.8, compile=True)
-    assert len({id(bundle) for replica in apart.replicas for bundle in _bundles(replica)}) == 2
+    # Replicas each own a deployment, so each holds a bundle of its own,
+    # whether they share one event loop or not.
+    for balancer in (
+        LoadBalancer.from_plan(plan, 0.8, events=EventLoop()),
+        LoadBalancer.from_plan(plan, 0.8),
+    ):
+        shared = [{id(bundle) for bundle in _bundles(replica)} for replica in balancer.replicas]
+        assert [len(ids) for ids in shared] == [1, 1] and shared[0] != shared[1]
 
     mixed = LoadBalancer.from_plan(
-        plan.with_changes(precision=("float32", "float64")), 0.8, compile=True, events=EventLoop()
+        plan.with_changes(precision=("float32", "float64")), 0.8, events=EventLoop()
     )
     for replica in mixed.replicas:
         devices, cloud = ({id(w.plans) for w in tier.workers} for tier in replica.tiers)
         assert len(devices) == len(cloud) == 1 and devices != cloud
     first, second = mixed.replicas
-    assert first.tiers[0].workers[0].plans is second.tiers[0].workers[1].plans
+    assert first.tiers[0].workers[0].plans is not second.tiers[0].workers[1].plans
 
-    # A grown tier's new workers run the loop's bundle too.
+    # A grown tier's new workers run the deployment's bundle too.
     fabric = balancer.replicas[0]
     fabric._resize_tier(0, 4, now=0.0)
-    assert {id(bundle) for bundle in _bundles(fabric)} == {id(bundles[0])}
+    assert {id(bundle) for bundle in _bundles(fabric)} == shared[0]
 
 
-def test_a_retrained_model_gets_a_fresh_bundle_on_the_same_loop(untrained_ddnn, tiny_train, tiny_test):
-    model, loop = untrained_ddnn, EventLoop()
+def test_the_offline_replay_compiles_once(trained_ddnn, tiny_test, monkeypatch):
+    """Every run builds a fresh fabric on a fresh event loop; the
+    deployment's bundle is compiled by the first run only."""
+    calls = _count_compiles(monkeypatch)
+    deployment = partition_ddnn(trained_ddnn)
+    runtime = HierarchyRuntime(deployment, 0.8)
+    results = [runtime.run(tiny_test), runtime.run(tiny_test)]
+    results.append(HierarchyRuntime(deployment, 0.8).run(tiny_test))
+    assert calls == ["float64"]
+    for result in results[1:]:
+        np.testing.assert_array_equal(result.entropies, results[0].entropies)
+
+
+def test_fabrics_on_one_deployment_compile_once_per_precision(trained_ddnn, monkeypatch):
+    calls = _count_compiles(monkeypatch)
+    plan = PartitionPlan(trained_ddnn, precision=("float32", "float64"))
+    deployment = plan.materialize()
+    fabrics = [
+        DistributedServingFabric.from_plan(plan, 0.8, deployment=deployment) for _ in range(2)
+    ]
+    assert sorted(calls) == ["float32", "float64"]
+    fabrics[0].apply_plan(plan.with_changes(workers_per_tier=3))
+    fabrics[1]._resize_tier(1, 5, now=0.0)
+    assert sorted(calls) == ["float32", "float64"]
+    assert len({id(bundle) for fabric in fabrics for bundle in _bundles(fabric)}) == 2
+
+
+def test_fabrics_on_two_deployments_serve_on_two_threads(trained_ddnn, tiny_test):
+    """The isolation a bundle per event loop gave: fabrics over different
+    deployments hold different bundles, so they can run concurrently."""
+
+    def fabric():
+        return DistributedServingFabric(
+            partition_ddnn(trained_ddnn),
+            0.8,
+            batching=BatchingPolicy(max_batch_size=4, max_wait_s=0.0),
+        )
+
+    def answers(host):
+        return [(r.prediction, r.exit_index, r.entropy) for r in host.serve_dataset(tiny_test)]
+
+    hosts = [fabric(), fabric()]
+    assert hosts[0].tiers[0].workers[0].plans is not hosts[1].tiers[0].workers[0].plans
+    served = [None, None]
+
+    def serve(index):
+        served[index] = answers(hosts[index])
+
+    threads = [threading.Thread(target=serve, args=(index,)) for index in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    expected = answers(fabric())
+    assert served == [expected, expected]
+
+
+def test_a_retrained_model_gets_a_fresh_bundle_on_the_same_deployment(
+    untrained_ddnn, tiny_train, tiny_test
+):
+    model = untrained_ddnn
+    deployment = PartitionPlan(model).materialize()
     views = tiny_test.images[:6]
 
     def build():
-        fabric = DistributedServingFabric(
-            PartitionPlan(model).materialize(), 0.8, compile=True, events=loop
-        )
+        fabric = DistributedServingFabric(deployment, 0.8)
         return fabric, fabric.tiers[0].workers[0].plans
 
     def final_logits(bundle):
@@ -434,7 +512,7 @@ def test_a_retrained_model_gets_a_fresh_bundle_on_the_same_loop(untrained_ddnn, 
 
     _, first = build()
     stale = final_logits(first)
-    # Training evicts the model's plans after every epoch, the loop's included.
+    # Training evicts the model's plans after every epoch, the deployment's included.
     DDNNTrainer(model, TrainingConfig(epochs=1, batch_size=32, seed=0)).fit(tiny_train)
     fabric, trained = build()
     assert trained is not first
@@ -442,8 +520,8 @@ def test_a_retrained_model_gets_a_fresh_bundle_on_the_same_loop(untrained_ddnn, 
     assert not np.array_equal(stale, fresh)
     np.testing.assert_array_equal(final_logits(trained), fresh)
 
-    # It answers as a fabric on a loop of its own, which compiles afresh.
-    alone = DistributedServingFabric(PartitionPlan(model).materialize(), 0.8, compile=True)
+    # It answers as a fabric on a deployment of its own, which compiles afresh.
+    alone = DistributedServingFabric(PartitionPlan(model).materialize(), 0.8)
     answers = []
     for host in (fabric, alone):
         host.submit_many(list(views))
@@ -452,7 +530,7 @@ def test_a_retrained_model_gets_a_fresh_bundle_on_the_same_loop(untrained_ddnn, 
         answers.append([(response.prediction, response.entropy) for response in ordered])
     assert len(answers[0]) == len(views) and answers[0] == answers[1]
 
-    # Weights changed by hand: the loop keeps its snapshot until invalidate_plan.
+    # Weights changed by hand: the deployment keeps its snapshot until invalidate_plan.
     for parameter in model.parameters():
         parameter.data *= -1.0
     assert build()[1] is trained
@@ -467,7 +545,6 @@ def test_thread_workers_own_distinct_bundles(trained_ddnn):
         PartitionPlan(trained_ddnn).materialize(),
         0.8,
         workers_per_tier=[2, 3],
-        compile=True,
         backend="thread",
     )
     try:
@@ -510,13 +587,12 @@ def test_a_shed_runs_no_cloud_plan(trained_ddnn, tiny_test, surface):
         host = DistributedServingFabric(
             PartitionPlan(trained_ddnn).materialize(),
             0.8,
-            compile=True,
             batching=BatchingPolicy(max_batch_size=1, max_wait_s=0.0),
             capacity=1,
             admission=ShedToLocalExit(),
         )
     else:
-        host = DDNNServer(trained_ddnn, 0.8, capacity=1, admission=ShedToLocalExit(), compile=True)
+        host = DDNNServer(trained_ddnn, 0.8, capacity=1, admission=ShedToLocalExit())
     bundle = host.cascade.compiled_for(trained_ddnn)
     bundle.reset_timing()
     bundle.enable_timing()

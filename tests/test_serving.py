@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from repro.compile.cache import compiled_plan_for
+from repro.core import ExitOracle
 from repro.hierarchy import HierarchyRuntime, partition_ddnn
 from repro.serving import (
     ArrivalProcess,
     BatchingPolicy,
     DDNNServer,
+    DistributedServingFabric,
     LoadGenerator,
     ServiceModel,
     SimulatedClock,
@@ -107,7 +109,7 @@ def test_every_queue_fires_at_exactly_arrival_plus_max_wait(trained_ddnn, tiny_t
         arrival = float(arrival)
         release = arrival + max_wait_s
         clock = SimulatedClock(arrival)
-        server = DDNNServer(trained_ddnn, 0.8, policy=policy, clock=clock, compile=True)
+        server = DDNNServer(trained_ddnn, 0.8, policy=policy, clock=clock)
         server.submit(views)
         clock.advance_to(math.nextafter(release, -math.inf))
         assert server.step() == []
@@ -118,7 +120,7 @@ def test_every_queue_fires_at_exactly_arrival_plus_max_wait(trained_ddnn, tiny_t
             def times(self, arrival=arrival):
                 return iter([arrival, arrival + 1.0])
 
-        server = DDNNServer(trained_ddnn, 0.8, policy=policy, clock=SimulatedClock(), compile=True)
+        server = DDNNServer(trained_ddnn, 0.8, policy=policy, clock=SimulatedClock())
         report = LoadGenerator(server, Lone(), views[None], service_model=service).run(2)
         first = min(report.responses, key=lambda response: response.request_id)
         assert first.completion_time == release + service.batch_time_s(1)
@@ -131,9 +133,11 @@ def test_every_queue_fires_at_exactly_arrival_plus_max_wait(trained_ddnn, tiny_t
 
 class TestDDNNServer:
     def test_one_at_a_time_matches_the_fabric(self, trained_ddnn, tiny_test):
-        """Request-at-a-time serving is byte-identical to the fabric's
-        offline replay on the same model."""
-        offline = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8).run(tiny_test)
+        """Request-at-a-time serving answers, exits and entropies exactly
+        like the fabric's offline replay at batch one, and like the compiled
+        oracle at batch one: a compiled GEMM rounds by its row count, so
+        batch one is the shape both must share."""
+        offline = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8, batch_size=1).run(tiny_test)
         server = DDNNServer(trained_ddnn, 0.8, policy=BatchingPolicy(max_batch_size=1, max_wait_s=0.0))
         responses = server.serve_dataset(tiny_test)
         predictions = np.array([response.prediction for response in responses])
@@ -142,6 +146,8 @@ class TestDDNNServer:
         np.testing.assert_array_equal(predictions, offline.predictions)
         np.testing.assert_array_equal(exits, offline.exit_indices)
         np.testing.assert_array_equal(entropies, offline.entropies)
+        one_at_a_time = ExitOracle.capture(trained_ddnn, tiny_test, batch_size=1).route(0.8)
+        np.testing.assert_array_equal(entropies, one_at_a_time.entropies)
 
     def test_dynamic_batching_matches_the_fabric(self, trained_ddnn, tiny_test):
         offline = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8).run(tiny_test)
@@ -165,7 +171,7 @@ class TestDDNNServer:
         assert len(server.run_until_drained()) == 1
 
     def test_invalidate_compiled_evicts_the_servers_plan(self, trained_ddnn, tiny_test):
-        server = DDNNServer(trained_ddnn, 0.8, compile=True)
+        server = DDNNServer(trained_ddnn, 0.8)
         server.serve_dataset(tiny_test)
         served = compiled_plan_for(trained_ddnn)
         server.cascade.invalidate_compiled()
@@ -294,9 +300,24 @@ class TestDDNNServer:
         assert [r.request_id for r in server.run_until_drained()] == [2, 3]
         assert server.admission_stats.dropped == 2
 
-    def test_reduced_precision_requires_compile(self, trained_ddnn):
-        with pytest.raises(ValueError, match="compile=True"):
-            DDNNServer(trained_ddnn, 0.8, precision="float32")
+    @pytest.mark.parametrize("surface", ["server", "fabric", "thread", "runtime"])
+    def test_compile_false_names_the_eager_reference(self, trained_ddnn, surface):
+        """Serving runs only on compiled plans; the eager forward is the
+        oracle's reference, and the rejection says where it lives."""
+        build = {
+            "server": lambda: DDNNServer(trained_ddnn, 0.8, compile=False),
+            "fabric": lambda: DistributedServingFabric(
+                partition_ddnn(trained_ddnn), 0.8, compile=False
+            ),
+            "thread": lambda: DistributedServingFabric(
+                partition_ddnn(trained_ddnn), 0.8, compile=False, backend="thread"
+            ),
+            "runtime": lambda: HierarchyRuntime(
+                partition_ddnn(trained_ddnn), 0.8, compile=False
+            ),
+        }[surface]
+        with pytest.raises(ValueError, match=r"ExitOracle\.capture\(compile=False\)"):
+            build()
 
     def test_bad_views_shape_rejected(self, trained_ddnn):
         server = DDNNServer(trained_ddnn, 0.8)

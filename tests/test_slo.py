@@ -402,7 +402,6 @@ class TestWallClockSLO:
             slo_s=slo_s,
             edf=True,
             backend="thread",
-            compile=True,
         )
         try:
             fabric.attach_chaos(
