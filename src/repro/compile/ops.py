@@ -28,7 +28,8 @@ the shift-add per-position products, the bool pool's shifted ORs — are not
 per-op at all: they are views of the arena's one scratch block.  The plan
 keeps a pass small enough that all of this stays cache-resident (see
 :class:`~repro.compile.plan.CompiledPlan`, which owns the one blocking
-scheme: ``_IM2COL_BLOCK_BYTES`` per pass).
+scheme: ``repro.nn.functional._IM2COL_BLOCK_BYTES`` per pass, the
+budget the training convolution's batch tiles share).
 
 Numerical contract, for *finite* inputs (``±0.0`` and subnormals included;
 what a NaN or an infinity turns into is unspecified — eager max-pooling
@@ -112,11 +113,6 @@ class CompileError(RuntimeError):
 #:   provably-±1 inputs run the uint64 XNOR+popcount GEMM; bit-identical to
 #:   the float sign path (±1 dots are exact integers in float64).
 PRECISIONS = ("float64", "float32", "bitpacked")
-
-#: Cache-block budget (bytes) for one pass of a plan over a slice of the
-#: batch: every buffer the pass touches plus its im2col/shift-add scratch.
-_IM2COL_BLOCK_BYTES = 1 << 20
-
 
 def precision_dtype(precision: str) -> np.dtype:
     """The float carrier dtype of a precision mode (validates the name)."""

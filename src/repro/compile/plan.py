@@ -43,6 +43,7 @@ import numpy as np
 
 from ..nn.binary import BinaryActivation, BinaryConv2d, BinaryLinear
 from ..nn.blocks import ConvPBlock, FCBlock
+from ..nn.functional import _IM2COL_BLOCK_BYTES
 from ..nn.layers import (
     AvgPool2d,
     BatchNorm1d,
@@ -73,7 +74,6 @@ from .ops import (
     SigmoidOp,
     SignOp,
     TanhOp,
-    _IM2COL_BLOCK_BYTES,
     _Op,
     precision_dtype,
     sign_thresholds,

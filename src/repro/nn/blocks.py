@@ -26,6 +26,14 @@ from .tensor import Tensor
 __all__ = ["FCBlock", "ConvPBlock", "block_memory_bytes"]
 
 
+def _normalize_and_activate(block: Module, output: Tensor) -> Tensor:
+    """A block's BatchNorm and activation; a binary block's BatchNorm and
+    sign run as one autograd node."""
+    if isinstance(block.activation, BinaryActivation):
+        return block.batch_norm(output, sign_clip=block.activation.clip_value)
+    return block.activation(block.batch_norm(output))
+
+
 class FCBlock(Module):
     """Fused binary fully-connected block: linear -> batch norm -> binary activation.
 
@@ -63,10 +71,9 @@ class FCBlock(Module):
 
     def forward(self, inputs: Tensor) -> Tensor:
         output = self.linear(inputs)
-        output = self.batch_norm(output)
         if self.final:
-            return output
-        return self.activation(output)
+            return self.batch_norm(output)
+        return _normalize_and_activate(self, output)
 
     def memory_bytes(self) -> float:
         """Deployment footprint of the block in bytes."""
@@ -122,10 +129,7 @@ class ConvPBlock(Module):
         self.activation = BinaryActivation() if binary else ReLU()
 
     def forward(self, inputs: Tensor) -> Tensor:
-        output = self.conv(inputs)
-        output = self.pool(output)
-        output = self.batch_norm(output)
-        return self.activation(output)
+        return _normalize_and_activate(self, self.pool(self.conv(inputs)))
 
     def output_spatial_size(self, input_size: int) -> int:
         """Spatial size after the conv (same-size) and the stride-2 pooling."""

@@ -7,14 +7,17 @@ two are written for memory traffic; every value they produce is what the
 plain formulations (``np.pad`` + strided-window copies, ``argmax``,
 ``np.add.at``) compute, bit for bit:
 
-* **Convolution** is im2col + one GEMM per direction.  The zero-padded
-  image and its columns are built in this thread's scratch block (no
-  ``np.pad``, no fresh multi-megabyte array), which is dead once the op
-  returns.  The backward re-gathers the columns into the same block instead
-  of keeping a copy alive in the graph, and scatters the input gradient back
-  (:func:`col2im`'s ``(ky, kx)`` loop, over only the pixels each offset
-  read) in scratch too.  The GEMMs keep one operand layout: ``W @ cols``,
-  ``grad @ cols.T`` summed over the batch, and ``W.T @ grad``.
+* **Convolution** is im2col + one GEMM per sample and direction, over
+  the batch in tiles sized so that a tile's zero-padded images and columns
+  fit one cache budget (``_IM2COL_BLOCK_BYTES``, shared with the compiled
+  plans).  A tile's columns are built in this thread's scratch block (no
+  ``np.pad``, no fresh multi-megabyte array), which is dead once the tile's
+  GEMMs return.  The backward gathers each tile's columns again instead of
+  keeping a copy alive in the graph, and scatters the tile's input gradient
+  back (:func:`col2im`'s ``(ky, kx)`` loop, over only the pixels each
+  offset read) in scratch too.  The GEMMs keep one operand layout:
+  ``W @ cols``, ``grad @ cols.T`` (summed over the whole batch once every
+  tile is done), and ``W.T @ grad``.
 * **Max pooling** de-interleaves the input, ``-inf``-padded, into
   ``stride**2`` phase planes, so that every kernel offset is a unit-stride
   slice, and takes one pass per offset: ``np.maximum`` for the value (it
@@ -102,6 +105,13 @@ def _output_shape(
 
 _thread = threading.local()
 
+#: Cache-block budget (bytes) for one pass over a slice of the batch: a
+#: training convolution's tile of padded images and im2col columns
+#: (:func:`_tile_samples`), and a compiled plan's pass with every buffer it
+#: touches plus its im2col/shift-add scratch
+#: (:class:`~repro.compile.plan.CompiledPlan`).
+_IM2COL_BLOCK_BYTES = 1 << 20
+
 
 def _scratch(*requests: Tuple[Tuple[int, ...], np.dtype]) -> List[np.ndarray]:
     """Uninitialised views of this thread's scratch block, one per
@@ -109,8 +119,10 @@ def _scratch(*requests: Tuple[Tuple[int, ...], np.dtype]) -> List[np.ndarray]:
 
     The same rule as ``compile.ops.Arena.scratch``: a view is dead when the
     op that asked for it returns, because the thread's next request hands
-    out the same bytes.  The block only grows, so a training loop stops
-    page-faulting fresh multi-megabyte arrays after its first step.
+    out the same bytes.  The block only grows, to the largest request (a
+    conv backward's one tile of columns plus its batch's input and
+    per-sample weight gradients, or a max-pool's phase planes), so a
+    training loop stops page-faulting fresh arrays after its first step.
     """
     spans, total = [], 0
     for shape, dtype in requests:
@@ -144,7 +156,8 @@ def _columns_layout(
     images_shape: Tuple[int, ...], kernel_h: int, kernel_w: int, stride: int, padding: int
 ) -> Tuple[Tuple[int, int, int], int, int]:
     """Shape of the im2col columns, where they start in a block (after the
-    zero-padded image) and the block's size in elements (see :func:`_columns_in`)."""
+    zero-padded image) and the block's size in elements (see
+    :func:`_columns_views`)."""
     batch, channels, height, width = images_shape
     out_h = conv_output_size(height, kernel_h, stride, padding)
     out_w = conv_output_size(width, kernel_w, stride, padding)
@@ -153,34 +166,52 @@ def _columns_layout(
     return columns, start, start + int(np.prod(columns))
 
 
-def _columns_in(
-    block: np.ndarray, images: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int
-) -> np.ndarray:
-    """The im2col columns of ``images`` (see :func:`im2col`), built in the
-    flat ``block``: the zero-padded image first, then one copy of its window
-    view (faster than a slice copy per kernel offset with zeroed borders,
-    whose border columns are one element per image row).
+def _columns_views(
+    block: np.ndarray,
+    images_shape: Tuple[int, ...],
+    kernel_h: int,
+    kernel_w: int,
+    stride: int,
+    padding: int,
+) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """Views of the flat ``block`` for the im2col columns of a batch of
+    ``images_shape`` (see :func:`im2col`): the zero-padded image first (its
+    border zeroed here), then the columns.  Returns ``(interior, windows,
+    columns)``; :func:`_gather_columns` fills them for one batch of that
+    shape, and can fill them again for the next: nothing writes the border.
 
-    Where the window view reshapes to the columns without a copy (a 1x1
-    kernel, a single output row, a kernel as wide as the padded image, ...)
-    the columns stay that strided view of the padded image, as ``np.reshape``
-    leaves them: the GEMMs then see that operand layout, and round as they
-    always did.
+    The columns are one copy of the padded image's window view (faster than
+    a slice copy per kernel offset with zeroed borders, whose border columns
+    are one element per image row).  Where the window view reshapes to the
+    columns without a copy (a 1x1 kernel, a single output row, a kernel as
+    wide as the padded image, ...) the columns stay that strided view of the
+    padded image, as ``np.reshape`` leaves them, and ``windows`` is ``None``:
+    the GEMMs then see that operand layout, and round as they always did.
     """
-    batch, channels, height, width = images.shape
-    columns_shape, start, end = _columns_layout(images.shape, kernel_h, kernel_w, stride, padding)
+    batch, channels, height, width = images_shape
+    columns_shape, start, end = _columns_layout(images_shape, kernel_h, kernel_w, stride, padding)
     padded = block[:start].reshape(batch, channels, height + 2 * padding, width + 2 * padding)
     if padding:
         padded.fill(0)
-    padded[:, :, padding : padding + height, padding : padding + width] = images
+    interior = padded[:, :, padding : padding + height, padding : padding + width]
     # (N, C, out_h, out_w, kh, kw) -> (N, C, kh, kw, out_h, out_w)
     windows = sliding_windows(padded, kernel_h, kernel_w, stride).transpose(0, 1, 4, 5, 2, 3)
     try:
-        return windows.reshape(columns_shape, copy=False)
+        return interior, None, windows.reshape(columns_shape, copy=False)
     except ValueError:
-        columns = block[start:end].reshape(columns_shape)
+        return interior, windows, block[start:end].reshape(columns_shape)
+
+
+def _gather_columns(
+    views: Tuple[np.ndarray, Optional[np.ndarray], np.ndarray], images: np.ndarray
+) -> np.ndarray:
+    """The im2col columns of ``images``, in the :func:`_columns_views` of
+    their shape."""
+    interior, windows, columns = views
+    np.copyto(interior, images)
+    if windows is not None:
         np.copyto(columns.reshape(windows.shape), windows)
-        return columns
+    return columns
 
 
 def _scatter_columns(
@@ -244,7 +275,8 @@ def im2col(
     """
     _, _, size = _columns_layout(images.shape, kernel_h, kernel_w, stride, padding)
     block = np.empty(size, dtype=images.dtype)
-    columns = _columns_in(block, images, kernel_h, kernel_w, stride, padding)
+    views = _columns_views(block, images.shape, kernel_h, kernel_w, stride, padding)
+    columns = _gather_columns(views, images)
     out_h = conv_output_size(images.shape[2], kernel_h, stride, padding)
     out_w = conv_output_size(images.shape[3], kernel_w, stride, padding)
     return columns, out_h, out_w
@@ -272,6 +304,37 @@ def col2im(
     return image
 
 
+def _tile_samples(
+    images_shape: Tuple[int, ...],
+    kernel_h: int,
+    kernel_w: int,
+    stride: int,
+    padding: int,
+    itemsize: int,
+) -> int:
+    """Samples per conv tile: as many as fit their zero-padded image and
+    im2col columns in ``_IM2COL_BLOCK_BYTES`` (at least one)."""
+    _, _, per_sample = _columns_layout((1, *images_shape[1:]), kernel_h, kernel_w, stride, padding)
+    return max(1, min(images_shape[0], _IM2COL_BLOCK_BYTES // (per_sample * itemsize)))
+
+
+def _tiles(block: np.ndarray, images_shape: Tuple[int, ...], tile: int, geometry: Tuple[int, ...]):
+    """``(samples, views, spare)`` for each tile of a batch, in order:
+    the tile's slice of the batch, its :func:`_columns_views` in ``block``
+    (built once for the full tiles, once more for a part-filled last one)
+    and a column-shaped view of ``block`` past the padded images."""
+    batch = images_shape[0]
+    views = None
+    for first in range(0, batch, tile):
+        samples = slice(first, min(first + tile, batch))
+        if views is None or samples.stop - first < tile:
+            shape = (samples.stop - first, *images_shape[1:])
+            views = _columns_views(block, shape, *geometry)
+            columns_shape, start, end = _columns_layout(shape, *geometry)
+            spare = block[start:end].reshape(columns_shape)
+        yield samples, views, spare
+
+
 def conv2d(
     inputs: Tensor,
     weight: Tensor,
@@ -281,12 +344,19 @@ def conv2d(
 ) -> Tensor:
     """2-D convolution.
 
+    Forward and backward walk the batch in tiles of :func:`_tile_samples`
+    samples, each gathering its columns into this thread's scratch block, so
+    a tile's columns stay in cache for its GEMMs.  The GEMMs are the
+    per-sample ones an untiled batched ``np.matmul`` issues, and the
+    per-sample weight gradients are summed once over the whole batch, so no
+    value depends on the tile size.
+
     Parameters
     ----------
     inputs:
         Tensor of shape ``(N, C_in, H, W)``.  Its array is read again by the
-        backward (which re-gathers the columns), so it must not be modified
-        in place in between -- the same holds for ``weight``.
+        backward (which gathers each tile's columns again), so it must not be
+        modified in place in between -- the same holds for ``weight``.
     weight:
         Tensor of shape ``(C_out, C_in, kH, kW)``.
     bias:
@@ -304,13 +374,17 @@ def conv2d(
 
     source = inputs.data
     batch = source.shape[0]
-    columns_shape, start, size = _columns_layout(source.shape, kernel_h, kernel_w, stride, padding)
-    (block,) = _scratch(((size,), source.dtype))
-    columns = _columns_in(block, source, kernel_h, kernel_w, stride, padding)
+    geometry = (kernel_h, kernel_w, stride, padding)
+    tile = _tile_samples(source.shape, *geometry, source.dtype.itemsize)
+    _, _, size = _columns_layout((tile, *source.shape[1:]), *geometry)
     weight_matrix = weight.data.reshape(out_channels, -1)
-    # (N, C_out, out_h * out_w); matmul broadcasts over the batch dimension
-    # and dispatches to BLAS, which is substantially faster than einsum here.
-    out = np.matmul(weight_matrix, columns)
+    (block,) = _scratch(((size,), source.dtype))
+    # (N, C_out, out_h * out_w): matmul broadcasts W over the tile's samples
+    # and dispatches one BLAS GEMM per sample.
+    out_dtype = np.result_type(weight_matrix, source)
+    out = np.empty((batch, out_channels, out_h * out_w), dtype=out_dtype)
+    for samples, views, _ in _tiles(block, source.shape, tile, geometry):
+        np.matmul(weight_matrix, _gather_columns(views, source[samples]), out=out[samples])
     if bias is not None:
         out += bias.data.reshape(1, out_channels, 1)
     out = out.reshape(batch, out_channels, out_h, out_w)
@@ -319,18 +393,25 @@ def conv2d(
 
     def backward(grad: np.ndarray) -> None:
         grad_out = np.asarray(grad).reshape(batch, out_channels, out_h * out_w)
-        block, image = _scratch(((size,), source.dtype), (source.shape, source.dtype))
+        block, image, per_sample = _scratch(
+            ((size,), source.dtype),
+            (source.shape, source.dtype),
+            ((batch, *weight_matrix.shape), grad_out.dtype),
+        )
+        for samples, views, spare in _tiles(block, source.shape, tile, geometry):
+            if weight.requires_grad:
+                columns = _gather_columns(views, source[samples])
+                np.matmul(grad_out[samples], columns.transpose(0, 2, 1), out=per_sample[samples])
+            if inputs.requires_grad:
+                # The tile's columns are dead: their place takes its column
+                # gradient.
+                np.matmul(weight_matrix.T, grad_out[samples], out=spare)
+                _scatter_columns(spare, image[samples], *geometry)
         if weight.requires_grad:
-            columns = _columns_in(block, source, kernel_h, kernel_w, stride, padding)
-            grad_weight = np.matmul(grad_out, columns.transpose(0, 2, 1)).sum(axis=0)
-            weight._accumulate_grad(grad_weight.reshape(weight.shape))
+            weight._accumulate_grad(per_sample.sum(axis=0).reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate_grad(grad_out.sum(axis=(0, 2)))
         if inputs.requires_grad:
-            # The columns are dead: their place takes the column gradient.
-            grad_columns = block[start:].reshape(columns_shape)
-            np.matmul(weight_matrix.T, grad_out, out=grad_columns)
-            _scatter_columns(grad_columns, image, kernel_h, kernel_w, stride, padding)
             inputs._accumulate_grad(image)
 
     return Tensor._make_from_op(out, parents, backward)

@@ -7,6 +7,7 @@ code while remaining a self-contained NumPy implementation.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import functional as F
 from . import init
-from .tensor import Tensor
+from .tensor import Tensor, _unbroadcast
 
 __all__ = [
     "Parameter",
@@ -290,47 +291,111 @@ class _BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros(num_features))
         self.register_buffer("running_var", np.ones(num_features))
 
-    def _normalize(self, inputs: Tensor, reduce_axes: Tuple[int, ...], shape: Tuple[int, ...]) -> Tensor:
-        if self.training:
-            mean = inputs.data.mean(axis=reduce_axes)
-            var = inputs.data.var(axis=reduce_axes)
+    def _normalize(
+        self,
+        inputs: Tensor,
+        reduce_axes: Tuple[int, ...],
+        shape: Tuple[int, ...],
+        sign_clip: Optional[float],
+    ) -> Tensor:
+        """``gamma * (x - mean) / sqrt(var + eps) + beta`` -- and, with
+        ``sign_clip``, the sign STE behind it (:meth:`Tensor.sign_ste`) -- as
+        one autograd node.
+
+        Forward and backward issue the numpy ops of the graph that composing
+        ``Tensor`` ops would record (``x.mean()``, ``x - mean``, ``** 0.5``,
+        ``/``, ``*``, ``+``, then ``sign_ste``), on the same operands, and
+        accumulate every gradient in that graph's order: each reduction is
+        the graph's ``_unbroadcast``, the squares' two gradient terms are
+        added one after the other, and the input receives its two terms (the
+        centred path, then the mean's) as two accumulations.  So every value
+        is bit-identical to the composed graph's; the node only skips its
+        bookkeeping: the per-node copies and broadcasts, and one array per
+        intermediate kept alive for the backward.
+        """
+        x = inputs.data
+        gamma = self.gamma.data.reshape(shape)
+        beta = self.beta.data.reshape(shape)
+        training = self.training
+        if training:
+            mean = x.mean(axis=reduce_axes)
+            var = x.var(axis=reduce_axes)
             self._set_buffer(
-                "running_mean",
-                (1 - self.momentum) * self.running_mean + self.momentum * mean,
+                "running_mean", (1 - self.momentum) * self.running_mean + self.momentum * mean
             )
             self._set_buffer(
-                "running_var",
-                (1 - self.momentum) * self.running_var + self.momentum * var,
+                "running_var", (1 - self.momentum) * self.running_var + self.momentum * var
             )
-            mean_t = inputs.mean(axis=reduce_axes, keepdims=True)
-            centered = inputs - mean_t
-            var_t = (centered * centered).mean(axis=reduce_axes, keepdims=True)
-            normalized = centered / ((var_t + self.eps) ** 0.5)
+            inverse = 1.0 / math.prod(x.shape[axis] for axis in reduce_axes)
+            centered = x + -(x.sum(axis=reduce_axes, keepdims=True) * inverse)
+            squares = centered * centered
+            shifted = squares.sum(axis=reduce_axes, keepdims=True) * inverse + self.eps
+            std = shifted ** 0.5
         else:
-            mean = self.running_mean.reshape(shape)
-            var = self.running_var.reshape(shape)
-            normalized = (inputs - Tensor(mean)) / Tensor(np.sqrt(var + self.eps))
-        gamma = self.gamma.reshape(*shape)
-        beta = self.beta.reshape(*shape)
-        return normalized * gamma + beta
+            centered = x + -self.running_mean.reshape(shape)
+            std = np.sqrt(self.running_var.reshape(shape) + self.eps)
+        normalized = centered / std
+        out = normalized * gamma
+        out += beta
+        if sign_clip is not None:
+            mask = np.abs(out) <= sign_clip
+            # np.where(out >= 0, 1.0, -1.0), without its slow scalar operands.
+            out = (out >= 0).astype(np.float64)
+            out *= 2.0
+            out -= 1.0
+
+        def backward(grad: np.ndarray) -> None:
+            if sign_clip is not None:
+                grad = grad * mask
+            if self.beta.requires_grad:
+                self.beta._accumulate_grad(_unbroadcast(grad, shape).reshape(self.beta.shape))
+            if self.gamma.requires_grad:
+                self.gamma._accumulate_grad(
+                    _unbroadcast(grad * normalized, shape).reshape(self.gamma.shape)
+                )
+            if not inputs.requires_grad:
+                return
+            scaled = grad * gamma
+            grad_centered = scaled / std
+            if not training:
+                inputs._accumulate_grad(grad_centered)
+                return
+            # -scaled * centered / std ** 2, in place.
+            np.negative(scaled, out=scaled)
+            scaled *= centered
+            scaled /= std ** 2
+            grad_squares = _unbroadcast(scaled, shape) * 0.5 * shifted ** (0.5 - 1) * inverse
+            # centered * centered: one term per operand.
+            term = np.multiply(grad_squares, centered, out=scaled)
+            grad_centered += term
+            grad_centered += term
+            inputs._accumulate_grad(grad_centered)
+            grad_mean = -_unbroadcast(grad_centered, shape) * inverse
+            inputs._accumulate_grad(np.broadcast_to(grad_mean, x.shape))
+
+        return Tensor._make_from_op(out, (inputs, self.gamma, self.beta), backward)
 
 
 class BatchNorm1d(_BatchNorm):
     """Batch normalisation over ``(N, F)`` inputs."""
 
-    def forward(self, inputs: Tensor) -> Tensor:
+    def forward(self, inputs: Tensor, sign_clip: Optional[float] = None) -> Tensor:
+        """Normalise; with ``sign_clip``, binarise the result too (the sign
+        STE of :class:`~repro.nn.binary.BinaryActivation`, in the same node)."""
         if inputs.ndim != 2:
             raise ValueError(f"BatchNorm1d expects (N, F) input, got shape {inputs.shape}")
-        return self._normalize(inputs, reduce_axes=(0,), shape=(1, self.num_features))
+        return self._normalize(inputs, (0,), (1, self.num_features), sign_clip)
 
 
 class BatchNorm2d(_BatchNorm):
     """Batch normalisation over ``(N, C, H, W)`` inputs (per channel)."""
 
-    def forward(self, inputs: Tensor) -> Tensor:
+    def forward(self, inputs: Tensor, sign_clip: Optional[float] = None) -> Tensor:
+        """Normalise; with ``sign_clip``, binarise the result too (the sign
+        STE of :class:`~repro.nn.binary.BinaryActivation`, in the same node)."""
         if inputs.ndim != 4:
             raise ValueError(f"BatchNorm2d expects (N, C, H, W) input, got shape {inputs.shape}")
-        return self._normalize(inputs, reduce_axes=(0, 2, 3), shape=(1, self.num_features, 1, 1))
+        return self._normalize(inputs, (0, 2, 3), (1, self.num_features, 1, 1), sign_clip)
 
 
 class ReLU(Module):

@@ -7,7 +7,10 @@ traffic: ``np.pad`` + a strided-window copy, ``argmax`` +
 specification the tuned kernels must meet bit for bit -- forward values and
 every gradient, on tie-heavy inputs (the binary net's integer conv outputs
 tie constantly, so the arg-max tie-break is load-bearing), with forwards and
-backwards interleaved, and from two threads at once.
+backwards interleaved, and from two threads at once.  The hypothesis cases
+are small enough for one conv tile; the fixed cases at the ``ci`` model's
+real shapes (``REAL_CONVS``) run the conv in several tiles, the last one
+part-filled.
 """
 
 from __future__ import annotations
@@ -244,7 +247,52 @@ def test_backwards_in_reverse_order_of_the_forwards(case):
     _assert_all_equal(run(TUNED), run(REFERENCE))
 
 
+#: The Fig. 3 convs of the ``ci`` model (3x3, stride 1, padding 1) as
+#: ``((C_in, H, W), C_out)``: a device's over the camera image, then the
+#: cloud's two over the devices' concatenated sign maps.
+REAL_CONVS = [((3, 32, 32), 4), ((24, 16, 16), 8), ((8, 8, 8), 8)]
+#: ``train-fit``'s last batch is 8 (200 = 6 x 32 + 8).
+REAL_BATCHES = [1, 5, 8, 32]
+
+
+def _real_case(batch, sample_shape, out_channels, seed):
+    """A Fig. 3 conv at a real shape: float images into the device conv,
+    ±1 sign maps into the cloud's (as in the model), ±1 weights."""
+    rng = np.random.default_rng(seed)
+    shape = (batch, *sample_shape)
+    if sample_shape[0] == 3:
+        images = rng.standard_normal(shape)
+    else:
+        images = rng.choice([-1.0, 1.0], size=shape)
+    return SimpleNamespace(
+        kernel=3,
+        stride=1,
+        padding=1,
+        images=images,
+        weight=rng.choice([-1.0, 1.0], size=(out_channels, sample_shape[0], 3, 3)),
+        bias=rng.standard_normal(out_channels),
+        seed=seed,
+    )
+
+
+@pytest.mark.parametrize("sample_shape, out_channels", REAL_CONVS)
+def test_every_real_conv_shape_ends_in_a_ragged_tile(sample_shape, out_channels):
+    tiles = [F._tile_samples((batch, *sample_shape), 3, 3, 1, 1, 8) for batch in REAL_BATCHES]
+    assert any(
+        tile < batch and batch % tile for tile, batch in zip(tiles, REAL_BATCHES)
+    ), tiles
+
+
+@pytest.mark.parametrize("batch", REAL_BATCHES)
+@pytest.mark.parametrize("sample_shape, out_channels", REAL_CONVS)
+def test_real_conv_shapes_equal_the_reference(batch, sample_shape, out_channels):
+    case = _real_case(batch, sample_shape, out_channels, seed=batch)
+    _assert_all_equal(_conv_then_pool(TUNED, case), _conv_then_pool(REFERENCE, case))
+
+
 def test_two_threads_match_serial_results():
+    """Two small cases and one at a real shape (several conv tiles, the
+    last part-filled), each in its own thread, replay their serial run."""
     rng = np.random.default_rng(0)
     cases = [
         SimpleNamespace(
@@ -258,6 +306,7 @@ def test_two_threads_match_serial_results():
         )
         for stride in (1, 2)
     ]
+    cases.append(_real_case(5, *REAL_CONVS[1], seed=3))
     serial = [_conv_then_pool(TUNED, case) for case in cases]
     barrier = threading.Barrier(len(cases))
     results = [[] for _ in cases]

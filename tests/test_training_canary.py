@@ -1,18 +1,22 @@
-"""Training canary: one short joint-training run against a recording.
+"""Training canary: short joint-training runs against recordings.
 
-The benchmark's ``ci`` model, trained for one epoch on the first 64 training
-samples (two Adam steps through every conv, max-pool, BatchNorm and sign of
-Sec. III-C's joint loss), must reproduce, bit for bit, the ``state_dict``
-recorded in ``tests/data/training_canary.npz``.  It guards every change to
-the training kernels that promises not to move a trained weight, in about a
-second instead of the table benchmarks' retraining.
+The benchmark's ``ci`` model, trained for one epoch on the first ``samples``
+training samples (Adam steps through every conv, max-pool, BatchNorm and
+sign of Sec. III-C's joint loss), must reproduce, bit for bit, the
+``state_dict`` recorded for that sample count in ``tests/data/``.  64
+samples are two full batches of 32; 72 add a ragged last batch of 8, the
+shape ``train-fit``'s last step has (200 = 6 x 32 + 8), so a kernel that
+tiles the batch ends in a part-filled tile there.  They guard every change
+to the training kernels that promises not to move a trained weight, in
+about a second each instead of the table benchmarks' retraining.
 
-``python tests/test_training_canary.py --record`` rewrites the recording from
-whatever ``repro`` is importable (it was run against commit aeac915 with one
-BLAS thread); ``--canary`` exits non-zero where BLAS does not round like the
-recording host's.  The first binary conv runs over float images, so its sums
-depend on GEMM rounding: there the test checks that a run replays itself and
-reports itself skipped.
+``python tests/test_training_canary.py --record SAMPLES`` rewrites one
+recording from whatever ``repro`` is importable (both were run with one
+BLAS thread: the 64-sample one against commit aeac915, the 72-sample one
+against commit 0533f29); ``--canary`` exits non-zero where BLAS does not
+round like the recording host's.  The first binary conv runs over float
+images, so its sums depend on GEMM rounding: there the test checks that a
+run replays itself and reports itself skipped.
 """
 
 from __future__ import annotations
@@ -29,11 +33,15 @@ from repro.experiments.runner import ci_scale, train_fresh_ddnn
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from test_compile_memory_plan import _same_blas_as_recorded  # noqa: E402
 
-RECORDED = Path(__file__).resolve().parent / "data" / "training_canary.npz"
-SAMPLES = 64
+DATA = Path(__file__).resolve().parent / "data"
+#: Training samples -> the recorded ``state_dict`` after one epoch on them.
+RECORDED = {
+    64: DATA / "training_canary.npz",
+    72: DATA / "training_canary_ragged.npz",
+}
 
 
-def _trained_state() -> dict:
+def _trained_state(samples: int) -> dict:
     scale = ci_scale()
     train, _ = mvmc.load_mvmc_splits(
         train_samples=scale.train_samples,
@@ -44,20 +52,28 @@ def _trained_state() -> dict:
     model, _ = train_fresh_ddnn(
         scale,
         training=scale.training_config(epochs=1),
-        train_set=train.subset(np.arange(SAMPLES)),
+        train_set=train.subset(np.arange(samples)),
     )
     return model.state_dict()
 
 
 def test_one_epoch_reproduces_the_recorded_weights():
-    current = _trained_state()
+    _check(64)
+
+
+def test_one_epoch_with_a_ragged_last_batch_reproduces_the_recorded_weights():
+    _check(72)
+
+
+def _check(samples: int) -> None:
+    current = _trained_state(samples)
     if _same_blas_as_recorded():
-        recorded = np.load(RECORDED)
+        recorded = np.load(RECORDED[samples])
         assert sorted(current) == sorted(recorded.files)
         for name, value in current.items():
             np.testing.assert_array_equal(value, recorded[name], err_msg=name)
         return
-    for name, value in _trained_state().items():
+    for name, value in _trained_state(samples).items():
         np.testing.assert_array_equal(value, current[name], err_msg=name)
     pytest.skip(
         "BLAS canary differs from the recording host's: the run replays itself, "
@@ -73,6 +89,7 @@ if __name__ == "__main__":
             else "BLAS canary differs from the recording host's: the training "
             "canary would skip its exact comparison"
         )
-    if sys.argv[1:] != ["--record"]:
+    if len(sys.argv) != 3 or sys.argv[1] != "--record" or sys.argv[2] not in map(str, RECORDED):
         sys.exit(__doc__)
-    np.savez_compressed(RECORDED, **_trained_state())
+    samples = int(sys.argv[2])
+    np.savez_compressed(RECORDED[samples], **_trained_state(samples))
