@@ -17,11 +17,17 @@ process had already compiled.  The cache here is shared by all of them:
   model in place (it evicts *every* precision's plan for that model, since
   all of them snapshot weights at compile time, the scoped plans below
   included);
-* :func:`scoped_plan_for` keeps one plan per ``(scope, model, precision)``
-  instead, for callers that must not share a plan's buffer arenas with the
+* :func:`scoped_plan_for` keeps one bundle per ``(scope, model, precision)``
+  as well, for callers that must not share a plan's buffer arenas with the
   rest of the process but can share one among themselves (the simulated
-  serving workers of one event loop, which compute one at a time); a scoped
-  plan lives as long as its scope, and both are held weakly;
+  serving workers of one deployment, which compute one at a time); a scoped
+  bundle is not compiled again: it shares the ops — weights, thresholds,
+  aggregators — of the process-wide plan and owns only its arenas, program
+  caches and timing counters
+  (:meth:`~repro.compile.ddnn.CompiledDDNN.with_own_buffers`, which the
+  thread workers' bundles come from too), so a model is compiled once per
+  precision however many fabrics, replicas and workers serve it; it lives
+  as long as its scope, and both are held weakly;
 * all bookkeeping is guarded by one re-entrant lock, so worker threads
   (:mod:`repro.serving.workers`) can look plans up while a training loop
   invalidates them — compilation itself happens *outside* the lock, so a
@@ -89,21 +95,20 @@ def compiled_plan_for(model, precision: str = "float64"):
 
 
 def scoped_plan_for(model, precision: str, scope):
-    """``scope``'s own compiled plan for a model, compiling on first use.
+    """``scope``'s own bundle for a model: the ops of
+    :func:`compiled_plan_for`'s plan over buffers of its own.
 
     Every call with the same ``scope`` object, model and precision returns
-    one plan, distinct from :func:`compiled_plan_for`'s and from every other
-    scope's, so its users need no synchronisation beyond their own.  The
-    entry goes when the scope or the model is collected, or when
-    :func:`invalidate_plan` evicts the model.
+    one bundle, whose arenas are distinct from :func:`compiled_plan_for`'s
+    and from every other scope's, so its users need no synchronisation
+    beyond their own.  The entry goes when the scope or the model is
+    collected, or when :func:`invalidate_plan` evicts the model.
     """
     with _CACHE_LOCK:
         plans = _SCOPED_PLANS.setdefault(scope, weakref.WeakKeyDictionary())
         plan = plans.get(model, {}).get(precision)
     if plan is None:
-        from .ddnn import compile_ddnn
-
-        plan = compile_ddnn(model, precision=precision)
+        plan = compiled_plan_for(model, precision).with_own_buffers()
         with _CACHE_LOCK:
             plan = plans.setdefault(model, {}).setdefault(precision, plan)
     return plan

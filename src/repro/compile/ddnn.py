@@ -17,6 +17,7 @@ guarantee against the eager path.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
@@ -191,6 +192,15 @@ class CompiledTier:
         return feature_map, self.head(feature_map)
 
 
+def _with_own_buffers(part, *plans: str):
+    """A copy of a branch or tier whose ``plans`` attributes are
+    :meth:`CompiledPlan.with_own_buffers` copies."""
+    part = copy.copy(part)
+    for name in plans:
+        setattr(part, name, getattr(part, name).with_own_buffers())
+    return part
+
+
 @dataclass
 class CompiledDDNNOutput:
     """All exit and intermediate outputs of one compiled forward pass.
@@ -272,6 +282,23 @@ class CompiledDDNN:
         self.cloud = CompiledTier(
             model.cloud, name="cloud", precision=precision, input_signed=cloud_signed
         )
+
+    def with_own_buffers(self) -> "CompiledDDNN":
+        """A bundle sharing this one's compiled ops — weights, folded
+        BatchNorm, sign thresholds and aggregators, all read-only after
+        compilation — with arenas, program caches and timing counters of its
+        own.  Nothing is compiled: it is how every serving worker that must
+        not share buffers gets a bundle (one per simulated deployment, one
+        per thread-worker slot) from the one :func:`compiled_plan_for` plan.
+        Its outputs live until *its* next forward, and it runs concurrently
+        with every other bundle over the same ops."""
+        bundle = copy.copy(self)
+        bundle.device_group = _with_own_buffers(self.device_group, "features", "classify")
+        bundle.edge_tiers = [
+            _with_own_buffers(tier, "features", "head") for tier in self.edge_tiers
+        ]
+        bundle.cloud = _with_own_buffers(self.cloud, "features", "head")
+        return bundle
 
     # -- operator timing hook ------------------------------------------- #
     def plans(self) -> List[CompiledPlan]:

@@ -35,6 +35,7 @@ grouped plan that computes all of them side by side.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -402,6 +403,15 @@ class CompiledPlan:
         plan.dtype = first.dtype
         plan.output_signed = all(each.output_signed for each in plans)
         plan._bind(ops, groups=len(plans))
+        return plan
+
+    def with_own_buffers(self) -> "CompiledPlan":
+        """A plan running this plan's ops — the same weights and sign
+        thresholds, compiled once — over an arena, program cache and timing
+        counters of its own, so it and this plan can run concurrently and
+        neither overwrites the other's outputs."""
+        plan = copy.copy(self)
+        plan._bind(self.ops, groups=self.groups)
         return plan
 
     def __repr__(self) -> str:

@@ -20,6 +20,7 @@ experiments rely on (see DESIGN.md for the substitution rationale):
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,8 +31,9 @@ from .shapes import (
     IMAGE_SIZE,
     NOT_PRESENT_LABEL,
     ObjectInstance,
+    _blank_views,
+    _render_views,
     blank_view,
-    render_view,
     sample_object,
 )
 
@@ -225,6 +227,29 @@ class MVMCDataset:
         return MVMCDataset(images, self.labels, device_labels, profiles=self.profiles)
 
 
+def _positive_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _class_probabilities(values: Sequence[float]) -> np.ndarray:
+    """``values`` normalised to sum to one: one finite, non-negative entry
+    per class with a positive sum, or ``ValueError``."""
+    probabilities = np.asarray(values, dtype=float)
+    if (
+        probabilities.shape != (len(CLASS_NAMES),)
+        or not np.isfinite(probabilities).all()
+        or (probabilities < 0).any()
+        or probabilities.sum() <= 0
+    ):
+        raise ValueError(
+            f"class_probabilities must be {len(CLASS_NAMES)} finite, non-negative "
+            f"numbers with a positive sum (one per class in {CLASS_NAMES}), got {values!r}"
+        )
+    return probabilities / probabilities.sum()
+
+
 def generate_mvmc(
     num_samples: int,
     profiles: Sequence[DeviceProfile] = DEFAULT_DEVICE_PROFILES,
@@ -237,47 +262,80 @@ def generate_mvmc(
     Every sample corresponds to one object instance rendered by each device
     whose visibility draw succeeds; at least one device always sees the
     object (otherwise the sample would carry no information at all).
-    """
-    if num_samples <= 0:
-        raise ValueError("num_samples must be positive")
-    rng = np.random.default_rng(seed)
-    class_probabilities = np.asarray(class_probabilities, dtype=float)
-    class_probabilities = class_probabilities / class_probabilities.sum()
 
-    num_devices = len(profiles)
+    **Random stream.**  Per sample, in this order: the class, the object
+    (:func:`~repro.datasets.shapes.sample_object`), one visibility draw per
+    device, then all of the sample's pixel noise as *one*
+    ``standard_normal`` block, which the views are rendered from in one
+    array pass.  The block holds, device by device, a visible device's
+    background then sensor noise (each ``(size, size, 3)``) or a hidden
+    device's blank-frame noise (``(3, size, size)``): the order in which one
+    :func:`~repro.datasets.shapes.render_view` or
+    :func:`~repro.datasets.shapes.blank_view` call per device would draw
+    them.  ``Generator.normal(0, s, n)`` is ``0.0 + s * z`` over the next
+    ``n`` standard normals ``z`` of the stream, so scaling each slice of the
+    block the same way gives those calls' noise bit for bit, and the
+    dataset of a seed is what the per-view renderer made.
+    """
+    rows = range(_positive_int(num_samples, "num_samples"))
+    return _generate(rows, profiles, class_probabilities, seed, image_size)
+
+
+def _generate(rows, profiles, class_probabilities, seed, image_size) -> MVMCDataset:
+    """:func:`generate_mvmc` of ``len(rows)`` samples, the ``i``-th drawn
+    written to row ``rows[i]``."""
+    image_size = _positive_int(image_size, "image_size")
+    profiles = tuple(profiles)
+    if not profiles:
+        raise ValueError("profiles must name at least one device")
+    class_probabilities = _class_probabilities(class_probabilities)
+    rng = np.random.default_rng(seed)
+
+    num_samples, num_devices = len(rows), len(profiles)
     images = np.zeros((num_samples, num_devices, 3, image_size, image_size))
     labels = np.zeros(num_samples, dtype=np.int64)
     device_labels = np.full((num_samples, num_devices), NOT_PRESENT_LABEL, dtype=np.int64)
+    # One frame's worth of noise: (size, size, 3) and (3, size, size) alike.
+    frame = 3 * image_size * image_size
 
-    for sample_index in range(num_samples):
+    for at in rows:
         label = int(rng.choice(len(CLASS_NAMES), p=class_probabilities))
         instance = sample_object(label, rng)
-        labels[sample_index] = label
+        labels[at] = label
 
-        visible = np.array(
-            [rng.random() < profile.visibility[label] for profile in profiles]
-        )
-        if not visible.any():
+        visible = [rng.random() < profile.visibility[label] for profile in profiles]
+        if not any(visible):
             # Guarantee at least one view; pick the device most likely to see it.
             best = int(np.argmax([profile.visibility[label] for profile in profiles]))
             visible[best] = True
 
-        for device_index, profile in enumerate(profiles):
-            if visible[device_index]:
-                images[sample_index, device_index] = render_view(
-                    instance,
-                    profile.view_angle,
-                    rng,
-                    noise_level=profile.noise_level,
-                    blur=profile.blur,
-                    brightness=profile.brightness,
-                    size=image_size,
-                )
-                device_labels[sample_index, device_index] = label
+        # The block's frames: two per visible device, one per hidden one.
+        shown, shown_frames, hidden, hidden_frames, frames = [], [], [], [], 0
+        for device_index, seen in enumerate(visible):
+            if seen:
+                shown.append(device_index)
+                shown_frames += [frames, frames + 1]
             else:
-                images[sample_index, device_index] = blank_view(
-                    rng=rng, noise_level=0.01, size=image_size
-                )
+                hidden.append(device_index)
+                hidden_frames.append(frames)
+            frames += 1 + seen
+        block = rng.standard_normal(frames * frame).reshape(frames, frame)
+
+        cameras = [profiles[index] for index in shown]
+        images[at, shown] = _render_views(
+            instance,
+            [camera.view_angle for camera in cameras],
+            [camera.noise_level for camera in cameras],
+            [camera.blur for camera in cameras],
+            [camera.brightness for camera in cameras],
+            block[shown_frames].reshape(len(shown), 2, image_size, image_size, 3),
+            image_size,
+        )
+        device_labels[at, shown] = label
+        if hidden:
+            images[at, hidden] = _blank_views(
+                block[hidden_frames].reshape(len(hidden), 3, image_size, image_size), 0.01
+            )
 
     return MVMCDataset(images, labels, device_labels, profiles=profiles)
 
@@ -294,17 +352,26 @@ def load_mvmc_splits(
     Train and test samples are drawn from the same generative process with
     disjoint random streams, mirroring the paper's single-dataset split.
     """
-    combined = generate_mvmc(
-        train_samples + test_samples,
-        profiles=profiles,
-        class_probabilities=DEFAULT_CLASS_PROBABILITIES,
-        seed=seed,
-        image_size=image_size,
+    train_samples = _positive_int(train_samples, "train_samples")
+    test_samples = _positive_int(test_samples, "test_samples")
+    total = train_samples + test_samples
+    order = np.random.default_rng(seed + 1).permutation(total)
+    # Sample ``order[k]`` of the combined stream is row ``k``: the train split
+    # is the first rows and the test split the rest, each a slice, not a copy.
+    rows = np.empty(total, dtype=np.intp)
+    rows[order] = np.arange(total)
+    combined = _generate(
+        rows.tolist(), profiles, DEFAULT_CLASS_PROBABILITIES, seed, image_size
     )
-    rng = np.random.default_rng(seed + 1)
-    order = rng.permutation(len(combined))
-    train = combined.subset(order[:train_samples])
-    test = combined.subset(order[train_samples:])
+    train, test = (
+        MVMCDataset(
+            combined.images[split],
+            combined.labels[split],
+            combined.device_labels[split],
+            profiles=combined.profiles,
+        )
+        for split in (slice(train_samples), slice(train_samples, total))
+    )
     return train, test
 
 

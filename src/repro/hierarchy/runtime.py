@@ -67,7 +67,8 @@ class HierarchyRuntime:
         self.batch_size = batch_size
         # The cascade supplies criteria/routing; each run's fabric runs the
         # tier sections on the deployment's own plan bundle at this
-        # precision, compiled once and reused by every later run.
+        # precision (the process-wide plan's ops over arenas of its own),
+        # reused by every later run.
         self.cascade = ExitCascade.for_model(self.model, thresholds, precision=precision)
 
     @property

@@ -1654,18 +1654,21 @@ class DistributedServingFabric:
         Thread workers compute concurrently: each *slot* gets a bundle of
         its own, none of those the tier's workers already hold (``in_use``:
         their ids), from one pool per precision that tiers share (tier t's
-        worker w runs only its bundle's tier-t plans) and that compiles a
-        fresh bundle only when it runs out.
+        worker w runs only its bundle's tier-t plans) and that adds a
+        bundle only when it runs out.  No bundle is compiled here: each
+        shares the ops of the process-wide plan
+        (:func:`~repro.compile.cache.compiled_plan_for`) and owns only its
+        arenas, program caches and timing counters
+        (:meth:`~repro.compile.ddnn.CompiledDDNN.with_own_buffers`).
         """
-        from ..compile import compile_ddnn
-        from ..compile.cache import scoped_plan_for
+        from ..compile.cache import compiled_plan_for, scoped_plan_for
 
         if self.backend == "simulated":
             return [scoped_plan_for(self.model, mode, self.deployment)] * count
         pool = self._bundles.setdefault(mode, [])
         spare = [bundle for bundle in pool if id(bundle) not in in_use]
         while len(spare) < count:
-            pool.append(compile_ddnn(self.model, precision=mode))
+            pool.append(compiled_plan_for(self.model, mode).with_own_buffers())
             spare.append(pool[-1])
         return spare[:count]
 

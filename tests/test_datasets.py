@@ -108,6 +108,49 @@ class TestGeneration:
             generate_mvmc(0)
 
 
+class TestBoundaries:
+    """Bad generator inputs fail loudly, naming the argument."""
+
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True, "3"])
+    def test_sample_counts_must_be_positive_integers(self, count):
+        with pytest.raises(ValueError, match="num_samples"):
+            generate_mvmc(count)
+
+    def test_a_negative_train_split_is_rejected(self):
+        # It used to return a 3-sample train and a 1-sample test split.
+        with pytest.raises(ValueError, match="train_samples"):
+            load_mvmc_splits(train_samples=-1, test_samples=5)
+
+    def test_an_empty_test_split_is_rejected(self):
+        with pytest.raises(ValueError, match="test_samples"):
+            load_mvmc_splits(train_samples=10, test_samples=0)
+
+    def test_no_profiles_is_rejected(self):
+        with pytest.raises(ValueError, match="profiles"):
+            generate_mvmc(4, profiles=[])
+
+    @pytest.mark.parametrize(
+        "probabilities",
+        [(0, 0, 0), (0.5, float("nan"), 0.5), (0.5, float("inf"), 0.5), (-0.1, 0.6, 0.5), (0.5, 0.5)],
+        ids=["zero-sum", "nan", "inf", "negative", "too-few"],
+    )
+    def test_class_probabilities_must_be_a_distribution(self, probabilities):
+        with pytest.raises(ValueError, match="class_probabilities"):
+            generate_mvmc(4, class_probabilities=probabilities)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_image_sizes_below_one_are_rejected(self, size):
+        with pytest.raises(ValueError, match="image_size"):
+            generate_mvmc(4, image_size=size)
+        with pytest.raises(ValueError, match="image_size"):
+            load_mvmc_splits(train_samples=4, test_samples=2, image_size=size)
+
+    def test_unnormalised_probabilities_are_normalised(self):
+        a = generate_mvmc(6, class_probabilities=(2, 2, 4), seed=1, image_size=8)
+        b = generate_mvmc(6, class_probabilities=(0.25, 0.25, 0.5), seed=1, image_size=8)
+        np.testing.assert_array_equal(a.images, b.images)
+
+
 class TestDatasetOperations:
     def test_subset(self, small_dataset):
         subset = small_dataset.subset(np.array([0, 5, 7]))
