@@ -73,14 +73,11 @@ __all__ = [
     "ConvOp",
     "LinearOp",
     "MaxPoolOp",
-    "AvgPoolOp",
     "BatchNormOp",
     "PackedConvOp",
     "PackedLinearOp",
     "ReluOp",
     "SignOp",
-    "SigmoidOp",
-    "TanhOp",
     "FlattenOp",
     "PRECISIONS",
     "precision_dtype",
@@ -245,18 +242,6 @@ class Arena:
     def nbytes(self) -> int:
         """Bytes currently held (buffers plus the scratch block)."""
         return self._scratch.nbytes + sum(buf.nbytes for buf in self._buffers.values())
-
-
-def _window_position_slices(source: np.ndarray, kernel: int, stride: int) -> list:
-    """One strided sub-view of ``source`` per kernel position.
-
-    ``slices[ky * kernel + kx][..., c, oy, ox]`` is the value the window at
-    output position ``(oy, ox)`` sees at kernel offset ``(ky, kx)``.
-    Average pooling accumulates over these views instead of reducing over
-    the overlapping window view, which iterates with far better locality.
-    """
-    windows = sliding_windows(source, kernel, kernel, stride)
-    return [windows[..., ky, kx] for ky in range(kernel) for kx in range(kernel)]
 
 
 def _grouped(array: np.ndarray, ndim: int) -> np.ndarray:
@@ -823,14 +808,30 @@ class LinearOp(_GemmOp):
         return self._finish(ctx)
 
 
-class _PoolOp(_Op):
-    """Shared scaffolding for max/average pooling."""
+def _maximum_into(out: np.ndarray, operands: Sequence[np.ndarray]) -> None:
+    """``out`` = elementwise maximum of ``operands`` (max is exact in any order)."""
+    if len(operands) == 1:
+        np.copyto(out, operands[0])
+        return
+    np.maximum(operands[0], operands[1], out=out)
+    for operand in operands[2:]:
+        np.maximum(out, operand, out=out)
 
-    pad_fill: float = 0.0
 
-    def __init__(self, kernel_size: int, stride: Optional[int], padding: int) -> None:
+class MaxPoolOp(_Op):
+    """2-D max pooling; padded border stays ``-inf`` so it never wins.
+
+    Separable: first the maximum over the window's *rows*, taken on whole
+    contiguous image rows at every column, then the maximum over the
+    window's columns of that, which is also where the column stride is
+    applied.  ``2k - 2`` elementwise passes (the first ``k - 1`` streaming
+    contiguous rows) instead of ``k * k`` passes over doubly strided views;
+    max is exact, so the result is bit-identical to any other order.
+    """
+
+    def __init__(self, kernel_size: int, stride: int, padding: int) -> None:
         self.kernel_size = int(kernel_size)
-        self.stride = int(stride) if stride is not None else self.kernel_size
+        self.stride = int(stride)
         self.padding = int(padding)
 
     def signature(self) -> tuple:
@@ -846,48 +847,14 @@ class _PoolOp(_Op):
         ctx = SimpleNamespace(output_shape=shape[:3] + (out_h, out_w))
         ctx.padded = (
             arena.buffer(
-                (key, "pad"),
-                shape[:3] + (height + 2 * pad, width + 2 * pad),
-                fill=self.pad_fill,
+                (key, "pad"), shape[:3] + (height + 2 * pad, width + 2 * pad), fill=-np.inf
             )
             if pad
             else None
         )
         ctx.interior = ctx.padded[..., pad:-pad, pad:-pad] if pad else None
         ctx.out = arena.buffer((key, "out"), ctx.output_shape)
-        return ctx
-
-
-def _maximum_into(out: np.ndarray, operands: Sequence[np.ndarray]) -> None:
-    """``out`` = elementwise maximum of ``operands`` (max is exact in any order)."""
-    if len(operands) == 1:
-        np.copyto(out, operands[0])
-        return
-    np.maximum(operands[0], operands[1], out=out)
-    for operand in operands[2:]:
-        np.maximum(out, operand, out=out)
-
-
-class MaxPoolOp(_PoolOp):
-    """2-D max pooling; padded border stays ``-inf`` so it never wins.
-
-    Separable: first the maximum over the window's *rows*, taken on whole
-    contiguous image rows at every column, then the maximum over the
-    window's columns of that, which is also where the column stride is
-    applied.  ``2k - 2`` elementwise passes (the first ``k - 1`` streaming
-    contiguous rows) instead of ``k * k`` passes over doubly strided views;
-    max is exact, so the result is bit-identical to any other order.
-    """
-
-    pad_fill = -np.inf
-
-    def prepare(
-        self, shape: Tuple[int, ...], arena: Arena, key: object, first_group: int = 0
-    ) -> SimpleNamespace:
-        ctx = super().prepare(shape, arena, key)
-        out_h, out_w = ctx.output_shape[-2:]
-        source_w = shape[-1] + 2 * self.padding
-        ctx.row_max = arena.buffer((key, "rows"), shape[:3] + (out_h, source_w))
+        ctx.row_max = arena.buffer((key, "rows"), shape[:3] + (out_h, width + 2 * pad))
         span = self.stride * (out_w - 1) + 1
         ctx.column_views = [
             ctx.row_max[..., offset : offset + span : self.stride]
@@ -895,7 +862,7 @@ class MaxPoolOp(_PoolOp):
         ]
         # Row views over the persistent padded buffer never move; without
         # padding the source is the op's input and they are taken per run.
-        ctx.row_views = self._row_views(ctx.padded, out_h) if self.padding else None
+        ctx.row_views = self._row_views(ctx.padded, out_h) if pad else None
         return ctx
 
     def _row_views(self, source: np.ndarray, out_h: int) -> list:
@@ -913,39 +880,6 @@ class MaxPoolOp(_PoolOp):
             row_views = self._row_views(x, ctx.output_shape[-2])
         _maximum_into(ctx.row_max, row_views)
         _maximum_into(ctx.out, ctx.column_views)
-        return ctx.out
-
-
-class AvgPoolOp(_PoolOp):
-    """2-D average pooling (``count_include_pad`` style, like the eager op).
-
-    Accumulates over the ``k * k`` window-position views in the eager
-    summation order (a separable sum would round differently).
-    """
-
-    pad_fill = 0.0
-
-    def prepare(
-        self, shape: Tuple[int, ...], arena: Arena, key: object, first_group: int = 0
-    ) -> SimpleNamespace:
-        ctx = super().prepare(shape, arena, key)
-        ctx.slices = (
-            _window_position_slices(ctx.padded, self.kernel_size, self.stride)
-            if self.padding
-            else None
-        )
-        return ctx
-
-    def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
-        if ctx.padded is not None:
-            ctx.interior[...] = x
-            slices = ctx.slices
-        else:
-            slices = _window_position_slices(x, self.kernel_size, self.stride)
-        np.copyto(ctx.out, slices[0])
-        for window in slices[1:]:
-            np.add(ctx.out, window, out=ctx.out)
-        ctx.out *= 1.0 / (self.kernel_size * self.kernel_size)
         return ctx.out
 
 
@@ -1030,8 +964,8 @@ class BatchNormOp(_Op):
         return ctx.out
 
 
-class _ElementwiseOp(_Op):
-    """Base for activations that write into their own same-shaped buffer."""
+class ReluOp(_Op):
+    """A ReLU that no GEMM tail absorbed, into a same-shaped buffer of its own."""
 
     def prepare(
         self, shape: Tuple[int, ...], arena: Arena, key: object, first_group: int = 0
@@ -1040,25 +974,8 @@ class _ElementwiseOp(_Op):
             output_shape=tuple(shape), out=arena.buffer((key, "out"), shape)
         )
 
-
-class ReluOp(_ElementwiseOp):
     def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
         np.maximum(x, 0.0, out=ctx.out)
-        return ctx.out
-
-
-class SigmoidOp(_ElementwiseOp):
-    def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
-        np.negative(x, out=ctx.out)
-        np.exp(ctx.out, out=ctx.out)
-        ctx.out += 1.0
-        np.divide(1.0, ctx.out, out=ctx.out)
-        return ctx.out
-
-
-class TanhOp(_ElementwiseOp):
-    def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
-        np.tanh(x, out=ctx.out)
         return ctx.out
 
 

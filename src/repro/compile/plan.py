@@ -1,8 +1,10 @@
 """Compile module stacks into fused/folded inference plans.
 
-The compiler flattens a module tree (``Sequential``, the fused
-``ConvPBlock``/``FCBlock`` pairs, raw layers) into a list of primitive
-layers, then runs a peephole pass that:
+The compiler takes the modules the DDNN and its float-cloud variant are
+built from (``_SUPPORTED_MODULES``; anything else raises
+:class:`~repro.compile.ops.CompileError`).  It flattens a module tree
+(``Sequential``, the fused ``ConvPBlock``/``FCBlock`` blocks, raw layers)
+into a list of primitive layers, then runs a peephole pass that:
 
 * **binarizes and pre-packs weights** — ``BinaryConv2d``/``BinaryLinear``
   latent weights are materialised to ``{-1, +1}`` once, at compile time;
@@ -18,7 +20,8 @@ layers, then runs a peephole pass that:
   BatchNorm are inside them), hoisted above the pool, which then ORs
   booleans; a ``BatchNorm -> sign`` pair behind anything else becomes a
   ``SignOp`` of its own;
-* **fuses ReLU** into the preceding conv/linear/BatchNorm.
+* **fuses ReLU** into the preceding conv/linear/BatchNorm; a ReLU behind
+  anything else becomes a :class:`~repro.compile.ops.ReluOp` of its own.
 
 The resulting :class:`CompiledPlan` executes on raw ``np.ndarray``s,
 depth-first in *tiles*: a forward runs in passes over as many groups and
@@ -46,23 +49,18 @@ from ..nn.binary import BinaryActivation, BinaryConv2d, BinaryLinear
 from ..nn.blocks import ConvPBlock, FCBlock
 from ..nn.functional import _IM2COL_BLOCK_BYTES
 from ..nn.layers import (
-    AvgPool2d,
     BatchNorm1d,
     BatchNorm2d,
     Conv2d,
     Flatten,
-    Identity,
     Linear,
     MaxPool2d,
     Module,
     ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
 from .ops import (
     Arena,
-    AvgPoolOp,
     BatchNormOp,
     CompileError,
     ConvOp,
@@ -72,9 +70,7 @@ from .ops import (
     PackedConvOp,
     PackedLinearOp,
     ReluOp,
-    SigmoidOp,
     SignOp,
-    TanhOp,
     _Op,
     precision_dtype,
     sign_thresholds,
@@ -106,6 +102,24 @@ class OpTiming:
 
 ModuleLike = Union[Module, Sequence[Module]]
 
+#: The module types :func:`flatten_modules` unpacks and :func:`build_ops`
+#: lowers; a :class:`CompileError` lists their names.
+_SUPPORTED_MODULES = (
+    Sequential,
+    ConvPBlock,
+    FCBlock,
+    Conv2d,
+    BinaryConv2d,
+    Linear,
+    BinaryLinear,
+    BatchNorm1d,
+    BatchNorm2d,
+    MaxPool2d,
+    ReLU,
+    BinaryActivation,
+    Flatten,
+)
+
 
 def flatten_modules(module: ModuleLike) -> List[Module]:
     """Flatten a module (or list of modules) into primitive layers."""
@@ -126,8 +140,6 @@ def flatten_modules(module: ModuleLike) -> List[Module]:
         if not module.final:
             primitives.append(module.activation)
         return primitives
-    if isinstance(module, Identity):
-        return []
     return [module]
 
 
@@ -277,31 +289,19 @@ def build_ops(
         if isinstance(module, MaxPool2d):
             ops.append(MaxPoolOp(module.kernel_size, module.stride, module.padding))
             # max over ±1 values (and a -inf border that never wins) is ±1.
-        elif isinstance(module, AvgPool2d):
-            ops.append(AvgPoolOp(module.kernel_size, module.stride, module.padding))
-            signed = False
         elif isinstance(module, ReLU):
             ops.append(ReluOp())
             signed = False
         elif isinstance(module, BinaryActivation):
             ops.append(SignOp(dtype=dtype))
             signed = True
-        elif isinstance(module, Sigmoid):
-            ops.append(SigmoidOp())
-            signed = False
-        elif isinstance(module, Tanh):
-            ops.append(TanhOp())
-            signed = False
         elif isinstance(module, Flatten):
             ops.append(FlattenOp())
             # a reshape neither creates nor destroys ±1-ness.
         else:
             raise CompileError(
                 f"cannot compile module of type {type(module).__name__}; "
-                "supported: Conv2d/BinaryConv2d, Linear/BinaryLinear, "
-                "MaxPool2d/AvgPool2d, BatchNorm1d/2d, ReLU/Sigmoid/Tanh/"
-                "BinaryActivation, Flatten, Identity, Sequential, "
-                "ConvPBlock, FCBlock"
+                f"supported: {', '.join(cls.__name__ for cls in _SUPPORTED_MODULES)}"
             )
         index += 1
 

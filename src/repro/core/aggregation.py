@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..nn.layers import Linear, Module
-from ..nn.tensor import Tensor, concatenate, maximum, stack
+from ..nn.tensor import Tensor, concatenate, maximum
 
 __all__ = [
     "Aggregator",

@@ -403,6 +403,22 @@ class DDNN(Module):
             edge_features=edge_features,
         )
 
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """:meth:`Module.load_state_dict`, then :meth:`_weights_changed`."""
+        super().load_state_dict(state)
+        self._weights_changed()
+
+    def _weights_changed(self) -> None:
+        """After the weights changed in place (an epoch, a load): evict every
+        compiled plan of this model, which would keep serving its snapshot
+        of the old weights, and bump the weights version, so snapshot caches
+        keyed on the model (e.g. the experiment harness's oracle memo) can
+        tell old from new."""
+        from ..compile.cache import invalidate_plan
+
+        invalidate_plan(self)
+        self._weights_version = getattr(self, "_weights_version", 0) + 1
+
     # ------------------------------------------------------------------ #
     def device_memory_bytes(self) -> List[float]:
         """Per-device deployment footprint in bytes (paper claims < 2 KB)."""

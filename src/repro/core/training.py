@@ -121,14 +121,8 @@ class DDNNTrainer:
         exit_accuracy = {
             name: exit_correct[name] / total_samples for name in self.model.exit_names
         }
-        # The epoch mutated the weights in place: any compiled plan cached
-        # for this model now serves a stale snapshot — evict it, and bump
-        # the weights version so snapshot caches keyed on the model (e.g.
-        # the experiment harness's oracle memo) can tell old from new.
-        from ..compile.cache import invalidate_plan
-
-        invalidate_plan(self.model)
-        self.model._weights_version = getattr(self.model, "_weights_version", 0) + 1
+        # The epoch mutated the weights in place.
+        self.model._weights_changed()
         return EpochStats(epoch=epoch, loss=total_loss / total_samples, exit_accuracy=exit_accuracy)
 
     # ------------------------------------------------------------------ #

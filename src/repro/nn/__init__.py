@@ -1,36 +1,33 @@
 """``repro.nn`` — a self-contained NumPy deep-learning substrate.
 
 The DDNN reproduction does not depend on an external deep-learning framework.
-This package provides everything the paper's models need: a reverse-mode
-autodiff tensor, dense and convolutional layers, binary (BNN/eBNN) layers and
-fused blocks, losses, optimisers and data utilities.
+This package holds what the paper's models are built and trained from: a
+reverse-mode autodiff tensor; the float conv/linear/max-pool/BatchNorm/ReLU
+layers and their binary (BNN/eBNN) counterparts, fused into the ConvP and FC
+blocks of Fig. 3; the joint multi-exit loss; the Adam optimiser; accuracy;
+and ``.npz`` weight serialisation.
 """
 
 from . import functional
 from .binary import BinaryActivation, BinaryConv2d, BinaryLinear, binarize, binary_memory_bytes
 from .blocks import ConvPBlock, FCBlock, block_memory_bytes
-from .data import ArrayDataset, DataLoader, train_test_split
 from .layers import (
-    AvgPool2d,
     BatchNorm1d,
     BatchNorm2d,
     Conv2d,
     Flatten,
-    Identity,
     Linear,
     MaxPool2d,
     Module,
     Parameter,
     ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
 from .losses import joint_exit_loss, softmax_cross_entropy
-from .metrics import accuracy, confusion_matrix, per_class_accuracy
-from .optim import SGD, Adam, Optimizer
+from .metrics import accuracy
+from .optim import Adam
 from .serialization import load_module, load_state, save_module, save_state
-from .tensor import Tensor, concatenate, is_grad_enabled, maximum, no_grad, stack
+from .tensor import Tensor, concatenate, is_grad_enabled, maximum, no_grad
 
 __all__ = [
     "functional",
@@ -38,21 +35,16 @@ __all__ = [
     "no_grad",
     "is_grad_enabled",
     "concatenate",
-    "stack",
     "maximum",
     "Parameter",
     "Module",
     "Sequential",
-    "Identity",
     "Linear",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "BatchNorm1d",
     "BatchNorm2d",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "Flatten",
     "BinaryLinear",
     "BinaryConv2d",
@@ -64,15 +56,8 @@ __all__ = [
     "block_memory_bytes",
     "softmax_cross_entropy",
     "joint_exit_loss",
-    "Optimizer",
-    "SGD",
     "Adam",
-    "ArrayDataset",
-    "DataLoader",
-    "train_test_split",
     "accuracy",
-    "confusion_matrix",
-    "per_class_accuracy",
     "save_state",
     "load_state",
     "save_module",

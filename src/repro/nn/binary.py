@@ -22,7 +22,7 @@ import numpy as np
 
 from . import functional as F
 from . import init
-from .layers import Module, Parameter
+from .layers import Module, Parameter, _check_sizes
 from .tensor import Tensor
 
 __all__ = [
@@ -67,6 +67,7 @@ class BinaryLinear(Module):
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
+        _check_sizes("BinaryLinear", in_features=in_features, out_features=out_features)
         self.in_features = in_features
         self.out_features = out_features
         weight = init.glorot_uniform(
@@ -101,6 +102,7 @@ class BinaryConv2d(Module):
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
+        _check_sizes("BinaryConv2d", in_channels=in_channels, out_channels=out_channels)
         F._check_window("BinaryConv2d", kernel_size, stride, padding)
         self.in_channels = in_channels
         self.out_channels = out_channels

@@ -1,11 +1,11 @@
 """Structured neural-network operations built on :class:`repro.nn.tensor.Tensor`.
 
-This module implements the convolution, pooling and classification primitives
-used by the DDNN reproduction.  Joint training (Sec. III-C) runs the Fig. 3
-block's convolution and max-pool forward and backward in every step, so the
-two are written for memory traffic; every value they produce is what the
-plain formulations (``np.pad`` + strided-window copies, ``argmax``,
-``np.add.at``) compute, bit for bit:
+This module implements the convolution, max-pooling and classification
+primitives the DDNN's blocks and joint loss are built from.  Joint training
+(Sec. III-C) runs the Fig. 3 block's convolution and max-pool forward and
+backward in every step, so the two are written for memory traffic; every
+value they produce is what the plain formulations (``np.pad`` +
+strided-window copies, ``argmax``, ``np.add.at``) compute, bit for bit:
 
 * **Convolution** is im2col + one GEMM per sample and direction, over
   the batch in tiles sized so that a tile's zero-padded images and columns
@@ -14,8 +14,8 @@ plain formulations (``np.pad`` + strided-window copies, ``argmax``,
   ``np.pad``, no fresh multi-megabyte array), which is dead once the tile's
   GEMMs return.  The backward gathers each tile's columns again instead of
   keeping a copy alive in the graph, and scatters the tile's input gradient
-  back (:func:`col2im`'s ``(ky, kx)`` loop, over only the pixels each
-  offset read) in scratch too.  The GEMMs keep one operand layout:
+  back (:func:`_scatter_columns`' ``(ky, kx)`` loop, over only the pixels
+  each offset read) in scratch too.  The GEMMs keep one operand layout:
   ``W @ cols``, ``grad @ cols.T`` (summed over the whole batch once every
   tile is done), and ``W.T @ grad``.
 * **Max pooling** de-interleaves the input, ``-inf``-padded, into
@@ -41,13 +41,9 @@ from .tensor import Tensor
 
 __all__ = [
     "sliding_windows",
-    "im2col",
-    "col2im",
     "conv2d",
     "max_pool2d",
-    "avg_pool2d",
     "log_softmax",
-    "softmax",
     "softmax_cross_entropy",
     "conv_output_size",
 ]
@@ -174,11 +170,12 @@ def _columns_views(
     stride: int,
     padding: int,
 ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-    """Views of the flat ``block`` for the im2col columns of a batch of
-    ``images_shape`` (see :func:`im2col`): the zero-padded image first (its
-    border zeroed here), then the columns.  Returns ``(interior, windows,
-    columns)``; :func:`_gather_columns` fills them for one batch of that
-    shape, and can fill them again for the next: nothing writes the border.
+    """Views of the flat ``block`` for the im2col columns, ``(N, C * kernel_h
+    * kernel_w, out_h * out_w)``, of a batch of ``images_shape``: the
+    zero-padded image first (its border zeroed here), then the columns.
+    Returns ``(interior, windows, columns)``; :func:`_gather_columns` fills
+    them for one batch of that shape, and can fill them again for the next:
+    nothing writes the border.
 
     The columns are one copy of the padded image's window view (faster than
     a slice copy per kernel offset with zeroed borders, whose border columns
@@ -248,60 +245,6 @@ def sliding_windows(
         padded, (kernel_h, kernel_w), axis=(-2, -1)
     )
     return windows[..., ::stride, ::stride, :, :]
-
-
-def im2col(
-    images: np.ndarray,
-    kernel_h: int,
-    kernel_w: int,
-    stride: int,
-    padding: int,
-) -> Tuple[np.ndarray, int, int]:
-    """Rearrange image patches into columns.
-
-    Parameters
-    ----------
-    images:
-        Input of shape ``(N, C, H, W)``.
-    kernel_h, kernel_w, stride, padding:
-        Convolution geometry; the image is zero-padded by ``padding``.
-
-    Returns
-    -------
-    columns:
-        New array of shape ``(N, C * kernel_h * kernel_w, out_h * out_w)``.
-    out_h, out_w:
-        Spatial output dimensions.
-    """
-    _, _, size = _columns_layout(images.shape, kernel_h, kernel_w, stride, padding)
-    block = np.empty(size, dtype=images.dtype)
-    views = _columns_views(block, images.shape, kernel_h, kernel_w, stride, padding)
-    columns = _gather_columns(views, images)
-    out_h = conv_output_size(images.shape[2], kernel_h, stride, padding)
-    out_w = conv_output_size(images.shape[3], kernel_w, stride, padding)
-    return columns, out_h, out_w
-
-
-def col2im(
-    columns: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    kernel_h: int,
-    kernel_w: int,
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    """Inverse of :func:`im2col` (scatter-add of overlapping patches).
-
-    Windows overlap in the output, so the scatter is a ``kernel_h *
-    kernel_w`` loop, each iteration one vectorised strided ``+=`` of that
-    kernel offset's block over the part of the image it read (its zero
-    border reads are dropped, never written).  Every pixel sums its
-    contributions from zero in ``(ky, kx)`` order.  Returns a new array of
-    ``input_shape``.
-    """
-    image = np.empty(input_shape, dtype=columns.dtype)
-    _scatter_columns(columns, image, kernel_h, kernel_w, stride, padding)
-    return image
 
 
 def _tile_samples(
@@ -523,50 +466,6 @@ def max_pool2d(
     return Tensor._make_from_op(out, (inputs,), backward)
 
 
-def avg_pool2d(
-    inputs: Tensor,
-    kernel_size: int,
-    stride: Optional[int] = None,
-    padding: int = 0,
-) -> Tensor:
-    """2-D average pooling over ``(N, C, H, W)`` inputs.
-
-    Padded positions count toward the divisor (``count_include_pad`` style),
-    matching the simple pooling used in the eBNN blocks.
-    """
-    stride = stride if stride is not None else kernel_size
-    out_h, out_w = _output_shape("avg_pool2d", inputs, kernel_size, kernel_size, stride, padding)
-    batch, channels, height, width = inputs.shape
-
-    columns, _, _ = im2col(
-        inputs.data.reshape(batch * channels, 1, height, width),
-        kernel_size,
-        kernel_size,
-        stride,
-        padding,
-    )
-    # columns: (N*C, k*k, out_h*out_w)
-    out = columns.mean(axis=1).reshape(batch, channels, out_h, out_w)
-    window = kernel_size * kernel_size
-
-    def backward(grad: np.ndarray) -> None:
-        if not inputs.requires_grad:
-            return
-        grad_arr = np.asarray(grad).reshape(batch * channels, 1, out_h * out_w)
-        grad_columns = np.broadcast_to(grad_arr / window, (batch * channels, window, out_h * out_w))
-        grad_input = col2im(
-            np.ascontiguousarray(grad_columns),
-            (batch * channels, 1, height, width),
-            kernel_size,
-            kernel_size,
-            stride,
-            padding,
-        )
-        inputs._accumulate_grad(grad_input.reshape(batch, channels, height, width))
-
-    return Tensor._make_from_op(out, (inputs,), backward)
-
-
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable ``log(softmax(x))`` along ``axis``."""
     shifted_max = logits.data.max(axis=axis, keepdims=True)
@@ -575,16 +474,9 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     return shifted - log_sum
 
 
-def softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Softmax probabilities along ``axis``."""
-    return log_softmax(logits, axis=axis).exp()
-
-
 def softmax_cross_entropy(
     logits: Tensor,
     targets: np.ndarray,
-    class_weights: Optional[np.ndarray] = None,
-    normalize_by_classes: bool = False,
 ) -> Tensor:
     """Softmax cross-entropy loss, averaged over the batch.
 
@@ -593,25 +485,19 @@ def softmax_cross_entropy(
     logits:
         Tensor of shape ``(N, num_classes)``.
     targets:
-        Integer class labels in ``[0, num_classes)`` of shape ``(N,)``;
-        anything else (``datasets.NOT_PRESENT_LABEL`` included) raises
-        ``ValueError``.
-    class_weights:
-        Optional per-class weights applied to each sample's loss.
-    normalize_by_classes:
-        If ``True``, additionally divide by ``num_classes`` — the ``1/|C|``
-        factor that appears in the paper's loss formulation.  It only scales
-        the objective and does not change the optimum.
+        Integer class labels in ``[0, num_classes)`` of shape ``(N,)``, with
+        ``N >= 1``; anything else (``datasets.NOT_PRESENT_LABEL`` and an
+        empty batch included) raises ``ValueError``.
     """
     labels = np.asarray(targets)
     batch, num_classes = logits.shape
     if labels.shape != (batch,):
         raise ValueError(f"targets must have shape ({batch},), got {labels.shape}")
+    if batch == 0:
+        raise ValueError("softmax_cross_entropy: logits hold an empty batch")
     with np.errstate(invalid="ignore"):  # NaN casts to garbage, caught below
         targets = labels.astype(np.int64)
-    if batch and (
-        not np.array_equal(targets, labels) or targets.min() < 0 or targets.max() >= num_classes
-    ):
+    if not np.array_equal(targets, labels) or targets.min() < 0 or targets.max() >= num_classes:
         raise ValueError(
             f"targets must be integer class labels in [0, {num_classes}), "
             f"got values in [{labels.min()}, {labels.max()}]"
@@ -619,13 +505,7 @@ def softmax_cross_entropy(
 
     one_hot = np.zeros((batch, num_classes), dtype=logits.data.dtype)
     one_hot[np.arange(batch), targets] = 1.0
-    if class_weights is not None:
-        sample_weights = np.asarray(class_weights, dtype=logits.data.dtype)[targets]
-        one_hot = one_hot * sample_weights[:, None]
 
     log_probs = log_softmax(logits, axis=-1)
     negative_ll = -(Tensor(one_hot) * log_probs).sum(axis=-1)
-    loss = negative_ll.mean()
-    if normalize_by_classes:
-        loss = loss * (1.0 / num_classes)
-    return loss
+    return negative_ll.mean()

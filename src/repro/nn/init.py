@@ -6,12 +6,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["glorot_uniform", "he_normal", "default_rng"]
-
-
-def default_rng(seed: Optional[int] = None) -> np.random.Generator:
-    """Return a NumPy random generator, seeded if ``seed`` is given."""
-    return np.random.default_rng(seed)
+__all__ = ["glorot_uniform", "he_normal"]
 
 
 def glorot_uniform(
@@ -21,7 +16,7 @@ def glorot_uniform(
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
     """Glorot/Xavier uniform initialisation."""
-    rng = rng if rng is not None else default_rng()
+    rng = rng if rng is not None else np.random.default_rng()
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
@@ -32,6 +27,6 @@ def he_normal(
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
     """He/Kaiming normal initialisation suited to ReLU-like nonlinearities."""
-    rng = rng if rng is not None else default_rng()
+    rng = rng if rng is not None else np.random.default_rng()
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape)

@@ -21,18 +21,21 @@ __all__ = [
     "Parameter",
     "Module",
     "Sequential",
-    "Identity",
     "Linear",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "BatchNorm1d",
     "BatchNorm2d",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "Flatten",
 ]
+
+
+def _check_sizes(owner: str, **sizes: int) -> None:
+    """Reject a feature or channel count below 1, naming the argument."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{owner}: {name} must be at least 1, got {size}")
 
 
 class Parameter(Tensor):
@@ -118,10 +121,6 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.zero_grad()
-
     # -- state ------------------------------------------------------------ #
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Return a flat mapping of parameter and buffer names to arrays."""
@@ -133,27 +132,43 @@ class Module:
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameters and buffers produced by :meth:`state_dict`."""
+        """Load parameters and buffers produced by :meth:`state_dict`.
+
+        All or nothing: ``state`` must hold every parameter and buffer, and
+        nothing else (``KeyError``, naming the missing and unexpected
+        entries), each with its shape and finite values (``ValueError``);
+        nothing is written until every entry has been checked.
+        """
         params = dict(self.named_parameters())
-        missing = []
-        for name, param in params.items():
-            if name not in state:
-                missing.append(name)
-                continue
-            value = np.asarray(state[name])
-            if value.shape != param.data.shape:
+        buffers = {
+            (f"{prefix}.{name}" if prefix else name): (module, name)
+            for prefix, module in self.named_modules()
+            for name in module._buffers
+        }
+        expected = {name: param.data.shape for name, param in params.items()}
+        for name, (module, buffer_name) in buffers.items():
+            expected[name] = module._buffers[buffer_name].shape
+        missing = [name for name in expected if name not in state]
+        unexpected = [name for name in state if name not in expected]
+        if missing or unexpected:
+            raise KeyError(
+                f"state_dict does not match the module: missing {missing}, "
+                f"unexpected {unexpected}"
+            )
+        values = {name: np.asarray(state[name]) for name in expected}
+        for name, value in values.items():
+            if value.shape != expected[name]:
                 raise ValueError(
-                    f"shape mismatch for parameter '{name}': "
-                    f"expected {param.data.shape}, got {value.shape}"
+                    f"shape mismatch for '{name}': expected {expected[name]}, got {value.shape}"
                 )
-            param.data = value.astype(param.data.dtype).copy()
-        if missing:
-            raise KeyError(f"state_dict is missing parameters: {missing}")
-        for prefix, module in self.named_modules():
-            for buffer_name in list(module._buffers):
-                full = f"{prefix}.{buffer_name}" if prefix else buffer_name
-                if full in state:
-                    module._set_buffer(buffer_name, np.asarray(state[full]))
+            # A NaN propagates through min and max, an infinity is one of
+            # them: finite without a temporary the size of the array.
+            if not (np.isfinite(value.min()) and np.isfinite(value.max())):
+                raise ValueError(f"state_dict entry '{name}' holds non-finite values")
+        for name, param in params.items():
+            param.data = values[name].astype(param.data.dtype)
+        for name, (module, buffer_name) in buffers.items():
+            module._set_buffer(buffer_name, values[name])
 
     def num_parameters(self) -> int:
         """Total number of trainable scalar parameters."""
@@ -186,13 +201,6 @@ class Sequential(Module):
         return self._layers[index]
 
 
-class Identity(Module):
-    """Pass-through layer (useful as an optional component placeholder)."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs
-
-
 class Linear(Module):
     """Fully connected layer ``y = x W^T + b``."""
 
@@ -204,6 +212,7 @@ class Linear(Module):
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
+        _check_sizes("Linear", in_features=in_features, out_features=out_features)
         self.in_features = in_features
         self.out_features = out_features
         weight = init.glorot_uniform(
@@ -233,6 +242,7 @@ class Conv2d(Module):
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
+        _check_sizes("Conv2d", in_channels=in_channels, out_channels=out_channels)
         F._check_window("Conv2d", kernel_size, stride, padding)
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -264,25 +274,17 @@ class MaxPool2d(Module):
         return F.max_pool2d(inputs, self.kernel_size, self.stride, self.padding)
 
 
-class AvgPool2d(Module):
-    """2-D average pooling."""
-
-    def __init__(self, kernel_size: int, stride: Optional[int] = None, padding: int = 0) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self.padding = padding
-        F._check_window("AvgPool2d", kernel_size, self.stride, padding)
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return F.avg_pool2d(inputs, self.kernel_size, self.stride, self.padding)
-
-
 class _BatchNorm(Module):
     """Shared implementation for 1-D and 2-D batch normalisation."""
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5) -> None:
         super().__init__()
+        owner = type(self).__name__
+        _check_sizes(owner, num_features=num_features)
+        if not 0.0 <= momentum <= 1.0:
+            raise ValueError(f"{owner}: momentum must be in [0, 1], got {momentum}")
+        if not eps > 0.0:
+            raise ValueError(f"{owner}: eps must be positive, got {eps}")
         self.num_features = num_features
         self.momentum = momentum
         self.eps = eps
@@ -403,20 +405,6 @@ class ReLU(Module):
 
     def forward(self, inputs: Tensor) -> Tensor:
         return inputs.relu()
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.sigmoid()
-
-
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.tanh()
 
 
 class Flatten(Module):

@@ -6,36 +6,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import functional as F
+from .functional import softmax_cross_entropy
 from .tensor import Tensor
 
 __all__ = ["softmax_cross_entropy", "joint_exit_loss"]
-
-
-def softmax_cross_entropy(
-    logits: Tensor,
-    targets: np.ndarray,
-    class_weights: Optional[np.ndarray] = None,
-    normalize_by_classes: bool = False,
-) -> Tensor:
-    """Softmax cross-entropy loss averaged over the batch.
-
-    Thin re-export of :func:`repro.nn.functional.softmax_cross_entropy` so
-    that model code can import every loss from one place.
-    """
-    return F.softmax_cross_entropy(
-        logits,
-        targets,
-        class_weights=class_weights,
-        normalize_by_classes=normalize_by_classes,
-    )
 
 
 def joint_exit_loss(
     exit_logits: Sequence[Tensor],
     targets: np.ndarray,
     exit_weights: Optional[Sequence[float]] = None,
-    class_weights: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Weighted sum of per-exit softmax cross-entropy losses (paper Sec. III-C).
 
@@ -49,8 +29,6 @@ def joint_exit_loss(
     exit_weights:
         Weight ``w_n`` for each exit.  Defaults to equal weights, as used for
         the experimental results of the paper.
-    class_weights:
-        Optional per-class weights forwarded to each exit loss.
     """
     if not exit_logits:
         raise ValueError("joint_exit_loss requires at least one exit")
@@ -63,6 +41,6 @@ def joint_exit_loss(
 
     total: Optional[Tensor] = None
     for logits, weight in zip(exit_logits, exit_weights):
-        loss = softmax_cross_entropy(logits, targets, class_weights=class_weights) * float(weight)
+        loss = softmax_cross_entropy(logits, targets) * float(weight)
         total = loss if total is None else total + loss
     return total

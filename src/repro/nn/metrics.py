@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-__all__ = ["accuracy", "confusion_matrix", "per_class_accuracy"]
+__all__ = ["accuracy"]
 
 
 def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -26,26 +24,3 @@ def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
     if predictions.size == 0:
         return 0.0
     return float(np.mean(predictions == targets))
-
-
-def confusion_matrix(
-    predictions: np.ndarray, targets: np.ndarray, num_classes: Optional[int] = None
-) -> np.ndarray:
-    """Confusion matrix with rows = true class, columns = predicted class."""
-    predictions = np.asarray(predictions)
-    targets = np.asarray(targets)
-    if predictions.ndim == 2:
-        predictions = predictions.argmax(axis=1)
-    if num_classes is None:
-        num_classes = int(max(predictions.max(initial=0), targets.max(initial=0))) + 1
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (targets.astype(int), predictions.astype(int)), 1)
-    return matrix
-
-
-def per_class_accuracy(predictions: np.ndarray, targets: np.ndarray, num_classes: int) -> np.ndarray:
-    """Accuracy computed independently for each class (NaN for absent classes)."""
-    matrix = confusion_matrix(predictions, targets, num_classes=num_classes)
-    totals = matrix.sum(axis=1).astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(totals > 0, np.diag(matrix) / totals, np.nan)

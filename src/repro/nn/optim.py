@@ -1,67 +1,18 @@
-"""Gradient-based optimisers for the ``repro.nn`` substrate."""
+"""The Adam optimiser that trains every model of the ``repro.nn`` substrate."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+import math
+from typing import Dict, Iterable, List
 
 import numpy as np
 
 from .layers import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Adam"]
 
 
-class Optimizer:
-    """Base class: holds a parameter list and implements ``zero_grad``."""
-
-    def __init__(self, parameters: Iterable[Parameter]) -> None:
-        self.parameters: List[Parameter] = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer got an empty parameter list")
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for param in self.parameters:
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity = self._velocity.get(id(param))
-                if velocity is None:
-                    velocity = np.zeros_like(param.data)
-                velocity = self.momentum * velocity - self.lr * grad
-                self._velocity[id(param)] = velocity
-                param.data = param.data + velocity
-            else:
-                param.data = param.data - self.lr * grad
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam optimiser (Kingma & Ba).
 
     Defaults match the hyper-parameters used throughout the paper:
@@ -74,18 +25,27 @@ class Adam(Optimizer):
         lr: float = 0.001,
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
-        clip_weights: Optional[float] = None,
     ) -> None:
-        super().__init__(parameters)
+        self.parameters: List[Parameter] = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer got an empty parameter list")
+        if not (math.isfinite(lr) and lr > 0.0):
+            raise ValueError(f"Adam: lr must be finite and positive, got {lr}")
+        for name, beta in zip(("betas[0]", "betas[1]"), betas):
+            if not 0.0 <= beta < 1.0:
+                raise ValueError(f"Adam: {name} must be in [0, 1), got {beta}")
+        if not eps > 0.0:
+            raise ValueError(f"Adam: eps must be positive, got {eps}")
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
-        self.clip_weights = clip_weights
         self._step_count = 0
         self._first_moment: Dict[int, np.ndarray] = {}
         self._second_moment: Dict[int, np.ndarray] = {}
+
+    def zero_grad(self) -> None:
+        for param in self.parameters:
+            param.zero_grad()
 
     def step(self) -> None:
         self._step_count += 1
@@ -95,8 +55,6 @@ class Adam(Optimizer):
             if param.grad is None:
                 continue
             grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
             key = id(param)
             first = self._first_moment.get(key)
             second = self._second_moment.get(key)
@@ -111,5 +69,3 @@ class Adam(Optimizer):
             corrected_second = second / bias_correction2
             update = self.lr * corrected_first / (np.sqrt(corrected_second) + self.eps)
             param.data = param.data - update
-            if self.clip_weights is not None:
-                param.data = np.clip(param.data, -self.clip_weights, self.clip_weights)

@@ -123,10 +123,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def __len__(self) -> int:
         return len(self.data)
 
@@ -134,17 +130,9 @@ class Tensor:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_flag})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (not a copy)."""
-        return self.data
-
     def item(self) -> float:
         """Return the value of a single-element tensor as a Python float."""
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but detached from the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""
@@ -307,20 +295,6 @@ class Tensor:
 
         return Tensor._make_from_op(data, (self,), backward)
 
-    def sqrt(self) -> "Tensor":
-        return self.__pow__(0.5)
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        """Clamp values; gradient is passed through only inside the range."""
-        data = np.clip(self.data, low, high)
-        inside = (self.data >= low) & (self.data <= high)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(grad * inside)
-
-        return Tensor._make_from_op(data, (self,), backward)
-
     def relu(self) -> "Tensor":
         mask = self.data > 0
         data = self.data * mask
@@ -328,24 +302,6 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate_grad(grad * mask)
-
-        return Tensor._make_from_op(data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(grad * data * (1.0 - data))
-
-        return Tensor._make_from_op(data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(grad * (1.0 - data ** 2))
 
         return Tensor._make_from_op(data, (self,), backward)
 
@@ -392,27 +348,6 @@ class Tensor:
             axes = axis if isinstance(axis, tuple) else (axis,)
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        """Maximum along ``axis``; gradient flows to the arg-max entries only.
-
-        Ties are broken by splitting the gradient equally among the maxima,
-        which keeps the numerical gradient check well behaved.
-        """
-        data = self.data.max(axis=axis, keepdims=True)
-        mask = (self.data == data).astype(self.data.dtype)
-        mask = mask / mask.sum(axis=axis, keepdims=True)
-        out_data = data if keepdims else np.squeeze(data, axis=axis)
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            grad_arr = np.asarray(grad)
-            if not keepdims:
-                grad_arr = np.expand_dims(grad_arr, axis=axis)
-            self._accumulate_grad(grad_arr * mask)
-
-        return Tensor._make_from_op(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # Shape manipulation
@@ -479,23 +414,6 @@ class Tensor:
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         return self.matmul(other)
 
-    # ------------------------------------------------------------------ #
-    # Constructors
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(*shape: int, requires_grad: bool = False, rng: Optional[np.random.Generator] = None) -> "Tensor":
-        generator = rng if rng is not None else np.random.default_rng()
-        return Tensor(generator.standard_normal(shape), requires_grad=requires_grad)
-
-
 def _ensure_tensor(value: ArrayLike) -> Tensor:
     if isinstance(value, Tensor):
         return value
@@ -518,22 +436,6 @@ def concatenate(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
                 slicer = [slice(None)] * grad_arr.ndim
                 slicer[axis] = slice(int(start), int(stop))
                 tensor._accumulate_grad(grad_arr[tuple(slicer)])
-
-    return Tensor._make_from_op(data, tensor_list, backward)
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new ``axis`` with gradient support."""
-    tensor_list = [_ensure_tensor(t) for t in tensors]
-    if not tensor_list:
-        raise ValueError("stack() requires at least one tensor")
-    data = np.stack([t.data for t in tensor_list], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        grad_arr = np.asarray(grad)
-        for index, tensor in enumerate(tensor_list):
-            if tensor.requires_grad:
-                tensor._accumulate_grad(np.take(grad_arr, index, axis=axis))
 
     return Tensor._make_from_op(data, tensor_list, backward)
 

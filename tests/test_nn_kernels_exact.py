@@ -1,14 +1,15 @@
 """The training kernels of ``repro.nn.functional`` against plain formulations.
 
-``_reference`` below holds ``im2col`` / ``col2im`` / ``conv2d`` /
-``max_pool2d`` as they were written before the kernels were tuned for memory
-traffic: ``np.pad`` + a strided-window copy, ``argmax`` +
+The reference formulations below hold ``conv2d`` (with its ``im2col`` /
+``col2im``) and ``max_pool2d`` as they were written before the kernels were
+tuned for memory traffic: ``np.pad`` + a strided-window copy, ``argmax`` +
 ``take_along_axis``, ``np.add.at``.  They live here only, as the
 specification the tuned kernels must meet bit for bit -- forward values and
 every gradient, on tie-heavy inputs (the binary net's integer conv outputs
 tie constantly, so the arg-max tie-break is load-bearing), with forwards and
 backwards interleaved, and from two threads at once.  The hypothesis cases
-are small enough for one conv tile; the fixed cases at the ``ci`` model's
+are small enough for one conv tile, and ``GEOMETRIES`` runs every window
+geometry they draw at least once; the fixed cases at the ``ci`` model's
 real shapes (``REAL_CONVS``) run the conv in several tiles, the last one
 part-filled.
 """
@@ -132,6 +133,15 @@ REFERENCE = SimpleNamespace(conv2d=_ref_conv2d, max_pool2d=_ref_max_pool2d)
 # --------------------------------------------------------------------------- #
 SETTINGS = settings(max_examples=60, deadline=None)
 
+#: Every ``(kernel, stride, padding)`` a case can have: the pool pads by
+#: ``kernel // 2``, so the conv's padding stays within that too.
+GEOMETRIES = [
+    (kernel, stride, padding)
+    for kernel in range(1, 5)
+    for stride in range(1, 4)
+    for padding in range(kernel // 2 + 1)
+]
+
 #: Small integers tie constantly; floats (signed zeros included) do not.
 _ELEMENTS = st.one_of(
     st.just(st.integers(-2, 2).map(float)),
@@ -141,9 +151,7 @@ _ELEMENTS = st.one_of(
 
 @st.composite
 def _case(draw):
-    kernel = draw(st.integers(1, 4))
-    stride = draw(st.integers(1, 3))
-    padding = draw(st.integers(0, kernel // 2))
+    kernel, stride, padding = draw(st.sampled_from(GEOMETRIES))
     batch, channels, out_channels = (draw(st.integers(1, 3)) for _ in range(3))
     height, width = (draw(st.integers(max(1, kernel - 2 * padding), 9)) for _ in range(2))
     elements = draw(_ELEMENTS)
@@ -181,6 +189,10 @@ def _conv_then_pool(ops, case):
     return [conv.data, pooled.data, x.grad, w.grad, b.grad]
 
 
+def _assert_conv_then_pool_equals_the_reference(case):
+    _assert_all_equal(_conv_then_pool(TUNED, case), _conv_then_pool(REFERENCE, case))
+
+
 def _assert_all_equal(mine, theirs):
     assert len(mine) == len(theirs)
     for index, (a, b) in enumerate(zip(mine, theirs)):
@@ -192,23 +204,26 @@ def _assert_all_equal(mine, theirs):
 # --------------------------------------------------------------------------- #
 @SETTINGS
 @given(_case())
-def test_im2col_and_col2im_equal_the_reference(case):
-    k, s, p = case.kernel, case.stride, case.padding
-    columns, out_h, out_w = F.im2col(case.images, k, k, s, p)
-    expected, ref_h, ref_w = _ref_im2col(case.images, k, k, s, p)
-    assert (out_h, out_w) == (ref_h, ref_w)
-    np.testing.assert_array_equal(columns, expected)
-    gradient = _upstream(columns.shape, case.seed)
-    np.testing.assert_array_equal(
-        F.col2im(gradient, case.images.shape, k, k, s, p),
-        _ref_col2im(gradient, case.images.shape, k, k, s, p),
-    )
-
-
-@SETTINGS
-@given(_case())
 def test_conv2d_forward_and_gradients_equal_the_reference(case):
-    _assert_all_equal(_conv_then_pool(TUNED, case), _conv_then_pool(REFERENCE, case))
+    _assert_conv_then_pool_equals_the_reference(case)
+
+
+@pytest.mark.parametrize("kernel, stride, padding", GEOMETRIES)
+def test_every_drawn_geometry_equals_the_reference(kernel, stride, padding):
+    """Each geometry once, whatever Hypothesis draws: tie-heavy integer
+    images and weights, and a conv gradient scattered back through
+    ``_scatter_columns`` for every kernel offset."""
+    rng = np.random.default_rng(100 * kernel + 10 * stride + padding)
+    case = SimpleNamespace(
+        kernel=kernel,
+        stride=stride,
+        padding=padding,
+        images=rng.integers(-2, 3, size=(2, 2, 7, 6)).astype(float),
+        weight=rng.integers(-2, 3, size=(3, 2, kernel, kernel)).astype(float),
+        bias=rng.standard_normal(3),
+        seed=kernel + stride + padding,
+    )
+    _assert_conv_then_pool_equals_the_reference(case)
 
 
 @SETTINGS

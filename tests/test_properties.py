@@ -98,9 +98,9 @@ class TestSoftmaxEntropyProperties:
 
     @SETTINGS
     @given(logit_arrays)
-    def test_functional_softmax_matches_plain_numpy(self, logits):
+    def test_log_softmax_matches_plain_numpy(self, logits):
         np.testing.assert_allclose(
-            F.softmax(Tensor(logits)).data, softmax_probabilities(logits), atol=1e-9
+            F.log_softmax(Tensor(logits)).exp().data, softmax_probabilities(logits), atol=1e-9
         )
 
     @SETTINGS
@@ -252,10 +252,13 @@ class TestConvolutionProperties:
             elements=st.floats(-5, 5, allow_nan=False),
         )
     )
-    def test_max_pool_never_below_avg_pool(self, images):
+    def test_max_pool_never_below_the_window_mean(self, images):
         maximum_pooled = F.max_pool2d(Tensor(images), 2, stride=2).data
-        average_pooled = F.avg_pool2d(Tensor(images), 2, stride=2).data
-        assert (maximum_pooled >= average_pooled - 1e-9).all()
+        batch, channels, height, width = images.shape
+        windows = images[:, :, : height // 2 * 2, : width // 2 * 2].reshape(
+            batch, channels, height // 2, 2, width // 2, 2
+        )
+        assert (maximum_pooled >= windows.mean(axis=(3, 5)) - 1e-9).all()
 
 
 class TestDatasetProperties:

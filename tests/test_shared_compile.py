@@ -6,7 +6,7 @@ copies of the process-wide plan (:func:`compiled_plan_for`): they hold its op
 objects — weights, folded BatchNorm, sign thresholds — and own their arenas.
 These tests hold them to that: shared ops, separate outputs, the logits of an
 independent compile bit for bit, concurrent use, and fresh weights after a
-retrain.
+retrain or a weights load.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ import pytest
 from repro.compile import PRECISIONS, compile_ddnn
 from repro.compile.cache import compiled_plan_for, invalidate_plan, scoped_plan_for
 from repro.core import DDNNConfig, DDNNTopology, DDNNTrainer, TrainingConfig, build_ddnn
+from repro.core.oracle import ExitOracle
 from repro.hierarchy.plan import PartitionPlan
+from repro.nn.serialization import load_module, save_module
 from repro.serving import DistributedServingFabric
 
 
@@ -174,3 +176,21 @@ def test_after_a_retrain_and_invalidate_the_next_fabric_serves_new_weights(
     after = fresh.forward(views).final_logits
     assert not np.array_equal(after, before)
     np.testing.assert_array_equal(after, compile_ddnn(model).forward(views).final_logits)
+
+
+def test_loading_weights_evicts_the_compiled_plans(untrained_ddnn, trained_ddnn, tiny_test, tmp_path):
+    """The stale-bundle seed reached through ``load_module`` instead of a
+    retrain: the plan compiled before the load must not answer after it."""
+    model = untrained_ddnn
+    stale = compiled_plan_for(model)
+    ExitOracle.capture(model, tiny_test)  # the stale plan has run
+    path = tmp_path / "weights.npz"
+    save_module(trained_ddnn, path)
+    load_module(model, path)
+    assert compiled_plan_for(model) is not stale
+    compiled = ExitOracle.capture(model, tiny_test).route(0.5)
+    eager = ExitOracle.capture(model, tiny_test, compile=False).route(0.5)
+    np.testing.assert_array_equal(compiled.exit_indices, eager.exit_indices)
+    np.testing.assert_array_equal(compiled.predictions, eager.predictions)
+    for name, predictions in eager.exit_predictions.items():
+        np.testing.assert_array_equal(compiled.exit_predictions[name], predictions, err_msg=name)
