@@ -50,7 +50,6 @@ from ..hierarchy.partition import (
 from ..serving import (
     AdaptiveThreshold,
     BatchingPolicy,
-    DDNNServer,
     DistributedServingFabric,
     PoissonProcess,
     ServiceModel,
@@ -114,7 +113,7 @@ def run_distributed_serving(
     # recorded in the metadata, swapped into the rows with calibrate=True.
     calibration_batch = max(2, min(max_batch_size, len(test_set)))
     measured = ServiceModel.from_plan_timings(
-        DDNNServer(model, threshold),
+        model,
         test_set.images[0],
         batch_size=calibration_batch,
     )

@@ -3,10 +3,13 @@
 A *closed* loop submits a fixed backlog and drains it, so the server can
 never fall behind.  The paper's end devices are the opposite — an
 **open-loop** stream that keeps arriving whether or not the serving tier
-keeps up.  This study drives :class:`~repro.serving.server.DDNNServer` with
-a seeded Poisson arrival process on a simulated clock and an affine
-service-time model (deterministic, machine-independent latencies; real
-model predictions) and sweeps offered load against serving capacity:
+keeps up.  This study drives the one-tier
+:class:`~repro.serving.server.DDNNServer` with
+:meth:`~repro.serving.fabric.DistributedServingFabric.open_loop`: a seeded
+Poisson arrival process on a simulated clock, each arrival offered at its
+own instant, and one worker busy for an affine service time per batch
+(deterministic, machine-independent latencies; real model predictions).
+It sweeps offered load against serving capacity:
 
 * ``unbounded`` — today's default FIFO queue: every request is eventually
   served, but past saturation the backlog (and therefore p95/p99 latency)
@@ -15,9 +18,14 @@ model predictions) and sweeps offered load against serving capacity:
   admission policy: tail latency stays pinned under the configured bound
   while the reject/drop/shed rate absorbs the excess load.
 
-Rows report p50/p95/p99 latency, admission rates, and the analytic latency
-bound implied by the queue capacity (``p95_bound_ms``); the benchmark
-harness records the table as ``benchmarks/results/overload_tail_latency.txt``.
+Rows report p50/p95/p99 latency over the queued-and-served requests (a
+shed request is answered at once and counted apart), admission rates, and
+the analytic latency bound implied by the queue capacity
+(``p95_bound_ms``).  Every row is checked before it is added: admission
+conserves what was offered, every accepted request is served or dropped,
+and no admitted request waits past the bound (its maximum, not its p95).
+The benchmark harness records the table as
+``benchmarks/results/overload_tail_latency.txt``.
 """
 
 from __future__ import annotations
@@ -26,15 +34,15 @@ import math
 from typing import Optional, Sequence, Tuple
 
 from ..serving import (
+    AdmissionStats,
     BatchingPolicy,
     DDNNServer,
-    LoadGenerator,
-    LoadReport,
+    FabricReport,
     PoissonProcess,
     ServiceModel,
-    SimulatedClock,
     admission_policy,
 )
+from ..serving.invariants import check_conservation, require
 from .results import ExperimentResult
 from .runner import ExperimentScale, default_scale, get_dataset, get_trained_ddnn
 
@@ -77,24 +85,25 @@ def _run_one(
     offered_rps: float,
     num_requests: int,
     seed: int,
-) -> LoadReport:
-    clock = SimulatedClock()
+) -> Tuple[FabricReport, AdmissionStats]:
+    """One open-loop run: the report over the queued-and-served responses,
+    and the ingress admission counters."""
     server = DDNNServer(
         model,
         threshold,
         policy=batching,
-        clock=clock,
         capacity=None if policy_name == "unbounded" else capacity,
         admission=None if policy_name == "unbounded" else admission_policy(policy_name),
+        service_models=[service_model],
     )
-    generator = LoadGenerator(
-        server,
+    report = server.open_loop(
         PoissonProcess(offered_rps, seed=seed),
         test_set.images,
         targets=test_set.labels,
-        service_model=service_model,
+        num_requests=num_requests,
     )
-    return generator.run(num_requests)
+    served = [response for response in report.responses if not response.shed]
+    return server.report(served), server.admission_stats
 
 
 def run_overload_study(
@@ -167,25 +176,44 @@ def run_overload_study(
         },
     )
 
-    def _add_row(policy_name: str, multiplier: float, requests: int, report: LoadReport) -> None:
+    def _add_row(
+        policy_name: str,
+        multiplier: float,
+        requests: int,
+        report: FabricReport,
+        stats: AdmissionStats,
+    ) -> None:
+        bounded = policy_name != "unbounded"
+        problems = check_conservation(requests, stats.as_dict())
+        if report.served + stats.dropped != stats.accepted:
+            problems.append(
+                f"{report.served} served + {stats.dropped} dropped != "
+                f"{stats.accepted} accepted"
+            )
+        if bounded and report.max_latency_s > bound_s:
+            problems.append(
+                f"an admitted request waited {1e3 * report.max_latency_s:.2f} ms, "
+                f"past the {1e3 * bound_s:.2f} ms queue bound"
+            )
+        require(f"overload study, {policy_name} at {multiplier}x, {requests} requests", problems)
         result.add_row(
             policy=policy_name,
             offered_x=multiplier,
             offered_rps=multiplier * capacity_rps,
             requests=requests,
             served=report.served,
-            reject_pct=100.0 * report.reject_rate,
-            drop_pct=100.0 * report.drop_rate,
-            shed_pct=100.0 * report.shed_rate,
+            reject_pct=100.0 * stats.rejected / requests,
+            drop_pct=100.0 * stats.dropped / requests,
+            shed_pct=100.0 * stats.shed / requests,
             p50_ms=1e3 * report.p50_latency_s,
             p95_ms=1e3 * report.p95_latency_s,
             p99_ms=1e3 * report.p99_latency_s,
-            p95_bound_ms=float("inf") if policy_name == "unbounded" else 1e3 * bound_s,
+            p95_bound_ms=1e3 * bound_s if bounded else float("inf"),
         )
 
     for policy_name in policies:
         for multiplier_index, multiplier in enumerate(load_multipliers):
-            report = _run_one(
+            report, stats = _run_one(
                 model,
                 test_set,
                 threshold,
@@ -197,7 +225,7 @@ def run_overload_study(
                 num_requests=num_requests,
                 seed=seed + multiplier_index,
             )
-            _add_row(policy_name, multiplier, num_requests, report)
+            _add_row(policy_name, multiplier, num_requests, report, stats)
 
     # Divergence demonstration: the unbounded baseline at 2x capacity,
     # re-run with growing run lengths.  Bounded policies' p95 is flat in run
@@ -205,7 +233,7 @@ def run_overload_study(
     # with it.  Same arrival seed for every length, so the shorter runs are
     # prefixes of the longer ones.
     for length in growth_lengths:
-        report = _run_one(
+        report, stats = _run_one(
             model,
             test_set,
             threshold,
@@ -217,5 +245,5 @@ def run_overload_study(
             num_requests=length,
             seed=seed + 1000,
         )
-        _add_row("unbounded", 2.0, length, report)
+        _add_row("unbounded", 2.0, length, report, stats)
     return result

@@ -11,7 +11,7 @@ layers.
 Each section does two things:
 
 * :meth:`TierSection.process` — run the tier's NN sections on a batch,
-  returning the tier's exit logits (if it has an exit), per-sample latency
+  returning the logits of each exit the tier holds, per-sample latency
   and byte accounting, and a batch-level *carry*: the feature maps an
   offload would forward, as one batch-major ``(n, sources, ...)`` array —
   ``(n, D, f, h, w)`` out of the device tier, ``(n, E, ...)`` out of the edge;
@@ -63,6 +63,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.ddnn import DDNN
 from .faults import FaultPlan
 from .network import NetworkLink
 from .partition import CLOUD_NAME, LOCAL_AGGREGATOR_NAME, HierarchyDeployment
@@ -74,6 +75,7 @@ __all__ = [
     "DeviceTierSection",
     "EdgeTierSection",
     "CloudTierSection",
+    "CascadeTierSection",
     "build_tier_sections",
 ]
 
@@ -82,7 +84,7 @@ __all__ = [
 class SectionResult:
     """Outcome of running one tier's section on a batch of ``n`` rows."""
 
-    logits: Optional[np.ndarray]  # exit logits (n, C); None when the tier has no exit
+    logits: List[np.ndarray]  # (n, C) logits of each exit the tier holds, in exit order
     carry: object  # batch-level state an offload would forward
     service_s: float  # wall-clock the tier's worker is occupied by this batch
     intake_s: np.ndarray  # per-row intra-tier transfer+wait latency (n,)
@@ -134,6 +136,12 @@ class TierSection:
     exit_index: Optional[int] = None
     #: Exit name matching ``exit_index`` ("" when the tier has no exit).
     exit_name: str = ""
+
+    @property
+    def exits(self) -> List[Tuple[int, str]]:
+        """``(index, name)`` of every exit the tier evaluates, in cascade
+        order — the one exit it carries, or none."""
+        return [] if self.exit_index is None else [(self.exit_index, self.exit_name)]
 
     def process(self, payload, plans) -> SectionResult:
         """Run the tier on a batch with ``plans``, a compiled plan bundle."""
@@ -237,7 +245,7 @@ class DeviceTierSection(TierSection):
             features[~delivered.T] = 0.0
             scores[~delivered] = 0.0
 
-        logits: Optional[np.ndarray] = None
+        logits: List[np.ndarray] = []
         aggregate_seconds = 0.0
         if self.exit_index is None:
             intake_s = np.zeros(batch)
@@ -252,7 +260,8 @@ class DeviceTierSection(TierSection):
             )
             latency = [own / max(batch, 1) + link for own, link in zip(seconds, link_seconds)]
             intake_s, intake_bytes = _per_row(latency, vectors.summary_bytes, sends, batch)
-            logits, aggregate_seconds = self._aggregate(scores, plans)
+            fused, aggregate_seconds = self._aggregate(scores, plans)
+            logits.append(fused)
             compute_s = np.full(batch, aggregate_seconds / max(batch, 1))
 
         return SectionResult(
@@ -345,9 +354,9 @@ class EdgeTierSection(TierSection):
         # An exit-less edge tier (boundary moved up) skips the exit-logit
         # fusion entirely — features still flow to the cloud unchanged.
         logits = (
-            self._fuse_exit_logits(edge_logit_list, plans)
+            [self._fuse_exit_logits(edge_logit_list, plans)]
             if self.exit_index is not None
-            else None
+            else []
         )
         per_sample = float(edge_seconds.max(initial=0.0)) / max(batch, 1)
         return SectionResult(
@@ -410,7 +419,7 @@ class CloudTierSection(TierSection):
         logits, seconds = self._cloud_forward(sources, plans)
         per_sample = seconds / max(batch, 1)
         return SectionResult(
-            logits=logits,
+            logits=[logits],
             carry=None,
             service_s=seconds,
             intake_s=np.zeros(batch),
@@ -431,6 +440,47 @@ class CloudTierSection(TierSection):
 
     def transfer_estimate_s(self) -> float:
         raise RuntimeError("the cloud tier is final; nothing offloads past it")
+
+
+class CascadeTierSection(TierSection):
+    """The whole cascade as one tier: the single-box server's section.
+
+    ``process`` runs the compiled forward (:meth:`CompiledDDNN.forward
+    <repro.compile.CompiledDDNN.forward>`) on raw ``(n, D, C, H, W)``
+    views and returns every exit's logits, which the fabric applies in
+    order, so a batch leaves the tier whole.  There is no hierarchy under
+    it: no links, no bytes, no path latency, and no modelled compute (a
+    fabric prices its batches with a
+    :class:`~repro.serving.loadgen.ServiceModel`).
+    """
+
+    tier_name = "server"
+
+    def __init__(self, model: DDNN) -> None:
+        self._exits = list(enumerate(model.exit_names))
+        self.exit_index, self.exit_name = self._exits[0]
+
+    @property
+    def exits(self) -> List[Tuple[int, str]]:
+        return self._exits
+
+    def process(self, payload, plans) -> SectionResult:
+        views = np.asarray(payload)
+        zeros = np.zeros(len(views))
+        return SectionResult(
+            logits=[logits.copy() for logits in plans.forward(views).exit_logits],
+            carry=None,
+            service_s=0.0,
+            intake_s=zeros,
+            compute_s=zeros,
+            intake_bytes=zeros,
+        )
+
+    def offload(self, carry, rows: np.ndarray) -> TransferResult:
+        raise RuntimeError("the cascade tier answers every row; nothing offloads past it")
+
+    def transfer_estimate_s(self) -> float:
+        raise RuntimeError("the cascade tier answers every row; nothing offloads past it")
 
 
 def build_tier_sections(

@@ -9,21 +9,21 @@ untimed :meth:`ExitOracle.route <repro.core.oracle.ExitOracle.route>`:
   the one response type every serving path queues and answers with;
 * :class:`AdmissionPolicy` (:class:`RejectNewest`, :class:`DropOldest`,
   :class:`ShedToLocalExit`) and the one :func:`admit` rule — what a full
-  queue (the server's, or the fabric's ingress) does under overload;
+  ingress queue does under overload;
 * :class:`BatchingPolicy` — dynamic micro-batching with ``max_batch_size``
   and ``max_wait_s`` knobs, and the one :meth:`BatchingPolicy.due` trigger;
-* :class:`DDNNServer` — a small synchronous single-tier server routing
-  each micro-batch with :class:`~repro.core.oracle.ExitOracle`, with an
-  immediate local-exit answer for shed requests;
-* :class:`LoadGenerator` + arrival processes (:class:`PoissonProcess`,
-  :class:`DiurnalProcess`) and :class:`ServiceModel` — deterministic
-  open-loop overload studies on a :class:`SimulatedClock`;
+* arrival processes (:class:`PoissonProcess`, :class:`DiurnalProcess`)
+  and :class:`ServiceModel` — the inputs of deterministic open-loop
+  studies (:meth:`DistributedServingFabric.open_loop`) on a
+  :class:`SimulatedClock`;
 * :class:`DistributedServingFabric` — the tier-aware distributed runtime:
   an :class:`EventLoop`-driven fabric of :class:`TierServer`s (N workers
   per tier, per-worker compiled plans) where offloads cross
   :class:`~repro.hierarchy.network.NetworkFabric` links with simulated
   transfer delay, with optional :class:`AdaptiveThreshold` shedding.
-  :class:`~repro.hierarchy.runtime.HierarchyRuntime` is its offline replay.
+  :class:`~repro.hierarchy.runtime.HierarchyRuntime` is its offline replay,
+  and :class:`DDNNServer` the same fabric over one whole-cascade tier with
+  one worker (the single-box server);
 * :class:`WorkerPool` backends (:class:`SimulatedWorkerPool`,
   :class:`ThreadPoolWorkerPool`) — how the fabric's tier workers occupy
   time: deterministic simulated slots (the paper-table default) or real
@@ -63,10 +63,8 @@ from .admission import (
     ADMISSION_POLICIES,
     AdmissionOutcome,
     AdmissionPolicy,
-    AdmissionResult,
     AdmissionStats,
     DropOldest,
-    QueueFullError,
     RejectNewest,
     ShedToLocalExit,
     admission_policy,
@@ -88,8 +86,6 @@ from .fabric import (
 from .loadgen import (
     ArrivalProcess,
     DiurnalProcess,
-    LoadGenerator,
-    LoadReport,
     PoissonProcess,
     ServiceModel,
 )
@@ -113,13 +109,11 @@ from .workers import (
 
 __all__ = [
     "AdmissionOutcome",
-    "AdmissionResult",
     "AdmissionStats",
     "AdmissionPolicy",
     "RejectNewest",
     "DropOldest",
     "ShedToLocalExit",
-    "QueueFullError",
     "ADMISSION_POLICIES",
     "admission_policy",
     "admit",
@@ -156,6 +150,4 @@ __all__ = [
     "PoissonProcess",
     "DiurnalProcess",
     "ServiceModel",
-    "LoadGenerator",
-    "LoadReport",
 ]

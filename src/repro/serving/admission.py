@@ -7,7 +7,7 @@ latency grow without bound; a bounded queue instead consults an
 :class:`AdmissionPolicy` whenever it is full:
 
 * :class:`RejectNewest` — refuse the arriving request (classic tail-drop
-  backpressure; the client sees an explicit rejection and may retry);
+  backpressure; the request is counted ``rejected`` and never answered);
 * :class:`DropOldest` — evict the head-of-line request to make room (the
   freshest data wins, natural for sensor streams where a stale frame is
   worthless by the time it would be served);
@@ -16,40 +16,31 @@ latency grow without bound; a bounded queue instead consults an
   deployment where the local aggregator can always produce a (less
   confident) answer without the upper tiers.
 
-:func:`admit` is the one admission rule: it guards the queue of
-:class:`~repro.serving.server.DDNNServer` and the device-tier ingress of
-the distributed :class:`~repro.serving.fabric.DistributedServingFabric`
-alike.  A policy decides without looking at the queue; :func:`admit`
-interprets the decision and keeps the :class:`AdmissionStats`, so policies
-stay trivially testable.
+:func:`admit` is the one admission rule: it guards the ingress queue of
+every :class:`~repro.serving.fabric.DistributedServingFabric`, the
+one-tier :class:`~repro.serving.server.DDNNServer` included.  A policy
+decides without looking at the queue; :func:`admit` interprets the
+decision and keeps the :class:`AdmissionStats`, so policies stay trivially
+testable.  The fabric enqueues an accepted arrival, answers a shed one from
+the first exit, and counts a rejected one only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .fabric import FabricRequest, FabricResponse
+from typing import Deque, Dict, Optional, Tuple
 
 __all__ = [
     "AdmissionOutcome",
-    "AdmissionResult",
     "AdmissionStats",
     "AdmissionPolicy",
     "RejectNewest",
     "DropOldest",
     "ShedToLocalExit",
-    "QueueFullError",
     "admission_policy",
     "admit",
 ]
-
-
-class QueueFullError(RuntimeError):
-    """Raised by :meth:`DDNNServer.submit
-    <repro.serving.server.DDNNServer.submit>` when admission rejects a request."""
 
 
 class AdmissionOutcome(str, Enum):
@@ -61,29 +52,6 @@ class AdmissionOutcome(str, Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-@dataclass(frozen=True)
-class AdmissionResult:
-    """Outcome of offering one request to the queue.
-
-    Attributes
-    ----------
-    outcome:
-        ``ACCEPTED`` (enqueued), ``REJECTED`` (refused, ``request`` is None)
-        or ``SHED`` (not enqueued; answered at once from the local exit).
-    request:
-        The admitted or shed request, ``None`` on rejection.
-    evicted:
-        The head-of-line request removed to make room (``DropOldest`` only).
-    response:
-        The immediate local-exit answer of a ``SHED`` outcome.
-    """
-
-    outcome: AdmissionOutcome
-    request: Optional["FabricRequest"] = None
-    evicted: Optional["FabricRequest"] = None
-    response: Optional["FabricResponse"] = None
 
 
 @dataclass

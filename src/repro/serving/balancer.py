@@ -133,7 +133,7 @@ class LoadBalancer:
         stats = fabric.admission_stats
         return (
             fabric.offered
-            - len(fabric.responses)
+            - fabric.answered
             - stats.rejected
             - stats.dropped
         )

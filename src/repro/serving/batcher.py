@@ -9,10 +9,11 @@ The policy trades latency for throughput with two knobs:
 A batch is released as soon as it is full, or as soon as the oldest
 pending request has waited ``max_wait_s`` (:meth:`BatchingPolicy.due`).
 ``max_batch_size=1`` degrades to sequential (request-at-a-time) serving.
-The same policy, and the same trigger, forms the batches of
-:class:`~repro.serving.server.DDNNServer`, of the open-loop
-:class:`~repro.serving.loadgen.LoadGenerator` and of every tier of the
-distributed fabric.
+The same policy, and the same trigger, forms the batches of every tier of
+the distributed fabric, the one-tier
+:class:`~repro.serving.server.DDNNServer` included: a tier checks it when
+a request arrives, when a worker frees up, and when the wait timer its
+head-of-line request armed fires.
 """
 
 from __future__ import annotations

@@ -65,19 +65,14 @@ class EventHandle:
 
 
 class SimulatedClock:
-    """A manually-advanced time source; never moves backwards."""
+    """A time source the event loop moves with :meth:`advance_to`; never
+    moves backwards."""
 
     def __init__(self, start: float = 0.0) -> None:
         self.now = float(start)
 
     def __call__(self) -> float:
         return self.now
-
-    def advance(self, seconds: float) -> None:
-        # NaN passes a `< 0` test and would poison every later reading.
-        if not (math.isfinite(seconds) and seconds >= 0.0):
-            raise ValueError(f"cannot advance time by {seconds!r} (need a finite number >= 0)")
-        self.now += seconds
 
     def advance_to(self, timestamp: float) -> None:
         """Move to ``timestamp`` if it is in the future; no-op otherwise."""

@@ -37,11 +37,10 @@ Exit decisions are identical to the untimed rule on the monolithic model
 link configuration — workers and links change *when* things happen,
 never *what* is computed (covered by tests).  The offline
 :class:`~repro.hierarchy.runtime.HierarchyRuntime` is the fabric replayed at
-infinite arrival rate, and :class:`~repro.serving.server.DDNNServer` is a
-one-tier synchronous server built from the fabric's parts: the
-:class:`FabricRequest` / :class:`FabricResponse` types, the
-:meth:`BatchingPolicy.due <repro.serving.batcher.BatchingPolicy.due>`
-trigger and the :func:`~repro.serving.admission.admit` rule.
+infinite arrival rate, and :class:`~repro.serving.server.DDNNServer` is the
+fabric over one tier that holds every exit
+(:class:`~repro.hierarchy.sections.CascadeTierSection`): a tier applies
+each exit it holds in cascade order.
 
 Overload behaviour can additionally be made *adaptive*: an
 :class:`AdaptiveThreshold` raises the local-exit threshold while the device
@@ -77,7 +76,7 @@ from .admission import (
 )
 from .batcher import BatchingPolicy
 from .clock import EventHandle, EventLoop, SimulatedClock, WallClock
-from .loadgen import ArrivalProcess, ServiceModel
+from .loadgen import ArrivalProcess, ServiceModel, _finite
 from .resilience import (
     CircuitBreaker,
     Deadline,
@@ -144,13 +143,6 @@ def checked_views(model, views) -> np.ndarray:
     if not np.isfinite(views).all():
         raise ValueError("views must be finite (no NaN or infinity)")
     return views
-
-
-def _finite(name: str, value, positive: bool = False) -> float:
-    value = float(value)
-    if not math.isfinite(value) or (positive and not value > 0.0):
-        raise ValueError(f"{name} must be finite{' and > 0' if positive else ''}, got {value}")
-    return value
 
 
 @dataclass
@@ -429,7 +421,9 @@ class DistributedServingFabric:
         from one per-mode pool.
     sections:
         Pre-built tier sections (the hierarchy runtime passes sections that
-        carry its fault plan); defaults to :func:`build_tier_sections`.
+        carry its fault plan, :class:`~repro.serving.server.DDNNServer` one
+        :class:`~repro.hierarchy.sections.CascadeTierSection`); defaults to
+        :func:`build_tier_sections`.
     service_models:
         Optional per-tier :class:`ServiceModel` overriding the node
         ops-model compute time for worker occupancy (used for calibrated /
@@ -550,7 +544,6 @@ class DistributedServingFabric:
         # exit decisions would depend on micro-batch composition (the
         # hierarchy runtime makes the same call before it replays a dataset).
         self.model.eval()
-        self.cascade = ExitCascade.for_model(self.model, thresholds)
         self.events = events if events is not None else EventLoop(clock)
         self.adaptive = adaptive
         self.backend = backend
@@ -578,6 +571,9 @@ class DistributedServingFabric:
                     f"unknown precision {mode!r}; expected one of {PRECISIONS}"
                 )
         self.precisions = precisions
+        # Shedding answers at the ingress, so its first-exit forward runs at
+        # the device tier's precision.
+        self.cascade = ExitCascade.for_model(self.model, thresholds, precision=precisions[0])
 
         #: Thread-backend bundles per precision, one per worker slot (see
         #: :meth:`_worker_bundles`).
@@ -621,6 +617,9 @@ class DistributedServingFabric:
 
         self.responses: List[FabricResponse] = []
         self.offered = 0
+        #: Answers emitted so far, :meth:`serve_dataset`'s included (it hands
+        #: its answers back instead of keeping them in ``responses``).
+        self.answered = 0
         self.relaxed_samples = 0
         #: Shared-able id source (the balancer unifies it across replicas
         #: when hedging, so merged response streams stay globally unique).
@@ -926,11 +925,11 @@ class DistributedServingFabric:
     def _admit(self, request: FabricRequest, payload: object, now: float) -> int:
         """Offer one fresh arrival to the bounded device-tier queue.
 
-        :func:`~repro.serving.admission.admit` decides and counts, as for
-        :class:`~repro.serving.server.DDNNServer`: accepted requests enqueue,
-        rejected ones vanish with a counter, shed ones are answered
-        immediately from the first exit.  A drop-oldest victim leaves the
-        system entirely, so its expiry timer (if any) is cancelled.
+        :func:`~repro.serving.admission.admit` decides and counts: accepted
+        requests enqueue, rejected ones vanish with a counter, shed ones
+        are answered immediately from the first exit.  A drop-oldest victim
+        leaves the system entirely, so its expiry timer (if any) is
+        cancelled.
         Returns the number of requests enqueued (0 or 1).
         """
         outcome, evicted = admit(
@@ -978,10 +977,8 @@ class DistributedServingFabric:
     ) -> FabricResponse:
         """Answer a shed request from the first exit, bypassing the tiers.
 
-        As in :meth:`DDNNServer.offer
-        <repro.serving.server.DDNNServer.offer>`, the sample is evaluated
-        through the cascade's first exit directly, on the process-wide
-        compiled plan, with no hierarchy byte/latency
+        The sample is evaluated through the cascade's first exit directly,
+        on the process-wide compiled plan, with no hierarchy byte/latency
         accounting — a shed answer is produced at the ingress, before the
         request ever enters the tier plane.  With ``degraded=True`` the same
         first-exit evaluation serves an offload failover whose journey never
@@ -1054,6 +1051,7 @@ class DistributedServingFabric:
             hedged=request.hedged,
         )
         self.responses.append(response)
+        self.answered += 1
         return response
 
     def _can_retire(self, request: FabricRequest) -> bool:
@@ -1179,8 +1177,7 @@ class DistributedServingFabric:
                 ),
             )
 
-    def _criterion(self, tier_index: int, relaxed: bool) -> ExitCriterion:
-        exit_index = self.sections[tier_index].exit_index
+    def _criterion(self, exit_index: int, relaxed: bool) -> ExitCriterion:
         criterion = self.cascade.criteria[exit_index]
         if relaxed:
             assert self.adaptive is not None
@@ -1209,30 +1206,37 @@ class DistributedServingFabric:
             request.path_latency_s += latency
             request.bytes_transferred += size
 
-        if section.exit_index is None:
-            exits = [False] * batch_size
-        else:
-            decision = self._criterion(tier_index, relaxed).evaluate(result.logits)
-            predictions = decision.predictions.tolist()
-            entropies = decision.entropies.tolist()
-            exits = [True] * batch_size if final else decision.exit_mask.tolist()
+        # The exits the tier holds decide in cascade order: a row leaves at
+        # the first whose criterion it meets, and the final tier's last exit
+        # takes every row still left.  Only the tier's first exit is relaxed.
+        exits = section.exits
+        decisions = [
+            self._criterion(exit_index, relaxed and position == 0).evaluate(logits)
+            for position, ((exit_index, _), logits) in enumerate(zip(exits, result.logits))
+        ]
+        predictions = [decision.predictions.tolist() for decision in decisions]
+        entropies = [decision.entropies.tolist() for decision in decisions]
+        masks = [decision.exit_mask.tolist() for decision in decisions]
+        if final:
+            masks[-1] = [True] * batch_size
 
         remaining: List[int] = []
-        for row, leaves in enumerate(exits):
-            if not leaves:
+        for row in range(batch_size):
+            position = next((p for p, mask in enumerate(masks) if mask[row]), None)
+            if position is None:
                 remaining.append(row)
                 continue
-            if relaxed:
+            exit_relaxed = relaxed and position == 0
+            if exit_relaxed:
                 self.relaxed_samples += 1
             self._finalize(
                 requests[row],
                 now,
-                predictions[row],
-                entropies[row],
-                section.exit_index,
-                section.exit_name,
+                predictions[position][row],
+                entropies[position][row],
+                *exits[position],
                 batch_size=batch_size,
-                relaxed=relaxed,
+                relaxed=exit_relaxed,
             )
 
         sendable: List[int] = []
@@ -1241,13 +1245,8 @@ class DistributedServingFabric:
             request = requests[row]
             # Remember the decision each non-exiting row would fail over or
             # retire to (the deepest exit already cleared).
-            if section.exit_index is not None:
-                request.fallback = (
-                    predictions[row],
-                    entropies[row],
-                    section.exit_index,
-                    section.exit_name,
-                )
+            if exits:
+                request.fallback = (predictions[-1][row], entropies[-1][row], *exits[-1])
             # SLO budget pre-filter: a row whose remaining budget cannot
             # cover even the (conservative, chargeless) transfer estimate is
             # answered locally *before* any bytes hit the wire — an SLO
@@ -1716,7 +1715,7 @@ class DistributedServingFabric:
     def run_until_idle(
         self, max_events: Optional[int] = None, drain: bool = False
     ) -> List[FabricResponse]:
-        """Fire every scheduled event; returns all responses so far.
+        """Fire every scheduled event; returns the kept responses so far.
 
         On the thread backend this also waits (in real time) for in-flight
         worker forwards to land — the loop only goes idle once the queue is
@@ -1736,13 +1735,20 @@ class DistributedServingFabric:
     def serve_dataset(
         self, dataset: MVMCDataset, client_id: str = "default", at: Optional[float] = None
     ) -> List[FabricResponse]:
-        """Replay a dataset at infinite arrival rate; responses in sample order.
+        """Replay a dataset at infinite arrival rate; one response per sample,
+        in sample order.
 
         Every sample arrives at once and batches are force-drained (the
         batching policy's size cap still applies), which is exactly the
-        offline hierarchy-runtime regime.
+        offline hierarchy-runtime regime.  The answers are handed back, not
+        kept in :attr:`responses`, so repeated replays on one fabric hold no
+        history.  A bounded ingress that turns samples away (``reject``,
+        ``drop-oldest``) breaks the one-per-sample contract and raises
+        ``ValueError``; serve such a burst with :meth:`submit_many` and
+        :meth:`run_until_idle` instead.
         """
         first_id = self._ids.next
+        start = len(self.responses)
         self.submit_many(
             [dataset.images[index] for index in range(len(dataset))],
             client_id=client_id,
@@ -1750,8 +1756,18 @@ class DistributedServingFabric:
             at=at,
         )
         self.run_until_idle(drain=True)
-        mine = [r for r in self.responses if r.request_id >= first_id]
-        return sorted(mine, key=lambda response: response.request_id)
+        tail = self.responses[start:]
+        mine = sorted(
+            (r for r in tail if r.request_id >= first_id), key=lambda response: response.request_id
+        )
+        self.responses[start:] = [r for r in tail if r.request_id < first_id]
+        if len(mine) != len(dataset):
+            raise ValueError(
+                f"serve_dataset answered {len(mine)} of {len(dataset)} samples: the bounded "
+                f"ingress (capacity={self.capacity}, admission={self.admission.name!r}) "
+                "turned the rest away"
+            )
+        return mine
 
     def open_loop(
         self,
@@ -1780,6 +1796,7 @@ class DistributedServingFabric:
             raise ValueError("at least one client id is required")
         arrivals = iter(process)
         first_id = self._ids.next
+        start = len(self.responses)
         started = self.clock.now
 
         def _next_arrival(count: int) -> None:
@@ -1801,7 +1818,7 @@ class DistributedServingFabric:
 
         _next_arrival(0)
         self.run_until_idle()
-        mine = [r for r in self.responses if r.request_id >= first_id]
+        mine = [r for r in self.responses[start:] if r.request_id >= first_id]
         return self.report(mine, duration_s=self.clock.now - started)
 
     # ------------------------------------------------------------------ #

@@ -1,8 +1,9 @@
-"""Tests for overload safety: admission control and load generation."""
+"""Tests for overload safety: admission control and open-loop load."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 
 import numpy as np
@@ -14,10 +15,9 @@ from repro.serving import (
     ArrivalProcess,
     BatchingPolicy,
     DDNNServer,
+    DiurnalProcess,
     DropOldest,
-    LoadGenerator,
     PoissonProcess,
-    QueueFullError,
     RejectNewest,
     ServiceModel,
     ShedToLocalExit,
@@ -58,14 +58,11 @@ class TestAdmissionPolicies:
         assert list(queue) == ["a", "b"]
         assert (stats.shed, stats.offered) == (1, 1)
 
-    def test_submit_raises_on_rejection(self, trained_ddnn, tiny_test):
+    def test_a_rejected_submission_is_counted_never_answered(self, trained_ddnn, tiny_test):
         server = DDNNServer(trained_ddnn, 0.8, capacity=2, admission=RejectNewest())
-        for index in range(2):
-            server.submit(tiny_test.images[index])
-        with pytest.raises(QueueFullError):
-            server.submit(tiny_test.images[2])
+        ids = server.submit_many(list(tiny_test.images[:3]))
+        assert [r.request_id for r in server.run_until_idle()] == ids[:2]
         assert server.admission_stats.rejected == 1
-        assert len(server.queue) == 2
 
     # (accepted, rejected, dropped, shed) after 8 offers to a full queue of 3.
     OVERFLOW = {
@@ -89,20 +86,19 @@ class TestAdmissionPolicies:
         assert list(queue) == ([8, 9, 10] if name == "drop-oldest" else [0, 1, 2])
 
     @pytest.mark.parametrize("name", sorted(OVERFLOW))
-    def test_server_offer_answers_or_accounts_every_sample(self, trained_ddnn, tiny_test, name):
+    def test_server_answers_or_accounts_every_sample(self, trained_ddnn, tiny_test, name):
         server = DDNNServer(trained_ddnn, 0.8, capacity=3, admission=admission_policy(name))
-        outcomes = [server.offer(tiny_test.images[index], client_id="cam") for index in range(8)]
-        served = server.run_until_drained()
+        server.submit_many(list(tiny_test.images[:8]), client_id="cam")
+        responses = server.run_until_idle()
         stats = server.admission_stats
-        shed = [o.response for o in outcomes if o.outcome is AdmissionOutcome.SHED]
+        shed = [r for r in responses if r.shed]
+        served = [r for r in responses if not r.shed]
         # A shed sample is answered at once from the local exit; everything
         # else that stayed in the queue gets the full cascade.
         assert len(shed) == stats.shed
-        assert all(r.shed and r.exit_index == 0 for r in shed)
+        assert all(r.exit_index == 0 for r in shed)
         assert len(served) == stats.accepted - stats.dropped == 3
-        assert not any(r.shed for r in served)
         assert len(served) + stats.rejected + stats.dropped + stats.shed == 8
-        assert sum(o.evicted is not None for o in outcomes) == stats.dropped
 
     def test_admission_policy_registry(self):
         assert isinstance(admission_policy("reject"), RejectNewest)
@@ -130,6 +126,26 @@ class TestArrivalProcesses:
     def test_process_parameter_validation(self):
         with pytest.raises(ValueError):
             PoissonProcess(0.0)
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            # rate_at computes inf - inf * cos = NaN, so thinning never
+            # accepts: the first draw used to hang.
+            (lambda: DiurnalProcess(1.0, math.inf), "peak_rate_rps"),
+            (lambda: DiurnalProcess(math.nan, 2.0), "base_rate_rps"),
+            (lambda: DiurnalProcess(1.0, 2.0, period_s=math.inf), "period_s"),
+            (lambda: DiurnalProcess(1.0, 2.0, start=math.inf), "start"),
+            # Used to yield 0.0 forever.
+            (lambda: PoissonProcess(math.inf), "rate_rps"),
+            # Used to yield NaN arrival times.
+            (lambda: PoissonProcess(5.0, start=math.nan), "start"),
+            (lambda: PoissonProcess(math.nan), "rate_rps"),
+        ],
+    )
+    def test_non_finite_parameters_are_rejected_at_construction(self, build, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            build()
 
 
 class TestServiceModel:
@@ -169,71 +185,84 @@ class TestServiceModel:
     def test_calibration_needs_a_full_batch_of_views(self, trained_ddnn, tiny_test):
         """Four views cannot time a 32-row batch: the fit used to run on a
         4-row batch and report a per-sample cost ten times too small."""
-        server = DDNNServer(trained_ddnn, 0.8)
         with pytest.raises(ValueError, match="batch_size"):
-            ServiceModel.from_plan_timings(server, tiny_test.images[:4], batch_size=32)
+            ServiceModel.from_plan_timings(trained_ddnn, tiny_test.images[:4], batch_size=32)
         fitted = ServiceModel.from_plan_timings(
-            server, tiny_test.images[:4], batch_size=4, repeats=1
+            trained_ddnn, tiny_test.images[:4], batch_size=4, repeats=1, precision="float32"
         )
         assert fitted.per_sample_s > 0.0
 
 
 class TestSimulatedClock:
-    def test_advance_and_advance_to(self):
-        clock = SimulatedClock()
-        assert clock() == 0.0
-        clock.advance(1.5)
+    def test_advance_to_never_goes_backwards(self):
+        clock = SimulatedClock(1.5)
         assert clock() == 1.5
-        clock.advance_to(1.0)  # never backwards
+        clock.advance_to(1.0)
         assert clock() == 1.5
         clock.advance_to(2.0)
         assert clock() == 2.0
-        with pytest.raises(ValueError):
-            clock.advance(-0.1)
-
-    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -float("inf")])
-    def test_advance_rejects_non_finite_steps(self, seconds):
-        clock = SimulatedClock(1.0)
-        with pytest.raises(ValueError):
-            clock.advance(seconds)
-        assert clock() == 1.0
 
 
-class TestLoadGenerator:
+class TestOpenLoop:
+    """The one-tier server driven open-loop on its simulated event loop."""
+
     SERVICE = ServiceModel(batch_overhead_s=0.002, per_sample_s=0.001)
     BATCHING = BatchingPolicy(max_batch_size=8, max_wait_s=0.005)
 
     def _run(self, trained_ddnn, tiny_test, *, capacity=None, admission=None,
-             multiplier=2.0, num_requests=160, seed=5, process=None):
-        clock = SimulatedClock()
+             multiplier=2.0, num_requests=160, seed=5, process=None, batching=None):
+        batching = batching if batching is not None else self.BATCHING
         server = DDNNServer(
             trained_ddnn,
             0.8,
-            policy=self.BATCHING,
-            clock=clock,
+            policy=batching,
             capacity=capacity,
             admission=admission,
+            service_models=[self.SERVICE],
         )
-        offered = multiplier * self.SERVICE.capacity_rps(self.BATCHING.max_batch_size)
-        generator = LoadGenerator(
-            server,
+        offered = multiplier * self.SERVICE.capacity_rps(batching.max_batch_size)
+        report = server.open_loop(
             process if process is not None else PoissonProcess(offered, seed=seed),
             tiny_test.images,
             targets=tiny_test.labels,
-            service_model=self.SERVICE,
+            num_requests=num_requests,
         )
-        return server, generator.run(num_requests)
+        report = server.report([r for r in report.responses if not r.shed])
+        return server, report
 
-    def test_requires_simulated_clock(self, trained_ddnn, tiny_test):
-        server = DDNNServer(trained_ddnn, 0.8)
-        with pytest.raises(TypeError):
-            LoadGenerator(server, PoissonProcess(10.0), tiny_test.images)
+    def test_an_arrival_during_service_keeps_its_instant(self, trained_ddnn, tiny_test):
+        """Regression: the old load generator advanced the clock through a
+        whole batch's service before it offered the next arrival, so a
+        request arriving while the worker was busy was stamped at the
+        batch's completion and its wait went uncounted."""
+        trace = [0.0, 0.001]
+
+        class Replay(ArrivalProcess):
+            def times(self):
+                return iter(trace)
+
+        server, report = self._run(
+            trained_ddnn,
+            tiny_test,
+            process=Replay(),
+            num_requests=2,
+            batching=BatchingPolicy(max_batch_size=1, max_wait_s=0.0),
+        )
+        first, second = report.responses
+        busy = self.SERVICE.batch_time_s(1)
+        assert (first.submit_time, first.completion_time) == (0.0, busy)
+        # Offered at its own instant, queued behind the busy worker, and
+        # answered one batch time after the worker frees up.
+        assert second.submit_time == 0.001
+        assert second.completion_time == 2 * busy
+        assert second.latency_s == pytest.approx(2 * busy - 0.001)
 
     def test_underload_serves_everything(self, trained_ddnn, tiny_test):
-        _, report = self._run(trained_ddnn, tiny_test, multiplier=0.5, num_requests=80)
-        assert report.offered == 80
+        server, report = self._run(trained_ddnn, tiny_test, multiplier=0.5, num_requests=80)
+        stats = server.admission_stats
+        assert stats.offered == 80
         assert report.served == 80
-        assert report.rejected == report.dropped == report.shed == 0
+        assert stats.rejected == stats.dropped == stats.shed == 0
         assert report.p95_latency_s > 0.0
         assert report.p50_latency_s <= report.p95_latency_s <= report.p99_latency_s
 
@@ -253,28 +282,27 @@ class TestLoadGenerator:
         from repro.experiments.overload_study import queue_latency_bound_s
 
         capacity = 16
-        _, report = self._run(
+        server, report = self._run(
             trained_ddnn,
             tiny_test,
             capacity=capacity,
             admission=admission_policy(admission_name),
             num_requests=240,
         )
+        stats = server.admission_stats
         bound = queue_latency_bound_s(capacity, self.BATCHING, self.SERVICE)
         assert report.max_latency_s <= bound
-        overflow = report.rejected + report.dropped + report.shed
+        overflow = stats.rejected + stats.dropped + stats.shed
         assert overflow > 0
-        assert report.offered == 240
+        assert stats.offered == 240
         if admission_name == "reject":
-            assert report.served + report.rejected == report.offered
+            assert report.served + stats.rejected == stats.offered
         if admission_name == "drop-oldest":
-            assert report.served + report.dropped == report.offered
+            assert report.served + stats.dropped == stats.offered
         if admission_name == "shed-local":
-            assert report.served + report.shed == report.offered
-            assert len(report.shed_responses) == report.shed
-            assert all(r.shed and r.exit_index == 0 for r in report.shed_responses)
+            assert report.served + stats.shed == stats.offered
 
-    def test_shed_responses_come_back_from_offer(self, trained_ddnn, tiny_test):
+    def test_shed_answers_are_immediate_and_apart(self, trained_ddnn, tiny_test):
         server, report = self._run(
             trained_ddnn,
             tiny_test,
@@ -284,8 +312,10 @@ class TestLoadGenerator:
             num_requests=120,
         )
         stats = server.admission_stats
-        assert stats.shed == report.shed == len(report.shed_responses) > 0
-        assert len({r.request_id for r in report.shed_responses}) == report.shed
+        shed = [r for r in server.responses if r.shed]
+        assert stats.shed == len(shed) > 0
+        assert len({r.request_id for r in shed}) == stats.shed
+        assert all(r.exit_index == 0 and r.latency_s == 0.0 for r in shed)
         # Shed answers are reported apart from the served ones.
         assert not any(r.shed for r in report.responses)
         assert report.served == stats.accepted - stats.dropped
@@ -297,12 +327,12 @@ class TestLoadGenerator:
             def times(self):
                 return iter(trace)
 
-        _, report = self._run(
+        server, report = self._run(
             trained_ddnn,
             tiny_test,
             process=Replay(),
             num_requests=10,
         )
-        assert report.offered == 5
+        assert server.admission_stats.offered == 5
         assert report.served == 5
         assert [r.submit_time for r in sorted(report.responses, key=lambda r: r.request_id)] == trace

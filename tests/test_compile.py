@@ -352,18 +352,16 @@ class TestPlanTiming:
         assert compiled.total_time_s == 0.0
 
     def test_service_model_calibration_from_plan_timings(self):
-        from repro.serving import DDNNServer, ServiceModel
+        from repro.compile.cache import compiled_plan_for
+        from repro.serving import ServiceModel
 
         model, views = _warmed_model()
-        server = DDNNServer(model, 0.8)
-        model = ServiceModel.from_plan_timings(
-            server, views[0], batch_size=4, repeats=2
-        )
-        assert model.per_sample_s > 0.0
-        assert model.batch_overhead_s >= 0.0
-        assert model.batch_time_s(4) > model.batch_time_s(1)
+        fitted = ServiceModel.from_plan_timings(model, views[0], batch_size=4, repeats=2)
+        assert fitted.per_sample_s > 0.0
+        assert fitted.batch_overhead_s >= 0.0
+        assert fitted.batch_time_s(4) > fitted.batch_time_s(1)
         # Timing is switched back off afterwards.
-        compiled = server.cascade.compiled_for(server.model)
+        compiled = compiled_plan_for(model)
         before = compiled.total_time_s
         compiled(views)
         assert compiled.total_time_s == before

@@ -298,7 +298,9 @@ class TestConsumerValidation:
         with pytest.raises(ValueError, match="unknown precision"):
             DDNNServer(trained_ddnn, 0.8, precision="tf32")
         server = DDNNServer(trained_ddnn, 0.8, precision="float32")
-        assert server.precision == "float32"
+        assert server.precisions == ["float32"]
+        # A shed is answered at the ingress tier's precision too.
+        assert server.cascade.precision == "float32"
 
     def test_fabric_per_tier_modes_validated(self, trained_ddnn):
         from repro.hierarchy.plan import PartitionPlan

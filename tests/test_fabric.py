@@ -361,8 +361,9 @@ class TestSubmitValidation:
     def test_the_server_checks_the_device_count_too(self, trained_ddnn, tiny_test):
         server = DDNNServer(trained_ddnn, 0.8)
         with pytest.raises(ValueError, match="num_devices"):
-            server.offer(tiny_test.images[0][:-1])
-        assert server.admission_stats.offered == 0 and not server.queue
+            server.submit(tiny_test.images[0][:-1])
+        assert server.offered == 0 and server.run_until_idle() == []
+        assert server.admission_stats.offered == 0
 
 
 class TestIngressAdmission:
@@ -411,36 +412,32 @@ class TestIngressAdmission:
     @pytest.mark.parametrize("name", sorted(OVERFLOW))
     def test_server_and_fabric_admit_alike(self, trained_ddnn, tiny_test, name):
         """One admission rule: the same over-capacity arrivals leave the
-        server's queue and the fabric's ingress with equal counters, the same
+        one-tier server and the tiered fabric with equal counters, the same
         survivors, and the same answers for the shed and the served."""
         from repro.serving import admission_policy
 
         views = list(tiny_test.images[:12])
-        # Nothing is due until every arrival has knocked: the batch never
-        # fills, and its wait outlasts the fabric's single arrival event.
         batching = BatchingPolicy(max_batch_size=16, max_wait_s=1.0)
-        server = DDNNServer(
-            trained_ddnn, 0.8, policy=batching, capacity=4, admission=admission_policy(name)
-        )
-        results = [server.offer(sample) for sample in views]
-        fabric = DistributedServingFabric(
-            partition_ddnn(trained_ddnn),
-            0.8,
-            batching=batching,
-            capacity=4,
-            admission=admission_policy(name),
-        )
-        fabric.submit_many(views)
-        fabric_answers = fabric.run_until_idle()
-        assert server.admission_stats == fabric.admission_stats
-        survivors = [request.request_id for request in server.queue]
-        assert survivors == sorted(r.request_id for r in fabric_answers if not r.shed)
+        hosts = [
+            DDNNServer(
+                trained_ddnn, 0.8, policy=batching, capacity=4, admission=admission_policy(name)
+            ),
+            DistributedServingFabric(
+                partition_ddnn(trained_ddnn),
+                0.8,
+                batching=batching,
+                capacity=4,
+                admission=admission_policy(name),
+            ),
+        ]
+        for host in hosts:
+            host.submit_many(views)
+        server_answers, fabric_answers = [host.run_until_idle() for host in hosts]
+        assert hosts[0].admission_stats == hosts[1].admission_stats
 
         def answers(responses):
             return sorted((r.request_id, r.prediction, r.exit_index, r.shed) for r in responses)
 
-        server_answers = [r.response for r in results if r.response is not None]
-        server_answers += server.run_until_drained()
         assert answers(server_answers) == answers(fabric_answers)
 
     @pytest.mark.parametrize("max_wait_s", [0.0, 0.002, 0.05])

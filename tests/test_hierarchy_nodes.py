@@ -78,7 +78,8 @@ class TestDeviceTierSection:
         deployment, _, result = self._run(small_model, views)
         features, delivered = result.carry
         assert features.shape == (3, 3, 2, 16, 16) and delivered is None
-        assert result.logits.shape == (3, 3)
+        [logits] = result.logits
+        assert logits.shape == (3, 3)
         assert result.service_s > 0
         for device in deployment.devices:
             assert device.stats.samples_processed == 3 and device.stats.compute_seconds > 0
@@ -95,13 +96,15 @@ class TestDeviceTierSection:
         _, scores = plans.device_group(views.swapaxes(0, 1))
         scores = scores.copy()
         scores[0] = 0.0
-        np.testing.assert_array_equal(result.logits, plans.local_aggregator(scores.swapaxes(0, 1)))
+        np.testing.assert_array_equal(
+            result.logits[0], plans.local_aggregator(scores.swapaxes(0, 1))
+        )
 
     def test_aggregate_matches_aggregator(self, small_model):
         views = np.random.default_rng(3).random((4, 3, 3, 32, 32))
         deployment, _, result = self._run(small_model, views)
         eager = small_model.first_exit_logits(views).data
-        np.testing.assert_allclose(result.logits, eager, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(result.logits[0], eager, rtol=1e-12, atol=1e-12)
         assert deployment.local_aggregator.stats.samples_processed == 4
 
 

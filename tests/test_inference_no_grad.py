@@ -2,7 +2,7 @@
 
 The eager inference entry points — ``ExitOracle.capture(compile=False)``
 and the baselines — must run their forwards under ``no_grad()``, and the
-compiled serving surfaces — ``DDNNServer.process_batch``, its
+compiled serving surfaces — ``DDNNServer``'s whole-cascade tier, its
 shed-to-local fast path, ``HierarchyRuntime`` and the fabric on either
 worker backend — must not build a ``Tensor`` at all.  A graph recorded at inference time leaks memory
 linearly in the request count, which is fatal for a long-lived server, so
@@ -138,11 +138,10 @@ def test_compiled_serving_never_touches_tensors(model, views, monkeypatch, surfa
         )
 
         def serve():
-            results = [server.offer(sample, client_id="spy") for sample in views]
-            drained = server.run_until_drained()
-            answered = [result.response for result in results if result.response is not None]
-            assert all(response.shed for response in answered) and len(answered) == shed * 5
-            return [response.prediction for response in answered + drained]
+            first = server.submit_many(list(views), client_id="spy")[0]
+            answered = [r for r in server.run_until_idle() if r.request_id >= first]
+            assert sum(response.shed for response in answered) == shed * 5
+            return [r.prediction for r in sorted(answered, key=lambda r: r.request_id)]
 
     constructed = []
     original_init = Tensor.__init__

@@ -186,7 +186,7 @@ class TestPlanSections:
         transfer = sections[0].offload(result.carry, np.array([0, 1]))
         # The offloaded rows of the carry, staged as the edge tier's input.
         edge_result = sections[1].process(transfer.features[[0, 1]], plans)
-        assert edge_result.logits is None
+        assert edge_result.logits == []
         assert edge_result.carry is not None
 
 

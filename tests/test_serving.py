@@ -1,4 +1,4 @@
-"""Tests for the single-tier server and the shared batching trigger."""
+"""Tests for the one-tier server and the shared batching trigger."""
 
 from __future__ import annotations
 
@@ -8,32 +8,24 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.compile.cache import compiled_plan_for
+from repro.compile.cache import compiled_plan_for, scoped_plan_for
 from repro.core import ExitOracle
 from repro.hierarchy import HierarchyRuntime, partition_ddnn
+from repro.hierarchy.sections import CascadeTierSection
 from repro.serving import (
-    ArrivalProcess,
     BatchingPolicy,
     DDNNServer,
     DistributedServingFabric,
-    LoadGenerator,
+    DropOldest,
     ServiceModel,
-    SimulatedClock,
+    ShedToLocalExit,
     TierServer,
+    admission_policy,
 )
 
 
-class FakeClock:
-    """Deterministic, manually-advanced time source."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+def _by_id(responses):
+    return sorted(responses, key=lambda response: response.request_id)
 
 
 class TestBatchingPolicy:
@@ -99,31 +91,20 @@ WAITS = (0.0005, 0.002, 0.005, 0.05)
 
 @pytest.mark.parametrize("max_wait_s", WAITS)
 def test_every_queue_fires_at_exactly_arrival_plus_max_wait(trained_ddnn, tiny_test, max_wait_s):
-    """The server's step(), the load generator's release time and a fabric
-    tier's due() agree: a lone request is due at exactly arrival + max_wait,
-    the instant a wait timer scheduled for it fires."""
+    """A lone request is due at exactly arrival + max_wait, the instant the
+    wait timer armed at its arrival fires: the server answers it one batch
+    time later, and a tier's due() flips at that instant, not an ulp before."""
     policy = BatchingPolicy(max_batch_size=8, max_wait_s=max_wait_s)
     service = ServiceModel(batch_overhead_s=0.002, per_sample_s=0.001)
     views = tiny_test.images[0]
     for arrival in ARRIVALS:
         arrival = float(arrival)
         release = arrival + max_wait_s
-        clock = SimulatedClock(arrival)
-        server = DDNNServer(trained_ddnn, 0.8, policy=policy, clock=clock)
-        server.submit(views)
-        clock.advance_to(math.nextafter(release, -math.inf))
-        assert server.step() == []
-        clock.advance_to(release)
-        assert len(server.step()) == 1, (arrival, max_wait_s)
-
-        class Lone(ArrivalProcess):  # the next arrival comes long after the release
-            def times(self, arrival=arrival):
-                return iter([arrival, arrival + 1.0])
-
-        server = DDNNServer(trained_ddnn, 0.8, policy=policy, clock=SimulatedClock())
-        report = LoadGenerator(server, Lone(), views[None], service_model=service).run(2)
-        first = min(report.responses, key=lambda response: response.request_id)
-        assert first.completion_time == release + service.batch_time_s(1)
+        server = DDNNServer(trained_ddnn, 0.8, policy=policy, service_models=[service])
+        server.submit(views, at=arrival)
+        [response] = server.run_until_idle()
+        assert response.submit_time == arrival
+        assert response.completion_time == release + service.batch_time_s(1), (arrival, max_wait_s)
 
         tier = TierServer(section=None, pool=None, policy=policy)
         tier.queue.append(SimpleNamespace(arrival_time=arrival))
@@ -150,13 +131,40 @@ class TestDDNNServer:
         np.testing.assert_array_equal(entropies, one_at_a_time.entropies)
 
     def test_dynamic_batching_matches_the_fabric(self, trained_ddnn, tiny_test):
+        """Batches of eight predict like the fabric's offline replay, and the
+        whole-cascade tier applies every exit of one compiled forward in
+        order: answers, exits and entropies equal the oracle's route of its
+        capture in chunks of eight."""
         offline = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8).run(tiny_test)
         server = DDNNServer(
             trained_ddnn, 0.8, policy=BatchingPolicy(max_batch_size=8, max_wait_s=0.0)
         )
         responses = server.serve_dataset(tiny_test)
+        assert [r.batch_size for r in responses[:8]] == [8] * 8
         predictions = np.array([response.prediction for response in responses])
         np.testing.assert_array_equal(predictions, offline.predictions)
+        routed = ExitOracle.capture(trained_ddnn, tiny_test, batch_size=8).route(0.8)
+        np.testing.assert_array_equal(predictions, routed.predictions)
+        np.testing.assert_array_equal([r.exit_index for r in responses], routed.exit_indices)
+        np.testing.assert_array_equal([r.entropy for r in responses], routed.entropies)
+        assert all(r.bytes_transferred == 0.0 and r.path_latency_s == 0.0 for r in responses)
+
+    def test_a_threaded_single_tier_answers_like_the_server(self, trained_ddnn, tiny_test):
+        """The server is the simulated one-tier fabric; the same tier on the
+        thread backend (a wall clock) predicts and exits the same."""
+        policy = BatchingPolicy(max_batch_size=8, max_wait_s=0.0)
+        simulated = DDNNServer(trained_ddnn, 0.8, policy=policy).serve_dataset(tiny_test)
+        with DistributedServingFabric(
+            partition_ddnn(trained_ddnn),
+            0.8,
+            batching=policy,
+            sections=[CascadeTierSection(trained_ddnn)],
+            backend="thread",
+        ) as fabric:
+            threaded = fabric.serve_dataset(tiny_test)
+        assert [(r.prediction, r.exit_index) for r in threaded] == [
+            (r.prediction, r.exit_index) for r in simulated
+        ]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     def test_non_finite_views_are_rejected_at_submit(self, trained_ddnn, tiny_test, value):
@@ -166,37 +174,37 @@ class TestDDNNServer:
         views[0, 0, 0, 0] = value
         with pytest.raises(ValueError, match="finite"):
             server.submit(views)
-        assert len(server.queue) == 1
+        assert server.offered == 1
+        assert len(server.run_until_idle()) == 1
         assert server.admission_stats.offered == 1
-        assert len(server.run_until_drained()) == 1
 
-    def test_invalidate_compiled_evicts_the_servers_plan(self, trained_ddnn, tiny_test):
+    def test_invalidate_compiled_evicts_the_servers_plans(self, trained_ddnn, tiny_test):
         server = DDNNServer(trained_ddnn, 0.8)
         server.serve_dataset(tiny_test)
         served = compiled_plan_for(trained_ddnn)
-        server.cascade.invalidate_compiled()
+        worker_plans = server.tiers[0].workers[0].plans
+        assert scoped_plan_for(trained_ddnn, "float64", server.deployment) is worker_plans
+        server.cascade.invalidate_compiled(trained_ddnn)
         assert compiled_plan_for(trained_ddnn) is not served
+        assert scoped_plan_for(trained_ddnn, "float64", server.deployment) is not worker_plans
 
-    def test_step_respects_policy_then_force_drains(self, trained_ddnn, tiny_test):
-        clock = FakeClock()
+    def test_wait_trigger_then_drain(self, trained_ddnn, tiny_test):
+        """A lone request waits for max_wait; a draining run releases at once."""
         server = DDNNServer(
-            trained_ddnn,
-            0.8,
-            policy=BatchingPolicy(max_batch_size=4, max_wait_s=60.0),
-            clock=clock,
+            trained_ddnn, 0.8, policy=BatchingPolicy(max_batch_size=4, max_wait_s=60.0)
         )
         server.submit(tiny_test.images[0])
-        assert server.step() == []  # neither trigger fired
-        clock.advance(61.0)
-        assert len(server.step()) == 1  # max_wait trigger
+        [first] = server.run_until_idle()
+        assert (first.submit_time, first.completion_time) == (0.0, 60.0)
         server.submit(tiny_test.images[1])
-        assert len(server.step(force=True)) == 1
+        second = server.run_until_idle(drain=True)[-1]
+        assert (second.submit_time, second.completion_time) == (60.0, 60.0)
 
     def test_batches_drain_fifo_across_clients(self, trained_ddnn, tiny_test):
         """One FIFO across clients: a batch takes the oldest requests whoever
         sent them, never more than max_batch_size of them."""
         server = DDNNServer(
-            trained_ddnn, 0.8, policy=BatchingPolicy(max_batch_size=3, max_wait_s=0.0)
+            trained_ddnn, 0.8, policy=BatchingPolicy(max_batch_size=3, max_wait_s=1.0)
         )
         clients = ["a", "b", "c", "a", "a", "b", "c"]
         ids = [
@@ -204,15 +212,11 @@ class TestDDNNServer:
             for index, client in enumerate(clients)
         ]
         assert ids == list(range(len(clients)))
-        batches = []
-        while server.queue:
-            batches.append(server.step(force=True))
-        assert [len(batch) for batch in batches] == [3, 3, 1]
-        responses = [response for batch in batches for response in batch]
+        responses = server.run_until_idle()
         assert [r.request_id for r in responses] == ids
         assert [r.client_id for r in responses] == clients
-        assert all(r.batch_size == len(batch) for batch in batches for r in batch)
-        assert server.step(force=True) == []
+        assert [r.batch_size for r in responses] == [3, 3, 3, 3, 3, 3, 1]
+        assert [r.completion_time for r in responses] == [0.0] * 6 + [1.0]
 
     @pytest.mark.parametrize("num_clients", [1, 2, 5])
     def test_interleaved_clients_are_served_in_arrival_order(
@@ -224,23 +228,22 @@ class TestDDNNServer:
         clients = [f"client-{index % num_clients}" for index in range(10)]
         for index, client in enumerate(clients):
             server.submit(tiny_test.images[index], client_id=client)
-        responses = server.run_until_drained()
+        responses = server.run_until_idle()
         assert [r.request_id for r in responses] == list(range(10))
         assert [r.client_id for r in responses] == clients
 
     @pytest.mark.parametrize("backlog", [1, 4, 9])
-    def test_forced_step_takes_at_most_one_batch(self, trained_ddnn, tiny_test, backlog):
-        """A forced step drains a backlog smaller than a batch whole and
-        never takes more than max_batch_size from a larger one."""
+    def test_a_drained_backlog_forms_batches_of_at_most_max_batch_size(
+        self, trained_ddnn, tiny_test, backlog
+    ):
         server = DDNNServer(
             trained_ddnn, 0.8, policy=BatchingPolicy(max_batch_size=4, max_wait_s=60.0)
         )
-        for index in range(backlog):
-            server.submit(tiny_test.images[index])
-        served = server.step(force=True)
-        assert len(served) == min(backlog, 4)
-        assert [r.request_id for r in served] == list(range(len(served)))
-        assert len(server.queue) == backlog - len(served)
+        server.submit_many(list(tiny_test.images[:backlog]))
+        responses = server.run_until_idle(drain=True)
+        assert [r.request_id for r in responses] == list(range(backlog))
+        sizes = [4] * (backlog // 4) + ([backlog % 4] if backlog % 4 else [])
+        assert [r.batch_size for r in responses] == [size for size in sizes for _ in range(size)]
 
     def test_responses_name_their_exit(self, trained_ddnn, tiny_test):
         """Each response carries the exit that answered it, so filtering by
@@ -259,45 +262,37 @@ class TestDDNNServer:
         assert sum(len(group) for group in by_exit.values()) == len(responses)
 
     def test_responses_carry_clock_stamps(self, trained_ddnn, tiny_test):
-        clock = FakeClock()
         server = DDNNServer(
-            trained_ddnn,
-            0.8,
-            policy=BatchingPolicy(max_batch_size=8, max_wait_s=0.5),
-            clock=clock,
+            trained_ddnn, 0.8, policy=BatchingPolicy(max_batch_size=8, max_wait_s=0.5)
         )
-        server.submit(tiny_test.images[0])
-        clock.advance(0.25)
-        server.submit(tiny_test.images[1])
-        clock.advance(0.25)
-        responses = server.step()
+        server.submit(tiny_test.images[0], at=0.0)
+        server.submit(tiny_test.images[1], at=0.25)
+        responses = server.run_until_idle()
         assert [r.submit_time for r in responses] == [0.0, 0.25]
         assert [r.completion_time for r in responses] == [0.5, 0.5]
         assert all(r.batch_size == 2 for r in responses)
 
     def test_shed_answer_is_stamped_and_never_queued(self, trained_ddnn, tiny_test):
-        from repro.serving import AdmissionOutcome, ShedToLocalExit
-
-        clock = FakeClock()
         server = DDNNServer(
-            trained_ddnn, 0.8, clock=clock, capacity=1, admission=ShedToLocalExit()
+            trained_ddnn,
+            0.8,
+            policy=BatchingPolicy(max_wait_s=10.0),
+            capacity=1,
+            admission=ShedToLocalExit(),
         )
-        server.offer(tiny_test.images[0])
-        clock.advance(3.0)
-        result = server.offer(tiny_test.images[1], target=int(tiny_test.labels[1]))
-        assert result.outcome is AdmissionOutcome.SHED
-        assert result.request.submit_time == result.response.submit_time == 3.0
-        assert result.response.completion_time == 3.0
-        assert result.response.target == int(tiny_test.labels[1])
-        assert [request.request_id for request in server.queue] == [0]
+        server.submit(tiny_test.images[0], at=0.0)
+        server.submit(tiny_test.images[1], target=int(tiny_test.labels[1]), at=3.0)
+        shed, served = server.run_until_idle()
+        assert shed.shed and shed.request_id == 1
+        assert shed.submit_time == shed.completion_time == 3.0
+        assert shed.target == int(tiny_test.labels[1])
+        assert shed.exit_index == 0 and shed.batch_size == 1
+        assert not served.shed and served.request_id == 0 and served.completion_time == 10.0
 
     def test_drop_oldest_evicts_the_head_unanswered(self, trained_ddnn, tiny_test):
-        from repro.serving import DropOldest
-
         server = DDNNServer(trained_ddnn, 0.8, capacity=2, admission=DropOldest())
-        results = [server.offer(tiny_test.images[index]) for index in range(4)]
-        assert [r.evicted and r.evicted.request_id for r in results] == [None, None, 0, 1]
-        assert [r.request_id for r in server.run_until_drained()] == [2, 3]
+        server.submit_many(list(tiny_test.images[:4]))
+        assert [r.request_id for r in server.run_until_idle()] == [2, 3]
         assert server.admission_stats.dropped == 2
 
     @pytest.mark.parametrize("surface", ["server", "fabric", "thread", "runtime"])
@@ -338,59 +333,61 @@ class TestDDNNServer:
         assert [response.target for response in responses] == [
             int(label) for label in tiny_test.labels
         ]
-        # The backlog was served along the way.
-        assert not server.queue
+        # The backlog was served along the way and stays in the history; the
+        # dataset's answers are handed back, not kept.
+        assert not server.tiers[0].queue
+        assert [r.client_id for r in server.responses] == ["backlog"] * 3
         # ... and the filtered responses match a clean-server run exactly.
         clean = DDNNServer(trained_ddnn, 0.8).serve_dataset(tiny_test)
         assert [r.prediction for r in responses] == [r.prediction for r in clean]
         assert [r.exit_index for r in responses] == [r.exit_index for r in clean]
 
-    @pytest.mark.parametrize("policy_name", ["reject", "drop-oldest", "shed-local"])
-    def test_serve_dataset_on_bounded_queue_serves_every_sample(
-        self, trained_ddnn, tiny_test, policy_name
-    ):
-        """Regression: with capacity < len(dataset), serve_dataset used to
-        raise mid-submit (reject/shed) or silently return a short,
-        label-misaligned list (drop-oldest)."""
-        from repro.serving import admission_policy
+    def test_repeated_serve_dataset_keeps_no_history(self, trained_ddnn, tiny_test):
+        """A long-lived server replaying datasets holds no answers between
+        calls, so neither its memory nor a call's cost grows with the
+        calls before it."""
+        server = DDNNServer(trained_ddnn, 0.8, policy=BatchingPolicy(max_batch_size=8))
+        first = server.serve_dataset(tiny_test)
+        for _ in range(4):
+            again = server.serve_dataset(tiny_test)
+            assert server.responses == []
+        assert server.answered == 5 * len(tiny_test)
+        assert [r.prediction for r in again] == [r.prediction for r in first]
 
+    @pytest.mark.parametrize("policy_name", ["reject", "drop-oldest"])
+    def test_serve_dataset_refuses_a_short_answer(self, trained_ddnn, tiny_test, policy_name):
+        """Regression: a bounded queue that turns samples away must not hand
+        back a short, label-misaligned list as if it were one answer per
+        sample."""
         server = DDNNServer(
-            trained_ddnn,
-            0.8,
-            capacity=8,
-            admission=admission_policy(policy_name),
+            trained_ddnn, 0.8, capacity=8, admission=admission_policy(policy_name)
         )
+        with pytest.raises(ValueError, match=f"answered 8 of {len(tiny_test)} samples"):
+            server.serve_dataset(tiny_test)
+
+    def test_serve_dataset_on_a_shedding_queue_answers_every_sample(self, trained_ddnn, tiny_test):
+        """Shedding answers every arrival, so the replay keeps its contract:
+        one answer per sample, in sample order; the queued ones carry the
+        unbounded server's full-cascade answer."""
+        server = DDNNServer(trained_ddnn, 0.8, capacity=8, admission=ShedToLocalExit())
         responses = server.serve_dataset(tiny_test)
-        assert len(responses) == len(tiny_test)
-        assert [r.target for r in responses] == [int(l) for l in tiny_test.labels]
-        # Every sample got the full cascade, never a degraded shed answer.
-        assert not any(r.shed for r in responses)
-        stats = server.admission_stats
-        assert stats.rejected == stats.dropped == stats.shed == 0
-        # ... and predictions match the unbounded server exactly.
+        assert [r.target for r in responses] == [int(label) for label in tiny_test.labels]
+        assert sum(r.shed for r in responses) == server.admission_stats.shed == len(tiny_test) - 8
         clean = DDNNServer(trained_ddnn, 0.8).serve_dataset(tiny_test)
-        assert [r.prediction for r in responses] == [r.prediction for r in clean]
+        served = [(index, r) for index, r in enumerate(responses) if not r.shed]
+        assert len(served) == 8
+        assert [r.prediction for _, r in served] == [clean[index].prediction for index, _ in served]
 
-    def test_shed_offer_answers_from_local_exit(self, trained_ddnn, tiny_test):
+    def test_shed_submissions_answer_from_local_exit(self, trained_ddnn, tiny_test):
         """Under shed-local a full queue answers the arrival at once from the
-        local exit; the answer comes back from offer() and the queue is kept."""
-        from repro.serving import AdmissionOutcome, ShedToLocalExit
-
-        server = DDNNServer(
-            trained_ddnn, 0.8, capacity=2, admission=ShedToLocalExit()
-        )
-        results = [server.offer(tiny_test.images[index], client_id="cam") for index in range(3)]
-        assert [r.outcome for r in results] == [AdmissionOutcome.ACCEPTED] * 2 + [
-            AdmissionOutcome.SHED
-        ]
-        shed_response = results[2].response
-        assert shed_response.shed and shed_response.request_id == results[2].request.request_id
-        assert shed_response.exit_index == 0 and shed_response.batch_size == 1
-        assert [r.response for r in results[:2]] == [None, None]
-        assert len(server.queue) == 2
-        # submit() still hands out an id for a shed sample; only a rejection raises.
-        assert server.submit(tiny_test.images[3], client_id="cam") == 3
-        served = server.run_until_drained()
+        local exit, and the queued requests get the whole cascade."""
+        server = DDNNServer(trained_ddnn, 0.8, capacity=2, admission=ShedToLocalExit())
+        ids = server.submit_many(list(tiny_test.images[:4]), client_id="cam")
+        assert ids == [0, 1, 2, 3]
+        responses = server.run_until_idle()
+        shed = [r for r in responses if r.shed]
+        served = [r for r in responses if not r.shed]
+        assert [r.request_id for r in shed] == [2, 3]
+        assert all(r.exit_index == 0 and r.batch_size == 1 for r in shed)
         assert [r.request_id for r in served] == [0, 1]
-        assert not any(r.shed for r in served)
         assert server.admission_stats.shed == 2
