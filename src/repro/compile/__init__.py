@@ -23,17 +23,20 @@ and emits plans executing on raw ``np.ndarray``s with
   :func:`verify_compiled` with its own documented guarantee.
 
 Entry points: :func:`compile_plan` for a single module stack,
-:func:`compile_ddnn` for a whole multi-exit DDNN, and :func:`verify_compiled`
-for the numerical-equivalence guarantee against the eager path.  Every
-inference forward outside training runs through this package: the serving
-fabric's tier sections, :class:`~repro.hierarchy.runtime.HierarchyRuntime`,
+:func:`compile_ddnn` for a whole multi-exit DDNN, :func:`compiled_plan_for`
+for the plan a model keeps (compiled on first use, dropped whenever its
+weights change, so no caller invalidates anything), and
+:func:`verify_compiled` for the numerical-equivalence guarantee against the
+eager path.  Every inference forward outside training runs through this
+package: the serving fabric's tier sections,
+:class:`~repro.hierarchy.runtime.HierarchyRuntime`,
 :class:`~repro.serving.server.DDNNServer` and
 :class:`~repro.core.cascade.ExitCascade`'s shed path always do, and
 :class:`~repro.core.oracle.ExitOracle` does by default
 (``capture(compile=False)`` is the eager reference the tests compare to).
 """
 
-from .cache import compiled_plan_for, invalidate_plan
+from .cache import compiled_plan_for
 from .ddnn import (
     CompiledBranch,
     CompiledDDNN,
@@ -63,7 +66,6 @@ __all__ = [
     "compile_aggregator",
     "compile_ddnn",
     "compiled_plan_for",
-    "invalidate_plan",
     "routing_agreement",
     "verify_compiled",
 ]

@@ -225,7 +225,10 @@ class CompiledDDNNOutput:
 class CompiledDDNN:
     """Inference-only compiled counterpart of a trained :class:`DDNN`.
 
-    Weights are snapshotted at compile time; recompile after (re)training.
+    Weights are snapshotted at compile time, and ``weights_version`` records
+    the model's ``_weights_version`` they were taken at (bundles made by
+    :meth:`with_own_buffers` keep it), so a holder can tell when the model
+    has moved on.
     Every plan keeps one set of buffers sized for the largest batch it has
     met (see :class:`~repro.compile.plan.CompiledPlan`), so one bundle is
     for one caller at a time and its outputs live until its next forward.
@@ -238,6 +241,7 @@ class CompiledDDNN:
             )
         self.precision = precision
         self.dtype = precision_dtype(precision)
+        self.weights_version = model._weights_version
         self.num_devices = model.config.num_devices
         self.exit_names = list(model.exit_names)
         self.has_local_exit = model.has_local_exit
@@ -289,7 +293,8 @@ class CompiledDDNN:
         compilation — with arenas, program caches and timing counters of its
         own.  Nothing is compiled: it is how every serving worker that must
         not share buffers gets a bundle (one per simulated deployment, one
-        per thread-worker slot) from the one :func:`compiled_plan_for` plan.
+        per thread-worker slot) from the model's one
+        :func:`~repro.compile.cache.compiled_plan_for` plan.
         Its outputs live until *its* next forward, and it runs concurrently
         with every other bundle over the same ops."""
         bundle = copy.copy(self)

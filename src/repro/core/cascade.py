@@ -12,16 +12,14 @@ what both share:
 * :func:`build_exit_criteria` — thresholds -> :class:`ExitCriterion` list;
 * :func:`require_compiled` — the serving constructors' refusal of
   ``compile=False``;
-* :class:`ExitCascade` — the criteria of one deployment, the compiled plan
-  it serves (:meth:`ExitCascade.compiled_for`, evicted by
-  :meth:`ExitCascade.invalidate_compiled`) and the first-exit-only forward
-  that shedding uses (:meth:`ExitCascade.first_exit`).
+* :class:`ExitCascade` — the criteria of one deployment, its precision and
+  the first-exit-only forward that shedding uses
+  (:meth:`ExitCascade.first_exit`, on the model's own compiled plan).
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -107,7 +105,7 @@ def require_compiled(compile: bool) -> None:
 
 
 class ExitCascade:
-    """One deployment's exit criteria and the compiled plan it serves.
+    """One deployment's exit criteria and the precision it serves at.
 
     Parameters
     ----------
@@ -117,7 +115,7 @@ class ExitCascade:
     exit_names:
         Exit names in cascade order (e.g. ``["local", "cloud"]``).
     precision:
-        Compute mode of the compiled plan it serves (one of
+        Compute mode of the compiled plans it serves on (one of
         :data:`repro.compile.PRECISIONS`): exact ``"float64"`` (default),
         tolerance-mode ``"float32"``, or ``"bitpacked"``.
     """
@@ -137,9 +135,6 @@ class ExitCascade:
         self.exit_names = list(exit_names)
         self.criteria = build_exit_criteria(thresholds, self.exit_names)
         self.precision = precision
-        # Models this cascade has served compiled plans for, so a no-arg
-        # invalidate_compiled() evicts exactly those from the shared cache.
-        self._compiled_models: "weakref.WeakSet" = weakref.WeakSet()
 
     @classmethod
     def for_model(
@@ -161,40 +156,6 @@ class ExitCascade:
         return [criterion.threshold for criterion in self.criteria]
 
     # ------------------------------------------------------------------ #
-    def compiled_for(self, model, precision: Optional[str] = None):
-        """The compiled inference plan for a model, from the shared cache.
-
-        Plans are memoized process-wide in :mod:`repro.compile.cache` keyed
-        by ``(model, precision)``, so every cascade, oracle and grid helper
-        built over the same model at the same precision reuses one plan
-        instead of recompiling.  ``precision`` defaults to the cascade's
-        own mode.  The plan snapshots the model's weights; call
-        :meth:`invalidate_compiled` after (re)training to force a rebuild.
-        """
-        from ..compile.cache import compiled_plan_for
-
-        self._compiled_models.add(model)
-        return compiled_plan_for(model, precision or self.precision)
-
-    def invalidate_compiled(self, model=None) -> None:
-        """Drop the cached plan(s) this cascade served (after retraining).
-
-        With ``model`` the eviction targets that model; without, every model
-        this cascade has served a plan for.  Eviction happens in the shared
-        process-wide cache, so *all* consumers of an invalidated model get a
-        fresh plan — the plan really is stale for everyone once the model
-        retrained — but plans of unrelated models are untouched.
-        """
-        from ..compile.cache import invalidate_plan
-
-        if model is not None:
-            invalidate_plan(model)
-            self._compiled_models.discard(model)
-            return
-        for served in list(self._compiled_models):
-            invalidate_plan(served)
-        self._compiled_models.clear()
-
     def first_exit(self, model, views) -> ExitDecision:
         """The cascade's first exit applied to a batch on the compiled plan,
         computing only that exit's logits (``CompiledDDNN.first_exit_logits``)
@@ -202,6 +163,8 @@ class ExitCascade:
         bit-identical to the first exit's on a whole forward of the same
         batch.
         """
+        from ..compile.cache import compiled_plan_for
+
         model.eval()
-        logits = self.compiled_for(model).first_exit_logits(views)
+        logits = compiled_plan_for(model, self.precision).first_exit_logits(views)
         return self.criteria[0].evaluate(logits)

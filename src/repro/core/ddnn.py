@@ -296,6 +296,11 @@ class DDNN(Module):
         if self.has_edge:
             self.exit_names.append("edge")
         self.exit_names.append("cloud")
+        #: Bumped by :meth:`_weights_changed`; compiled plans and the bundles
+        #: made from them carry the version they snapshot.
+        self._weights_version = 0
+        #: precision -> compiled plan (see :func:`repro.compile.cache.compiled_plan_for`).
+        self._compiled_plans: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ #
     @property
@@ -409,15 +414,15 @@ class DDNN(Module):
         self._weights_changed()
 
     def _weights_changed(self) -> None:
-        """After the weights changed in place (an epoch, a load): evict every
-        compiled plan of this model, which would keep serving its snapshot
-        of the old weights, and bump the weights version, so snapshot caches
-        keyed on the model (e.g. the experiment harness's oracle memo) can
-        tell old from new."""
-        from ..compile.cache import invalidate_plan
-
-        invalidate_plan(self)
-        self._weights_version = getattr(self, "_weights_version", 0) + 1
+        """After the weights changed in place (an epoch, a load): drop the
+        compiled plans, which snapshot the old weights, and bump the weights
+        version, so every bundle and memo made from a plan (a deployment's,
+        a serving worker's, the experiment harness's oracles) can tell old
+        from new."""
+        # Version first: a plan compiled into the new table must never carry
+        # the old version.
+        self._weights_version += 1
+        self._compiled_plans = {}
 
     # ------------------------------------------------------------------ #
     def device_memory_bytes(self) -> List[float]:

@@ -227,9 +227,9 @@ class ExitOracle:
     ) -> "ExitOracle":
         """Run the one batched forward pass and cache every exit's logits.
 
-        ``compile=True`` (the default) runs the shared
-        :mod:`repro.compile` plan from the process-wide plan cache; the
-        forward happens in ``batch_size`` chunks.  ``precision`` selects the
+        ``compile=True`` (the default) runs the model's own compiled plan
+        (:func:`~repro.compile.compiled_plan_for`); the forward happens in
+        ``batch_size`` chunks.  ``precision`` selects the
         compiled compute mode (exact ``"float64"`` default, tolerance
         ``"float32"``, ``"bitpacked"``); the cached logit matrix is always
         stored as float64 regardless of the compute mode.

@@ -255,8 +255,8 @@ def capture_oracle(
     """Forward-once :class:`~repro.core.oracle.ExitOracle` for an experiment.
 
     The offline harness runs the compiled fast path (one
-    :mod:`repro.compile` plan forward per dataset, plans memoized
-    process-wide).  Compiled logits agree with eager at float32-level
+    :mod:`repro.compile` plan forward per dataset, on the plan the model
+    keeps).  Compiled logits agree with eager at float32-level
     tolerance, and routing has matched byte-for-byte on every model and
     table in this suite (the experiment benchmarks assert table identity);
     ``ExitOracle.capture(model, dataset, compile=False)`` is the eager
@@ -274,19 +274,13 @@ def capture_oracle(
     """
     from ..core.oracle import ExitOracle
 
-    # The weights version (bumped by DDNNTrainer.train_epoch) keys retrained
-    # models away from their pre-training captures.
-    key = (
-        id(model),
-        id(dataset),
-        batch_size,
-        precision,
-        getattr(model, "_weights_version", 0),
-    )
+    # The weights version (bumped by every epoch and weights load) keys
+    # retrained models away from their pre-training captures.
+    key = (id(model), id(dataset), batch_size, precision, model._weights_version)
     # The whole lookup-capture-insert runs under one lock: the capture
-    # forwards through the process-wide compiled plan for ``model``, whose
-    # preallocated scratch arenas are single-threaded, so concurrent
-    # captures of the same model would corrupt each other's logits.
+    # forwards through the model's own compiled plan, whose preallocated
+    # scratch arenas are single-threaded, so concurrent captures of the
+    # same model would corrupt each other's logits.
     # Serializing here also means a memo stampede pays the forward once.
     with _ORACLE_LOCK:
         cacheable = any(

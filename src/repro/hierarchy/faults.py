@@ -113,6 +113,21 @@ class FaultPlan:
     def is_empty(self) -> bool:
         return not self.failed_devices and not self.failed_edges and not self.intermittent
 
+    def _check_nodes(self, num_devices: int, num_edges: int) -> None:
+        """Reject indices of devices or edges a deployment lacks: such an
+        entry would silently inject no fault at all."""
+        unknown = {
+            "failed_devices": sorted(i for i in self.failed_devices if not 0 <= i < num_devices),
+            "intermittent": sorted(int(i) for i in self.intermittent if not 0 <= i < num_devices),
+            "failed_edges": sorted(i for i in self.failed_edges if not 0 <= i < num_edges),
+        }
+        named = "; ".join(f"{name} {indices}" for name, indices in unknown.items() if indices)
+        if named:
+            raise ValueError(
+                f"fault plan names nodes the deployment lacks ({num_devices} "
+                f"devices, {num_edges} edges): {named}"
+            )
+
 
 # --------------------------------------------------------------------------- #
 # Runtime chaos: timed fault events for the serving fabric.

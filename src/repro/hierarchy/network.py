@@ -11,6 +11,7 @@ show the response-time benefit of exiting samples locally.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -33,6 +34,19 @@ class Message:
             raise ValueError("message size must be non-negative")
 
 
+def _check_link(bandwidth_bytes_per_s: float, latency_s: float) -> None:
+    """Reject link parameters no transfer time is defined for: a bandwidth
+    that is not a finite number > 0 (zero divides by zero, a negative one
+    gives negative transfer times, NaN gives NaN) or a latency that is not a
+    finite number >= 0."""
+    if not (math.isfinite(bandwidth_bytes_per_s) and bandwidth_bytes_per_s > 0):
+        raise ValueError(
+            f"bandwidth_bytes_per_s must be finite and > 0, got {bandwidth_bytes_per_s}"
+        )
+    if not (math.isfinite(latency_s) and latency_s >= 0):
+        raise ValueError(f"latency_s must be finite and >= 0, got {latency_s}")
+
+
 @dataclass
 class LinkStats:
     """Accumulated traffic statistics of one link."""
@@ -51,10 +65,10 @@ class NetworkLink:
     source, destination:
         Node names.
     bandwidth_bytes_per_s:
-        Sustained throughput.  The default corresponds to a constrained
-        wireless uplink (250 KB/s).
+        Sustained throughput, finite and > 0.  The default corresponds to a
+        constrained wireless uplink (250 KB/s).
     latency_s:
-        One-way propagation latency added to every message.
+        One-way propagation latency added to every message, finite and >= 0.
     """
 
     source: str
@@ -67,6 +81,9 @@ class NetworkLink:
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        _check_link(self.bandwidth_bytes_per_s, self.latency_s)
 
     def transfer_time(self, size_bytes: float) -> float:
         """Seconds needed to move ``size_bytes`` across this link."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.ddnn import DDNN
-from .network import NetworkFabric
+from .network import NetworkFabric, _check_link
 from .node import AggregatorNode, CloudComputeNode, EdgeComputeNode, EndDeviceNode
 
 __all__ = ["LinkSpec", "HierarchyDeployment", "partition_ddnn"]
@@ -25,10 +25,14 @@ CLOUD_NAME = "cloud"
 
 @dataclass(frozen=True)
 class LinkSpec:
-    """Bandwidth / latency pair used when wiring the fabric."""
+    """Bandwidth / latency pair used when wiring the fabric (bandwidth
+    finite and > 0, latency finite and >= 0)."""
 
     bandwidth_bytes_per_s: float
     latency_s: float
+
+    def __post_init__(self) -> None:
+        _check_link(self.bandwidth_bytes_per_s, self.latency_s)
 
     def connect(self, fabric: NetworkFabric, source: str, destination: str):
         """Create and register a link with this spec's parameters."""
@@ -60,10 +64,11 @@ class HierarchyDeployment:
     Compared and hashed by identity: a deployment is single-threaded state
     (its nodes' failure flags, its links' counters), so the simulated
     serving workers over it share one compiled plan bundle per precision,
-    keyed by the deployment itself.  Simulated fabrics over one deployment
-    therefore must not be driven from different threads — they would write
-    the same arenas; run concurrent serving on the fabric's
-    ``backend="thread"``, or build one deployment per thread.
+    which it keeps (:meth:`_bundle`) and makes again when the model's
+    weights change.  Simulated fabrics over one deployment therefore must
+    not be driven from different threads — they would write the same
+    arenas; run concurrent serving on the fabric's ``backend="thread"``, or
+    build one deployment per thread.
     """
 
     model: DDNN
@@ -82,6 +87,8 @@ class HierarchyDeployment:
         if self.local_aggregator is not None:
             self._nodes_by_name[self.local_aggregator.name] = self.local_aggregator
         self._nodes_by_name[self.cloud.name] = self.cloud
+        #: precision -> the simulated workers' shared bundle (see :meth:`_bundle`).
+        self._bundles: Dict[str, object] = {}
 
     @property
     def device_names(self) -> List[str]:
@@ -94,6 +101,17 @@ class HierarchyDeployment:
         except KeyError:
             known = ", ".join(sorted(self._nodes_by_name))
             raise KeyError(f"no node named '{name}' (known nodes: {known})") from None
+
+    def _bundle(self, precision: str):
+        """The simulated workers' bundle at ``precision``: the model's plan
+        over arenas of its own, made again once the weights change."""
+        from ..compile.cache import compiled_plan_for
+
+        bundle = self._bundles.get(precision)
+        if bundle is None or bundle.weights_version != self.model._weights_version:
+            bundle = compiled_plan_for(self.model, precision).with_own_buffers()
+            self._bundles[precision] = bundle
+        return bundle
 
     def reset(self) -> None:
         """Clear all traffic and compute statistics."""

@@ -64,11 +64,12 @@ class HierarchyRuntime:
         self.deployment = deployment
         self.model = deployment.model
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
+        self.fault_plan._check_nodes(len(deployment.devices), len(deployment.edges))
         self.batch_size = batch_size
         # The cascade supplies criteria/routing; each run's fabric runs the
         # tier sections on the deployment's own plan bundle at this
-        # precision (the process-wide plan's ops over arenas of its own),
-        # reused by every later run.
+        # precision (the model's plan's ops over arenas of its own), reused
+        # by every later run until the model's weights change.
         self.cascade = ExitCascade.for_model(self.model, thresholds, precision=precision)
 
     @property

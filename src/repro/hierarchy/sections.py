@@ -497,8 +497,12 @@ def build_tier_sections(
     criteria are indexed by the model's exits regardless of which tiers
     currently evaluate them — so a boundary move never renumbers the exits
     queued requests will be judged against.  Without a plan the boundary
-    follows the model's structure (the historical behaviour).
+    follows the model's structure (the historical behaviour).  A
+    ``fault_plan`` naming a device or edge index the deployment lacks is a
+    :class:`ValueError`.
     """
+    if fault_plan is not None:
+        fault_plan._check_nodes(len(deployment.devices), len(deployment.edges))
     model = deployment.model
     if plan is not None and plan.model is not model:
         raise ValueError("plan.model must be the deployment's model")

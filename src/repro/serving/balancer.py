@@ -47,7 +47,7 @@ import numpy as np
 from ..core.cascade import Thresholds
 from ..hierarchy.plan import PartitionPlan
 from .admission import AdmissionStats
-from .clock import EventLoop, SimulatedClock, WallClock
+from .clock import EventLoop, WallClock
 from .fabric import DistributedServingFabric, FabricReport, FabricResponse
 from .resilience import HedgePolicy, ResilienceStats
 
@@ -103,14 +103,7 @@ class LoadBalancer:
         if hedge is not None and plan.replicas > 1 and events is None:
             # Hedge copies race their originals on one timeline, so sibling
             # replicas must share a loop (and therefore a clock).
-            clock = kwargs.pop("clock", None)
-            if clock is None:
-                clock = (
-                    WallClock()
-                    if kwargs.get("backend") == "thread"
-                    else SimulatedClock()
-                )
-            events = EventLoop(clock)
+            events = EventLoop(WallClock() if kwargs.get("backend") == "thread" else None)
         if events is not None:
             kwargs["events"] = events
         if hedge is not None:

@@ -436,10 +436,10 @@ class DistributedServingFabric:
         discrete-event slots, the paper-table replay path, byte-identical
         to earlier releases) or ``"thread"`` (real
         :class:`~concurrent.futures.ThreadPoolExecutor` workers against a
-        :class:`~repro.serving.clock.WallClock`).  The thread backend
-        defaults ``clock`` to a fresh ``WallClock`` and rejects a simulated
-        one — wall-clock dispatch is what makes real concurrency
-        observable.
+        :class:`~repro.serving.clock.WallClock`).  The thread backend runs
+        on a fresh ``WallClock`` loop unless ``events`` is given, and
+        rejects a loop over a simulated clock — wall-clock dispatch is what
+        makes real concurrency observable.
     offload:
         :class:`~repro.serving.resilience.RetryPolicy` every offload to the
         next tier travels under: each attempt carries a deadline; on
@@ -484,9 +484,11 @@ class DistributedServingFabric:
         :class:`~repro.serving.balancer.LoadBalancer` (a lone fabric has
         no siblings, so the policy is inert without one).
     events:
-        Optional shared :class:`~repro.serving.clock.EventLoop`; sibling
-        replicas under one balancer must share a loop for hedging (and
-        pass at most a matching ``clock``).
+        Optional shared :class:`~repro.serving.clock.EventLoop` (and so
+        clock); sibling replicas under one balancer must share a loop for
+        hedging.  Without one the fabric makes its own, over a
+        :class:`~repro.serving.clock.SimulatedClock` or, on the thread
+        backend, a ``WallClock``.
     """
 
     def __init__(
@@ -497,7 +499,6 @@ class DistributedServingFabric:
         batching: Union[None, BatchingPolicy, Sequence[Optional[BatchingPolicy]]] = None,
         compile: bool = True,
         precision: Union[str, Sequence[str]] = "float64",
-        clock: Union[None, SimulatedClock, WallClock] = None,
         sections: Optional[Sequence[TierSection]] = None,
         service_models: Optional[Sequence[Optional[ServiceModel]]] = None,
         adaptive: Optional[AdaptiveThreshold] = None,
@@ -516,35 +517,27 @@ class DistributedServingFabric:
             raise ValueError(
                 f"capacity must be >= 1 (or None for unbounded), got {capacity}"
             )
-        if events is not None:
-            if clock is not None and clock is not events.clock:
-                raise ValueError(
-                    "pass either a shared events loop or a clock, not a "
-                    "mismatched pair (the loop already owns its clock)"
-                )
-            clock = events.clock
         if slo_s is not None:
             slo_s = _finite("slo_s", slo_s, positive=True)
         if backend not in WORKER_POOL_BACKENDS:
             raise ValueError(
                 f"unknown backend '{backend}' (choose from {WORKER_POOL_BACKENDS})"
             )
-        if backend == "thread":
-            if clock is None:
-                clock = WallClock()
-            elif not isinstance(clock, WallClock):
-                raise ValueError(
-                    "backend='thread' runs against wall-clock time; pass a "
-                    "WallClock (or leave clock=None) instead of "
-                    f"{type(clock).__name__}"
-                )
+        if events is None:
+            events = EventLoop(WallClock() if backend == "thread" else None)
+        elif backend == "thread" and not isinstance(events.clock, WallClock):
+            raise ValueError(
+                "backend='thread' runs against wall-clock time; pass an "
+                "events loop over a WallClock (or none) instead of one over "
+                f"a {type(events.clock).__name__}"
+            )
         self.deployment = deployment
         self.model = deployment.model
         # Serving is inference: batch-norm must use running statistics, or
         # exit decisions would depend on micro-batch composition (the
         # hierarchy runtime makes the same call before it replays a dataset).
         self.model.eval()
-        self.events = events if events is not None else EventLoop(clock)
+        self.events = events
         self.adaptive = adaptive
         self.backend = backend
 
@@ -978,7 +971,7 @@ class DistributedServingFabric:
         """Answer a shed request from the first exit, bypassing the tiers.
 
         The sample is evaluated through the cascade's first exit directly,
-        on the process-wide compiled plan, with no hierarchy byte/latency
+        on the model's own compiled plan, with no hierarchy byte/latency
         accounting — a shed answer is produced at the ingress, before the
         request ever enters the tier plane.  With ``degraded=True`` the same
         first-exit evaluation serves an offload failover whose journey never
@@ -1115,6 +1108,14 @@ class DistributedServingFabric:
             worker = tier.pool.acquire(now)
             if worker is None:
                 return
+            if worker.plans.weights_version != self.model._weights_version:
+                # The weights changed since this idle worker got its bundle;
+                # a busy one finishes its batch on the old bundle.
+                worker.plans = self._worker_bundles(
+                    self.precisions[tier_index],
+                    1,
+                    {id(other.plans) for other in tier.pool.workers},
+                )[0]
             relaxed = (
                 tier_index == 0
                 and self.adaptive is not None
@@ -1636,7 +1637,9 @@ class DistributedServingFabric:
         return report
 
     def _worker_bundles(self, mode: str, count: int, in_use=()) -> List[object]:
-        """Compiled bundles at precision ``mode`` for ``count`` new workers.
+        """Compiled bundles at precision ``mode`` for ``count`` workers, on
+        the model's current weights (:meth:`_dispatch` re-binds a worker
+        whose bundle is older).
 
         Simulated workers run every forward inline on the event loop's
         thread, one at a time, and a deployment is single-threaded state
@@ -1645,26 +1648,28 @@ class DistributedServingFabric:
         every simulated worker over one deployment — of this fabric and of
         every fabric built on it, e.g. each run of a
         :class:`~repro.hierarchy.runtime.HierarchyRuntime` — shares the
-        deployment's one bundle per precision
-        (:func:`~repro.compile.cache.scoped_plan_for`; like every cached
-        plan it is dropped by ``invalidate_plan(model)``, so a fabric built
-        after retraining and invalidating gets fresh weights).  Replicas
-        each own a deployment, so each holds its own bundle.
+        deployment's one bundle per precision.  Replicas each own a
+        deployment, so each holds its own bundle.
         Thread workers compute concurrently: each *slot* gets a bundle of
         its own, none of those the tier's workers already hold (``in_use``:
         their ids), from one pool per precision that tiers share (tier t's
-        worker w runs only its bundle's tier-t plans) and that adds a
-        bundle only when it runs out.  No bundle is compiled here: each
-        shares the ops of the process-wide plan
+        worker w runs only its bundle's tier-t plans), holds only bundles
+        of the current weights and adds one only when it runs out.  No
+        bundle is compiled here: each shares the ops of the model's plan
         (:func:`~repro.compile.cache.compiled_plan_for`) and owns only its
         arenas, program caches and timing counters
         (:meth:`~repro.compile.ddnn.CompiledDDNN.with_own_buffers`).
         """
-        from ..compile.cache import compiled_plan_for, scoped_plan_for
-
         if self.backend == "simulated":
-            return [scoped_plan_for(self.model, mode, self.deployment)] * count
-        pool = self._bundles.setdefault(mode, [])
+            return [self.deployment._bundle(mode)] * count
+        from ..compile.cache import compiled_plan_for
+
+        version = self.model._weights_version
+        pool = self._bundles[mode] = [
+            bundle
+            for bundle in self._bundles.get(mode, ())
+            if bundle.weights_version == version
+        ]
         spare = [bundle for bundle in pool if id(bundle) not in in_use]
         while len(spare) < count:
             pool.append(compiled_plan_for(self.model, mode).with_own_buffers())

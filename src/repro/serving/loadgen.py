@@ -172,7 +172,7 @@ class ServiceModel:
 
         Instead of timing whole wall-clock forwards, this enables
         :meth:`repro.compile.CompiledDDNN.enable_timing`, runs the model's
-        process-wide compiled plan at ``precision``
+        own compiled plan at ``precision``
         (:func:`~repro.compile.cache.compiled_plan_for`) at batch sizes 1
         and ``batch_size``, and fits the affine model to the summed per-op
         times — pure kernel time, free of Python dispatch and routing

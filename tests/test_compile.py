@@ -11,10 +11,10 @@ from repro.compile import (
     CompiledPlan,
     compile_ddnn,
     compile_plan,
+    compiled_plan_for,
     verify_compiled,
 )
 from repro.compile import plan
-from repro.core.cascade import ExitCascade
 from repro.core.config import DDNNTopology
 from repro.core.ddnn import build_ddnn
 from repro.core.oracle import ExitOracle
@@ -250,13 +250,20 @@ def test_routing_identical_across_thresholds_and_batch_sizes(threshold):
         np.testing.assert_allclose(eager.entropies, fast.entropies, rtol=1e-9, atol=1e-12)
 
 
-def test_compiled_plan_cache_and_invalidate():
+def test_the_models_plan_follows_its_weights():
     model, views = _warmed_model()
-    cascade = ExitCascade.for_model(model, 0.8)
-    first = cascade.compiled_for(model)
-    assert cascade.compiled_for(model) is first
-    cascade.invalidate_compiled()
-    assert cascade.compiled_for(model) is not first
+    first = compiled_plan_for(model)
+    assert compiled_plan_for(model) is first
+    model.train()
+    with no_grad():
+        model(views)  # moves the BatchNorm running statistics in place
+    model.eval()
+    model._weights_changed()
+    fresh = compiled_plan_for(model)
+    assert fresh is not first
+    np.testing.assert_array_equal(
+        fresh(views).final_logits, compile_ddnn(model)(views).final_logits
+    )
 
 
 def test_arena_keeps_buffers_per_batch_shape():
@@ -352,7 +359,6 @@ class TestPlanTiming:
         assert compiled.total_time_s == 0.0
 
     def test_service_model_calibration_from_plan_timings(self):
-        from repro.compile.cache import compiled_plan_for
         from repro.serving import ServiceModel
 
         model, views = _warmed_model()

@@ -26,12 +26,10 @@ from repro.compile import (
     compile_ddnn,
     compile_plan,
     compiled_plan_for,
-    invalidate_plan,
     precision_dtype,
     routing_agreement,
     verify_compiled,
 )
-from repro.compile.cache import cached_plan_count
 from repro.compile.ops import PackedConvOp, PackedLinearOp
 from repro.core.cascade import ExitCascade
 from repro.core.oracle import ExitOracle
@@ -258,24 +256,33 @@ class TestOracleFabricParity:
 
 
 # --------------------------------------------------------------------------- #
-# Plan cache keyed by (model, precision)
+# One plan per (model, precision), kept on the model
 # --------------------------------------------------------------------------- #
 class TestPlanCachePerPrecision:
-    def test_modes_coexist_and_invalidate_together(self, trained_ddnn):
-        invalidate_plan(trained_ddnn)
-        baseline = cached_plan_count()
-        exact = compiled_plan_for(trained_ddnn)
-        fp32 = compiled_plan_for(trained_ddnn, "float32")
+    def test_modes_coexist_and_follow_the_weights_together(self, untrained_ddnn, monkeypatch):
+        import repro.compile.ddnn as module
+
+        builds = []
+        real = module.compile_ddnn
+
+        def counting(model, precision="float64"):
+            builds.append(precision)
+            return real(model, precision=precision)
+
+        monkeypatch.setattr(module, "compile_ddnn", counting)
+        model = untrained_ddnn
+        exact = compiled_plan_for(model)
+        fp32 = compiled_plan_for(model, "float32")
         assert exact is not fp32
-        assert cached_plan_count() == baseline + 2
         # Hits: same objects come back, nothing new is compiled.
-        assert compiled_plan_for(trained_ddnn) is exact
-        assert compiled_plan_for(trained_ddnn, "float32") is fp32
-        assert cached_plan_count() == baseline + 2
-        # One invalidation call evicts every mode's plan for the model.
-        invalidate_plan(trained_ddnn)
-        assert cached_plan_count() == baseline
-        assert compiled_plan_for(trained_ddnn) is not exact
+        assert compiled_plan_for(model) is exact
+        assert compiled_plan_for(model, "float32") is fp32
+        assert builds == ["float64", "float32"]
+        # One weights change replaces every mode's plan for the model.
+        model._weights_changed()
+        assert compiled_plan_for(model) is not exact
+        assert compiled_plan_for(model, "float32") is not fp32
+        assert builds == ["float64", "float32"] * 2
 
     def test_cache_rejects_unknown_mode(self, trained_ddnn):
         with pytest.raises(ValueError, match="unknown precision"):

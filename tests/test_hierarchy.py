@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -11,9 +14,11 @@ from repro.hierarchy import (
     LOCAL_AGGREGATOR_NAME,
     FaultPlan,
     HierarchyRuntime,
+    LinkSpec,
     Message,
     NetworkFabric,
     NetworkLink,
+    build_tier_sections,
     partition_ddnn,
 )
 
@@ -85,6 +90,33 @@ class TestNetwork:
         with pytest.raises(KeyError):
             batched.send_batch("device-0", "edge", 1.0, 2)
 
+    @pytest.mark.parametrize(
+        "bandwidth, latency, argument",
+        [
+            (0.0, 0.01, "bandwidth_bytes_per_s"),
+            (-5.0, 0.01, "bandwidth_bytes_per_s"),
+            (math.nan, 0.01, "bandwidth_bytes_per_s"),
+            (math.inf, 0.01, "bandwidth_bytes_per_s"),
+            (1000.0, -1.0, "latency_s"),
+            (1000.0, math.nan, "latency_s"),
+            (1000.0, math.inf, "latency_s"),
+        ],
+    )
+    def test_links_reject_degenerate_parameters(self, bandwidth, latency, argument):
+        builds = {
+            "NetworkLink": lambda: NetworkLink("a", "b", bandwidth, latency),
+            "connect": lambda: NetworkFabric().connect(
+                "a", "b", bandwidth_bytes_per_s=bandwidth, latency_s=latency
+            ),
+            "LinkSpec": lambda: LinkSpec(bandwidth, latency),
+        }
+        for name, build in builds.items():
+            with pytest.raises(ValueError, match=argument):
+                build()
+                pytest.fail(f"{name} accepted bandwidth={bandwidth}, latency={latency}")
+        # Zero latency stays a valid link.
+        assert NetworkLink("a", "b", bandwidth_bytes_per_s=1000.0, latency_s=0.0).latency_s == 0.0
+
     def test_fabric_rejects_duplicates_and_unknown_links(self):
         fabric = NetworkFabric()
         fabric.connect("a", "b")
@@ -111,6 +143,25 @@ class TestFaultPlans:
     def test_intermittent_probability_validated(self):
         with pytest.raises(ValueError):
             FaultPlan(intermittent={0: 1.5})
+
+    @pytest.mark.parametrize(
+        "plan, named",
+        [
+            (FaultPlan(failed_devices={1, 99}), "failed_devices [99]"),
+            (FaultPlan(intermittent={-1: 0.5, 0: 0.5}), "intermittent [-1]"),
+            (FaultPlan(failed_edges={7}), "failed_edges [7]"),
+        ],
+    )
+    def test_plans_naming_missing_nodes_are_rejected(self, trained_ddnn, plan, named):
+        """On a deployment without an edge tier, each of these would inject
+        nothing; both consumers of a fault plan refuse it instead."""
+        deployment = partition_ddnn(trained_ddnn)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            HierarchyRuntime(deployment, 0.8, fault_plan=plan)
+        with pytest.raises(ValueError, match="lacks"):
+            build_tier_sections(deployment, plan)
+        last = len(deployment.devices) - 1
+        HierarchyRuntime(deployment, 0.8, fault_plan=FaultPlan(failed_devices={last}))
 
 
 class TestPartition:

@@ -25,6 +25,7 @@ thread as well.
 from __future__ import annotations
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -32,13 +33,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.compile.cache import cached_plan_count, compiled_plan_for, invalidate_plan
+from repro.compile.cache import compiled_plan_for
 from repro.core import (
     CommunicationModel,
     DDNNConfig,
     DDNNTopology,
     DDNNTrainer,
-    ExitCascade,
     ExitOracle,
     TrainingConfig,
     build_ddnn,
@@ -388,52 +388,50 @@ class TestQuantileCalibration:
 
 
 class TestPlanCache:
-    def test_cascades_share_one_plan(self, trained_ddnn):
-        invalidate_plan()
-        first = ExitCascade.for_model(trained_ddnn, 0.8)
-        second = ExitCascade.for_model(trained_ddnn, 0.5)
-        plan_a = first.compiled_for(trained_ddnn)
-        plan_b = second.compiled_for(trained_ddnn)
-        assert plan_a is plan_b
-        assert plan_a is compiled_plan_for(trained_ddnn)
+    """Compiled plans follow the weights: the model keeps one plan per
+    precision, compiled on first use and replaced after a weights change."""
 
-    def test_invalidate_one_model(self, trained_ddnn):
-        invalidate_plan()
+    def test_every_lookup_shares_the_models_plan(self, trained_ddnn):
         plan = compiled_plan_for(trained_ddnn)
-        invalidate_plan(trained_ddnn)
-        assert compiled_plan_for(trained_ddnn) is not plan
+        assert compiled_plan_for(trained_ddnn) is plan
+        assert plan.weights_version == trained_ddnn._weights_version
 
-    def test_cascade_invalidate_leaves_other_models_cached(self, trained_ddnn, tiny_config):
-        """A cascade's no-arg invalidate only evicts models it served."""
-        invalidate_plan()
-        other = build_ddnn(tiny_config)
-        other_plan = compiled_plan_for(other)
-        cascade = ExitCascade.for_model(trained_ddnn, 0.8)
-        own_plan = cascade.compiled_for(trained_ddnn)
-        cascade.invalidate_compiled()
+    def test_a_weights_change_replaces_only_that_models_plan(self, tiny_config):
+        model, other = build_ddnn(tiny_config), build_ddnn(tiny_config)
+        plan, other_plan = compiled_plan_for(model), compiled_plan_for(other)
+        model._weights_changed()
+        fresh = compiled_plan_for(model)
+        assert fresh is not plan
+        assert fresh.weights_version == plan.weights_version + 1
+        assert compiled_plan_for(model) is fresh
         assert compiled_plan_for(other) is other_plan
-        assert compiled_plan_for(trained_ddnn) is not own_plan
 
-    def test_cache_evicts_on_model_gc(self, tiny_config):
-        invalidate_plan()
+    def test_a_dropped_models_plan_is_collected(self, tiny_config):
         model = build_ddnn(tiny_config)
-        compiled_plan_for(model)
-        assert cached_plan_count() == 1
+        plan = weakref.ref(compiled_plan_for(model))
         del model
         gc.collect()
-        assert cached_plan_count() == 0
+        assert plan() is None
 
-    def test_runtime_bundle_stays_off_the_process_wide_cache(self, trained_ddnn, tiny_test):
-        """The replay runs on its deployment's own bundle, not the oracle's plan."""
-        invalidate_plan()
+    def test_the_replay_reuses_the_oracles_plan_and_compiles_nothing(
+        self, trained_ddnn, tiny_test, monkeypatch
+    ):
+        """The replay runs on its deployment's own bundle, made from the
+        oracle's plan without compiling again."""
+        import repro.compile.ddnn as compiled
+
         ExitOracle.capture(trained_ddnn, tiny_test)
-        assert cached_plan_count() == 1
-        fabric_route(trained_ddnn, tiny_test, 0.8)
-        assert cached_plan_count() == 1
+        plan = compiled_plan_for(trained_ddnn)
+        monkeypatch.setattr(compiled, "compile_ddnn", None)  # any compile fails
+        runtime = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8)
+        runtime.run(tiny_test)
+        bundle = runtime.deployment._bundle("float64")
+        assert bundle is not plan
+        assert bundle.cloud.head.ops == plan.cloud.head.ops
+        assert compiled_plan_for(trained_ddnn) is plan
 
-    def test_training_evicts_stale_plan(self, tiny_config, tiny_train):
-        """fit() mutates weights in place — the cached plan must not survive."""
-        invalidate_plan()
+    def test_training_replaces_the_plan(self, tiny_config, tiny_train):
+        """fit() mutates weights in place — the plan must not survive it."""
         model = build_ddnn(tiny_config)
         trainer = DDNNTrainer(model, TrainingConfig(epochs=1, batch_size=32, seed=0))
         trainer.fit(tiny_train)

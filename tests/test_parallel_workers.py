@@ -3,8 +3,8 @@
 Covers the wall clock and realtime event loop, the worker-pool backends'
 routing equivalence (thread vs simulated fabric, several worker counts),
 the constructor validation around backend/compile/clock choices,
-and thread-safety of the process-wide compiled-plan cache and the
-experiment harness's oracle memo under concurrent hammering.
+and thread-safety of the model's compiled plans (across weights changes)
+and the experiment harness's oracle memo under concurrent hammering.
 
 Equivalence is asserted on predictions and exit indices byte-for-byte;
 entropy floats are compared with a tight tolerance instead, because real
@@ -21,7 +21,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.compile.cache import cached_plan_count, compiled_plan_for, invalidate_plan
+from repro.compile import compile_ddnn
+from repro.compile.cache import compiled_plan_for
 from repro.core import DDNNTrainer, TrainingConfig, build_ddnn
 from repro.experiments import capture_oracle, ci_scale, get_dataset
 from repro.hierarchy import partition_ddnn
@@ -188,7 +189,7 @@ class TestBackendValidation:
                 partition_ddnn(trained_ddnn),
                 0.8,
                 backend="thread",
-                clock=SimulatedClock(),
+                events=EventLoop(SimulatedClock()),
             )
 
     def test_fabric_unknown_backend(self, trained_ddnn):
@@ -199,12 +200,12 @@ class TestBackendValidation:
 
 
 class TestPlanCacheConcurrency:
-    def test_threads_hammering_cache_during_invalidation(
+    def test_threads_fetching_plans_while_training_replaces_them(
         self, untrained_ddnn, tiny_train, tiny_test
     ):
         """N reader threads fetch and run compiled plans while the trainer
-        invalidates the cache entry after every epoch — no torn cache state,
-        no crash, and a fresh plan afterwards routes like a clean compile."""
+        replaces them after every epoch — no crash, and afterwards the plan
+        is one per weights version and routes like a clean compile."""
         model = untrained_ddnn
         model.eval()
         views = np.stack(tiny_test.images[:2])
@@ -227,32 +228,31 @@ class TestPlanCacheConcurrency:
             for epoch in range(3):
                 trainer.train_epoch(tiny_train, epoch=epoch)
                 model.eval()
-                invalidate_plan(model)
         finally:
             stop.set()
             for thread in threads:
                 thread.join()
         assert not errors, f"cache raced: {errors[:1]!r}"
 
-        invalidate_plan(model)
-        before = cached_plan_count()
         fresh = compiled_plan_for(model)
         assert compiled_plan_for(model) is fresh  # memoized again
-        assert cached_plan_count() == before + 1
-        routed_fresh = fresh(views)
+        assert fresh.weights_version == model._weights_version
+        routed_fresh = compile_ddnn(model)(views)
         routed_again = compiled_plan_for(model)(views)
         for got, want in zip(routed_again.exit_logits, routed_fresh.exit_logits):
             np.testing.assert_array_equal(got, want)
 
     def test_concurrent_first_compile_returns_one_plan(self, trained_ddnn):
-        """A compile stampede must converge on a single cached plan."""
-        invalidate_plan(trained_ddnn)
+        """A compile stampede converges on the one plan the model keeps."""
+        model = build_ddnn(trained_ddnn.config)
+        model.load_state_dict(trained_ddnn.state_dict())
+        model.eval()
         plans = [None] * 8
         barrier = threading.Barrier(len(plans))
 
         def fetch(index):
             barrier.wait()
-            plans[index] = compiled_plan_for(trained_ddnn)
+            plans[index] = compiled_plan_for(model)
 
         threads = [
             threading.Thread(target=fetch, args=(index,)) for index in range(len(plans))
@@ -261,10 +261,8 @@ class TestPlanCacheConcurrency:
             thread.start()
         for thread in threads:
             thread.join()
-        assert all(plan is not None for plan in plans)
-        # Every later lookup agrees with the cache winner.
-        winner = compiled_plan_for(trained_ddnn)
-        assert sum(1 for plan in plans if plan is winner) >= 1
+        winner = compiled_plan_for(model)
+        assert all(plan is winner for plan in plans)
 
 
 class TestOracleMemoConcurrency:

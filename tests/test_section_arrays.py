@@ -11,9 +11,9 @@
   ``restore()`` and a live re-partition.
 * Simulated workers over one deployment — of every fabric and every
   hierarchy-runtime run built on it — share one bundle per precision,
-  compiled once, which retraining (or ``invalidate_plan``) replaces;
-  replicas and other deployments hold their own; thread workers own
-  theirs.
+  compiled once per weights version, which a weights change replaces, on
+  fabrics built before it too; replicas and other deployments hold their
+  own; thread workers own theirs.
 * A shed answer computes only the first exit.
 """
 
@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compile import compile_ddnn, invalidate_plan
+from repro.compile import compile_ddnn, compiled_plan_for
 from repro.core import DDNNConfig, DDNNTopology, DDNNTrainer, TrainingConfig, build_ddnn
 from repro.core.exits import ExitCriterion, normalized_entropy, softmax_probabilities
 from repro.hierarchy import (
@@ -447,13 +447,12 @@ def test_simulated_workers_on_one_deployment_share_one_bundle_per_precision(trai
     assert {id(bundle) for bundle in _bundles(fabric)} == shared[0]
 
 
-def test_the_offline_replay_compiles_once(trained_ddnn, tiny_test, monkeypatch):
+def test_the_offline_replay_compiles_once(untrained_ddnn, tiny_test, monkeypatch):
     """Every run builds a fresh fabric on a fresh event loop; the model is
     compiled by the first run only, and the deployment's bundle shares the
-    ops of that process-wide plan."""
-    invalidate_plan(trained_ddnn)  # earlier tests may have compiled it already
+    ops of the model's plan."""
     calls = _count_compiles(monkeypatch)
-    deployment = partition_ddnn(trained_ddnn)
+    deployment = partition_ddnn(untrained_ddnn)
     runtime = HierarchyRuntime(deployment, 0.8)
     results = [runtime.run(tiny_test), runtime.run(tiny_test)]
     results.append(HierarchyRuntime(deployment, 0.8).run(tiny_test))
@@ -462,10 +461,9 @@ def test_the_offline_replay_compiles_once(trained_ddnn, tiny_test, monkeypatch):
         np.testing.assert_array_equal(result.entropies, results[0].entropies)
 
 
-def test_fabrics_on_one_deployment_compile_once_per_precision(trained_ddnn, monkeypatch):
-    invalidate_plan(trained_ddnn)  # earlier tests may have compiled it already
+def test_fabrics_on_one_deployment_compile_once_per_precision(untrained_ddnn, monkeypatch):
     calls = _count_compiles(monkeypatch)
-    plan = PartitionPlan(trained_ddnn, precision=("float32", "float64"))
+    plan = PartitionPlan(untrained_ddnn, precision=("float32", "float64"))
     deployment = plan.materialize()
     fabrics = [
         DistributedServingFabric.from_plan(plan, 0.8, deployment=deployment) for _ in range(2)
@@ -523,7 +521,7 @@ def test_a_retrained_model_gets_a_fresh_bundle_on_the_same_deployment(
 
     _, first = build()
     stale = final_logits(first)
-    # Training evicts the model's plans after every epoch, the deployment's included.
+    # Every epoch replaces the model's plans, and so the deployment's bundle.
     DDNNTrainer(model, TrainingConfig(epochs=1, batch_size=32, seed=0)).fit(tiny_train)
     fabric, trained = build()
     assert trained is not first
@@ -541,14 +539,20 @@ def test_a_retrained_model_gets_a_fresh_bundle_on_the_same_deployment(
         answers.append([(response.prediction, response.entropy) for response in ordered])
     assert len(answers[0]) == len(views) and answers[0] == answers[1]
 
-    # Weights changed by hand: the deployment keeps its snapshot until invalidate_plan.
+    # Weights changed by hand and declared: the live fabric serves them as
+    # a fresh one does, on the deployment's new bundle.
     for parameter in model.parameters():
         parameter.data *= -1.0
-    assert build()[1] is trained
-    invalidate_plan(model)
+    model._weights_changed()
     _, flipped = build()
     assert flipped is not trained
+    assert flipped.cloud.head.ops == compiled_plan_for(model).cloud.head.ops
     np.testing.assert_array_equal(final_logits(flipped), final_logits(compile_ddnn(model)))
+    again = []
+    for host in (fabric, DistributedServingFabric(PartitionPlan(model).materialize(), 0.8)):
+        again.append([(r.prediction, r.entropy) for r in host.serve_dataset(tiny_test)])
+    assert fabric.tiers[0].workers[0].plans is flipped
+    assert again[0] == again[1]
 
 
 def test_thread_workers_own_distinct_bundles(trained_ddnn):
@@ -607,7 +611,7 @@ def test_a_shed_runs_no_cloud_plan(trained_ddnn, tiny_test, surface):
         host = DDNNServer(
             trained_ddnn, 0.8, policy=batching, capacity=1, admission=ShedToLocalExit()
         )
-    bundle = host.cascade.compiled_for(trained_ddnn)
+    bundle = compiled_plan_for(trained_ddnn, host.cascade.precision)
     bundle.reset_timing()
     bundle.enable_timing()
     try:

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.compile.cache import compiled_plan_for, scoped_plan_for
+from repro.compile.cache import compiled_plan_for
 from repro.core import ExitOracle
 from repro.hierarchy import HierarchyRuntime, partition_ddnn
 from repro.hierarchy.sections import CascadeTierSection
@@ -178,15 +178,23 @@ class TestDDNNServer:
         assert len(server.run_until_idle()) == 1
         assert server.admission_stats.offered == 1
 
-    def test_invalidate_compiled_evicts_the_servers_plans(self, trained_ddnn, tiny_test):
-        server = DDNNServer(trained_ddnn, 0.8)
+    def test_a_weights_change_rebinds_the_servers_worker(self, untrained_ddnn, tiny_test):
+        """Plans follow the weights: the server built before a hand edit
+        answers after it as one built after it, on a new bundle."""
+        model = untrained_ddnn
+        server = DDNNServer(model, 0.8)
         server.serve_dataset(tiny_test)
-        served = compiled_plan_for(trained_ddnn)
+        served = compiled_plan_for(model)
         worker_plans = server.tiers[0].workers[0].plans
-        assert scoped_plan_for(trained_ddnn, "float64", server.deployment) is worker_plans
-        server.cascade.invalidate_compiled(trained_ddnn)
-        assert compiled_plan_for(trained_ddnn) is not served
-        assert scoped_plan_for(trained_ddnn, "float64", server.deployment) is not worker_plans
+        assert worker_plans is server.deployment._bundle("float64")
+        for parameter in model.cloud.parameters():
+            parameter.data *= 0.5
+        model._weights_changed()
+        answers = [(r.prediction, r.entropy) for r in server.serve_dataset(tiny_test)]
+        assert compiled_plan_for(model) is not served
+        assert server.tiers[0].workers[0].plans is not worker_plans
+        fresh = DDNNServer(model, 0.8).serve_dataset(tiny_test)
+        assert answers == [(r.prediction, r.entropy) for r in fresh]
 
     def test_wait_trigger_then_drain(self, trained_ddnn, tiny_test):
         """A lone request waits for max_wait; a draining run releases at once."""

@@ -1,12 +1,12 @@
-"""One compile per model and precision, whatever serves it.
+"""One compile per model, precision and weights version, whatever serves it.
 
-A simulated deployment's bundle (:func:`~repro.compile.cache.scoped_plan_for`)
-and every thread worker's bundle are :meth:`CompiledDDNN.with_own_buffers`
-copies of the process-wide plan (:func:`compiled_plan_for`): they hold its op
-objects — weights, folded BatchNorm, sign thresholds — and own their arenas.
-These tests hold them to that: shared ops, separate outputs, the logits of an
-independent compile bit for bit, concurrent use, and fresh weights after a
-retrain or a weights load.
+A simulated deployment's bundle and every thread worker's bundle are
+:meth:`CompiledDDNN.with_own_buffers` copies of the model's own plan
+(:func:`compiled_plan_for`): they hold its op objects — weights, folded
+BatchNorm, sign thresholds — and own their arenas.  These tests hold them to
+that: shared ops, separate outputs, the logits of an independent compile bit
+for bit, concurrent use, and — on a fabric built before the change — the
+new weights after a retrain or a weights load.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 
 from repro.compile import PRECISIONS, compile_ddnn
-from repro.compile.cache import compiled_plan_for, invalidate_plan, scoped_plan_for
+from repro.compile.cache import compiled_plan_for
 from repro.core import DDNNConfig, DDNNTopology, DDNNTrainer, TrainingConfig, build_ddnn
 from repro.core.oracle import ExitOracle
-from repro.hierarchy.plan import PartitionPlan
+from repro.hierarchy import HierarchyRuntime, PartitionPlan, partition_ddnn
 from repro.nn.serialization import load_module, save_module
-from repro.serving import DistributedServingFabric
+from repro.serving import DistributedServingFabric, LoadBalancer
 
 
 def _thread_bundle(model, precision):
@@ -38,9 +38,9 @@ def _thread_bundle(model, precision):
 
 
 def _bundles(model, precision):
-    """``{"scoped": ..., "thread": ...}`` for ``model`` at ``precision``."""
+    """``{"deployment": ..., "thread": ...}`` for ``model`` at ``precision``."""
     return {
-        "scoped": scoped_plan_for(model, precision, PartitionPlan(model).materialize()),
+        "deployment": PartitionPlan(model).materialize()._bundle(precision),
         "thread": _thread_bundle(model, precision),
     }
 
@@ -120,10 +120,9 @@ def test_bundles_on_more_threads_than_cores_match_a_serial_run(trained_ddnn, tin
         PartitionPlan(trained_ddnn).materialize(), 0.8, workers_per_tier=2, backend="thread"
     )
     fabric.close()
-    bundles = [
-        scoped_plan_for(trained_ddnn, "float64", PartitionPlan(trained_ddnn).materialize())
-        for _ in range(2)
-    ] + [worker.plans for worker in fabric.tiers[0].workers]
+    bundles = [PartitionPlan(trained_ddnn).materialize()._bundle("float64") for _ in range(2)] + [
+        worker.plans for worker in fabric.tiers[0].workers
+    ]
     assert len({id(bundle) for bundle in bundles}) == 4
     batches = [_views(tiny_train, 64)[start : start + 8] for start in range(0, 64, 8)]
     serial = compile_ddnn(trained_ddnn)
@@ -151,36 +150,111 @@ def test_bundles_on_more_threads_than_cores_match_a_serial_run(trained_ddnn, tin
             np.testing.assert_array_equal(got, want)
 
 
+def _answers(responses):
+    """Every answer's prediction, exit and entropy bytes, in sample order."""
+    return [
+        (r.prediction, r.exit_index, np.float64(r.entropy).tobytes()) for r in responses
+    ]
+
+
+def _retrain(model, tiny_train, trained_ddnn, tmp_path):
+    DDNNTrainer(model, TrainingConfig(epochs=1, batch_size=32, seed=0)).fit(tiny_train)
+
+
+def _load(model, tiny_train, trained_ddnn, tmp_path):
+    path = tmp_path / "weights.npz"
+    save_module(trained_ddnn, path)
+    load_module(model, path)
+
+
+@pytest.mark.parametrize("change", [_retrain, _load], ids=["fit", "load_module"])
 @pytest.mark.parametrize("backend", ["simulated", "thread"])
-def test_after_a_retrain_and_invalidate_the_next_fabric_serves_new_weights(
-    untrained_ddnn, tiny_train, backend
+def test_a_live_fabric_serves_the_weights_the_model_has_now(
+    untrained_ddnn, trained_ddnn, tiny_train, tiny_test, tmp_path, backend, change
 ):
-    """The stale-bundle seed: a fabric built after ``invalidate_plan`` must
-    not run the ops compiled from the weights before the retrain."""
+    """The stale-bundle seed: a fabric built and served on before the
+    weights change answers afterwards exactly as one built after it, and no
+    longer as before — nobody invalidates anything by hand."""
     model = untrained_ddnn
-    deployment = PartitionPlan(model).materialize()
-    views = tiny_train.images[:6]
 
-    def bundle():
-        fabric = DistributedServingFabric(deployment, 0.8, backend=backend)
-        fabric.close()
-        return fabric.tiers[0].workers[0].plans
+    def fabric():
+        return DistributedServingFabric(PartitionPlan(model).materialize(), 0.8, backend=backend)
 
-    stale = bundle()
-    before = stale.forward(views).final_logits.copy()
-    trainer = DDNNTrainer(model, TrainingConfig(epochs=1, batch_size=32, seed=0))
-    trainer.fit(tiny_train)  # trains in place
-    invalidate_plan(model)
-    fresh = bundle()
-    assert fresh.cloud.head.ops[-1] is not stale.cloud.head.ops[-1]
-    after = fresh.forward(views).final_logits
-    assert not np.array_equal(after, before)
-    np.testing.assert_array_equal(after, compile_ddnn(model).forward(views).final_logits)
+    with fabric() as live:
+        before = _answers(live.serve_dataset(tiny_test))
+        change(model, tiny_train, trained_ddnn, tmp_path)
+        model.eval()
+        after = _answers(live.serve_dataset(tiny_test))
+    with fabric() as fresh:
+        expected = _answers(fresh.serve_dataset(tiny_test))
+    assert after == expected
+    assert after != before
 
 
-def test_loading_weights_evicts_the_compiled_plans(untrained_ddnn, trained_ddnn, tiny_test, tmp_path):
-    """The stale-bundle seed reached through ``load_module`` instead of a
-    retrain: the plan compiled before the load must not answer after it."""
+def test_runtimes_and_replicas_built_before_a_retrain_answer_as_fresh_ones(
+    untrained_ddnn, trained_ddnn, tiny_train, tiny_test, tmp_path
+):
+    model = untrained_ddnn
+    runtime = HierarchyRuntime(partition_ddnn(model), 0.8)
+    balancer = LoadBalancer.from_plan(PartitionPlan(model, replicas=2), 0.8)
+    runtime.run(tiny_test)
+    for replica in balancer.replicas:
+        replica.serve_dataset(tiny_test)
+    _retrain(model, tiny_train, trained_ddnn, tmp_path)
+    expected = HierarchyRuntime(partition_ddnn(model), 0.8).run(tiny_test)
+    np.testing.assert_array_equal(runtime.run(tiny_test).entropies, expected.entropies)
+    fresh = _answers(DistributedServingFabric(partition_ddnn(model), 0.8).serve_dataset(tiny_test))
+    for replica in balancer.replicas:
+        assert _answers(replica.serve_dataset(tiny_test)) == fresh
+
+
+@pytest.mark.parametrize("backend", ["simulated", "thread"])
+def test_one_compile_per_weights_version_across_fabrics_and_workers(
+    untrained_ddnn, tiny_train, tiny_test, backend, monkeypatch
+):
+    """Two fabrics with two workers a tier over one model compile it once
+    per weights version; each deployment makes one bundle per version."""
+    import repro.compile.ddnn as compiled
+
+    builds = []
+    real = compiled.compile_ddnn
+    monkeypatch.setattr(
+        compiled, "compile_ddnn", lambda *a, **k: builds.append(1) or real(*a, **k)
+    )
+    model = untrained_ddnn.eval()
+    deployments = [PartitionPlan(model).materialize() for _ in range(2)]
+    fabrics = [
+        DistributedServingFabric(d, 0.8, workers_per_tier=2, backend=backend) for d in deployments
+    ]
+    try:
+        for fabric in fabrics:
+            fabric.serve_dataset(tiny_test)
+        assert len(builds) == 1
+        held = {id(w.plans) for f in fabrics for t in f.tiers for w in t.workers}
+        assert len(held) == (2 if backend == "simulated" else 4)
+        DDNNTrainer(model, TrainingConfig(epochs=1, batch_size=32, seed=0)).fit(tiny_train)
+        model.eval()
+        for fabric in fabrics:
+            fabric.serve_dataset(tiny_test)
+            fabric.serve_dataset(tiny_test)
+        assert len(builds) == 2
+        version = model._weights_version
+        for deployment, fabric in zip(deployments, fabrics):
+            for tier in fabric.tiers:
+                served = tier.workers[0].plans  # the worker every batch went to
+                assert served.weights_version == version
+                if backend == "simulated":
+                    assert served is deployment._bundle("float64")
+                else:
+                    assert len({id(w.plans) for w in tier.workers}) == len(tier.workers)
+    finally:
+        for fabric in fabrics:
+            fabric.close()
+
+
+def test_loading_weights_replaces_the_compiled_plans(untrained_ddnn, trained_ddnn, tiny_test, tmp_path):
+    """A weights load through ``load_module``: the plan compiled before the
+    load must not answer after it."""
     model = untrained_ddnn
     stale = compiled_plan_for(model)
     ExitOracle.capture(model, tiny_test)  # the stale plan has run
