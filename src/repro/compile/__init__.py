@@ -1,4 +1,4 @@
-"""``repro.compile`` — fused/folded inference plans for the exit cascade.
+"""``repro.compile`` — fused inference plans for the exit cascade.
 
 The eager :mod:`repro.nn` stack is built for training: every op wraps its
 result in an autograd :class:`~repro.nn.tensor.Tensor` and re-allocates its
@@ -6,10 +6,12 @@ intermediates.  This package provides the dedicated *inference* path the
 serving stack runs on: an ahead-of-time compiler that takes a trained model
 and emits plans executing on raw ``np.ndarray``s with
 
-* BatchNorm folded into preceding conv/linear weights (running stats),
-* conv+ReLU fusion, and the paper's fused binary block — conv/linear ->
-  [max-pool ->] BatchNorm -> sign — as one GEMM plus one comparison against
-  exact per-channel thresholds, pooled as booleans,
+* the paper's fused binary block — conv/linear -> [max-pool ->] BatchNorm
+  -> sign — as one GEMM plus one comparison against exact per-channel
+  thresholds, pooled as booleans; any other BatchNorm runs after its layer's
+  GEMM as the eager model's elementwise ops (running stats), never folded
+  into the weights, so a binary exit's ±1 GEMM stays exact,
+* conv/linear/BatchNorm + ReLU fusion,
 * zero-copy strided-window (or contiguous row-run) im2col over pre-packed
   (pre-binarized) weight matrices,
 * a cache-resident memory plan: forwards run depth-first in (group range,

@@ -288,8 +288,8 @@ class CompiledDDNN:
         )
 
     def with_own_buffers(self) -> "CompiledDDNN":
-        """A bundle sharing this one's compiled ops — weights, folded
-        BatchNorm, sign thresholds and aggregators, all read-only after
+        """A bundle sharing this one's compiled ops — weights, BatchNorm
+        statistics, sign thresholds and aggregators, all read-only after
         compilation — with arenas, program caches and timing counters of its
         own.  Nothing is compiled: it is how every serving worker that must
         not share buffers gets a bundle (one per simulated deployment, one
@@ -497,13 +497,14 @@ def verify_compiled(
     Per-mode guarantees (each raises :class:`AssertionError` on violation):
 
     * ``"float64"`` — the default: per-exit logits allclose to eager at
-      float32-level tolerance (BN folding re-associates arithmetic, so
-      bitwise equality is not expected at folded exits).  Binary blocks and
-      everything after a sign are bit-identical to eager; a float-input
-      convolution is within 1e-12 of eager before its sign (see
-      ``repro.compile.ops.PRECISIONS``), so routing is byte-identical to
-      eager unless an input puts a pre-sign value within a last bit of
-      zero — not asserted here beyond the logit tolerance.
+      float32-level tolerance; only that is asserted here.  A binary
+      model's logits are bit-identical to eager at any batch shape (its
+      blocks are exact, and a BatchNorm with no sign behind it replays the
+      eager ops after the GEMM) unless an input puts a first-conv sum
+      within a last bit of its sign threshold: that float convolution is
+      within 1e-12 of eager before its sign (see
+      ``repro.compile.ops.PRECISIONS``), as is a float-weight layer of the
+      mixed-precision cloud.
     * ``"float32"`` — per-exit logits allclose to eager at fp32 tolerance,
       plus entropy-threshold routing agreement >= ``min_routing_agreement``
       (99.9% by default) against the fp64 logits, pooled over a threshold

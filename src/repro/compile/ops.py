@@ -38,14 +38,17 @@ elementwise ops, pooling, BatchNorm, the sign thresholds and the linear
 layers replay the eager arithmetic bit for bit (same operation order, same
 operand layouts handed to BLAS; a threshold is the exact position of the
 step the eager chain makes), and so does the window-gather im2col
-convolution (strided or unpadded).  Three conv strategies are equivalent to
-eager only up to float rounding — BatchNorm folded into the weights,
-shift-add, and the *row-run* im2col used for padded stride-1 convolutions,
-whose GEMM runs on the padded-width output grid (BLAS edge kernels may
-round a column differently depending on where it sits in the matrix).  All
-three remain *exact* on the binary interior blocks, whose ±1 arithmetic
-stays integral in float64 under any summation order, and the sign that
-ends every binary block absorbs last-bit differences in the first.
+convolution (strided or unpadded).  Two conv strategies are equivalent to
+eager only up to float rounding — shift-add, and the *row-run* im2col used
+for padded stride-1 convolutions, whose GEMM runs on the padded-width
+output grid (BLAS edge kernels may round a column differently depending on
+where it sits in the matrix).  Both remain *exact* on the binary interior
+blocks, whose ±1 arithmetic stays integral in float64 under any summation
+order, and the sign that ends every binary block absorbs last-bit
+differences in the first.  What is left order-dependent is a float sum:
+the first conv's before its sign threshold, and a float-weight layer's
+(the mixed-precision cloud's), whose linear GEMM BLAS may also round by the
+batch's row count.
 
 Precision modes: every op takes a ``dtype`` (float64 by default; float32
 halves memory traffic at fp32 tolerance).  :class:`PackedConvOp` /
@@ -95,10 +98,12 @@ class CompileError(RuntimeError):
 #: of comparisons, which does not propagate a NaN the way eager's max does):
 #:
 #: * ``"float64"`` — the default.  Bit-identical to eager on binary (±1)
-#:   blocks and on everything downstream of a sign; within 1e-12 of eager on
-#:   a raw float convolution (the row-run GEMM's grid is wider than eager's,
-#:   so BLAS may round the last bits of a column differently) and at
-#:   float32-level tolerance where BatchNorm was folded.  Routing is
+#:   blocks, and so on a binary model's exit logits at any batch shape: an
+#:   exit's ±1 GEMM is an exact integer sum and its BatchNorm replays the
+#:   eager ops.  Within 1e-12 of eager on a float sum: a raw float
+#:   convolution (the row-run GEMM's grid is wider than eager's, so BLAS may
+#:   round the last bits of a column differently) or a float-weight linear
+#:   layer at another batch row count than eager's.  Routing is
 #:   byte-identical to eager as long as no pre-sign value of a float-input
 #:   block lies within that last-bit distance of zero — true of every input
 #:   the tests and benchmarks replay, not guaranteed by construction.
@@ -568,9 +573,9 @@ class _GemmOp(_Op):
 class ConvOp(_GemmOp):
     """2-D convolution on pre-packed weight matrices.
 
-    ``weight`` is the (possibly binarized and/or BatchNorm-folded) 4-D
-    kernel, or a 5-D stack of them (one per group).  Three strategies, each
-    with its dead-on-return operand in the arena's scratch block:
+    ``weight`` is the (possibly binarized) 4-D kernel, or a 5-D stack of
+    them (one per group).  Three strategies, each with its dead-on-return
+    operand in the arena's scratch block:
 
     * **shift-add** (stride 1, ``out_channels < in_channels``): one GEMM of
       the per-position weight stack against the *unexpanded* padded image,
@@ -585,7 +590,7 @@ class ConvOp(_GemmOp):
       (the grid's right margin); the result is the valid-column view.
     * **window-gather im2col** otherwise: zero-copy strided window view
       gathered into the column matrix, then the same GEMM the eager path
-      performs (bit-identical when nothing was folded).
+      performs (bit-identical).
 
     Bias add and the optional fused ReLU run in place on the GEMM output;
     ``sign`` is the rest of a binary block (see :class:`SignOp`), run on the
@@ -749,12 +754,14 @@ class ConvOp(_GemmOp):
 
 
 class LinearOp(_GemmOp):
-    """Fully connected layer on a pre-packed (possibly folded) weight.
+    """Fully connected layer on a pre-packed (possibly binarized) weight.
 
     The transposed-view operand layout matches the eager
-    ``inputs.matmul(weight.transpose())`` call exactly, so unfolded results
-    are bit-identical.  A stacked op holds ``(G, out, in)`` weights and runs
-    ``(G, B, in) @ (G, in, out)``: one GEMM per group over that group's
+    ``inputs.matmul(weight.transpose())`` call exactly, so results are
+    bit-identical to eager's at the same batch; a float-weight layer's row
+    may round differently at another row count, a ±1 one's cannot.  A
+    stacked op holds ``(G, out, in)`` weights and runs ``(G, B, in) @ (G,
+    in, out)``: one GEMM per group over that group's
     contiguous rows, each with the single op's operand layout — which makes
     the groups independent of each other, but not the samples of a batch
     (they are the GEMM's rows).  The optional ReLU epilogue runs in place;
@@ -886,9 +893,9 @@ class MaxPoolOp(_Op):
 class BatchNormOp(_Op):
     """Inference batch norm replaying the eager op order bit for bit.
 
-    Used when the BatchNorm could neither be folded into a preceding linear
-    op nor, a sign following it, be turned into a :class:`SignOp`'s
-    thresholds.  In exact (float64/bitpacked) modes it computes
+    Every BatchNorm with no sign behind it runs as this op, after its
+    layer's GEMM (one with a sign behind it becomes a :class:`SignOp`'s
+    thresholds).  In exact (float64/bitpacked) modes it computes
     ``(x - mean) / std * gamma + beta`` with exactly the eager sequence of
     broadcast elementwise ops, then the optional fused ReLU.
 

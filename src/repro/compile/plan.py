@@ -1,4 +1,4 @@
-"""Compile module stacks into fused/folded inference plans.
+"""Compile module stacks into fused inference plans.
 
 The compiler takes the modules the DDNN and its float-cloud variant are
 built from (``_SUPPORTED_MODULES``; anything else raises
@@ -8,11 +8,6 @@ into a list of primitive layers, then runs a peephole pass that:
 
 * **binarizes and pre-packs weights** — ``BinaryConv2d``/``BinaryLinear``
   latent weights are materialised to ``{-1, +1}`` once, at compile time;
-* **folds BatchNorm** into the immediately preceding ``Conv2d``/``Linear``
-  weights using the running statistics (``W' = W * gamma/std``,
-  ``b' = b * gamma/std + beta - mean * gamma/std``) — *except* when a sign
-  activation follows, where re-associated arithmetic could flip a
-  borderline sign;
 * **turns the tail of a binary block into one comparison** — ``[MaxPool2d
   ->] BatchNorm -> sign`` behind a conv/linear layer (the paper's fused
   blocks, Fig. 3) becomes that layer's :class:`~repro.compile.ops.SignOp`:
@@ -20,6 +15,11 @@ into a list of primitive layers, then runs a peephole pass that:
   BatchNorm are inside them), hoisted above the pool, which then ORs
   booleans; a ``BatchNorm -> sign`` pair behind anything else becomes a
   ``SignOp`` of its own;
+* **keeps every other BatchNorm an op of its own** — a
+  :class:`~repro.compile.ops.BatchNormOp` after the layer's GEMM, replaying
+  the eager elementwise ops on the running statistics.  Nothing is folded
+  into the weights, so a binary exit's GEMM stays the exact ±1 one and its
+  logits do not depend on how many rows the GEMM had;
 * **fuses ReLU** into the preceding conv/linear/BatchNorm; a ReLU behind
   anything else becomes a :class:`~repro.compile.ops.ReluOp` of its own.
 
@@ -143,14 +143,6 @@ def flatten_modules(module: ModuleLike) -> List[Module]:
     return [module]
 
 
-def _bn_scale_shift(bn) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-channel affine ``y = x * scale + shift`` equivalent to eval-mode BN."""
-    std = np.sqrt(np.asarray(bn.running_var, dtype=np.float64) + bn.eps)
-    scale = np.asarray(bn.gamma.data, dtype=np.float64) / std
-    shift = np.asarray(bn.beta.data, dtype=np.float64) - np.asarray(bn.running_mean) * scale
-    return scale, shift
-
-
 def _layer_weights(layer) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Snapshot (and binarize, for BNN layers) a conv/linear layer's weights
     at compile time."""
@@ -168,7 +160,7 @@ def build_ops(
     precision: str = "float64",
     input_signed: bool = False,
 ) -> Tuple[List[_Op], bool]:
-    """Peephole pass: primitive layers -> fused/folded op list.
+    """Peephole pass: primitive layers -> fused op list.
 
     Returns ``(ops, output_signed)`` where ``output_signed`` records whether
     the plan's output is provably ±1 — the sign-propagation fact a caller
@@ -176,9 +168,8 @@ def build_ops(
     the bitpacked kernels).  ``signed`` becomes true after a binary block's
     tail or a bare sign op, survives max pooling and flattening (which only
     move/select ±1 values), and is destroyed by everything else.  In
-    ``"bitpacked"`` mode a Binary conv/linear whose weights stayed pure ±1
-    (no BatchNorm folded in) and whose input is signed compiles to the
-    XNOR+popcount kernel instead of the float GEMM.
+    ``"bitpacked"`` mode every Binary conv/linear whose input is signed
+    compiles to the XNOR+popcount kernel instead of the float GEMM.
     """
     dtype = precision_dtype(precision)
     bitpack = precision == "bitpacked"
@@ -220,30 +211,18 @@ def build_ops(
             conv = isinstance(module, (Conv2d, BinaryConv2d))
             batch_norm = BatchNorm2d if conv else BatchNorm1d
             weight, bias = _layer_weights(module)
-            folded = False
-            relu = False
             cursor = index + 1
             tail = _binary_tail(cursor, batch_norm, bias)
             if tail is not None:
                 sign, cursor = tail
                 bias = None  # part of the thresholds
+                relu = False
             else:
                 sign = None
-                if isinstance(_at(cursor), batch_norm):
-                    scale, shift = _bn_scale_shift(_at(cursor))
-                    weight = weight * scale.reshape((-1,) + (1,) * (weight.ndim - 1))
-                    bias = shift if bias is None else bias * scale + shift
-                    folded = True
-                    cursor += 1
                 relu = isinstance(_at(cursor), ReLU)
                 if relu:
                     cursor += 1
-            packed = (
-                bitpack
-                and signed
-                and not folded
-                and isinstance(module, (BinaryConv2d, BinaryLinear))
-            )
+            packed = bitpack and signed and isinstance(module, (BinaryConv2d, BinaryLinear))
             tail_kwargs = dict(relu=relu, dtype=dtype, sign=sign)
             if conv:
                 ops.append(
@@ -309,7 +288,7 @@ def build_ops(
 
 
 class CompiledPlan:
-    """A fused/folded inference program over raw ``np.ndarray``s.
+    """A fused inference program over raw ``np.ndarray``s.
 
     The plan snapshots the module's weights at compile time (inference
     semantics: BatchNorm always uses running statistics).
@@ -325,12 +304,12 @@ class CompiledPlan:
     precision, and it is exact: groups are independent in every op (a
     grouped linear layer is one GEMM per group), and every op a batch range
     goes through treats the samples of a batch independently (a conv is one
-    GEMM per sample).  The one op that does not is the float linear layer,
-    whose GEMM has the batch as its row count (and BLAS may round a row
-    differently in a shorter matrix), so a plan that contains one — alone
-    or after convs — never splits its batch, only its groups; a sample of
-    the DDNN's linear plans is a few hundred bytes.  Buffers live in a
-    private :class:`Arena` sized for the largest tile so far, which every
+    GEMM per sample).  The one op that does not is the linear layer, whose
+    GEMM has the batch as its row count (and BLAS may round a float-weight
+    row differently in a shorter matrix), so a plan that contains one —
+    alone or after convs — never splits its batch, only its groups; a
+    sample of the DDNN's linear plans is a few hundred bytes.  Buffers live
+    in a private :class:`Arena` sized for the largest tile so far, which every
     group range shares; the first forward with a new tile shape prepares a
     program per group range (binding the arena's leading rows and the
     range's parameter rows per op) which is then cached, so later forwards —

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..datasets.mvmc import MVMCDataset
+from ..datasets.mvmc import MVMCDataset, _positive_int
 from ..nn.tensor import Tensor, no_grad
 from .cascade import Thresholds, normalize_thresholds
 from .communication import CommunicationModel
@@ -236,8 +236,10 @@ class ExitOracle:
 
         Views must be finite: the binary blocks' sign compare would turn a
         NaN into -1 and answer it with a confident exit, so a non-finite
-        sample is a :class:`ValueError` naming its index.
+        sample is a :class:`ValueError` naming its index, and so is a
+        ``batch_size`` that is not an int >= 1.
         """
+        batch_size = _positive_int(batch_size, "batch_size")
         if isinstance(dataset, MVMCDataset):
             views = dataset.images
             if targets is None:

@@ -35,7 +35,7 @@ import numpy as np
 from ..core.cascade import ExitCascade, Thresholds, require_compiled
 from ..core.exits import ExitCriterion
 from ..core.oracle import InferenceResult
-from ..datasets.mvmc import MVMCDataset
+from ..datasets.mvmc import MVMCDataset, _positive_int
 from .faults import FaultPlan
 from .partition import HierarchyDeployment
 from .sections import build_tier_sections
@@ -65,7 +65,7 @@ class HierarchyRuntime:
         self.model = deployment.model
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self.fault_plan._check_nodes(len(deployment.devices), len(deployment.edges))
-        self.batch_size = batch_size
+        self.batch_size = _positive_int(batch_size, "batch_size")
         # The cascade supplies criteria/routing; each run's fabric runs the
         # tier sections on the deployment's own plan bundle at this
         # precision (the model's plan's ops over arenas of its own), reused

@@ -56,8 +56,11 @@ def routing(responses, after: float = float("-inf")) -> List[tuple]:
 
     Timing-free on purpose: this is what two *different* runs (another
     backend, another worker count, a fabric re-partitioned mid-run) must
-    agree on.  Entropy floats are left out — batch composition moves BLAS
-    summation order by a few ULPs without ever moving a decision.
+    agree on.  Entropy floats are left out: a float-weight layer (the
+    mixed-precision cloud's, a CC local aggregator's projection) is a GEMM
+    over its batch's rows, so batch composition can move its entropies by a
+    few ULPs without moving a decision.  A binary model's entropies do not
+    move, and the tests that hold them equal compare them directly.
     """
     return sorted(
         (r.request_id, r.prediction, r.exit_index, r.exit_name)

@@ -14,8 +14,8 @@ request is answered at once from the first exit.  A
 :class:`~repro.serving.loadgen.ServiceModel` in ``service_models`` prices
 each batch in simulated time (without one a batch takes no time).
 
-With an unbounded queue every answer is the oracle's route of its sample at
-the same batch shape (covered by tests).
+With an unbounded queue a binary model's every answer is the oracle's route
+of its sample, at any batch shape (covered by tests).
 """
 
 from __future__ import annotations

@@ -5,12 +5,13 @@ intact after growth), the batch passes of a plan (a forward equals itself at
 any pass size), the three convolution strategies across the geometry grid in
 every precision mode, the grouped device program against the per-branch
 plans, the "valid until the next forward" output lifetime, and the compiled
-exit logits of the benchmark's ``ci`` model against the values the parent
-commit produced.
+exit logits of the benchmark's ``ci`` model against recorded values.
 
 ``python tests/test_compile_memory_plan.py --record`` rewrites
 ``tests/data/ci_parent_logits.npz`` from whatever ``repro`` is importable (it
-was run against the parent commit, b523ce2, with one BLAS thread);
+was last run, with one BLAS thread, when BatchNorm stopped being folded
+into compiled weights, which moved the logits by ulps onto the eager
+model's);
 ``--canary`` exits non-zero when this host's BLAS does not round like the
 recording host's, i.e. when the exact-logits test would skip.
 """

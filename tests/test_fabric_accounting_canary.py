@@ -15,10 +15,13 @@ link and node for node, the traffic and compute stats:
 The recording guards every change to the serving path that promises not to
 move a single answer, time or byte.  ``python
 tests/test_fabric_accounting_canary.py --record`` rewrites it from whatever
-``repro`` is importable (it was run against commit 1c75f97 with one BLAS
-thread); ``--canary`` exits non-zero where BLAS does not round like the
-recording host's.  Routing, and with it every time and byte, depends on GEMM
-rounding, so there the test checks that each run replays itself and keeps
+``repro`` is importable (it was last run, with one BLAS thread, when
+BatchNorm stopped being folded into compiled weights: only the predictions
+of requests whose untrained cloud logits tie exactly moved, to the eager
+model's ``argmax``); ``--canary`` exits non-zero where BLAS does not round
+like the recording host's.  Routing, and with it every time and byte,
+depends on the first conv's float GEMM landing on the same side of its sign
+thresholds, so there the test checks that each run replays itself and keeps
 the fabric's invariants, and reports itself skipped.
 """
 

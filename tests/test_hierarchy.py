@@ -402,27 +402,3 @@ class TestBatchedLinkAccounting:
             assert mine.stats == theirs.stats
         for mine, theirs in zip(deployment.devices, reference.devices):
             assert mine.stats.bytes_sent == theirs.stats.bytes_sent
-
-
-class TestEdgeRuntime:
-    def test_edge_topology_runtime_matches_the_oracle(self, tiny_train, tiny_test):
-        from repro.core import DDNNConfig, DDNNTopology, DDNNTrainer, TrainingConfig, build_ddnn
-
-        config = DDNNConfig(
-            num_devices=4,
-            device_filters=2,
-            cloud_filters=4,
-            edge_filters=3,
-            cloud_hidden_units=8,
-            topology=DDNNTopology.from_name("devices_edge_cloud"),
-            seed=5,
-        )
-        model = build_ddnn(config)
-        DDNNTrainer(model, TrainingConfig(epochs=2, batch_size=32, seed=0)).fit(tiny_train)
-        model.eval()
-        central = ExitOracle.capture(model, tiny_test, compile=False).route([0.7, 0.8])
-        deployment = partition_ddnn(model)
-        assert len(deployment.edges) == 1
-        distributed = HierarchyRuntime(deployment, [0.7, 0.8]).run(tiny_test)
-        np.testing.assert_array_equal(central.predictions, distributed.predictions)
-        assert central.exit_fraction("edge") == pytest.approx(distributed.exit_fraction("edge"))
