@@ -30,10 +30,9 @@ for the plan a model keeps (compiled on first use, dropped whenever its
 weights change, so no caller invalidates anything), and
 :func:`verify_compiled` for the numerical-equivalence guarantee against the
 eager path.  Every inference forward outside training runs through this
-package: the serving fabric's tier sections,
-:class:`~repro.hierarchy.runtime.HierarchyRuntime`,
-:class:`~repro.serving.server.DDNNServer` and
-:class:`~repro.core.cascade.ExitCascade`'s shed path always do, and
+package: the serving fabric's tier sections and its shed path,
+:class:`~repro.hierarchy.runtime.HierarchyRuntime` and
+:class:`~repro.serving.server.DDNNServer` always do (at ``"float64"``), and
 :class:`~repro.core.oracle.ExitOracle` does by default
 (``capture(compile=False)`` is the eager reference the tests compare to).
 """

@@ -1,7 +1,7 @@
 """The compiled plans of a model, kept on the model itself.
 
 Every consumer of a model's inference plan — oracle captures, the serving
-cascade's shed path, each deployment's bundle and each thread worker's —
+fabric's shed path, each deployment's bundle and each thread worker's —
 draws it from :func:`compiled_plan_for`, which compiles on first use and
 keeps one plan per precision on the model.  A plan snapshots the weights it
 was compiled from, so :meth:`~repro.core.ddnn.DDNN._weights_changed` (every
@@ -25,8 +25,8 @@ __all__ = ["compiled_plan_for"]
 def compiled_plan_for(model, precision: str = "float64"):
     """The model's compiled plan at ``precision``, compiling on first use.
 
-    Each precision mode gets its own plan, so mixed-precision deployments
-    (e.g. a bitpacked device tier next to an fp64 cloud) coexist.  Racing
+    Each precision mode gets its own plan: serving uses ``"float64"``,
+    and oracle captures may ask for any of :data:`PRECISIONS`.  Racing
     first-use compiles from several threads each build a plan and all
     return the one stored first; a compile that a weights change overtakes
     stores its plan into the dropped table, never the model's new one.

@@ -8,7 +8,7 @@ Public surface:
 * aggregation schemes (MP / AP / CC);
 * :class:`ExitCriterion` and :func:`normalized_entropy` — the confidence rule;
 * :class:`DDNNTrainer` — joint multi-exit training;
-* :class:`ExitCascade` — threshold rules and the exit criteria they build;
+* :func:`build_exit_criteria` — threshold rules and the exit criteria they build;
 * :class:`ExitOracle` — forward-once logit cache and the untimed exit rule:
   routing (:class:`InferenceResult`), vectorized threshold sweeps,
   exit-rate quantile calibration and accuracy reports;
@@ -16,11 +16,7 @@ Public surface:
 * threshold search.
 """
 
-from .cascade import (
-    ExitCascade,
-    build_exit_criteria,
-    normalize_thresholds,
-)
+from .cascade import build_exit_criteria, normalize_thresholds
 from .aggregation import (
     AGGREGATION_SCHEMES,
     Aggregator,
@@ -65,7 +61,6 @@ __all__ = [
     "ExitDecision",
     "normalized_entropy",
     "softmax_probabilities",
-    "ExitCascade",
     "normalize_thresholds",
     "build_exit_criteria",
     "DDNNTrainer",

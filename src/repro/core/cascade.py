@@ -11,10 +11,7 @@ what both share:
 * :func:`normalize_thresholds` — threshold broadcasting/validation rules;
 * :func:`build_exit_criteria` — thresholds -> :class:`ExitCriterion` list;
 * :func:`require_compiled` — the serving constructors' refusal of
-  ``compile=False``;
-* :class:`ExitCascade` — the criteria of one deployment, its precision and
-  the first-exit-only forward that shedding uses
-  (:meth:`ExitCascade.first_exit`, on the model's own compiled plan).
+  ``compile=False``.
 """
 
 from __future__ import annotations
@@ -23,13 +20,12 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .exits import ExitCriterion, ExitDecision
+from .exits import ExitCriterion
 
 __all__ = [
     "Thresholds",
     "normalize_thresholds",
     "build_exit_criteria",
-    "ExitCascade",
 ]
 
 #: A single broadcast threshold or one value per (non-final) exit.
@@ -102,69 +98,3 @@ def require_compiled(compile: bool) -> None:
             "plan bundles; the eager reference forward is "
             "ExitOracle.capture(compile=False)"
         )
-
-
-class ExitCascade:
-    """One deployment's exit criteria and the precision it serves at.
-
-    Parameters
-    ----------
-    thresholds:
-        One threshold per (non-final) exit, or a single broadcast float —
-        see :func:`normalize_thresholds`.
-    exit_names:
-        Exit names in cascade order (e.g. ``["local", "cloud"]``).
-    precision:
-        Compute mode of the compiled plans it serves on (one of
-        :data:`repro.compile.PRECISIONS`): exact ``"float64"`` (default),
-        tolerance-mode ``"float32"``, or ``"bitpacked"``.
-    """
-
-    def __init__(
-        self,
-        thresholds: Thresholds,
-        exit_names: Sequence[str],
-        precision: str = "float64",
-    ) -> None:
-        from ..compile.ops import PRECISIONS
-
-        if precision not in PRECISIONS:
-            raise ValueError(
-                f"unknown precision {precision!r}; expected one of {PRECISIONS}"
-            )
-        self.exit_names = list(exit_names)
-        self.criteria = build_exit_criteria(thresholds, self.exit_names)
-        self.precision = precision
-
-    @classmethod
-    def for_model(
-        cls,
-        model,
-        thresholds: Thresholds,
-        precision: str = "float64",
-    ) -> "ExitCascade":
-        """Build a cascade matching a :class:`~repro.core.ddnn.DDNN`'s exits."""
-        return cls(thresholds, model.exit_names, precision=precision)
-
-    @property
-    def num_exits(self) -> int:
-        return len(self.criteria)
-
-    @property
-    def thresholds(self) -> List[float]:
-        """The normalized per-exit thresholds (final always 1.0)."""
-        return [criterion.threshold for criterion in self.criteria]
-
-    # ------------------------------------------------------------------ #
-    def first_exit(self, model, views) -> ExitDecision:
-        """The cascade's first exit applied to a batch on the compiled plan,
-        computing only that exit's logits (``CompiledDDNN.first_exit_logits``)
-        — what shedding a request to the local exit costs.  The decision is
-        bit-identical to the first exit's on a whole forward of the same
-        batch.
-        """
-        from ..compile.cache import compiled_plan_for
-
-        model.eval()
-        logits = compiled_plan_for(model, self.precision).first_exit_logits(views)
-        return self.criteria[0].evaluate(logits)

@@ -8,9 +8,12 @@ provided, matching the two places failures can be applied:
   replaces the device's views with blank frames, which is what the trained
   network sees for "object not present" and is the modelling used for the
   accuracy numbers (Fig. 10);
-* **runtime-level** — :class:`FaultPlan` marks simulator nodes as failed so
-  they stop transmitting, which exercises the distributed runtime's handling
-  of missing inputs (zero contribution).
+* **runtime-level** — :class:`FaultPlan` names the end devices that are
+  down; the device tier (:class:`~repro.hierarchy.sections.DeviceTierSection`)
+  reads it, and a dead device computes and transmits nothing, which
+  exercises the distributed runtime's handling of missing inputs (zero
+  contribution).  The plan is the only static fault state: no node carries
+  a failure flag, so a faulted run leaves its deployment as it found it.
 
 Both of those are *static*: the fault set is fixed before the run starts.
 :class:`ChaosSchedule` adds the third, *temporal* axis — timed fault events
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -42,14 +45,12 @@ __all__ = [
 
 @dataclass
 class FaultPlan:
-    """Which nodes fail, and (optionally) when.
+    """Which end devices fail, and (optionally) when.
 
     Attributes
     ----------
     failed_devices:
         Indices of end devices that are offline for the whole run.
-    failed_edges:
-        Indices of edge nodes that are offline for the whole run.
     intermittent:
         Mapping from device index to the probability that the device fails to
         deliver a given sample (models a flaky wireless link rather than a
@@ -59,13 +60,11 @@ class FaultPlan:
     """
 
     failed_devices: Set[int] = field(default_factory=set)
-    failed_edges: Set[int] = field(default_factory=set)
     intermittent: Dict[int, float] = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self) -> None:
         self.failed_devices = set(int(i) for i in self.failed_devices)
-        self.failed_edges = set(int(i) for i in self.failed_edges)
         for device, probability in self.intermittent.items():
             if not 0.0 <= probability <= 1.0:
                 raise ValueError(
@@ -77,10 +76,6 @@ class FaultPlan:
     def device_is_down(self, device_index: int) -> bool:
         """True if a device is permanently failed."""
         return device_index in self.failed_devices
-
-    def edge_is_down(self, edge_index: int) -> bool:
-        """True if an edge node is permanently failed."""
-        return edge_index in self.failed_edges
 
     def sample_delivery(self, device_index: int) -> bool:
         """Draw whether a device delivers the current sample."""
@@ -111,21 +106,20 @@ class FaultPlan:
         return self
 
     def is_empty(self) -> bool:
-        return not self.failed_devices and not self.failed_edges and not self.intermittent
+        return not self.failed_devices and not self.intermittent
 
-    def _check_nodes(self, num_devices: int, num_edges: int) -> None:
-        """Reject indices of devices or edges a deployment lacks: such an
-        entry would silently inject no fault at all."""
+    def _check_nodes(self, num_devices: int) -> None:
+        """Reject indices of devices a deployment lacks: such an entry would
+        silently inject no fault at all."""
         unknown = {
             "failed_devices": sorted(i for i in self.failed_devices if not 0 <= i < num_devices),
             "intermittent": sorted(int(i) for i in self.intermittent if not 0 <= i < num_devices),
-            "failed_edges": sorted(i for i in self.failed_edges if not 0 <= i < num_edges),
         }
         named = "; ".join(f"{name} {indices}" for name, indices in unknown.items() if indices)
         if named:
             raise ValueError(
-                f"fault plan names nodes the deployment lacks ({num_devices} "
-                f"devices, {num_edges} edges): {named}"
+                f"fault plan names devices the deployment lacks ({num_devices} "
+                f"devices): {named}"
             )
 
 

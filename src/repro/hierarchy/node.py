@@ -57,19 +57,10 @@ class ComputeNode:
         self.name = name
         self.ops_per_second = ops_per_second
         self.stats = NodeStats()
-        self.failed = False
         # Stats counters are read-modify-write; concurrent worker threads
         # (the serving fabric's thread backend) share the node objects, so
         # accounting is serialized to keep the totals exact.
         self._stats_lock = threading.Lock()
-
-    def fail(self) -> None:
-        """Mark this node as failed; it stops producing output."""
-        self.failed = True
-
-    def restore(self) -> None:
-        """Clear the failure flag."""
-        self.failed = False
 
     def _account(self, operations: float, samples: int = 1) -> float:
         seconds = operations / self.ops_per_second
@@ -88,8 +79,7 @@ class ComputeNode:
             self.stats.reset()
 
     def __repr__(self) -> str:
-        status = "failed" if self.failed else "ok"
-        return f"{type(self).__name__}(name={self.name!r}, status={status})"
+        return f"{type(self).__name__}(name={self.name!r})"
 
 
 class EndDeviceNode(ComputeNode):

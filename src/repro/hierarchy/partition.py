@@ -10,7 +10,7 @@ constrained uplink from devices (or edges) towards the cloud.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core.ddnn import DDNN
@@ -62,13 +62,13 @@ class HierarchyDeployment:
     """All simulator objects for one partitioned DDNN.
 
     Compared and hashed by identity: a deployment is single-threaded state
-    (its nodes' failure flags, its links' counters), so the simulated
-    serving workers over it share one compiled plan bundle per precision,
-    which it keeps (:meth:`_bundle`) and makes again when the model's
-    weights change.  Simulated fabrics over one deployment therefore must
-    not be driven from different threads — they would write the same
-    arenas; run concurrent serving on the fabric's ``backend="thread"``, or
-    build one deployment per thread.
+    (its nodes' and links' counters), so the simulated serving workers over
+    it share one compiled ``"float64"`` plan bundle, which it keeps
+    (:meth:`_bundle`) and makes again when the model's weights change.
+    Simulated fabrics over one deployment therefore must not be driven from
+    different threads — they would write the same arenas; run concurrent
+    serving on the fabric's ``backend="thread"``, or build one deployment
+    per thread.
     """
 
     model: DDNN
@@ -87,8 +87,8 @@ class HierarchyDeployment:
         if self.local_aggregator is not None:
             self._nodes_by_name[self.local_aggregator.name] = self.local_aggregator
         self._nodes_by_name[self.cloud.name] = self.cloud
-        #: precision -> the simulated workers' shared bundle (see :meth:`_bundle`).
-        self._bundles: Dict[str, object] = {}
+        #: The simulated workers' shared bundle (see :meth:`_bundle`).
+        self._shared_bundle = None
 
     @property
     def device_names(self) -> List[str]:
@@ -102,15 +102,14 @@ class HierarchyDeployment:
             known = ", ".join(sorted(self._nodes_by_name))
             raise KeyError(f"no node named '{name}' (known nodes: {known})") from None
 
-    def _bundle(self, precision: str):
-        """The simulated workers' bundle at ``precision``: the model's plan
-        over arenas of its own, made again once the weights change."""
+    def _bundle(self):
+        """The simulated workers' bundle: the model's ``"float64"`` plan over
+        arenas of its own, made again once the weights change."""
         from ..compile.cache import compiled_plan_for
 
-        bundle = self._bundles.get(precision)
+        bundle = self._shared_bundle
         if bundle is None or bundle.weights_version != self.model._weights_version:
-            bundle = compiled_plan_for(self.model, precision).with_own_buffers()
-            self._bundles[precision] = bundle
+            bundle = self._shared_bundle = compiled_plan_for(self.model).with_own_buffers()
         return bundle
 
     def reset(self) -> None:
@@ -118,10 +117,8 @@ class HierarchyDeployment:
         self.fabric.reset()
         for device in self.devices:
             device.reset_stats()
-            device.restore()
         for edge in self.edges:
             edge.reset_stats()
-            edge.restore()
         if self.local_aggregator is not None:
             self.local_aggregator.reset_stats()
         self.cloud.reset_stats()

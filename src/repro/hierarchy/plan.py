@@ -27,7 +27,7 @@ live fabric onto a new plan with a drain-and-handoff protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..core.ddnn import DDNN
@@ -123,12 +123,6 @@ class PartitionPlan:
     autoscale: Union[
         None, AutoscalePolicy, Sequence[Optional[AutoscalePolicy]]
     ] = None
-    #: Compiled compute mode per tier — a single mode (broadcast) or one
-    #: entry per tier, e.g. ``("bitpacked", "float64")`` to run the device
-    #: tier on XNOR-popcount kernels while the cloud stays exact.  Fabrics
-    #: built from the plan (``DistributedServingFabric.from_plan``) compile
-    #: their tiers' plan bundles at these modes.
-    precision: Union[str, Sequence[str]] = "float64"
     #: End-to-end latency objective per request, in seconds.  Fabrics built
     #: from the plan stamp every request with an absolute
     #: :class:`~repro.serving.resilience.Deadline` at ingress; ``None``
@@ -187,7 +181,6 @@ class PartitionPlan:
             if count < 1:
                 raise ValueError(f"worker counts must be >= 1, got {count}")
         self.autoscale_policies()  # validates length
-        self.precisions()  # validates length and mode names
 
     def with_changes(self, **changes) -> "PartitionPlan":
         """A copy of this plan with the given fields replaced."""
@@ -223,25 +216,6 @@ class PartitionPlan:
     @property
     def autoscaled(self) -> bool:
         return any(policy is not None for policy in self.autoscale_policies())
-
-    def precisions(self) -> Tuple[str, ...]:
-        """Per-tier compiled compute modes, broadcasting a single mode."""
-        from ..compile.ops import PRECISIONS
-
-        if isinstance(self.precision, str):
-            modes = (self.precision,) * self.num_tiers
-        else:
-            modes = tuple(str(mode) for mode in self.precision)
-            if len(modes) != self.num_tiers:
-                raise ValueError(
-                    f"precision must have {self.num_tiers} entries, got {len(modes)}"
-                )
-        for mode in modes:
-            if mode not in PRECISIONS:
-                raise ValueError(
-                    f"unknown precision {mode!r}; expected one of {PRECISIONS}"
-                )
-        return modes
 
     # ------------------------------------------------------------------ #
     # Materialisation

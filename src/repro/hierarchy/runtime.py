@@ -28,12 +28,11 @@ latency and bytes filled in.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..core.cascade import ExitCascade, Thresholds, require_compiled
-from ..core.exits import ExitCriterion
+from ..core.cascade import Thresholds, build_exit_criteria, require_compiled
 from ..core.oracle import InferenceResult
 from ..datasets.mvmc import MVMCDataset, _positive_int
 from .faults import FaultPlan
@@ -58,24 +57,15 @@ class HierarchyRuntime:
         fault_plan: Optional[FaultPlan] = None,
         batch_size: int = 64,
         compile: bool = True,
-        precision: str = "float64",
     ) -> None:
         require_compiled(compile)
         self.deployment = deployment
         self.model = deployment.model
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
-        self.fault_plan._check_nodes(len(deployment.devices), len(deployment.edges))
+        self.fault_plan._check_nodes(len(deployment.devices))
         self.batch_size = _positive_int(batch_size, "batch_size")
-        # The cascade supplies criteria/routing; each run's fabric runs the
-        # tier sections on the deployment's own plan bundle at this
-        # precision (the model's plan's ops over arenas of its own), reused
-        # by every later run until the model's weights change.
-        self.cascade = ExitCascade.for_model(self.model, thresholds, precision=precision)
-
-    @property
-    def criteria(self) -> List[ExitCriterion]:
-        """The cascade's per-exit criteria (final threshold forced to 1.0)."""
-        return self.cascade.criteria
+        #: Per-exit criteria (final threshold forced to 1.0).
+        self.criteria = build_exit_criteria(thresholds, self.model.exit_names)
 
     # ------------------------------------------------------------------ #
     def run(self, dataset: MVMCDataset) -> InferenceResult:
@@ -88,16 +78,14 @@ class HierarchyRuntime:
         # from the seed, so replaying one runtime (or sharing one plan
         # across runtimes) sees the same failure realisation every run.
         self.fault_plan.reset()
-        self._apply_permanent_faults()
         self.model.eval()
 
         num_samples = len(dataset)
         fabric = DistributedServingFabric(
             self.deployment,
-            self.cascade.thresholds,
+            [criterion.threshold for criterion in self.criteria],
             workers_per_tier=1,
             batching=BatchingPolicy(max_batch_size=self.batch_size, max_wait_s=0.0),
-            precision=self.cascade.precision,
             sections=build_tier_sections(self.deployment, self.fault_plan),
         )
         responses = fabric.serve_dataset(dataset)
@@ -117,18 +105,9 @@ class HierarchyRuntime:
         return InferenceResult(
             predictions=predictions,
             exit_indices=exit_indices,
-            exit_names=list(self.cascade.exit_names),
+            exit_names=list(self.model.exit_names),
             entropies=entropies,
             targets=dataset.labels,
             latencies_s=latencies,
             bytes_per_sample=bytes_per_sample,
         )
-
-    # ------------------------------------------------------------------ #
-    def _apply_permanent_faults(self) -> None:
-        for index, device in enumerate(self.deployment.devices):
-            if self.fault_plan.device_is_down(index):
-                device.fail()
-        for index, edge in enumerate(self.deployment.edges):
-            if self.fault_plan.edge_is_down(index):
-                edge.fail()

@@ -40,8 +40,8 @@ the split stages charge ``max(transfer)`` at the device offload and
 :func:`~repro.hierarchy.partition.partition_ddnn` builds (every edge has
 the same per-sample compute), and an upper bound if edges are hand-tuned
 to heterogeneous speeds.  The device tier charges from per-device vectors
-built once per set of ``failed`` flags, and a ``(D, n)`` delivery mask
-that is ``None`` unless the fault plan dropped a sample.
+built once per section from its fault plan's dead devices, and a ``(D, n)``
+delivery mask that is ``None`` unless the fault plan dropped a sample.
 
 A tier forward runs on a :class:`~repro.compile.CompiledDDNN` plan bundle
 handed to ``process`` per call: the fabric gives every thread worker its
@@ -165,15 +165,18 @@ class TierSection:
 
 class _DeviceVectors:
     """What the device tier charges per batch, for its live devices in
-    device order.  Built for one set of ``failed`` flags; link parameters
-    change only when a re-partition retunes them, and that builds new
-    sections first (``DistributedServingFabric.apply_plan``)."""
+    device order.  Built once per section, on first use: the fault plan's
+    dead devices are fixed for the section's life, and link parameters
+    change only when a re-partition retunes them, which builds new sections
+    first (``DistributedServingFabric.apply_plan``)."""
 
-    def __init__(self, deployment: HierarchyDeployment, destinations) -> None:
+    def __init__(
+        self, deployment: HierarchyDeployment, fault_plan: FaultPlan, destinations
+    ) -> None:
         devices, fabric = deployment.devices, deployment.fabric
-        self.failed = [device.failed for device in devices]
-        self.live = [index for index, failed in enumerate(self.failed) if not failed]
-        self.dead = [index for index, failed in enumerate(self.failed) if failed]
+        down = [fault_plan.device_is_down(index) for index in range(len(devices))]
+        self.live = [index for index, failed in enumerate(down) if not failed]
+        self.dead = [index for index, failed in enumerate(down) if failed]
         self.devices = [devices[index] for index in self.live]
         self.operations = [device.operations_per_sample for device in self.devices]
         self.summary_bytes = [device.summary_bytes() for device in self.devices]
@@ -225,10 +228,11 @@ class DeviceTierSection(TierSection):
         self._built: Optional[_DeviceVectors] = None
 
     def _vectors(self) -> _DeviceVectors:
-        vectors = self._built
-        if vectors is None or vectors.failed != [d.failed for d in self.deployment.devices]:
-            vectors = self._built = _DeviceVectors(self.deployment, self._uplink_destination)
-        return vectors
+        if self._built is None:
+            self._built = _DeviceVectors(
+                self.deployment, self.fault_plan, self._uplink_destination
+            )
+        return self._built
 
     def process(self, payload, plans) -> SectionResult:
         views = np.asarray(payload)
@@ -294,8 +298,7 @@ class DeviceTierSection(TierSection):
         compute.
         """
         batch = len(views)
-        # No dtype force: the plans cast to their own precision mode's dtype
-        # (float64 plans see the historical bit-exact input).
+        # No dtype force: the float64 plans cast their input themselves.
         features, scores = plans.device_group(views.swapaxes(0, 1))
         seconds = [
             device._account(operations * batch, samples=batch)
@@ -383,9 +386,9 @@ class EdgeTierSection(TierSection):
         return plans.edge_exit_aggregator(np.stack(edge_logit_list, axis=1))
 
     def _uplinks(self):
-        """The live edges, their cloud links and their feature sizes."""
+        """The edges, their cloud links and their feature sizes."""
         fabric = self.deployment.fabric
-        edges = [edge for edge in self.deployment.edges if not edge.failed]
+        edges = self.deployment.edges
         links = [fabric.link(edge.name, CLOUD_NAME) for edge in edges]
         return edges, links, [edge.feature_bytes() for edge in edges]
 
@@ -498,11 +501,11 @@ def build_tier_sections(
     currently evaluate them — so a boundary move never renumbers the exits
     queued requests will be judged against.  Without a plan the boundary
     follows the model's structure (the historical behaviour).  A
-    ``fault_plan`` naming a device or edge index the deployment lacks is a
+    ``fault_plan`` naming a device index the deployment lacks is a
     :class:`ValueError`.
     """
     if fault_plan is not None:
-        fault_plan._check_nodes(len(deployment.devices), len(deployment.edges))
+        fault_plan._check_nodes(len(deployment.devices))
     model = deployment.model
     if plan is not None and plan.model is not model:
         raise ValueError("plan.model must be the deployment's model")

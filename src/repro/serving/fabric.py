@@ -13,7 +13,7 @@ The fabric is a discrete-event simulation on the shared
 * each cascade tier is a :class:`TierServer` — a FIFO queue, a
   :class:`~repro.serving.batcher.BatchingPolicy`, and ``N`` workers, each
   executing the tier's :class:`~repro.hierarchy.sections.TierSection` on a
-  compiled plan bundle (one per deployment and precision for simulated
+  compiled ``"float64"`` plan bundle (one per deployment for simulated
   workers, which compute one at a time on the loop's thread, one per
   worker for thread workers, which compute concurrently);
 * a batch occupies a worker for the section's modelled compute time (or an
@@ -60,7 +60,8 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.cascade import ExitCascade, Thresholds, require_compiled
+from ..compile.cache import compiled_plan_for
+from ..core.cascade import Thresholds, build_exit_criteria, require_compiled
 from ..core.exits import ExitCriterion
 from ..datasets.mvmc import MVMCDataset
 from ..hierarchy.faults import ChaosSchedule
@@ -406,19 +407,13 @@ class DistributedServingFabric:
         :class:`BatchingPolicy` per tier (single policy broadcasts).
     compile:
         Must be ``True`` (the default): the tiers run on compiled plan
-        bundles — every simulated worker over the fabric's deployment
-        shares one bundle per precision, every thread worker owns one (see
+        bundles at ``"float64"`` — every simulated worker over the fabric's
+        deployment shares one bundle, every thread worker owns one (see
         :meth:`_worker_bundles`).  The eager reference is
         ``ExitOracle.capture(compile=False)``.  Simulated fabrics built on
         one deployment share that bundle's arenas, so they must not be
         driven from different threads: run concurrent fabrics with
         ``backend="thread"``, or give each thread a deployment of its own.
-    precision:
-        Compute mode(s) for the compiled bundles — a single mode
-        (broadcast) or one per tier, so a bandwidth-starved device tier
-        can run ``"bitpacked"`` or ``"float32"`` while the cloud stays
-        exact ``"float64"``.  Workers on tiers sharing a mode draw bundles
-        from one per-mode pool.
     sections:
         Pre-built tier sections (the hierarchy runtime passes sections that
         carry its fault plan, :class:`~repro.serving.server.DDNNServer` one
@@ -498,7 +493,6 @@ class DistributedServingFabric:
         workers_per_tier: Union[int, Sequence[int]] = 1,
         batching: Union[None, BatchingPolicy, Sequence[Optional[BatchingPolicy]]] = None,
         compile: bool = True,
-        precision: Union[str, Sequence[str]] = "float64",
         sections: Optional[Sequence[TierSection]] = None,
         service_models: Optional[Sequence[Optional[ServiceModel]]] = None,
         adaptive: Optional[AdaptiveThreshold] = None,
@@ -552,25 +546,12 @@ class DistributedServingFabric:
         if len(services) != num_tiers:
             raise ValueError(f"service_models must have {num_tiers} entries")
 
-        from ..compile.ops import PRECISIONS
+        #: Per-exit criteria, indexed by the model's exits (final forced to 1.0).
+        self.criteria = build_exit_criteria(thresholds, self.model.exit_names)
 
-        precisions = [
-            mode if mode is not None else "float64"
-            for mode in self._per_tier(precision, num_tiers, "precision")
-        ]
-        for mode in precisions:
-            if mode not in PRECISIONS:
-                raise ValueError(
-                    f"unknown precision {mode!r}; expected one of {PRECISIONS}"
-                )
-        self.precisions = precisions
-        # Shedding answers at the ingress, so its first-exit forward runs at
-        # the device tier's precision.
-        self.cascade = ExitCascade.for_model(self.model, thresholds, precision=precisions[0])
-
-        #: Thread-backend bundles per precision, one per worker slot (see
+        #: Thread-backend bundles, one per worker slot (see
         #: :meth:`_worker_bundles`).
-        self._bundles: Dict[str, List[object]] = {}
+        self._bundles: List[object] = []
         self.tiers: List[TierServer] = []
         for index, section in enumerate(self.sections):
             count = int(workers[index]) if workers[index] is not None else 1
@@ -578,7 +559,7 @@ class DistributedServingFabric:
                 backend,
                 self.events,
                 num_workers=count,
-                worker_plans=self._worker_bundles(precisions[index], count),
+                worker_plans=self._worker_bundles(count),
                 name=section.tier_name,
             )
             self.tiers.append(
@@ -792,10 +773,10 @@ class DistributedServingFabric:
             deployment = plan.materialize()
         elif deployment.model is not plan.model:
             raise ValueError("deployment.model must be the plan's model")
-        if "sections" in kwargs or "workers_per_tier" in kwargs or "precision" in kwargs:
+        if "sections" in kwargs or "workers_per_tier" in kwargs:
             raise ValueError(
-                "from_plan derives sections, workers_per_tier and precision "
-                "from the plan; construct the fabric directly to override them"
+                "from_plan derives sections and workers_per_tier from the "
+                "plan; construct the fabric directly to override them"
             )
         sections = build_tier_sections(deployment, plan=plan)
         kwargs.setdefault("slo_s", plan.slo_s)
@@ -804,7 +785,6 @@ class DistributedServingFabric:
             thresholds,
             workers_per_tier=list(plan.worker_counts()),
             sections=sections,
-            precision=list(plan.precisions()),
             **kwargs,
         )
         fabric.plan = plan
@@ -971,15 +951,16 @@ class DistributedServingFabric:
         """Answer a shed request from the first exit, bypassing the tiers.
 
         The sample is evaluated through the cascade's first exit directly,
-        on the model's own compiled plan, with no hierarchy byte/latency
-        accounting — a shed answer is produced at the ingress, before the
-        request ever enters the tier plane.  With ``degraded=True`` the same
+        computing only that exit's logits on the model's own compiled plan,
+        with no hierarchy byte/latency accounting — a shed answer is produced
+        at the ingress, before the request ever enters the tier plane.  With ``degraded=True`` the same
         first-exit evaluation serves an offload failover whose journey never
         cleared an exit (the origin tier had none), flagged ``degraded``
         instead of ``shed``.
         """
         exit_index = self._require_first_exit(failover=degraded)
-        decision = self.cascade.first_exit(self.model, request.views[None])
+        logits = compiled_plan_for(self.model).first_exit_logits(request.views[None])
+        decision = self.criteria[0].evaluate(logits)
         return self._finalize(
             request,
             now,
@@ -1112,9 +1093,7 @@ class DistributedServingFabric:
                 # The weights changed since this idle worker got its bundle;
                 # a busy one finishes its batch on the old bundle.
                 worker.plans = self._worker_bundles(
-                    self.precisions[tier_index],
-                    1,
-                    {id(other.plans) for other in tier.pool.workers},
+                    1, {id(other.plans) for other in tier.pool.workers}
                 )[0]
             relaxed = (
                 tier_index == 0
@@ -1179,7 +1158,7 @@ class DistributedServingFabric:
             )
 
     def _criterion(self, exit_index: int, relaxed: bool) -> ExitCriterion:
-        criterion = self.cascade.criteria[exit_index]
+        criterion = self.criteria[exit_index]
         if relaxed:
             assert self.adaptive is not None
             return ExitCriterion(self.adaptive.relaxed_threshold, name=criterion.name)
@@ -1567,13 +1546,6 @@ class DistributedServingFabric:
                 f"runs {len(self.tiers)} — adding/removing the edge tier "
                 "needs a new fabric, not a live re-partition"
             )
-        if list(new_plan.precisions()) != list(self.precisions):
-            raise ValueError(
-                f"plan precisions {tuple(new_plan.precisions())} differ from "
-                f"the fabric's {tuple(self.precisions)} — worker bundles are "
-                "compiled at fabric construction; changing compute modes "
-                "needs a new fabric, not a live re-partition"
-            )
         new_plan.validate()
         if self.chaos is not None:
             self._check_link_chaos(self.chaos, new_plan.resolved_local_exit())
@@ -1636,8 +1608,8 @@ class DistributedServingFabric:
                 )
         return report
 
-    def _worker_bundles(self, mode: str, count: int, in_use=()) -> List[object]:
-        """Compiled bundles at precision ``mode`` for ``count`` workers, on
+    def _worker_bundles(self, count: int, in_use=()) -> List[object]:
+        """Compiled ``"float64"`` bundles for ``count`` workers, on
         the model's current weights (:meth:`_dispatch` re-binds a worker
         whose bundle is older).
 
@@ -1648,11 +1620,11 @@ class DistributedServingFabric:
         every simulated worker over one deployment — of this fabric and of
         every fabric built on it, e.g. each run of a
         :class:`~repro.hierarchy.runtime.HierarchyRuntime` — shares the
-        deployment's one bundle per precision.  Replicas each own a
+        deployment's one bundle.  Replicas each own a
         deployment, so each holds its own bundle.
         Thread workers compute concurrently: each *slot* gets a bundle of
         its own, none of those the tier's workers already hold (``in_use``:
-        their ids), from one pool per precision that tiers share (tier t's
+        their ids), from one pool that tiers share (tier t's
         worker w runs only its bundle's tier-t plans), holds only bundles
         of the current weights and adds one only when it runs out.  No
         bundle is compiled here: each shares the ops of the model's plan
@@ -1661,18 +1633,14 @@ class DistributedServingFabric:
         (:meth:`~repro.compile.ddnn.CompiledDDNN.with_own_buffers`).
         """
         if self.backend == "simulated":
-            return [self.deployment._bundle(mode)] * count
-        from ..compile.cache import compiled_plan_for
-
+            return [self.deployment._bundle()] * count
         version = self.model._weights_version
-        pool = self._bundles[mode] = [
-            bundle
-            for bundle in self._bundles.get(mode, ())
-            if bundle.weights_version == version
+        pool = self._bundles = [
+            bundle for bundle in self._bundles if bundle.weights_version == version
         ]
         spare = [bundle for bundle in pool if id(bundle) not in in_use]
         while len(spare) < count:
-            pool.append(compiled_plan_for(self.model, mode).with_own_buffers())
+            pool.append(compiled_plan_for(self.model).with_own_buffers())
             spare.append(pool[-1])
         return spare[:count]
 
@@ -1683,9 +1651,7 @@ class DistributedServingFabric:
         current = len(tier.pool)
         if num_workers > current:
             in_use = {id(worker.plans) for worker in tier.pool.workers}
-            added = self._worker_bundles(
-                self.precisions[tier_index], num_workers - current, in_use
-            )
+            added = self._worker_bundles(num_workers - current, in_use)
             actual = tier.pool.resize(num_workers, now, worker_plans=added)
         else:
             actual = tier.pool.resize(num_workers, now)

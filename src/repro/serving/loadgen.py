@@ -166,18 +166,17 @@ class ServiceModel:
         views: np.ndarray,
         batch_size: int = 32,
         repeats: int = 3,
-        precision: str = "float64",
     ) -> "ServiceModel":
         """Calibrate from the compiled plan's per-op timing hook.
 
         Instead of timing whole wall-clock forwards, this enables
         :meth:`repro.compile.CompiledDDNN.enable_timing`, runs the model's
-        own compiled plan at ``precision``
+        own ``"float64"`` compiled plan
         (:func:`~repro.compile.cache.compiled_plan_for`) at batch sizes 1
         and ``batch_size``, and fits the affine model to the summed per-op
         times — pure kernel time, free of Python dispatch and routing
         noise.  The per-op breakdown stays available on that plan
-        afterwards (``compiled_plan_for(model, precision).op_timings()``).
+        afterwards (``compiled_plan_for(model).op_timings()``).
         """
         from ..compile.cache import compiled_plan_for
 
@@ -190,7 +189,7 @@ class ServiceModel:
                 f"views holds {len(views)} samples, fewer than batch_size={batch_size}; "
                 "pass one sample (repeated to the batch) or at least batch_size"
             )
-        compiled = compiled_plan_for(model, precision)
+        compiled = compiled_plan_for(model)
         compiled.enable_timing()
         try:
 

@@ -40,8 +40,8 @@ class DDNNServer(DistributedServingFabric):
     ``model`` and ``thresholds`` are as for the fabric's deployment and
     cascade; ``policy`` is the tier's :class:`BatchingPolicy`.  The other
     arguments are the fabric's own, passed through: ``capacity`` and
-    ``admission``, ``compile`` (must be ``True``), ``precision`` and
-    ``service_models`` (one entry).  It runs on the simulated backend and
+    ``admission``, ``compile`` (must be ``True``) and ``service_models``
+    (one entry).  It runs on the simulated backend and
     clock; a threaded or wall-clock single tier is a
     :class:`DistributedServingFabric` built with
     ``sections=[CascadeTierSection(model)]`` and the backend wanted.
@@ -55,7 +55,6 @@ class DDNNServer(DistributedServingFabric):
         capacity: Optional[int] = None,
         admission: Optional[AdmissionPolicy] = None,
         compile: bool = True,
-        precision: str = "float64",
         service_models: Optional[Sequence[Optional[ServiceModel]]] = None,
     ) -> None:
         super().__init__(
@@ -63,7 +62,6 @@ class DDNNServer(DistributedServingFabric):
             thresholds,
             batching=policy,
             compile=compile,
-            precision=precision,
             sections=[CascadeTierSection(model)],
             service_models=service_models,
             capacity=capacity,

@@ -188,7 +188,7 @@ class TestServiceModel:
         with pytest.raises(ValueError, match="batch_size"):
             ServiceModel.from_plan_timings(trained_ddnn, tiny_test.images[:4], batch_size=32)
         fitted = ServiceModel.from_plan_timings(
-            trained_ddnn, tiny_test.images[:4], batch_size=4, repeats=1, precision="float32"
+            trained_ddnn, tiny_test.images[:4], batch_size=4, repeats=1
         )
         assert fitted.per_sample_s > 0.0
 

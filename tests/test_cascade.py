@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import ExitOracle, build_ddnn, normalize_thresholds
-from repro.core.cascade import ExitCascade, build_exit_criteria
+from repro.core.cascade import build_exit_criteria
 from repro.hierarchy import HierarchyRuntime, partition_ddnn
 from repro.serving import DDNNServer
 
@@ -79,15 +79,17 @@ class TestCascadeSharedByEveryConsumer:
     def test_runtime_and_server_share_one_cascade_implementation(self, trained_ddnn):
         runtime = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8)
         server = DDNNServer(trained_ddnn, 0.8)
-        assert isinstance(runtime.cascade, ExitCascade)
-        assert isinstance(server.cascade, ExitCascade)
-        assert runtime.cascade.thresholds == server.cascade.thresholds
+        expected = build_exit_criteria(0.8, trained_ddnn.exit_names)
+        for criteria in (runtime.criteria, server.criteria):
+            assert [(c.threshold, c.name) for c in criteria] == [
+                (c.threshold, c.name) for c in expected
+            ]
 
     @pytest.mark.parametrize("thresholds", [0.8, [0.8], [0.8, 0.3]])
     def test_threshold_normalization_identical_across_consumers(self, trained_ddnn, thresholds):
         runtime = HierarchyRuntime(partition_ddnn(trained_ddnn), thresholds)
         server = DDNNServer(trained_ddnn, thresholds)
-        assert [c.threshold for c in server.cascade.criteria] == [
+        assert [c.threshold for c in server.criteria] == [
             c.threshold for c in runtime.criteria
         ]
         assert runtime.criteria[-1].threshold == 1.0
@@ -112,10 +114,10 @@ class TestCascadeSharedByEveryConsumer:
         with pytest.raises(ValueError):
             DDNNServer(trained_ddnn, bad)
 
-    def test_for_model_builds_matching_exits(self, trained_ddnn):
-        cascade = ExitCascade.for_model(trained_ddnn, 0.7)
-        assert cascade.exit_names == trained_ddnn.exit_names
-        assert cascade.num_exits == trained_ddnn.num_exits
+    def test_criteria_match_the_models_exits(self, trained_ddnn):
+        criteria = build_exit_criteria(0.7, trained_ddnn.exit_names)
+        assert [c.name for c in criteria] == trained_ddnn.exit_names
+        assert len(criteria) == trained_ddnn.num_exits
 
 
 class TestCascadeWithUntrainedTopologies:
@@ -133,7 +135,7 @@ class TestCascadeWithUntrainedTopologies:
         )
         model = build_ddnn(config)
         # Three exits: 2 or 3 thresholds are accepted, others are not.
-        assert ExitCascade.for_model(model, [0.7, 0.8]).criteria[-1].threshold == 1.0
-        assert ExitCascade.for_model(model, [0.7, 0.8, 0.2]).criteria[-1].threshold == 1.0
+        assert build_exit_criteria([0.7, 0.8], model.exit_names)[-1].threshold == 1.0
+        assert build_exit_criteria([0.7, 0.8, 0.2], model.exit_names)[-1].threshold == 1.0
         with pytest.raises(ValueError):
-            ExitCascade.for_model(model, [0.7])
+            build_exit_criteria([0.7], model.exit_names)

@@ -2,10 +2,10 @@
 
 Covers the three mode guarantees (float64 exact, float32 tolerance-with-
 routing-agreement, bitpacked bit-identical), the XNOR+popcount packed ops
-across conv geometries, oracle-vs-fabric parity per mode, the
-``(model, precision)``-keyed plan cache, and precision validation in every
-consumer that grew the knob (cascade, oracle, server, fabric, partition
-plan, hierarchy runtime).
+across conv geometries, oracle-vs-runtime parity, the
+``(model, precision)``-keyed plan cache, and precision validation in the
+compile layer's consumers (plan cache, oracle).  Serving runs ``"float64"``
+plans only, so no serving object takes a mode.
 
 ``python tests/test_compile_precision.py --fp32-speedup`` prints the fp32
 kernel reference's speed-up over fp64 (see the test of that name).
@@ -31,7 +31,6 @@ from repro.compile import (
     verify_compiled,
 )
 from repro.compile.ops import PackedConvOp, PackedLinearOp
-from repro.core.cascade import ExitCascade
 from repro.core.oracle import ExitOracle
 from repro.hierarchy import HierarchyRuntime, partition_ddnn
 from repro.nn import BinaryActivation, BinaryConv2d, BinaryLinear
@@ -232,20 +231,29 @@ def test_float32_beats_float64_at_the_batch_one_kernel_reference():
 
 
 # --------------------------------------------------------------------------- #
-# Oracle vs fabric parity per mode
+# Oracle vs fabric parity
 # --------------------------------------------------------------------------- #
 class TestOracleFabricParity:
-    @pytest.mark.parametrize("mode", PRECISIONS)
-    def test_oracle_routes_like_the_fabric(self, trained_ddnn, tiny_test, mode):
-        threshold = 0.8
-        oracle = ExitOracle.capture(trained_ddnn, tiny_test, precision=mode)
-        routed = oracle.route(threshold)
-        runtime = HierarchyRuntime(
-            partition_ddnn(trained_ddnn), threshold, precision=mode
-        )
+    @pytest.mark.parametrize("threshold", [0.0, 0.8, 1.0])
+    def test_oracle_routes_like_the_fabric(self, trained_ddnn, tiny_test, threshold):
+        """Every sample to the cloud, a mixed split, and every sample out at
+        the local exit: the oracle's replay answers as the hierarchy runtime
+        and the serving fabric do."""
+        from repro.serving import DistributedServingFabric
+
+        routed = ExitOracle.capture(trained_ddnn, tiny_test).route(threshold)
+        runtime = HierarchyRuntime(partition_ddnn(trained_ddnn), threshold)
         result = runtime.run(tiny_test)
         np.testing.assert_array_equal(routed.predictions, result.predictions)
         np.testing.assert_array_equal(routed.exit_indices, result.exit_indices)
+        fabric = DistributedServingFabric(partition_ddnn(trained_ddnn), threshold)
+        responses = fabric.serve_dataset(tiny_test)
+        np.testing.assert_array_equal(
+            routed.predictions, [response.prediction for response in responses]
+        )
+        np.testing.assert_array_equal(
+            routed.exit_indices, [response.exit_index for response in responses]
+        )
 
     def test_exact_modes_route_identically_to_eager(self, trained_ddnn, tiny_test):
         eager = ExitOracle.capture(trained_ddnn, tiny_test, compile=False).route(0.8)
@@ -290,84 +298,48 @@ class TestPlanCachePerPrecision:
 
 
 # --------------------------------------------------------------------------- #
-# Consumer validation: every knob rejects bad modes loudly
+# Consumer validation: the oracle rejects bad modes loudly
 # --------------------------------------------------------------------------- #
 class TestConsumerValidation:
-    def test_cascade_and_oracle_reject_unknown_mode(self, trained_ddnn, tiny_test):
-        with pytest.raises(ValueError, match="unknown precision"):
-            ExitCascade.for_model(trained_ddnn, 0.8, precision="tf32")
+    def test_oracle_rejects_unknown_mode(self, trained_ddnn, tiny_test):
         with pytest.raises(ValueError, match="unknown precision"):
             ExitOracle.capture(trained_ddnn, tiny_test, precision="tf32")
 
-    def test_server_takes_a_reduced_precision(self, trained_ddnn):
-        from repro.serving import DDNNServer
-
-        with pytest.raises(ValueError, match="unknown precision"):
-            DDNNServer(trained_ddnn, 0.8, precision="tf32")
-        server = DDNNServer(trained_ddnn, 0.8, precision="float32")
-        assert server.precisions == ["float32"]
-        # A shed is answered at the ingress tier's precision too.
-        assert server.cascade.precision == "float32"
-
-    def test_fabric_per_tier_modes_validated(self, trained_ddnn):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            "fabric",
+            "fabric_from_plan",
+            "partition_plan",
+            "hierarchy_runtime",
+            "server",
+            "service_model",
+        ],
+    )
+    def test_serving_objects_take_no_mode(self, trained_ddnn, tiny_test, build):
+        """Serving runs the model's ``"float64"`` plan; asking any serving or
+        hierarchy object for another mode is an error, not a silent fp64."""
         from repro.hierarchy.plan import PartitionPlan
-        from repro.serving.fabric import DistributedServingFabric
+        from repro.serving import DDNNServer, DistributedServingFabric, ServiceModel
 
-        deployment = PartitionPlan(trained_ddnn).materialize()
-        with pytest.raises(ValueError):
-            DistributedServingFabric(deployment, 0.8, precision="float128")
-
-    def test_fabric_from_plan_mixed_modes_serves(self, trained_ddnn, tiny_test):
-        from repro.hierarchy.plan import PartitionPlan
-        from repro.serving.fabric import DistributedServingFabric
-
-        plan = PartitionPlan(trained_ddnn)
-        plan.precision = ("bitpacked",) + ("float64",) * (plan.num_tiers - 1)
-        fabric = DistributedServingFabric.from_plan(plan, 0.8)
-        assert list(fabric.precisions) == list(plan.precisions())
-        # from_plan derives modes from the plan; an explicit kwarg conflicts.
-        with pytest.raises(ValueError, match="precision"):
-            DistributedServingFabric.from_plan(plan, 0.8, precision="float64")
-        responses = fabric.serve_dataset(tiny_test)
-        baseline = ExitOracle.capture(trained_ddnn, tiny_test, compile=False).route(0.8)
-        np.testing.assert_array_equal(
-            np.array([r.prediction for r in responses]), baseline.predictions
-        )
-
-    def test_hierarchy_runtime_rejects_unknown_mode(self, trained_ddnn):
-        from repro.hierarchy import partition_ddnn
-        from repro.hierarchy.runtime import HierarchyRuntime
-
-        with pytest.raises(ValueError, match="unknown precision"):
-            HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8, precision="float128")
-
-    def test_hierarchy_runtime_takes_a_reduced_precision(self, trained_ddnn, tiny_test):
-        from repro.hierarchy import partition_ddnn
-        from repro.hierarchy.runtime import HierarchyRuntime
-
-        runtime = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8, precision="float32")
-        result = runtime.run(tiny_test)
-        routed = ExitOracle.capture(trained_ddnn, tiny_test, precision="float32").route(0.8)
-        np.testing.assert_array_equal(result.predictions, routed.predictions)
-        np.testing.assert_array_equal(result.exit_indices, routed.exit_indices)
-        np.testing.assert_array_equal(result.entropies, routed.entropies)
-
-    def test_partition_plan_precisions_broadcast_and_validate(self, trained_ddnn):
-        from repro.hierarchy.plan import PartitionPlan
-
-        plan = PartitionPlan(trained_ddnn)
-        assert plan.precisions() == ("float64",) * plan.num_tiers
-        mixed = PartitionPlan(
-            trained_ddnn,
-            precision=("bitpacked",) + ("float64",) * (plan.num_tiers - 1),
-        )
-        assert mixed.precisions()[0] == "bitpacked"
-        with pytest.raises(ValueError):
-            PartitionPlan(trained_ddnn, precision="int4")
-        with pytest.raises(ValueError):
-            PartitionPlan(
-                trained_ddnn, precision=("float64",) * (plan.num_tiers + 1)
-            )
+        builders = {
+            "fabric": lambda: DistributedServingFabric(
+                partition_ddnn(trained_ddnn), 0.8, precision="float32"
+            ),
+            "fabric_from_plan": lambda: DistributedServingFabric.from_plan(
+                PartitionPlan(trained_ddnn), 0.8, precision="float32"
+            ),
+            "partition_plan": lambda: PartitionPlan(trained_ddnn, precision="float32"),
+            "hierarchy_runtime": lambda: HierarchyRuntime(
+                partition_ddnn(trained_ddnn), 0.8, precision="float32"
+            ),
+            "server": lambda: DDNNServer(trained_ddnn, 0.8, precision="float32"),
+            "service_model": lambda: ServiceModel.from_plan_timings(
+                trained_ddnn, tiny_test.images[:2], batch_size=2, precision="float32"
+            ),
+        }
+        with pytest.raises(TypeError, match="precision"):
+            builders[build]()
 
 
 if __name__ == "__main__":

@@ -149,12 +149,11 @@ class TestFaultPlans:
         [
             (FaultPlan(failed_devices={1, 99}), "failed_devices [99]"),
             (FaultPlan(intermittent={-1: 0.5, 0: 0.5}), "intermittent [-1]"),
-            (FaultPlan(failed_edges={7}), "failed_edges [7]"),
         ],
     )
     def test_plans_naming_missing_nodes_are_rejected(self, trained_ddnn, plan, named):
-        """On a deployment without an edge tier, each of these would inject
-        nothing; both consumers of a fault plan refuse it instead."""
+        """Each of these names a device the deployment lacks and would
+        inject nothing; both consumers of a fault plan refuse it instead."""
         deployment = partition_ddnn(trained_ddnn)
         with pytest.raises(ValueError, match=re.escape(named)):
             HierarchyRuntime(deployment, 0.8, fault_plan=plan)
@@ -232,6 +231,37 @@ class TestHierarchyRuntime:
         result = runtime.run(tiny_test)
         assert deployment.fabric.bytes_from(deployment.devices[0].name) == 0.0
         assert 0.0 <= result.accuracy() <= 1.0
+
+    @pytest.mark.parametrize("faulted_by", ["runtime", "fabric"])
+    @pytest.mark.parametrize("then", ["fabric", "runtime"])
+    def test_a_faulted_run_leaves_the_deployment_healthy(
+        self, trained_ddnn, tiny_test, faulted_by, then
+    ):
+        """The fault plan is the run's, not the deployment's: a fabric or a
+        runtime built on the deployment after a faulted run or faulted
+        serving answers with every device up, as one on a fresh deployment
+        does."""
+        from repro.serving import DistributedServingFabric
+
+        plan = FaultPlan(failed_devices={1})
+
+        def answers(deployment):
+            if then == "fabric":
+                fabric = DistributedServingFabric(deployment, 0.8)
+                return [
+                    (r.prediction, r.entropy, r.bytes_transferred)
+                    for r in fabric.serve_dataset(tiny_test)
+                ]
+            result = HierarchyRuntime(deployment, 0.8).run(tiny_test)
+            return list(zip(result.predictions, result.entropies, result.bytes_per_sample))
+
+        deployment = partition_ddnn(trained_ddnn)
+        if faulted_by == "runtime":
+            HierarchyRuntime(deployment, 0.8, fault_plan=plan).run(tiny_test)
+        else:
+            sections = build_tier_sections(deployment, plan)
+            DistributedServingFabric(deployment, 0.8, sections=sections).serve_dataset(tiny_test)
+        assert answers(deployment) == answers(partition_ddnn(trained_ddnn))
 
     def test_result_arrays_account_for_every_sample(self, trained_ddnn, tiny_test):
         deployment = partition_ddnn(trained_ddnn)

@@ -30,15 +30,6 @@ class TestComputeNode:
         with pytest.raises(ValueError):
             ComputeNode("x", ops_per_second=0)
 
-    def test_fail_and_restore(self):
-        node = ComputeNode("x")
-        assert not node.failed
-        node.fail()
-        assert node.failed
-        assert "failed" in repr(node)
-        node.restore()
-        assert not node.failed
-
     def test_accounting(self):
         node = ComputeNode("x", ops_per_second=1000.0)
         seconds = node._account(500.0, samples=2)
@@ -64,14 +55,13 @@ class TestDeviceTierSection:
     @staticmethod
     def _run(model, views, failed=()):
         from repro.compile import compiled_plan_for
-        from repro.hierarchy import build_tier_sections
+        from repro.hierarchy import FaultPlan, build_tier_sections
 
         model.eval()
         deployment = partition_ddnn(model)
-        for index in failed:
-            deployment.devices[index].fail()
         plans = compiled_plan_for(model)
-        return deployment, plans, build_tier_sections(deployment)[0].process(views, plans)
+        section = build_tier_sections(deployment, FaultPlan(failed_devices=set(failed)))[0]
+        return deployment, plans, section.process(views, plans)
 
     def test_process_returns_features_scores_and_time(self, small_model):
         views = np.random.default_rng(0).random((3, 3, 3, 32, 32))
@@ -158,12 +148,10 @@ class TestLinkSpecsAndPartition:
         assert not deployment.fabric.has_link("device-0", CLOUD_NAME)
         assert deployment.edges[0].feature_bytes() == 3 * 8 * 8 / 8
 
-    def test_deployment_reset_clears_stats_and_failures(self, small_model):
+    def test_deployment_reset_clears_stats(self, small_model):
         deployment = partition_ddnn(small_model)
-        deployment.devices[0].fail()
         deployment.devices[1].stats.bytes_sent = 100.0
         deployment.reset()
-        assert not deployment.devices[0].failed
         assert deployment.devices[1].stats.bytes_sent == 0.0
         assert deployment.fabric.total_bytes() == 0.0
 
@@ -175,12 +163,14 @@ class TestOperationsPerSample:
             assert device.operations_per_sample == device.branch.num_parameters()
         assert deployment.cloud.operations_per_sample == small_model.cloud.num_parameters()
 
-    @pytest.mark.parametrize("precision", ["float64", "float32"])
-    def test_no_parameter_walk_once_the_model_is_built(self, small_model, monkeypatch, precision):
-        """Partitioning and running a deployment read the per-sample cost off
-        the sections; nothing walks a parameter tree per node or per batch."""
+    @pytest.mark.parametrize("consumer", ["runtime", "fabric"])
+    def test_no_parameter_walk_once_the_model_is_built(self, small_model, monkeypatch, consumer):
+        """Partitioning and running a deployment — offline or served — read
+        the per-sample cost off the sections; nothing walks a parameter tree
+        per node or per batch."""
         from repro.hierarchy import HierarchyRuntime
         from repro.nn.layers import Module
+        from repro.serving import DistributedServingFabric
 
         def walked(module):
             raise AssertionError(f"num_parameters() walked {type(module).__name__}")
@@ -191,5 +181,10 @@ class TestOperationsPerSample:
 
         views = np.random.default_rng(1).random((5, 3, 3, 32, 32))
         dataset = MVMCDataset(views, np.zeros(5), np.zeros((5, 3)))
-        result = HierarchyRuntime(partition_ddnn(small_model), 0.8, precision=precision).run(dataset)
-        assert len(result.predictions) == 5
+        deployment = partition_ddnn(small_model)
+        if consumer == "runtime":
+            predictions = HierarchyRuntime(deployment, 0.8).run(dataset).predictions
+        else:
+            responses = DistributedServingFabric(deployment, 0.8).serve_dataset(dataset)
+            predictions = [response.prediction for response in responses]
+        assert len(predictions) == 5

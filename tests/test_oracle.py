@@ -343,7 +343,7 @@ class TestPlanCache:
         monkeypatch.setattr(compiled, "compile_ddnn", None)  # any compile fails
         runtime = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8)
         runtime.run(tiny_test)
-        bundle = runtime.deployment._bundle("float64")
+        bundle = runtime.deployment._bundle()
         assert bundle is not plan
         assert bundle.cloud.head.ops == plan.cloud.head.ops
         assert compiled_plan_for(trained_ddnn) is plan

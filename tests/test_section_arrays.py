@@ -7,11 +7,11 @@
   model's eager aggregators: exit logits, latency and byte vectors, carries,
   offload delays and bytes, and every link's and node's stats.
 * A section result never aliases the buffers of the plan bundle it ran on.
-* The device tier's cached transfer estimate follows ``fail()``,
-  ``restore()`` and a live re-partition.
+* The device tier's cached transfer estimate leaves out its fault plan's
+  dead devices and follows a live re-partition.
 * Simulated workers over one deployment — of every fabric and every
-  hierarchy-runtime run built on it — share one bundle per precision,
-  compiled once per weights version, which a weights change replaces, on
+  hierarchy-runtime run built on it — share one bundle, compiled once per
+  weights version, which a weights change replaces, on
   fabrics built before it too; replicas and other deployments hold their
   own; thread workers own theirs.
 * A shed answer computes only the first exit.
@@ -124,7 +124,7 @@ class _Reference:
         group_features, group_scores = plans.device_group(np.moveaxis(views, 1, 0))
         features, scores, seconds = [], [], []
         for index, device in enumerate(devices):
-            if device.failed:
+            if self.fault_plan.device_is_down(index):
                 feature, score, second = (
                     np.zeros_like(group_features[index]),
                     np.zeros_like(group_scores[index]),
@@ -143,7 +143,7 @@ class _Reference:
         logits, aggregate_s = None, 0.0
         if self.local_exit:
             for index, device in enumerate(devices):
-                if device.failed:
+                if self.fault_plan.device_is_down(index):
                     continue
                 for sample in np.flatnonzero(delivered[index]):
                     message = Message(device.name, LOCAL_AGGREGATOR_NAME, device.summary_bytes())
@@ -165,10 +165,10 @@ class _Reference:
             intake_bytes=intake_bytes,
         )
 
-    def offload(self, senders, destinations, sizes, delivered, rows):
+    def offload(self, senders, destinations, sizes, delivered, rows, dead=()):
         delay, sent = np.zeros(len(rows)), np.zeros(len(rows))
         for index, node in enumerate(senders):
-            if node.failed:
+            if index in dead:
                 continue
             for position, row in enumerate(rows):
                 if delivered is None or delivered[index, row]:
@@ -190,6 +190,7 @@ class _Reference:
             [device.feature_bytes() for device in devices],
             result["delivered"],
             rows,
+            dead=self.fault_plan.failed_devices,
         )
 
     @staticmethod
@@ -243,8 +244,6 @@ SCENARIOS = {
 def _deploy(model, scenario):
     plan = PartitionPlan(model, local_exit=scenario.get("local_exit"))
     deployment = plan.materialize()
-    for index in scenario.get("failed", ()):
-        deployment.devices[index].fail()
     fault_plan = FaultPlan(
         failed_devices=scenario.get("failed", set()),
         intermittent=scenario.get("intermittent", {}),
@@ -372,11 +371,11 @@ def test_section_results_survive_the_bundles_next_batch(trained_ddnn, tiny_test,
 # --------------------------------------------------------------------------- #
 # The device tier's cached transfer estimate
 # --------------------------------------------------------------------------- #
-def _fresh_estimate(deployment):
+def _fresh_estimate(deployment, dead=()):
     return max(
         deployment.fabric.link(device.name, CLOUD_NAME).transfer_time(device.feature_bytes())
-        for device in deployment.devices
-        if not device.failed
+        for index, device in enumerate(deployment.devices)
+        if index not in dead
     )
 
 
@@ -388,19 +387,26 @@ def test_transfer_estimate_follows_failures_and_repartitions(trained_ddnn):
     slowest = fabric.sections[0].transfer_estimate_s()
     assert slowest == _fresh_estimate(deployment) == 0.5 + slow.feature_bytes() / 1_000.0
 
-    slow.fail()
-    assert fabric.sections[0].transfer_estimate_s() == _fresh_estimate(deployment) < slowest
-    slow.restore()
-    assert fabric.sections[0].transfer_estimate_s() == _fresh_estimate(deployment) == slowest
+    # A dead device's uplink is out of the estimate.
+    faulted = DistributedServingFabric(
+        deployment, 0.8, sections=build_tier_sections(deployment, FaultPlan(failed_devices={2}))
+    )
+    estimate = faulted.sections[0].transfer_estimate_s()
+    assert estimate == _fresh_estimate(deployment, dead={2}) < slowest
 
-    # A live re-partition retunes every uplink to the new plan's.
-    fabric.apply_plan(PartitionPlan(trained_ddnn, uplink=LinkSpec(2_000.0, 0.25)))
+    # A live re-partition retunes every uplink to the new plan's and keeps
+    # the fault plan.
+    repartition = PartitionPlan(trained_ddnn, uplink=LinkSpec(2_000.0, 0.25))
+    fabric.apply_plan(repartition)
+    faulted.apply_plan(repartition)
     estimate = fabric.sections[0].transfer_estimate_s()
     assert estimate == _fresh_estimate(deployment) == 0.25 + slow.feature_bytes() / 2_000.0
+    assert faulted.sections[0].fault_plan.failed_devices == {2}
+    assert faulted.sections[0].transfer_estimate_s() == _fresh_estimate(deployment, dead={2})
 
 
 # --------------------------------------------------------------------------- #
-# Compiled bundles: one per deployment and precision, or one per thread worker
+# Compiled bundles: one per deployment, or one per thread worker
 # --------------------------------------------------------------------------- #
 def _bundles(fabric):
     return [worker.plans for tier in fabric.tiers for worker in tier.workers]
@@ -421,7 +427,7 @@ def _count_compiles(monkeypatch):
     return calls
 
 
-def test_simulated_workers_on_one_deployment_share_one_bundle_per_precision(trained_ddnn):
+def test_simulated_workers_on_one_deployment_share_one_bundle(trained_ddnn):
     plan = PartitionPlan(trained_ddnn, replicas=2, workers_per_tier=2)
     # Replicas each own a deployment, so each holds a bundle of its own,
     # whether they share one event loop or not.
@@ -431,15 +437,6 @@ def test_simulated_workers_on_one_deployment_share_one_bundle_per_precision(trai
     ):
         shared = [{id(bundle) for bundle in _bundles(replica)} for replica in balancer.replicas]
         assert [len(ids) for ids in shared] == [1, 1] and shared[0] != shared[1]
-
-    mixed = LoadBalancer.from_plan(
-        plan.with_changes(precision=("float32", "float64")), 0.8, events=EventLoop()
-    )
-    for replica in mixed.replicas:
-        devices, cloud = ({id(w.plans) for w in tier.workers} for tier in replica.tiers)
-        assert len(devices) == len(cloud) == 1 and devices != cloud
-    first, second = mixed.replicas
-    assert first.tiers[0].workers[0].plans is not second.tiers[0].workers[1].plans
 
     # A grown tier's new workers run the deployment's bundle too.
     fabric = balancer.replicas[0]
@@ -461,18 +458,18 @@ def test_the_offline_replay_compiles_once(untrained_ddnn, tiny_test, monkeypatch
         np.testing.assert_array_equal(result.entropies, results[0].entropies)
 
 
-def test_fabrics_on_one_deployment_compile_once_per_precision(untrained_ddnn, monkeypatch):
+def test_fabrics_on_one_deployment_compile_once(untrained_ddnn, monkeypatch):
     calls = _count_compiles(monkeypatch)
-    plan = PartitionPlan(untrained_ddnn, precision=("float32", "float64"))
+    plan = PartitionPlan(untrained_ddnn)
     deployment = plan.materialize()
     fabrics = [
         DistributedServingFabric.from_plan(plan, 0.8, deployment=deployment) for _ in range(2)
     ]
-    assert sorted(calls) == ["float32", "float64"]
+    assert calls == ["float64"]
     fabrics[0].apply_plan(plan.with_changes(workers_per_tier=3))
     fabrics[1]._resize_tier(1, 5, now=0.0)
-    assert sorted(calls) == ["float32", "float64"]
-    assert len({id(bundle) for fabric in fabrics for bundle in _bundles(fabric)}) == 2
+    assert calls == ["float64"]
+    assert len({id(bundle) for fabric in fabrics for bundle in _bundles(fabric)}) == 1
 
 
 def test_fabrics_on_two_deployments_serve_on_two_threads(trained_ddnn, tiny_test):
@@ -565,7 +562,7 @@ def test_thread_workers_own_distinct_bundles(trained_ddnn):
     try:
         for tier in fabric.tiers:
             assert len({id(worker.plans) for worker in tier.workers}) == len(tier.workers)
-        # Slot w of every same-precision tier draws from one pool: three bundles in all.
+        # Slot w of every tier draws from one pool: three bundles in all.
         assert len({id(bundle) for bundle in _bundles(fabric)}) == 3
         fabric._resize_tier(0, 4, now=0.0)
         devices = [worker.plans for worker in fabric.tiers[0].workers]
@@ -611,7 +608,7 @@ def test_a_shed_runs_no_cloud_plan(trained_ddnn, tiny_test, surface):
         host = DDNNServer(
             trained_ddnn, 0.8, policy=batching, capacity=1, admission=ShedToLocalExit()
         )
-    bundle = compiled_plan_for(trained_ddnn, host.cascade.precision)
+    bundle = compiled_plan_for(trained_ddnn)
     bundle.reset_timing()
     bundle.enable_timing()
     try:

@@ -165,7 +165,7 @@ class TestDDNNServer:
         server.serve_dataset(tiny_test)
         served = compiled_plan_for(model)
         worker_plans = server.tiers[0].workers[0].plans
-        assert worker_plans is server.deployment._bundle("float64")
+        assert worker_plans is server.deployment._bundle()
         for parameter in model.cloud.parameters():
             parameter.data *= 0.5
         model._weights_changed()
@@ -240,11 +240,11 @@ class TestDDNNServer:
         offline = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8).run(tiny_test)
         assert [r.exit_name for r in responses] == offline.exit_names_per_sample
         assert all(
-            r.exit_name == server.cascade.exit_names[r.exit_index] for r in responses
+            r.exit_name == trained_ddnn.exit_names[r.exit_index] for r in responses
         )
         by_exit = {
             name: [r for r in responses if r.exit_name == name]
-            for name in server.cascade.exit_names
+            for name in trained_ddnn.exit_names
         }
         assert sum(len(group) for group in by_exit.values()) == len(responses)
 

@@ -1,9 +1,10 @@
 """One compile per model, precision and weights version, whatever serves it.
 
 A simulated deployment's bundle and every thread worker's bundle are
-:meth:`CompiledDDNN.with_own_buffers` copies of the model's own plan
-(:func:`compiled_plan_for`): they hold its op objects — weights, folded
-BatchNorm, sign thresholds — and own their arenas.  These tests hold them to
+:meth:`CompiledDDNN.with_own_buffers` copies of the model's own float64 plan
+(:func:`compiled_plan_for`): they hold its op objects — weights, BatchNorm
+statistics, sign thresholds — and own their arenas; so does a bundle made
+of the model's plan at another precision.  These tests hold them to
 that: shared ops, separate outputs, the logits of an independent compile bit
 for bit, concurrent use, and — on a fabric built before the change — the
 new weights after a retrain or a weights load.
@@ -26,11 +27,9 @@ from repro.nn.serialization import load_module, save_module
 from repro.serving import DistributedServingFabric, LoadBalancer
 
 
-def _thread_bundle(model, precision):
+def _thread_bundle(model):
     """A thread worker's bundle (the fabric is closed; the bundle stays usable)."""
-    fabric = DistributedServingFabric(
-        PartitionPlan(model).materialize(), 0.8, backend="thread", precision=precision
-    )
+    fabric = DistributedServingFabric(PartitionPlan(model).materialize(), 0.8, backend="thread")
     try:
         return fabric.tiers[0].workers[0].plans
     finally:
@@ -38,10 +37,14 @@ def _thread_bundle(model, precision):
 
 
 def _bundles(model, precision):
-    """``{"deployment": ..., "thread": ...}`` for ``model`` at ``precision``."""
+    """``{"deployment": ..., "thread": ...}`` for ``model`` at ``"float64"``,
+    the only mode serving runs; at another mode, the bundle the compile
+    layer makes of the model's plan (``{"own": ...}``)."""
+    if precision != "float64":
+        return {"own": compiled_plan_for(model, precision).with_own_buffers()}
     return {
-        "deployment": PartitionPlan(model).materialize()._bundle(precision),
-        "thread": _thread_bundle(model, precision),
+        "deployment": PartitionPlan(model).materialize()._bundle(),
+        "thread": _thread_bundle(model),
     }
 
 
@@ -120,7 +123,7 @@ def test_bundles_on_more_threads_than_cores_match_a_serial_run(trained_ddnn, tin
         PartitionPlan(trained_ddnn).materialize(), 0.8, workers_per_tier=2, backend="thread"
     )
     fabric.close()
-    bundles = [PartitionPlan(trained_ddnn).materialize()._bundle("float64") for _ in range(2)] + [
+    bundles = [PartitionPlan(trained_ddnn).materialize()._bundle() for _ in range(2)] + [
         worker.plans for worker in fabric.tiers[0].workers
     ]
     assert len({id(bundle) for bundle in bundles}) == 4
@@ -244,7 +247,7 @@ def test_one_compile_per_weights_version_across_fabrics_and_workers(
                 served = tier.workers[0].plans  # the worker every batch went to
                 assert served.weights_version == version
                 if backend == "simulated":
-                    assert served is deployment._bundle("float64")
+                    assert served is deployment._bundle()
                 else:
                     assert len({id(w.plans) for w in tier.workers}) == len(tier.workers)
     finally:
