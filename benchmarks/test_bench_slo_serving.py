@@ -14,8 +14,8 @@ recorded table is already evidence; the assertions below re-state the
 acceptance bars explicitly on the rows.
 
 Everything runs on the simulated backend, so the rows are deterministic
-on any machine (the wall-clock counterpart is exercised by
-``repro.experiments slo-bench --wallclock-smoke`` and tests/test_slo.py).
+on any machine (the wall-clock counterpart is
+``tests/test_slo.py::TestWallClockSLO``).
 """
 
 from __future__ import annotations

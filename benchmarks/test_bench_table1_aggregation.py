@@ -23,8 +23,7 @@ def test_bench_table1_aggregation(benchmark, scale, record_result):
     # performs poorly.  Averaged over local schemes, *-CC must beat *-MP in
     # the cloud column at any training scale.  (The paper's stronger claim —
     # MP-CC best overall — emerges at the full 100-epoch paper scale; at ci
-    # scale the CC local aggregator's trainable projection converges faster,
-    # see EXPERIMENTS.md.)
+    # scale the CC local aggregator's trainable projection converges faster.)
     by_scheme = {row["scheme"]: row for row in result.rows}
     cc_cloud = np.mean([by_scheme[s]["cloud_accuracy_pct"] for s in ("MP-CC", "AP-CC", "CC-CC")])
     mp_cloud = np.mean([by_scheme[s]["cloud_accuracy_pct"] for s in ("MP-MP", "AP-MP", "CC-MP")])

@@ -327,11 +327,6 @@ class CompiledDDNN:
         for plan in self.plans():
             plan.reset_timing()
 
-    @property
-    def total_time_s(self) -> float:
-        """Total accumulated op wall time across every plan."""
-        return sum(plan.total_time_s for plan in self.plans())
-
     def op_timings(self):
         """Per-op accumulated timings across every plan, in forward order."""
         timings = []

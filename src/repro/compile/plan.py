@@ -514,11 +514,6 @@ class CompiledPlan:
         self._op_seconds[:] = 0.0
         self._op_calls[:] = 0
 
-    @property
-    def total_time_s(self) -> float:
-        """Total accumulated op wall time since the last reset."""
-        return float(self._op_seconds.sum())
-
     def op_timings(self) -> List[OpTiming]:
         """Per-op accumulated timings, in op order."""
         return [

@@ -2,34 +2,23 @@
 
 Each ``run_*`` function returns an
 :class:`~repro.experiments.results.ExperimentResult` whose rows mirror the
-paper's table/figure; ``EXPERIMENT_REGISTRY`` maps experiment ids to the
-functions so the benchmark harness and ``examples/`` scripts can enumerate
-them; it is derived from the one experiment table in
-:mod:`~repro.experiments.cli`, which also builds the command line.
+paper's table/figure.  ``EXPERIMENT_REGISTRY`` maps experiment ids to the
+functions, each called with the experiment scale alone; the command line
+(:mod:`~repro.experiments.cli`: ``list`` and ``run <id>|all``) reads it.
 """
 
 from .aggregation_table import PAPER_TABLE1_ORDER, run_aggregation_table
-from .chaos_serving import DEFAULT_SCENARIOS, run_chaos_serving
+from .chaos_serving import run_chaos_serving
 from .cli import EXPERIMENT_REGISTRY
 from .cloud_offloading import DEFAULT_FILTER_SWEEP, run_cloud_offloading
 from .communication_reduction import run_communication_reduction
 from .dataset_stats import run_dataset_stats
-from .distributed_serving import (
-    DEFAULT_BANDWIDTH_SCALES,
-    DEFAULT_THRESHOLD_SWEEP,
-    DEFAULT_WORKER_COUNTS,
-    run_distributed_serving,
-)
+from .distributed_serving import run_distributed_serving
 from .edge_hierarchy import run_edge_hierarchy
-from .elastic_serving import DEFAULT_PEAK_WORKERS, run_elastic_serving
+from .elastic_serving import run_elastic_serving
 from .fault_tolerance import run_fault_tolerance, run_multi_device_failures
 from .mixed_precision import run_mixed_precision
-from .overload_study import (
-    DEFAULT_LOAD_MULTIPLIERS,
-    DEFAULT_POLICIES,
-    queue_latency_bound_s,
-    run_overload_study,
-)
+from .overload_study import queue_latency_bound_s, run_overload_study
 from .results import ExperimentResult, format_table
 from .runner import (
     ExperimentScale,
@@ -44,7 +33,7 @@ from .runner import (
     train_fresh_ddnn,
 )
 from .scaling_devices import compute_individual_accuracies, run_scaling_devices
-from .slo_serving import DEFAULT_MODES, run_slo_serving, run_wallclock_slo_smoke
+from .slo_serving import run_slo_serving
 from .threshold_sweep import PAPER_TABLE2_THRESHOLDS, run_threshold_sweep
 from .weight_ablation import run_weight_ablation
 
@@ -76,20 +65,11 @@ __all__ = [
     "run_edge_hierarchy",
     "run_mixed_precision",
     "run_overload_study",
-    "DEFAULT_LOAD_MULTIPLIERS",
-    "DEFAULT_POLICIES",
     "queue_latency_bound_s",
     "run_distributed_serving",
-    "DEFAULT_WORKER_COUNTS",
-    "DEFAULT_BANDWIDTH_SCALES",
-    "DEFAULT_THRESHOLD_SWEEP",
     "available_cpu_count",
     "run_elastic_serving",
-    "DEFAULT_PEAK_WORKERS",
     "run_chaos_serving",
-    "DEFAULT_SCENARIOS",
     "run_slo_serving",
-    "run_wallclock_slo_smoke",
-    "DEFAULT_MODES",
     "EXPERIMENT_REGISTRY",
 ]

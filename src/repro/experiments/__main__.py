@@ -1,4 +1,4 @@
-"""Allow ``python -m repro.experiments`` to invoke the experiment CLI."""
+"""``python -m repro.experiments list`` / ``run <id>|all``: the experiment CLI."""
 
 import sys
 

@@ -35,41 +35,40 @@ the *runtime* failure axis.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from ..hierarchy.plan import PartitionPlan
 from ..serving import DistributedServingFabric, PoissonProcess
 from ..serving.invariants import accounting, check_exactly_once, check_replay, require
 from .results import ExperimentResult
 from .runner import ExperimentScale, available_cpu_count, default_scale
-from .scenarios import SCENARIOS as DEFAULT_SCENARIOS
-from .scenarios import ServingTrace, chaos_schedule, fault_windows, flap_cycle, retry_ladder
+from .scenarios import (
+    SCENARIOS,
+    ServingTrace,
+    chaos_schedule,
+    fault_windows,
+    flap_cycle,
+    retry_ladder,
+)
 
-__all__ = ["DEFAULT_SCENARIOS", "run_chaos_serving"]
+__all__ = ["run_chaos_serving"]
+
+#: Local-exit entropy threshold of the cascade.
+THRESHOLD = 0.8
+#: Poisson arrivals served under every chaos scenario.
+NUM_REQUESTS = 160
+#: Seed of the arrival process, chaos draws and retry jitter.
+SEED = 0
 
 
-def run_chaos_serving(
-    scale: Optional[ExperimentScale] = None,
-    threshold: float = 0.8,
-    num_requests: int = 160,
-    max_batch_size: int = 4,
-    seed: int = 0,
-    scenarios: Sequence[str] = DEFAULT_SCENARIOS,
-) -> ExperimentResult:
+def run_chaos_serving(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
     """Serve one trace under injected faults; assert graceful degradation."""
     scale = scale if scale is not None else default_scale()
-    if num_requests < 16:
-        raise ValueError(f"num_requests must be >= 16, got {num_requests}")
-    unknown = [s for s in scenarios if s not in DEFAULT_SCENARIOS]
-    if unknown:
-        raise ValueError(f"unknown scenarios {unknown} (choose from {DEFAULT_SCENARIOS})")
-    if "none" not in scenarios:
-        scenarios = ("none",) + tuple(scenarios)  # the baseline anchors every bar
 
-    trace = ServingTrace(scale, max_batch_size, num_requests)
+    trace = ServingTrace(scale, NUM_REQUESTS)
     rate, horizon = trace.rate_rps, trace.horizon_s
     plan = PartitionPlan(trace.model)
-    policy, breaker, transfer = retry_ladder(plan, seed)
+    policy, breaker, transfer = retry_ladder(plan, SEED)
     windows = fault_windows(horizon, crash_end=0.55 * horizon)
     flap = flap_cycle(horizon, policy.deadline_s)
     crash = windows["worker-crash"]
@@ -77,25 +76,25 @@ def run_chaos_serving(
     def _run(scenario: str) -> Dict:
         fabric = DistributedServingFabric.from_plan(
             plan,
-            threshold,
+            THRESHOLD,
             batching=trace.batching,
             service_models=trace.service_models(plan),
             offload=policy,
             breaker=breaker,
         )
-        schedule = chaos_schedule(scenario, windows, flap, fabric.tier_names[-1], seed)
+        schedule = chaos_schedule(scenario, windows, flap, fabric.tier_names[-1], SEED)
         if schedule is not None:
             fabric.attach_chaos(schedule)
         report = fabric.open_loop(
-            PoissonProcess(rate_rps=rate, seed=seed + 1),
+            PoissonProcess(rate_rps=rate, seed=SEED + 1),
             trace.views,
             targets=trace.targets,
-            num_requests=num_requests,
+            num_requests=NUM_REQUESTS,
         )
         require(
             f"chaos scenario '{scenario}' (degraded or not, the fabric must answer "
             "every request exactly once)",
-            check_exactly_once(num_requests, report.responses),
+            check_exactly_once(NUM_REQUESTS, report.responses),
         )
         stats = fabric.admission_stats
         if stats.rejected or stats.dropped or stats.shed:
@@ -133,8 +132,8 @@ def run_chaos_serving(
         ],
         metadata={
             "scale": scale.name,
-            "threshold": threshold,
-            "num_requests": num_requests,
+            "threshold": THRESHOLD,
+            "num_requests": NUM_REQUESTS,
             "offered_rate_rps": rate,
             "horizon_s": horizon,
             "deadline_s": policy.deadline_s,
@@ -150,7 +149,7 @@ def run_chaos_serving(
             "flap": {"period_s": flap[0], "down_s": flap[1]},
             "partition_window_s": list(windows["cloud-partition"]),
             "crash_window_s": list(crash),
-            "seed": seed,
+            "seed": SEED,
             "cpu_count": available_cpu_count(),
             "backend": "simulated",
             "note": (
@@ -165,11 +164,11 @@ def run_chaos_serving(
     )
 
     outcomes: Dict[str, Dict] = {}
-    for scenario in scenarios:
+    for scenario in SCENARIOS:
         first = _run(scenario)
         second = _run(scenario)
         require(
-            f"chaos scenario '{scenario}' under seed {seed}",
+            f"chaos scenario '{scenario}' under seed {SEED}",
             check_replay(first["accounting"], second["accounting"]),
         )
         outcomes[scenario] = first
@@ -185,7 +184,7 @@ def run_chaos_serving(
         )
     if baseline.offload_fraction <= 0.0:
         raise RuntimeError(
-            f"threshold {threshold} offloads nothing at the baseline, so the "
+            f"threshold {THRESHOLD} offloads nothing at the baseline, so the "
             "chaos scenarios would exercise no offload path — lower the "
             "threshold"
         )
@@ -238,15 +237,13 @@ def run_chaos_serving(
             ),
         )
 
-    if "cloud-partition" in outcomes:
-        partition_report = outcomes["cloud-partition"]["report"]
-        if partition_report.degraded_fraction <= 0.0:
-            raise RuntimeError(
-                "the cloud-partition scenario degraded nothing — the outage "
-                "window never intersected an offload, so the failover path "
-                "went unexercised"
-            )
-    if "flaky-uplink" in outcomes and outcomes["flaky-uplink"]["report"].retry_total == 0:
+    if outcomes["cloud-partition"]["report"].degraded_fraction <= 0.0:
+        raise RuntimeError(
+            "the cloud-partition scenario degraded nothing — the outage "
+            "window never intersected an offload, so the failover path "
+            "went unexercised"
+        )
+    if outcomes["flaky-uplink"]["report"].retry_total == 0:
         raise RuntimeError(
             "the flaky-uplink scenario never retried — the flap/loss windows "
             "never intersected an offload, so the retry path went unexercised"

@@ -30,15 +30,12 @@ by the (small) gap between the local and full-cascade answers on the shed
 tail.
 
 Latency rows use hand-set affine :class:`~repro.serving.loadgen.ServiceModel`
-coefficients so the table is machine-independent; the metadata additionally
-records coefficients calibrated from the compiled plan's per-op timing hook
-(:meth:`ServiceModel.from_plan_timings`), and ``calibrate=True`` swaps the
-calibrated models into the rows for a machine-true table.
+coefficients so the table is machine-independent.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..hierarchy.partition import (
     DEFAULT_EDGE_LINK,
@@ -57,16 +54,19 @@ from ..serving import (
 from .results import ExperimentResult
 from .runner import ExperimentScale, default_scale, get_dataset, get_trained_ddnn
 
-__all__ = [
-    "DEFAULT_WORKER_COUNTS",
-    "DEFAULT_BANDWIDTH_SCALES",
-    "DEFAULT_THRESHOLD_SWEEP",
-    "run_distributed_serving",
-]
+__all__ = ["run_distributed_serving"]
 
-DEFAULT_WORKER_COUNTS = (1, 2, 4)
-DEFAULT_BANDWIDTH_SCALES = (0.5, 0.25)
-DEFAULT_THRESHOLD_SWEEP = (0.5, 0.95)
+#: Base local-exit entropy threshold of the cascade.
+THRESHOLD = 0.8
+WORKER_COUNTS = (1, 2, 4)
+BANDWIDTH_SCALES = (0.5, 0.25)
+THRESHOLD_SWEEP = (0.5, 0.95)
+#: Offered load as a multiple of one device-tier worker's capacity.
+OFFERED_X = 1.5
+#: Open-loop arrivals per row.
+NUM_REQUESTS = 240
+BATCHING = BatchingPolicy(max_batch_size=8, max_wait_s=0.005)
+SEED = 0
 
 #: Device-tier affine service model (same coefficients as the overload study).
 DEVICE_SERVICE = ServiceModel(batch_overhead_s=0.002, per_sample_s=0.001)
@@ -81,54 +81,13 @@ def _scaled_link(link: LinkSpec, scale: float) -> LinkSpec:
     )
 
 
-def run_distributed_serving(
-    scale: Optional[ExperimentScale] = None,
-    threshold: float = 0.8,
-    worker_counts: Sequence[int] = DEFAULT_WORKER_COUNTS,
-    bandwidth_scales: Sequence[float] = DEFAULT_BANDWIDTH_SCALES,
-    threshold_sweep: Sequence[float] = DEFAULT_THRESHOLD_SWEEP,
-    offered_x: float = 1.5,
-    num_requests: int = 240,
-    max_batch_size: int = 8,
-    max_wait_s: float = 0.005,
-    seed: int = 0,
-    calibrate: bool = False,
-    backend: str = "simulated",
-) -> ExperimentResult:
-    """Sweep p95 latency and offload fraction across the fabric's knobs.
-
-    ``backend="thread"`` runs every row on real thread-pool workers against
-    wall-clock time: latencies become machine-dependent measurements
-    instead of deterministic simulated values, while offload fractions,
-    bytes and accuracy stay identical to the simulated table — that
-    cross-check is what the CI smoke row relies on.
-    """
+def run_distributed_serving(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
+    """Sweep p95 latency and offload fraction across the fabric's knobs."""
     scale = scale if scale is not None else default_scale()
-    if num_requests < 1:
-        raise ValueError("num_requests must be >= 1")
     model, _ = get_trained_ddnn(scale)
     _, test_set = get_dataset(scale)
-
-    # Per-op-timing calibration of the device-tier service model: always
-    # recorded in the metadata, swapped into the rows with calibrate=True.
-    calibration_batch = max(2, min(max_batch_size, len(test_set)))
-    measured = ServiceModel.from_plan_timings(
-        model,
-        test_set.images[0],
-        batch_size=calibration_batch,
-    )
-    device_service = measured if calibrate else DEVICE_SERVICE
-    upper_service = (
-        ServiceModel(
-            batch_overhead_s=0.5 * measured.batch_overhead_s,
-            per_sample_s=0.5 * measured.per_sample_s,
-        )
-        if calibrate
-        else UPPER_SERVICE
-    )
-    capacity_rps = device_service.capacity_rps(max_batch_size)
-    offered_rps = offered_x * capacity_rps
-    batching = BatchingPolicy(max_batch_size=max_batch_size, max_wait_s=max_wait_s)
+    capacity_rps = DEVICE_SERVICE.capacity_rps(BATCHING.max_batch_size)
+    offered_rps = OFFERED_X * capacity_rps
 
     result = ExperimentResult(
         name="distributed_serving",
@@ -149,17 +108,14 @@ def run_distributed_serving(
         ],
         metadata={
             "scale": scale.name,
-            "offered_x": offered_x,
+            "offered_x": OFFERED_X,
             "offered_rps": offered_rps,
             "capacity_rps_1worker": capacity_rps,
-            "num_requests": num_requests,
-            "max_batch_size": max_batch_size,
-            "max_wait_s": max_wait_s,
-            "seed": seed,
-            "backend": backend,
-            "service_calibration": "plan-timings" if calibrate else "hand-set",
-            "measured_plan_batch_overhead_ms": 1e3 * measured.batch_overhead_s,
-            "measured_plan_per_sample_ms": 1e3 * measured.per_sample_s,
+            "num_requests": NUM_REQUESTS,
+            "max_batch_size": BATCHING.max_batch_size,
+            "max_wait_s": BATCHING.max_wait_s,
+            "seed": SEED,
+            "backend": "simulated",
         },
     )
 
@@ -181,21 +137,17 @@ def run_distributed_serving(
             deployment,
             row_threshold,
             workers_per_tier=workers,
-            batching=batching,
-            service_models=[device_service]
-            + [upper_service] * (1 + (1 if deployment.model.has_edge else 0)),
+            batching=BATCHING,
+            service_models=[DEVICE_SERVICE]
+            + [UPPER_SERVICE] * (1 + (1 if deployment.model.has_edge else 0)),
             adaptive=adaptive,
-            backend=backend,
         )
-        try:
-            report = fabric.open_loop(
-                PoissonProcess(offered_rps, seed=row_seed),
-                test_set.images,
-                targets=test_set.labels,
-                num_requests=num_requests,
-            )
-        finally:
-            fabric.close()
+        report = fabric.open_loop(
+            PoissonProcess(offered_rps, seed=row_seed),
+            test_set.images,
+            targets=test_set.labels,
+            num_requests=NUM_REQUESTS,
+        )
         result.add_row(
             sweep=sweep,
             workers=workers,
@@ -211,14 +163,16 @@ def run_distributed_serving(
             accuracy_pct=0.0 if report.accuracy is None else 100.0 * report.accuracy,
         )
 
-    for workers in worker_counts:
-        _run_row("workers", workers, 1.0, threshold, None, seed)
-    for bandwidth_x in bandwidth_scales:
-        _run_row("bandwidth", 2, bandwidth_x, threshold, None, seed + 1)
-    for row_threshold in threshold_sweep:
-        _run_row("threshold", 2, 1.0, row_threshold, None, seed + 2)
+    for workers in WORKER_COUNTS:
+        _run_row("workers", workers, 1.0, THRESHOLD, None, SEED)
+    for bandwidth_x in BANDWIDTH_SCALES:
+        _run_row("bandwidth", 2, bandwidth_x, THRESHOLD, None, SEED + 1)
+    for row_threshold in THRESHOLD_SWEEP:
+        _run_row("threshold", 2, 1.0, row_threshold, None, SEED + 2)
     # Adaptive shedding under a saturated single worker: matched pair with
     # the workers=1 row (same seed), adaptive off vs on.
-    adaptive = AdaptiveThreshold(depth_trigger=2 * max_batch_size, relaxed_threshold=1.0)
-    _run_row("adaptive", 1, 1.0, threshold, adaptive, seed)
+    adaptive = AdaptiveThreshold(
+        depth_trigger=2 * BATCHING.max_batch_size, relaxed_threshold=1.0
+    )
+    _run_row("adaptive", 1, 1.0, THRESHOLD, adaptive, SEED)
     return result

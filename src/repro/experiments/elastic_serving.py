@@ -47,47 +47,39 @@ from .results import ExperimentResult
 from .runner import ExperimentScale, available_cpu_count, default_scale
 from .scenarios import ServingTrace
 
-__all__ = [
-    "DEFAULT_PEAK_WORKERS",
-    "run_elastic_serving",
-]
+__all__ = ["run_elastic_serving"]
 
-DEFAULT_PEAK_WORKERS = 3
+THRESHOLD = 0.8
+#: Peak worker budget per tier: the static-peak count and the elastic maximum.
+PEAK_WORKERS = 3
+#: Diurnal arrivals per configuration.
+NUM_REQUESTS = 240
+#: Ingress queue bound of the shed-local admission policy.
+CAPACITY = 32
+SEED = 0
 
 
-def run_elastic_serving(
-    scale: Optional[ExperimentScale] = None,
-    threshold: float = 0.8,
-    peak_workers: int = DEFAULT_PEAK_WORKERS,
-    num_requests: int = 240,
-    max_batch_size: int = 4,
-    capacity: int = 32,
-    seed: int = 0,
-) -> ExperimentResult:
+def run_elastic_serving(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
     """Measure static-vs-elastic tails and mid-run repartition identity."""
     scale = scale if scale is not None else default_scale()
-    if peak_workers < 2:
-        raise ValueError(f"peak_workers must be >= 2, got {peak_workers}")
-    if num_requests < 8:
-        raise ValueError(f"num_requests must be >= 8, got {num_requests}")
 
-    trace = ServingTrace(scale, max_batch_size, num_requests)
+    trace = ServingTrace(scale, NUM_REQUESTS)
     model, views, targets = trace.model, trace.views, trace.targets
     batching, one_worker_rps = trace.batching, trace.one_worker_rps
     # One device-tier worker sustains ~one_worker_rps on full batches; the
-    # diurnal crest offers peak_workers times the trough, so static-min
+    # diurnal crest offers PEAK_WORKERS times the trough, so static-min
     # drowns at the crest while the peak budget keeps up with headroom.
     base_rate = 0.6 * one_worker_rps
-    peak_rate = 0.8 * peak_workers * one_worker_rps
+    peak_rate = 0.8 * PEAK_WORKERS * one_worker_rps
     # Scale up on the first sign of backlog (a queued request *is* the
     # evidence), release a worker after a sustained lull.
     policy = AutoscalePolicy(
         min_workers=1,
-        max_workers=peak_workers,
+        max_workers=PEAK_WORKERS,
         high_watermark=1,
         low_watermark=0,
         cooldown_s=0.5,
-        step=peak_workers - 1,
+        step=PEAK_WORKERS - 1,
     )
 
     result = ExperimentResult(
@@ -106,14 +98,14 @@ def run_elastic_serving(
         ],
         metadata={
             "scale": scale.name,
-            "threshold": threshold,
-            "num_requests": num_requests,
-            "peak_worker_budget": peak_workers,
-            "capacity": capacity,
+            "threshold": THRESHOLD,
+            "num_requests": NUM_REQUESTS,
+            "peak_worker_budget": PEAK_WORKERS,
+            "capacity": CAPACITY,
             "base_rate_rps": base_rate,
             "peak_rate_rps": peak_rate,
             "one_worker_rps": one_worker_rps,
-            "seed": seed,
+            "seed": SEED,
             "cpu_count": available_cpu_count(),
             "backend": "simulated",
             "note": (
@@ -125,30 +117,30 @@ def run_elastic_serving(
 
     # ------------------------------------------------------------------ #
     # Diurnal ramp: identical arrival stream, three provisioning schemes.
-    period = 2.0 * num_requests / (base_rate + peak_rate)  # ~one full cycle
+    period = 2.0 * NUM_REQUESTS / (base_rate + peak_rate)  # ~one full cycle
 
     def _ramp(config: str) -> dict:
         if config == "static-min":
             plan = PartitionPlan(model, workers_per_tier=1)
         elif config == "static-peak":
-            plan = PartitionPlan(model, workers_per_tier=peak_workers)
+            plan = PartitionPlan(model, workers_per_tier=PEAK_WORKERS)
         else:
             plan = PartitionPlan(model, workers_per_tier=1, autoscale=policy)
         fabric = DistributedServingFabric.from_plan(
             plan,
-            threshold,
+            THRESHOLD,
             batching=batching,
             service_models=trace.service_models(plan),
-            capacity=capacity,
+            capacity=CAPACITY,
             admission=admission_policy("shed-local"),
         )
-        process = DiurnalProcess(base_rate, peak_rate, period_s=period, seed=seed)
+        process = DiurnalProcess(base_rate, peak_rate, period_s=period, seed=SEED)
         report = fabric.open_loop(
-            process, views, targets=targets, num_requests=num_requests
+            process, views, targets=targets, num_requests=NUM_REQUESTS
         )
         require(
             f"elastic diurnal ramp '{config}'",
-            check_conservation(num_requests, fabric.admission_stats.as_dict()),
+            check_conservation(NUM_REQUESTS, fabric.admission_stats.as_dict()),
         )
         scaler = fabric.autoscaler
         return {
@@ -166,8 +158,8 @@ def run_elastic_serving(
     for config, row in ramp.items():
         workers = {
             "static-min": "1",
-            "static-peak": str(peak_workers),
-            "elastic": f"1..{peak_workers}",
+            "static-peak": str(PEAK_WORKERS),
+            "elastic": f"1..{PEAK_WORKERS}",
         }[config]
         result.add_row(
             sweep="diurnal",
@@ -195,7 +187,7 @@ def run_elastic_serving(
     # compare post-handoff routing against a fabric born at the new boundary.
     plan_a = PartitionPlan(model)
     plan_b = plan_a.with_changes(local_exit=False)
-    burst = min(num_requests, len(views))
+    burst = min(NUM_REQUESTS, len(views))
     gap = 1.0 / (1.5 * one_worker_rps)  # mild overload so a backlog exists
     switch_at = burst * gap / 2.0
     # The same modelled service times on both fabrics (they change *when*
@@ -204,7 +196,7 @@ def run_elastic_serving(
     tier_services = trace.service_models(plan_a)
 
     live = DistributedServingFabric.from_plan(
-        plan_a, threshold, batching=batching, service_models=tier_services
+        plan_a, THRESHOLD, batching=batching, service_models=tier_services
     )
     for index in range(burst):
         live.submit(views[index], target=targets[index], at=index * gap)
@@ -217,7 +209,7 @@ def run_elastic_serving(
     assert handoff is not None
 
     fresh = DistributedServingFabric.from_plan(
-        plan_b, threshold, batching=batching, service_models=tier_services
+        plan_b, THRESHOLD, batching=batching, service_models=tier_services
     )
     for index in range(burst):
         fresh.submit(views[index], target=targets[index], at=index * gap)

@@ -31,7 +31,7 @@ The benchmark harness records the table as
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..serving import (
     AdmissionStats,
@@ -46,18 +46,24 @@ from ..serving.invariants import check_conservation, require
 from .results import ExperimentResult
 from .runner import ExperimentScale, default_scale, get_dataset, get_trained_ddnn
 
-__all__ = [
-    "DEFAULT_LOAD_MULTIPLIERS",
-    "DEFAULT_POLICIES",
-    "run_overload_study",
-    "queue_latency_bound_s",
-]
+__all__ = ["run_overload_study", "queue_latency_bound_s"]
 
-#: Offered load as multiples of the measured serving capacity.
-DEFAULT_LOAD_MULTIPLIERS = (0.5, 1.0, 2.0, 4.0)
+THRESHOLD = 0.8
+#: Request-queue bound of the admission policies.
+CAPACITY = 48
+BATCHING = BatchingPolicy(max_batch_size=16, max_wait_s=0.005)
+SERVICE_MODEL = ServiceModel()
+
+#: Offered load as multiples of the serving capacity.
+LOAD_MULTIPLIERS = (0.5, 1.0, 2.0, 4.0)
 
 #: "unbounded" is the no-admission baseline; the rest are bounded-queue policies.
-DEFAULT_POLICIES = ("unbounded", "reject", "drop-oldest", "shed-local")
+POLICIES = ("unbounded", "reject", "drop-oldest", "shed-local")
+
+#: Arrivals per run; the unbounded divergence sweep runs n/2, n and 2n.
+NUM_REQUESTS = 400
+GROWTH_LENGTHS = (NUM_REQUESTS // 2, NUM_REQUESTS, 2 * NUM_REQUESTS)
+SEED = 0
 
 
 def queue_latency_bound_s(
@@ -75,26 +81,18 @@ def queue_latency_bound_s(
 
 
 def _run_one(
-    model,
-    test_set,
-    threshold: float,
-    policy_name: str,
-    batching: BatchingPolicy,
-    service_model: ServiceModel,
-    capacity: int,
-    offered_rps: float,
-    num_requests: int,
-    seed: int,
+    model, test_set, policy_name: str, offered_rps: float, num_requests: int, seed: int
 ) -> Tuple[FabricReport, AdmissionStats]:
     """One open-loop run: the report over the queued-and-served responses,
     and the ingress admission counters."""
+    bounded = policy_name != "unbounded"
     server = DDNNServer(
         model,
-        threshold,
-        policy=batching,
-        capacity=None if policy_name == "unbounded" else capacity,
-        admission=None if policy_name == "unbounded" else admission_policy(policy_name),
-        service_models=[service_model],
+        THRESHOLD,
+        policy=BATCHING,
+        capacity=CAPACITY if bounded else None,
+        admission=admission_policy(policy_name) if bounded else None,
+        service_models=[SERVICE_MODEL],
     )
     report = server.open_loop(
         PoissonProcess(offered_rps, seed=seed),
@@ -106,40 +104,18 @@ def _run_one(
     return server.report(served), server.admission_stats
 
 
-def run_overload_study(
-    scale: Optional[ExperimentScale] = None,
-    threshold: float = 0.8,
-    capacity: int = 48,
-    max_batch_size: int = 16,
-    max_wait_s: float = 0.005,
-    load_multipliers: Sequence[float] = DEFAULT_LOAD_MULTIPLIERS,
-    policies: Sequence[str] = DEFAULT_POLICIES,
-    num_requests: int = 400,
-    growth_lengths: Optional[Tuple[int, ...]] = None,
-    service_model: Optional[ServiceModel] = None,
-    seed: int = 0,
-) -> ExperimentResult:
+def run_overload_study(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
     """Sweep offered load x admission policy; add a run-length sweep for the
     unbounded baseline at 2x capacity (the divergence demonstration).
 
-    ``growth_lengths`` defaults to ``(num_requests // 2, num_requests,
-    2 * num_requests)`` so one knob scales the whole study (the CI smoke
-    job runs it tiny).
-
     The server's real inference runs on the compiled path (it routes
     exactly like the eager one); the tabulated latencies come from the
-    deterministic affine ``service_model``, so every row is
+    deterministic affine :data:`SERVICE_MODEL`, so every row is
     machine-independent and the table is reproduced byte for byte.
     """
     scale = scale if scale is not None else default_scale()
-    if num_requests < 2:
-        raise ValueError("num_requests must be >= 2")
-    if growth_lengths is None:
-        growth_lengths = (max(num_requests // 2, 2), num_requests, 2 * num_requests)
-    service_model = service_model if service_model is not None else ServiceModel()
-    batching = BatchingPolicy(max_batch_size=max_batch_size, max_wait_s=max_wait_s)
-    capacity_rps = service_model.capacity_rps(max_batch_size)
-    bound_s = queue_latency_bound_s(capacity, batching, service_model)
+    capacity_rps = SERVICE_MODEL.capacity_rps(BATCHING.max_batch_size)
+    bound_s = queue_latency_bound_s(CAPACITY, BATCHING, SERVICE_MODEL)
 
     model, _ = get_trained_ddnn(scale)
     _, test_set = get_dataset(scale)
@@ -163,16 +139,16 @@ def run_overload_study(
         ],
         metadata={
             "scale": scale.name,
-            "threshold": threshold,
-            "capacity": capacity,
-            "max_batch_size": max_batch_size,
-            "max_wait_s": max_wait_s,
-            "service_batch_overhead_s": service_model.batch_overhead_s,
-            "service_per_sample_s": service_model.per_sample_s,
+            "threshold": THRESHOLD,
+            "capacity": CAPACITY,
+            "max_batch_size": BATCHING.max_batch_size,
+            "max_wait_s": BATCHING.max_wait_s,
+            "service_batch_overhead_s": SERVICE_MODEL.batch_overhead_s,
+            "service_per_sample_s": SERVICE_MODEL.per_sample_s,
             "capacity_rps": capacity_rps,
-            "num_requests": num_requests,
-            "growth_lengths": tuple(growth_lengths),
-            "seed": seed,
+            "num_requests": NUM_REQUESTS,
+            "growth_lengths": GROWTH_LENGTHS,
+            "seed": SEED,
         },
     )
 
@@ -211,39 +187,31 @@ def run_overload_study(
             p95_bound_ms=1e3 * bound_s if bounded else float("inf"),
         )
 
-    for policy_name in policies:
-        for multiplier_index, multiplier in enumerate(load_multipliers):
+    for policy_name in POLICIES:
+        for multiplier_index, multiplier in enumerate(LOAD_MULTIPLIERS):
             report, stats = _run_one(
                 model,
                 test_set,
-                threshold,
                 policy_name,
-                batching,
-                service_model,
-                capacity,
                 offered_rps=multiplier * capacity_rps,
-                num_requests=num_requests,
-                seed=seed + multiplier_index,
+                num_requests=NUM_REQUESTS,
+                seed=SEED + multiplier_index,
             )
-            _add_row(policy_name, multiplier, num_requests, report, stats)
+            _add_row(policy_name, multiplier, NUM_REQUESTS, report, stats)
 
     # Divergence demonstration: the unbounded baseline at 2x capacity,
     # re-run with growing run lengths.  Bounded policies' p95 is flat in run
     # length (pinned by the capacity bound above); the unbounded p95 scales
     # with it.  Same arrival seed for every length, so the shorter runs are
     # prefixes of the longer ones.
-    for length in growth_lengths:
+    for length in GROWTH_LENGTHS:
         report, stats = _run_one(
             model,
             test_set,
-            threshold,
             "unbounded",
-            batching,
-            service_model,
-            capacity,
             offered_rps=2.0 * capacity_rps,
             num_requests=length,
-            seed=seed + 1000,
+            seed=SEED + 1000,
         )
         _add_row("unbounded", 2.0, length, report, stats)
     return result

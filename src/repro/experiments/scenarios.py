@@ -42,14 +42,14 @@ class ServingTrace:
     row is machine-independent and the studies stay comparable.
     """
 
-    def __init__(self, scale: ExperimentScale, max_batch_size: int, num_requests: int) -> None:
+    def __init__(self, scale: ExperimentScale, num_requests: int) -> None:
         self.model, _ = get_trained_ddnn(scale)
         _, test_set = get_dataset(scale)
         self.views = test_set.images
         self.targets = [int(label) for label in test_set.labels]
         self.service = ServiceModel(batch_overhead_s=0.002, per_sample_s=0.004)
-        self.batching = BatchingPolicy(max_batch_size=max_batch_size, max_wait_s=0.004)
-        self.one_worker_rps = self.service.capacity_rps(max_batch_size)
+        self.batching = BatchingPolicy(max_batch_size=4, max_wait_s=0.004)
+        self.one_worker_rps = self.service.capacity_rps(self.batching.max_batch_size)
         # The chaos/SLO Poisson trace offers half of one worker's capacity, so
         # a latency bulge measured under chaos is the fault, not overload.
         self.rate_rps = 0.5 * self.one_worker_rps

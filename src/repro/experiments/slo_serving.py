@@ -30,23 +30,16 @@ worker-crash p99 against no-slo (queue retirement caps the blackout
 tail); and every cell must replay byte-identically — same seed, fresh
 fabrics → identical per-request accounting *including hedge decisions and
 deadline flags*.
-
-A separate wall-clock smoke (:func:`run_wallclock_slo_smoke`) runs the
-same machinery — chaos schedule, retry policy, deadlines — on the
-``thread`` backend against a real :class:`~repro.serving.clock.WallClock`
-with tolerance-based assertions, so the SLO plane is exercised outside
-the simulated-clock comfort zone.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
-from ..hierarchy.faults import ChaosSchedule, LinkLoss, WorkerCrash
 from ..hierarchy.plan import PartitionPlan
-from ..serving import DistributedServingFabric, HedgePolicy, LoadBalancer, PoissonProcess
+from ..serving import HedgePolicy, LoadBalancer, PoissonProcess
 from ..serving.invariants import (
     accounting,
     check_exactly_once,
@@ -56,17 +49,24 @@ from ..serving.invariants import (
 )
 from .results import ExperimentResult
 from .runner import ExperimentScale, available_cpu_count, default_scale
-from .scenarios import SCENARIOS as DEFAULT_SCENARIOS
-from .scenarios import ServingTrace, chaos_schedule, fault_windows, flap_cycle, retry_ladder
+from .scenarios import (
+    SCENARIOS,
+    ServingTrace,
+    chaos_schedule,
+    fault_windows,
+    flap_cycle,
+    retry_ladder,
+)
 
-__all__ = [
-    "DEFAULT_MODES",
-    "DEFAULT_SCENARIOS",
-    "run_slo_serving",
-    "run_wallclock_slo_smoke",
-]
+__all__ = ["run_slo_serving"]
 
-DEFAULT_MODES = ("no-slo", "deadline", "deadline+hedge")
+MODES = ("no-slo", "deadline", "deadline+hedge")
+#: Local-exit entropy threshold of the cascade.
+THRESHOLD = 0.8
+#: Poisson arrivals served under every (mode, scenario) cell.
+NUM_REQUESTS = 160
+#: Seed of the arrival process, chaos draws and retry jitter.
+SEED = 0
 
 #: Hedge trigger as a fraction of the offload group's remaining budget.
 #: It must sit between one healthy delivery (<= deadline/2 of a budget of
@@ -76,34 +76,15 @@ DEFAULT_MODES = ("no-slo", "deadline", "deadline+hedge")
 HEDGE_TRIGGER_FRACTION = 0.1
 
 
-def run_slo_serving(
-    scale: Optional[ExperimentScale] = None,
-    threshold: float = 0.8,
-    num_requests: int = 160,
-    max_batch_size: int = 4,
-    seed: int = 0,
-    scenarios: Sequence[str] = DEFAULT_SCENARIOS,
-    modes: Sequence[str] = DEFAULT_MODES,
-) -> ExperimentResult:
+def run_slo_serving(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
     """Serve one trace per (mode, scenario); assert the SLO plane's contract."""
     scale = scale if scale is not None else default_scale()
-    if num_requests < 16:
-        raise ValueError(f"num_requests must be >= 16, got {num_requests}")
-    unknown = [s for s in scenarios if s not in DEFAULT_SCENARIOS]
-    if unknown:
-        raise ValueError(f"unknown scenarios {unknown} (choose from {DEFAULT_SCENARIOS})")
-    unknown = [m for m in modes if m not in DEFAULT_MODES]
-    if unknown:
-        raise ValueError(f"unknown modes {unknown} (choose from {DEFAULT_MODES})")
-    if "none" not in scenarios:
-        scenarios = ("none",) + tuple(scenarios)
-    modes = tuple(m for m in DEFAULT_MODES if m in modes)  # canonical order
 
     # Same trace, ladder and fault timetable as the chaos study, so the two
     # tables are comparable cell for cell.
-    trace = ServingTrace(scale, max_batch_size, num_requests)
+    trace = ServingTrace(scale, NUM_REQUESTS)
     rate, horizon = trace.rate_rps, trace.horizon_s
-    policy, breaker, transfer = retry_ladder(PartitionPlan(trace.model), seed)
+    policy, breaker, transfer = retry_ladder(PartitionPlan(trace.model), SEED)
     deadline = policy.deadline_s
     # The end-to-end budget: generous against one healthy journey, tight
     # against the retry ladder's worst case — so the budget only ever binds
@@ -150,7 +131,7 @@ def run_slo_serving(
         )
         balancer = LoadBalancer.from_plan(
             plan,
-            threshold,
+            THRESHOLD,
             strategy="round-robin",
             batching=trace.batching,
             service_models=trace.service_models(plan),
@@ -159,11 +140,11 @@ def run_slo_serving(
             edf=use_deadline,
         )
         origin = balancer.replicas[0]
-        schedule = chaos_schedule(scenario, windows, flap, origin.tier_names[-1], seed)
+        schedule = chaos_schedule(scenario, windows, flap, origin.tier_names[-1], SEED)
         if schedule is not None:
             origin.attach_chaos(schedule)
-        arrivals = PoissonProcess(rate_rps=rate, seed=seed + 1)
-        for count, when in zip(range(num_requests), arrivals):
+        arrivals = PoissonProcess(rate_rps=rate, seed=SEED + 1)
+        for count, when in zip(range(NUM_REQUESTS), arrivals):
             index = count % len(trace.views)
             origin.submit(trace.views[index], target=trace.targets[index], at=when)
         balancer.run_until_idle(drain=True)
@@ -172,7 +153,7 @@ def run_slo_serving(
         require(
             f"slo cell ({mode}, {scenario}) (expired or not, every request must "
             "be answered exactly once, and expired work retired, not computed)",
-            check_exactly_once(num_requests, report.responses),
+            check_exactly_once(NUM_REQUESTS, report.responses),
             check_no_expired_compute(resilience),
         )
         # A hit answers strictly inside the budget with its intended (not
@@ -220,8 +201,8 @@ def run_slo_serving(
         ],
         metadata={
             "scale": scale.name,
-            "threshold": threshold,
-            "num_requests": num_requests,
+            "threshold": THRESHOLD,
+            "num_requests": NUM_REQUESTS,
             "offered_rate_rps": rate,
             "horizon_s": horizon,
             "slo_s": slo_s,
@@ -233,7 +214,7 @@ def run_slo_serving(
             "flap": {"period_s": flap[0], "down_s": flap[1]},
             "partition_window_s": list(windows["cloud-partition"]),
             "crash_window_s": list(windows["worker-crash"]),
-            "seed": seed,
+            "seed": SEED,
             "cpu_count": available_cpu_count(),
             "backend": "simulated",
             "note": (
@@ -250,12 +231,12 @@ def run_slo_serving(
     )
 
     outcomes: Dict[tuple, Dict] = {}
-    for mode in modes:
-        for scenario in scenarios:
+    for mode in MODES:
+        for scenario in SCENARIOS:
             first = _run(mode, scenario)
             second = _run(mode, scenario)
             require(
-                f"slo cell ({mode}, {scenario}) under seed {seed}",
+                f"slo cell ({mode}, {scenario}) under seed {SEED}",
                 check_replay(first["accounting"], second["accounting"]),
             )
             outcomes[(mode, scenario)] = first
@@ -278,7 +259,7 @@ def run_slo_serving(
             )
 
     # -- fault-free baselines never touch the SLO recovery machinery ------ #
-    for mode in modes:
+    for mode in MODES:
         baseline = outcomes[(mode, "none")]
         report = baseline["report"]
         resilience = baseline["resilience"]
@@ -300,9 +281,9 @@ def run_slo_serving(
                 f"{report.hedge_total} hedge(s) — the trigger fraction "
                 f"({hedge.trigger_fraction}) fires before one healthy delivery"
             )
-    if outcomes[(modes[0], "none")]["report"].offload_fraction <= 0.0:
+    if outcomes[("no-slo", "none")]["report"].offload_fraction <= 0.0:
         raise RuntimeError(
-            f"threshold {threshold} offloads nothing at the baseline — the "
+            f"threshold {THRESHOLD} offloads nothing at the baseline — the "
             "SLO plane would be unexercised; lower the threshold"
         )
 
@@ -310,57 +291,53 @@ def run_slo_serving(
     # Gated on the in-window tail (chaos_p99_ms): hedging's claim is about
     # the requests the fault actually touched, and the whole-trace p99
     # quantile can land on an unaffected request at some trace lengths.
-    if "deadline" in modes and "deadline+hedge" in modes:
-        for scenario in ("flaky-uplink", "cloud-partition"):
-            if scenario not in scenarios:
-                continue
-            plain = outcomes[("deadline", scenario)]
-            hedged = outcomes[("deadline+hedge", scenario)]
-            if hedged["report"].served != plain["report"].served:
-                raise RuntimeError(
-                    f"hedging changed the answer count on '{scenario}' "
-                    f"({hedged['report'].served} vs {plain['report'].served}) "
-                    "— p99 comparison is meaningless"
-                )
-            if not hedged["window_p99_s"] < plain["window_p99_s"]:
-                raise RuntimeError(
-                    f"hedging did not strictly improve '{scenario}' in-window "
-                    f"p99: {1e3 * hedged['window_p99_s']:.2f}ms (hedged) vs "
-                    f"{1e3 * plain['window_p99_s']:.2f}ms (deadline-only) at "
-                    f"{hedged['report'].served} answers each"
-                )
-            if hedged["report"].hedge_total == 0:
-                raise RuntimeError(
-                    f"'{scenario}' sent zero hedges — the trigger never fired, "
-                    "so the improvement (if any) is not hedging"
-                )
+    for scenario in ("flaky-uplink", "cloud-partition"):
+        plain = outcomes[("deadline", scenario)]
+        hedged = outcomes[("deadline+hedge", scenario)]
+        if hedged["report"].served != plain["report"].served:
+            raise RuntimeError(
+                f"hedging changed the answer count on '{scenario}' "
+                f"({hedged['report'].served} vs {plain['report'].served}) "
+                "— p99 comparison is meaningless"
+            )
+        if not hedged["window_p99_s"] < plain["window_p99_s"]:
+            raise RuntimeError(
+                f"hedging did not strictly improve '{scenario}' in-window "
+                f"p99: {1e3 * hedged['window_p99_s']:.2f}ms (hedged) vs "
+                f"{1e3 * plain['window_p99_s']:.2f}ms (deadline-only) at "
+                f"{hedged['report'].served} answers each"
+            )
+        if hedged["report"].hedge_total == 0:
+            raise RuntimeError(
+                f"'{scenario}' sent zero hedges — the trigger never fired, "
+                "so the improvement (if any) is not hedging"
+            )
 
     # -- deadline propagation must cap the worker-crash blackout tail ----- #
-    if "no-slo" in modes and "deadline" in modes and "worker-crash" in scenarios:
-        unbounded = outcomes[("no-slo", "worker-crash")]
-        bounded = outcomes[("deadline", "worker-crash")]
-        if not bounded["hit_rate"] > unbounded["hit_rate"]:
-            raise RuntimeError(
-                "deadline propagation did not strictly improve the "
-                f"worker-crash hit rate: {100 * bounded['hit_rate']:.1f}% "
-                f"(deadline) vs {100 * unbounded['hit_rate']:.1f}% (no-slo) — "
-                "retiring expired work should protect the not-yet-expired "
-                "backlog"
-            )
-        if not bounded["window_p99_s"] < unbounded["window_p99_s"]:
-            raise RuntimeError(
-                "deadline propagation did not strictly improve the "
-                f"worker-crash in-window p99: "
-                f"{1e3 * bounded['window_p99_s']:.2f}ms (deadline) vs "
-                f"{1e3 * unbounded['window_p99_s']:.2f}ms (no-slo) — queue "
-                "retirement should cap the blackout tail"
-            )
-        if outcomes[("deadline", "worker-crash")]["resilience"]["deadline_expired"] == 0:
-            raise RuntimeError(
-                "the worker-crash window expired nothing under deadlines — "
-                "the blackout never intersected a queued budget, so the "
-                "retirement path went unexercised"
-            )
+    unbounded = outcomes[("no-slo", "worker-crash")]
+    bounded = outcomes[("deadline", "worker-crash")]
+    if not bounded["hit_rate"] > unbounded["hit_rate"]:
+        raise RuntimeError(
+            "deadline propagation did not strictly improve the "
+            f"worker-crash hit rate: {100 * bounded['hit_rate']:.1f}% "
+            f"(deadline) vs {100 * unbounded['hit_rate']:.1f}% (no-slo) — "
+            "retiring expired work should protect the not-yet-expired "
+            "backlog"
+        )
+    if not bounded["window_p99_s"] < unbounded["window_p99_s"]:
+        raise RuntimeError(
+            "deadline propagation did not strictly improve the "
+            f"worker-crash in-window p99: "
+            f"{1e3 * bounded['window_p99_s']:.2f}ms (deadline) vs "
+            f"{1e3 * unbounded['window_p99_s']:.2f}ms (no-slo) — queue "
+            "retirement should cap the blackout tail"
+        )
+    if bounded["resilience"]["deadline_expired"] == 0:
+        raise RuntimeError(
+            "the worker-crash window expired nothing under deadlines — "
+            "the blackout never intersected a queued budget, so the "
+            "retirement path went unexercised"
+        )
 
     result.metadata["resilience_stats"] = {
         f"{mode}/{scenario}": outcome["resilience"]
@@ -375,120 +352,3 @@ def run_slo_serving(
         for (mode, scenario), outcome in outcomes.items()
     }
     return result
-
-
-def run_wallclock_slo_smoke(
-    scale: Optional[ExperimentScale] = None,
-    threshold: float = 0.8,
-    num_requests: int = 24,
-    seed: int = 0,
-) -> Dict:
-    """Chaos + deadlines on the ``thread`` backend under a real WallClock.
-
-    The simulated table above proves the semantics; this smoke proves the
-    same machinery holds up when time is real: worker-crash windows open
-    and close at wall-clock boundaries, offload retry timers genuinely
-    wait, and expiry timers retire queued requests mid-run.  Assertions
-    are tolerance-based (real scheduling jitters); the exactly-once and
-    honest-flag invariants are exact on any machine.  Returns a dict of
-    the measured facts for the caller to print or assert on further.
-    """
-    scale = scale if scale is not None else default_scale()
-    trace = ServingTrace(scale, 4, num_requests)
-    views, targets = trace.views, trace.targets
-    plan = PartitionPlan(trace.model)
-    policy, _, _ = retry_ladder(plan, seed, max_retries=2)
-    # The budget must be generous against one healthy journey (~tens of ms
-    # on the tiny model) yet clearly shorter than the blackout, so queued
-    # requests genuinely expire on the wall clock and are retired mid-crash.
-    slo_s = 0.25
-    crash = (0.15, 0.70)  # real seconds: the cloud tier goes dark mid-run
-    fabric = DistributedServingFabric.from_plan(
-        plan,
-        threshold,
-        batching=trace.batching,
-        backend="thread",
-        offload=policy,
-        slo_s=slo_s,
-        edf=True,
-    )
-    try:
-        fabric.attach_chaos(
-            ChaosSchedule(
-                crashes=[
-                    WorkerCrash(tier=fabric.tier_names[-1], start=crash[0], end=crash[1])
-                ],
-                losses=[
-                    LinkLoss(
-                        probability=0.3,
-                        destination=fabric.tier_names[-1],
-                        start=0.0,
-                        end=crash[0],
-                    )
-                ],
-                seed=seed,
-            )
-        )
-        started = fabric.clock.now
-        gap = 0.01
-        for count in range(num_requests):
-            index = count % len(views)
-            fabric.submit(
-                views[index], target=targets[index], at=started + count * gap
-            )
-        responses = fabric.run_until_idle(drain=True)
-        elapsed = fabric.clock.now - started
-    finally:
-        fabric.close()
-
-    stats = fabric.resilience_stats
-    require(
-        "wall-clock slo smoke",
-        check_exactly_once(num_requests, responses),
-        check_no_expired_compute(stats.as_dict()),
-    )
-    # Honest flags, exact on any machine: deadline_exceeded is equivalent to
-    # finishing at/after submit + slo (both sides measured on the same clock).
-    epsilon = 1e-9
-    for r in responses:
-        late = r.latency_s >= slo_s - epsilon
-        if r.deadline_exceeded != late and abs(r.latency_s - slo_s) > 1e-6:
-            raise RuntimeError(
-                f"wall-clock smoke flag mismatch on request {r.request_id}: "
-                f"latency {r.latency_s:.4f}s vs budget {slo_s}s but "
-                f"deadline_exceeded={r.deadline_exceeded}"
-            )
-    # Tolerance bounds: the run must outlast the crash window (the restart
-    # boundary fires on the wall clock) and the budget machinery must keep
-    # the tail within budget + blackout + generous real-scheduling slack.
-    if elapsed < crash[1] - 0.05:  # sleep-until can undershoot by a sliver
-        raise RuntimeError(
-            f"wall-clock smoke finished at {elapsed:.3f}s, before the crash "
-            f"window closed at {crash[1]}s — chaos boundaries were not applied "
-            "on the wall clock"
-        )
-    if stats.deadline_expired == 0:
-        raise RuntimeError(
-            "wall-clock smoke expired nothing: every request submitted into "
-            f"the {crash[1] - crash[0]:.2f}s blackout carries a {slo_s}s "
-            "budget, so queued work must be retired by wall-clock expiry "
-            "timers mid-crash"
-        )
-    worst = max(r.latency_s for r in responses)
-    tail_bound = slo_s + (crash[1] - crash[0]) + 2.0
-    if worst > tail_bound:
-        raise RuntimeError(
-            f"wall-clock smoke worst latency {worst:.3f}s exceeds the "
-            f"tolerance bound {tail_bound:.3f}s"
-        )
-    return {
-        "served": len(responses),
-        "elapsed_s": elapsed,
-        "worst_latency_s": worst,
-        "deadline_expired": stats.deadline_expired,
-        "retries": stats.retries,
-        "failovers": stats.failovers,
-        "degraded": sum(1 for r in responses if r.degraded),
-        "deadline_exceeded": sum(1 for r in responses if r.deadline_exceeded),
-        "cpu_count": available_cpu_count(),
-    }

@@ -105,9 +105,6 @@ class FaultPlan:
         self._rng = np.random.default_rng(self.seed)
         return self
 
-    def is_empty(self) -> bool:
-        return not self.failed_devices and not self.intermittent
-
     def _check_nodes(self, num_devices: int) -> None:
         """Reject indices of devices a deployment lacks: such an entry would
         silently inject no fault at all."""

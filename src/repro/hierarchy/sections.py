@@ -279,13 +279,16 @@ class DeviceTierSection(TierSection):
 
     def _draw_delivery(self, batch: int) -> Optional[np.ndarray]:
         """``(devices, batch)`` mask of samples each device delivers, drawn
-        from the fault plan device by device, sample by sample — ``None``
-        when it delivers everything (always, for an empty plan)."""
+        from the fault plan live device by live device, sample by sample —
+        ``None`` when every live device delivers everything (always, for a
+        plan without intermittent faults).  A dead device's row is left
+        True: :attr:`_DeviceVectors.dead` already drops that device whole."""
         plan = self.fault_plan
-        if plan.is_empty():
+        if not plan.intermittent:
             return None
-        devices = range(len(self.deployment.devices))
-        delivered = np.array([plan.sample_deliveries(index, batch) for index in devices])
+        delivered = np.ones((len(self.deployment.devices), batch), dtype=bool)
+        for index in self._vectors().live:
+            delivered[index] = plan.sample_deliveries(index, batch)
         return None if delivered.all() else delivered
 
     def _device_forwards(self, views: np.ndarray, plans, vectors: _DeviceVectors):

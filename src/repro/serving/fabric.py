@@ -421,7 +421,7 @@ class DistributedServingFabric:
         :func:`build_tier_sections`.
     service_models:
         Optional per-tier :class:`ServiceModel` overriding the node
-        ops-model compute time for worker occupancy (used for calibrated /
+        ops-model compute time for worker occupancy (used for
         machine-independent studies); ``None`` entries keep the section
         estimate.
     adaptive:

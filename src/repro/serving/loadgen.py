@@ -127,9 +127,8 @@ class ServiceModel:
 
     The affine shape is what micro-batching exploits (amortising the fixed
     overhead over ``n`` samples) and is what the real NumPy forward pass
-    exhibits; :meth:`from_plan_timings` calibrates the two coefficients from
-    the compiled plan's kernel timings when machine-specific numbers are
-    wanted.
+    exhibits.  The coefficients are set by hand, not measured, so a
+    simulated run's latencies are the same on every machine.
     """
 
     batch_overhead_s: float = 0.002
@@ -158,54 +157,3 @@ class ServiceModel:
     def capacity_rps(self, batch_size: int) -> float:
         """Sustainable service rate when batches fill to ``batch_size``."""
         return batch_size / self.batch_time_s(batch_size)
-
-    @classmethod
-    def from_plan_timings(
-        cls,
-        model,
-        views: np.ndarray,
-        batch_size: int = 32,
-        repeats: int = 3,
-    ) -> "ServiceModel":
-        """Calibrate from the compiled plan's per-op timing hook.
-
-        Instead of timing whole wall-clock forwards, this enables
-        :meth:`repro.compile.CompiledDDNN.enable_timing`, runs the model's
-        own ``"float64"`` compiled plan
-        (:func:`~repro.compile.cache.compiled_plan_for`) at batch sizes 1
-        and ``batch_size``, and fits the affine model to the summed per-op
-        times — pure kernel time, free of Python dispatch and routing
-        noise.  The per-op breakdown stays available on that plan
-        afterwards (``compiled_plan_for(model).op_timings()``).
-        """
-        from ..compile.cache import compiled_plan_for
-
-        if batch_size < 2:
-            raise ValueError("batch_size must be >= 2 to fit two coefficients")
-        views = np.asarray(views)
-        if views.ndim != 4 and len(views) < batch_size:
-            # views[:n] would silently fit on a smaller batch than asked for.
-            raise ValueError(
-                f"views holds {len(views)} samples, fewer than batch_size={batch_size}; "
-                "pass one sample (repeated to the batch) or at least batch_size"
-            )
-        compiled = compiled_plan_for(model)
-        compiled.enable_timing()
-        try:
-
-            def _plan_time(n: int) -> float:
-                batch = np.repeat(views[None], n, axis=0) if views.ndim == 4 else views[:n]
-                best = math.inf
-                for _ in range(repeats):
-                    compiled.reset_timing()
-                    compiled(batch)
-                    best = min(best, compiled.total_time_s)
-                return best
-
-            t_one = _plan_time(1)
-            t_full = _plan_time(batch_size)
-        finally:
-            compiled.disable_timing()
-        per_sample = max((t_full - t_one) / (batch_size - 1), 1e-9)
-        overhead = max(t_one - per_sample, 0.0)
-        return cls(batch_overhead_s=overhead, per_sample_s=per_sample)

@@ -182,16 +182,6 @@ class TestServiceModel:
         with pytest.raises(ValueError, match=field):
             ServiceModel(**{field: value})
 
-    def test_calibration_needs_a_full_batch_of_views(self, trained_ddnn, tiny_test):
-        """Four views cannot time a 32-row batch: the fit used to run on a
-        4-row batch and report a per-sample cost ten times too small."""
-        with pytest.raises(ValueError, match="batch_size"):
-            ServiceModel.from_plan_timings(trained_ddnn, tiny_test.images[:4], batch_size=32)
-        fitted = ServiceModel.from_plan_timings(
-            trained_ddnn, tiny_test.images[:4], batch_size=4, repeats=1
-        )
-        assert fitted.per_sample_s > 0.0
-
 
 class TestSimulatedClock:
     def test_advance_to_never_goes_backwards(self):

@@ -328,8 +328,7 @@ class TestPlanTiming:
     def test_disabled_by_default(self):
         plan = self._plan()
         plan(RNG.standard_normal((2, 3, 8, 8)))
-        assert plan.total_time_s == 0.0
-        assert all(t.calls == 0 for t in plan.op_timings())
+        assert all(t.calls == 0 and t.total_s == 0.0 for t in plan.op_timings())
 
     def test_accumulates_per_op_and_resets(self):
         plan = self._plan()
@@ -340,14 +339,13 @@ class TestPlanTiming:
         timings = plan.op_timings()
         assert len(timings) == len(plan.ops)
         assert all(t.calls == 2 for t in timings)
-        assert plan.total_time_s > 0.0
-        assert plan.total_time_s == pytest.approx(sum(t.total_s for t in timings))
+        assert sum(t.total_s for t in timings) > 0.0
         assert all(t.mean_s == pytest.approx(t.total_s / 2) for t in timings)
         plan.reset_timing()
-        assert plan.total_time_s == 0.0
+        assert all(t.calls == 0 and t.total_s == 0.0 for t in plan.op_timings())
         plan.disable_timing()
         plan(x)
-        assert plan.total_time_s == 0.0
+        assert all(t.calls == 0 and t.total_s == 0.0 for t in plan.op_timings())
 
     def test_compiled_ddnn_aggregates_all_plans(self):
         model, views = _warmed_model()
@@ -356,22 +354,7 @@ class TestPlanTiming:
         compiled(views)
         timings = compiled.op_timings()
         assert timings and all(t.calls == 1 for t in timings)
-        assert compiled.total_time_s == pytest.approx(sum(t.total_s for t in timings))
         # Every sub-plan contributed (device branches + cloud tier).
         assert {t.plan for t in timings} >= {"device-features", "cloud-head"}
         compiled.reset_timing()
-        assert compiled.total_time_s == 0.0
-
-    def test_service_model_calibration_from_plan_timings(self):
-        from repro.serving import ServiceModel
-
-        model, views = _warmed_model()
-        fitted = ServiceModel.from_plan_timings(model, views[0], batch_size=4, repeats=2)
-        assert fitted.per_sample_s > 0.0
-        assert fitted.batch_overhead_s >= 0.0
-        assert fitted.batch_time_s(4) > fitted.batch_time_s(1)
-        # Timing is switched back off afterwards.
-        compiled = compiled_plan_for(model)
-        before = compiled.total_time_s
-        compiled(views)
-        assert compiled.total_time_s == before
+        assert all(t.calls == 0 and t.total_s == 0.0 for t in compiled.op_timings())

@@ -133,7 +133,6 @@ class TestFaultPlans:
         assert not plan.device_is_down(0)
         assert not plan.sample_delivery(1)
         assert plan.sample_delivery(0)
-        assert not plan.is_empty()
 
     def test_intermittent_failures_probabilistic(self):
         plan = FaultPlan(intermittent={0: 0.5}, seed=0)
@@ -386,8 +385,12 @@ class TestBatchedLinkAccounting:
 
     @pytest.mark.parametrize(
         "fault_plan",
-        [FaultPlan(), FaultPlan(intermittent={0: 0.4, 3: 0.7}, seed=2)],
-        ids=["all-delivered", "partially-delivered"],
+        [
+            FaultPlan(),
+            FaultPlan(intermittent={0: 0.4, 3: 0.7}, seed=2),
+            FaultPlan(failed_devices={1}),
+        ],
+        ids=["all-delivered", "partially-delivered", "dead-device"],
     )
     def test_device_tier_equals_one_message_per_delivered_row(self, trained_ddnn, tiny_test, fault_plan):
         from repro.compile import compiled_plan_for
@@ -398,9 +401,12 @@ class TestBatchedLinkAccounting:
         views = tiny_test.images[:9]
         result = section.process(views, compiled_plan_for(trained_ddnn))
         _, delivered = result.carry
-        assert (delivered is None) == fault_plan.is_empty()
+        # Only dropped samples need a mask: a dead device is dropped whole.
+        assert (delivered is None) == (not fault_plan.intermittent)
         if delivered is None:
             delivered = np.ones((len(deployment.devices), len(views)), dtype=bool)
+        delivered = delivered.copy()
+        delivered[sorted(fault_plan.failed_devices)] = False
         rows = np.array([0, 2, 3, 7])
         transfer = section.offload(result.carry, rows)
 

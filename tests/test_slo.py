@@ -9,8 +9,10 @@ import math
 
 import pytest
 
+from repro.experiments.scenarios import retry_ladder
 from repro.hierarchy import (
     ChaosSchedule,
+    LinkLoss,
     LinkOutage,
     PartitionPlan,
     WorkerCrash,
@@ -387,18 +389,32 @@ class TestReportMetadataUniformity:
 
 # --------------------------------------------------------------------------- #
 class TestWallClockSLO:
+    @pytest.mark.parametrize(
+        "slo_s, crash, num_requests, lossy",
+        [
+            (0.15, (0.05, 0.4), 10, False),
+            # A lossy uplink before the blackout: offloads time out and
+            # retry on real timers, under the studies' transfer-scaled
+            # retry ladder.
+            (0.25, (0.15, 0.70), 24, True),
+        ],
+        ids=["blackout", "loss-then-blackout"],
+    )
     def test_thread_backend_retires_expired_requests_on_the_wall_clock(
-        self, trained_ddnn, tiny_test
+        self, trained_ddnn, tiny_test, slo_s, crash, num_requests, lossy
     ):
         """The same deadline machinery on ``backend="thread"``: a real
         blackout outlasts the budget, so expiry timers must retire queued
         requests in real time.  Bounds are tolerance-based (scheduling
         jitters); exactly-once and flag honesty are exact."""
-        slo_s = 0.15
-        crash = (0.05, 0.4)
+        if lossy:
+            offload = retry_ladder(PartitionPlan(trained_ddnn), 0, max_retries=2)[0]
+            losses = [LinkLoss(probability=0.3, destination="cloud", start=0.0, end=crash[0])]
+        else:
+            offload, losses = POLICY, []
         fabric = _fabric(
             trained_ddnn,
-            offload=POLICY,
+            offload=offload,
             slo_s=slo_s,
             edf=True,
             backend="thread",
@@ -409,11 +425,12 @@ class TestWallClockSLO:
                     crashes=[
                         WorkerCrash(tier="cloud", start=crash[0], end=crash[1])
                     ],
+                    losses=losses,
                     seed=0,
                 )
             )
             started = fabric.clock.now
-            for count in range(10):
+            for count in range(num_requests):
                 index = count % len(tiny_test.images)
                 fabric.submit(
                     tiny_test.images[index],
@@ -424,11 +441,11 @@ class TestWallClockSLO:
             elapsed = fabric.clock.now - started
         finally:
             fabric.close()
-        assert not check_exactly_once(10, responses)
+        assert not check_exactly_once(num_requests, responses)
         stats = fabric.resilience_stats
         assert not check_no_expired_compute(stats.as_dict())
         assert stats.deadline_expired > 0, (
-            "a 0.35s blackout must expire some 0.15s budgets"
+            f"a {crash[1] - crash[0]:.2f}s blackout must expire some {slo_s}s budgets"
         )
         # Honest flags on a real clock: any answer at/past the budget is
         # marked, and only those (up to float slivers at the boundary).

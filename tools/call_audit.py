@@ -3,8 +3,7 @@
 A *runner* is something the project runs for a reason of its own:
 
 * ``experiments`` -- ``python -m repro.experiments run all`` (every paper
-  table and figure) plus every ``*-bench`` command of the experiment table
-  at its defaults, ``ci`` scale;
+  table and figure and every serving study), ``ci`` scale;
 * ``bench`` -- the set-up, one trial and the quality read-out of each
   ``bench/`` workload and the bare-layer micro phases
   (``bench.workloads.run_micro``), imported unchanged from
@@ -171,12 +170,9 @@ def _qualified(owner: type) -> str:
 # The runners
 # --------------------------------------------------------------------------- #
 def drive_experiments() -> None:
-    from repro.experiments.cli import EXPERIMENTS, main
+    from repro.experiments.cli import main
 
     main(["run", "all"])
-    for experiment in EXPERIMENTS:
-        if experiment.command is not None:
-            main([experiment.command])
 
 
 def drive_bench() -> None:
