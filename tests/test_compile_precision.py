@@ -313,13 +313,14 @@ class TestConsumerValidation:
             "partition_plan",
             "hierarchy_runtime",
             "server",
+            "service_model",
         ],
     )
     def test_serving_objects_take_no_mode(self, trained_ddnn, build):
         """Serving runs the model's ``"float64"`` plan; asking any serving or
         hierarchy object for another mode is an error, not a silent fp64."""
         from repro.hierarchy.plan import PartitionPlan
-        from repro.serving import DDNNServer, DistributedServingFabric
+        from repro.serving import DDNNServer, DistributedServingFabric, ServiceModel
 
         builders = {
             "fabric": lambda: DistributedServingFabric(
@@ -333,6 +334,7 @@ class TestConsumerValidation:
                 partition_ddnn(trained_ddnn), 0.8, precision="float32"
             ),
             "server": lambda: DDNNServer(trained_ddnn, 0.8, precision="float32"),
+            "service_model": lambda: ServiceModel(precision="float32"),
         }
         with pytest.raises(TypeError, match="precision"):
             builders[build]()
