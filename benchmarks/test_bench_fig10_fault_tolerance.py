@@ -37,9 +37,7 @@ def test_bench_fig10_fault_tolerance(benchmark, scale, record_result):
 
 
 def test_bench_multi_device_failures(benchmark, scale, record_result):
-    result = benchmark.pedantic(
-        run_multi_device_failures, args=(scale,), kwargs={"max_failures": 3}, rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(run_multi_device_failures, args=(scale,), rounds=1, iterations=1)
     record_result(result)
     overall = np.array(result.column("overall_accuracy_pct"))
     assert len(result.rows) == 4  # 0..3 failures

@@ -6,6 +6,10 @@ cloud nodes connected by bandwidth-constrained links, and inference is driven
 by the hierarchy runtime with per-sample byte and latency accounting.  It then
 injects device failures — both a dead camera and a flaky wireless link — and
 reports how gracefully accuracy degrades (the paper's Figure 10 scenario).
+These faults are static: every sample still leaves at the exit its entropy
+picks, from the devices that remain, so no answer here is an early one.  A
+live fabric's early answers (``reason`` ``failover`` or ``deadline`` when
+the uplink gives up or the budget runs out) are in ``examples/slo_serving.py``.
 
 Run with::
 
@@ -75,13 +79,13 @@ def main() -> None:
     # A dead camera: the best-placed device (index 5) stops transmitting and
     # the dataset the system observes has that camera blanked out.
     dead_device = test_set.num_devices - 1
-    degraded_data = test_set.with_failed_devices([dead_device])
+    blanked = test_set.with_failed_devices([dead_device])
     describe(
         f"Device {dead_device + 1} failed (dead camera)",
         HierarchyRuntime(
             partition_ddnn(model), args.threshold, fault_plan=FaultPlan(failed_devices={dead_device})
         ),
-        degraded_data,
+        blanked,
     )
 
     # A flaky wireless link: device 3 drops half of its transmissions.

@@ -143,7 +143,7 @@ def main() -> None:
     )
     header = (
         f"{'scenario':<16} {'mode':<15} {'p99 ms':>8} {'hit %':>6} "
-        f"{'expired':>8} {'degraded':>9} {'hedges':>7} {'wins':>5}  notes"
+        f"{'expired':>8} {'failover':>9} {'retired':>8} {'hedges':>7} {'wins':>5}  notes"
     )
     print(header)
     print("-" * len(header))
@@ -185,6 +185,10 @@ def main() -> None:
                 for r in report.responses
                 if not r.deadline_exceeded and r.latency_s < slo_s
             )
+            # Why the early answers left early: their offload gave up, or
+            # their budget ran out while queued or before a transfer.
+            failover = report.reasons["failover"] / report.served
+            retired = report.reasons["deadline"] / report.served
             notes = (
                 f"retries={report.retry_total} "
                 f"clipped={resilience['clipped_retries']} "
@@ -194,7 +198,7 @@ def main() -> None:
                 f"{name:<16} {mode:<15} {1e3 * report.p99_latency_s:>8.2f} "
                 f"{100.0 * hit / report.served:>6.1f} "
                 f"{100.0 * report.deadline_exceeded_fraction:>7.1f}% "
-                f"{100.0 * report.degraded_fraction:>8.1f}% "
+                f"{100.0 * failover:>8.1f}% {100.0 * retired:>7.1f}% "
                 f"{report.hedge_total:>7} {resilience['hedge_wins']:>5}  {notes}"
             )
 

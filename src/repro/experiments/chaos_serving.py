@@ -46,6 +46,7 @@ from .scenarios import (
     SCENARIOS,
     ServingTrace,
     chaos_schedule,
+    degraded_fraction,
     fault_windows,
     flap_cycle,
     retry_ladder,
@@ -174,10 +175,10 @@ def run_chaos_serving(scale: Optional[ExperimentScale] = None) -> ExperimentResu
         outcomes[scenario] = first
 
     baseline = outcomes["none"]["report"]
-    if baseline.degraded_fraction or baseline.retry_total:
+    if degraded_fraction(baseline) or baseline.retry_total:
         raise RuntimeError(
             "the fault-free baseline produced degraded answers or retries "
-            f"(degraded={baseline.degraded_fraction:.3f}, "
+            f"(degraded={degraded_fraction(baseline):.3f}, "
             f"retries={baseline.retry_total}) — the deadline "
             f"({policy.deadline_s:.4f}s) is too tight for the deployment's "
             f"healthy transfers (~{transfer:.4f}s)"
@@ -215,7 +216,7 @@ def run_chaos_serving(scale: Optional[ExperimentScale] = None) -> ExperimentResu
         result.add_row(
             scenario=scenario,
             served=report.served,
-            degraded_pct=100.0 * report.degraded_fraction,
+            degraded_pct=100.0 * degraded_fraction(report),
             retries=report.retry_total,
             failovers=resilience["failovers"],
             p50_ms=1e3 * report.p50_latency_s,
@@ -237,7 +238,7 @@ def run_chaos_serving(scale: Optional[ExperimentScale] = None) -> ExperimentResu
             ),
         )
 
-    if outcomes["cloud-partition"]["report"].degraded_fraction <= 0.0:
+    if degraded_fraction(outcomes["cloud-partition"]["report"]) <= 0.0:
         raise RuntimeError(
             "the cloud-partition scenario degraded nothing — the outage "
             "window never intersected an offload, so the failover path "

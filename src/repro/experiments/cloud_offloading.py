@@ -19,12 +19,12 @@ __all__ = ["run_cloud_offloading", "DEFAULT_FILTER_SWEEP"]
 
 #: Device filter counts swept in the reproduction of Figure 9.
 DEFAULT_FILTER_SWEEP = (1, 2, 4, 8)
+TARGET_LOCAL_EXIT = 0.75  #: Local exit rate each threshold is calibrated to.
 
 
 def run_cloud_offloading(
     scale: Optional[ExperimentScale] = None,
     filter_sweep: Optional[Sequence[int]] = None,
-    target_local_exit: float = 0.75,
 ) -> ExperimentResult:
     """Reproduce Figure 9: accuracy and communication vs device filters."""
     scale = scale if scale is not None else default_scale()
@@ -44,7 +44,7 @@ def run_cloud_offloading(
             "overall_accuracy_pct",
             "device_memory_bytes",
         ],
-        metadata={"scale": scale.name, "target_local_exit": target_local_exit},
+        metadata={"scale": scale.name, "target_local_exit": TARGET_LOCAL_EXIT},
     )
 
     for filters in filter_sweep:
@@ -54,7 +54,7 @@ def run_cloud_offloading(
         # calibrating on the training split (acting as validation).  The
         # oracle makes the whole 21-point calibration one forward pass.
         search = threshold_for_exit_rate(
-            model, train_set, target_local_exit, oracle=capture_oracle(model, train_set)
+            model, train_set, TARGET_LOCAL_EXIT, oracle=capture_oracle(model, train_set)
         )
         threshold = search.best_threshold
 

@@ -19,10 +19,11 @@ from .runner import ExperimentScale, capture_oracle, default_scale, get_dataset,
 
 __all__ = ["run_communication_reduction"]
 
+THRESHOLD = 0.8  #: Local-exit entropy threshold T the table is read at.
+
 
 def run_communication_reduction(
     scale: Optional[ExperimentScale] = None,
-    threshold: float = 0.8,
     include_cloud_baseline: bool = True,
 ) -> ExperimentResult:
     """DDNN bytes/sample and reduction factor vs the raw-offload baseline."""
@@ -31,7 +32,7 @@ def run_communication_reduction(
     model, _ = get_trained_ddnn(scale)
 
     oracle = capture_oracle(model, test_set)
-    staged = oracle.route(threshold)
+    staged = oracle.route(THRESHOLD)
     ddnn_bytes = oracle.communication_bytes(staged)
     raw_bytes = raw_offload_bytes(model.config.input_channels, model.config.input_size)
 
@@ -45,7 +46,7 @@ def run_communication_reduction(
             "local_exit_pct",
             "reduction_factor",
         ],
-        metadata={"scale": scale.name, "threshold": threshold},
+        metadata={"scale": scale.name, "threshold": THRESHOLD},
     )
     result.add_row(
         system="ddnn",

@@ -156,7 +156,7 @@ def run_distributed_serving(scale: Optional[ExperimentScale] = None) -> Experime
             adaptive="yes" if adaptive is not None else "no",
             served=report.served,
             offload_pct=100.0 * report.offload_fraction,
-            relaxed_pct=100.0 * report.relaxed_fraction,
+            relaxed_pct=100.0 * (report.reasons["pressure"] / report.served),
             p50_ms=1e3 * report.p50_latency_s,
             p95_ms=1e3 * report.p95_latency_s,
             kb_per_req=report.mean_bytes / 1e3,

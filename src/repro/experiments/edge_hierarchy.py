@@ -10,30 +10,26 @@ horizontal scaling across multiple edges.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..core.config import DDNNTopology
 from .results import ExperimentResult
 from .runner import ExperimentScale, capture_oracle, default_scale, get_dataset, get_trained_ddnn
 
-__all__ = ["run_edge_hierarchy", "DEFAULT_TOPOLOGIES"]
+__all__ = ["run_edge_hierarchy", "TOPOLOGIES"]
 
 #: (figure label, topology name, number of edges) combinations evaluated.
-DEFAULT_TOPOLOGIES: Tuple[Tuple[str, str, int], ...] = (
+TOPOLOGIES: Tuple[Tuple[str, str, int], ...] = (
     ("(c) devices + cloud", "devices_cloud", 0),
     ("(e) devices + edge + cloud", "devices_edge_cloud", 1),
     ("(f) devices + 2 edges + cloud", "devices_edges_cloud", 2),
 )
+THRESHOLDS = (0.8, 0.8)  #: Local and edge exit thresholds (two tiers use the first).
 
 
-def run_edge_hierarchy(
-    scale: Optional[ExperimentScale] = None,
-    topologies: Optional[Sequence[Tuple[str, str, int]]] = None,
-    thresholds: Tuple[float, float] = (0.8, 0.8),
-) -> ExperimentResult:
+def run_edge_hierarchy(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
     """Train DDNNs for device-edge-cloud topologies and compare exits."""
     scale = scale if scale is not None else default_scale()
-    topologies = tuple(topologies) if topologies is not None else DEFAULT_TOPOLOGIES
     _, test_set = get_dataset(scale)
 
     result = ExperimentResult(
@@ -48,16 +44,16 @@ def run_edge_hierarchy(
             "local_exit_pct",
             "edge_exit_pct",
         ],
-        metadata={"scale": scale.name, "thresholds": list(thresholds)},
+        metadata={"scale": scale.name, "thresholds": list(THRESHOLDS)},
     )
-    for label, topology_name, num_edges in topologies:
+    for label, topology_name, num_edges in TOPOLOGIES:
         config = scale.ddnn_config(
             topology=DDNNTopology.from_name(topology_name, num_edges=max(num_edges, 1))
         )
         model, _ = get_trained_ddnn(scale, config=config)
         oracle = capture_oracle(model, test_set)
         accuracies = oracle.exit_accuracies()
-        exit_thresholds = list(thresholds[: model.num_exits - 1])
+        exit_thresholds = list(THRESHOLDS[: model.num_exits - 1])
         staged = oracle.route(exit_thresholds)
         result.add_row(
             configuration=label,

@@ -145,7 +145,7 @@ def run_elastic_serving(scale: Optional[ExperimentScale] = None) -> ExperimentRe
         scaler = fabric.autoscaler
         return {
             "served": report.served,
-            "shed": report.shed_fraction,
+            "shed": report.reasons["shed"] / report.served,
             "p50_ms": 1e3 * report.p50_latency_s,
             "p95_ms": 1e3 * report.p95_latency_s,
             "peak": max(scaler.peak_workers) if scaler is not None else max(

@@ -18,10 +18,12 @@ from .scaling_devices import compute_individual_accuracies
 
 __all__ = ["run_fault_tolerance", "run_multi_device_failures"]
 
+THRESHOLD = 0.8  #: Local-exit entropy threshold T the table is read at.
+MAX_FAILURES = 3  #: Most devices failed at once by :func:`run_multi_device_failures`.
+
 
 def run_fault_tolerance(
     scale: Optional[ExperimentScale] = None,
-    threshold: float = 0.8,
     individual: Optional[Dict[int, float]] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 10: accuracy with each single end device failed."""
@@ -42,7 +44,7 @@ def run_fault_tolerance(
             "overall_accuracy_pct",
             "local_exit_pct",
         ],
-        metadata={"scale": scale.name, "threshold": threshold},
+        metadata={"scale": scale.name, "threshold": THRESHOLD},
     )
 
     for device_index in range(test_set.num_devices):
@@ -51,7 +53,7 @@ def run_fault_tolerance(
         # staged measures (previously two forwards per failed device).
         oracle = capture_oracle(model, degraded)
         exit_accuracy = oracle.exit_accuracies()
-        staged = oracle.route(threshold)
+        staged = oracle.route(THRESHOLD)
         result.add_row(
             failed_device=device_index + 1,
             individual_accuracy_pct=100.0 * individual.get(device_index, float("nan")),
@@ -63,11 +65,7 @@ def run_fault_tolerance(
     return result
 
 
-def run_multi_device_failures(
-    scale: Optional[ExperimentScale] = None,
-    threshold: float = 0.8,
-    max_failures: Optional[int] = None,
-) -> ExperimentResult:
+def run_multi_device_failures(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
     """Graceful degradation: fail an increasing number of devices (Sec. IV-G)."""
     scale = scale if scale is not None else default_scale()
     _, test_set = get_dataset(scale)
@@ -75,7 +73,6 @@ def run_multi_device_failures(
     individual = compute_individual_accuracies(scale)
     # Fail the strongest devices first — the paper's worst case.
     order = sorted(individual, key=individual.get, reverse=True)
-    max_failures = test_set.num_devices - 1 if max_failures is None else max_failures
 
     result = ExperimentResult(
         name="multi_device_failures",
@@ -87,14 +84,14 @@ def run_multi_device_failures(
             "cloud_accuracy_pct",
             "overall_accuracy_pct",
         ],
-        metadata={"scale": scale.name, "threshold": threshold},
+        metadata={"scale": scale.name, "threshold": THRESHOLD},
     )
-    for count in range(0, max_failures + 1):
+    for count in range(0, MAX_FAILURES + 1):
         failed = order[:count]
         degraded = test_set.with_failed_devices(failed) if failed else test_set
         oracle = capture_oracle(model, degraded)
         exit_accuracy = oracle.exit_accuracies()
-        staged = oracle.route(threshold)
+        staged = oracle.route(THRESHOLD)
         result.add_row(
             num_failed=count,
             failed_devices=",".join(str(d + 1) for d in failed) if failed else "-",

@@ -28,11 +28,10 @@ from .runner import ExperimentScale, capture_oracle, default_scale, get_dataset,
 
 __all__ = ["run_mixed_precision"]
 
+THRESHOLD = 0.8  #: Local-exit entropy threshold T the table is read at.
 
-def run_mixed_precision(
-    scale: Optional[ExperimentScale] = None,
-    threshold: float = 0.8,
-) -> ExperimentResult:
+
+def run_mixed_precision(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
     """Binary cloud vs floating-point cloud with binary end devices."""
     scale = scale if scale is not None else default_scale()
     _, test_set = get_dataset(scale)
@@ -49,20 +48,20 @@ def run_mixed_precision(
             "fp32_routing_agreement",
             "bitpacked_identical",
         ],
-        metadata={"scale": scale.name, "threshold": threshold},
+        metadata={"scale": scale.name, "threshold": THRESHOLD},
     )
     for label, binary_cloud in (("binary", True), ("float", False)):
         config = scale.ddnn_config(binary_cloud=binary_cloud)
         model, _ = get_trained_ddnn(scale, config=config)
         oracle = capture_oracle(model, test_set)
         accuracies = oracle.exit_accuracies()
-        staged = oracle.route(threshold)
+        staged = oracle.route(THRESHOLD)
 
         # Kernel-side compute modes on the same trained model: fp32 carries
         # a routing-agreement tolerance, bitpacked must be bit-identical.
         fp32_oracle = capture_oracle(model, test_set, precision="float32")
         packed_oracle = capture_oracle(model, test_set, precision="bitpacked")
-        fp32_staged = fp32_oracle.route(threshold)
+        fp32_staged = fp32_oracle.route(THRESHOLD)
         agreement = routing_agreement(oracle.logits, fp32_oracle.logits)
         packed_identical = np.array_equal(oracle.logits, packed_oracle.logits)
 

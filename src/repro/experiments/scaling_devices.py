@@ -18,6 +18,7 @@ from .runner import ExperimentScale, capture_oracle, default_scale, get_dataset,
 
 __all__ = ["run_scaling_devices", "compute_individual_accuracies"]
 
+THRESHOLD = 0.8  #: Local-exit entropy threshold T the table is read at.
 
 _INDIVIDUAL_CACHE: Dict[tuple, Dict[int, float]] = {}
 
@@ -50,10 +51,7 @@ def compute_individual_accuracies(scale: Optional[ExperimentScale] = None) -> Di
     return _INDIVIDUAL_CACHE[key]
 
 
-def run_scaling_devices(
-    scale: Optional[ExperimentScale] = None,
-    threshold: float = 0.8,
-) -> ExperimentResult:
+def run_scaling_devices(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
     """Reproduce Figure 8: accuracy versus the number of end devices."""
     scale = scale if scale is not None else default_scale()
     train_set, test_set = get_dataset(scale)
@@ -75,7 +73,7 @@ def run_scaling_devices(
         ],
         metadata={
             "scale": scale.name,
-            "threshold": threshold,
+            "threshold": THRESHOLD,
             "device_order": [d + 1 for d in ordered_devices],
             "individual_accuracy": {d + 1: individual[d] for d in individual},
         },
@@ -92,7 +90,7 @@ def run_scaling_devices(
 
         oracle = capture_oracle(model, subset_test)
         exit_accuracy = oracle.exit_accuracies()
-        staged = oracle.route(threshold)
+        staged = oracle.route(THRESHOLD)
         result.add_row(
             num_devices=count,
             added_device=selected[-1] + 1,

@@ -29,6 +29,7 @@ __all__ = [
     "fault_windows",
     "flap_cycle",
     "chaos_schedule",
+    "degraded_fraction",
 ]
 
 SCENARIOS = ("none", "flaky-uplink", "cloud-partition", "worker-crash")
@@ -106,6 +107,11 @@ def flap_cycle(horizon: float, deadline: float) -> Tuple[float, float]:
     retry machinery."""
     period = max(horizon / 5.0, 4.0 * deadline)
     return period, min(1.25 * deadline, 0.45 * period)
+
+
+def degraded_fraction(report) -> float:
+    """Share of ``report``'s answers a failover or a deadline retirement gave."""
+    return (report.reasons["failover"] + report.reasons["deadline"]) / report.served
 
 
 def chaos_schedule(

@@ -53,6 +53,7 @@ from .scenarios import (
     SCENARIOS,
     ServingTrace,
     chaos_schedule,
+    degraded_fraction,
     fault_windows,
     flap_cycle,
     retry_ladder,
@@ -251,7 +252,7 @@ def run_slo_serving(scale: Optional[ExperimentScale] = None) -> ExperimentResult
                 chaos_p99_ms=1e3 * first["window_p99_s"],
                 hit_pct=100.0 * first["hit_rate"],
                 expired_pct=100.0 * report.deadline_exceeded_fraction,
-                degraded_pct=100.0 * report.degraded_fraction,
+                degraded_pct=100.0 * degraded_fraction(report),
                 retries=report.retry_total,
                 hedges=report.hedge_total,
                 hedge_wins=resilience["hedge_wins"],
@@ -263,11 +264,11 @@ def run_slo_serving(scale: Optional[ExperimentScale] = None) -> ExperimentResult
         baseline = outcomes[(mode, "none")]
         report = baseline["report"]
         resilience = baseline["resilience"]
-        if report.retry_total or report.degraded_fraction:
+        if report.retry_total or degraded_fraction(report):
             raise RuntimeError(
                 f"fault-free baseline of mode '{mode}' retried or degraded "
                 f"(retries={report.retry_total}, "
-                f"degraded={report.degraded_fraction:.3f})"
+                f"degraded={degraded_fraction(report):.3f})"
             )
         if mode != "no-slo" and resilience["deadline_expired"]:
             raise RuntimeError(

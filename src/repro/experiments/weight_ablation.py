@@ -23,11 +23,12 @@ DEFAULT_WEIGHTINGS: Tuple[Tuple[str, Tuple[float, float]], ...] = (
     ("cloud-heavy", (1.0, 4.0)),
 )
 
+THRESHOLD = 0.8  #: Local-exit entropy threshold T the table is read at.
+
 
 def run_weight_ablation(
     scale: Optional[ExperimentScale] = None,
     weightings: Optional[Sequence[Tuple[str, Tuple[float, float]]]] = None,
-    threshold: float = 0.8,
 ) -> ExperimentResult:
     """Train the default DDNN under different exit-loss weightings."""
     scale = scale if scale is not None else default_scale()
@@ -45,14 +46,14 @@ def run_weight_ablation(
             "cloud_accuracy_pct",
             "overall_accuracy_pct",
         ],
-        metadata={"scale": scale.name, "threshold": threshold},
+        metadata={"scale": scale.name, "threshold": THRESHOLD},
     )
     for name, (local_weight, cloud_weight) in weightings:
         training = scale.training_config(exit_weights=(local_weight, cloud_weight))
         model, _ = get_trained_ddnn(scale, training=training)
         oracle = capture_oracle(model, test_set)
         accuracies = oracle.exit_accuracies()
-        staged = oracle.route(threshold)
+        staged = oracle.route(THRESHOLD)
         result.add_row(
             weighting=name,
             local_weight=local_weight,

@@ -6,7 +6,8 @@ the hard tail.  This package provides the timed, online counterpart of the
 untimed :meth:`ExitOracle.route <repro.core.oracle.ExitOracle.route>`:
 
 * :class:`FabricRequest` / :class:`FabricResponse` — the one request and
-  the one response type every serving path queues and answers with;
+  the one response type every serving path queues and answers with, each
+  answer for one :class:`AnswerReason` (counted in ``FabricReport.reasons``);
 * :class:`AdmissionPolicy` (:class:`RejectNewest`, :class:`DropOldest`,
   :class:`ShedToLocalExit`) and the one :func:`admit` rule — what a full
   ingress queue does under overload;
@@ -41,12 +42,12 @@ untimed :meth:`ExitOracle.route <repro.core.oracle.ExitOracle.route>`:
   injects timed link outages/flaps, message loss and worker crash windows;
   offloads under a :class:`RetryPolicy` carry deadlines, retry with
   exponential backoff + jitter, and fail over to the deepest local exit
-  already cleared (honest ``degraded``/``retries`` metadata), with a
+  already cleared (honest ``reason="failover"``/``retries``), with a
   per-link :class:`CircuitBreaker` fast-failing known-dark links and tier
   health feeding the :class:`LoadBalancer`.
 * The end-to-end SLO plane: a :class:`Deadline` budget travels with every
   request across tiers — expired requests are retired from queues before
-  burning compute, retry ladders are clipped to the remaining budget, and
+  burning compute (``reason="deadline"``), retry ladders are clipped to the remaining budget, and
   a :class:`HedgePolicy` speculatively re-sends slow offloads to sibling
   replica stacks (first arrival wins, losers cancelled, hedge bytes
   honestly accounted).
@@ -76,6 +77,7 @@ from .batcher import BatchingPolicy
 from .clock import EventHandle, EventLoop, SimulatedClock, WallClock
 from .fabric import (
     AdaptiveThreshold,
+    AnswerReason,
     DistributedServingFabric,
     FabricReport,
     FabricRequest,
@@ -136,6 +138,7 @@ __all__ = [
     "WORKER_POOL_BACKENDS",
     "make_worker_pool",
     "AdaptiveThreshold",
+    "AnswerReason",
     "DistributedServingFabric",
     "FabricRequest",
     "FabricResponse",

@@ -129,8 +129,8 @@ class ShedToLocalExit(AdmissionPolicy):
     """Answer the arriving request from the local exit instead of queueing.
 
     The queue stays intact; the caller answers the request at once from the
-    cascade's first exit — the degraded-but-bounded-latency mode of the
-    paper's deployment.
+    cascade's first exit (``reason="shed"``): bounded latency, at the local
+    aggregator's confidence.
     """
 
     name = "shed-local"

@@ -42,11 +42,11 @@ fabric over one tier that holds every exit
 (:class:`~repro.hierarchy.sections.CascadeTierSection`): a tier applies
 each exit it holds in cascade order.
 
-Overload behaviour can additionally be made *adaptive*: an
-:class:`AdaptiveThreshold` raises the local-exit threshold while the device
-tier's backlog exceeds a trigger depth, shedding load by answering more
-requests locally (bounded latency, slightly degraded accuracy) instead of
-letting the offload queue grow.
+Every answer carries one :class:`AnswerReason`: ``threshold`` (its exit's
+entropy met T, the paper's rule) or one of four early answers, each given
+from the deepest exit the request already cleared by one step
+(:meth:`DistributedServingFabric._answer_early`): ``shed``, ``pressure``
+(:class:`AdaptiveThreshold`), ``failover`` and ``deadline``.
 """
 
 from __future__ import annotations
@@ -54,8 +54,9 @@ from __future__ import annotations
 import math
 import numbers
 import weakref
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -94,6 +95,7 @@ from .workers import (
 
 __all__ = [
     "AdaptiveThreshold",
+    "AnswerReason",
     "FabricRequest",
     "FabricResponse",
     "FabricReport",
@@ -126,6 +128,28 @@ class AdaptiveThreshold:
             raise ValueError(
                 f"relaxed_threshold must be in [0, 1], got {self.relaxed_threshold}"
             )
+
+
+class AnswerReason(str, Enum):
+    """Why an answer left at its exit (a ``str`` enum: ``reason == "shed"``)."""
+
+    #: Its exit's criterion met the configured threshold (the final exit
+    #: takes every row left): the paper's only reason.
+    THRESHOLD = "threshold"
+    #: Admission answered it at the ingress from the first exit.
+    SHED = "shed"
+    #: It left at the device tier's first exit in a batch formed with the
+    #: queue at least ``depth_trigger`` deep, where that exit is judged at
+    #: ``relaxed_threshold`` — also when its entropy met T anyway.
+    PRESSURE = "pressure"
+    #: Its offload's retries or circuit breaker gave up on the uplink.
+    FAILOVER = "failover"
+    #: Its SLO budget was spent, or could not cover its next transfer.
+    DEADLINE = "deadline"
+
+
+def _no_reasons() -> Dict[str, int]:
+    return {reason.value: 0 for reason in AnswerReason}
 
 
 def checked_views(model, views) -> np.ndarray:
@@ -163,7 +187,7 @@ class FabricRequest:
     #: Offload re-sends performed for this request so far.
     retries: int = 0
     #: Deepest exit decision this request has already cleared — the answer
-    #: a failover or deadline retirement degrades to: ``(prediction,
+    #: a failover or deadline retirement falls back to: ``(prediction,
     #: entropy, exit_index, exit_name)``.
     fallback: Optional[Tuple[int, float, int, str]] = None
     #: End-to-end SLO budget travelling with the request (``None`` = no SLO).
@@ -181,7 +205,8 @@ class FabricRequest:
 
 @dataclass
 class FabricResponse:
-    """The cascade's answer for one request, with distributed accounting."""
+    """The cascade's answer for one request, with distributed accounting;
+    ``shed``, ``relaxed`` and ``degraded`` are read-only views of ``reason``."""
 
     request_id: int
     client_id: str
@@ -195,16 +220,7 @@ class FabricResponse:
     path_latency_s: float = 0.0
     bytes_transferred: float = 0.0
     batch_size: int = 1
-    #: True when the exit decision was taken under an adaptive relaxed
-    #: threshold (queue-pressure shedding).
-    relaxed: bool = False
-    #: True when admission answered this request from the first exit at the
-    #: ingress instead of queueing it (bounded-queue shedding).
-    shed: bool = False
-    #: True when the answer is a failover: the offload's deadline/retry
-    #: budget (or an open circuit breaker) gave up on the uplink, and the
-    #: origin tier answered from the deepest local exit already cleared.
-    degraded: bool = False
+    reason: AnswerReason = AnswerReason.THRESHOLD
     #: Offload re-sends this request's journey needed (0 on a clean path).
     retries: int = 0
     #: True when the request's end-to-end SLO budget could not be met: it
@@ -215,6 +231,18 @@ class FabricResponse:
     #: True when a speculative hedge copy to a sibling replica delivered
     #: this request's offload first.
     hedged: bool = False
+
+    @property
+    def shed(self) -> bool:
+        return self.reason == AnswerReason.SHED
+
+    @property
+    def relaxed(self) -> bool:
+        return self.reason == AnswerReason.PRESSURE
+
+    @property
+    def degraded(self) -> bool:
+        return self.reason in (AnswerReason.FAILOVER, AnswerReason.DEADLINE)
 
     @property
     def latency_s(self) -> float:
@@ -243,10 +271,8 @@ class FabricReport:
     max_latency_s: float = 0.0
     mean_bytes: float = 0.0
     accuracy: Optional[float] = None
-    relaxed_fraction: float = 0.0
-    shed_fraction: float = 0.0
-    #: Fraction of responses answered by failover to a local exit.
-    degraded_fraction: float = 0.0
+    #: Responses per :class:`AnswerReason` value, all five present (sum: ``served``).
+    reasons: Dict[str, int] = field(default_factory=_no_reasons)
     #: Total offload re-sends across all responses.
     retry_total: int = 0
     #: Fraction of responses whose end-to-end SLO budget was missed.
@@ -440,8 +466,8 @@ class DistributedServingFabric:
         next tier travels under: each attempt carries a deadline; on
         timeout or message loss the origin tier retries with exponential
         backoff + jitter up to the budget, then **fails over** to the
-        deepest local exit the request has already cleared — a degraded but
-        honest answer carrying ``degraded``/``retries`` metadata.  ``None``
+        deepest local exit the request has already cleared — an honest
+        answer carrying ``reason="failover"`` and its ``retries``.  ``None``
         is ``RetryPolicy(deadline_s=inf, max_retries=0)``: one attempt that
         waits for its delivery, so no timer is armed and nothing is ever
         retried or failed over — hence an attached chaos schedule that can
@@ -594,7 +620,6 @@ class DistributedServingFabric:
         #: Answers emitted so far, :meth:`serve_dataset`'s included (it hands
         #: its answers back instead of keeping them in ``responses``).
         self.answered = 0
-        self.relaxed_samples = 0
         #: Shared-able id source (the balancer unifies it across replicas
         #: when hedging, so merged response streams stay globally unique).
         self._ids = _RequestIds()
@@ -876,7 +901,13 @@ class DistributedServingFabric:
         for request, payload in items:
             # A request whose SLO expired on the way here is retired
             # instead of queued (or, at the ingress, before it knocks).
-            if self._retire_if_expired(request, now):
+            if (
+                request.deadline is not None
+                and request.deadline.expired(now)
+                and self._can_retire(request)
+            ):
+                self.resilience_stats.deadline_expired += 1
+                self._answer_early(request, now, AnswerReason.DEADLINE)
                 continue
             if fresh:
                 # Ingress admission: only brand-new tier-0 arrivals knock;
@@ -911,7 +942,7 @@ class DistributedServingFabric:
         if outcome is AdmissionOutcome.REJECTED:
             return 0
         if outcome is AdmissionOutcome.SHED:
-            self._shed_response(request, now)
+            self._answer_early(request, now, AnswerReason.SHED)
             return 0
         if evicted is not None:
             evicted.request.queued_in = None
@@ -930,46 +961,44 @@ class DistributedServingFabric:
         request.queued_in = (self, tier_index, item)
         self.tiers[tier_index].queue.append(item)
 
-    def _require_first_exit(self, failover: bool = False) -> int:
+    def _require_first_exit(self, reason: AnswerReason) -> int:
         exit_index = self.sections[0].exit_index
         if exit_index is None:
             raise RuntimeError(
-                "an offload gave up (retry budget spent or breaker open) before "
+                "admission wants to shed to the first exit, but the active "
+                "plan disables the device tier's exit — use a reject/"
+                "drop-oldest policy, or keep the local exit in the plan"
+                if reason == AnswerReason.SHED
+                else "an offload gave up (retry budget spent or breaker open) before "
                 "its requests cleared any exit, and the active plan disables "
                 "the device tier's exit: nothing to fail over to — keep the "
                 "local exit, or give RetryPolicy a deadline_s the uplink can meet"
-                if failover
-                else "admission wants to shed to the first exit, but the active "
-                "plan disables the device tier's exit — use a reject/"
-                "drop-oldest policy, or keep the local exit in the plan"
             )
         return exit_index
 
-    def _shed_response(
-        self, request: FabricRequest, now: float, degraded: bool = False
-    ) -> FabricResponse:
-        """Answer a shed request from the first exit, bypassing the tiers.
-
-        The sample is evaluated through the cascade's first exit directly,
-        computing only that exit's logits on the model's own compiled plan,
-        with no hierarchy byte/latency accounting — a shed answer is produced
-        at the ingress, before the request ever enters the tier plane.  With ``degraded=True`` the same
-        first-exit evaluation serves an offload failover whose journey never
-        cleared an exit (the origin tier had none), flagged ``degraded``
-        instead of ``shed``.
-        """
-        exit_index = self._require_first_exit(failover=degraded)
+    def _answer_early(
+        self, request: FabricRequest, now: float, reason: AnswerReason, batch_size: int = 1
+    ) -> None:
+        """Answer ``request`` now for ``reason`` from the deepest exit decision
+        it cleared (``request.fallback``, taken in a batch of ``batch_size``).
+        One that cleared none is evaluated alone at the first exit on the
+        model's own compiled plan, with no hierarchy byte or latency charged."""
+        if request.fallback is not None:
+            self._finalize(
+                request, now, *request.fallback, reason=reason, batch_size=batch_size
+            )
+            return
+        exit_index = self._require_first_exit(reason)
         logits = compiled_plan_for(self.model).first_exit_logits(request.views[None])
         decision = self.criteria[0].evaluate(logits)
-        return self._finalize(
+        self._finalize(
             request,
             now,
             decision.predictions[0],
             decision.entropies[0],
             exit_index,
             self.sections[0].exit_name,
-            shed=not degraded,
-            degraded=degraded,
+            reason=reason,
         )
 
     # -- end-to-end SLO plane ------------------------------------------- #
@@ -981,10 +1010,8 @@ class DistributedServingFabric:
         entropy,
         exit_index: int,
         exit_name: str,
+        reason: AnswerReason = AnswerReason.THRESHOLD,
         batch_size: int = 1,
-        relaxed: bool = False,
-        shed: bool = False,
-        degraded: bool = False,
     ) -> FabricResponse:
         """Single emission point: every answer path builds its response here.
 
@@ -1015,9 +1042,7 @@ class DistributedServingFabric:
             path_latency_s=request.path_latency_s,
             bytes_transferred=request.bytes_transferred,
             batch_size=batch_size,
-            relaxed=relaxed,
-            shed=shed,
-            degraded=degraded,
+            reason=reason,
             retries=request.retries,
             deadline_exceeded=(
                 request.deadline is not None and now >= request.deadline.expires_at
@@ -1033,38 +1058,6 @@ class DistributedServingFabric:
         answer it: the deepest exit it already cleared, or the first exit."""
         return request.fallback is not None or self.sections[0].exit_index is not None
 
-    def _fallback_response(
-        self, request: FabricRequest, now: float, batch_size: int = 1
-    ) -> None:
-        """Answer from the deepest exit decision the request already cleared
-        (first-exit evaluation when its journey never cleared one)."""
-        if request.fallback is None:
-            self._shed_response(request, now, degraded=True)
-        else:
-            self._finalize(
-                request, now, *request.fallback, batch_size=batch_size, degraded=True
-            )
-
-    def _deadline_response(
-        self, request: FabricRequest, now: float, batch_size: int = 1
-    ) -> None:
-        """Retire a request whose SLO budget is (or provably will be) blown:
-        answered immediately from the deepest exit already cleared — never
-        dropped, and no further transfer or remote compute is spent on it."""
-        self.resilience_stats.deadline_expired += 1
-        self._fallback_response(request, now, batch_size=batch_size)
-
-    def _retire_if_expired(self, request: FabricRequest, now: float) -> bool:
-        """Retire an already-expired request instead of advancing it."""
-        if (
-            request.deadline is None
-            or not request.deadline.expired(now)
-            or not self._can_retire(request)
-        ):
-            return False
-        self._deadline_response(request, now)
-        return True
-
     def _expire(self, request: FabricRequest, now: float) -> None:
         """Deadline timer: retire the request if it is sitting in a tier
         queue (on this fabric or — after a winning hedge — a sibling's)."""
@@ -1077,8 +1070,8 @@ class DistributedServingFabric:
             fabric.tiers[tier_index].queue.remove(item)
         except ValueError:
             return  # popped into a batch between scheduling and firing
-        request.queued_in = None
-        fabric._deadline_response(request, now)
+        fabric.resilience_stats.deadline_expired += 1
+        fabric._answer_early(request, now, AnswerReason.DEADLINE)
 
     # ------------------------------------------------------------------ #
     def _dispatch(self, tier_index: int, now: float) -> None:
@@ -1125,7 +1118,8 @@ class DistributedServingFabric:
                     if self._can_retire(request):
                         # Retired at batch formation: an expired request
                         # never occupies a compute slot.
-                        self._deadline_response(request, now)
+                        self.resilience_stats.deadline_expired += 1
+                        self._answer_early(request, now, AnswerReason.DEADLINE)
                         continue
                     if tier_index > 0:
                         # Nothing to answer it from: compute anyway, and
@@ -1200,23 +1194,21 @@ class DistributedServingFabric:
         if final:
             masks[-1] = [True] * batch_size
 
+        first_reason = AnswerReason.PRESSURE if relaxed else AnswerReason.THRESHOLD
         remaining: List[int] = []
         for row in range(batch_size):
             position = next((p for p, mask in enumerate(masks) if mask[row]), None)
             if position is None:
                 remaining.append(row)
                 continue
-            exit_relaxed = relaxed and position == 0
-            if exit_relaxed:
-                self.relaxed_samples += 1
             self._finalize(
                 requests[row],
                 now,
                 predictions[position][row],
                 entropies[position][row],
                 *exits[position],
+                reason=first_reason if position == 0 else AnswerReason.THRESHOLD,
                 batch_size=batch_size,
-                relaxed=exit_relaxed,
             )
 
         sendable: List[int] = []
@@ -1235,7 +1227,10 @@ class DistributedServingFabric:
                 if estimate is None:
                     estimate = section.transfer_estimate_s()
                 if now + estimate >= request.deadline.expires_at:
-                    self._deadline_response(request, now, batch_size=batch_size)
+                    self.resilience_stats.deadline_expired += 1
+                    self._answer_early(
+                        request, now, AnswerReason.DEADLINE, batch_size=batch_size
+                    )
                     continue
             sendable.append(row)
         if sendable:
@@ -1513,7 +1508,9 @@ class DistributedServingFabric:
         self._settle(group)
         for request in group.requests:
             self.resilience_stats.failovers += 1
-            self._fallback_response(request, now, batch_size=len(group.requests))
+            self._answer_early(
+                request, now, AnswerReason.FAILOVER, batch_size=len(group.requests)
+            )
 
     # ------------------------------------------------------------------ #
     def apply_plan(
@@ -1812,9 +1809,8 @@ class DistributedServingFabric:
                 metadata=self.report_metadata(),
             )
         latencies = np.array([response.latency_s for response in responses])
-        exit_counts: Dict[str, int] = {}
-        for response in responses:
-            exit_counts[response.exit_name] = exit_counts.get(response.exit_name, 0) + 1
+        exit_counts = Counter(response.exit_name for response in responses)
+        reasons = {**_no_reasons(), **Counter(response.reason.value for response in responses)}
         total = len(responses)
         first_exit = self.sections[0].exit_name
         offload_fraction = 1.0 - exit_counts.get(first_exit, 0) / total
@@ -1833,9 +1829,7 @@ class DistributedServingFabric:
                 np.mean([response.bytes_transferred for response in responses])
             ),
             accuracy=float(np.mean(judged)) if judged else None,
-            relaxed_fraction=sum(1 for r in responses if r.relaxed) / total,
-            shed_fraction=sum(1 for r in responses if r.shed) / total,
-            degraded_fraction=sum(1 for r in responses if r.degraded) / total,
+            reasons=reasons,
             retry_total=sum(r.retries for r in responses),
             deadline_exceeded_fraction=(
                 sum(1 for r in responses if r.deadline_exceeded) / total

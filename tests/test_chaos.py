@@ -350,7 +350,7 @@ class TestResilientOffload:
             for r in rs
         )
         assert key(explicit.responses) == key(default.responses)
-        assert explicit.degraded_fraction == 0.0
+        assert explicit.reasons["failover"] == explicit.reasons["deadline"] == 0
         assert explicit.retry_total == 0
         stats = fabric.resilience_stats
         assert stats.attempts > 0  # offloads were actually sent
@@ -466,7 +466,7 @@ class TestResilientOffload:
         fabric.events.schedule(0.3, lambda now: probes.update(mid=fabric.healthy))
         report = _serve(fabric, tiny_test)
         assert report.served == 32
-        assert report.degraded_fraction == 0.0
+        assert report.reasons["failover"] == report.reasons["deadline"] == 0
         assert probes["mid"] is False  # the blackout actually took the tier down
         assert fabric.healthy  # restart restored the pool
 
@@ -536,12 +536,15 @@ class TestResilientOffload:
 
 # --------------------------------------------------------------------------- #
 class TestChaosAccounting:
+    @pytest.mark.parametrize("slo_s", [None, 0.08], ids=["no-slo", "slo"])
     def test_invariants_hold_under_midrun_flaps_with_bounded_queues(
-        self, trained_ddnn, tiny_test
+        self, trained_ddnn, tiny_test, slo_s
     ):
         """offered == accepted + rejected + shed; responses == accepted -
-        dropped + shed; degraded == failovers — with link flaps mid-run and
-        a bounded ingress shedding to the local exit."""
+        dropped + shed; each early answer's reason matches the counter of
+        the path that gave it — with link flaps mid-run, a bounded ingress
+        shedding to the local exit and (``slo``) a budget tight enough that
+        failovers and deadline retirements happen in the same run."""
         chaos = ChaosSchedule(
             flaps=[LinkFlap(period_s=0.3, down_s=0.12, destination="cloud")],
             losses=[LinkLoss(probability=0.15, destination="cloud")],
@@ -552,6 +555,7 @@ class TestChaosAccounting:
             offload=POLICY,
             capacity=6,
             admission=admission_policy("shed-local"),
+            slo_s=slo_s,
         ).attach_chaos(chaos)
         views = list(tiny_test.images)
         gap = 1.0 / (4.0 * SERVICE.capacity_rps(4))  # 4x overload
@@ -560,18 +564,28 @@ class TestChaosAccounting:
         fabric.run_until_idle(drain=True)
 
         stats = fabric.admission_stats
+        resilience = fabric.resilience_stats
         responses = fabric.responses
+        reasons = fabric.report().reasons
         shed = [r for r in responses if r.shed]
         degraded = [r for r in responses if r.degraded]
         assert stats.shed > 0, "overload never triggered shedding"
-        assert degraded or fabric.resilience_stats.retries > 0, (
+        assert degraded or resilience.retries > 0, (
             "the flap windows never touched an offload"
         )
+        if slo_s is not None:
+            assert resilience.failovers > 0 and resilience.deadline_expired > 0
         assert not check_conservation(fabric.offered, stats.as_dict())
         assert len(responses) - len(shed) == stats.accepted - stats.dropped
         assert len(shed) == stats.shed
-        assert len(degraded) == fabric.resilience_stats.failovers
+        assert len(degraded) == resilience.failovers + resilience.deadline_expired
         assert not any(r.shed for r in degraded)  # disjoint classifications
+        assert reasons["failover"] == resilience.failovers
+        assert reasons["deadline"] == resilience.deadline_expired
+        assert reasons["shed"] == stats.shed
+        assert sum(reasons.values()) == len(responses)
+        first_exit = fabric.sections[0].exit_index
+        assert all(r.exit_index == first_exit and r.bytes_transferred == 0 for r in shed)
         assert not check_exactly_once(len(responses), responses), "duplicate responses"
         # Every admitted-and-kept request got exactly one answer.
         assert len(responses) == fabric.offered - stats.rejected - stats.dropped

@@ -217,7 +217,7 @@ class TestOpenLoopAndAdaptive:
         adaptive = build(AdaptiveThreshold(depth_trigger=8)).open_loop(
             process, tiny_test.images, targets=tiny_test.labels, num_requests=80
         )
-        assert adaptive.relaxed_fraction > 0.0
+        assert adaptive.reasons["pressure"] > 0
         assert adaptive.offload_fraction < plain.offload_fraction
         assert adaptive.p95_latency_s < plain.p95_latency_s
 

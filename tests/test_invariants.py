@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.serving import FabricResponse
+from repro.serving import AnswerReason, FabricResponse
 from repro.serving.invariants import (
     ACCOUNTING_FIELDS,
     accounting,
@@ -35,6 +35,12 @@ def _responses(count: int = 4):
     ]
 
 
+#: Accounted flags that are views of ``FabricResponse.reason``: each is
+#: perturbed by the reason that turns it on (every ``_responses`` answer
+#: has reason ``threshold``, so each is off).
+_REASON_FOR_FLAG = {"shed": AnswerReason.SHED, "degraded": AnswerReason.FAILOVER}
+
+
 def _perturbed(value):
     if isinstance(value, bool):
         return not value
@@ -56,9 +62,12 @@ class TestReplay:
         fail the replay check (chaos used to skip three, SLO one)."""
         first = _responses()
         second = _responses()
-        second[2] = dataclasses.replace(
-            second[2], **{field: _perturbed(getattr(second[2], field))}
-        )
+        if field in _REASON_FOR_FLAG:
+            change = {"reason": _REASON_FOR_FLAG[field]}
+        else:
+            change = {field: _perturbed(getattr(second[2], field))}
+        second[2] = dataclasses.replace(second[2], **change)
+        assert getattr(second[2], field) != getattr(first[2], field)
         problems = check_replay(accounting(first), accounting(second))
         assert len(problems) == 1 and "not byte-identical" in problems[0]
 

@@ -271,7 +271,7 @@ class TestHedgedOffloads:
         assert resilience["hedge_wins"] == 0
         assert report.hedge_win_fraction == 0.0
         assert not any(r.hedged for r in report.responses)
-        assert report.degraded_fraction == 0.0
+        assert report.reasons["failover"] == report.reasons["deadline"] == 0
         assert report.hedge_bytes > 0.0  # the losing copies are not free
 
     def test_fault_free_run_sends_no_hedges(self, trained_ddnn, tiny_test):
@@ -282,7 +282,7 @@ class TestHedgedOffloads:
         assert report.served == 12
         assert report.hedge_total == 0
         assert report.hedge_bytes == 0.0
-        assert report.degraded_fraction == 0.0
+        assert report.reasons["failover"] == report.reasons["deadline"] == 0
         assert report.metadata["resilience"]["deadline_expired"] == 0
 
     def test_hedged_chaos_replays_byte_identical(self, trained_ddnn, tiny_test):
