@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..datasets.mvmc import MVMCDataset, _positive_int
+from ..datasets.mvmc import MVMCDataset, _int_at_least
 from ..nn.tensor import Tensor, no_grad
 from .cascade import Thresholds, normalize_thresholds
 from .communication import CommunicationModel
@@ -239,7 +239,7 @@ class ExitOracle:
         sample is a :class:`ValueError` naming its index, and so is a
         ``batch_size`` that is not an int >= 1.
         """
-        batch_size = _positive_int(batch_size, "batch_size")
+        batch_size = _int_at_least(batch_size, "batch_size")
         if isinstance(dataset, MVMCDataset):
             views = dataset.images
             if targets is None:

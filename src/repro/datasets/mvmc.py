@@ -227,9 +227,11 @@ class MVMCDataset:
         return MVMCDataset(images, self.labels, device_labels, profiles=self.profiles)
 
 
-def _positive_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def _int_at_least(value, name: str, minimum: int = 1) -> int:
+    """The one rule for counts: ``value`` as an int, or a ``ValueError``
+    naming ``name`` (a bool, a float or a string is no count)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
     return int(value)
 
 
@@ -277,14 +279,14 @@ def generate_mvmc(
     block the same way gives those calls' noise bit for bit, and the
     dataset of a seed is what the per-view renderer made.
     """
-    rows = range(_positive_int(num_samples, "num_samples"))
+    rows = range(_int_at_least(num_samples, "num_samples"))
     return _generate(rows, profiles, class_probabilities, seed, image_size)
 
 
 def _generate(rows, profiles, class_probabilities, seed, image_size) -> MVMCDataset:
     """:func:`generate_mvmc` of ``len(rows)`` samples, the ``i``-th drawn
     written to row ``rows[i]``."""
-    image_size = _positive_int(image_size, "image_size")
+    image_size = _int_at_least(image_size, "image_size")
     profiles = tuple(profiles)
     if not profiles:
         raise ValueError("profiles must name at least one device")
@@ -352,8 +354,8 @@ def load_mvmc_splits(
     Train and test samples are drawn from the same generative process with
     disjoint random streams, mirroring the paper's single-dataset split.
     """
-    train_samples = _positive_int(train_samples, "train_samples")
-    test_samples = _positive_int(test_samples, "test_samples")
+    train_samples = _int_at_least(train_samples, "train_samples")
+    test_samples = _int_at_least(test_samples, "test_samples")
     total = train_samples + test_samples
     order = np.random.default_rng(seed + 1).permutation(total)
     # Sample ``order[k]`` of the combined stream is row ``k``: the train split

@@ -39,7 +39,13 @@ from typing import Dict, Optional
 
 from ..hierarchy.plan import PartitionPlan
 from ..serving import DistributedServingFabric, PoissonProcess
-from ..serving.invariants import accounting, check_exactly_once, check_replay, require
+from ..serving.invariants import (
+    accounting,
+    check_exactly_once,
+    check_honest_reasons,
+    check_replay,
+    require,
+)
 from .results import ExperimentResult
 from .runner import ExperimentScale, available_cpu_count, default_scale
 from .scenarios import (
@@ -94,8 +100,9 @@ def run_chaos_serving(scale: Optional[ExperimentScale] = None) -> ExperimentResu
         )
         require(
             f"chaos scenario '{scenario}' (degraded or not, the fabric must answer "
-            "every request exactly once)",
+            "every request exactly once, for an honest reason)",
             check_exactly_once(NUM_REQUESTS, report.responses),
+            check_honest_reasons(report.responses, [c.threshold for c in fabric.criteria]),
         )
         stats = fabric.admission_stats
         if stats.rejected or stats.dropped or stats.shed:
@@ -106,7 +113,7 @@ def run_chaos_serving(scale: Optional[ExperimentScale] = None) -> ExperimentResu
         return {
             "report": report,
             "accounting": accounting(report.responses),
-            "resilience": fabric.resilience_stats.as_dict(),
+            "resilience": report.metadata["resilience"],
             "lost_messages": fabric.deployment.fabric.lost_messages,
             # Uniform observability block (also on report.metadata): breaker
             # end states plus how often each tripped/recovered.

@@ -22,12 +22,12 @@ predictions):
   Table 2 knob, now visible end-to-end in serving terms: offload fraction,
   bytes per request, tail latency and accuracy all move together).
 
-A final pair of rows shows **adaptive shedding**
-(:class:`~repro.serving.fabric.AdaptiveThreshold`): under device-tier queue
-pressure the local exit threshold is raised instead of rejecting requests —
-p95 collapses back to the local-exit latency while accuracy degrades only
-by the (small) gap between the local and full-cascade answers on the shed
-tail.
+A final row **sheds at admission**: the saturated single-worker row (same
+seed) behind a device-tier queue of two batches whose
+:class:`~repro.serving.admission.ShedToLocalExit` answers an arrival that
+finds it full from the local exit — p95 falls toward the local-exit
+latency for the gap between local and full-cascade answers on the shed
+arrivals.  Every row's answer reasons are checked honest.
 
 Latency rows use hand-set affine :class:`~repro.serving.loadgen.ServiceModel`
 coefficients so the table is machine-independent.
@@ -45,12 +45,13 @@ from ..hierarchy.partition import (
     partition_ddnn,
 )
 from ..serving import (
-    AdaptiveThreshold,
     BatchingPolicy,
     DistributedServingFabric,
     PoissonProcess,
     ServiceModel,
+    ShedToLocalExit,
 )
+from ..serving.invariants import check_honest_reasons, require
 from .results import ExperimentResult
 from .runner import ExperimentScale, default_scale, get_dataset, get_trained_ddnn
 
@@ -97,10 +98,10 @@ def run_distributed_serving(scale: Optional[ExperimentScale] = None) -> Experime
             "workers",
             "bandwidth_x",
             "threshold",
-            "adaptive",
+            "capacity",
             "served",
             "offload_pct",
-            "relaxed_pct",
+            "shed_pct",
             "p50_ms",
             "p95_ms",
             "kb_per_req",
@@ -124,7 +125,7 @@ def run_distributed_serving(scale: Optional[ExperimentScale] = None) -> Experime
         workers: int,
         bandwidth_x: float,
         row_threshold: float,
-        adaptive: Optional[AdaptiveThreshold],
+        capacity: Optional[int],
         row_seed: int,
     ) -> None:
         deployment = partition_ddnn(
@@ -140,7 +141,8 @@ def run_distributed_serving(scale: Optional[ExperimentScale] = None) -> Experime
             batching=BATCHING,
             service_models=[DEVICE_SERVICE]
             + [UPPER_SERVICE] * (1 + (1 if deployment.model.has_edge else 0)),
-            adaptive=adaptive,
+            capacity=capacity,  # None: unbounded, the policy never runs
+            admission=ShedToLocalExit(),
         )
         report = fabric.open_loop(
             PoissonProcess(offered_rps, seed=row_seed),
@@ -148,15 +150,19 @@ def run_distributed_serving(scale: Optional[ExperimentScale] = None) -> Experime
             targets=test_set.labels,
             num_requests=NUM_REQUESTS,
         )
+        require(
+            f"distributed serving row '{sweep}'",
+            check_honest_reasons(report.responses, [c.threshold for c in fabric.criteria]),
+        )
         result.add_row(
             sweep=sweep,
             workers=workers,
             bandwidth_x=bandwidth_x,
             threshold=row_threshold,
-            adaptive="yes" if adaptive is not None else "no",
+            capacity="none" if capacity is None else capacity,
             served=report.served,
             offload_pct=100.0 * report.offload_fraction,
-            relaxed_pct=100.0 * (report.reasons["pressure"] / report.served),
+            shed_pct=100.0 * (report.reasons["shed"] / report.served),
             p50_ms=1e3 * report.p50_latency_s,
             p95_ms=1e3 * report.p95_latency_s,
             kb_per_req=report.mean_bytes / 1e3,
@@ -169,10 +175,7 @@ def run_distributed_serving(scale: Optional[ExperimentScale] = None) -> Experime
         _run_row("bandwidth", 2, bandwidth_x, THRESHOLD, None, SEED + 1)
     for row_threshold in THRESHOLD_SWEEP:
         _run_row("threshold", 2, 1.0, row_threshold, None, SEED + 2)
-    # Adaptive shedding under a saturated single worker: matched pair with
-    # the workers=1 row (same seed), adaptive off vs on.
-    adaptive = AdaptiveThreshold(
-        depth_trigger=2 * BATCHING.max_batch_size, relaxed_threshold=1.0
-    )
-    _run_row("adaptive", 1, 1.0, THRESHOLD, adaptive, SEED)
+    # Shedding under a saturated single worker: matched pair with the
+    # workers=1 row (same seed), unbounded vs an ingress of two batches.
+    _run_row("shed", 1, 1.0, THRESHOLD, 2 * BATCHING.max_batch_size, SEED)
     return result

@@ -43,6 +43,7 @@ from ..serving import HedgePolicy, LoadBalancer, PoissonProcess
 from ..serving.invariants import (
     accounting,
     check_exactly_once,
+    check_honest_reasons,
     check_no_expired_compute,
     check_replay,
     require,
@@ -153,8 +154,10 @@ def run_slo_serving(scale: Optional[ExperimentScale] = None) -> ExperimentResult
         resilience = report.metadata["resilience"]
         require(
             f"slo cell ({mode}, {scenario}) (expired or not, every request must "
-            "be answered exactly once, and expired work retired, not computed)",
+            "be answered exactly once for an honest reason, and expired work "
+            "retired, not computed)",
             check_exactly_once(NUM_REQUESTS, report.responses),
+            check_honest_reasons(report.responses, [c.threshold for c in origin.criteria]),
             check_no_expired_compute(resilience),
         )
         # A hit answers strictly inside the budget with its intended (not

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..core.ddnn import DDNN
+from ..datasets.mvmc import _int_at_least
 from .partition import (
     CLOUD_NAME,
     DEFAULT_EDGE_LINK,
@@ -162,8 +163,7 @@ class PartitionPlan:
             )
         if self.edge_exit and not self.model.has_edge:
             raise ValueError("plan enables the edge exit but the model has no edge tier")
-        if self.replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {self.replicas}")
+        _int_at_least(self.replicas, "replicas")
         if self.slo_s is not None and not self.slo_s > 0.0:
             raise ValueError(f"slo_s must be > 0 or None, got {self.slo_s}")
         if self.hedge is not None:

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..core.cascade import Thresholds, build_exit_criteria, require_compiled
 from ..core.oracle import InferenceResult
-from ..datasets.mvmc import MVMCDataset, _positive_int
+from ..datasets.mvmc import MVMCDataset, _int_at_least
 from .faults import FaultPlan
 from .partition import HierarchyDeployment
 from .sections import build_tier_sections
@@ -63,7 +63,7 @@ class HierarchyRuntime:
         self.model = deployment.model
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self.fault_plan._check_nodes(len(deployment.devices))
-        self.batch_size = _positive_int(batch_size, "batch_size")
+        self.batch_size = _int_at_least(batch_size, "batch_size")
         #: Per-exit criteria (final threshold forced to 1.0).
         self.criteria = build_exit_criteria(thresholds, self.model.exit_names)
 

@@ -10,7 +10,8 @@ untimed :meth:`ExitOracle.route <repro.core.oracle.ExitOracle.route>`:
   answer for one :class:`AnswerReason` (counted in ``FabricReport.reasons``);
 * :class:`AdmissionPolicy` (:class:`RejectNewest`, :class:`DropOldest`,
   :class:`ShedToLocalExit`) and the one :func:`admit` rule — what a full
-  ingress queue does under overload;
+  ingress queue does under overload (the fabric's only pressure valve:
+  every row a tier computes is judged at its exit's own threshold);
 * :class:`BatchingPolicy` — dynamic micro-batching with ``max_batch_size``
   and ``max_wait_s`` knobs, and the one :meth:`BatchingPolicy.due` trigger;
 * arrival processes (:class:`PoissonProcess`, :class:`DiurnalProcess`)
@@ -21,7 +22,7 @@ untimed :meth:`ExitOracle.route <repro.core.oracle.ExitOracle.route>`:
   an :class:`EventLoop`-driven fabric of :class:`TierServer`s (N workers
   per tier, per-worker compiled plans) where offloads cross
   :class:`~repro.hierarchy.network.NetworkFabric` links with simulated
-  transfer delay, with optional :class:`AdaptiveThreshold` shedding.
+  transfer delay.
   :class:`~repro.hierarchy.runtime.HierarchyRuntime` is its offline replay,
   and :class:`DDNNServer` the same fabric over one whole-cascade tier with
   one worker (the single-box server);
@@ -54,7 +55,8 @@ untimed :meth:`ExitOracle.route <repro.core.oracle.ExitOracle.route>`:
 
 * :mod:`~repro.serving.invariants` — the gates all of the above are held
   to (exactly-once, admission conservation, no compute on expired work,
-  byte-identical seeded replay), one copy for experiments and tests alike.
+  honest answer reasons, byte-identical seeded replay), one copy for
+  experiments and tests alike.
 
 All timing flows through an injectable clock, so scheduling behaviour is
 deterministic under test while real deployments use wall time.
@@ -76,7 +78,6 @@ from .balancer import BALANCER_STRATEGIES, LoadBalancer
 from .batcher import BatchingPolicy
 from .clock import EventHandle, EventLoop, SimulatedClock, WallClock
 from .fabric import (
-    AdaptiveThreshold,
     AnswerReason,
     DistributedServingFabric,
     FabricReport,
@@ -137,7 +138,6 @@ __all__ = [
     "ThreadPoolWorkerPool",
     "WORKER_POOL_BACKENDS",
     "make_worker_pool",
-    "AdaptiveThreshold",
     "AnswerReason",
     "DistributedServingFabric",
     "FabricRequest",

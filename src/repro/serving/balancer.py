@@ -40,6 +40,7 @@ fleet-honest view.
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -370,8 +371,11 @@ class LoadBalancer:
             stats.hedge_wins / stats.hedges if stats.hedges else 0.0
         )
         base.hedge_bytes = sum(fabric.hedge_bytes for fabric in self.replicas)
+        reasons = Counter()
+        for fabric in self.replicas:
+            reasons.update(fabric.reasons)
         base.metadata = {
-            "resilience": stats.as_dict(),
+            "resilience": stats.report(reasons),
             "admission": AdmissionStats.merged(
                 [fabric.admission_stats for fabric in self.replicas]
             ).as_dict(),

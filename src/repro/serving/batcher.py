@@ -22,6 +22,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+from ..datasets.mvmc import _int_at_least
+
 __all__ = ["BatchingPolicy"]
 
 
@@ -33,10 +35,8 @@ class BatchingPolicy:
     max_wait_s: float = 0.002
 
     def __post_init__(self) -> None:
-        # A bool is an int; a fractional size pops more rows than it names.
-        size = self.max_batch_size
-        if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
-            raise ValueError(f"max_batch_size must be an int >= 1, got {size!r}")
+        # A fractional size pops more rows than it names.
+        _int_at_least(self.max_batch_size, "max_batch_size")
         # NaN passes a `< 0` test and then never triggers the wait timer;
         # inf answers everything at t = inf.
         wait = self.max_wait_s

@@ -43,10 +43,11 @@ fabric over one tier that holds every exit
 each exit it holds in cascade order.
 
 Every answer carries one :class:`AnswerReason`: ``threshold`` (its exit's
-entropy met T, the paper's rule) or one of four early answers, each given
-from the deepest exit the request already cleared by one step
-(:meth:`DistributedServingFabric._answer_early`): ``shed``, ``pressure``
-(:class:`AdaptiveThreshold`), ``failover`` and ``deadline``.
+entropy met T, the paper's rule, judged by one
+:class:`~repro.core.exits.ExitCriterion` per exit for every row) or one of
+three early answers, each given from the deepest exit the request already
+cleared by one step (:meth:`DistributedServingFabric._answer_early`):
+``shed`` (queue pressure, at admission only), ``failover`` and ``deadline``.
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ import numpy as np
 
 from ..compile.cache import compiled_plan_for
 from ..core.cascade import Thresholds, build_exit_criteria, require_compiled
-from ..core.exits import ExitCriterion
-from ..datasets.mvmc import MVMCDataset
+from ..datasets.mvmc import MVMCDataset, _int_at_least
 from ..hierarchy.faults import ChaosSchedule
 from ..hierarchy.partition import HierarchyDeployment
 from ..hierarchy.plan import PartitionPlan
@@ -94,7 +94,6 @@ from .workers import (
 )
 
 __all__ = [
-    "AdaptiveThreshold",
     "AnswerReason",
     "FabricRequest",
     "FabricResponse",
@@ -105,31 +104,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AdaptiveThreshold:
-    """Adaptive shedding: relax the local exit while the device tier is backed up.
-
-    When the device tier's queue depth (measured at batch formation) is at
-    least ``depth_trigger``, the local exit evaluates that batch with
-    ``relaxed_threshold`` instead of the cascade's configured threshold —
-    more samples exit locally, offload traffic drops, and the backlog
-    drains, at the cost of answering borderline samples from the weakest
-    classifier.  ``relaxed_threshold=1.0`` sheds every pressured sample
-    locally.
-    """
-
-    depth_trigger: int
-    relaxed_threshold: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.depth_trigger < 1:
-            raise ValueError(f"depth_trigger must be >= 1, got {self.depth_trigger}")
-        if not 0.0 <= self.relaxed_threshold <= 1.0:
-            raise ValueError(
-                f"relaxed_threshold must be in [0, 1], got {self.relaxed_threshold}"
-            )
-
-
 class AnswerReason(str, Enum):
     """Why an answer left at its exit (a ``str`` enum: ``reason == "shed"``)."""
 
@@ -138,10 +112,6 @@ class AnswerReason(str, Enum):
     THRESHOLD = "threshold"
     #: Admission answered it at the ingress from the first exit.
     SHED = "shed"
-    #: It left at the device tier's first exit in a batch formed with the
-    #: queue at least ``depth_trigger`` deep, where that exit is judged at
-    #: ``relaxed_threshold`` — also when its entropy met T anyway.
-    PRESSURE = "pressure"
     #: Its offload's retries or circuit breaker gave up on the uplink.
     FAILOVER = "failover"
     #: Its SLO budget was spent, or could not cover its next transfer.
@@ -206,7 +176,7 @@ class FabricRequest:
 @dataclass
 class FabricResponse:
     """The cascade's answer for one request, with distributed accounting;
-    ``shed``, ``relaxed`` and ``degraded`` are read-only views of ``reason``."""
+    ``shed`` and ``degraded`` are read-only views of ``reason``."""
 
     request_id: int
     client_id: str
@@ -238,7 +208,9 @@ class FabricResponse:
 
     @property
     def relaxed(self) -> bool:
-        return self.reason == AnswerReason.PRESSURE
+        # Always False: every exit judges every row at its own threshold.
+        # Kept while ``bench/check.py`` still reads the flag.
+        return False
 
     @property
     def degraded(self) -> bool:
@@ -271,7 +243,7 @@ class FabricReport:
     max_latency_s: float = 0.0
     mean_bytes: float = 0.0
     accuracy: Optional[float] = None
-    #: Responses per :class:`AnswerReason` value, all five present (sum: ``served``).
+    #: Responses per :class:`AnswerReason` value, all four present (sum: ``served``).
     reasons: Dict[str, int] = field(default_factory=_no_reasons)
     #: Total offload re-sends across all responses.
     retry_total: int = 0
@@ -450,8 +422,6 @@ class DistributedServingFabric:
         ops-model compute time for worker occupancy (used for
         machine-independent studies); ``None`` entries keep the section
         estimate.
-    adaptive:
-        Optional :class:`AdaptiveThreshold` queue-pressure shedding.
     backend:
         Worker-pool backend: ``"simulated"`` (default — deterministic
         discrete-event slots, the paper-table replay path, byte-identical
@@ -521,7 +491,6 @@ class DistributedServingFabric:
         compile: bool = True,
         sections: Optional[Sequence[TierSection]] = None,
         service_models: Optional[Sequence[Optional[ServiceModel]]] = None,
-        adaptive: Optional[AdaptiveThreshold] = None,
         backend: str = "simulated",
         capacity: Optional[int] = None,
         admission: Optional[AdmissionPolicy] = None,
@@ -533,10 +502,8 @@ class DistributedServingFabric:
         events: Optional[EventLoop] = None,
     ) -> None:
         require_compiled(compile)
-        if capacity is not None and capacity < 1:
-            raise ValueError(
-                f"capacity must be >= 1 (or None for unbounded), got {capacity}"
-            )
+        if capacity is not None:
+            capacity = _int_at_least(capacity, "capacity")
         if slo_s is not None:
             slo_s = _finite("slo_s", slo_s, positive=True)
         if backend not in WORKER_POOL_BACKENDS:
@@ -558,7 +525,6 @@ class DistributedServingFabric:
         # hierarchy runtime makes the same call before it replays a dataset).
         self.model.eval()
         self.events = events
-        self.adaptive = adaptive
         self.backend = backend
 
         if sections is None:
@@ -580,7 +546,9 @@ class DistributedServingFabric:
         self._bundles: List[object] = []
         self.tiers: List[TierServer] = []
         for index, section in enumerate(self.sections):
-            count = int(workers[index]) if workers[index] is not None else 1
+            count = 1 if workers[index] is None else _int_at_least(
+                workers[index], "workers_per_tier"
+            )
             pool = make_worker_pool(
                 backend,
                 self.events,
@@ -617,9 +585,10 @@ class DistributedServingFabric:
 
         self.responses: List[FabricResponse] = []
         self.offered = 0
-        #: Answers emitted so far, :meth:`serve_dataset`'s included (it hands
-        #: its answers back instead of keeping them in ``responses``).
-        self.answered = 0
+        #: Answers emitted so far per :class:`AnswerReason` value,
+        #: :meth:`serve_dataset`'s included (it hands its answers back
+        #: instead of keeping them in ``responses``).
+        self.reasons: Dict[str, int] = _no_reasons()
         #: Shared-able id source (the balancer unifies it across replicas
         #: when hedging, so merged response streams stay globally unique).
         self._ids = _RequestIds()
@@ -680,6 +649,11 @@ class DistributedServingFabric:
         return self._inflight_batches == 0 and all(
             not tier.queue for tier in self.tiers
         )
+
+    @property
+    def answered(self) -> int:
+        """Answers emitted so far, :meth:`serve_dataset`'s included."""
+        return sum(self.reasons.values())
 
     @property
     def tier_names(self) -> List[str]:
@@ -770,7 +744,7 @@ class DistributedServingFabric:
     def _per_tier(value, num_tiers: int, label: str) -> List:
         if isinstance(value, bool):
             raise ValueError(f"{label} must be one value or one per tier, got {value!r}")
-        if value is None or isinstance(value, (numbers.Integral, str, BatchingPolicy)):
+        if value is None or isinstance(value, (numbers.Integral, BatchingPolicy)):
             return [value] * num_tiers
         values = list(value)
         if len(values) != num_tiers:
@@ -906,7 +880,6 @@ class DistributedServingFabric:
                 and request.deadline.expired(now)
                 and self._can_retire(request)
             ):
-                self.resilience_stats.deadline_expired += 1
                 self._answer_early(request, now, AnswerReason.DEADLINE)
                 continue
             if fresh:
@@ -1050,7 +1023,7 @@ class DistributedServingFabric:
             hedged=request.hedged,
         )
         self.responses.append(response)
-        self.answered += 1
+        self.reasons[reason.value] += 1
         return response
 
     def _can_retire(self, request: FabricRequest) -> bool:
@@ -1070,7 +1043,6 @@ class DistributedServingFabric:
             fabric.tiers[tier_index].queue.remove(item)
         except ValueError:
             return  # popped into a batch between scheduling and firing
-        fabric.resilience_stats.deadline_expired += 1
         fabric._answer_early(request, now, AnswerReason.DEADLINE)
 
     # ------------------------------------------------------------------ #
@@ -1088,12 +1060,6 @@ class DistributedServingFabric:
                 worker.plans = self._worker_bundles(
                     1, {id(other.plans) for other in tier.pool.workers}
                 )[0]
-            relaxed = (
-                tier_index == 0
-                and self.adaptive is not None
-                and self.sections[0].exit_index is not None
-                and len(tier.queue) >= self.adaptive.depth_trigger
-            )
             if self.edf and len(tier.queue) > 1:
                 # Earliest-deadline-first batch formation: requests with no
                 # deadline sort last; ties break on request id so the order
@@ -1118,7 +1084,6 @@ class DistributedServingFabric:
                     if self._can_retire(request):
                         # Retired at batch formation: an expired request
                         # never occupies a compute slot.
-                        self.resilience_stats.deadline_expired += 1
                         self._answer_early(request, now, AnswerReason.DEADLINE)
                         continue
                     if tier_index > 0:
@@ -1146,17 +1111,10 @@ class DistributedServingFabric:
                 service_for=lambda result, t=tier, n=len(batch): t.service_time(
                     n, result.service_s
                 ),
-                on_complete=lambda result, fire_time, t=tier_index, w=worker, b=batch, rx=relaxed: (
-                    self._complete(t, w, b, result, rx, fire_time)
+                on_complete=lambda result, fire_time, t=tier_index, w=worker, b=batch: (
+                    self._complete(t, w, b, result, fire_time)
                 ),
             )
-
-    def _criterion(self, exit_index: int, relaxed: bool) -> ExitCriterion:
-        criterion = self.criteria[exit_index]
-        if relaxed:
-            assert self.adaptive is not None
-            return ExitCriterion(self.adaptive.relaxed_threshold, name=criterion.name)
-        return criterion
 
     def _complete(
         self,
@@ -1164,7 +1122,6 @@ class DistributedServingFabric:
         worker: WorkerHandle,
         batch: List[_PendingItem],
         result,
-        relaxed: bool,
         now: float,
     ) -> None:
         self._inflight_batches -= 1
@@ -1182,11 +1139,11 @@ class DistributedServingFabric:
 
         # The exits the tier holds decide in cascade order: a row leaves at
         # the first whose criterion it meets, and the final tier's last exit
-        # takes every row still left.  Only the tier's first exit is relaxed.
+        # takes every row still left.
         exits = section.exits
         decisions = [
-            self._criterion(exit_index, relaxed and position == 0).evaluate(logits)
-            for position, ((exit_index, _), logits) in enumerate(zip(exits, result.logits))
+            self.criteria[exit_index].evaluate(logits)
+            for (exit_index, _), logits in zip(exits, result.logits)
         ]
         predictions = [decision.predictions.tolist() for decision in decisions]
         entropies = [decision.entropies.tolist() for decision in decisions]
@@ -1194,7 +1151,6 @@ class DistributedServingFabric:
         if final:
             masks[-1] = [True] * batch_size
 
-        first_reason = AnswerReason.PRESSURE if relaxed else AnswerReason.THRESHOLD
         remaining: List[int] = []
         for row in range(batch_size):
             position = next((p for p, mask in enumerate(masks) if mask[row]), None)
@@ -1207,7 +1163,6 @@ class DistributedServingFabric:
                 predictions[position][row],
                 entropies[position][row],
                 *exits[position],
-                reason=first_reason if position == 0 else AnswerReason.THRESHOLD,
                 batch_size=batch_size,
             )
 
@@ -1227,7 +1182,6 @@ class DistributedServingFabric:
                 if estimate is None:
                     estimate = section.transfer_estimate_s()
                 if now + estimate >= request.deadline.expires_at:
-                    self.resilience_stats.deadline_expired += 1
                     self._answer_early(
                         request, now, AnswerReason.DEADLINE, batch_size=batch_size
                     )
@@ -1507,7 +1461,6 @@ class DistributedServingFabric:
             return
         self._settle(group)
         for request in group.requests:
-            self.resilience_stats.failovers += 1
             self._answer_early(
                 request, now, AnswerReason.FAILOVER, batch_size=len(group.requests)
             )
@@ -1850,7 +1803,7 @@ class DistributedServingFabric:
         counters (retries, failovers, deadline/hedge counts, ...), admission
         accounting, and per-link breaker state + transition counts."""
         return {
-            "resilience": self.resilience_stats.as_dict(),
+            "resilience": self.resilience_stats.report(self.reasons),
             "admission": self.admission_stats.as_dict(),
             "breakers": {
                 f"{origin}->{target}": {

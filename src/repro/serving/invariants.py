@@ -2,8 +2,9 @@
 
 One copy of the gates the serving experiments, their tests and the
 benchmarks all assert: every request answered exactly once, admission
-conserving what it was offered, no compute spent on expired work, and a
-seeded simulated run replaying byte for byte.
+conserving what it was offered, no compute spent on expired work, every
+answer's ``reason`` telling the truth, and a seeded simulated run
+replaying byte for byte.
 
 Each ``check_*`` returns the problems it found as a list of sentences
 (empty when the invariant holds), so a test writes
@@ -24,6 +25,7 @@ __all__ = [
     "check_exactly_once",
     "check_conservation",
     "check_no_expired_compute",
+    "check_honest_reasons",
     "check_replay",
     "require",
 ]
@@ -102,6 +104,33 @@ def check_no_expired_compute(resilience: Mapping[str, int]) -> List[str]:
     if burned:
         return [f"{burned} expired request(s) burned a remote compute slot"]
     return []
+
+
+def check_honest_reasons(responses, thresholds: Sequence[float]) -> List[str]:
+    """Each ``reason`` alone says how its answer left: a ``threshold`` answer
+    at a non-final exit met that exit's threshold (``thresholds``: one per
+    exit in cascade order), and a ``shed`` answer came from the first exit
+    with no byte sent."""
+    final = len(thresholds) - 1
+    loose = [
+        r.request_id
+        for r in responses
+        if r.reason == "threshold" and r.exit_index < final
+        and not r.entropy <= thresholds[r.exit_index]
+    ]
+    strayed = [
+        r.request_id
+        for r in responses
+        if r.reason == "shed" and (r.exit_index != 0 or r.bytes_transferred != 0)
+    ]
+    return [
+        f"{len(ids)} '{reason}' answer(s) {what}, e.g. id {ids[0]}"
+        for reason, ids, what in (
+            ("threshold", loose, "left a non-final exit above its threshold"),
+            ("shed", strayed, "did not come from the first exit with 0 bytes"),
+        )
+        if ids
+    ]
 
 
 def check_replay(first: Sequence[tuple], second: Sequence[tuple]) -> List[str]:

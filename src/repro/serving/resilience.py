@@ -25,8 +25,10 @@ Barroso's *The Tail at Scale*; gRPC-style deadline propagation):
   remaining budget, up to ``max_hedges`` copies race it through the
   balancer's other replicas; first arrival wins, losers are cancelled.
 * :class:`ResilienceStats` — fabric-wide accounting of attempts, timeouts,
-  retries, failovers, breaker fast-fails, expired-deadline retirements and
-  hedges, so degraded service is always measured, never silent.
+  retries, breaker fast-fails and hedges, so degraded service is always
+  measured, never silent (failovers and deadline retirements are answers,
+  counted once by the fabric's reason tally; :meth:`ResilienceStats.report`
+  puts them back beside these counters).
 
 Everything here is clock-agnostic pure state; the fabric drives it from
 the event loop, which keeps the whole recovery path deterministic under
@@ -36,9 +38,11 @@ seed on the simulated backend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Mapping, Optional
+
+from ..datasets.mvmc import _int_at_least
 
 __all__ = [
     "Deadline",
@@ -101,8 +105,7 @@ class HedgePolicy:
             raise ValueError(
                 f"trigger_fraction must be in (0, 1), got {self.trigger_fraction}"
             )
-        if self.max_hedges < 1:
-            raise ValueError(f"max_hedges must be >= 1, got {self.max_hedges}")
+        _int_at_least(self.max_hedges, "max_hedges")
 
 
 @dataclass(frozen=True)
@@ -128,8 +131,7 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if not self.deadline_s > 0.0:
             raise ValueError(f"deadline_s must be > 0, got {self.deadline_s}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        _int_at_least(self.max_retries, "max_retries", minimum=0)
         if self.backoff_base_s < 0.0:
             raise ValueError(f"backoff_base_s must be >= 0, got {self.backoff_base_s}")
         if self.backoff_multiplier < 1.0:
@@ -210,10 +212,7 @@ class CircuitBreaker:
     _probing: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
-            )
+        _int_at_least(self.failure_threshold, "failure_threshold")
         if not self.reset_timeout_s > 0.0:
             raise ValueError(
                 f"reset_timeout_s must be > 0, got {self.reset_timeout_s}"
@@ -277,18 +276,12 @@ class ResilienceStats:
     #: Re-sends scheduled after a timeout (attempts - first-sends, minus
     #: budget-exhausted failovers).
     retries: int = 0
-    #: Requests answered from the origin tier's local exit after the retry
-    #: budget (or a breaker fast-fail) gave up on the uplink.
-    failovers: int = 0
     #: Offload groups answered locally without a send because the link's
     #: breaker was open.
     breaker_fast_fails: int = 0
     #: Deliveries that arrived after their attempt had already been retired
     #: (deadline raced the transfer); suppressed to keep requests unique.
     late_deliveries: int = 0
-    #: Requests retired because their end-to-end :class:`Deadline` expired
-    #: (answered from the deepest exit already cleared, never dropped).
-    deadline_expired: int = 0
     #: Re-sends skipped because backoff + transfer could not land inside the
     #: remaining budget (the ladder clipped to the deadline).
     clipped_retries: int = 0
@@ -301,18 +294,18 @@ class ResilienceStats:
     expired_compute: int = 0
 
     def as_dict(self) -> dict:
+        return asdict(self)
+
+    def report(self, reasons: Mapping[str, int]) -> dict:
+        """The ``resilience`` block of a report: these counters plus
+        ``failovers`` (requests answered from the origin tier's exit after
+        the retry budget or a breaker gave up on the uplink) and
+        ``deadline_expired`` (requests retired at their :class:`Deadline`,
+        never dropped), read from the answers' ``reasons`` tally."""
         return {
-            "attempts": self.attempts,
-            "timeouts": self.timeouts,
-            "retries": self.retries,
-            "failovers": self.failovers,
-            "breaker_fast_fails": self.breaker_fast_fails,
-            "late_deliveries": self.late_deliveries,
-            "deadline_expired": self.deadline_expired,
-            "clipped_retries": self.clipped_retries,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-            "expired_compute": self.expired_compute,
+            **self.as_dict(),
+            "failovers": reasons["failover"],
+            "deadline_expired": reasons["deadline"],
         }
 
     @classmethod

@@ -33,7 +33,12 @@ from repro.serving import (
     admission_policy,
     make_worker_pool,
 )
-from repro.serving.invariants import accounting, check_conservation, check_exactly_once
+from repro.serving.invariants import (
+    accounting,
+    check_conservation,
+    check_exactly_once,
+    check_honest_reasons,
+)
 
 THRESHOLD = 0.5  # low threshold => most requests offload, exercising the uplink
 SERVICE = ServiceModel(batch_overhead_s=0.002, per_sample_s=0.004)
@@ -354,7 +359,7 @@ class TestResilientOffload:
         assert explicit.retry_total == 0
         stats = fabric.resilience_stats
         assert stats.attempts > 0  # offloads were actually sent
-        assert stats.timeouts == stats.retries == stats.failovers == 0
+        assert stats.timeouts == stats.retries == fabric.reasons["failover"] == 0
 
     def test_default_policy_arms_no_attempt_timer(self, trained_ddnn, tiny_test):
         """The never-timing-out default must not schedule anything at
@@ -363,7 +368,7 @@ class TestResilientOffload:
         report = _serve(fabric, tiny_test)
         stats = fabric.resilience_stats
         assert stats.attempts > 0
-        assert stats.timeouts == stats.retries == stats.failovers == 0
+        assert stats.timeouts == stats.retries == fabric.reasons["failover"] == 0
         assert len(fabric.events) == 0
         assert fabric.clock.now == max(r.completion_time for r in report.responses)
 
@@ -380,7 +385,7 @@ class TestResilientOffload:
         assert report.served == 8
         assert {r.exit_name for r in report.responses} == {"cloud"}
         assert all(r.deadline_exceeded and not r.degraded for r in report.responses)
-        assert fabric.resilience_stats.failovers == 0
+        assert fabric.reasons["failover"] == 0
 
     def test_partition_fails_over_to_local_exits(self, trained_ddnn, tiny_test):
         fabric = _fabric(
@@ -396,7 +401,7 @@ class TestResilientOffload:
         # labelled, never counted as shed.
         first_exit = fabric.sections[0].exit_name
         assert all(r.exit_name == first_exit and not r.shed for r in degraded)
-        assert len(degraded) == fabric.resilience_stats.failovers
+        assert len(degraded) == fabric.reasons["failover"]
         assert fabric.resilience_stats.timeouts > 0
         assert fabric.deployment.fabric.lost_messages > 0
         # The breaker learned the link is dark and fast-failed later groups.
@@ -429,7 +434,7 @@ class TestResilientOffload:
             )
             fabric = _fabric(trained_ddnn, offload=POLICY).attach_chaos(chaos)
             report = _serve(fabric, tiny_test)
-            return accounting(report.responses), fabric.resilience_stats.as_dict()
+            return accounting(report.responses), fabric.report_metadata()["resilience"]
 
         first_acc, first_stats = _run()
         second_acc, second_stats = _run()
@@ -541,10 +546,11 @@ class TestChaosAccounting:
         self, trained_ddnn, tiny_test, slo_s
     ):
         """offered == accepted + rejected + shed; responses == accepted -
-        dropped + shed; each early answer's reason matches the counter of
-        the path that gave it — with link flaps mid-run, a bounded ingress
-        shedding to the local exit and (``slo``) a budget tight enough that
-        failovers and deadline retirements happen in the same run."""
+        dropped + shed; the report's resilience block counts what the
+        answers' reasons say, and every reason is honest — with link flaps
+        mid-run, a bounded ingress shedding to the local exit and (``slo``)
+        a budget tight enough that failovers and deadline retirements
+        happen in the same run."""
         chaos = ChaosSchedule(
             flaps=[LinkFlap(period_s=0.3, down_s=0.12, destination="cloud")],
             losses=[LinkLoss(probability=0.15, destination="cloud")],
@@ -564,28 +570,29 @@ class TestChaosAccounting:
         fabric.run_until_idle(drain=True)
 
         stats = fabric.admission_stats
-        resilience = fabric.resilience_stats
         responses = fabric.responses
-        reasons = fabric.report().reasons
+        report = fabric.report()
+        reasons = report.reasons
+        resilience = report.metadata["resilience"]
         shed = [r for r in responses if r.shed]
         degraded = [r for r in responses if r.degraded]
         assert stats.shed > 0, "overload never triggered shedding"
-        assert degraded or resilience.retries > 0, (
+        assert degraded or resilience["retries"] > 0, (
             "the flap windows never touched an offload"
         )
         if slo_s is not None:
-            assert resilience.failovers > 0 and resilience.deadline_expired > 0
+            assert resilience["failovers"] > 0 and resilience["deadline_expired"] > 0
         assert not check_conservation(fabric.offered, stats.as_dict())
         assert len(responses) - len(shed) == stats.accepted - stats.dropped
         assert len(shed) == stats.shed
-        assert len(degraded) == resilience.failovers + resilience.deadline_expired
+        assert len(degraded) == resilience["failovers"] + resilience["deadline_expired"]
         assert not any(r.shed for r in degraded)  # disjoint classifications
-        assert reasons["failover"] == resilience.failovers
-        assert reasons["deadline"] == resilience.deadline_expired
+        assert reasons["failover"] == resilience["failovers"]
+        assert reasons["deadline"] == resilience["deadline_expired"]
         assert reasons["shed"] == stats.shed
         assert sum(reasons.values()) == len(responses)
-        first_exit = fabric.sections[0].exit_index
-        assert all(r.exit_index == first_exit and r.bytes_transferred == 0 for r in shed)
+        thresholds = [criterion.threshold for criterion in fabric.criteria]
+        assert not check_honest_reasons(responses, thresholds)
         assert not check_exactly_once(len(responses), responses), "duplicate responses"
         # Every admitted-and-kept request got exactly one answer.
         assert len(responses) == fabric.offered - stats.rejected - stats.dropped

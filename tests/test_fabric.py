@@ -8,14 +8,17 @@ import pytest
 from repro.core import ExitOracle
 from repro.hierarchy import LinkSpec, partition_ddnn
 from repro.hierarchy.partition import DEFAULT_LOCAL_LINK, DEFAULT_UPLINK
+from repro.hierarchy.plan import PartitionPlan
 from repro.serving import (
-    AdaptiveThreshold,
     BatchingPolicy,
+    CircuitBreaker,
     DDNNServer,
     DistributedServingFabric,
     EventLoop,
+    HedgePolicy,
     LoadBalancer,
     PoissonProcess,
+    RetryPolicy,
     SimulatedClock,
 )
 
@@ -173,7 +176,7 @@ class TestLinkDelayAccounting:
             assert fast.bytes_transferred == pytest.approx(slow.bytes_transferred)
 
 
-class TestOpenLoopAndAdaptive:
+class TestOpenLoop:
     def test_open_loop_report(self, trained_ddnn, tiny_test):
         fabric = DistributedServingFabric(
             partition_ddnn(trained_ddnn),
@@ -193,51 +196,6 @@ class TestOpenLoopAndAdaptive:
         )
         assert 0.0 <= report.p50_latency_s <= report.p95_latency_s <= report.max_latency_s
         assert report.accuracy is not None and 0.0 <= report.accuracy <= 1.0
-
-    def test_adaptive_threshold_sheds_under_pressure(self, trained_ddnn, tiny_test):
-        from repro.serving import ServiceModel
-
-        device_service = ServiceModel(0.02, 0.02)
-
-        def build(adaptive):
-            return DistributedServingFabric(
-                partition_ddnn(trained_ddnn),
-                0.8,
-                batching=BatchingPolicy(max_batch_size=4, max_wait_s=0.002),
-                # Slow device tier so the arrival process overloads it.
-                service_models=[device_service, None],
-                adaptive=adaptive,
-            )
-
-        # 1.5x the single device-tier worker's capacity: sustained overload.
-        process = PoissonProcess(1.5 * device_service.capacity_rps(4), seed=3)
-        plain = build(None).open_loop(
-            process, tiny_test.images, targets=tiny_test.labels, num_requests=80
-        )
-        adaptive = build(AdaptiveThreshold(depth_trigger=8)).open_loop(
-            process, tiny_test.images, targets=tiny_test.labels, num_requests=80
-        )
-        assert adaptive.reasons["pressure"] > 0
-        assert adaptive.offload_fraction < plain.offload_fraction
-        assert adaptive.p95_latency_s < plain.p95_latency_s
-
-    def test_adaptive_without_pressure_changes_nothing(self, trained_ddnn, tiny_test):
-        baseline = ExitOracle.capture(trained_ddnn, tiny_test.images, compile=False).route(0.8)
-        fabric = DistributedServingFabric(
-            partition_ddnn(trained_ddnn),
-            0.8,
-            batching=BatchingPolicy(max_batch_size=8, max_wait_s=0.0),
-            adaptive=AdaptiveThreshold(depth_trigger=10_000),
-        )
-        predictions, exits, _ = _decisions(fabric.serve_dataset(tiny_test))
-        np.testing.assert_array_equal(predictions, baseline.predictions)
-        np.testing.assert_array_equal(exits, baseline.exit_indices)
-
-    def test_adaptive_threshold_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveThreshold(depth_trigger=0)
-        with pytest.raises(ValueError):
-            AdaptiveThreshold(depth_trigger=4, relaxed_threshold=1.5)
 
 
 class TestSubmitValidation:
@@ -559,3 +517,42 @@ class TestWorkerStaging:
         assert widened.dtype == np.float64  # as np.stack would have promoted
         with pytest.raises(ValueError, match="same shape"):
             worker.stage([np.ones((4,)), np.ones((1,))], capacity=2)
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("capacity", lambda m: DistributedServingFabric(partition_ddnn(m), 0.8, capacity=True)),
+        ("capacity", lambda m: DistributedServingFabric(partition_ddnn(m), 0.8, capacity=2.5)),
+        (
+            "workers_per_tier",
+            lambda m: DistributedServingFabric(partition_ddnn(m), 0.8, workers_per_tier="3"),
+        ),
+        (
+            "workers_per_tier",
+            lambda m: DistributedServingFabric(partition_ddnn(m), 0.8, workers_per_tier=[2, "1"]),
+        ),
+        ("replicas", lambda m: PartitionPlan(m, replicas=True)),
+        ("replicas", lambda m: PartitionPlan(m, replicas=2.0)),
+        ("max_retries", lambda m: RetryPolicy(max_retries=1.5)),
+        ("max_hedges", lambda m: HedgePolicy(max_hedges=True)),
+        ("failure_threshold", lambda m: CircuitBreaker(failure_threshold=2.5)),
+    ],
+    ids=[
+        "capacity-bool",
+        "capacity-float",
+        "workers-str",
+        "workers-list-str",
+        "replicas-bool",
+        "replicas-float",
+        "max_retries-float",
+        "max_hedges-bool",
+        "failure_threshold-float",
+    ],
+)
+def test_counts_must_be_ints(trained_ddnn, field, build):
+    """A bool, a float or a string is no count: each is refused by name,
+    not truncated, broadcast or taken as 1."""
+    with pytest.raises(ValueError, match=field):
+        build(trained_ddnn)
+    assert RetryPolicy(max_retries=0).max_retries == 0  # no retries stays valid

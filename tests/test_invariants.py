@@ -12,6 +12,7 @@ from repro.serving.invariants import (
     accounting,
     check_conservation,
     check_exactly_once,
+    check_honest_reasons,
     check_no_expired_compute,
     check_replay,
     require,
@@ -116,6 +117,27 @@ class TestConservationAndExpiredCompute:
         assert check_no_expired_compute({"expired_compute": 0}) == []
         assert check_no_expired_compute({}) == []
         assert "2 expired" in check_no_expired_compute({"expired_compute": 2})[0]
+
+
+class TestHonestReasons:
+    def test_clean_answers_pass(self):
+        # entropy 0.25 meets the local threshold; the cloud takes every row.
+        assert check_honest_reasons(_responses(), [0.5, 1.0]) == []
+
+    def test_threshold_answer_above_a_non_final_threshold_trips(self):
+        assert "2 'threshold' answer(s)" in check_honest_reasons(_responses(), [0.2, 1.0])[0]
+        # The final exit answers whatever is left, at any entropy.
+        assert check_honest_reasons(_responses(), [0.5, 0.2]) == []
+        # An early answer is judged by its own reason, not by T.
+        early = [dataclasses.replace(r, reason=AnswerReason.DEADLINE) for r in _responses()]
+        assert check_honest_reasons(early, [0.2, 1.0]) == []
+
+    def test_shed_answer_must_come_from_the_first_exit_with_no_bytes(self):
+        shed = [dataclasses.replace(r, reason=AnswerReason.SHED) for r in _responses()]
+        problems = check_honest_reasons(shed, [0.5, 1.0])
+        assert len(problems) == 1 and "2 'shed' answer(s)" in problems[0]
+        local = [r for r in shed if r.exit_index == 0]
+        assert check_honest_reasons(local, [0.5, 1.0]) == []
 
 
 class TestRequire:

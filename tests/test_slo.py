@@ -122,7 +122,7 @@ class TestDeadlinePropagation:
         stats = fabric.resilience_stats
         retired = [r for r in responses if r.deadline_exceeded]
         assert retired, "the blackout never pushed a queued request past its budget"
-        assert stats.deadline_expired == len(retired)
+        assert fabric.reasons["deadline"] == len(retired)
         assert not check_no_expired_compute(stats.as_dict())
         first_exit = fabric.sections[0].exit_name
         for r in retired:
@@ -167,7 +167,7 @@ class TestDeadlinePropagation:
         assert stats.attempts == 0, "an offload was sent into a hopeless budget"
         assert fabric.report().offload_fraction == 0.0
         assert fabric.deployment.fabric.lost_messages == 0
-        assert stats.deadline_expired > 0  # the unconfident tail retired locally
+        assert fabric.reasons["deadline"] > 0  # the unconfident tail retired locally
         # Control: the same trace under a generous budget does offload.
         control = _fabric(trained_ddnn, offload=POLICY, slo_s=10.0)
         _submit_trace(control, tiny_test, rate=20.0)
@@ -360,7 +360,7 @@ class TestReportMetadataUniformity:
         assert set(metadata) >= {"resilience", "admission", "breakers"}
         assert set(metadata["resilience"]) == set(
             fabric.resilience_stats.as_dict()
-        )
+        ) | {"failovers", "deadline_expired"}
         for block in metadata["breakers"].values():
             assert set(block) == {"state", "transitions"}
 
@@ -384,7 +384,7 @@ class TestReportMetadataUniformity:
         )
         assert set(metadata["resilience"]) == set(
             balancer.replicas[0].resilience_stats.as_dict()
-        )
+        ) | {"failovers", "deadline_expired"}
 
 
 # --------------------------------------------------------------------------- #
@@ -444,7 +444,7 @@ class TestWallClockSLO:
         assert not check_exactly_once(num_requests, responses)
         stats = fabric.resilience_stats
         assert not check_no_expired_compute(stats.as_dict())
-        assert stats.deadline_expired > 0, (
+        assert fabric.reasons["deadline"] > 0, (
             f"a {crash[1] - crash[0]:.2f}s blackout must expire some {slo_s}s budgets"
         )
         # Honest flags on a real clock: any answer at/past the budget is
