@@ -13,8 +13,8 @@ def test_bench_ext_mixed_precision(benchmark, scale, record_result):
     assert set(rows) == {"binary", "float"}
     for row in rows.values():
         assert 0.0 <= row["cloud_accuracy_pct"] <= 100.0
-        # Kernel-side cross-check: the bitpacked compiled mode reproduces
-        # the fp64 logits bit for bit, and the fp32 mode honors its
+        # Kernel-side cross-check: "bitpacked" names the fp64 plan, so its
+        # logits equal the fp64 ones, and the fp32 mode honors its
         # grid-pooled routing-agreement guarantee on both trained models.
         assert row["bitpacked_identical"] == "yes"
         assert row["fp32_routing_agreement"] >= 0.999

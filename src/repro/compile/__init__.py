@@ -19,9 +19,8 @@ and emits plans executing on raw ``np.ndarray``s with
   im2col scratch shared by every op, and the device tier's identical
   branches stacked into one grouped program, and
 * selectable compute precision (``PRECISIONS``): exact ``"float64"``
-  (default), tolerance-mode ``"float32"`` (fp32 weights/buffers/GEMMs),
-  and ``"bitpacked"`` (uint64 XNOR+popcount GEMMs on
-  the ±1 binary blocks, bit-identical to float64) — each enforced by
+  (default; ``"bitpacked"`` is another name for it) and tolerance-mode
+  ``"float32"`` (fp32 weights/buffers/GEMMs) — each enforced by
   :func:`verify_compiled` with its own documented guarantee.
 
 Entry points: :func:`compile_plan` for a single module stack,

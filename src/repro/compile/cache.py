@@ -3,7 +3,7 @@
 Every consumer of a model's inference plan — oracle captures, the serving
 fabric's shed path, each deployment's bundle and each thread worker's —
 draws it from :func:`compiled_plan_for`, which compiles on first use and
-keeps one plan per precision on the model.  A plan snapshots the weights it
+keeps one plan per dtype on the model.  A plan snapshots the weights it
 was compiled from, so :meth:`~repro.core.ddnn.DDNN._weights_changed` (every
 training epoch and every ``load_state_dict`` call it) drops the model's plans
 and bumps its ``_weights_version``; the next lookup compiles the new weights.
@@ -17,7 +17,7 @@ falls behind the model.
 
 from __future__ import annotations
 
-from .ops import PRECISIONS
+from .ops import precision_dtype
 
 __all__ = ["compiled_plan_for"]
 
@@ -25,20 +25,19 @@ __all__ = ["compiled_plan_for"]
 def compiled_plan_for(model, precision: str = "float64"):
     """The model's compiled plan at ``precision``, compiling on first use.
 
-    Each precision mode gets its own plan: serving uses ``"float64"``,
-    and oracle captures may ask for any of :data:`PRECISIONS`.  Racing
-    first-use compiles from several threads each build a plan and all
-    return the one stored first; a compile that a weights change overtakes
-    stores its plan into the dropped table, never the model's new one.
+    Plans are kept per dtype, so the model holds at most two: serving uses
+    ``"float64"``, and oracle captures may ask for any of
+    :data:`~repro.compile.ops.PRECISIONS` (``"bitpacked"`` gets the float64
+    plan).  Racing first-use compiles from several threads each build a
+    plan and all return the one stored first; a compile that a weights
+    change overtakes stores its plan into the dropped table, never the
+    model's new one.
     """
-    if precision not in PRECISIONS:
-        raise ValueError(
-            f"unknown precision {precision!r}; expected one of {PRECISIONS}"
-        )
+    dtype = precision_dtype(precision).name
     plans = model._compiled_plans
-    plan = plans.get(precision)
+    plan = plans.get(dtype)
     if plan is None:
         from .ddnn import compile_ddnn
 
-        plan = plans.setdefault(precision, compile_ddnn(model, precision=precision))
+        plan = plans.setdefault(dtype, compile_ddnn(model, precision=dtype))
     return plan

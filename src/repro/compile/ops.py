@@ -51,14 +51,9 @@ the first conv's before its sign threshold, and a float-weight layer's
 batch's row count.
 
 Precision modes: every op takes a ``dtype`` (float64 by default; float32
-halves memory traffic at fp32 tolerance).  :class:`PackedConvOp` /
-:class:`PackedLinearOp` are the ``"bitpacked"`` kernels for binary blocks
-whose inputs are provably ±1: signs are packed 64-per-word into ``uint64``,
-the GEMM becomes XNOR + popcount (``dot = K - 2 * popcount(a ^ b)``), and
-zero padding is restored by a per-position integer correction precomputed
-at prepare time.  Because ±1 dot products are exact small integers in
-float64, the packed kernels are *bit-identical* to the float path — not
-merely close.
+halves memory traffic at fp32 tolerance).  A binary block's ±1 GEMM is the
+same float GEMM in every mode; in float64 its dot products are exact
+integers.
 """
 
 from __future__ import annotations
@@ -77,8 +72,6 @@ __all__ = [
     "LinearOp",
     "MaxPoolOp",
     "BatchNormOp",
-    "PackedConvOp",
-    "PackedLinearOp",
     "ReluOp",
     "SignOp",
     "FlattenOp",
@@ -111,9 +104,8 @@ class CompileError(RuntimeError):
 #:   vs the fp64 oracle, per-exit logits allclose at fp32 tolerance.  A
 #:   binary block's sign is ``x >= threshold`` on the fp32 GEMM output, the
 #:   threshold being the float64-derived one cast to float32.
-#: * ``"bitpacked"`` — float64 carriers everywhere, but binary blocks with
-#:   provably-±1 inputs run the uint64 XNOR+popcount GEMM; bit-identical to
-#:   the float sign path (±1 dots are exact integers in float64).
+#: * ``"bitpacked"`` — another name for ``"float64"``: the same dtype, and
+#:   so the same plan.
 PRECISIONS = ("float64", "float32", "bitpacked")
 
 def precision_dtype(precision: str) -> np.dtype:
@@ -123,53 +115,6 @@ def precision_dtype(precision: str) -> np.dtype:
             f"unknown precision {precision!r}; expected one of {PRECISIONS}"
         )
     return np.dtype(np.float32 if precision == "float32" else np.float64)
-
-
-#: Per-byte popcount lookup table for the bitpacked GEMM (fallback when the
-#: native ``np.bitwise_count`` ufunc — numpy >= 2.0 — is unavailable).
-_POPCOUNT8 = np.array([bin(value).count("1") for value in range(256)], dtype=np.uint8)
-
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-
-def _popcount_words(xor: np.ndarray, pop: np.ndarray, counts: np.ndarray) -> None:
-    """Sum the 1-bits of each row of uint64 words into ``counts``.
-
-    ``xor`` is ``(..., words)`` uint64; ``pop`` is the uint8 scratch —
-    ``(..., words)`` with native popcount, ``(..., words * 8)`` (a byte view
-    lookup) on the table fallback; ``counts`` is ``(...,)`` int64.  The
-    last-axis reduction is unrolled: the word count is tiny (K/64), and a
-    handful of full-array adds beats ``np.sum``'s short-axis reduction
-    machinery by a wide margin.
-    """
-    if _HAS_BITWISE_COUNT:
-        np.bitwise_count(xor, out=pop)
-    else:
-        np.take(_POPCOUNT8, xor.view(np.uint8), out=pop)
-    np.copyto(counts, pop[..., 0])
-    for word in range(1, pop.shape[-1]):
-        counts += pop[..., word]
-
-
-def _popcount_scratch_width(words: int) -> int:
-    """Last-axis width of the uint8 popcount scratch for ``words`` words."""
-    return words if _HAS_BITWISE_COUNT else words * 8
-
-
-def _pack_sign_rows(weight_matrix: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Pack the signs of a ±1 ``(rows, K)`` matrix into ``(rows, W)`` uint64.
-
-    Bit convention: 1 iff the value is positive.  The byte tail past
-    ``ceil(K/8)`` stays zero, so two operands packed this way never disagree
-    on the padding bits and the popcount counts mismatches over the valid
-    ``K`` positions only.
-    """
-    rows, k = weight_matrix.shape
-    words = max(1, -(-k // 64))
-    packed_u8 = np.zeros((rows, words * 8), dtype=np.uint8)
-    bits = np.packbits(weight_matrix > 0, axis=-1)
-    packed_u8[:, : bits.shape[-1]] = bits
-    return packed_u8.view(np.uint64), words
 
 
 class Arena:
@@ -190,7 +135,7 @@ class Arena:
     overwrite the interior, and the border sits at the same offsets of every
     sample whatever the batch view.  The arena carries the plan's float
     dtype (float64 by default, float32 in fp32 mode); non-float buffers
-    (sign bits, packed words, popcount bytes) request an explicit dtype.
+    (sign bits) request an explicit dtype.
 
     :meth:`scratch` hands out views of one shared block for operands that
     are dead when their op returns; every op that takes one fills it before
@@ -229,9 +174,6 @@ class Arena:
                 buf.fill(fill)
             self._buffers[pool_key] = buf
         return buf[: groups * batch].reshape(shape)
-
-    def bool_buffer(self, key: object, shape: Tuple[int, ...]) -> np.ndarray:
-        return self.buffer(key, shape, dtype=bool)
 
     def scratch(self, shape: Tuple[int, ...], dtype: Optional[np.dtype] = None) -> np.ndarray:
         """An uninitialised view (float unless ``dtype`` says otherwise) of
@@ -515,8 +457,8 @@ class SignOp(_Op):
 
 
 class _GemmOp(_Op):
-    """What the four GEMM ops — conv and linear, float and bitpacked — fuse
-    behind the GEMM: bias add, ReLU, or the rest of a binary block."""
+    """What the two GEMM ops — conv and linear — fuse behind the GEMM:
+    bias add, ReLU, or the rest of a binary block."""
 
     def _set_tail(
         self,
@@ -895,7 +837,7 @@ class BatchNormOp(_Op):
 
     Every BatchNorm with no sign behind it runs as this op, after its
     layer's GEMM (one with a sign behind it becomes a :class:`SignOp`'s
-    thresholds).  In exact (float64/bitpacked) modes it computes
+    thresholds).  In exact float64 it computes
     ``(x - mean) / std * gamma + beta`` with exactly the eager sequence of
     broadcast elementwise ops, then the optional fused ReLU.
 
@@ -998,197 +940,3 @@ class FlattenOp(_Op):
     def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
         return x.reshape(ctx.output_shape)
 
-
-class PackedConvOp(_GemmOp):
-    """Bitpacked XNOR+popcount convolution for ±1 weights over ±1 inputs.
-
-    Signs of the im2col windows are packed 64-per-word into ``uint64``; each
-    output channel is then ``dot = K - 2 * popcount(act ^ weight)``, with
-    popcount as a per-byte table lookup.  The packed operand is 64x smaller
-    than either float layout, so the existing stride/channel memory-traffic
-    rule that picks between shift-add and im2col collapses here: packed wins
-    both regimes and is always used for eligible binary blocks.
-
-    Zero padding cannot be represented in one bit, so padded window
-    positions are packed as ``-1`` and repaired by an integer correction
-    ``corr[o, p] = sum of w[o, k] over the padded positions of window p``,
-    precomputed per shape.  All quantities are exact small integers in
-    float64, making the op bit-identical to the float sign path.
-    """
-
-    def __init__(
-        self,
-        weight: np.ndarray,
-        bias: Optional[np.ndarray],
-        stride: int,
-        padding: int,
-        relu: bool = False,
-        dtype: np.dtype = np.float64,
-        sign: Optional[SignOp] = None,
-    ) -> None:
-        self.dtype = np.dtype(dtype)
-        self.weight = np.ascontiguousarray(_grouped(np.asarray(weight), 4), dtype=np.float64)
-        (
-            self.groups,
-            self.out_channels,
-            self.in_channels,
-            self.kernel_h,
-            self.kernel_w,
-        ) = self.weight.shape
-        self._set_tail(bias, (self.groups, 1, self.out_channels, 1), relu, sign)
-        self.stride = int(stride)
-        self.padding = int(padding)
-        self._weight_matrix = self.weight.reshape(self.groups, self.out_channels, -1)
-        self.k_valid = self._weight_matrix.shape[-1]
-        packed, self._words = _pack_sign_rows(self._weight_matrix.reshape(-1, self.k_valid))
-        # Broadcasts against (G, B, 1, positions, words) packed activations.
-        self._weight_packed = packed.reshape(self.groups, 1, self.out_channels, 1, self._words)
-
-    signature = ConvOp.signature
-    stacked = ConvOp.stacked
-    _output_size = ConvOp._output_size
-
-    def prepare(
-        self, shape: Tuple[int, ...], arena: Arena, key: object, first_group: int = 0
-    ) -> SimpleNamespace:
-        groups, batch, channels, height, width = shape
-        rows = self._rows(shape, first_group)
-        out_h, out_w = self._output_size(shape)
-        pad = self.padding
-        padded_h, padded_w = height + 2 * pad, width + 2 * pad
-        positions = out_h * out_w
-        words = self._words
-        lead = (groups, batch)
-        ctx = SimpleNamespace(weights=self._weight_packed[rows])
-        # Signs are taken on the compact (padded) source — kh*kw times fewer
-        # elements than the expanded window view — and the im2col gather then
-        # moves 1-byte bools instead of 8-byte floats.  The padded border is
-        # pre-filled False (= the packed -1 the correction term repairs) and
-        # never written again.
-        ctx.source_bits = arena.buffer(
-            (key, "sbits"), lead + (channels, padded_h, padded_w), fill=0, dtype=bool
-        )
-        ctx.interior_bits = (
-            ctx.source_bits[..., pad:-pad, pad:-pad] if pad else ctx.source_bits
-        )
-        windows = sliding_windows(ctx.source_bits, self.kernel_h, self.kernel_w, self.stride)
-        ctx.bit_windows = windows.transpose(0, 1, 3, 4, 2, 5, 6)
-        ctx.bits = arena.bool_buffer(
-            (key, "bits"), lead + (out_h, out_w, channels, self.kernel_h, self.kernel_w)
-        )
-        ctx.bits_flat = ctx.bits.reshape(lead + (positions, self.k_valid))
-        # Packed activations: the byte tail past ceil(K/8) is zero-filled at
-        # allocation and never written, so it XORs clean against the weights'
-        # matching zero tail.
-        ctx.act = arena.buffer(
-            (key, "act"), lead + (1, positions, words), fill=0, dtype=np.uint64
-        )
-        ctx.act_u8 = ctx.act.view(np.uint8)[:, :, 0]
-        ctx.xor = arena.buffer(
-            (key, "xor"), lead + (self.out_channels, positions, words), dtype=np.uint64
-        )
-        ctx.pop = arena.buffer(
-            (key, "pop"),
-            lead + (self.out_channels, positions, _popcount_scratch_width(words)),
-            dtype=np.uint8,
-        )
-        ctx.counts = arena.buffer(
-            (key, "cnt"), lead + (self.out_channels, positions), dtype=np.int64
-        )
-        ctx.result = arena.buffer((key, "out"), lead + (self.out_channels, positions))
-        ctx.valid = ctx.result.reshape(lead + (self.out_channels, out_h, out_w))
-        ctx.corr = (
-            self._pad_correction(rows, channels, padded_h, padded_w, positions) if pad else None
-        )
-        self._bind_tail(ctx, arena, key, rows, grid_w=out_w)
-        return ctx
-
-    def _pad_correction(
-        self, rows: slice, channels: int, padded_h: int, padded_w: int, positions: int
-    ) -> np.ndarray:
-        """Exact integer ``(G, 1, out_channels, positions)`` zero-padding repair."""
-        pad = self.padding
-        mask = np.ones((1, channels, padded_h, padded_w), dtype=np.float64)
-        mask[:, :, pad:-pad, pad:-pad] = 0.0
-        mask_windows = sliding_windows(mask, self.kernel_h, self.kernel_w, self.stride)
-        mask_cols = np.ascontiguousarray(
-            mask_windows.transpose(0, 1, 4, 5, 2, 3)
-        ).reshape(self.k_valid, positions)
-        return (self._weight_matrix[rows] @ mask_cols)[:, None]
-
-    def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
-        np.greater(x, 0.0, out=ctx.interior_bits)
-        np.copyto(ctx.bits, ctx.bit_windows)
-        packed = np.packbits(ctx.bits_flat, axis=-1)
-        ctx.act_u8[..., : packed.shape[-1]] = packed
-        np.bitwise_xor(ctx.act, ctx.weights, out=ctx.xor)
-        _popcount_words(ctx.xor, ctx.pop, ctx.counts)
-        np.multiply(ctx.counts, -2.0, out=ctx.result)
-        ctx.result += float(self.k_valid)
-        if ctx.corr is not None:
-            ctx.result += ctx.corr
-        return self._finish(ctx)
-
-
-class PackedLinearOp(_GemmOp):
-    """Bitpacked XNOR+popcount fully connected layer for ±1 weights/inputs.
-
-    One broadcast XOR of the packed ``(G, B, 1, words)`` activations against
-    the packed ``(G, 1, out_features, words)`` weights, then the same
-    popcount reduction as :class:`PackedConvOp`.  Exact integers,
-    bit-identical to the float path.
-    """
-
-    def __init__(
-        self,
-        weight: np.ndarray,
-        bias: Optional[np.ndarray],
-        relu: bool = False,
-        dtype: np.dtype = np.float64,
-        sign: Optional[SignOp] = None,
-    ) -> None:
-        self.dtype = np.dtype(dtype)
-        self.weight = np.ascontiguousarray(_grouped(np.asarray(weight), 2), dtype=np.float64)
-        self.groups, self.out_features, self.in_features = self.weight.shape
-        packed, self._words = _pack_sign_rows(self.weight.reshape(-1, self.in_features))
-        self._weight_packed = packed.reshape(self.groups, 1, self.out_features, self._words)
-        self._set_tail(bias, (self.groups, 1, self.out_features), relu, sign)
-
-    signature = LinearOp.signature
-    stacked = LinearOp.stacked
-    _check_input = LinearOp._check_input
-
-    def prepare(
-        self, shape: Tuple[int, ...], arena: Arena, key: object, first_group: int = 0
-    ) -> SimpleNamespace:
-        self._check_input(shape)
-        rows = self._rows(shape, first_group)
-        lead = tuple(shape[:2])
-        words = self._words
-        output_shape = lead + (self.out_features,)
-        ctx = SimpleNamespace(weights=self._weight_packed[rows])
-        ctx.bits = arena.bool_buffer((key, "bits"), shape)
-        ctx.act = arena.buffer((key, "act"), lead + (1, words), fill=0, dtype=np.uint64)
-        ctx.act_u8 = ctx.act.view(np.uint8)[:, :, 0]
-        ctx.xor = arena.buffer(
-            (key, "xor"), lead + (self.out_features, words), dtype=np.uint64
-        )
-        ctx.pop = arena.buffer(
-            (key, "pop"),
-            lead + (self.out_features, _popcount_scratch_width(words)),
-            dtype=np.uint8,
-        )
-        ctx.counts = arena.buffer((key, "cnt"), output_shape, dtype=np.int64)
-        ctx.result = ctx.valid = arena.buffer((key, "out"), output_shape)
-        self._bind_tail(ctx, arena, key, rows)
-        return ctx
-
-    def run(self, x: np.ndarray, ctx: SimpleNamespace) -> np.ndarray:
-        np.greater(x, 0.0, out=ctx.bits)
-        packed = np.packbits(ctx.bits, axis=-1)
-        ctx.act_u8[..., : packed.shape[-1]] = packed
-        np.bitwise_xor(ctx.act, ctx.weights, out=ctx.xor)
-        _popcount_words(ctx.xor, ctx.pop, ctx.counts)
-        np.multiply(ctx.counts, -2.0, out=ctx.result)
-        ctx.result += float(self.in_features)
-        return self._finish(ctx)

@@ -67,8 +67,6 @@ from .ops import (
     FlattenOp,
     LinearOp,
     MaxPoolOp,
-    PackedConvOp,
-    PackedLinearOp,
     ReluOp,
     SignOp,
     _Op,
@@ -155,27 +153,17 @@ def _layer_weights(layer) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     return weight, bias
 
 
-def build_ops(
-    primitives: Sequence[Module],
-    precision: str = "float64",
-    input_signed: bool = False,
-) -> Tuple[List[_Op], bool]:
+def build_ops(primitives: Sequence[Module], precision: str = "float64") -> List[_Op]:
     """Peephole pass: primitive layers -> fused op list.
 
-    Returns ``(ops, output_signed)`` where ``output_signed`` records whether
-    the plan's output is provably ±1 — the sign-propagation fact a caller
-    feeds into the next plan's ``input_signed`` (and the precondition for
-    the bitpacked kernels).  ``signed`` becomes true after a binary block's
-    tail or a bare sign op, survives max pooling and flattening (which only
-    move/select ±1 values), and is destroyed by everything else.  In
-    ``"bitpacked"`` mode every Binary conv/linear whose input is signed
-    compiles to the XNOR+popcount kernel instead of the float GEMM.
+    ``precision`` sets the ops' float dtype only (see
+    :func:`~repro.compile.ops.precision_dtype`): every conv/linear layer,
+    binary or not, compiles to one :class:`~repro.compile.ops.ConvOp` or
+    :class:`~repro.compile.ops.LinearOp`.
     """
     dtype = precision_dtype(precision)
-    bitpack = precision == "bitpacked"
     primitives = list(primitives)
     ops: List[_Op] = []
-    signed = bool(input_signed)
     index = 0
     total = len(primitives)
 
@@ -222,17 +210,10 @@ def build_ops(
                 relu = isinstance(_at(cursor), ReLU)
                 if relu:
                     cursor += 1
-            packed = bitpack and signed and isinstance(module, (BinaryConv2d, BinaryLinear))
-            tail_kwargs = dict(relu=relu, dtype=dtype, sign=sign)
+            kwargs = dict(relu=relu, dtype=dtype, sign=sign)
             if conv:
-                ops.append(
-                    (PackedConvOp if packed else ConvOp)(
-                        weight, bias, stride=module.stride, padding=module.padding, **tail_kwargs
-                    )
-                )
-            else:
-                ops.append((PackedLinearOp if packed else LinearOp)(weight, bias, **tail_kwargs))
-            signed = sign is not None
+                kwargs.update(stride=module.stride, padding=module.padding)
+            ops.append((ConvOp if conv else LinearOp)(weight, bias, **kwargs))
             index = cursor
             continue
 
@@ -241,7 +222,6 @@ def build_ops(
             if tail is not None:
                 sign, index = tail
                 ops.append(sign)
-                signed = True
                 continue
             relu = isinstance(_at(index + 1), ReLU)
             # Broadcasts against (groups, batch, features[, h, w]) inputs.
@@ -261,22 +241,17 @@ def build_ops(
                     dtype=dtype,
                 )
             )
-            signed = False
             index += 2 if relu else 1
             continue
 
         if isinstance(module, MaxPool2d):
             ops.append(MaxPoolOp(module.kernel_size, module.stride, module.padding))
-            # max over ±1 values (and a -inf border that never wins) is ±1.
         elif isinstance(module, ReLU):
             ops.append(ReluOp())
-            signed = False
         elif isinstance(module, BinaryActivation):
             ops.append(SignOp(dtype=dtype))
-            signed = True
         elif isinstance(module, Flatten):
             ops.append(FlattenOp())
-            # a reshape neither creates nor destroys ±1-ness.
         else:
             raise CompileError(
                 f"cannot compile module of type {type(module).__name__}; "
@@ -284,7 +259,7 @@ def build_ops(
             )
         index += 1
 
-    return ops, signed
+    return ops
 
 
 class CompiledPlan:
@@ -325,20 +300,10 @@ class CompiledPlan:
     row ``n`` being what the ``n``-th source plan computes.
     """
 
-    def __init__(
-        self,
-        module: ModuleLike,
-        name: str = "",
-        precision: str = "float64",
-        input_signed: bool = False,
-    ) -> None:
+    def __init__(self, module: ModuleLike, name: str = "", precision: str = "float64") -> None:
         self.name = name
-        self.precision = precision
         self.dtype = precision_dtype(precision)
-        ops, self.output_signed = build_ops(
-            flatten_modules(module), precision=precision, input_signed=input_signed
-        )
-        self._bind(ops, groups=None)
+        self._bind(build_ops(flatten_modules(module), precision=precision), groups=None)
 
     def _bind(self, ops: List[_Op], groups: Optional[int]) -> None:
         self.ops = ops
@@ -378,9 +343,7 @@ class CompiledPlan:
         ops = [stack_ops(column) for column in zip(*(plan.ops for plan in plans))]
         plan = cls.__new__(cls)
         plan.name = first.name
-        plan.precision = first.precision
         plan.dtype = first.dtype
-        plan.output_signed = all(each.output_signed for each in plans)
         plan._bind(ops, groups=len(plans))
         return plan
 
@@ -528,18 +491,10 @@ class CompiledPlan:
         ]
 
 
-def compile_plan(
-    module: ModuleLike,
-    name: str = "",
-    precision: str = "float64",
-    input_signed: bool = False,
-) -> CompiledPlan:
+def compile_plan(module: ModuleLike, name: str = "", precision: str = "float64") -> CompiledPlan:
     """Compile a module (or list of modules) into a :class:`CompiledPlan`.
 
-    ``precision`` selects the compute mode (see ``repro.compile.ops.
-    PRECISIONS``); ``input_signed`` tells the compiler the plan's input is
-    provably ±1 (a cross-plan fact — e.g. a classifier fed by a signed
-    feature extractor), unlocking bitpacked kernels for a leading binary
-    layer in ``"bitpacked"`` mode.
+    ``precision`` selects the compute dtype (see ``repro.compile.ops.
+    PRECISIONS``).
     """
-    return CompiledPlan(module, name=name, precision=precision, input_signed=input_signed)
+    return CompiledPlan(module, name=name, precision=precision)

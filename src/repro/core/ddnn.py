@@ -299,7 +299,7 @@ class DDNN(Module):
         #: Bumped by :meth:`_weights_changed`; compiled plans and the bundles
         #: made from them carry the version they snapshot.
         self._weights_version = 0
-        #: precision -> compiled plan (see :func:`repro.compile.cache.compiled_plan_for`).
+        #: dtype name -> compiled plan (see :func:`repro.compile.cache.compiled_plan_for`).
         self._compiled_plans: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ #

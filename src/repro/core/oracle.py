@@ -231,8 +231,8 @@ class ExitOracle:
         (:func:`~repro.compile.compiled_plan_for`); the forward happens in
         ``batch_size`` chunks.  ``precision`` selects the
         compiled compute mode (exact ``"float64"`` default, tolerance
-        ``"float32"``, ``"bitpacked"``); the cached logit matrix is always
-        stored as float64 regardless of the compute mode.
+        ``"float32"``; ``"bitpacked"`` runs the float64 plan); the cached
+        logit matrix is always stored as float64 regardless of the mode.
 
         Views must be finite: the binary blocks' sign compare would turn a
         NaN into -1 and answer it with a confident exit, so a non-finite

@@ -27,6 +27,7 @@ live fabric onto a new plan with a drain-and-handoff protocol.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -70,17 +71,11 @@ class AutoscalePolicy:
     target_rps_per_worker: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.min_workers < 1:
-            raise ValueError(f"min_workers must be >= 1, got {self.min_workers}")
-        if self.max_workers < self.min_workers:
-            raise ValueError(
-                f"max_workers ({self.max_workers}) must be >= min_workers "
-                f"({self.min_workers})"
-            )
-        if self.high_watermark < 1:
-            raise ValueError(f"high_watermark must be >= 1, got {self.high_watermark}")
-        if self.low_watermark < 0:
-            raise ValueError(f"low_watermark must be >= 0, got {self.low_watermark}")
+        _int_at_least(self.min_workers, "min_workers")
+        _int_at_least(self.max_workers, "max_workers", minimum=self.min_workers)
+        _int_at_least(self.high_watermark, "high_watermark")
+        _int_at_least(self.low_watermark, "low_watermark", minimum=0)
+        _int_at_least(self.step, "step")
         if self.low_watermark >= self.high_watermark:
             raise ValueError(
                 f"low_watermark ({self.low_watermark}) must be below "
@@ -88,8 +83,6 @@ class AutoscalePolicy:
             )
         if self.cooldown_s < 0.0:
             raise ValueError(f"cooldown_s must be >= 0, got {self.cooldown_s}")
-        if self.step < 1:
-            raise ValueError(f"step must be >= 1, got {self.step}")
         if self.window_s <= 0.0:
             raise ValueError(f"window_s must be > 0, got {self.window_s}")
         if self.target_rps_per_worker < 0.0:
@@ -177,9 +170,7 @@ class PartitionPlan:
                 raise ValueError(
                     "hedge needs replicas >= 2 (hedged offloads go to sibling replicas)"
                 )
-        for count in self.worker_counts():
-            if count < 1:
-                raise ValueError(f"worker counts must be >= 1, got {count}")
+        self.worker_counts()  # validates counts and length
         self.autoscale_policies()  # validates length
 
     def with_changes(self, **changes) -> "PartitionPlan":
@@ -190,10 +181,12 @@ class PartitionPlan:
     # Worker plane
     # ------------------------------------------------------------------ #
     def worker_counts(self) -> Tuple[int, ...]:
-        """Per-tier worker counts, broadcasting a single int."""
-        if isinstance(self.workers_per_tier, int):
-            return (self.workers_per_tier,) * self.num_tiers
-        counts = tuple(int(count) for count in self.workers_per_tier)
+        """Per-tier worker counts, broadcasting a single count; each must be
+        an int >= 1."""
+        counts = self.workers_per_tier
+        if isinstance(counts, (numbers.Number, str)):
+            counts = (counts,) * self.num_tiers
+        counts = tuple(_int_at_least(count, "workers_per_tier") for count in counts)
         if len(counts) != self.num_tiers:
             raise ValueError(
                 f"workers_per_tier must have {self.num_tiers} entries, got {len(counts)}"

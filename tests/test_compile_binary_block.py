@@ -5,7 +5,7 @@ comparison against per-channel thresholds found by bisection on the eager
 arithmetic itself (:func:`repro.compile.ops.sign_thresholds`), hoisted above
 the pool, which then ORs booleans.  Covered here: the thresholds reproduce
 the eager chain bit for bit at and around the step (property test), the fused
-block equals eager over the conv/pool geometry grid in every precision (both
+block equals eager over the conv/pool geometry grid on real and ±1 inputs (both
 the contiguous and the strided binding of its buffers), and a plan's
 ``(group range, batch range)`` tiles change nothing but the memory it holds.
 """
@@ -176,21 +176,20 @@ def binds_the_grid_contiguously(plan) -> bool:
 class TestFusedBlockGeometry:
     @pytest.mark.parametrize("pool", POOL_GEOMETRY)
     @pytest.mark.parametrize("stride,padding", CONV_GEOMETRY)
-    @pytest.mark.parametrize("precision", ["float64", "bitpacked"])
-    def test_conv_pool_block_bit_identical_to_eager(self, stride, padding, pool, precision):
+    @pytest.mark.parametrize("signed", [False, True], ids=["real", "sign"])
+    def test_conv_pool_block_bit_identical_to_eager(self, stride, padding, pool, signed):
         block = binary_block(3, stride, padding, pool)
-        packed = precision == "bitpacked"
-        plan = compile_plan(block, precision=precision, input_signed=packed)
-        assert [type(op).__name__ for op in plan.ops] == ["PackedConvOp" if packed else "ConvOp"]
+        plan = compile_plan(block)
+        assert [type(op).__name__ for op in plan.ops] == ["ConvOp"]
         for batch in (1, 4):
             x = RNG.normal(size=(batch, 3, 13, 15))
-            if packed:
+            if signed:
                 x = np.where(x >= 0, 1.0, -1.0)
             np.testing.assert_array_equal(plan(x), eager_forward(block, x))
         # The conv grid's pitch equals the pool's padded pitch on the row-run
         # path under a pool padded by (kernel - 1) / 2, and wherever neither
         # has a margin; every other geometry runs on strided views.
-        row_run = not packed and stride == 1 and padding > 0
+        row_run = stride == 1 and padding > 0
         assert binds_the_grid_contiguously(plan) == (pool[2] == (1 if row_run else 0))
 
     @pytest.mark.parametrize("pool", POOL_GEOMETRY)
@@ -201,15 +200,14 @@ class TestFusedBlockGeometry:
         x = RNG.normal(size=(3, 8, 10, 12))
         np.testing.assert_array_equal(plan(x), eager_forward(block, x))
 
-    @pytest.mark.parametrize("precision", ["float64", "bitpacked"])
-    def test_fc_block_bit_identical_to_eager(self, precision):
+    @pytest.mark.parametrize("signed", [False, True], ids=["real", "sign"])
+    def test_fc_block_bit_identical_to_eager(self, signed):
         block = FCBlock(37, 9, binary=True, rng=RNG)
         randomise_batch_norm(block.batch_norm)
-        packed = precision == "bitpacked"
-        plan = compile_plan(block, precision=precision, input_signed=packed)
-        assert [type(op).__name__ for op in plan.ops] == ["PackedLinearOp" if packed else "LinearOp"]
+        plan = compile_plan(block)
+        assert [type(op).__name__ for op in plan.ops] == ["LinearOp"]
         x = RNG.normal(size=(6, 37))
-        if packed:
+        if signed:
             x = np.where(x >= 0, 1.0, -1.0)
         np.testing.assert_array_equal(plan(x), eager_forward(block, x))
 

@@ -1,11 +1,10 @@
 """Precision compute modes of the compiled inference stack (PR 9).
 
-Covers the three mode guarantees (float64 exact, float32 tolerance-with-
-routing-agreement, bitpacked bit-identical), the XNOR+popcount packed ops
-across conv geometries, oracle-vs-runtime parity, the
-``(model, precision)``-keyed plan cache, and precision validation in the
-compile layer's consumers (plan cache, oracle).  Serving runs ``"float64"``
-plans only, so no serving object takes a mode.
+Covers the mode guarantees (float64 exact, float32 tolerance-with-
+routing-agreement, and ``"bitpacked"`` as a second name for the float64
+plan), oracle-vs-runtime parity, the dtype-keyed plan cache, and precision
+validation in the compile layer's consumers (plan cache, oracle).  Serving
+runs ``"float64"`` plans only, so no serving object takes a mode.
 
 ``python tests/test_compile_precision.py --fp32-speedup`` prints the fp32
 kernel reference's speed-up over fp64 (see the test of that name).
@@ -30,24 +29,19 @@ from repro.compile import (
     routing_agreement,
     verify_compiled,
 )
-from repro.compile.ops import PackedConvOp, PackedLinearOp
+from repro.core.ddnn import build_ddnn
 from repro.core.oracle import ExitOracle
+from repro.experiments.runner import ci_scale
 from repro.hierarchy import HierarchyRuntime, partition_ddnn
-from repro.nn import BinaryActivation, BinaryConv2d, BinaryLinear
-from repro.nn.layers import Flatten, Sequential
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn import BinaryConv2d
+from repro.nn.layers import Sequential
+from repro.nn.tensor import no_grad
 
 RNG = np.random.default_rng(23)
 
 
-def eager_forward(module, x: np.ndarray) -> np.ndarray:
-    module.eval()
-    with no_grad():
-        return module(Tensor(x)).data
-
-
 def sign_input(shape) -> np.ndarray:
-    """A ±1 input array (the packed kernels' precondition)."""
+    """A ±1 input array."""
     return np.where(RNG.random(shape) < 0.5, -1.0, 1.0)
 
 
@@ -59,8 +53,7 @@ class TestPrecisionDtypes:
         assert PRECISIONS == ("float64", "float32", "bitpacked")
         assert precision_dtype("float64") == np.float64
         assert precision_dtype("float32") == np.float32
-        # bitpacked carries non-packed ops in float64, so the exactness
-        # guarantee holds end to end.
+        # bitpacked is another name for the float64 plan.
         assert precision_dtype("bitpacked") == np.float64
 
     def test_unknown_mode_rejected(self):
@@ -75,60 +68,17 @@ class TestPrecisionDtypes:
             assert plan(x).dtype == precision_dtype(mode)
 
 
-# --------------------------------------------------------------------------- #
-# Packed XNOR+popcount kernels: bit-identical across conv geometry
-# --------------------------------------------------------------------------- #
-class TestPackedKernels:
-    @pytest.mark.parametrize(
-        "stride,padding,batch",
-        [(1, 0, 1), (1, 1, 1), (1, 2, 4), (2, 0, 3), (2, 1, 1), (3, 2, 2)],
-    )
-    def test_packed_conv_bit_identical_across_geometry(self, stride, padding, batch):
-        conv = BinaryConv2d(3, 5, kernel_size=3, stride=stride, padding=padding, rng=RNG)
-        stack = Sequential(conv)
-        x = sign_input((batch, 3, 12, 12))
-        packed = compile_plan(stack, precision="bitpacked", input_signed=True)
-        exact = compile_plan(stack, precision="float64", input_signed=True)
-        assert any(isinstance(op, PackedConvOp) for op in packed.ops)
-        np.testing.assert_array_equal(packed(x), exact(x))
-        np.testing.assert_array_equal(packed(x), eager_forward(stack, x))
-
-    @pytest.mark.parametrize("features,batch", [(17, 1), (64, 3), (130, 2)])
-    def test_packed_linear_bit_identical_at_word_boundaries(self, features, batch):
-        # 17 / 64 / 130 input features: partial word, exact word, two words
-        # plus tail — the padding-bit convention must not leak into any.
-        stack = Sequential(BinaryLinear(features, 9, rng=RNG))
-        x = sign_input((batch, features))
-        packed = compile_plan(stack, precision="bitpacked", input_signed=True)
-        exact = compile_plan(stack, precision="float64", input_signed=True)
-        assert any(isinstance(op, PackedLinearOp) for op in packed.ops)
-        np.testing.assert_array_equal(packed(x), exact(x))
-
-    def test_sign_chain_propagates_packing(self):
-        # sign -> binary conv -> sign -> binary linear: both GEMMs eligible.
-        stack = Sequential(
-            BinaryConv2d(2, 4, kernel_size=3, padding=1, rng=RNG),
-            BinaryActivation(),
-            Flatten(),
-            BinaryLinear(4 * 8 * 8, 6, rng=RNG),
-        )
-        plan = compile_plan(stack, precision="bitpacked", input_signed=True)
-        assert any(isinstance(op, PackedLinearOp) for op in plan.ops)
-        x = sign_input((2, 2, 8, 8))
-        np.testing.assert_array_equal(
-            plan(x), compile_plan(stack, precision="float64", input_signed=True)(x)
-        )
-
-    def test_unsigned_input_falls_back_to_float(self):
-        # Real-valued input cannot be packed; the cost rule must keep the
-        # float GEMM and stay exact.
-        stack = Sequential(BinaryConv2d(3, 4, kernel_size=3, padding=1, rng=RNG))
-        plan = compile_plan(stack, precision="bitpacked", input_signed=False)
-        assert not any(isinstance(op, PackedConvOp) for op in plan.ops)
-        x = RNG.normal(size=(2, 3, 10, 10))
-        np.testing.assert_array_equal(
-            plan(x), compile_plan(stack, precision="float64")(x)
-        )
+def test_bitpacked_compiles_the_float64_ops():
+    """``"bitpacked"`` compiles the ``ci`` model to exactly the ops the
+    float64 plan has, op for op: one float GEMM per ±1 layer."""
+    model = build_ddnn(ci_scale().ddnn_config())
+    packed = compile_ddnn(model, precision="bitpacked")
+    exact = compile_ddnn(model, precision="float64")
+    signatures = [
+        [[op.signature() for op in plan.ops] for plan in compiled.plans()]
+        for compiled in (packed, exact)
+    ]
+    assert signatures[0] == signatures[1]
 
 
 # --------------------------------------------------------------------------- #
@@ -145,7 +95,7 @@ class TestVerifyCompiledModes:
         diff = verify_compiled(trained_ddnn, compiled, tiny_test.images)
         assert diff < 1e-3  # fp32 tolerance, not fp64 exactness
 
-    def test_bitpacked_bit_identity(self, trained_ddnn, tiny_test):
+    def test_bitpacked_verifies_as_float64(self, trained_ddnn, tiny_test):
         compiled = compile_ddnn(trained_ddnn, precision="bitpacked")
         verify_compiled(trained_ddnn, compiled, tiny_test.images)
         reference = compile_ddnn(trained_ddnn, precision="float64")
@@ -291,6 +241,11 @@ class TestPlanCachePerPrecision:
         assert compiled_plan_for(model) is not exact
         assert compiled_plan_for(model, "float32") is not fp32
         assert builds == ["float64", "float32"] * 2
+
+    def test_bitpacked_shares_the_float64_plan(self, untrained_ddnn):
+        model = untrained_ddnn
+        assert compiled_plan_for(model, "bitpacked") is compiled_plan_for(model, "float64")
+        assert len(model._compiled_plans) == 1
 
     def test_cache_rejects_unknown_mode(self, trained_ddnn):
         with pytest.raises(ValueError, match="unknown precision"):

@@ -75,8 +75,13 @@ class TestPlanValidation:
     def test_replicas_and_worker_counts_positive(self, trained_ddnn):
         with pytest.raises(ValueError, match="replicas"):
             PartitionPlan(trained_ddnn, replicas=0)
-        with pytest.raises(ValueError, match="worker counts"):
+        with pytest.raises(ValueError, match="workers_per_tier"):
             PartitionPlan(trained_ddnn, workers_per_tier=0)
+
+    @pytest.mark.parametrize("workers", [[2.5, 1], ["3", 1], 2.5])
+    def test_non_integer_worker_counts_rejected(self, trained_ddnn, workers):
+        with pytest.raises(ValueError, match="workers_per_tier must be an int"):
+            PartitionPlan(trained_ddnn, workers_per_tier=workers)
 
     def test_worker_counts_broadcast_and_length_check(self, trained_ddnn):
         assert PartitionPlan(trained_ddnn, workers_per_tier=3).worker_counts() == (3, 3)
@@ -98,6 +103,13 @@ class TestPlanValidation:
             AutoscalePolicy(min_workers=3, max_workers=2)
         with pytest.raises(ValueError, match="step"):
             AutoscalePolicy(step=0)
+
+    @pytest.mark.parametrize(
+        "field", ["min_workers", "max_workers", "high_watermark", "low_watermark", "step"]
+    )
+    def test_autoscale_policy_rejects_non_integer_counts(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            AutoscalePolicy(**{field: 1.5})
 
     def test_autoscaled_flag_and_broadcast(self, trained_ddnn):
         plan = PartitionPlan(trained_ddnn)
