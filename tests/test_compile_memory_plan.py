@@ -27,6 +27,7 @@ import pytest
 from repro.compile import CompiledPlan, compile_ddnn, compile_plan, verify_compiled
 from repro.compile.ddnn import CompiledBranch
 from repro.compile.ops import Arena, CompileError, ConvOp
+from repro.core.config import DDNNConfig
 from repro.core.ddnn import build_ddnn
 from repro.datasets import mvmc
 from repro.experiments.runner import ci_scale
@@ -240,6 +241,21 @@ class TestGroupedDeviceTier:
         compiled = compile_ddnn(trained_ddnn, precision=precision)
         assert len(compiled.plans()) == 4  # device features/classifier, cloud features/head
         verify_compiled(trained_ddnn, compiled, tiny_test.images, precision=precision)
+
+    def test_multi_block_branches_stack_their_conv_ops(self):
+        config = DDNNConfig(
+            num_devices=3, input_size=16, device_filters=4, device_conv_blocks=2, seed=5
+        )
+        model = build_ddnn(config)
+        model.eval()
+        views = RNG.normal(size=(5, 3, config.input_channels, 16, 16))
+        compiled = compile_ddnn(model, precision="float64")
+        group_ops = compiled.device_group.features.ops
+        assert sum(isinstance(op, ConvOp) for op in group_ops) == 2
+        with no_grad():
+            eager = model(views)
+        for mine, theirs in zip(compiled(views).exit_logits, eager.exit_logits):
+            np.testing.assert_array_equal(mine, theirs.data)
 
     def test_structurally_different_plans_do_not_stack(self, trained_ddnn):
         features = CompiledBranch(trained_ddnn.device_branches[0]).features

@@ -33,11 +33,17 @@ from repro.core.ddnn import build_ddnn
 from repro.core.oracle import ExitOracle
 from repro.experiments.runner import ci_scale
 from repro.hierarchy import HierarchyRuntime, partition_ddnn
-from repro.nn import BinaryConv2d
-from repro.nn.layers import Sequential
-from repro.nn.tensor import no_grad
+from repro.nn import BinaryActivation, BinaryConv2d, BinaryLinear
+from repro.nn.layers import Flatten, Sequential
+from repro.nn.tensor import Tensor, no_grad
 
 RNG = np.random.default_rng(23)
+
+
+def eager_forward(module, x: np.ndarray) -> np.ndarray:
+    module.eval()
+    with no_grad():
+        return module(Tensor(x)).data
 
 
 def sign_input(shape) -> np.ndarray:
@@ -79,6 +85,32 @@ def test_bitpacked_compiles_the_float64_ops():
         for compiled in (packed, exact)
     ]
     assert signatures[0] == signatures[1]
+
+
+class TestOneGemmPerLayer:
+    def test_sign_chain_is_float_gemms_equal_to_eager(self):
+        # sign -> binary conv -> sign -> binary linear: both ±1 x ±1 GEMMs
+        # run as float GEMMs and equal the eager chain bit for bit.
+        stack = Sequential(
+            BinaryConv2d(2, 4, kernel_size=3, padding=1, rng=RNG),
+            BinaryActivation(),
+            Flatten(),
+            BinaryLinear(4 * 8 * 8, 6, rng=RNG),
+        )
+        plan = compile_plan(stack, precision="bitpacked")
+        kinds = [type(op).__name__ for op in plan.ops]
+        assert {"ConvOp", "LinearOp"} <= set(kinds)
+        assert kinds == [type(op).__name__ for op in compile_plan(stack).ops]
+        x = sign_input((2, 2, 8, 8))
+        np.testing.assert_array_equal(plan(x), compile_plan(stack, precision="float64")(x))
+        np.testing.assert_array_equal(plan(x), eager_forward(stack, x))
+
+    def test_real_valued_input_keeps_the_float64_gemm(self):
+        stack = Sequential(BinaryConv2d(3, 4, kernel_size=3, padding=1, rng=RNG))
+        plan = compile_plan(stack, precision="bitpacked")
+        assert [type(op).__name__ for op in plan.ops] == ["ConvOp"]
+        x = RNG.normal(size=(2, 3, 10, 10))
+        np.testing.assert_array_equal(plan(x), compile_plan(stack, precision="float64")(x))
 
 
 # --------------------------------------------------------------------------- #
