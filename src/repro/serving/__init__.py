@@ -5,9 +5,9 @@ upward, most requests exit at the local aggregator, and the cloud only sees
 the hard tail.  This package provides the timed, online counterpart of the
 untimed :meth:`ExitOracle.route <repro.core.oracle.ExitOracle.route>`:
 
-* :class:`FabricRequest` / :class:`FabricResponse` — the one request and
-  the one response type every serving path queues and answers with, each
-  answer for one :class:`AnswerReason` (counted in ``FabricReport.reasons``);
+* :class:`FabricRequest` — the one object per request: every serving path
+  queues it, offloads it and stamps its answer onto it, each answer for
+  one :class:`AnswerReason` (counted in ``FabricReport.reasons``);
 * :class:`AdmissionPolicy` (:class:`RejectNewest`, :class:`DropOldest`,
   :class:`ShedToLocalExit`) and the one :func:`admit` rule — what a full
   ingress queue does under overload (the fabric's only pressure valve:
@@ -82,7 +82,6 @@ from .fabric import (
     DistributedServingFabric,
     FabricReport,
     FabricRequest,
-    FabricResponse,
     RepartitionReport,
     TierServer,
 )
@@ -141,7 +140,6 @@ __all__ = [
     "AnswerReason",
     "DistributedServingFabric",
     "FabricRequest",
-    "FabricResponse",
     "FabricReport",
     "RepartitionReport",
     "TierServer",

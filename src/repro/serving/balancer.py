@@ -49,7 +49,7 @@ from ..core.cascade import Thresholds
 from ..hierarchy.plan import PartitionPlan
 from .admission import AdmissionStats
 from .clock import EventLoop, WallClock
-from .fabric import DistributedServingFabric, FabricReport, FabricResponse
+from .fabric import DistributedServingFabric, FabricReport, FabricRequest
 from .resilience import HedgePolicy, ResilienceStats
 
 __all__ = ["LoadBalancer", "BALANCER_STRATEGIES"]
@@ -316,7 +316,7 @@ class LoadBalancer:
         return index, ids
 
     # ------------------------------------------------------------------ #
-    def run_until_idle(self, drain: bool = False) -> List[FabricResponse]:
+    def run_until_idle(self, drain: bool = False) -> List[FabricRequest]:
         """Drain every replica; responses merged in (replica, id) order.
 
         Replicas sharing one event loop (hedging) are drained in a single
@@ -336,21 +336,21 @@ class LoadBalancer:
                 for fabric, before in zip(self.replicas, previous):
                     fabric._draining = before
             return self.responses
-        responses: List[FabricResponse] = []
+        responses: List[FabricRequest] = []
         for fabric in self.replicas:
             responses.extend(fabric.run_until_idle(drain=drain))
         return responses
 
     @property
-    def responses(self) -> List[FabricResponse]:
-        merged: List[FabricResponse] = []
+    def responses(self) -> List[FabricRequest]:
+        merged: List[FabricRequest] = []
         for fabric in self.replicas:
             merged.extend(fabric.responses)
         return merged
 
     def report(
         self,
-        responses: Optional[Sequence[FabricResponse]] = None,
+        responses: Optional[Sequence[FabricRequest]] = None,
         duration_s: Optional[float] = None,
     ) -> FabricReport:
         """Fleet-level report: merged responses, summed hedge/resilience

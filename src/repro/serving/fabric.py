@@ -18,8 +18,9 @@ The fabric is a discrete-event simulation on the shared
   worker for thread workers, which compute concurrently);
 * a batch occupies a worker for the section's modelled compute time (or an
   explicit :class:`~repro.serving.loadgen.ServiceModel` override), then its
-  rows either exit — producing a :class:`FabricResponse` — or are offloaded
-  to the next tier, arriving after the link's transfer delay;
+  rows either exit — the answer is stamped onto the row's
+  :class:`FabricRequest` — or are offloaded to the next tier, arriving
+  after the link's transfer delay;
 * everything (arrival interleaving, batch formation, worker assignment,
   transfer timing) is deterministic in simulated time.
 
@@ -96,7 +97,6 @@ from .workers import (
 __all__ = [
     "AnswerReason",
     "FabricRequest",
-    "FabricResponse",
     "FabricReport",
     "RepartitionReport",
     "TierServer",
@@ -140,21 +140,37 @@ def checked_views(model, views) -> np.ndarray:
     return views
 
 
-@dataclass
+@dataclass(eq=False)
 class FabricRequest:
-    """One sample travelling up the tier hierarchy."""
+    """One sample from submission to answer: what tier queues, offload
+    groups, ``responses`` and :attr:`FabricReport.responses` hold.
+
+    :meth:`DistributedServingFabric._finalize` stamps the answer fields
+    (``prediction`` on) and clears ``views`` and ``payload``, so a kept
+    answer holds no input or carry; ``shed`` and ``degraded`` are read-only
+    views of ``reason``.  Compared by identity, so a queue removes exactly
+    this request."""
 
     request_id: int
     client_id: str
-    views: np.ndarray
+    #: The sample's views, until it is answered.
+    views: Optional[np.ndarray]
     target: Optional[int] = None
     submit_time: float = 0.0
+    #: What its tier stages for it (its views at the device tier, its
+    #: ``(sources, ...)`` row of the carry above), while queued or in transit.
+    payload: object = field(default=None, repr=False)
+    #: When it joined the tier queue it is in (or was last in).
+    queued_at: float = 0.0
+    #: ``(fabric, tier_index)`` while sitting in a tier queue, so the expiry
+    #: timer can surgically remove it; ``None`` otherwise.
+    queued_in: Optional[tuple] = field(default=None, repr=False)
     #: Sum of per-tier compute + transfer latency along the sample's path
     #: (the offline hierarchy metric; excludes queueing and batching waits).
     path_latency_s: float = 0.0
     #: Total bytes this sample put on the wire (paper Eq. 1 accounting).
     bytes_transferred: float = 0.0
-    #: Offload re-sends performed for this request so far.
+    #: Offload re-sends this request's journey needed (0 on a clean path).
     retries: int = 0
     #: Deepest exit decision this request has already cleared — the answer
     #: a failover or deadline retirement falls back to: ``(prediction,
@@ -162,45 +178,28 @@ class FabricRequest:
     fallback: Optional[Tuple[int, float, int, str]] = None
     #: End-to-end SLO budget travelling with the request (``None`` = no SLO).
     deadline: Optional[Deadline] = None
-    #: Exactly-once emission guard: set by :meth:`_finalize`, checked there.
-    answered: bool = False
-    #: A hedge copy of this request's offload won the race to a sibling.
+    #: True when a speculative hedge copy to a sibling replica delivered
+    #: this request's offload first.
     hedged: bool = False
     #: Daemon timer that retires the request at deadline expiry while queued.
     expiry_handle: Optional[EventHandle] = field(default=None, repr=False)
-    #: ``(fabric, tier_index, item)`` while sitting in a tier queue, so the
-    #: expiry timer can surgically remove it; ``None`` otherwise.
-    queued_in: Optional[tuple] = field(default=None, repr=False)
-
-
-@dataclass
-class FabricResponse:
-    """The cascade's answer for one request, with distributed accounting;
-    ``shed`` and ``degraded`` are read-only views of ``reason``."""
-
-    request_id: int
-    client_id: str
-    prediction: int
-    exit_index: int
-    exit_name: str
-    entropy: float
-    target: Optional[int] = None
-    submit_time: float = 0.0
-    completion_time: float = 0.0
-    path_latency_s: float = 0.0
-    bytes_transferred: float = 0.0
+    # -- the answer (``reason`` is ``None`` until there is one) ----------
+    prediction: Optional[int] = None
+    exit_index: Optional[int] = None
+    exit_name: Optional[str] = None
+    entropy: Optional[float] = None
+    completion_time: Optional[float] = None
     batch_size: int = 1
-    reason: AnswerReason = AnswerReason.THRESHOLD
-    #: Offload re-sends this request's journey needed (0 on a clean path).
-    retries: int = 0
+    reason: Optional[AnswerReason] = None
     #: True when the request's end-to-end SLO budget could not be met: it
     #: was retired from a queue (or clipped before an offload/retry) and
     #: answered from the deepest exit already cleared, or its real answer
     #: simply landed after the budget.  Never dropped either way.
     deadline_exceeded: bool = False
-    #: True when a speculative hedge copy to a sibling replica delivered
-    #: this request's offload first.
-    hedged: bool = False
+
+    @property
+    def answered(self) -> bool:
+        return self.reason is not None
 
     @property
     def shed(self) -> bool:
@@ -226,6 +225,20 @@ class FabricResponse:
         if self.target is None:
             return None
         return self.prediction == self.target
+
+
+def _require_unanswered(request: FabricRequest) -> None:
+    """The exactly-once guard: the first thing a second answer hits."""
+    if request.answered:
+        raise RuntimeError(f"request {request.request_id} answered twice — fabric invariant")
+
+
+def _unqueue(request: FabricRequest) -> None:
+    """Forget the request's queue slot and disarm its expiry timer."""
+    request.queued_in = None
+    if request.expiry_handle is not None:
+        request.expiry_handle.cancel()
+        request.expiry_handle = None
 
 
 @dataclass
@@ -259,7 +272,7 @@ class FabricReport:
     #: Uniform observability block: resilience counters, admission
     #: accounting and per-link breaker state/transition counts.
     metadata: Dict[str, object] = field(default_factory=dict)
-    responses: List[FabricResponse] = field(default_factory=list)
+    responses: List[FabricRequest] = field(default_factory=list)
 
 
 @dataclass
@@ -280,15 +293,6 @@ class RepartitionReport:
     @property
     def total_requeued(self) -> int:
         return sum(len(ids) for ids in self.requeued_ids.values())
-
-
-@dataclass
-class _PendingItem:
-    """A queued sample at one tier: the request plus its tier-local payload."""
-
-    request: FabricRequest
-    payload: object
-    arrival_time: float
 
 
 class _RequestIds:
@@ -364,7 +368,7 @@ class TierServer:
         self.pool = pool
         self.policy = policy if policy is not None else BatchingPolicy()
         self.service_model = service_model
-        self.queue: Deque[_PendingItem] = deque()
+        self.queue: Deque[FabricRequest] = deque()
         self.batches_dispatched = 0
         self.samples_processed = 0
 
@@ -379,7 +383,7 @@ class TierServer:
     def due(self, now: float, draining: bool) -> bool:
         queue = self.queue
         return bool(queue) and self.policy.due(
-            len(queue), queue[0].arrival_time, now, draining
+            len(queue), queue[0].queued_at, now, draining
         )
 
     def service_time(self, batch_size: int, section_service_s: float) -> float:
@@ -583,7 +587,7 @@ class DistributedServingFabric:
         self._paused = False
         self._inflight_batches = 0
 
-        self.responses: List[FabricResponse] = []
+        self.responses: List[FabricRequest] = []
         self.offered = 0
         #: Answers emitted so far per :class:`AnswerReason` value,
         #: :meth:`serve_dataset`'s included (it hands its answers back
@@ -844,6 +848,7 @@ class DistributedServingFabric:
                 views=views,
                 target=target,
                 submit_time=when,
+                payload=views,
             )
             if slo is not None:
                 request.deadline = Deadline.from_slo(slo, when)
@@ -857,22 +862,22 @@ class DistributedServingFabric:
                 )
             self.offered += 1
             requests.append(request)
-        items = [(request, request.views) for request in requests]
         self.events.schedule(
-            when, lambda now, items=items: self._arrive(0, items, now, fresh=True)
+            when, lambda now: self._arrive(0, requests, now, fresh=True)
         )
         return [request.request_id for request in requests]
 
     def _arrive(
         self,
         tier_index: int,
-        items: Sequence[Tuple[FabricRequest, object]],
+        requests: Sequence[FabricRequest],
         now: float,
         fresh: bool = False,
     ) -> None:
+        """Queue ``requests``, each with its ``payload`` set, at one tier."""
         tier = self.tiers[tier_index]
         admitted = 0
-        for request, payload in items:
+        for request in requests:
             # A request whose SLO expired on the way here is retired
             # instead of queued (or, at the ingress, before it knocks).
             if (
@@ -886,9 +891,9 @@ class DistributedServingFabric:
                 # Ingress admission: only brand-new tier-0 arrivals knock;
                 # offloads from lower tiers and repartition requeues are
                 # already inside the system and bypass the policy.
-                admitted += self._admit(request, payload, now)
+                admitted += self._admit(request, now)
             else:
-                self._enqueue(tier_index, request, payload, now)
+                self._enqueue(tier_index, request, now)
                 admitted += 1
         if self.autoscaler is not None and admitted:
             self.autoscaler.observe_arrival(tier_index, now, count=admitted)
@@ -899,7 +904,7 @@ class DistributedServingFabric:
                 lambda fire_time, index=tier_index: self._dispatch(index, fire_time),
             )
 
-    def _admit(self, request: FabricRequest, payload: object, now: float) -> int:
+    def _admit(self, request: FabricRequest, now: float) -> int:
         """Offer one fresh arrival to the bounded device-tier queue.
 
         :func:`~repro.serving.admission.admit` decides and counts: accepted
@@ -918,21 +923,16 @@ class DistributedServingFabric:
             self._answer_early(request, now, AnswerReason.SHED)
             return 0
         if evicted is not None:
-            evicted.request.queued_in = None
-            if evicted.request.expiry_handle is not None:
-                evicted.request.expiry_handle.cancel()
-                evicted.request.expiry_handle = None
-        self._enqueue(0, request, payload, now)
+            _unqueue(evicted)
+        self._enqueue(0, request, now)
         return 1
 
-    def _enqueue(
-        self, tier_index: int, request: FabricRequest, payload: object, now: float
-    ) -> None:
-        """Queue a request at one tier, recording where so its expiry timer
-        can surgically retire it from the queue."""
-        item = _PendingItem(request, payload, now)
-        request.queued_in = (self, tier_index, item)
-        self.tiers[tier_index].queue.append(item)
+    def _enqueue(self, tier_index: int, request: FabricRequest, now: float) -> None:
+        """Queue a request at one tier, recording when and where so its
+        expiry timer can surgically retire it from the queue."""
+        request.queued_at = now
+        request.queued_in = (self, tier_index)
+        self.tiers[tier_index].queue.append(request)
 
     def _require_first_exit(self, reason: AnswerReason) -> int:
         exit_index = self.sections[0].exit_index
@@ -961,6 +961,7 @@ class DistributedServingFabric:
                 request, now, *request.fallback, reason=reason, batch_size=batch_size
             )
             return
+        _require_unanswered(request)  # an answer cleared the views
         exit_index = self._require_first_exit(reason)
         logits = compiled_plan_for(self.model).first_exit_logits(request.views[None])
         decision = self.criteria[0].evaluate(logits)
@@ -985,46 +986,30 @@ class DistributedServingFabric:
         exit_name: str,
         reason: AnswerReason = AnswerReason.THRESHOLD,
         batch_size: int = 1,
-    ) -> FabricResponse:
-        """Single emission point: every answer path builds its response here.
+    ) -> None:
+        """Single emission point: every answer path stamps its answer here.
 
         Enforces the exactly-once invariant (deadline retirement, failover,
         hedging, shedding and normal exits all converge here), disarms the
-        expiry timer, and stamps ``deadline_exceeded`` honestly: any answer
-        landing at or past the budget is flagged, whatever path produced it.
+        expiry timer, drops the input the answer no longer needs, and stamps
+        ``deadline_exceeded`` honestly: any answer landing at or past the
+        budget is flagged, whatever path produced it.
         """
-        if request.answered:
-            raise RuntimeError(
-                f"request {request.request_id} answered twice — fabric invariant"
-            )
-        request.answered = True
-        request.queued_in = None
-        if request.expiry_handle is not None:
-            request.expiry_handle.cancel()
-            request.expiry_handle = None
-        response = FabricResponse(
-            request_id=request.request_id,
-            client_id=request.client_id,
-            prediction=int(prediction),
-            exit_index=exit_index,
-            exit_name=exit_name,
-            entropy=float(entropy),
-            target=request.target,
-            submit_time=request.submit_time,
-            completion_time=now,
-            path_latency_s=request.path_latency_s,
-            bytes_transferred=request.bytes_transferred,
-            batch_size=batch_size,
-            reason=reason,
-            retries=request.retries,
-            deadline_exceeded=(
-                request.deadline is not None and now >= request.deadline.expires_at
-            ),
-            hedged=request.hedged,
+        _require_unanswered(request)
+        _unqueue(request)
+        request.views = request.payload = None
+        request.prediction = int(prediction)
+        request.exit_index = exit_index
+        request.exit_name = exit_name
+        request.entropy = float(entropy)
+        request.completion_time = now
+        request.batch_size = batch_size
+        request.reason = reason
+        request.deadline_exceeded = (
+            request.deadline is not None and now >= request.deadline.expires_at
         )
-        self.responses.append(response)
+        self.responses.append(request)
         self.reasons[reason.value] += 1
-        return response
 
     def _can_retire(self, request: FabricRequest) -> bool:
         """A request can only be retired at its deadline if *something* can
@@ -1036,11 +1021,11 @@ class DistributedServingFabric:
         queue (on this fabric or — after a winning hedge — a sibling's)."""
         if request.answered or request.queued_in is None:
             return
-        fabric, tier_index, item = request.queued_in
+        fabric, tier_index = request.queued_in
         if not fabric._can_retire(request):
             return  # nothing to answer from yet; the final answer gets flagged
         try:
-            fabric.tiers[tier_index].queue.remove(item)
+            fabric.tiers[tier_index].queue.remove(request)
         except ValueError:
             return  # popped into a batch between scheduling and firing
         fabric._answer_early(request, now, AnswerReason.DEADLINE)
@@ -1067,18 +1052,17 @@ class DistributedServingFabric:
                 tier.queue = deque(
                     sorted(
                         tier.queue,
-                        key=lambda item: (
-                            item.request.deadline.expires_at
-                            if item.request.deadline is not None
+                        key=lambda request: (
+                            request.deadline.expires_at
+                            if request.deadline is not None
                             else math.inf,
-                            item.request.request_id,
+                            request.request_id,
                         ),
                     )
                 )
-            batch: List[_PendingItem] = []
+            batch: List[FabricRequest] = []
             while tier.queue and len(batch) < tier.policy.max_batch_size:
-                item = tier.queue.popleft()
-                request = item.request
+                request = tier.queue.popleft()
                 request.queued_in = None
                 if request.deadline is not None and request.deadline.expired(now):
                     if self._can_retire(request):
@@ -1090,15 +1074,17 @@ class DistributedServingFabric:
                         # Nothing to answer it from: compute anyway, and
                         # count the honesty violation the SLO bench gates on.
                         self.resilience_stats.expired_compute += 1
-                batch.append(item)
+                batch.append(request)
             if not batch:
                 continue
             # Batches form in the buffer of the worker that will run them
             # (a batch of one is a view of its row): raw views at the device
             # tier, (sources, ...) rows of the tier below further up.
             payload = worker.stage(
-                [item.payload for item in batch], tier.policy.max_batch_size
+                [request.payload for request in batch], tier.policy.max_batch_size
             )
+            for request in batch:
+                request.payload = None  # the staged batch holds what runs
             tier.batches_dispatched += 1
             tier.samples_processed += len(batch)
             self._inflight_batches += 1
@@ -1120,15 +1106,14 @@ class DistributedServingFabric:
         self,
         tier_index: int,
         worker: WorkerHandle,
-        batch: List[_PendingItem],
+        requests: List[FabricRequest],
         result,
         now: float,
     ) -> None:
         self._inflight_batches -= 1
         section = self.sections[tier_index]
         final = tier_index == len(self.tiers) - 1
-        batch_size = len(batch)
-        requests = [item.request for item in batch]
+        batch_size = len(requests)
         for request, latency, size in zip(
             requests,
             (result.intake_s + result.compute_s).tolist(),
@@ -1254,8 +1239,8 @@ class DistributedServingFabric:
         Every send genuinely transmits — bytes and transfer seconds are
         charged to the links and the requests, so retries and hedges are
         never free.  Returns the scheduled arrival — ``on_arrival(group,
-        *args, items, fire_time)`` at the slowest row's delay — or ``None``
-        if the link lost the message.
+        *args, fire_time)`` at the slowest row's delay — or ``None`` if the
+        link lost the message.
         """
         origin = via.tiers[group.origin]
         transfer = origin.section.offload(group.carry, group.rows)
@@ -1271,13 +1256,11 @@ class DistributedServingFabric:
             return None
         # Each row travels as its (sources, ...) view of the carry.
         features = transfer.features
-        items = [
-            (request, features[row])
-            for request, row in zip(group.requests, group.rows.tolist())
-        ]
+        for request, row in zip(group.requests, group.rows.tolist()):
+            request.payload = features[row]
         return self.events.schedule(
             now + max(delays),
-            lambda fire_time: on_arrival(group, *args, items, fire_time),
+            lambda fire_time: on_arrival(group, *args, fire_time),
         )
 
     def _arm_attempt_timer(self, group: _OffloadGroup, now: float) -> None:
@@ -1384,7 +1367,6 @@ class DistributedServingFabric:
         self,
         group: _OffloadGroup,
         sibling: "DistributedServingFabric",
-        items: List[Tuple[FabricRequest, object]],
         now: float,
     ) -> None:
         """A hedge copy reached the sibling's next tier first: it wins."""
@@ -1396,13 +1378,12 @@ class DistributedServingFabric:
         self.resilience_stats.hedge_wins += 1
         for request in group.requests:
             request.hedged = True
-        sibling._arrive(group.origin + 1, items, now)
+        sibling._arrive(group.origin + 1, group.requests, now)
 
     def _offload_delivered(
         self,
         group: _OffloadGroup,
         attempt: int,
-        items: List[Tuple[FabricRequest, object]],
         now: float,
     ) -> None:
         """An offload group's payload reached the next tier."""
@@ -1415,7 +1396,7 @@ class DistributedServingFabric:
         origin = self.tiers[group.origin]
         target = self.tiers[group.origin + 1]
         self.breaker_for(origin.name, target.name).record_success(now)
-        self._arrive(group.origin + 1, items, now)
+        self._arrive(group.origin + 1, group.requests, now)
 
     def _offload_timeout(self, group: _OffloadGroup, attempt: int, now: float) -> None:
         """An offload attempt's deadline expired before its arrival landed."""
@@ -1515,7 +1496,7 @@ class DistributedServingFabric:
         self._pending_plan = None
 
         requeued_ids = {
-            tier.name: tuple(item.request.request_id for item in tier.queue)
+            tier.name: tuple(request.request_id for request in tier.queue)
             for tier in self.tiers
         }
 
@@ -1635,7 +1616,7 @@ class DistributedServingFabric:
 
     def run_until_idle(
         self, max_events: Optional[int] = None, drain: bool = False
-    ) -> List[FabricResponse]:
+    ) -> List[FabricRequest]:
         """Fire every scheduled event; returns the kept responses so far.
 
         On the thread backend this also waits (in real time) for in-flight
@@ -1655,7 +1636,7 @@ class DistributedServingFabric:
 
     def serve_dataset(
         self, dataset: MVMCDataset, client_id: str = "default", at: Optional[float] = None
-    ) -> List[FabricResponse]:
+    ) -> List[FabricRequest]:
         """Replay a dataset at infinite arrival rate; one response per sample,
         in sample order.
 
@@ -1744,7 +1725,7 @@ class DistributedServingFabric:
 
     # ------------------------------------------------------------------ #
     def report(
-        self, responses: Optional[Sequence[FabricResponse]] = None, duration_s: Optional[float] = None
+        self, responses: Optional[Sequence[FabricRequest]] = None, duration_s: Optional[float] = None
     ) -> FabricReport:
         """Summarise latency tails, offload fraction and accuracy."""
         responses = list(self.responses if responses is None else responses)

@@ -249,7 +249,7 @@ class TestFusedBlockGeometry:
             if isinstance(module, (BatchNorm1d, BatchNorm2d)):
                 randomise_batch_norm(module, negative_every=3)
         model.eval()
-        for precision in ("float32", "float64", "bitpacked"):
+        for precision in ("float32", "float64"):
             verify_compiled(
                 model, compile_ddnn(model, precision=precision), tiny_test.images, precision=precision
             )

@@ -42,7 +42,7 @@ RECORDED = ROOT / "tests" / "data" / "ci_parent_logits.npz"
 RNG = np.random.default_rng(29)
 
 GEOMETRY = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (3, 2)]
-PRECISIONS = ("float64", "float32", "bitpacked")
+PRECISIONS = ("float64", "float32")
 
 
 def eager_forward(module, x: np.ndarray) -> np.ndarray:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from repro.hierarchy import LinkSpec, partition_ddnn
 from repro.hierarchy.partition import DEFAULT_LOCAL_LINK, DEFAULT_UPLINK
 from repro.hierarchy.plan import PartitionPlan
 from repro.serving import (
+    AnswerReason,
     BatchingPolicy,
     CircuitBreaker,
     DDNNServer,
@@ -196,6 +200,40 @@ class TestOpenLoop:
         )
         assert 0.0 <= report.p50_latency_s <= report.p95_latency_s <= report.max_latency_s
         assert report.accuracy is not None and 0.0 <= report.accuracy <= 1.0
+
+    def test_an_answered_request_keeps_no_input_or_carry(self, trained_ddnn, tiny_test):
+        """The answers a fabric keeps are its requests, so answering drops
+        their views and staged payloads: no device carry outlives the run."""
+        fabric = DistributedServingFabric(
+            partition_ddnn(trained_ddnn),
+            0.8,
+            batching=BatchingPolicy(max_batch_size=4, max_wait_s=0.005),
+        )
+        devices = fabric.tiers[0].section
+        process, carries = devices.process, []
+
+        def tracked(payload, plans):
+            result = process(payload, plans)
+            carries.append(weakref.ref(result.carry[0]))
+            return result
+
+        devices.process = tracked
+        report = fabric.open_loop(PoissonProcess(200.0, seed=2), tiny_test.images, num_requests=40)
+        assert report.served == 40 and report.offload_fraction > 0.0
+        assert all(r.views is None and r.payload is None for r in report.responses)
+        gc.collect()
+        assert carries and all(carry() is None for carry in carries)
+
+    def test_a_second_answer_raises_before_reading_the_cleared_views(self, trained_ddnn, tiny_test):
+        fabric = DistributedServingFabric(partition_ddnn(trained_ddnn), 0.8)
+        fabric.submit_many(list(tiny_test.images[:2]))
+        for answer in fabric.run_until_idle():
+            # With a cleared fallback the early answer would evaluate the
+            # (now cleared) views: the exactly-once guard must come first.
+            for fallback in (answer.fallback, None):
+                answer.fallback = fallback
+                with pytest.raises(RuntimeError, match="answered twice"):
+                    fabric._answer_early(answer, answer.completion_time, AnswerReason.DEADLINE)
 
 
 class TestSubmitValidation:

@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.serving import AnswerReason, FabricResponse
+from repro.serving import AnswerReason, FabricRequest
 from repro.serving.invariants import (
     ACCOUNTING_FIELDS,
     accounting,
@@ -22,9 +22,11 @@ from repro.serving.invariants import (
 
 def _responses(count: int = 4):
     return [
-        FabricResponse(
+        FabricRequest(
             request_id=index,
             client_id="c",
+            views=None,
+            reason=AnswerReason.THRESHOLD,
             prediction=index % 3,
             exit_index=index % 2,
             exit_name=("local", "cloud")[index % 2],
@@ -36,7 +38,7 @@ def _responses(count: int = 4):
     ]
 
 
-#: Accounted flags that are views of ``FabricResponse.reason``: each is
+#: Accounted flags that are views of ``FabricRequest.reason``: each is
 #: perturbed by the reason that turns it on (every ``_responses`` answer
 #: has reason ``threshold``, so each is off).
 _REASON_FOR_FLAG = {"shed": AnswerReason.SHED, "degraded": AnswerReason.FAILOVER}

@@ -107,7 +107,7 @@ def test_every_queue_fires_at_exactly_arrival_plus_max_wait(trained_ddnn, tiny_t
         assert response.completion_time == release + service.batch_time_s(1), (arrival, max_wait_s)
 
         tier = TierServer(section=None, pool=None, policy=policy)
-        tier.queue.append(SimpleNamespace(arrival_time=arrival))
+        tier.queue.append(SimpleNamespace(queued_at=arrival))
         assert not tier.due(math.nextafter(release, -math.inf), draining=False)
         assert tier.due(release, draining=False)
 

@@ -18,7 +18,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.compile import PRECISIONS, compile_ddnn
+from repro.compile import compile_ddnn
 from repro.compile.cache import compiled_plan_for
 from repro.core import DDNNConfig, DDNNTopology, DDNNTrainer, TrainingConfig, build_ddnn
 from repro.core.oracle import ExitOracle
@@ -52,7 +52,7 @@ def _views(tiny_train, batch):
     return tiny_train.images[:batch]
 
 
-@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("precision", ["float64", "float32"])
 def test_bundles_share_the_process_plans_ops_and_own_their_arenas(trained_ddnn, precision):
     shared = compiled_plan_for(trained_ddnn, precision)
     for kind, bundle in _bundles(trained_ddnn, precision).items():
@@ -94,7 +94,7 @@ def _edge_model():
 
 
 @pytest.mark.parametrize("edges", [False, True], ids=["devices-cloud", "edge-topology"])
-@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("precision", ["float64", "float32"])
 def test_bundles_answer_as_an_independent_compile(trained_ddnn, tiny_train, precision, edges):
     model = _edge_model() if edges else trained_ddnn
     reference = compile_ddnn(model, precision=precision)
