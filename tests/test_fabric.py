@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import gc
 import weakref
+from collections import deque
 
 import numpy as np
 import pytest
 
 from repro.core import ExitOracle
-from repro.hierarchy import LinkSpec, partition_ddnn
+from repro.hierarchy import ChaosSchedule, LinkOutage, LinkSpec, WorkerCrash, partition_ddnn
 from repro.hierarchy.partition import DEFAULT_LOCAL_LINK, DEFAULT_UPLINK
 from repro.hierarchy.plan import PartitionPlan
 from repro.serving import (
@@ -18,11 +19,15 @@ from repro.serving import (
     CircuitBreaker,
     DDNNServer,
     DistributedServingFabric,
+    DropOldest,
     EventLoop,
+    FabricRequest,
     HedgePolicy,
     LoadBalancer,
     PoissonProcess,
     RetryPolicy,
+    ServiceModel,
+    ShedToLocalExit,
     SimulatedClock,
 )
 
@@ -235,6 +240,162 @@ class TestOpenLoop:
                 with pytest.raises(RuntimeError, match="answered twice"):
                     fabric._answer_early(answer, answer.completion_time, AnswerReason.DEADLINE)
 
+    def test_requests_compare_by_identity(self):
+        """Two requests with equal fields are two requests: a queue's
+        ``remove`` takes out exactly the one it is given."""
+        first, second = (FabricRequest(request_id=0, client_id="c", views=None) for _ in "ab")
+        assert first != second and first == first
+        queue = deque([first, second])
+        queue.remove(second)
+        assert list(queue) == [first] and queue[0] is first
+
+
+_PATH_BATCHING = BatchingPolicy(max_batch_size=4, max_wait_s=0.004)
+_PATH_SERVICE = ServiceModel(batch_overhead_s=0.002, per_sample_s=0.004)
+_PATH_RETRY = RetryPolicy(deadline_s=0.1, max_retries=1, backoff_base_s=0.02, seed=0)
+_CLOUD_DARK = ChaosSchedule(outages=[LinkOutage(destination="cloud")], seed=0)
+
+
+def _path_fabric(model, plan=None, **kwargs):
+    plan = PartitionPlan(model) if plan is None else plan
+    kwargs.setdefault("batching", _PATH_BATCHING)
+    kwargs.setdefault("service_models", [_PATH_SERVICE] * plan.num_tiers)
+    return DistributedServingFabric.from_plan(plan, 0.5, **kwargs)
+
+
+def _paced(fabric, images, count=16, gap=0.01, slo_s=None):
+    for index in range(count):
+        fabric.submit(images[index % len(images)], at=index * gap, slo_s=slo_s)
+
+
+def _answer_by_threshold(model, images):
+    fabric = _path_fabric(model)
+    _paced(fabric, images)
+    fabric.run_until_idle(drain=True)
+    return [fabric], fabric.reasons["threshold"] > 0 and any(
+        r.exit_index == fabric.sections[-1].exit_index for r in fabric.responses
+    )
+
+
+def _shed_at_admission(model, images):
+    fabric = _path_fabric(model, capacity=2, admission=ShedToLocalExit())
+    fabric.submit_many(list(images[:10]), slo_s=1.0)
+    fabric.run_until_idle(drain=True)
+    return [fabric], fabric.reasons["shed"] > 0
+
+
+def _evict_the_oldest(model, images):
+    fabric = _path_fabric(model, capacity=2, admission=DropOldest())
+    fabric.submit_many(list(images[:10]), slo_s=1.0)
+    fabric.run_until_idle(drain=True)
+    return [fabric], fabric.admission_stats.dropped > 0
+
+
+def _retire_at_the_deadline(model, images):
+    fabric = _path_fabric(model, offload=_PATH_RETRY).attach_chaos(
+        ChaosSchedule(crashes=[WorkerCrash(tier="cloud", start=0.0, end=30.0)], seed=0)
+    )
+    _paced(fabric, images, slo_s=0.3)
+    fabric.run_until_idle(drain=True)
+    return [fabric], fabric.reasons["deadline"] > 0
+
+
+def _fail_over(model, images):
+    fabric = _path_fabric(model, offload=_PATH_RETRY).attach_chaos(_CLOUD_DARK)
+    _paced(fabric, images)
+    fabric.run_until_idle(drain=True)
+    return [fabric], fabric.reasons["failover"] > 0
+
+
+def _win_by_hedge(model, images):
+    plan = PartitionPlan(model, replicas=2, slo_s=1.0, hedge=HedgePolicy(0.1, 1))
+    balancer = LoadBalancer.from_plan(
+        plan,
+        0.5,
+        strategy="round-robin",
+        batching=_PATH_BATCHING,
+        service_models=[_PATH_SERVICE] * plan.num_tiers,
+        offload=_PATH_RETRY,
+    )
+    origin = balancer.replicas[0].attach_chaos(_CLOUD_DARK)
+    _paced(origin, images)
+    balancer.run_until_idle(drain=True)
+    return balancer.replicas, any(r.hedged for r in balancer.responses)
+
+
+def _hand_off_to_a_new_plan(model, images):
+    plan = PartitionPlan(model)
+    fabric = _path_fabric(model, plan)
+    _paced(fabric, images, count=24, gap=0.002)
+    fabric.events.schedule(
+        0.025, lambda now: fabric.apply_plan(plan.with_changes(local_exit=False), now=now)
+    )
+    fabric.run_until_idle(drain=True)
+    handoff = fabric.last_repartition
+    return [fabric], handoff is not None and handoff.total_requeued > 0
+
+
+def _serve_on_threads(model, images):
+    fabric = DistributedServingFabric(
+        partition_ddnn(model), 0.5, batching=_PATH_BATCHING, backend="thread"
+    )
+    with fabric:
+        _paced(fabric, images, gap=0.0)
+        fabric.run_until_idle(drain=True)
+    return [fabric], fabric.reasons["threshold"] == 16
+
+
+class TestEveryAnswerPath:
+    """Whatever answers a request, the fabric keeps the request itself as
+    the answer, once, holding no input, payload, queue slot or timer."""
+
+    PATHS = {
+        "threshold": _answer_by_threshold,
+        "shed": _shed_at_admission,
+        "drop-oldest": _evict_the_oldest,
+        "deadline": _retire_at_the_deadline,
+        "failover": _fail_over,
+        "hedge": _win_by_hedge,
+        "repartition": _hand_off_to_a_new_plan,
+        "thread": _serve_on_threads,
+    }
+
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_the_answer_is_the_request_and_keeps_nothing(self, trained_ddnn, tiny_test, path):
+        seen = {}
+
+        def recording(fabric):
+            arrive = fabric._arrive
+
+            def recorded(tier_index, requests, now, fresh=False):
+                seen.update((id(request), request) for request in requests)
+                arrive(tier_index, requests, now, fresh)
+
+            return recorded
+
+        build = DistributedServingFabric.__init__
+
+        def init(fabric, *args, **kwargs):
+            build(fabric, *args, **kwargs)
+            fabric._arrive = recording(fabric)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(DistributedServingFabric, "__init__", init)
+            fabrics, took_the_path = self.PATHS[path](trained_ddnn, tiny_test.images)
+        assert took_the_path, f"the {path} scenario never answered that way"
+
+        kept = [answer for fabric in fabrics for answer in fabric.responses]
+        assert len({id(answer) for answer in kept}) == len(kept)
+        assert {id(answer) for answer in kept} <= set(seen)
+        for fabric in fabrics:
+            assert all(not tier.queue for tier in fabric.tiers)
+            assert all(a is b for a, b in zip(fabric.report().responses, fabric.responses))
+        dropped = sum(fabric.admission_stats.dropped for fabric in fabrics)
+        assert len(seen) == len(kept) + dropped
+        for request in seen.values():
+            assert request.queued_in is None and request.expiry_handle is None
+            if request.answered:
+                assert request.views is None and request.payload is None
 
 class TestSubmitValidation:
     """A bad submission is refused whole, before any id, counter or timer

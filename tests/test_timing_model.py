@@ -3,7 +3,8 @@
 Hypothesis draws worker counts, batching policies, service coefficients,
 link specs, the threshold and a Poisson arrival stream; the two-tier fabric
 must answer every request at the exit, with the bytes and at the simulated
-instant, that the model computes without it.
+instant, that the model computes without it.  A few fixed corners of that
+space run on every draw, and the model is held to hand arithmetic itself.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from repro.core import ExitOracle
 from repro.hierarchy import LinkSpec, partition_ddnn
 from repro.serving import BatchingPolicy, DistributedServingFabric, PoissonProcess, ServiceModel
-from timing_model import Tier, reference_run
+from timing_model import Answer, Tier, reference_run
 
 TIERS = st.builds(
     Tier,
@@ -43,17 +44,7 @@ def oracle(trained_ddnn, tiny_test):
     return ExitOracle.capture(trained_ddnn, tiny_test)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    tiers=st.tuples(TIERS, TIERS),
-    local_link=LINKS,
-    uplink=LINKS,
-    threshold=st.floats(0.0, 1.0),
-    rate_rps=st.floats(20.0, 3000.0),
-    seed=st.integers(0, 2**16),
-    requests=st.integers(1, 24),
-)
-def test_fabric_times_equal_the_reference_model(
+def _check_against_the_model(
     trained_ddnn, tiny_test, oracle, tiers, local_link, uplink, threshold, rate_rps, seed, requests
 ):
     deployment = partition_ddnn(trained_ddnn, local_link=local_link, uplink=uplink)
@@ -90,4 +81,94 @@ def test_fabric_times_equal_the_reference_model(
     # transfer, or of an arrival and the wait), so all three are exact.
     assert [(r.exit_index, r.bytes_transferred, r.completion_time) for r in answers] == [
         (answer.exit_index, answer.bytes, answer.completion_s) for answer in expected
+    ]
+    return answers
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    tiers=st.tuples(TIERS, TIERS),
+    local_link=LINKS,
+    uplink=LINKS,
+    threshold=st.floats(0.0, 1.0),
+    rate_rps=st.floats(20.0, 3000.0),
+    seed=st.integers(0, 2**16),
+    requests=st.integers(1, 24),
+)
+def test_fabric_times_equal_the_reference_model(
+    trained_ddnn, tiny_test, oracle, tiers, local_link, uplink, threshold, rate_rps, seed, requests
+):
+    _check_against_the_model(
+        trained_ddnn, tiny_test, oracle, tiers, local_link, uplink, threshold, rate_rps, seed,
+        requests,
+    )
+
+
+def _tier(workers=1, batch=1, wait=0.0, overhead=0.0, per_sample=0.002):
+    return Tier(workers, BatchingPolicy(batch, wait), ServiceModel(overhead, per_sample))
+
+
+_LINK = LinkSpec(bandwidth_bytes_per_s=2e5, latency_s=0.01)
+
+#: Fixed corners of the generated space, checked on every run whatever
+#: Hypothesis draws: ``(tiers, uplink, threshold, rate_rps, exits)`` where
+#: ``exits`` is the set of exits the 24 requests must reach.
+CORNERS = {
+    # One slot and batches of one: both tiers are plain FIFO servers.
+    "fifo": ((_tier(), _tier()), _LINK, 0.5, 300.0, {0, 1}),
+    # Nothing is confident enough: every request pays the uplink.
+    "all-offload": ((_tier(2, 4, 0.005), _tier(2, 4, 0.005)), _LINK, 0.0, 500.0, {1}),
+    # Everything exits locally: the cloud tier never runs.
+    "all-local": ((_tier(2, 4, 0.005), _tier(2, 4, 0.005)), _LINK, 1.0, 500.0, {0}),
+    # Sparse arrivals and long waits: the wait timer releases partial batches.
+    "timer-released": ((_tier(1, 6, 0.02), _tier(1, 6, 0.02)), _LINK, 0.5, 40.0, {0, 1}),
+    # Arrivals far faster than one slow slot: queues build and full batches form.
+    "saturated": (
+        (_tier(1, 3, 0.001, 0.005, 0.005), _tier(1, 2, 0.0, 0.005, 0.01)),
+        LinkSpec(bandwidth_bytes_per_s=2e4, latency_s=0.0),
+        0.5,
+        3000.0,
+        {0, 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("corner", list(CORNERS))
+def test_fabric_times_equal_the_reference_model_at_a_corner(
+    trained_ddnn, tiny_test, oracle, corner
+):
+    tiers, uplink, threshold, rate_rps, exits = CORNERS[corner]
+    answers = _check_against_the_model(
+        trained_ddnn, tiny_test, oracle, tiers, _LINK, uplink, threshold, rate_rps, 3, 24
+    )
+    assert {answer.exit_index for answer in answers} == exits
+
+
+# The model itself, against arithmetic done by hand.
+_SUMMARY, _FEATURES, _UPLINK = [40.0, 40.0], [100.0, 300.0], (1000.0, 0.05)
+
+
+def test_the_model_answers_a_local_exit_after_one_service():
+    tier = _tier(overhead=0.001, per_sample=0.002)
+    (answer,) = reference_run([0.5], [True], (tier, tier), _SUMMARY, _FEATURES, _UPLINK)
+    assert answer == Answer(0, 80.0, 0.5 + (0.001 + 0.002))
+
+
+def test_the_model_offloads_after_the_slowest_device_transfer():
+    device, cloud = _tier(overhead=0.001, per_sample=0.002), _tier(per_sample=0.004)
+    (answer,) = reference_run([0.5], [False], (device, cloud), _SUMMARY, _FEATURES, _UPLINK)
+    reached_cloud = 0.5 + 0.003 + (0.05 + 300.0 / 1000.0)
+    assert answer == Answer(1, 80.0 + 400.0, reached_cloud + 0.004)
+
+
+def test_the_model_batches_until_full_or_the_wait_runs_out():
+    tier = _tier(batch=2, wait=0.1, per_sample=0.01)
+    answers = reference_run(
+        [0.0, 0.05, 1.0], [True] * 3, (tier, tier), _SUMMARY, _FEATURES, _UPLINK
+    )
+    # The second arrival fills the batch; the third waits out max_wait alone.
+    assert [answer.completion_s for answer in answers] == [
+        0.05 + 0.02,
+        0.05 + 0.02,
+        1.0 + 0.1 + 0.01,
     ]
