@@ -17,8 +17,9 @@ bandwidth-constrained wireless network).  It provides:
   swap onto a live fabric;
 * :class:`HierarchyRuntime` which executes the paper's staged inference
   procedure over the simulated deployment;
-* fault injection (:class:`FaultPlan`, and the timed
-  :class:`ChaosSchedule` the serving fabric consults).
+* fault injection (:class:`FaultPlan`, the devices that are down for a
+  whole run, and the timed :class:`ChaosSchedule` the serving fabric
+  consults).
 """
 
 from .faults import (

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -45,78 +45,31 @@ __all__ = [
 
 @dataclass
 class FaultPlan:
-    """Which end devices fail, and (optionally) when.
+    """Which end devices fail.
 
     Attributes
     ----------
     failed_devices:
         Indices of end devices that are offline for the whole run.
-    intermittent:
-        Mapping from device index to the probability that the device fails to
-        deliver a given sample (models a flaky wireless link rather than a
-        dead camera).
-    seed:
-        Seed for sampling intermittent failures.
     """
 
     failed_devices: Set[int] = field(default_factory=set)
-    intermittent: Dict[int, float] = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         self.failed_devices = set(int(i) for i in self.failed_devices)
-        for device, probability in self.intermittent.items():
-            if not 0.0 <= probability <= 1.0:
-                raise ValueError(
-                    f"intermittent failure probability for device {device} "
-                    f"must be in [0, 1], got {probability}"
-                )
-        self._rng = np.random.default_rng(self.seed)
 
     def device_is_down(self, device_index: int) -> bool:
         """True if a device is permanently failed."""
         return device_index in self.failed_devices
 
-    def sample_delivery(self, device_index: int) -> bool:
-        """Draw whether a device delivers the current sample."""
-        return bool(self.sample_deliveries(device_index, 1)[0])
-
-    def sample_deliveries(self, device_index: int, count: int) -> np.ndarray:
-        """Draw whether a device delivers each of the next ``count`` samples:
-        the draws ``count`` calls of :meth:`sample_delivery` would make, in
-        the same order, as one boolean array."""
-        if self.device_is_down(device_index):
-            return np.zeros(count, dtype=bool)
-        probability = self.intermittent.get(device_index, 0.0)
-        if probability <= 0.0:
-            return np.ones(count, dtype=bool)
-        return self._rng.random(count) >= probability
-
-    def reset(self) -> "FaultPlan":
-        """Restore the intermittent-draw RNG to its freshly-seeded state.
-
-        :meth:`sample_delivery` consumes the plan's RNG, so a plan reused
-        across two runs would otherwise give the second run a *different*
-        intermittent-failure realisation than a fresh plan with the same
-        seed.  Callers that replay a plan (the hierarchy runtime does, at
-        the top of every ``run()``) reset it first so every run sees the
-        same draws.  Returns ``self`` for chaining.
-        """
-        self._rng = np.random.default_rng(self.seed)
-        return self
-
     def _check_nodes(self, num_devices: int) -> None:
         """Reject indices of devices a deployment lacks: such an entry would
         silently inject no fault at all."""
-        unknown = {
-            "failed_devices": sorted(i for i in self.failed_devices if not 0 <= i < num_devices),
-            "intermittent": sorted(int(i) for i in self.intermittent if not 0 <= i < num_devices),
-        }
-        named = "; ".join(f"{name} {indices}" for name, indices in unknown.items() if indices)
-        if named:
+        unknown = sorted(i for i in self.failed_devices if not 0 <= i < num_devices)
+        if unknown:
             raise ValueError(
                 f"fault plan names devices the deployment lacks ({num_devices} "
-                f"devices): {named}"
+                f"devices): failed_devices {unknown}"
             )
 
 

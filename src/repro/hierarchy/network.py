@@ -172,14 +172,6 @@ class NetworkFabric:
                 self.log.append(message)
         return seconds
 
-    def send_batch(
-        self, source: str, destination: str, size_bytes: float, count: int
-    ) -> float:
-        """Route ``count`` equal messages over their (direct) link — charged
-        exactly as ``count`` unrecorded :meth:`send` calls — and return the
-        transfer time of one of them."""
-        return self.link(source, destination).send_batch(size_bytes, count)
-
     # -- runtime fault injection ---------------------------------------- #
     def attach_chaos(self, schedule) -> None:
         """Attach a :class:`~repro.hierarchy.faults.ChaosSchedule` (or

@@ -74,10 +74,6 @@ class HierarchyRuntime:
         from ..serving.fabric import DistributedServingFabric
 
         self.deployment.reset()
-        # Fresh-run semantics: the fault plan's intermittent draws restart
-        # from the seed, so replaying one runtime (or sharing one plan
-        # across runtimes) sees the same failure realisation every run.
-        self.fault_plan.reset()
         self.model.eval()
 
         num_samples = len(dataset)

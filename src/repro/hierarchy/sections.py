@@ -11,15 +11,15 @@ layers.
 Each section does two things:
 
 * :meth:`TierSection.process` — run the tier's NN sections on a batch,
-  returning the logits of each exit the tier holds, per-sample latency
-  and byte accounting, and a batch-level *carry*: the feature maps an
+  returning the logits of each exit the tier holds, the latency and bytes
+  it charges every row, and a batch-level *carry*: the feature maps an
   offload would forward, as one batch-major ``(n, sources, ...)`` array —
   ``(n, D, f, h, w)`` out of the device tier, ``(n, E, ...)`` out of the edge;
 * :meth:`TierSection.offload` — send the carried features for the
   not-confident rows up the hierarchy over the deployment's
   :class:`~repro.hierarchy.network.NetworkFabric` (one batched charge per
   sending node, accounted exactly as one message per row would be),
-  returning per-row transfer delay/bytes.
+  returning the transfer delay and bytes of every offloaded row.
 
 An offload is *row indices* into the carry, never per-row copies: row ``r``
 travels as ``features[r]``, one ``(sources, ...)`` view, and the next tier
@@ -28,11 +28,11 @@ layout its compiled aggregator takes (a CC aggregator is then a reshape).
 A batch of one is a view of its row, not a copy
 (:meth:`~repro.serving.workers.WorkerHandle.stage`).
 
-The accounting reproduces the original runtime loop: summaries are sent
-for every delivered sample, features only for offloaded samples from
-delivered devices, per-sample compute latency comes from the node
-ops models, and the per-device ``stats.bytes_sent`` counters match the
-paper's Eq. 1 byte accounting (covered by the hierarchy tests).  One
+The accounting reproduces the original runtime loop: every live device
+sends a summary for every sample and its features for every offloaded
+sample, per-sample compute latency comes from the node ops models, and
+the per-device ``stats.bytes_sent`` counters match the paper's Eq. 1 byte
+accounting (covered by the hierarchy tests).  One
 decomposition note: the old loop charged offloaded samples
 ``max_e(transfer_e + compute_e)`` over the edge tier in one term, while
 the split stages charge ``max(transfer)`` at the device offload and
@@ -40,8 +40,9 @@ the split stages charge ``max(transfer)`` at the device offload and
 :func:`~repro.hierarchy.partition.partition_ddnn` builds (every edge has
 the same per-sample compute), and an upper bound if edges are hand-tuned
 to heterogeneous speeds.  The device tier charges from per-device vectors
-built once per section from its fault plan's dead devices, and a ``(D, n)``
-delivery mask that is ``None`` unless the fault plan dropped a sample.
+built once per section from its fault plan's dead devices.  Every row of a
+batch, and every row of an offload, is charged the same, so a result holds
+one latency and one byte count per batch.
 
 A tier forward runs on a :class:`~repro.compile.CompiledDDNN` plan bundle
 handed to ``process`` per call: the fabric gives every thread worker its
@@ -50,8 +51,8 @@ and lets the simulated workers over one deployment, which compute one at a
 time, share one.  The nodes only account: the section charges each node's
 ops model for the rows it computed.  The device tier is *one* call: the
 bundle's grouped program computes every device's branch on the
-device-major view of the batch, and failed devices and dropped samples are
-masks on its output.  A section copies what it keeps of a plan's output
+device-major view of the batch, and a failed device is zeroed out of its
+output.  A section copies what it keeps of a plan's output
 (the carry, the scores it aggregates, the logits): plan outputs live only
 until that plan's next forward.
 """
@@ -59,7 +60,7 @@ until that plan's next forward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -87,9 +88,9 @@ class SectionResult:
     logits: List[np.ndarray]  # (n, C) logits of each exit the tier holds, in exit order
     carry: object  # batch-level state an offload would forward
     service_s: float  # wall-clock the tier's worker is occupied by this batch
-    intake_s: np.ndarray  # per-row intra-tier transfer+wait latency (n,)
-    compute_s: np.ndarray  # per-row compute latency contribution (n,)
-    intake_bytes: np.ndarray  # per-row bytes sent inside the tier (n,)
+    intake_s: float  # every row's intra-tier transfer+wait latency
+    compute_s: float  # every row's compute latency contribution
+    intake_bytes: float  # every row's bytes sent inside the tier
 
 
 @dataclass
@@ -97,34 +98,26 @@ class TransferResult:
     """Outcome of offloading a set of rows to the next tier."""
 
     features: np.ndarray  # the batch-major carry: offloaded row r travels as features[r]
-    delay_s: np.ndarray  # per-offloaded-row transfer delay
-    bytes: np.ndarray  # per-offloaded-row bytes put on the wire
+    delay_s: float  # every offloaded row's transfer delay
+    bytes: float  # every offloaded row's bytes put on the wire
 
 
-def _charge(nodes, links, sizes, counts) -> List[float]:
+def _charge(nodes, links, sizes, count: int) -> List[float]:
     """Charge ``count`` messages of ``size`` bytes from each node over its
     link (as ``count`` single messages would be) and return one message's
-    transfer time per node (0.0 for a node that sent none)."""
-    seconds = [0.0] * len(counts)
-    for index, (node, link, size, count) in enumerate(zip(nodes, links, sizes, counts)):
-        if count:
-            seconds[index] = link.send_batch(size, count)
-            node.record_bytes_sent(size * count)
+    transfer time per node."""
+    seconds = []
+    for node, link, size in zip(nodes, links, sizes):
+        seconds.append(link.send_batch(size, count))
+        node.record_bytes_sent(size * count)
     return seconds
 
 
-def _per_row(
-    values: Sequence[float], sizes: Sequence[float], sends: Optional[np.ndarray], rows: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per row, the largest of its senders' ``values`` and the sum of their
-    ``sizes`` in sender order; ``sends`` is a ``(senders, rows)`` mask, or
-    ``None`` when every sender sends every row."""
-    if sends is None:
-        return np.full(rows, max(values, default=0.0)), np.full(rows, sum(sizes, 0.0))
-    return (
-        np.where(sends, np.array(values)[:, None], 0.0).max(axis=0, initial=0.0),
-        np.where(sends, np.array(sizes, dtype=np.float64)[:, None], 0.0).sum(axis=0),
-    )
+def _transfer(features, nodes, links, sizes, rows) -> TransferResult:
+    """Send every row of ``rows`` from each node; each row waits for its
+    slowest sender and carries every sender's bytes."""
+    seconds = _charge(nodes, links, sizes, len(rows))
+    return TransferResult(features, max(seconds, default=0.0), sum(sizes, 0.0))
 
 
 class TierSection:
@@ -175,9 +168,9 @@ class _DeviceVectors:
     ) -> None:
         devices, fabric = deployment.devices, deployment.fabric
         down = [fault_plan.device_is_down(index) for index in range(len(devices))]
-        self.live = [index for index, failed in enumerate(down) if not failed]
+        live = [index for index, failed in enumerate(down) if not failed]
         self.dead = [index for index, failed in enumerate(down) if failed]
-        self.devices = [devices[index] for index in self.live]
+        self.devices = [devices[index] for index in live]
         self.operations = [device.operations_per_sample for device in self.devices]
         self.summary_bytes = [device.summary_bytes() for device in self.devices]
         self.summary_links = [
@@ -185,7 +178,7 @@ class _DeviceVectors:
             for device in (self.devices if deployment.local_aggregator is not None else [])
         ]
         self.feature_bytes = [device.feature_bytes() for device in self.devices]
-        self.uplinks = [fabric.link(devices[i].name, destinations[i]) for i in self.live]
+        self.uplinks = [fabric.link(devices[i].name, destinations[i]) for i in live]
         self.transfer_estimate_s = max(
             map(NetworkLink.transfer_time, self.uplinks, self.feature_bytes), default=0.0
         )
@@ -195,11 +188,9 @@ class DeviceTierSection(TierSection):
     """End devices plus (optionally) the local aggregator and local exit.
 
     ``process`` consumes raw multi-view batches of shape ``(n, D, C, H, W)``;
-    the carry is ``(features, delivered)``: the batch-major ``(n, D, f, h,
-    w)`` binarized feature maps and the fault plan's ``(D, n)`` delivery
-    mask (``None`` when every device delivered every sample).  ``offload``
-    sends each delivered device's feature map for every offloaded row to
-    that device's uplink destination (its edge, or the cloud when no edge
+    the carry is the batch-major ``(n, D, f, h, w)`` binarized feature maps.
+    ``offload`` sends each live device's feature map for every offloaded row
+    to that device's uplink destination (its edge, or the cloud when no edge
     tier exists).
     """
 
@@ -239,57 +230,36 @@ class DeviceTierSection(TierSection):
         batch = len(views)
 
         vectors = self._vectors()
-        delivered = self._draw_delivery(batch)
         features, scores, seconds = self._device_forwards(views, plans, vectors)
-        # A failed device transmits nothing, a dropped sample nothing of its row.
+        # A failed device transmits nothing.
         if vectors.dead:
             features[:, vectors.dead] = 0.0
             scores[vectors.dead] = 0.0
-        if delivered is not None:
-            features[~delivered.T] = 0.0
-            scores[~delivered] = 0.0
 
         logits: List[np.ndarray] = []
-        aggregate_seconds = 0.0
-        if self.exit_index is None:
-            intake_s = np.zeros(batch)
-            intake_bytes = np.zeros(batch)
-            compute_s = np.zeros(batch)
-        else:
-            # One charge per device for the samples it delivered.
-            sends = None if delivered is None else delivered[vectors.live]
-            counts = [batch] * len(vectors.live) if sends is None else sends.sum(1).tolist()
+        aggregate_seconds = intake_s = compute_s = intake_bytes = 0.0
+        if self.exit_index is not None:
+            # One charge per live device: a summary for every row.
             link_seconds = _charge(
-                vectors.devices, vectors.summary_links, vectors.summary_bytes, counts
+                vectors.devices, vectors.summary_links, vectors.summary_bytes, batch
             )
-            latency = [own / max(batch, 1) + link for own, link in zip(seconds, link_seconds)]
-            intake_s, intake_bytes = _per_row(latency, vectors.summary_bytes, sends, batch)
+            intake_s = max(
+                (own / max(batch, 1) + link for own, link in zip(seconds, link_seconds)),
+                default=0.0,
+            )
+            intake_bytes = sum(vectors.summary_bytes, 0.0)
             fused, aggregate_seconds = self._aggregate(scores, plans)
             logits.append(fused)
-            compute_s = np.full(batch, aggregate_seconds / max(batch, 1))
+            compute_s = aggregate_seconds / max(batch, 1)
 
         return SectionResult(
             logits=logits,
-            carry=(features, delivered),
+            carry=features,
             service_s=max(seconds, default=0.0) + aggregate_seconds,
             intake_s=intake_s,
             compute_s=compute_s,
             intake_bytes=intake_bytes,
         )
-
-    def _draw_delivery(self, batch: int) -> Optional[np.ndarray]:
-        """``(devices, batch)`` mask of samples each device delivers, drawn
-        from the fault plan live device by live device, sample by sample —
-        ``None`` when every live device delivers everything (always, for a
-        plan without intermittent faults).  A dead device's row is left
-        True: :attr:`_DeviceVectors.dead` already drops that device whole."""
-        plan = self.fault_plan
-        if not plan.intermittent:
-            return None
-        delivered = np.ones((len(self.deployment.devices), batch), dtype=bool)
-        for index in self._vectors().live:
-            delivered[index] = plan.sample_deliveries(index, batch)
-        return None if delivered.all() else delivered
 
     def _device_forwards(self, views: np.ndarray, plans, vectors: _DeviceVectors):
         """``(features, scores, seconds)`` for a ``(n, D, C, H, W)`` batch:
@@ -315,14 +285,8 @@ class DeviceTierSection(TierSection):
         return fused, aggregator._account(scores.size, samples=scores.shape[1])
 
     def offload(self, carry, rows: np.ndarray) -> TransferResult:
-        features, delivered = carry
-        rows = np.asarray(rows, dtype=np.int64)
         vectors = self._vectors()
-        sends = None if delivered is None else delivered[vectors.live][:, rows]
-        counts = [len(rows)] * len(vectors.live) if sends is None else sends.sum(1).tolist()
-        seconds = _charge(vectors.devices, vectors.uplinks, vectors.feature_bytes, counts)
-        delay, transferred = _per_row(seconds, vectors.feature_bytes, sends, len(rows))
-        return TransferResult(features=features, delay_s=delay, bytes=transferred)
+        return _transfer(carry, vectors.devices, vectors.uplinks, vectors.feature_bytes, rows)
 
     def transfer_estimate_s(self) -> float:
         return self._vectors().transfer_estimate_s
@@ -364,14 +328,14 @@ class EdgeTierSection(TierSection):
             if self.exit_index is not None
             else []
         )
-        per_sample = float(edge_seconds.max(initial=0.0)) / max(batch, 1)
+        seconds = float(edge_seconds.max(initial=0.0))
         return SectionResult(
             logits=logits,
             carry=np.stack(edge_features, axis=1),
-            service_s=float(edge_seconds.max(initial=0.0)),
-            intake_s=np.zeros(batch),
-            compute_s=np.full(batch, per_sample),
-            intake_bytes=np.zeros(batch),
+            service_s=seconds,
+            intake_s=0.0,
+            compute_s=seconds / max(batch, 1),
+            intake_bytes=0.0,
         )
 
     def _edge_forward(self, edge, edge_index: int, group: np.ndarray, plans):
@@ -396,10 +360,7 @@ class EdgeTierSection(TierSection):
         return edges, links, [edge.feature_bytes() for edge in edges]
 
     def offload(self, carry, rows: np.ndarray) -> TransferResult:
-        edges, links, sizes = self._uplinks()
-        seconds = _charge(edges, links, sizes, [len(rows)] * len(edges))
-        delay, transferred = _per_row(seconds, sizes, None, len(rows))
-        return TransferResult(features=carry, delay_s=delay, bytes=transferred)
+        return _transfer(carry, *self._uplinks(), rows)
 
     def transfer_estimate_s(self) -> float:
         _, links, sizes = self._uplinks()
@@ -423,14 +384,13 @@ class CloudTierSection(TierSection):
         sources = np.asarray(payload)
         batch = len(sources)
         logits, seconds = self._cloud_forward(sources, plans)
-        per_sample = seconds / max(batch, 1)
         return SectionResult(
             logits=[logits],
             carry=None,
             service_s=seconds,
-            intake_s=np.zeros(batch),
-            compute_s=np.full(batch, per_sample),
-            intake_bytes=np.zeros(batch),
+            intake_s=0.0,
+            compute_s=seconds / max(batch, 1),
+            intake_bytes=0.0,
         )
 
     def _cloud_forward(self, sources: np.ndarray, plans):
@@ -472,14 +432,13 @@ class CascadeTierSection(TierSection):
 
     def process(self, payload, plans) -> SectionResult:
         views = np.asarray(payload)
-        zeros = np.zeros(len(views))
         return SectionResult(
             logits=[logits.copy() for logits in plans.forward(views).exit_logits],
             carry=None,
             service_s=0.0,
-            intake_s=zeros,
-            compute_s=zeros,
-            intake_bytes=zeros,
+            intake_s=0.0,
+            compute_s=0.0,
+            intake_bytes=0.0,
         )
 
     def offload(self, carry, rows: np.ndarray) -> TransferResult:

@@ -199,10 +199,10 @@ class LoadBalancer:
     ) -> Optional[DistributedServingFabric]:
         """Pick the sibling replica a hedge copy is sent to, or ``None``.
 
-        Healthy stacks only (never the origin), least outstanding load
-        first, more online workers breaking depth ties, then lowest index —
-        fully deterministic, so seeded simulated runs replay hedge routing
-        byte for byte.
+        Healthy stacks only (never the origin), least-loaded first by the
+        ranking :meth:`pick` uses (:meth:`_load_rank`) — fully
+        deterministic, so seeded simulated runs replay hedge routing byte
+        for byte.
         """
         candidates = [
             index
@@ -211,15 +211,7 @@ class LoadBalancer:
         ]
         if not candidates:
             return None
-        best = min(
-            candidates,
-            key=lambda index: (
-                self._depth(self.replicas[index]),
-                -self._online_workers(self.replicas[index]),
-                index,
-            ),
-        )
-        return self.replicas[best]
+        return self.replicas[min(candidates, key=self._load_rank)]
 
     # -- health --------------------------------------------------------- #
     def mark_down(self, index: int) -> None:
@@ -268,18 +260,15 @@ class LoadBalancer:
                 index = (self._cursor + step) % len(self.replicas)
                 if index in candidates:
                     return index
-        # Least-loaded: smallest outstanding depth; depth ties prefer the
-        # stack with more online workers (a replica whose cloud tier is
-        # mid-crash-window stops winning ties while technically "up"),
-        # then lowest index — deterministic either way.
-        return min(
-            candidates,
-            key=lambda index: (
-                self._depth(self.replicas[index]),
-                -self._online_workers(self.replicas[index]),
-                index,
-            ),
-        )
+        return min(candidates, key=self._load_rank)
+
+    def _load_rank(self, index: int) -> Tuple[int, int, int]:
+        """Least-loaded order: smallest outstanding depth; depth ties prefer
+        the stack with more online workers (a replica whose cloud tier is
+        mid-crash-window stops winning ties while technically "up"), then
+        lowest index — deterministic either way."""
+        replica = self.replicas[index]
+        return (self._depth(replica), -self._online_workers(replica), index)
 
     def submit(
         self,

@@ -321,8 +321,8 @@ class _OffloadGroup:
 
     The rows of one batch travel (and are retried) as a single
     message-group — they share link fate, an attempt timer, and a failover
-    decision, and reach the next tier together at the slowest row's
-    transfer delay.  ``attempts`` versions the outstanding send so a late
+    decision, and reach the next tier together after their one transfer
+    delay.  ``attempts`` versions the outstanding send so a late
     arrival from a superseded attempt can be recognised and suppressed.
     """
 
@@ -448,10 +448,8 @@ class DistributedServingFabric:
         darken links or lose messages requires a policy whose attempts
         *can* time out (the offload would otherwise hang forever).  Either
         way the non-exiting rows of one batch reach the next tier together,
-        at the group's slowest-row delay; per-row delays differ only under
-        an intermittent :class:`~repro.hierarchy.faults.FaultPlan` or
-        hand-tuned heterogeneous links, and only the arrival instant, never
-        ``bytes_transferred`` or ``path_latency_s``, is affected.
+        after the one transfer delay (the slowest sender's) that every row
+        of the group is charged.
     breaker:
         Optional :class:`~repro.serving.resilience.CircuitBreaker` template
         (thresholds only); each inter-tier link gets its own instance
@@ -875,7 +873,6 @@ class DistributedServingFabric:
         fresh: bool = False,
     ) -> None:
         """Queue ``requests``, each with its ``payload`` set, at one tier."""
-        tier = self.tiers[tier_index]
         admitted = 0
         for request in requests:
             # A request whose SLO expired on the way here is retired
@@ -898,10 +895,16 @@ class DistributedServingFabric:
         if self.autoscaler is not None and admitted:
             self.autoscaler.observe_arrival(tier_index, now, count=admitted)
         self._dispatch(tier_index, now)
+        self._arm_wait_timer(tier_index, now)
+
+    def _arm_wait_timer(self, tier_index: int, now: float) -> None:
+        """Dispatch the tier again ``max_wait_s`` from now, when a partial
+        batch is left waiting in its queue."""
+        tier = self.tiers[tier_index]
         if tier.queue and not self._draining and tier.policy.max_wait_s > 0.0:
             self.events.schedule(
                 now + tier.policy.max_wait_s,
-                lambda fire_time, index=tier_index: self._dispatch(index, fire_time),
+                lambda fire_time: self._dispatch(tier_index, fire_time),
             )
 
     def _admit(self, request: FabricRequest, now: float) -> int:
@@ -1114,13 +1117,10 @@ class DistributedServingFabric:
         section = self.sections[tier_index]
         final = tier_index == len(self.tiers) - 1
         batch_size = len(requests)
-        for request, latency, size in zip(
-            requests,
-            (result.intake_s + result.compute_s).tolist(),
-            result.intake_bytes.tolist(),
-        ):
+        latency = result.intake_s + result.compute_s
+        for request in requests:
             request.path_latency_s += latency
-            request.bytes_transferred += size
+            request.bytes_transferred += result.intake_bytes
 
         # The exits the tier holds decide in cascade order: a row leaves at
         # the first whose criterion it meets, and the final tier's last exit
@@ -1239,17 +1239,19 @@ class DistributedServingFabric:
         Every send genuinely transmits — bytes and transfer seconds are
         charged to the links and the requests, so retries and hedges are
         never free.  Returns the scheduled arrival — ``on_arrival(group,
-        *args, fire_time)`` at the slowest row's delay — or ``None`` if the
-        link lost the message.
+        *args, fire_time)`` after the group's transfer delay — or ``None``
+        if the link lost the message.
         """
         origin = via.tiers[group.origin]
         transfer = origin.section.offload(group.carry, group.rows)
-        delays = transfer.delay_s.tolist()
-        for request, delay, size in zip(group.requests, delays, transfer.bytes.tolist()):
-            request.path_latency_s += delay
-            request.bytes_transferred += size
+        for request in group.requests:
+            request.path_latency_s += transfer.delay_s
+            request.bytes_transferred += transfer.bytes
         if via is not self:
-            self.hedge_bytes += float(np.sum(transfer.bytes))
+            # Exactly the sum over the rows: every byte count is a multiple
+            # of 1/8 B (4|C| is whole bytes, f*o/8 whole eighths), so sums
+            # and products of them are exact in any order.
+            self.hedge_bytes += transfer.bytes * len(group.requests)
         if not via.deployment.fabric.delivery(
             origin.name, via.tiers[group.origin + 1].name, now
         ):
@@ -1259,7 +1261,7 @@ class DistributedServingFabric:
         for request, row in zip(group.requests, group.rows.tolist()):
             request.payload = features[row]
         return self.events.schedule(
-            now + max(delays),
+            now + transfer.delay_s,
             lambda fire_time: on_arrival(group, *args, fire_time),
         )
 
@@ -1530,13 +1532,9 @@ class DistributedServingFabric:
         self.last_repartition = report
         # Resume: re-dispatch every tier and re-arm the wait timers (the
         # pause may have swallowed timer firings).
-        for index, tier in enumerate(self.tiers):
+        for index in range(len(self.tiers)):
             self._dispatch(index, now)
-            if tier.queue and not self._draining and tier.policy.max_wait_s > 0.0:
-                self.events.schedule(
-                    now + tier.policy.max_wait_s,
-                    lambda fire_time, i=index: self._dispatch(i, fire_time),
-                )
+            self._arm_wait_timer(index, now)
         return report
 
     def _worker_bundles(self, count: int, in_use=()) -> List[object]:

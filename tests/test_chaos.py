@@ -10,14 +10,11 @@ import pytest
 
 from repro.hierarchy import (
     ChaosSchedule,
-    FaultPlan,
-    HierarchyRuntime,
     LinkFlap,
     LinkLoss,
     LinkOutage,
     PartitionPlan,
     WorkerCrash,
-    partition_ddnn,
 )
 from repro.serving import (
     BatchingPolicy,
@@ -71,36 +68,6 @@ def _serve(fabric, tiny_test, num_requests=32, rate=30.0, seed=0):
 
 
 # --------------------------------------------------------------------------- #
-class TestFaultPlanReset:
-    def test_reset_restores_the_draw_sequence(self):
-        plan = FaultPlan(intermittent={0: 0.5, 1: 0.3}, seed=7)
-        first = [plan.sample_delivery(i % 2) for i in range(40)]
-        replay = [plan.reset().sample_delivery(0)] + [
-            plan.sample_delivery(i % 2) for i in range(1, 40)
-        ]
-        fresh = FaultPlan(intermittent={0: 0.5, 1: 0.3}, seed=7)
-        assert first == replay
-        assert first == [fresh.sample_delivery(i % 2) for i in range(40)]
-
-    def test_reset_returns_self_and_preserves_static_faults(self):
-        plan = FaultPlan(failed_devices={1}, seed=3)
-        assert plan.reset() is plan
-        assert plan.device_is_down(1)
-
-    def test_runtime_reuse_replays_the_same_intermittent_realisation(
-        self, trained_ddnn, tiny_test
-    ):
-        """Regression: sample_delivery consumes the plan's RNG, so a second
-        run over a *reused* runtime/plan used to see different draws."""
-        plan = FaultPlan(intermittent={0: 0.6, 2: 0.6}, seed=11)
-        runtime = HierarchyRuntime(partition_ddnn(trained_ddnn), 0.8, fault_plan=plan)
-        first = runtime.run(tiny_test)
-        second = runtime.run(tiny_test)
-        assert first.predictions.tolist() == second.predictions.tolist()
-        assert first.exit_names_per_sample == second.exit_names_per_sample
-        assert first.bytes_per_sample.tolist() == second.bytes_per_sample.tolist()
-
-
 # --------------------------------------------------------------------------- #
 class TestChaosSchedule:
     def test_event_validation(self):

@@ -219,7 +219,7 @@ class TestOpenLoop:
 
         def tracked(payload, plans):
             result = process(payload, plans)
-            carries.append(weakref.ref(result.carry[0]))
+            carries.append(weakref.ref(result.carry))
             return result
 
         devices.process = tracked

@@ -66,8 +66,7 @@ class TestDeviceTierSection:
     def test_process_returns_features_scores_and_time(self, small_model):
         views = np.random.default_rng(0).random((3, 3, 3, 32, 32))
         deployment, _, result = self._run(small_model, views)
-        features, delivered = result.carry
-        assert features.shape == (3, 3, 2, 16, 16) and delivered is None
+        assert result.carry.shape == (3, 3, 2, 16, 16)
         [logits] = result.logits
         assert logits.shape == (3, 3)
         assert result.service_s > 0
@@ -77,7 +76,7 @@ class TestDeviceTierSection:
     def test_failed_device_emits_zeros_and_no_compute(self, small_model):
         views = np.random.default_rng(2).random((2, 3, 3, 32, 32))
         deployment, plans, result = self._run(small_model, views, failed=[0])
-        features, _ = result.carry
+        features = result.carry
         np.testing.assert_array_equal(features[:, 0], 0.0)
         assert np.abs(features[:, 1:]).sum() > 0
         assert deployment.devices[0].stats.samples_processed == 0

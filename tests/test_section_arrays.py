@@ -4,8 +4,9 @@
 * Device, edge and cloud sections equal a per-device, per-message reference
   loop kept here (the form the sections had before they charged from
   per-tier vectors), on the same plan bundle's per-tier plans and the
-  model's eager aggregators: exit logits, latency and byte vectors, carries,
-  offload delays and bytes, and every link's and node's stats.
+  model's eager aggregators: exit logits, the one latency and byte count a
+  section charges every row, carries, offload delays and bytes, and every
+  link's and node's stats.
 * A section result never aliases the buffers of the plan bundle it ran on.
 * The device tier's cached transfer estimate leaves out its fault plan's
   dead devices and follows a live re-partition.
@@ -116,10 +117,6 @@ class _Reference:
     def devices(self, views):
         deployment, plans = self.deployment, self.plans
         devices, batch = deployment.devices, len(views)
-        delivered = np.ones((len(devices), batch), dtype=bool)
-        for index in range(len(devices)):
-            for sample in range(batch):
-                delivered[index, sample] = self.fault_plan.sample_delivery(index)
         group_features, group_scores = plans.device_group(np.moveaxis(views, 1, 0))
         features, scores, seconds = [], [], []
         for index, device in enumerate(devices):
@@ -132,8 +129,6 @@ class _Reference:
             else:
                 feature, score = group_features[index].copy(), group_scores[index].copy()
                 second = device._account(device.operations_per_sample * batch, samples=batch)
-            feature[~delivered[index]] = 0.0
-            score[~delivered[index]] = 0.0
             features.append(feature)
             scores.append(score)
             seconds.append(second)
@@ -144,7 +139,7 @@ class _Reference:
             for index, device in enumerate(devices):
                 if self.fault_plan.device_is_down(index):
                     continue
-                for sample in np.flatnonzero(delivered[index]):
+                for sample in range(batch):
                     message = Message(device.name, LOCAL_AGGREGATOR_NAME, device.summary_bytes())
                     link_s = deployment.fabric.send(message, record=False)
                     device.record_bytes_sent(message.size_bytes)
@@ -157,28 +152,26 @@ class _Reference:
         return dict(
             logits=logits,
             features=features,
-            delivered=delivered,
             service_s=max(seconds) + aggregate_s,
             intake_s=intake_s,
             compute_s=np.zeros(batch) + aggregate_s / batch,
             intake_bytes=intake_bytes,
         )
 
-    def offload(self, senders, destinations, sizes, delivered, rows, dead=()):
+    def offload(self, senders, destinations, sizes, rows, dead=()):
         delay, sent = np.zeros(len(rows)), np.zeros(len(rows))
         for index, node in enumerate(senders):
             if index in dead:
                 continue
-            for position, row in enumerate(rows):
-                if delivered is None or delivered[index, row]:
-                    message = Message(node.name, destinations[index], sizes[index])
-                    link_s = self.deployment.fabric.send(message, record=False)
-                    node.record_bytes_sent(message.size_bytes)
-                    sent[position] += message.size_bytes
-                    delay[position] = max(delay[position], link_s)
+            for position in range(len(rows)):
+                message = Message(node.name, destinations[index], sizes[index])
+                link_s = self.deployment.fabric.send(message, record=False)
+                node.record_bytes_sent(message.size_bytes)
+                sent[position] += message.size_bytes
+                delay[position] = max(delay[position], link_s)
         return delay, sent
 
-    def device_offload(self, result, rows):
+    def device_offload(self, rows):
         devices = self.deployment.devices
         destination = {index: CLOUD_NAME for index in range(len(devices))}
         for edge in self.deployment.edges:
@@ -187,7 +180,6 @@ class _Reference:
             devices,
             [destination[index] for index in range(len(devices))],
             [device.feature_bytes() for device in devices],
-            result["delivered"],
             rows,
             dead=self.fault_plan.failed_devices,
         )
@@ -220,7 +212,7 @@ class _Reference:
     def edge_offload(self, rows):
         edges = self.deployment.edges
         return self.offload(
-            edges, [CLOUD_NAME] * len(edges), [edge.feature_bytes() for edge in edges], None, rows
+            edges, [CLOUD_NAME] * len(edges), [edge.feature_bytes() for edge in edges], rows
         )
 
     def cloud(self, sources):
@@ -233,22 +225,17 @@ class _Reference:
 SCENARIOS = {
     "fault-free": dict(),
     "failed-device": dict(failed={1}),
-    "intermittent": dict(intermittent={0: 0.5, 2: 0.3}),
-    "failed-and-intermittent": dict(failed={2}, intermittent={1: 0.5}),
+    "two-failed-devices": dict(failed={0, 2}),
     "local-exit-disabled": dict(local_exit=False),
-    "edge-topology": dict(edges=True, intermittent={3: 0.4}),
+    "failed-without-local-exit": dict(failed={2}, local_exit=False),
+    "edge-topology": dict(edges=True, failed={3}),
 }
 
 
 def _deploy(model, scenario):
     plan = PartitionPlan(model, local_exit=scenario.get("local_exit"))
     deployment = plan.materialize()
-    fault_plan = FaultPlan(
-        failed_devices=scenario.get("failed", set()),
-        intermittent=scenario.get("intermittent", {}),
-        seed=13,
-    )
-    return plan, deployment, fault_plan
+    return plan, deployment, FaultPlan(failed_devices=scenario.get("failed", set()))
 
 
 def _equal(mine, reference):
@@ -257,6 +244,12 @@ def _equal(mine, reference):
         return
     assert np.asarray(mine).dtype == np.asarray(reference).dtype
     np.testing.assert_array_equal(mine, reference)
+
+
+def _charged(mine, per_row):
+    """A section charges every row one float; the reference, row by row."""
+    assert type(mine) is float
+    _equal(np.full(len(per_row), mine), per_row)
 
 
 def _equal_logits(mine, reference):
@@ -292,22 +285,15 @@ def test_sections_equal_the_per_device_reference(trained_ddnn, tiny_test, name, 
     # Device tier.
     result = sections[0].process(views, plans)
     expected = reference.devices(views)
-    features, delivered = result.carry
-    _equal(features, np.stack(expected["features"], axis=1))
-    # A dead device is dropped whole: the mask holds the live devices' draws.
-    live = [i for i in range(len(deployment.devices)) if not fault_plan.device_is_down(i)]
-    if delivered is None:
-        assert expected["delivered"][live].all()
-    else:
-        _equal(delivered[live], expected["delivered"][live])
+    _equal(result.carry, np.stack(expected["features"], axis=1))
     for field in ("intake_s", "compute_s", "intake_bytes"):
-        _equal(getattr(result, field), expected[field])
+        _charged(getattr(result, field), expected[field])
     _equal_logits(result.logits, expected["logits"])
     assert result.service_s == expected["service_s"]
     transfer = sections[0].offload(result.carry, rows)
-    delay, sent = reference.device_offload(expected, rows)
-    _equal(transfer.delay_s, delay)
-    _equal(transfer.bytes, sent)
+    delay, sent = reference.device_offload(rows)
+    _charged(transfer.delay_s, delay)
+    _charged(transfer.bytes, sent)
     # The next tier stages the offloaded rows of the carry; the reference
     # forwards one batch per source device.
     staged = np.stack([transfer.features[row] for row in rows])
@@ -317,21 +303,25 @@ def test_sections_equal_the_per_device_reference(trained_ddnn, tiny_test, name, 
         result = sections[1].process(staged, plans)
         expected = reference.edges(sources)
         _equal(result.carry, np.stack(expected["features"], axis=1))
-        _equal(result.compute_s, expected["compute_s"])
+        _charged(result.compute_s, expected["compute_s"])
+        for field in ("intake_s", "intake_bytes"):
+            _charged(getattr(result, field), np.zeros(len(rows)))
         _equal_logits(result.logits, expected["logits"])
         assert result.service_s == expected["service_s"]
         upper = np.arange(len(rows))[::2]
         transfer = sections[1].offload(result.carry, upper)
         delay, sent = reference.edge_offload(upper)
-        _equal(transfer.delay_s, delay)
-        _equal(transfer.bytes, sent)
+        _charged(transfer.delay_s, delay)
+        _charged(transfer.bytes, sent)
         staged = np.stack([transfer.features[row] for row in upper])
         sources = [feature[upper] for feature in expected["features"]]
 
     result = sections[-1].process(staged, plans)
     expected = reference.cloud(sources)
     _equal_logits(result.logits, expected["logits"])
-    _equal(result.compute_s, expected["compute_s"])
+    _charged(result.compute_s, expected["compute_s"])
+    for field in ("intake_s", "intake_bytes"):
+        _charged(getattr(result, field), np.zeros(len(staged)))
     assert result.service_s == expected["service_s"]
 
     assert _stats(deployment) == _stats(reference_deployment)
@@ -361,12 +351,8 @@ def test_section_results_survive_the_bundles_next_batch(trained_ddnn, tiny_test,
     run(second)
     run(second[:1])  # a batch of one stages a view, not a copy
     for mine, kept in zip(results, snapshot):
-        for field in ("logits", "intake_s", "compute_s", "intake_bytes"):
+        for field in ("logits", "carry", "intake_s", "compute_s", "intake_bytes"):
             _equal(getattr(mine, field), getattr(kept, field))
-        carry, kept_carry = mine.carry, kept.carry
-        if isinstance(carry, tuple):
-            (carry, _), (kept_carry, _) = carry, kept_carry
-        _equal(carry, kept_carry)
 
 
 # --------------------------------------------------------------------------- #

@@ -347,6 +347,31 @@ class TestBalancerCapacityTieBreak:
         assert balancer.replicas[0].clock.now >= 1.0
         assert balancer.pick() == 0
 
+    def test_a_hedge_goes_to_the_sibling_with_more_online_workers(self, trained_ddnn):
+        """Hedge copies rank siblings as least-loaded picks do: depth ties
+        break toward more online workers, then the lowest index."""
+        plan = PartitionPlan(trained_ddnn, replicas=3, workers_per_tier=2)
+        balancer = LoadBalancer.from_plan(plan, THRESHOLD, strategy="least-loaded")
+        first, second, third = balancer.replicas
+        first.attach_chaos(
+            ChaosSchedule(
+                crashes=[WorkerCrash(tier="cloud", start=0.0, end=1.0, workers=1)]
+            )
+        )
+        probes = {}
+        first.events.schedule(
+            0.5,
+            lambda now: probes.update(
+                from_third=balancer._hedge_sibling(third, 0),
+                from_second=balancer._hedge_sibling(second, 0),
+                from_first=balancer._hedge_sibling(first, 0),
+            ),
+        )
+        first.run_until_idle(drain=True)
+        assert probes == {"from_third": second, "from_second": third, "from_first": second}
+        assert balancer._hedge_sibling(third, 0) is first
+        assert balancer._hedge_sibling(first, 0) is second
+
 
 # --------------------------------------------------------------------------- #
 class TestReportMetadataUniformity:
